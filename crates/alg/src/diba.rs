@@ -179,7 +179,7 @@ impl Default for DibaConfig {
 
 /// Resolved per-node parameters — what a deployed node actually carries.
 /// Shared by the synchronous reference implementation and the
-/// message-passing prototype in `dpc-agents` so both run identical math.
+/// message-passing agents in `dpc-runtime` so both run identical math.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeParams {
     /// Barrier weight η.
@@ -519,7 +519,7 @@ fn stage_tol_for(problem: &PowerBudgetProblem) -> f64 {
 }
 
 /// A running DiBA instance: the synchronous-round reference implementation
-/// (the thread-per-node prototype lives in `dpc-agents`).
+/// (the message-passing agents live in `dpc-runtime`).
 #[derive(Debug, Clone)]
 pub struct DibaRun {
     problem: PowerBudgetProblem,

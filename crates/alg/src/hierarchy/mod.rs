@@ -1,32 +1,22 @@
 //! Hierarchical decentralized budgeting — rack → row → datacenter budget
 //! domains plus per-tenant caps that cut across the physical tree.
 //!
-//! Two layers live here:
-//!
-//! * [`HierarchicalRun`] — the original two-timescale facility of flat
-//!   groups: every group runs DiBA on its own small ring (fast tier), and a
-//!   facility-level rebalance periodically shifts budget toward
-//!   above-price groups using one scalar per group (slow tier). At the
-//!   joint fixed point all groups share one demand price, which is the flat
-//!   problem's single-price KKT condition.
-//! * [`BudgetTree`] — the general tree: each internal node allocates its
-//!   budget over its children's *aggregate* demand curves (exact
-//!   piecewise-linear composition, no nested bisection), leaves run the
-//!   per-server solver (water-filling oracle or a DiBA ring), and nested
-//!   constraints `Σ p_i ≤ P_rack ≤ P_row ≤ P_dc` hold at every level.
-//!   [`TenantCap`]s add cross-cutting budgets `Σ_{i∈t} p_i ≤ C_t` solved by
-//!   projected dual ascent on one multiplier per tenant.
+//! [`BudgetTree`] is the hierarchy: each internal node allocates its
+//! budget over its children's *aggregate* demand curves (exact
+//! piecewise-linear composition, no nested bisection), leaves run the
+//! per-server solver (water-filling oracle or a DiBA ring), and nested
+//! constraints `Σ p_i ≤ P_rack ≤ P_row ≤ P_dc` hold at every level.
+//! [`TenantCap`]s add cross-cutting budgets `Σ_{i∈t} p_i ≤ C_t` solved by
+//! projected dual ascent on one multiplier per tenant.
 //!
 //! A two-level tree of 1k-server domains reaches 100k+ servers without any
 //! single communication ring growing past the domain size.
 
 mod curve;
-mod flat;
 mod tenant;
 mod tree;
 
 pub use curve::AggregateCurve;
-pub use flat::HierarchicalRun;
 pub use tenant::{TenantCap, TenantReport};
 pub use tree::{BudgetTree, DomainChildren, DomainReport, DomainSpec, LeafSolver, TreeSolution};
 
@@ -36,10 +26,10 @@ pub use tree::{BudgetTree, DomainChildren, DomainReport, DomainSpec, LeafSolver,
 /// `target` clamped into `[Σ lo, Σ hi]` (up to floating-point roundoff of
 /// the final pass), and every value sits inside its `[lo, hi]` box.
 ///
-/// This is the feasibility-preserving redistribution shared by the flat
-/// rebalance and the tree's top-down propagation: price-driven *desired*
-/// budgets are clamped into their boxes first, then the clamped residue is
-/// spread so the parent's total is conserved exactly.
+/// This is the feasibility-preserving redistribution of the tree's
+/// top-down propagation: price-driven *desired* budgets are clamped into
+/// their boxes first, then the clamped residue is spread so the parent's
+/// total is conserved exactly.
 pub(crate) fn spread_residue(values: &mut [f64], lo: &[f64], hi: &[f64], target: f64) {
     debug_assert_eq!(values.len(), lo.len());
     debug_assert_eq!(values.len(), hi.len());

@@ -1,9 +1,8 @@
 //! The protocol message exchanged along a graph edge each DiBA round.
 //!
 //! Extracted here so every execution substrate speaks the same payload:
-//! the in-process thread prototype (`dpc-agents`), the simulator
-//! (`crate::diba_async`), and the deployable node runtime (`dpc-runtime`,
-//! which wraps it in a versioned wire frame for TCP links). Keeping the
+//! the simulator (`crate::diba_async`) and the deployable node runtime
+//! (`dpc-runtime`, which wraps it in a versioned wire frame). Keeping the
 //! payload in the algorithm crate means a substrate cannot silently add
 //! fields the math does not account for.
 

@@ -1,18 +1,16 @@
-//! Equivalence and safety properties of the hierarchical budget tree and
-//! the flat two-timescale facility.
+//! Equivalence and safety properties of the hierarchical budget tree.
 //!
 //! The bitwise tests pin the trivial-tree contract: a chain of domains
 //! around a single leaf must reproduce the flat DiBA run exactly — same
 //! budget, same ring, same engine — under both the serial and the pooled
 //! thread policy. The property tests then cover what a fixed example
 //! cannot: tenant caps binding at arbitrary fractions of the uncapped
-//! draw, and the flat facility's rebalance staying conservative and
-//! feasible for any legal `rebalance_step`.
+//! draw.
 
 use dpc_alg::centralized;
 use dpc_alg::diba::{DibaConfig, DibaRun};
 use dpc_alg::exec::Threads;
-use dpc_alg::hierarchy::{BudgetTree, DomainSpec, HierarchicalRun, LeafSolver, TenantCap};
+use dpc_alg::hierarchy::{BudgetTree, DomainSpec, LeafSolver, TenantCap};
 use dpc_alg::problem::PowerBudgetProblem;
 use dpc_models::units::Watts;
 use dpc_models::workload::ClusterBuilder;
@@ -121,63 +119,5 @@ proptest! {
         prop_assert!(sol.tenants[0].price > 0.0, "cap below draw must price in");
         prop_assert!(sol.total_power <= budget + Watts(1e-6));
         prop_assert!(tree.nested_feasible(Watts(1e-6)));
-    }
-
-    /// For any legal `rebalance_step`, the flat facility's rebalance
-    /// conserves the total budget exactly and keeps every group's budget
-    /// inside its aggregate `[Σ p_min, Σ p_max]` box.
-    #[test]
-    fn rebalance_conserves_and_stays_feasible_for_any_step(
-        seed in 0u64..64,
-        step in 0.01f64..4.0,
-        groups in 2usize..5,
-        per_server in 140.0f64..200.0,
-    ) {
-        let n = 24;
-        let u = cluster(n, seed);
-        let group_of: Vec<usize> = (0..n).map(|i| i % groups).collect();
-        let total = Watts(per_server * n as f64);
-        let floor: f64 = u.iter().map(|q| q.p_min().0).sum();
-        prop_assume!(total.0 >= floor);
-
-        let floors: Vec<f64> = (0..groups)
-            .map(|g| {
-                group_of
-                    .iter()
-                    .zip(&u)
-                    .filter(|(&og, _)| og == g)
-                    .map(|(_, q)| q.p_min().0)
-                    .sum()
-            })
-            .collect();
-        let ceils: Vec<f64> = (0..groups)
-            .map(|g| {
-                group_of
-                    .iter()
-                    .zip(&u)
-                    .filter(|(&og, _)| og == g)
-                    .map(|(_, q)| q.p_max().0)
-                    .sum()
-            })
-            .collect();
-
-        let mut run = HierarchicalRun::new(u, &group_of, total, DibaConfig::default()).unwrap();
-        run.set_rebalance_step(step);
-        for _ in 0..12 {
-            run.step_local(25);
-            run.rebalance();
-            let budgets = run.group_budgets();
-            let sum: f64 = budgets.iter().map(|b| b.0).sum();
-            prop_assert!(
-                (sum - total.0).abs() <= 1e-6 * total.0,
-                "budget not conserved: {sum} vs {total}"
-            );
-            for ((b, &lo), &hi) in budgets.iter().zip(&floors).zip(&ceils) {
-                prop_assert!(
-                    b.0 >= lo - 1e-9 && b.0 <= hi + 1e-9,
-                    "group budget {b} outside [{lo}, {hi}]"
-                );
-            }
-        }
     }
 }

@@ -1,21 +1,9 @@
-//! Regression tests for the three flat-hierarchy feasibility bugs fixed by
-//! the budget-tree PR. Each test fails on the pre-fix `hierarchy.rs`:
-//!
-//! 1. `HierarchicalRun::new` split the facility budget proportionally to
-//!    member *count*, so a group with high idle floors got
-//!    `InfeasibleBudget` even when the total was ample.
-//! 2. `rebalance()` applied its price-gap step with a broken feasibility
-//!    guard: the floor clamp used `floor × 1.001`, which *panics* (clamp
-//!    with `min > max`) for a group whose box is narrower than 0.1 %, and
-//!    the slack renormalization could push a group's budget above its
-//!    aggregate `p_max` without conserving per-group feasibility.
-//! 3. `rebalance()` computed the facility price as the *unweighted* mean of
-//!    group prices, biasing the fixed point toward small groups.
+//! Regression test for the budget-split feasibility bug of the seed-era
+//! flat hierarchy: it split the facility budget proportionally to member
+//! *count*, so a group with high idle floors got `InfeasibleBudget` even
+//! when the total was ample. The budget tree must never do that.
 
-use dpc_alg::centralized;
-use dpc_alg::diba::DibaConfig;
-use dpc_alg::hierarchy::HierarchicalRun;
-use dpc_alg::problem::PowerBudgetProblem;
+use dpc_alg::hierarchy::{BudgetTree, DomainSpec, LeafSolver};
 use dpc_models::throughput::{CurveParams, QuadraticUtility};
 use dpc_models::units::Watts;
 
@@ -25,10 +13,9 @@ fn curves(n: usize, mb: f64, p_min: f64, p_max: f64) -> Vec<QuadraticUtility> {
         .collect()
 }
 
-/// Bugfix 1: a group whose members have high idle floors must receive at
-/// least its aggregate floor whenever the *total* budget is ample — the
-/// split is (aggregate floor) + (slack proportional to headroom), not
-/// proportional to member count.
+/// A domain whose members have high idle floors must receive at least its
+/// aggregate floor whenever the *total* budget is ample — the split
+/// follows the children's aggregate demand curves, not member count.
 #[test]
 fn ample_budget_with_heterogeneous_floors_is_feasible() {
     // Group 0: 10 servers idling at 150 W; group 1: 10 servers idling at
@@ -36,123 +23,39 @@ fn ample_budget_with_heterogeneous_floors_is_feasible() {
     // count-proportional split hands group 0 only 1260 W < its 1500 W floor.
     let mut all = curves(10, 0.3, 150.0, 210.0);
     all.extend(curves(10, 0.3, 60.0, 210.0));
-    let group_of: Vec<usize> = (0..20).map(|i| i / 10).collect();
+    let spec = DomainSpec::internal(
+        "dc",
+        vec![
+            DomainSpec::leaf("hot", (0..10).collect()),
+            DomainSpec::leaf("cool", (10..20).collect()),
+        ],
+    );
     let total = Watts(2100.0 * 1.2);
 
-    let h = HierarchicalRun::new(all, &group_of, total, DibaConfig::default())
+    let mut tree = BudgetTree::new(all, &spec, total, vec![])
         .expect("ample total budget must be feasible for every group");
+    let sol = tree
+        .solve(&LeafSolver::Oracle)
+        .expect("depth-1 tree solves");
+    // The tree's feasibility tolerance everywhere (curve inversion lands
+    // a floor-pinned domain within roundoff of its floor).
+    let tol = Watts(1e-6);
+    assert!(sol.total_power <= total + tol);
+    assert!(tree.nested_feasible(tol));
 
-    let budgets = h.group_budgets();
+    let budgets: Vec<Watts> = tree.domain_reports()[1..]
+        .iter()
+        .map(|d| d.budget)
+        .collect();
     assert!(
-        budgets[0] >= Watts(1500.0),
+        budgets[0] >= Watts(1500.0) - tol,
         "high-floor group got {} < its 1500 W floor",
         budgets[0]
     );
-    assert!(budgets[1] >= Watts(600.0));
+    assert!(budgets[1] >= Watts(600.0) - tol);
     let sum: Watts = budgets.iter().copied().sum();
     assert!(
-        (sum - total).abs() < Watts(1e-6),
-        "initial split does not conserve the total: {sum} vs {total}"
+        (sum - total).abs() < tol,
+        "split does not conserve the total: {sum} vs {total}"
     );
-}
-
-/// Bugfix 2: the rebalance step must clamp every group's post-step budget
-/// into its aggregate `[p_min, p_max]` box and redistribute the clamped
-/// residue so the total is conserved exactly. The pre-fix guard panicked on
-/// narrow-box groups (floor × 1.001 exceeding the ceiling) and could park
-/// budgets above a group's ceiling.
-#[test]
-fn rebalance_keeps_every_group_inside_its_box_and_conserves_the_total() {
-    // Group 0: 4 servers pinned in a 0.07 %-wide box (firmware-capped
-    // rack); group 1: 16 flexible servers.
-    let mut all = curves(4, 0.3, 150.0, 150.1);
-    all.extend(curves(16, 0.3, 60.0, 210.0));
-    let group_of: Vec<usize> = (0..20).map(|i| usize::from(i >= 4)).collect();
-    let total = Watts(3000.0);
-
-    let mut h = HierarchicalRun::new(all, &group_of, total, DibaConfig::default())
-        .expect("total covers both groups' floors");
-    let floors = [Watts(4.0 * 150.0), Watts(16.0 * 60.0)];
-    let ceils = [Watts(4.0 * 150.1), Watts(16.0 * 210.0)];
-    for _ in 0..30 {
-        h.step_local(40);
-        h.rebalance();
-        let budgets = h.group_budgets();
-        let sum: Watts = budgets.iter().copied().sum();
-        assert!(
-            (sum - total).abs() < Watts(1e-6),
-            "rebalance drifted the total to {sum}"
-        );
-        for ((b, &lo), &hi) in budgets.iter().zip(&floors).zip(&ceils) {
-            assert!(
-                *b >= lo - Watts(1e-9) && *b <= hi + Watts(1e-9),
-                "group budget {b} outside its feasible box [{lo}, {hi}]"
-            );
-        }
-    }
-}
-
-/// Bugfix 3: the facility price must be the member-count-weighted mean of
-/// group demand prices. With an unweighted mean, a small cold group drags
-/// the facility reference price down, the big groups' steps stop summing to
-/// zero, and the joint fixed point parks with an unpinned group's demand
-/// price ~20 % below the flat oracle's λ* (1.3 % utility left on the
-/// table). Weighted, every group whose budget is interior to its box must
-/// carry the oracle's single price.
-#[test]
-fn weighted_facility_price_reaches_the_flat_oracle_fixed_point() {
-    // 40 CPU-bound servers, 16 mixed, 4 memory-bound stragglers whose
-    // demand price sits far below the facility's.
-    let mut all = curves(40, 0.1, 110.0, 210.0);
-    all.extend(curves(16, 0.5, 110.0, 210.0));
-    all.extend(curves(4, 0.95, 110.0, 210.0));
-    let group_of: Vec<usize> = (0..60)
-        .map(|i| if i < 40 { 0 } else { usize::from(i >= 56) + 1 })
-        .collect();
-    let ranges = [(0usize, 40usize), (40, 56), (56, 60)];
-    let total = Watts(150.0 * 60.0);
-
-    let flat = PowerBudgetProblem::new(all.clone(), total).unwrap();
-    let oracle = centralized::solve(&flat);
-    let opt = flat.total_utility(&oracle.allocation);
-
-    let mut h = HierarchicalRun::new(all.clone(), &group_of, total, DibaConfig::default())
-        .expect("feasible facility");
-    for _ in 0..150 {
-        h.step_local(80);
-        h.rebalance();
-    }
-
-    // Every group whose budget is strictly interior to its aggregate box
-    // must share the oracle's single KKT price.
-    let alloc = h.allocation();
-    let budgets = h.group_budgets();
-    for (g, &(lo, hi)) in ranges.iter().enumerate() {
-        let floor: Watts = all[lo..hi].iter().map(|u| u.p_min()).sum();
-        let ceil: Watts = all[lo..hi].iter().map(|u| u.p_max()).sum();
-        let interior = budgets[g] > floor + Watts(1.0) && budgets[g] < ceil - Watts(1.0);
-        if !interior {
-            continue;
-        }
-        let price = all[lo..hi]
-            .iter()
-            .zip(&alloc.powers()[lo..hi])
-            .map(|(u, &p)| u.slope(p).max(0.0))
-            .sum::<f64>()
-            / (hi - lo) as f64;
-        let dev = (price - oracle.lambda).abs() / oracle.lambda;
-        assert!(
-            dev < 0.10,
-            "group {g} demand price {price:.6} deviates {:.1}% from the oracle λ* {:.6}",
-            dev * 100.0,
-            oracle.lambda
-        );
-    }
-    let gap = (opt - h.total_utility()).abs() / opt.abs();
-    assert!(
-        gap < 0.01,
-        "joint fixed point is {:.3}% below the flat optimum (KKT violated)",
-        gap * 100.0
-    );
-    assert!(h.total_power() <= total + Watts(1e-6));
 }

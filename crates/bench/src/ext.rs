@@ -254,68 +254,6 @@ pub fn ext_enforcement(n: usize) -> String {
     )
 }
 
-/// Extension: thermal-aware rack layout planning (the Chapter 5
-/// heuristics) — cooling power of planned vs oblivious placements for the
-/// heterogeneous paper room.
-pub fn ext_layout() -> String {
-    use dpc_thermal::layout::RoomLayout;
-    use dpc_thermal::planning::{evaluate, greedy, local_search, table5_1_rack_classes, Placement};
-    use dpc_thermal::ThermalModel;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let model = ThermalModel::paper_cluster();
-    let d = RoomLayout::paper_cluster().heat_matrix();
-    let classes = table5_1_rack_classes();
-    let mut rng = StdRng::seed_from_u64(31);
-
-    let mut t = Table::new([
-        "utilization",
-        "method",
-        "t_sup (°C)",
-        "cooling (kW)",
-        "saving",
-    ]);
-    for &(label, util) in &[("100% (plate specs)", 1.0), ("60%", 0.6), ("30%", 0.3)] {
-        let powers: Vec<Watts> = (0..80)
-            .map(|i| {
-                let c = classes[i / 20];
-                c.idle + (c.peak - c.idle) * util
-            })
-            .collect();
-        let oblivious = evaluate(&model, &Placement::identity(80), &powers).expect("sizes match");
-        let candidates = [
-            ("greedy", greedy(&d, &powers)),
-            ("local search", local_search(&d, &powers, 40_000, &mut rng)),
-        ];
-        t.row([
-            label.to_string(),
-            "oblivious".to_string(),
-            format!("{:.2}", oblivious.t_sup.0),
-            format!("{:.1}", oblivious.cooling.kilowatts()),
-            "-".to_string(),
-        ]);
-        for (name, placement) in candidates {
-            let e = evaluate(&model, &placement, &powers).expect("sizes match");
-            t.row([
-                label.to_string(),
-                name.to_string(),
-                format!("{:.2}", e.t_sup.0),
-                format!("{:.1}", e.cooling.kilowatts()),
-                crate::report::pct(1.0 - e.cooling / oblivious.cooling),
-            ]);
-        }
-    }
-    format!(
-        "Extension — thermal-aware rack layout (80 heterogeneous racks)\n\n{}\n\
-         Placing hot racks where they recirculate least raises the safe\n\
-         supply temperature and cuts cooling power, most at high utilization\n\
-         (the dissertation reports 15.5–38.5% with an exact ILP; the local\n\
-         search is its solver-free stand-in).\n",
-        t.render()
-    )
-}
-
 /// Extension: execution-phase dynamics — the budgeter tracks workloads
 /// whose characteristics swing between compute- and memory-bound phases.
 pub fn ext_phases(n: usize) -> String {
@@ -445,10 +383,11 @@ pub fn ext_spectral(n: usize) -> String {
     )
 }
 
-/// Extension: hierarchical budgeting — groups run small local rings,
-/// budgets rebalance at the facility level with one scalar per group.
+/// Extension: hierarchical budgeting — a depth-1 budget tree splits the
+/// facility budget over its domains' aggregate demand curves, and every
+/// domain runs its own small DiBA ring.
 pub fn ext_hierarchy(n: usize) -> String {
-    use dpc_alg::hierarchy::HierarchicalRun;
+    use dpc_alg::hierarchy::{BudgetTree, DomainSpec, LeafSolver};
 
     let per_server = 168.0;
     let c = ClusterBuilder::new(n).seed(28).build();
@@ -460,7 +399,7 @@ pub fn ext_hierarchy(n: usize) -> String {
     let mut t = Table::new([
         "configuration",
         "ring size",
-        "super-steps to 98.5%",
+        "rounds to 98.5%",
         "final util/opt",
     ]);
     // Flat DiBA reference.
@@ -470,52 +409,73 @@ pub fn ext_hierarchy(n: usize) -> String {
     t.row([
         "flat (one ring)".to_string(),
         n.to_string(),
-        flat_rounds.map_or(">60000 rounds".into(), |r| format!("{r} rounds")),
+        flat_rounds.map_or(">60000".into(), |r| r.to_string()),
         format!("{:.4}", flat.total_utility() / opt),
     ]);
-    for &groups in &[2usize, 5, 10] {
-        let group_of: Vec<usize> = (0..n).map(|i| i % groups).collect();
-        let mut h =
-            HierarchicalRun::new(utilities.clone(), &group_of, total, DibaConfig::default())
-                .expect("valid grouping");
-        let steps = h.run_until_within(opt, 0.015, 100, 400);
+    let leaf = LeafSolver::Diba {
+        config: DibaConfig::default(),
+        rel_tol: 0.015,
+        max_rounds: 60_000,
+    };
+    for &domains in &[2usize, 5, 10] {
+        let spec = DomainSpec::uniform(n, domains, 1);
+        let mut tree = BudgetTree::new(utilities.clone(), &spec, total, vec![]).expect("feasible");
+        let (rounds, quality) = match tree.solve(&leaf) {
+            // Leaf rings run in parallel, so the slowest one sets the pace.
+            Ok(sol) => (
+                sol.leaf_rounds
+                    .iter()
+                    .max()
+                    .copied()
+                    .unwrap_or(0)
+                    .to_string(),
+                format!("{:.4}", sol.total_utility / opt),
+            ),
+            Err(_) => (">60000".to_string(), "-".to_string()),
+        };
         t.row([
-            format!("{groups} groups"),
-            (n / groups).to_string(),
-            steps.map_or(">400".into(), |s| s.to_string()),
-            format!("{:.4}", h.total_utility() / opt),
+            format!("{domains} domains"),
+            tree.max_leaf_servers().to_string(),
+            rounds,
+            quality,
         ]);
     }
     format!(
         "Extension — hierarchical budgeting ({n} servers, budget {:.1} kW)\n\n{}\n\
-         Each super-step is 100 local rounds plus one O(#groups) facility\n\
-         rebalance. Small group rings mix fast and bound the failure domain;\n\
-         the price-equalizing rebalance recovers the global optimum.\n",
+         The root inverts its children's exact aggregate demand curves once\n\
+         (no iteration), then every domain converges on its own ring to\n\
+         within 1.5% of its own optimum. At this size the barrier continuation,\n\
+         not the ring diameter, sets the round count, so the split costs\n\
+         nothing in rounds or optimality while bounding every gossip ring —\n\
+         and failure domain — at n/domains servers.\n",
         total.kilowatts(),
         t.render()
     )
 }
 
-/// Extension: the paper's prototype demonstration, reproduced on the
-/// thread-per-node deployment — "a working prototype of DiBA on a real
-/// experimental cluster … meeting dynamic total power budget in a fully
-/// distributed fashion" (Section 4.1), with a mid-run silent node crash
-/// thrown in.
+/// Extension: the paper's prototype demonstration — "a working prototype
+/// of DiBA on a real experimental cluster … meeting dynamic total power
+/// budget in a fully distributed fashion" (Section 4.1) — reproduced on
+/// the asynchronous message-passing simulator with a seeded mid-run
+/// silent node crash thrown in.
 pub fn ext_prototype(n: usize) -> String {
-    use dpc_agents::AgentCluster;
-    use std::time::Duration;
+    use dpc_alg::faults::{FaultPlan, NodeFaultKind};
 
     let cluster = ClusterBuilder::new(n).seed(40).build();
     let budgets: [f64; 4] = [176.0, 168.0, 182.0, 172.0];
     let initial = Watts(budgets[0] * n as f64);
     let p = PowerBudgetProblem::new(cluster.utilities(), initial).expect("feasible");
-    let mut agents = AgentCluster::spawn(
+    // The crash fires on the first round after epoch 2's budget change has
+    // had its 1 000 rounds (1 500 + 2 × 1 000 rounds in).
+    let plan = FaultPlan::none().and(3_501, n / 3, NodeFaultKind::Crash);
+    let mut agents = AsyncDibaRun::with_faults(
         p,
         Graph::ring_with_chords(n, (n / 6).max(2)),
         DibaConfig::default(),
-        Duration::from_millis(300),
+        AsyncConfig::default(),
+        plan,
     )
-    .expect("deployment spawns");
+    .expect("deployment is valid");
 
     let mut t = Table::new([
         "epoch",
@@ -524,40 +484,39 @@ pub fn ext_prototype(n: usize) -> String {
         "power (kW)",
         "within budget",
     ]);
-    let log = |agents: &AgentCluster, epoch: usize, event: &str, t: &mut Table| {
+    let log = |agents: &AsyncDibaRun, epoch: usize, event: &str, t: &mut Table| {
+        let budget = agents.problem().budget();
         t.row([
             epoch.to_string(),
             event.to_string(),
-            format!("{:.2}", agents.budget().kilowatts()),
+            format!("{:.2}", budget.kilowatts()),
             format!("{:.2}", agents.total_power().kilowatts()),
-            (agents.total_power() <= agents.budget() + Watts(1e-6)).to_string(),
+            (agents.total_power() <= budget + Watts(1e-6)).to_string(),
         ]);
     };
 
-    agents.run_rounds(1_500);
+    agents.run(1_500);
     log(&agents, 0, "converged", &mut t);
     for (epoch, &per_server) in budgets.iter().enumerate().skip(1) {
         agents
             .set_budget(Watts(per_server * n as f64))
             .expect("schedule stays feasible");
-        agents.run_rounds(1_000);
+        agents.run(1_000);
         log(&agents, epoch, "budget change", &mut t);
         if epoch == 2 {
-            agents.fail_node(n / 3);
-            agents.run_rounds(800);
+            agents.run(800);
             log(&agents, epoch, "node crash + recovery", &mut t);
         }
     }
-    let drift = agents.invariant_drift();
-    let alive = agents.alive_count();
-    agents.shutdown();
     format!(
-        "Extension — the deployed prototype under dynamic budgets ({n} agent threads)\n\n{}\n\
-         survivors: {alive}/{n}; residual-invariant drift: {drift:.2e} W.\n\
-         Every agent is an OS thread exchanging messages over channels with\n\
-         its graph neighbors only — no coordinator exists anywhere in this\n\
-         run, including during the budget changes and the crash.\n",
-        t.render()
+        "Extension — the deployed prototype under dynamic budgets ({n} agents)\n\n{}\n\
+         survivors: {}/{n}; residual-invariant drift: {:.2e} W.\n\
+         Every agent exchanges messages with its graph neighbors only, over\n\
+         links that delay and reorder them — no coordinator exists anywhere\n\
+         in this run, including during the budget changes and the crash.\n",
+        t.render(),
+        agents.live_count(),
+        agents.conservation_drift(),
     )
 }
 
@@ -609,105 +568,6 @@ pub fn ext_network_load(n: usize) -> String {
         t.render(),
         tree.diba_core_packets_per_round(n),
         tree.diba_core_utilization(n) * 100.0,
-    )
-}
-
-/// Extension: FXplore — firmware-created soft heterogeneity, and what it
-/// buys the power budgeter (Chapter 6 + the integration with Chapter 4).
-pub fn ext_firmware() -> String {
-    use dpc_firmware::config::FirmwareConfig;
-    use dpc_firmware::explore::{
-        brute_force, brute_force_reboots, fxplore_s, fxplore_s_reboots, Objective,
-    };
-    use dpc_firmware::response::ResponseModel;
-    use dpc_firmware::subcluster::fxplore_sc;
-    use dpc_models::benchmark::{WorkloadSpec, HPC_BENCHMARKS};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let mut rng = StdRng::seed_from_u64(44);
-    let specs: Vec<&WorkloadSpec> = HPC_BENCHMARKS.iter().collect();
-
-    // Per-workload search quality (Figs. 6.6/6.8 shape).
-    let mut t = Table::new([
-        "workload",
-        "all-enabled rt",
-        "FXplore-S rt",
-        "brute-force rt",
-        "FXplore-S config",
-    ]);
-    let mut improvements = Vec::new();
-    let mut fx_total = 0.0;
-    for spec in &specs {
-        let m = ResponseModel::for_spec(spec);
-        let base = m.runtime(FirmwareConfig::all_enabled());
-        let fx = fxplore_s(&m, Objective::Runtime, 0.01, &mut rng);
-        let bf = brute_force(&m, Objective::Runtime, 0.01, &mut rng);
-        improvements.push(1.0 - m.runtime(fx.config) / base);
-        fx_total += m.runtime(fx.config);
-        t.row([
-            spec.name.to_string(),
-            format!("{:.1}", base),
-            format!("{:.1}", m.runtime(fx.config)),
-            format!("{:.1}", m.runtime(bf.config)),
-            fx.config.to_string(),
-        ]);
-    }
-    let mean_impr = improvements.iter().sum::<f64>() / improvements.len() as f64;
-
-    // Sub-clustering at κ = 4 (Fig. 6.10).
-    let (clustering, configs) = fxplore_sc(&specs, 4, Objective::Runtime, 0.01, &mut rng);
-    let mut sc_total = 0.0;
-    let mut base_total = 0.0;
-    for (i, spec) in specs.iter().enumerate() {
-        let m = ResponseModel::for_spec(spec);
-        sc_total += m.runtime(configs[clustering.assignments()[i]].0);
-        base_total += m.runtime(FirmwareConfig::all_enabled());
-    }
-
-    // Integration with the power budgeter: soft heterogeneity widens the
-    // throughput-curve spread, which the allocator turns into SNP. Firmware
-    // runtime gains scale each workload's throughput.
-    let n = 300;
-    let cluster = ClusterBuilder::new(n).seed(45).build();
-    let budget = Watts(166.0 * n as f64);
-    let flat = PowerBudgetProblem::new(cluster.utilities(), budget).expect("feasible");
-    let snp_flat = {
-        let a = centralized::solve(&flat).allocation;
-        dpc_models::metrics::snp_arithmetic(&flat.anps(&a))
-    };
-    let tuned: Vec<_> = cluster
-        .workloads()
-        .iter()
-        .map(|w| {
-            let m = ResponseModel::for_spec(w.benchmark.spec());
-            let cfg = configs[clustering.assignments()[w.benchmark as usize]].0;
-            let speedup = m.runtime(FirmwareConfig::all_enabled()) / m.runtime(cfg);
-            w.learned.scaled(speedup)
-        })
-        .collect();
-    let tuned_problem = PowerBudgetProblem::new(tuned, budget).expect("same boxes");
-    // Throughput (not SNP) is what firmware buys: compare total utility.
-    let util_flat = flat.total_utility(&centralized::solve(&flat).allocation);
-    let util_tuned = tuned_problem.total_utility(&centralized::solve(&tuned_problem).allocation);
-
-    format!(
-        "Extension — FXplore soft heterogeneity (Chapter 6)\n\n{}\n\
-         mean runtime improvement over all-enabled: {:.1}% (paper: 11%)\n\
-         exploration cost: {} reboots vs {} brute force ({:.1}x, paper: 2.2x)\n\
-         κ=4 sub-clusters retain {:.0}% of the per-workload gains\n\n\
-         Integration with the budget allocator ({n} servers, {:.0} kW):\n\
-         firmware tuning raises the optimally-budgeted cluster throughput by\n\
-         {:.1}% on top of the allocator's own gains (SNP baseline {:.4}).\n",
-        t.render(),
-        mean_impr * 100.0,
-        fxplore_s_reboots(5),
-        brute_force_reboots(5),
-        brute_force_reboots(5) as f64 / fxplore_s_reboots(5) as f64,
-        (base_total - sc_total) / (base_total - fx_total).max(1e-9) * 100.0,
-        budget.kilowatts(),
-        (util_tuned / util_flat - 1.0) * 100.0,
-        snp_flat,
     )
 }
 

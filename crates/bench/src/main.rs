@@ -85,27 +85,22 @@ fn experiments() -> Vec<(&'static str, &'static str)> {
             "extension: asynchrony / message-delay robustness",
         ),
         ("ext_enforcement", "extension: end-to-end cap enforcement"),
-        (
-            "ext_layout",
-            "extension: thermal-aware rack layout planning",
-        ),
         ("ext_phases", "extension: execution-phase workload dynamics"),
         (
             "ext_spectral",
             "extension: spectral prediction of convergence",
         ),
-        ("ext_hierarchy", "extension: hierarchical group budgeting"),
+        (
+            "ext_hierarchy",
+            "extension: depth-1 budget tree vs one ring",
+        ),
         (
             "ext_prototype",
-            "extension: threaded deployment under dynamic budgets",
+            "extension: message-passing agents under dynamic budgets",
         ),
         (
             "ext_network_load",
             "extension: aggregate network load per scheme",
-        ),
-        (
-            "ext_firmware",
-            "extension: FXplore firmware soft heterogeneity",
         ),
     ]
 }
@@ -137,13 +132,11 @@ fn run_one(id: &str, s: &Scale) -> Option<String> {
         "ablation_topology" => ext::ablation_topology(if s.n >= 400 { 400 } else { 100 }),
         "ext_async" => ext::ext_async(s.n.min(120)),
         "ext_enforcement" => ext::ext_enforcement(s.n.min(400)),
-        "ext_layout" => ext::ext_layout(),
         "ext_phases" => ext::ext_phases(s.n.min(300)),
         "ext_spectral" => ext::ext_spectral(if s.n >= 400 { 400 } else { 100 }),
         "ext_hierarchy" => ext::ext_hierarchy(s.n.min(200)),
         "ext_prototype" => ext::ext_prototype(s.n.min(64)),
         "ext_network_load" => ext::ext_network_load(s.n),
-        "ext_firmware" => ext::ext_firmware(),
         _ => return None,
     };
     Some(out)

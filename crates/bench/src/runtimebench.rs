@@ -3,13 +3,13 @@
 //! Three sections, one report:
 //!
 //! * **cells** — the same seeded problem deployed on every transport
-//!   (in-process channels, TCP loopback, the lockstep executor, and the
+//!   ([`TransportKind::ALL`]: TCP loopback, the lockstep executor, and the
 //!   epoll reactor) at several small cluster sizes, recording rounds and
 //!   messages per second alongside the run's deterministic counters.
 //! * **scale** — reactor-only rows at N ∈ {1024, 10240} on a torus, the
-//!   regime the readiness runtime exists for: one process, thread count
-//!   pinned by the shard count (reported as `peak_threads`), round budget
-//!   capped so the row measures throughput rather than patience.
+//!   regime the readiness runtime exists for: one process, shard count
+//!   pinned (`peak_threads` reports what the process actually ran), round
+//!   budget capped so the row measures throughput rather than patience.
 //! * **topologies** — rounds-to-converge at N = 1024 across the graph
 //!   families (ring, chord ring, torus, hypercube, random-regular) on the
 //!   lockstep executor, each row carrying its consensus spectral gap. The
@@ -21,9 +21,12 @@
 //! of fields on separate lines: every deterministic counter is a pure
 //! function of `(sizes, seed)` and is byte-identical across reruns, while
 //! the wall-clock rates live on their own `"..._per_sec"`/`"secs"` lines.
-//! Stripping lines containing `per_sec` or `secs` therefore yields a
-//! byte-reproducible document — the contract the CLI tests check,
-//! mirroring how `BENCH_round_engine.json` treats its timing columns.
+//! Stripping those ([`crate::report::deterministic_lines`]) therefore
+//! yields a byte-reproducible document — the contract the CLI tests
+//! check, mirroring how `BENCH_round_engine.json` treats its timing
+//! columns. `peak_threads` rides the volatile line too: it is a
+//! process-wide `/proc/self/status` sample, so it counts whatever other
+//! threads the host process happens to run (a test harness's siblings).
 //! One wrinkle: a *force-capped reactor* row tears down with messages
 //! still in flight, so its message totals and final drift carry a small
 //! run-to-run tail — those rows emit their counters on the volatile line
@@ -47,14 +50,6 @@ use std::time::Instant;
 /// Default cluster sizes exercised by `dpc cluster --bench`.
 pub const DEFAULT_SIZES: [usize; 2] = [8, 64];
 
-/// Transports in the small-size sweep, in report order.
-pub const SWEEP_TRANSPORTS: [TransportKind; 4] = [
-    TransportKind::InProcess,
-    TransportKind::Tcp,
-    TransportKind::Lockstep,
-    TransportKind::Reactor,
-];
-
 /// Reactor scale rows: `(servers, torus rows, torus cols, round cap)`.
 /// The caps differ on purpose: the 1 024-agent torus quorums at ~12.6k
 /// rounds, so its cap is sized for convergence and the row reports a real
@@ -67,9 +62,9 @@ pub const SCALE_SHAPES: [(usize, usize, usize, usize); 2] = [
     (10_240, 80, 128, SCALE_MAX_ROUNDS),
 ];
 
-/// Shard count pinned for the scale rows, so `peak_threads` is a constant
-/// of the benchmark rather than of the host's core count (and so the rows
-/// stay comparable across PRs that change the auto-tune policy).
+/// Shard count pinned for the scale rows, so the poller thread count is a
+/// constant of the benchmark rather than of the host's core count (and so
+/// the rows stay comparable across PRs that change the auto-tune policy).
 pub const SCALE_SHARDS: usize = 4;
 
 /// Round cap for the 10 240-agent scale row, which measures throughput and
@@ -123,9 +118,9 @@ pub struct RuntimeCell {
     pub heartbeats: u64,
     /// Residual-invariant drift at the end (watts).
     pub drift: f64,
-    /// Peak OS threads over the deployment, when the substrate reports it
-    /// (the reactor does; thread-per-node substrates have nothing to brag
-    /// about). Deterministic given a pinned shard count.
+    /// Peak OS threads of the whole process over the deployment, when the
+    /// substrate reports it (the reactor does). Host-dependent: it counts
+    /// every thread the process runs, not only the pollers.
     pub peak_threads: Option<u32>,
     /// Wall-clock for the whole deployment (handshake included).
     pub secs: f64,
@@ -209,10 +204,10 @@ impl RuntimeBenchReport {
         // drift carry a small run-to-run tail. Capped rows therefore
         // move those fields onto the volatile (stripped) line; the
         // fields that stay pure functions of `(sizes, seed)` — rounds,
-        // convergence, thread count — remain on the stable line.
+        // convergence — remain on the stable line.
         fn cell_json(out: &mut String, c: &RuntimeCell, last: bool, extra: &str) {
             let threads = match c.peak_threads {
-                Some(t) => format!(", \"peak_threads\": {t}"),
+                Some(t) => format!("\"peak_threads\": {t}, "),
                 None => String::new(),
             };
             let counters = format!(
@@ -237,13 +232,13 @@ impl RuntimeBenchReport {
             };
             out.push_str(&format!(
                 "    {{\"transport\": \"{}\", \"servers\": {}{extra}, {rounds}, \
-                 \"converged\": {}{stable_counters}{threads},\n",
+                 \"converged\": {}{stable_counters},\n",
                 c.transport.key(),
                 c.servers,
                 c.converged,
             ));
             out.push_str(&format!(
-                "     {volatile_counters}\"rounds_per_sec\": {:.1}, \"msgs_per_sec\": {:.1}}}{}\n",
+                "     {volatile_counters}{threads}\"rounds_per_sec\": {:.1}, \"msgs_per_sec\": {:.1}}}{}\n",
                 c.rounds_per_sec(),
                 c.msgs_per_sec(),
                 if last { "" } else { "," },
@@ -531,9 +526,9 @@ pub fn topology_table_graphs(n: usize, seed: u64) -> Vec<(&'static str, Graph)> 
 /// Runs the small size × transport sweep only (no scale rows, no topology
 /// table) — what the unit tests exercise.
 pub fn run_runtime_bench(sizes: &[usize], seed: u64) -> RuntimeBenchReport {
-    let mut cells = Vec::with_capacity(sizes.len() * SWEEP_TRANSPORTS.len());
+    let mut cells = Vec::with_capacity(sizes.len() * TransportKind::ALL.len());
     for &servers in sizes {
-        for transport in SWEEP_TRANSPORTS {
+        for transport in TransportKind::ALL {
             cells.push(measure_cell(servers, seed, transport));
         }
     }
@@ -569,28 +564,21 @@ pub fn run_runtime_bench_full(sizes: &[usize], seed: u64) -> RuntimeBenchReport 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The deterministic portion of the JSON: every line not carrying a
-    /// wall-clock quantity.
-    fn deterministic_lines(json: &str) -> String {
-        json.lines()
-            .filter(|l| !l.contains("per_sec") && !l.contains("secs"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
+    use crate::report::deterministic_lines;
 
     #[test]
     fn bench_converges_on_every_transport() {
         let report = run_runtime_bench(&[8], 7);
-        assert_eq!(report.cells.len(), SWEEP_TRANSPORTS.len());
+        assert_eq!(report.cells.len(), TransportKind::ALL.len());
         assert!(report.all_converged());
-        let inproc = &report.cells[0];
-        assert_eq!(inproc.transport, TransportKind::InProcess);
-        for cell in &report.cells[1..] {
-            // Every transport runs the identical lockstep program, so the
-            // deterministic counters must agree exactly.
-            assert_eq!(cell.rounds, inproc.rounds, "{:?}", cell.transport);
-            assert_eq!(cell.msgs_sent, inproc.msgs_sent, "{:?}", cell.transport);
+        let lockstep = &report.cells[1];
+        assert_eq!(lockstep.transport, TransportKind::Lockstep);
+        for cell in &report.cells {
+            // Every transport runs the identical round-aligned program, so
+            // the deterministic counters must agree exactly with the
+            // serial reference.
+            assert_eq!(cell.rounds, lockstep.rounds, "{:?}", cell.transport);
+            assert_eq!(cell.msgs_sent, lockstep.msgs_sent, "{:?}", cell.transport);
             assert!(cell.secs > 0.0);
         }
         let reactor = report.cells.last().unwrap();
@@ -713,7 +701,9 @@ mod tests {
         assert!(!stable.contains("\"rounds\":"), "{stable}");
         assert!(stable.contains("\"cap_exhausted\": true"));
         assert!(stable.contains("\"round_cap\": 6000"));
-        assert!(stable.contains("\"peak_threads\": 5"));
+        // A process-wide thread sample is host state, not a counter.
+        assert!(!stable.contains("peak_threads"), "{stable}");
+        assert!(report.to_json().contains("\"peak_threads\": 5"));
         // The same row after quorum keeps everything on the stable line
         // and reports a genuine rounds figure.
         report.scale[0].converged = true;

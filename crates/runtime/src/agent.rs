@@ -4,7 +4,7 @@
 //! Three substrates drive an [`AgentCore`]:
 //!
 //! * the blocking actor loop ([`crate::node::run_node`]) — one thread per
-//!   node over a [`crate::transport::Transport`];
+//!   node over a [`crate::tcp::TcpTransport`];
 //! * the serial lockstep executor ([`crate::lockstep`]) — no threads, no
 //!   sockets, the cheap big-N reference;
 //! * the reactor shards ([`crate::reactor`]) — thousands of agents per

@@ -1,20 +1,19 @@
 //! Cluster harness: spawn N node actors locally and collect the outcome.
 //!
 //! This is the deployment-shaped entry point behind `dpc cluster`: it
-//! computes every node's initial state through the same bridge the thread
-//! prototype and simulator use ([`DibaRun::new`]), wires either the
-//! in-process channel mesh or a TCP loopback mesh, runs every node to
-//! convergence quorum on its own thread, and folds the per-node reports
-//! into a cluster-level outcome (allocation, residual-invariant drift,
-//! message totals, optional merged telemetry).
+//! computes every node's initial state through the same bridge the
+//! simulator uses ([`DibaRun::new`]), hands the specs to the selected
+//! driver (the epoll reactor, the serial lockstep reference, or one
+//! blocking node thread per TCP loopback endpoint), runs every node to
+//! convergence quorum, and folds the per-node reports into a
+//! cluster-level outcome (allocation, residual-invariant drift, message
+//! totals, optional merged telemetry).
 
-use crate::channel;
 use crate::error::RuntimeError;
 use crate::lockstep;
 use crate::node::{run_node, NodeReport, NodeSpec};
 use crate::reactor;
-use crate::tcp::{RetryPolicy, TcpTransport};
-use crate::transport::{HandshakeContext, Transport};
+use crate::tcp::{HandshakeContext, RetryPolicy, TcpTransport};
 use dpc_alg::diba::{DibaConfig, DibaRun};
 use dpc_alg::problem::{Allocation, PowerBudgetProblem};
 use dpc_alg::telemetry::{RoundRecord, Telemetry, TelemetryConfig};
@@ -23,12 +22,10 @@ use dpc_topology::Graph;
 use std::net::TcpListener;
 use std::time::Duration;
 
-/// Which link layer the cluster runs on.
+/// Which driver the cluster runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Crossbeam channels inside this process.
-    InProcess,
-    /// Real TCP sockets on 127.0.0.1.
+    /// Real TCP sockets on 127.0.0.1, one blocking node thread each.
     Tcp,
     /// The serial lockstep executor: whole cluster on one thread, no
     /// sockets — the cheap deterministic reference at any N.
@@ -38,14 +35,27 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
+    /// Every driver, in the order reports and usage text list them. The
+    /// CLI's `--transport` parser, its error text and the bench sweep all
+    /// derive from this table.
+    pub const ALL: [TransportKind; 3] = [
+        TransportKind::Tcp,
+        TransportKind::Lockstep,
+        TransportKind::Reactor,
+    ];
+
     /// Stable identifier used in reports and CLI flags.
     pub fn key(self) -> &'static str {
         match self {
-            TransportKind::InProcess => "inproc",
             TransportKind::Tcp => "tcp",
             TransportKind::Lockstep => "lockstep",
             TransportKind::Reactor => "reactor",
         }
+    }
+
+    /// The driver whose [`key`](TransportKind::key) is `key`.
+    pub fn from_key(key: &str) -> Option<TransportKind> {
+        TransportKind::ALL.into_iter().find(|t| t.key() == key)
     }
 }
 
@@ -99,7 +109,7 @@ pub struct RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> RuntimeConfig {
         RuntimeConfig {
-            transport: TransportKind::InProcess,
+            transport: TransportKind::Reactor,
             settle_tol: 1e-4,
             stable_rounds: 5,
             detect_after: 40,
@@ -194,9 +204,9 @@ pub fn node_specs(
         .collect())
 }
 
-fn spawn_nodes<T: Transport + 'static>(
+fn spawn_nodes(
     specs: Vec<NodeSpec>,
-    transports: Vec<T>,
+    transports: Vec<TcpTransport>,
     topology_hash: u64,
     handshake_timeout: Duration,
 ) -> Result<Vec<NodeReport>, RuntimeError> {
@@ -206,7 +216,6 @@ fn spawn_nodes<T: Transport + 'static>(
         .zip(transports)
         .map(|(spec, mut transport)| {
             let ctx = HandshakeContext {
-                node: spec.id,
                 n_nodes: n,
                 topology_hash,
                 timeout: handshake_timeout,
@@ -315,9 +324,6 @@ pub fn run_cluster(
     let mut peak_rss_kb = None;
     let mut shards_used = None;
     let reports = match rt.transport {
-        TransportKind::InProcess => {
-            spawn_nodes(specs, channel::mesh(&graph), hash, rt.handshake_timeout)?
-        }
         TransportKind::Lockstep => lockstep::run_lockstep(specs, &graph)?,
         TransportKind::Reactor => {
             let run = reactor::run_reactor_cluster(specs, &graph, rt)?;

@@ -2,14 +2,17 @@
 //!
 //! The paper's claim is that DiBA is *fully decentralized*: every server
 //! runs an autonomous agent that converges using only neighbor messages.
-//! This crate is that claim made operational. Each node is an actor
-//! ([`node::run_node`]) speaking a versioned, length-prefixed binary
-//! protocol ([`wire`]) over a pluggable link layer ([`transport::Transport`]):
-//! crossbeam channels in-process ([`channel`]) or real TCP sockets
-//! ([`tcp`]). The per-round math is [`dpc_alg::diba::node_action`] — the
-//! same function the synchronous reference, the thread prototype, and the
-//! simulator execute — so all four substrates converge to the same
-//! allocation (the transport-equivalence tests pin it).
+//! This crate is that claim made operational. Each node is one protocol
+//! state machine ([`agent::AgentCore`]) speaking a versioned,
+//! length-prefixed binary protocol ([`wire`]), driven three ways: the
+//! sharded epoll [`reactor`] hosts a whole cluster in one process (the
+//! default), the serial [`lockstep`] executor is the reference every
+//! bitwise pin compares against, and the blocking actor
+//! ([`node::run_node`]) runs one agent over real TCP sockets ([`tcp`]) —
+//! the path that crosses processes. The per-round math is
+//! [`dpc_alg::diba::node_action`] — the same function the synchronous
+//! reference and the simulator execute — so every driver converges to
+//! the same allocation (the transport-equivalence tests pin it).
 //!
 //! Lifecycle: dial-low/accept-high link establishment with a `Hello` /
 //! `HelloAck` handshake that validates protocol version, cluster size, and
@@ -40,18 +43,15 @@
 #![warn(missing_docs)]
 
 pub mod agent;
-pub mod channel;
 pub mod cluster;
 pub mod error;
 pub mod lockstep;
 pub mod node;
 pub mod reactor;
 pub mod tcp;
-pub mod transport;
 pub mod wire;
 
 pub use cluster::{run_cluster, ClusterOutcome, RuntimeConfig, TransportKind};
 pub use error::{HandshakeFailure, RuntimeError};
 pub use node::{NodeReport, NodeSpec};
-pub use transport::Transport;
 pub use wire::{WireMsg, PROTOCOL_VERSION};

@@ -8,15 +8,15 @@
 //! agent, reproduces the threaded runs bitwise. This module is that
 //! schedule: [`AgentCore`]s stepped in node-id order over per-edge byte
 //! queues, frames passing through the same [`crate::wire`]
-//! encoder/decoder as the channel and TCP paths.
+//! encoder/decoder as the reactor and TCP paths.
 //!
 //! Why it earns its keep:
 //!
 //! * it is the cheap reference at any N — no threads, no fds, no
 //!   timeouts — so the 10k-agent reactor acceptance run has an oracle
 //!   that costs seconds;
-//! * it is deterministic by construction, which turns "reactor equals
-//!   inproc" into two comparisons against one fixed point.
+//! * it is deterministic by construction, which makes it the fixed point
+//!   the reactor and TCP runs are each pinned against bitwise.
 //!
 //! Shutdown mirrors the blocking loop: an agent that reaches convergence
 //! quorum says `Goodbye` on every live link and lingers in a drain state,
@@ -43,9 +43,9 @@ enum Status {
     Done,
 }
 
-/// Encodes `msg` the way the channel mesh does: payload bytes only
-/// (queues preserve message boundaries, so no length prefix is needed),
-/// through the exact encoder the TCP path uses.
+/// Encodes `msg` as payload bytes only (queues preserve message
+/// boundaries, so no length prefix is needed), through the exact encoder
+/// the TCP path uses.
 fn encode(msg: &WireMsg) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(32);
     encode_payload(msg, &mut bytes);

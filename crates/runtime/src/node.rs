@@ -1,8 +1,8 @@
-//! The node actor: one DiBA agent driven over a [`Transport`].
+//! The node actor: one DiBA agent driven over a [`TcpTransport`].
 //!
 //! The loop is the deployed protocol of the paper's prototype (one message
 //! per neighbor per round, neighbor state one round stale), with three
-//! runtime additions on top of the `dpc-agents` thread prototype:
+//! runtime additions:
 //!
 //! * **Silent-peer detection** uses the simulator's
 //!   [`FaultPlan::detect_after`](dpc_alg::faults::FaultPlan) semantics — a
@@ -22,7 +22,7 @@
 
 use crate::agent::AgentCore;
 use crate::error::RuntimeError;
-use crate::transport::{Delivery, Incoming, Transport};
+use crate::tcp::{Delivery, Incoming, TcpTransport};
 use crate::wire::WireMsg;
 use dpc_alg::diba::NodeParams;
 use dpc_models::QuadraticUtility;
@@ -30,9 +30,8 @@ use std::time::Duration;
 
 /// Everything one node needs at launch (the per-node slice of the problem
 /// plus the runtime knobs). Initial `(p, e)` and [`NodeParams`] come from
-/// the same bridge the thread prototype uses
-/// ([`dpc_alg::diba::DibaRun::new`]), so every substrate starts from the
-/// identical state.
+/// the same bridge the simulator uses ([`dpc_alg::diba::DibaRun::new`]),
+/// so every substrate starts from the identical state.
 #[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// This node's id.
@@ -106,7 +105,7 @@ pub struct NodeReport {
 }
 
 /// Runs one node actor to completion over an established transport.
-/// [`Transport::handshake`] must have succeeded already.
+/// [`TcpTransport::handshake`] must have succeeded already.
 ///
 /// The protocol arithmetic lives in [`AgentCore`]; this function is the
 /// blocking driver — it moves frames between the core and the transport in
@@ -122,10 +121,7 @@ pub struct NodeReport {
 /// frames, [`RuntimeError::Protocol`] on a handshake message arriving
 /// mid-run). Peer disappearances are *not* errors — they are operating
 /// conditions handled by pruning.
-pub fn run_node<T: Transport>(
-    spec: &NodeSpec,
-    transport: &mut T,
-) -> Result<NodeReport, RuntimeError> {
+pub fn run_node(spec: &NodeSpec, transport: &mut TcpTransport) -> Result<NodeReport, RuntimeError> {
     let degree = transport.degree();
     let peers: Vec<usize> = (0..degree).map(|slot| transport.peer(slot)).collect();
     let mut core = AgentCore::new(spec.clone(), &peers);

@@ -1,9 +1,9 @@
 //! The scale-out reactor runtime: a sharded, epoll-backed readiness loop
 //! that hosts thousands of DiBA agents per poller thread.
 //!
-//! The blocking substrates ([`crate::channel`], [`crate::tcp`]) spend one
-//! OS thread per node, which tops out around a thousand agents per
-//! process. The reactor inverts that: a handful of *poller shards* (one
+//! The blocking substrate ([`crate::node::run_node`] over [`crate::tcp`])
+//! spends one OS thread per node, which tops out around a thousand agents
+//! per process. The reactor inverts that: a handful of *poller shards* (one
 //! thread each, sized by the load-driven auto-tune or `--shards K`) own
 //! contiguous node ranges cut by [`dpc_topology::Graph::shard_offsets`],
 //! and every agent is a state machine stepped when its inputs are ready —
@@ -26,7 +26,7 @@
 //! *receiving* shard's link index (computed here, centrally, so routing
 //! needs no lookups). Agents still consume exactly one entry per live
 //! slot per round in slot order, so the arithmetic is bitwise-identical
-//! to the in-process and lockstep substrates at equal seeds (pinned by
+//! to the lockstep and TCP substrates at equal seeds (pinned by
 //! the transport-equivalence tests) — coalescing changes how bytes move,
 //! never what they say.
 
@@ -85,7 +85,7 @@ const AUTO_MAX_SHARDS: usize = 8;
 
 /// Resolves the configured shard count against the actual load: a fixed
 /// request is clamped to `[1, n]`, while [`ShardCount::Auto`] sizes from
-/// total round work, host parallelism, and [`AUTO_WORK_PER_SHARD`].
+/// total round work, host parallelism, and `AUTO_WORK_PER_SHARD`.
 pub fn resolve_shard_count(requested: ShardCount, graph: &Graph) -> usize {
     let n = graph.len();
     match requested {

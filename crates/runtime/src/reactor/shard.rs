@@ -9,7 +9,7 @@
 //! a buffered entry (or a link-level EOF), and its receive pass consumes
 //! them in slot order — so the values computed are independent of the
 //! order bytes happened to arrive in, which is what makes reactor runs
-//! bitwise-identical to the inproc and lockstep substrates.
+//! bitwise-identical to the lockstep and TCP substrates.
 //!
 //! The hot path allocates nothing: entries encode straight into each
 //! carrier's persistent staging buffer through a [`BatchWriter`], inbound

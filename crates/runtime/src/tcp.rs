@@ -12,10 +12,17 @@
 //!
 //! After establishment each link gets a reader thread that decodes frames
 //! into a channel, so the node loop's per-slot `recv` is a plain
-//! `recv_timeout` — identical control flow to the in-process transport.
+//! `recv_timeout`.
+//!
+//! A [`TcpTransport`] is one node's endpoint: a fixed set of *slots*, one
+//! per graph neighbor in ascending-id order (the same order as
+//! [`dpc_topology::Graph::neighbors`]), each carrying framed [`WireMsg`]s
+//! with FIFO delivery. Slots are stable for the life of the transport;
+//! links that die stay addressable (sends report [`Delivery::Closed`],
+//! receives report [`Incoming::Closed`]) so the node loop in
+//! [`crate::node`] owns all liveness bookkeeping.
 
 use crate::error::{HandshakeFailure, RuntimeError};
-use crate::transport::{Delivery, HandshakeContext, Incoming, Transport};
 use crate::wire::{
     encode_frame_into, read_frame, write_frame, ClusterIdentity, FrameError, WireError, WireMsg,
     PROTOCOL_VERSION,
@@ -24,6 +31,42 @@ use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
+
+/// What a send did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivery {
+    /// The frame was handed to the link.
+    Sent,
+    /// The link is gone (peer exited or connection broke): the frame was
+    /// *not* delivered and any mass it carried must be reclaimed by the
+    /// caller.
+    Closed,
+}
+
+/// What a receive produced.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Incoming {
+    /// A decoded message.
+    Msg(WireMsg),
+    /// Nothing arrived within the timeout (the peer is silent, not
+    /// necessarily gone — the node loop counts these against
+    /// `detect_after`).
+    Timeout,
+    /// The link is gone.
+    Closed,
+}
+
+/// The launch identity a node asserts (and demands of its peers) in the
+/// link-establishment exchange, plus the deadline it runs under.
+#[derive(Debug, Clone, Copy)]
+pub struct HandshakeContext {
+    /// Cluster size this node was launched with.
+    pub n_nodes: usize,
+    /// Fingerprint of the communication graph this node was launched with.
+    pub topology_hash: u64,
+    /// Per-step handshake deadline.
+    pub timeout: Duration,
+}
 
 /// A socket read view that enforces an *absolute* deadline across every
 /// `read` call, by shrinking the stream's read timeout to the time left
@@ -92,7 +135,7 @@ struct TcpLink {
 }
 
 /// One node's TCP endpoint: a bound listener plus dial targets for its
-/// higher-id neighbors. Links come up in [`Transport::handshake`].
+/// higher-id neighbors. Links come up in [`TcpTransport::handshake`].
 pub struct TcpTransport {
     node: usize,
     listener: Option<TcpListener>,
@@ -258,26 +301,32 @@ impl TcpTransport {
             write_closed: false,
         };
     }
-}
 
-impl Transport for TcpTransport {
-    fn node(&self) -> usize {
-        self.node
-    }
-
-    fn degree(&self) -> usize {
+    /// Number of neighbor slots.
+    pub fn degree(&self) -> usize {
         self.links.len()
     }
 
-    fn peer(&self, slot: usize) -> usize {
+    /// Neighbor node id behind `slot`.
+    pub fn peer(&self, slot: usize) -> usize {
         self.links[slot].peer
     }
 
-    fn peer_label(&self, slot: usize) -> String {
+    /// Human-readable peer label for error reporting (`"node 3"` or
+    /// `"127.0.0.1:4102"`).
+    pub fn peer_label(&self, slot: usize) -> String {
         self.links[slot].label.clone()
     }
 
-    fn handshake(&mut self, ctx: &HandshakeContext) -> Result<(), RuntimeError> {
+    /// Runs the hello/ack exchange on every slot: the lower-id endpoint of
+    /// each link dials (sends `Hello`), the higher-id endpoint validates
+    /// and answers `HelloAck` or `Reject`.
+    ///
+    /// # Errors
+    ///
+    /// A [`RuntimeError::Handshake`] naming the peer and reason on any
+    /// mismatch, timeout, or protocol confusion.
+    pub fn handshake(&mut self, ctx: &HandshakeContext) -> Result<(), RuntimeError> {
         let identity = ClusterIdentity {
             n_nodes: ctx.n_nodes as u32,
             topology_hash: ctx.topology_hash,
@@ -468,7 +517,8 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn send(&mut self, slot: usize, msg: &WireMsg) -> Delivery {
+    /// Sends one message on `slot`.
+    pub fn send(&mut self, slot: usize, msg: &WireMsg) -> Delivery {
         match &mut self.links[slot].state {
             LinkState::Up {
                 stream,
@@ -491,7 +541,14 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn recv(&mut self, slot: usize, timeout: Duration) -> Result<Incoming, RuntimeError> {
+    /// Waits up to `timeout` for one message on `slot`.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Decode`] when the peer's bytes are invalid — the
+    /// link is poisoned and the node should abort rather than act on a
+    /// corrupt stream.
+    pub fn recv(&mut self, slot: usize, timeout: Duration) -> Result<Incoming, RuntimeError> {
         let label = self.links[slot].label.clone();
         match &mut self.links[slot].state {
             LinkState::Up { rx, .. } => match rx.recv_timeout(timeout) {

@@ -2,12 +2,13 @@
 //!
 //! The same seeded problem must converge to matching allocations whether it
 //! runs on the simulator ([`AsyncDibaRun`] at its synchronous limit), the
-//! in-process channel transport, or real TCP loopback sockets. The two
-//! runtime transports execute bit-identical logic over exact lockstep
-//! delivery, so their allocations must agree *bitwise*; the simulator
-//! differs only in its barrier-boost continuation schedule, so it must
-//! agree within the cross-substrate tolerance the repo already uses for
-//! the thread prototype.
+//! serial lockstep executor, the epoll reactor, or real TCP loopback
+//! sockets. The runtime drivers execute bit-identical logic over exact
+//! round-aligned delivery, so `lockstep` is the fixed point and the
+//! reactor and TCP allocations must agree with it *bitwise*; the
+//! simulator differs only in its barrier-boost continuation schedule, so
+//! it must agree within the cross-substrate tolerance `tests/end_to_end.rs`
+//! uses for the runtime against `DibaRun`.
 
 use dpc_alg::diba::DibaConfig;
 use dpc_alg::diba_async::{AsyncConfig, AsyncDibaRun};
@@ -19,7 +20,7 @@ use dpc_topology::Graph;
 use proptest::prelude::*;
 
 /// Worst per-node disagreement tolerated between the runtime and the
-/// simulator (watts). Same order as the thread-prototype bound in
+/// simulator (watts). Same order as the runtime-vs-`DibaRun` bound in
 /// `tests/end_to_end.rs`; the substrates share the per-round math but not
 /// the boost schedule, so they settle at slightly different barrier points.
 const CROSS_SUBSTRATE_TOL: f64 = 12.0;
@@ -76,43 +77,43 @@ fn worst_gap(a: &[f64], b: &[f64]) -> f64 {
 }
 
 #[test]
-fn inproc_matches_simulator_and_reproduces_exactly() {
+fn lockstep_matches_simulator_and_reproduces_exactly() {
     let n = 8;
     let problem = seeded_problem(n, 42, 170.0 * n as f64);
     let graph = Graph::ring(n);
-    let rt = runtime_config(TransportKind::InProcess);
+    let rt = runtime_config(TransportKind::Lockstep);
 
     let first = run_cluster(problem.clone(), graph.clone(), DibaConfig::default(), &rt).unwrap();
     let second = run_cluster(problem.clone(), graph.clone(), DibaConfig::default(), &rt).unwrap();
     check_outcome(&first, &problem, 1e-6);
 
     // Bitwise reproducibility: two invocations of the same seeded problem
-    // take identical trajectories (lockstep delivery leaves no room for
+    // take identical trajectories (the serial schedule leaves no room for
     // scheduling to leak into the math).
     let alloc_1: Vec<f64> = first.allocation.powers().iter().map(|w| w.0).collect();
     let alloc_2: Vec<f64> = second.allocation.powers().iter().map(|w| w.0).collect();
-    assert_eq!(alloc_1, alloc_2, "in-process run is not reproducible");
+    assert_eq!(alloc_1, alloc_2, "lockstep run is not reproducible");
     assert_eq!(first.rounds, second.rounds);
 
     let sim = simulator_allocation(&problem, &graph, first.rounds.max(2_000));
     let gap = worst_gap(&alloc_1, &sim);
     assert!(
         gap < CROSS_SUBSTRATE_TOL,
-        "in-process vs simulator allocations diverge by {gap} W"
+        "lockstep vs simulator allocations diverge by {gap} W"
     );
 }
 
 #[test]
-fn headline_three_way_equivalence_inproc_tcp_simulator() {
+fn headline_three_way_equivalence_lockstep_tcp_simulator() {
     let n = 8;
     let problem = seeded_problem(n, 7, 170.0 * n as f64);
     let graph = Graph::ring(n);
 
-    let inproc = run_cluster(
+    let lockstep = run_cluster(
         problem.clone(),
         graph.clone(),
         DibaConfig::default(),
-        &runtime_config(TransportKind::InProcess),
+        &runtime_config(TransportKind::Lockstep),
     )
     .unwrap();
     let tcp = run_cluster(
@@ -122,22 +123,22 @@ fn headline_three_way_equivalence_inproc_tcp_simulator() {
         &runtime_config(TransportKind::Tcp),
     )
     .unwrap();
-    check_outcome(&inproc, &problem, 1e-6);
+    check_outcome(&lockstep, &problem, 1e-6);
     check_outcome(&tcp, &problem, 1e-3);
 
-    // The two transports run the identical program over exact lockstep
+    // The two drivers run the identical program over exact round-aligned
     // delivery, so the trajectories — and thus the allocations — are
     // bitwise equal.
-    let inproc_alloc: Vec<f64> = inproc.allocation.powers().iter().map(|w| w.0).collect();
+    let lockstep_alloc: Vec<f64> = lockstep.allocation.powers().iter().map(|w| w.0).collect();
     let tcp_alloc: Vec<f64> = tcp.allocation.powers().iter().map(|w| w.0).collect();
     assert_eq!(
-        inproc_alloc, tcp_alloc,
-        "in-process and TCP loopback allocations differ"
+        lockstep_alloc, tcp_alloc,
+        "lockstep and TCP loopback allocations differ"
     );
-    assert_eq!(inproc.rounds, tcp.rounds);
+    assert_eq!(lockstep.rounds, tcp.rounds);
 
-    let sim = simulator_allocation(&problem, &graph, inproc.rounds.max(2_000));
-    let gap = worst_gap(&inproc_alloc, &sim);
+    let sim = simulator_allocation(&problem, &graph, lockstep.rounds.max(2_000));
+    let gap = worst_gap(&lockstep_alloc, &sim);
     assert!(
         gap < CROSS_SUBSTRATE_TOL,
         "runtime vs simulator allocations diverge by {gap} W"
@@ -157,18 +158,11 @@ fn allocation_of(outcome: &ClusterOutcome) -> Vec<f64> {
 }
 
 #[test]
-fn lockstep_and_reactor_match_inproc_bitwise() {
+fn reactor_matches_lockstep_bitwise() {
     let n = 8;
     let problem = seeded_problem(n, 42, 170.0 * n as f64);
     let graph = Graph::ring(n);
 
-    let inproc = run_cluster(
-        problem.clone(),
-        graph.clone(),
-        DibaConfig::default(),
-        &runtime_config(TransportKind::InProcess),
-    )
-    .unwrap();
     let lockstep = run_cluster(
         problem.clone(),
         graph.clone(),
@@ -185,27 +179,18 @@ fn lockstep_and_reactor_match_inproc_bitwise() {
         &reactor_config(3),
     )
     .unwrap();
-    check_outcome(&inproc, &problem, 1e-6);
     check_outcome(&lockstep, &problem, 1e-6);
     check_outcome(&reactor, &problem, 1e-6);
 
-    // All four substrates execute the identical per-round program over
+    // Both drivers execute the identical per-round program over
     // round-aligned FIFO delivery: the trajectories agree bitwise.
-    let base = allocation_of(&inproc);
     assert_eq!(
-        base,
         allocation_of(&lockstep),
-        "lockstep executor diverged from the in-process mesh"
-    );
-    assert_eq!(
-        base,
         allocation_of(&reactor),
-        "reactor substrate diverged from the in-process mesh"
+        "reactor substrate diverged from the lockstep reference"
     );
-    assert_eq!(inproc.rounds, lockstep.rounds);
-    assert_eq!(inproc.rounds, reactor.rounds);
-    assert_eq!(inproc.msgs_sent, lockstep.msgs_sent);
-    assert_eq!(inproc.msgs_sent, reactor.msgs_sent);
+    assert_eq!(lockstep.rounds, reactor.rounds);
+    assert_eq!(lockstep.msgs_sent, reactor.msgs_sent);
 
     let threads = reactor.peak_threads.expect("reactor reports peak threads");
     assert!(
@@ -402,7 +387,7 @@ proptest! {
             problem.clone(),
             graph.clone(),
             DibaConfig::default(),
-            &runtime_config(TransportKind::InProcess),
+            &RuntimeConfig::default(),
         )
         .unwrap();
         prop_assert!(outcome.converged, "seed {seed} n {n} did not converge");

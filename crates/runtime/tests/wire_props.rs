@@ -8,10 +8,9 @@
 
 use dpc_alg::message::RoundMsg;
 use dpc_runtime::wire::{
-    decode_frame_payload, decode_payload, encode_frame, encode_payload,
-    read_frame, BatchEntry, ClusterIdentity, DataBatch, EntryKind, Frame, FrameError, Reassembly,
-    RejectReason, WireError, WireMsg, MAX_BATCH_ENTRIES, MAX_PAYLOAD_LEN, PROTOCOL_VERSION,
-    TAG_DATA_BATCH,
+    decode_frame_payload, decode_payload, encode_frame, encode_payload, read_frame, BatchEntry,
+    ClusterIdentity, DataBatch, EntryKind, Frame, FrameError, Reassembly, RejectReason, WireError,
+    WireMsg, MAX_BATCH_ENTRIES, MAX_PAYLOAD_LEN, PROTOCOL_VERSION, TAG_DATA_BATCH,
 };
 use proptest::prelude::*;
 

@@ -25,7 +25,6 @@ pub mod layout;
 pub mod matrix;
 pub mod model;
 pub mod partition;
-pub mod planning;
 
 pub use cooling::CopModel;
 pub use layout::RoomLayout;

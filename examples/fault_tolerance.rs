@@ -1,8 +1,8 @@
 //! Fault isolation: the motivation for decentralization (Section 4.2).
 //!
-//! Runs the *actual message-passing deployment* — one thread per server,
-//! channels along a chorded ring — then silently crashes two nodes and a
-//! shows the survivors keep enforcing the budget and re-optimizing. A
+//! Runs the asynchronous message-passing simulation along a chorded ring
+//! under a seeded fault plan that silently crashes two nodes, and shows
+//! the survivors keep enforcing the budget and re-optimizing. A
 //! centralized controller would be a single point of failure; here there is
 //! simply no single point to fail.
 //!
@@ -10,14 +10,14 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
-use dpc::agents::AgentCluster;
 use dpc::alg::centralized;
 use dpc::alg::diba::DibaConfig;
+use dpc::alg::diba_async::{AsyncConfig, AsyncDibaRun};
+use dpc::alg::faults::{FaultPlan, NodeFaultKind};
 use dpc::alg::problem::PowerBudgetProblem;
 use dpc::models::units::Watts;
 use dpc::models::workload::ClusterBuilder;
 use dpc::topology::Graph;
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 32;
@@ -33,14 +33,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graph.average_degree(),
         budget.kilowatts()
     );
-    let mut agents = AgentCluster::spawn(
+    // Each crash fires on the first round of its 1 500-round epoch below.
+    let plan =
+        FaultPlan::none()
+            .and(2_000, 5, NodeFaultKind::Crash)
+            .and(3_500, 21, NodeFaultKind::Crash);
+    let mut agents = AsyncDibaRun::with_faults(
         problem,
         graph,
         DibaConfig::default(),
-        Duration::from_millis(250),
+        AsyncConfig::default(),
+        plan,
     )?;
 
-    agents.run_rounds(2_000);
+    agents.run(1_999);
     println!(
         "converged: power {:.3} kW / budget {:.3} kW, utility {:.1}% of optimal",
         agents.total_power().kilowatts(),
@@ -48,27 +54,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * agents.total_utility() / optimal,
     );
 
-    for &victim in &[5usize, 21] {
+    for victim in [5, 21] {
         println!("\n*** node {victim} crashes silently ***");
-        agents.fail_node(victim);
-        agents.run_rounds(1_500);
+        agents.run(1_500);
         println!(
-            "survivors: {} / {n}; power {:.3} kW (dead nodes frozen), \
-             budget respected: {}",
-            agents.alive_count(),
+            "survivors: {} / {n}; power {:.3} kW (dead nodes draw 0 W), \
+             budget respected: {}, conservation drift {:.1e} W",
+            agents.live_count(),
             agents.total_power().kilowatts(),
             agents.total_power() <= budget + Watts(1e-6),
+            agents.conservation_drift(),
         );
     }
 
-    let reports = agents.shutdown();
+    let survivors: Vec<f64> = agents
+        .allocation()
+        .powers()
+        .iter()
+        .map(|w| w.0)
+        .filter(|&p| p > 0.0)
+        .collect();
     println!(
-        "\nfinal per-node power spread: {:.1}–{:.1} W",
-        reports.iter().map(|r| r.p).fold(f64::INFINITY, f64::min),
-        reports
-            .iter()
-            .map(|r| r.p)
-            .fold(f64::NEG_INFINITY, f64::max),
+        "\nfinal per-survivor power spread: {:.1}–{:.1} W",
+        survivors.iter().copied().fold(f64::INFINITY, f64::min),
+        survivors.iter().copied().fold(f64::NEG_INFINITY, f64::max),
     );
     println!("no coordinator existed at any point during this run.");
     Ok(())

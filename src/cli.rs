@@ -1,4 +1,4 @@
-//! The `dpc` command-line interface: solve, simulate, split and plan from a
+//! The `dpc` command-line interface: solve, simulate, split and deploy from a
 //! shell, optionally against an operator's own measurement traces.
 //!
 //! The parser is hand-rolled (`--flag value` pairs after a subcommand) so
@@ -15,12 +15,12 @@ use crate::models::traces::{parse_trace_csv, utilities_from_traces};
 use crate::models::units::{Seconds, Watts};
 use crate::models::workload::ClusterBuilder;
 use crate::models::QuadraticUtility;
+use crate::runtime::cluster::{RuntimeConfig, ShardCount, TransportKind};
 use crate::sim::budgeter::DibaBudgeter;
 use crate::sim::engine::{DynamicSim, SimConfig};
 use crate::sim::schedule::BudgetSchedule;
 use crate::thermal::partition::{self_consistent_partition, uniform_rack_map};
-use crate::thermal::planning::{evaluate, greedy, local_search, table5_1_rack_classes, Placement};
-use crate::thermal::{RoomLayout, ThermalModel};
+use crate::thermal::ThermalModel;
 use crate::topology::Graph;
 use std::collections::HashMap;
 use std::fmt;
@@ -99,7 +99,8 @@ impl Options {
 
 /// Usage text.
 pub fn usage() -> String {
-    "\
+    format!(
+        "\
 dpc — decentralized power capping toolkit
 
 USAGE: dpc <command> [--flag value ...]
@@ -114,10 +115,6 @@ COMMANDS:
              --precision reference|fast (reference)
   split      self-consistent computing/cooling split of a facility budget
              --total-mw X (0.66)
-  plan       thermal-aware rack layout for the heterogeneous paper room
-             --utilization U (1.0)  --iterations K (40000)  --seed S (0)
-  fxplore    firmware sub-cluster exploration over the HPC workload catalog
-             --k K (4)  --objective runtime|energy (runtime)  --seed S (0)
   bench      time the DiBA round engine, serial vs scoped vs pooled vs fast
              tier, write JSON
              --sizes N,N,... (1000,10000,100000)  --threads T|auto (auto)
@@ -160,12 +157,12 @@ COMMANDS:
              --drop P (0, async only)  --crash-round R (async only)
              --out FILE (TRACE.jsonl)
   cluster    deploy N DiBA node agents locally and report the allocation
-             --servers N (8)  --transport inproc|tcp|lockstep|reactor (inproc)
+             --servers N (8)  --transport {transports} ({default_transport})
              --budget-watts W (170·N)  --seed S (0)
              --topology ring|chords|grid|torus|hypercube|random-regular (ring)
-             --shards auto|K (auto; load-driven reactor shard count from
-             N, degree and host cores — the header reports the choice;
-             K pins it, 0 is a spelling of auto)
+             --shards auto|K (reactor only; auto: load-driven shard count
+             from N, degree and host cores — the header reports the choice;
+             K pins it)
              --tol W (1e-4)
              --max-rounds R (20000)  --sample-every K (0, merge telemetry)
              --bench [FILE]  run the transport throughput sweep (plus the
@@ -183,8 +180,10 @@ COMMANDS:
              --topology ring|chords|grid|torus|hypercube|random-regular
              --tol W (1e-4)  --max-rounds R (20000)  --timeout-secs T (10)
   help       this text
-"
-    .to_string()
+",
+        transports = transport_keys("|"),
+        default_transport = RuntimeConfig::default().transport.key(),
+    )
 }
 
 /// Writes `contents` to `path`, creating missing parent directories first.
@@ -390,117 +389,6 @@ pub fn cmd_split(opts: &Options) -> Result<String, CliError> {
         r.cooling_fraction() * 100.0,
         r.iterations,
     ))
-}
-
-/// `dpc plan`.
-pub fn cmd_plan(opts: &Options) -> Result<String, CliError> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let utilization: f64 = opts.get_or("utilization", 1.0)?;
-    if !(0.0..=1.0).contains(&utilization) {
-        return Err(CliError("--utilization must be in [0, 1]".into()));
-    }
-    let iterations: usize = opts.get_or("iterations", 40_000)?;
-    let seed: u64 = opts.get_or("seed", 0)?;
-
-    let model = ThermalModel::paper_cluster();
-    let d = RoomLayout::paper_cluster().heat_matrix();
-    let classes = table5_1_rack_classes();
-    let powers: Vec<Watts> = (0..80)
-        .map(|i| {
-            let c = classes[i / 20];
-            c.idle + (c.peak - c.idle) * utilization
-        })
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let oblivious =
-        evaluate(&model, &Placement::identity(80), &powers).map_err(|e| CliError(e.to_string()))?;
-    let mut out = format!(
-        "80 heterogeneous racks at {:.0}% utilization\n\n\
-         method        t_sup       cooling    saving\n\
-         --------------------------------------------\n\
-         oblivious     {:.2} °C  {:>7.1} kW       -\n",
-        utilization * 100.0,
-        oblivious.t_sup.0,
-        oblivious.cooling.kilowatts(),
-    );
-    for (name, placement) in [
-        ("greedy", greedy(&d, &powers)),
-        (
-            "local search",
-            local_search(&d, &powers, iterations, &mut rng),
-        ),
-    ] {
-        let e = evaluate(&model, &placement, &powers).map_err(|e| CliError(e.to_string()))?;
-        out.push_str(&format!(
-            "{name:<12}  {:.2} °C  {:>7.1} kW  {:>5.1}%\n",
-            e.t_sup.0,
-            e.cooling.kilowatts(),
-            (1.0 - e.cooling / oblivious.cooling) * 100.0,
-        ));
-    }
-    Ok(out)
-}
-
-/// `dpc fxplore`.
-pub fn cmd_fxplore(opts: &Options) -> Result<String, CliError> {
-    use crate::firmware::config::FirmwareConfig;
-    use crate::firmware::explore::Objective;
-    use crate::firmware::response::ResponseModel;
-    use crate::firmware::subcluster::fxplore_sc;
-    use crate::models::benchmark::{WorkloadSpec, HPC_BENCHMARKS};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let k: usize = opts.get_or("k", 4)?;
-    if !(1..=HPC_BENCHMARKS.len()).contains(&k) {
-        return Err(CliError(format!(
-            "--k must be 1..={}",
-            HPC_BENCHMARKS.len()
-        )));
-    }
-    let objective = match opts.string("objective").unwrap_or("runtime") {
-        "runtime" => Objective::Runtime,
-        "energy" => Objective::Energy,
-        other => return Err(CliError(format!("unknown objective `{other}`"))),
-    };
-    let seed: u64 = opts.get_or("seed", 0)?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let specs: Vec<&WorkloadSpec> = HPC_BENCHMARKS.iter().collect();
-    let (clustering, configs) = fxplore_sc(&specs, k, objective, 0.01, &mut rng);
-
-    let mut out = format!(
-        "{k} sub-clusters over {} workloads
-
-",
-        specs.len()
-    );
-    for (c, (cfg, result)) in configs.iter().enumerate() {
-        let members: Vec<&str> = clustering
-            .members(c)
-            .into_iter()
-            .map(|i| specs[i].name)
-            .collect();
-        out.push_str(&format!(
-            "cluster {c}: config [{cfg}] ({} reboots)  members: {}
-",
-            result.reboots,
-            members.join(", ")
-        ));
-    }
-    let mut gain = 0.0;
-    for (i, spec) in specs.iter().enumerate() {
-        let m = ResponseModel::for_spec(spec);
-        let cfg = configs[clustering.assignments()[i]].0;
-        gain += 1.0 - m.runtime(cfg) / m.runtime(FirmwareConfig::all_enabled());
-    }
-    out.push_str(&format!(
-        "
-mean runtime improvement over all-enabled: {:.1}%
-",
-        gain / specs.len() as f64 * 100.0
-    ));
-    Ok(out)
 }
 
 /// `dpc bench`.
@@ -1030,34 +918,31 @@ fn runtime_err(e: crate::runtime::RuntimeError) -> CliError {
     CliError(format!("runtime: {e}"))
 }
 
-fn parse_transport(name: &str) -> Result<crate::runtime::TransportKind, CliError> {
-    match name {
-        "inproc" => Ok(crate::runtime::TransportKind::InProcess),
-        "tcp" => Ok(crate::runtime::TransportKind::Tcp),
-        "lockstep" => Ok(crate::runtime::TransportKind::Lockstep),
-        "reactor" => Ok(crate::runtime::TransportKind::Reactor),
-        other => Err(CliError(format!(
-            "unknown transport `{other}`; expected inproc, tcp, lockstep or reactor"
-        ))),
-    }
+/// Every `--transport` spelling, joined by `sep`.
+fn transport_keys(sep: &str) -> String {
+    TransportKind::ALL.map(TransportKind::key).join(sep)
+}
+
+fn parse_transport(name: &str) -> Result<TransportKind, CliError> {
+    TransportKind::from_key(name).ok_or_else(|| {
+        CliError(format!(
+            "unknown transport `{name}`; expected one of {}",
+            transport_keys(", ")
+        ))
+    })
 }
 
 /// Shared problem/graph/runtime-config derivation for `dpc cluster` and
 /// `dpc node` — both must resolve the identical deployment from the same
 /// flags or the handshake's topology check will (correctly) refuse to pair
-/// them.
+/// them. Only the reactor has shards, so `--shards` is parsed for it and
+/// refused, naming `transport`, for every other driver.
 fn deployment_for(
     opts: &Options,
     n: usize,
     seed: u64,
-) -> Result<
-    (
-        PowerBudgetProblem,
-        Graph,
-        crate::runtime::cluster::RuntimeConfig,
-    ),
-    CliError,
-> {
+    transport: TransportKind,
+) -> Result<(PowerBudgetProblem, Graph, RuntimeConfig), CliError> {
     let budget = Watts(opts.get_or("budget-watts", 170.0 * n as f64)?);
     let utilities = ClusterBuilder::new(n).seed(seed).build().utilities();
     let problem = PowerBudgetProblem::new(utilities, budget)
@@ -1075,36 +960,45 @@ fn deployment_for(
     if !timeout_secs.is_finite() || timeout_secs <= 0.0 {
         return Err(CliError("--timeout-secs must be positive".into()));
     }
-    let rt = crate::runtime::cluster::RuntimeConfig {
+    let shards = match (opts.string("shards"), transport) {
+        (spec, TransportKind::Reactor) => parse_shards(spec)?,
+        (None, _) => ShardCount::Auto,
+        (Some(_), other) => {
+            return Err(CliError(format!(
+                "--shards applies to the reactor transport only; the {} transport has no shards",
+                other.key()
+            )))
+        }
+    };
+    let rt = RuntimeConfig {
+        transport,
         settle_tol: tol,
         max_rounds,
         handshake_timeout: std::time::Duration::from_secs_f64(timeout_secs),
         sample_every: opts.get_or("sample-every", 0)?,
-        shards: parse_shards(opts.string("shards"))?,
-        ..crate::runtime::cluster::RuntimeConfig::default()
+        shards,
+        ..RuntimeConfig::default()
     };
     Ok((problem, graph, rt))
 }
 
-/// Parses `--shards auto|K`. `0` is accepted as a spelling of `auto` for
-/// continuity with the old numeric-only flag.
-fn parse_shards(spec: Option<&str>) -> Result<crate::runtime::cluster::ShardCount, CliError> {
-    use crate::runtime::cluster::ShardCount;
+/// Parses `--shards auto|K`.
+fn parse_shards(spec: Option<&str>) -> Result<ShardCount, CliError> {
     match spec {
         None | Some("auto") => Ok(ShardCount::Auto),
         Some(s) => match s.parse::<usize>() {
-            Ok(0) => Ok(ShardCount::Auto),
-            Ok(k) => Ok(ShardCount::Fixed(k)),
-            Err(_) => Err(CliError(format!(
-                "--shards must be `auto` or a shard count, got `{s}`"
+            Ok(k) if k > 0 => Ok(ShardCount::Fixed(k)),
+            _ => Err(CliError(format!(
+                "--shards must be `auto` or a positive shard count, got `{s}`"
             ))),
         },
     }
 }
 
-/// `dpc cluster`: spawn N node agents locally (in-process channels or TCP
-/// loopback sockets) and report the converged allocation, or run the
-/// transport throughput sweep with `--bench`.
+/// `dpc cluster`: deploy N node agents locally (on the epoll reactor, the
+/// serial lockstep reference, or TCP loopback sockets) and report the
+/// converged allocation, or run the transport throughput sweep with
+/// `--bench`.
 pub fn cmd_cluster(opts: &Options) -> Result<String, CliError> {
     use dpc_bench::runtimebench::{run_runtime_bench, run_runtime_bench_full, DEFAULT_SIZES};
 
@@ -1180,9 +1074,11 @@ pub fn cmd_cluster(opts: &Options) -> Result<String, CliError> {
     if n < 3 {
         return Err(CliError("--servers must be at least 3".into()));
     }
-    let transport = parse_transport(opts.string("transport").unwrap_or("inproc"))?;
-    let (problem, graph, rt) = deployment_for(opts, n, seed)?;
-    let rt = crate::runtime::cluster::RuntimeConfig { transport, ..rt };
+    let transport = match opts.string("transport") {
+        Some(name) => parse_transport(name)?,
+        None => RuntimeConfig::default().transport,
+    };
+    let (problem, graph, rt) = deployment_for(opts, n, seed, transport)?;
 
     let topology_name = opts.string("topology").unwrap_or("ring");
     let spectrum = crate::topology::spectral::consensus_spectrum(&graph, 200);
@@ -1211,8 +1107,8 @@ pub fn cmd_cluster(opts: &Options) -> Result<String, CliError> {
             "runtime: {shards} reactor shard{} ({})\n",
             if shards == 1 { "" } else { "s" },
             match rt.shards {
-                crate::runtime::cluster::ShardCount::Auto => "auto",
-                crate::runtime::cluster::ShardCount::Fixed(_) => "pinned",
+                ShardCount::Auto => "auto",
+                ShardCount::Fixed(_) => "pinned",
             },
         ),
         None => String::new(),
@@ -1279,9 +1175,7 @@ pub fn cmd_cluster(opts: &Options) -> Result<String, CliError> {
 pub fn cmd_node(opts: &Options) -> Result<String, CliError> {
     use crate::runtime::cluster::node_specs;
     use crate::runtime::node::run_node;
-    use crate::runtime::tcp::{RetryPolicy, TcpTransport};
-    use crate::runtime::transport::HandshakeContext;
-    use crate::runtime::Transport;
+    use crate::runtime::tcp::{HandshakeContext, RetryPolicy, TcpTransport};
     use std::net::ToSocketAddrs;
 
     let id: usize = opts
@@ -1295,11 +1189,7 @@ pub fn cmd_node(opts: &Options) -> Result<String, CliError> {
     if id >= n {
         return Err(CliError(format!("--id {id} out of range for {n} servers")));
     }
-    let (problem, graph, rt) = deployment_for(opts, n, seed)?;
-    let rt = crate::runtime::cluster::RuntimeConfig {
-        transport: crate::runtime::TransportKind::Tcp,
-        ..rt
-    };
+    let (problem, graph, rt) = deployment_for(opts, n, seed, TransportKind::Tcp)?;
     let spec = node_specs(&problem, &graph, DibaConfig::default(), &rt)
         .map_err(runtime_err)?
         .swap_remove(id);
@@ -1339,7 +1229,6 @@ pub fn cmd_node(opts: &Options) -> Result<String, CliError> {
     )
     .map_err(runtime_err)?;
     let ctx = HandshakeContext {
-        node: id,
         n_nodes: n,
         topology_hash: graph.topology_hash(),
         timeout: rt.handshake_timeout,
@@ -1389,6 +1278,23 @@ fn normalize_bench_arg(rest: &[String], default_out: &str) -> Vec<String> {
     out
 }
 
+/// A subcommand's entry point.
+pub type Command = fn(&Options) -> Result<String, CliError>;
+
+/// Every subcommand [`run`] dispatches besides `help`, in [`usage`] order.
+pub const COMMANDS: [(&str, Command); 10] = [
+    ("solve", cmd_solve),
+    ("simulate", cmd_simulate),
+    ("split", cmd_split),
+    ("bench", cmd_bench),
+    ("faults", cmd_faults),
+    ("replay", cmd_replay),
+    ("hier", cmd_hier),
+    ("trace", cmd_trace),
+    ("cluster", cmd_cluster),
+    ("node", cmd_node),
+];
+
 /// Dispatches a full argument vector (without the program name).
 ///
 /// # Errors
@@ -1405,23 +1311,12 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         _ => rest.to_vec(),
     };
     let opts = Options::parse(&rest)?;
-    match cmd.as_str() {
-        "solve" => cmd_solve(&opts),
-        "simulate" => cmd_simulate(&opts),
-        "split" => cmd_split(&opts),
-        "plan" => cmd_plan(&opts),
-        "fxplore" => cmd_fxplore(&opts),
-        "bench" => cmd_bench(&opts),
-        "faults" => cmd_faults(&opts),
-        "replay" => cmd_replay(&opts),
-        "hier" => cmd_hier(&opts),
-        "trace" => cmd_trace(&opts),
-        "cluster" => cmd_cluster(&opts),
-        "node" => cmd_node(&opts),
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(CliError(format!(
-            "unknown command `{other}`; try `dpc help`"
-        ))),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(usage());
+    }
+    match COMMANDS.iter().find(|(name, _)| name == cmd) {
+        Some((_, command)) => command(&opts),
+        None => Err(CliError(format!("unknown command `{cmd}`; try `dpc help`"))),
     }
 }
 
@@ -1508,16 +1403,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("budget respected: true"), "{out}");
         assert!(out.contains("t_s,budget_w"), "{out}");
-    }
-
-    #[test]
-    fn fxplore_lists_clusters() {
-        let out = run(&args(&["fxplore", "--k", "3"])).unwrap();
-        assert!(out.contains("cluster 0"));
-        assert!(out.contains("cluster 2"));
-        assert!(out.contains("mean runtime improvement"));
-        assert!(run(&args(&["fxplore", "--k", "99"])).is_err());
-        assert!(run(&args(&["fxplore", "--objective", "frobnicate"])).is_err());
     }
 
     #[test]
@@ -1901,19 +1786,46 @@ mod tests {
     }
 
     #[test]
-    fn cluster_inproc_deploys_and_reports_quorum() {
+    fn cluster_deploys_and_reports_quorum() {
         let out = run(&args(&["cluster", "--servers", "6", "--seed", "1"])).unwrap();
-        assert!(out.contains("6 nodes on inproc transport"), "{out}");
+        assert!(out.contains("6 nodes on reactor transport"), "{out}");
         assert!(out.contains("convergence quorum"), "{out}");
         assert!(out.contains("respected"), "{out}");
         assert!(run(&args(&["cluster", "--servers", "2"])).is_err());
-        assert!(run(&args(&["cluster", "--transport", "carrier-pigeon"])).is_err());
         assert!(run(&args(&["cluster", "--tol", "0"])).is_err());
+        // Unknown transports — the deleted channel mesh included — are
+        // refused by name, with the surviving spellings listed.
+        for gone in ["carrier-pigeon", "inproc"] {
+            let err = run(&args(&["cluster", "--transport", gone])).unwrap_err();
+            assert!(
+                err.0.contains(&format!("unknown transport `{gone}`")),
+                "{err}"
+            );
+            assert!(err.0.contains("tcp, lockstep, reactor"), "{err}");
+        }
+        // --shards is a reactor knob: every other driver refuses it
+        // instead of ignoring it, and `0` is no longer a spelling of auto.
+        for transport in ["lockstep", "tcp"] {
+            let err = run(&args(&[
+                "cluster",
+                "--transport",
+                transport,
+                "--shards",
+                "2",
+            ]))
+            .unwrap_err();
+            assert!(err.0.contains("--shards"), "{err}");
+            assert!(err.0.contains(transport), "{err}");
+        }
+        let out = run(&args(&["cluster", "--servers", "6", "--shards", "2"])).unwrap();
+        assert!(out.contains("2 reactor shards (pinned)"), "{out}");
+        let err = run(&args(&["cluster", "--shards", "0"])).unwrap_err();
+        assert!(err.0.contains("--shards"), "{err}");
     }
 
     #[test]
     fn cluster_tcp_matches_inproc_allocation() {
-        let inproc = run(&args(&["cluster", "--servers", "5", "--seed", "3"])).unwrap();
+        let reactor = run(&args(&["cluster", "--servers", "5", "--seed", "3"])).unwrap();
         let tcp = run(&args(&[
             "cluster",
             "--servers",
@@ -1924,15 +1836,17 @@ mod tests {
             "tcp",
         ]))
         .unwrap();
-        // The per-node table is identical across transports; only the
-        // header line naming the transport differs.
+        // The per-node table and the budget verdict are identical across
+        // transports; only the header naming the transport and the
+        // reactor's own thread/RSS footer differ.
         let table = |s: &str| {
             s.lines()
                 .skip_while(|l| !l.starts_with("node"))
+                .filter(|l| !l.starts_with("runtime:"))
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(table(&inproc), table(&tcp), "\n{inproc}\nvs\n{tcp}");
+        assert_eq!(table(&reactor), table(&tcp), "\n{reactor}\nvs\n{tcp}");
     }
 
     #[test]
@@ -1956,22 +1870,18 @@ mod tests {
             assert!(out.contains("report written"), "{out}");
             std::fs::read_to_string(path).unwrap()
         };
-        let deterministic = |json: &str| {
-            json.lines()
-                .filter(|l| !l.contains("per_sec") && !l.contains("secs"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
         let first = run_once("a.json");
         let second = run_once("b.json");
         assert_eq!(
-            deterministic(&first),
-            deterministic(&second),
+            dpc_bench::report::deterministic_lines(&first),
+            dpc_bench::report::deterministic_lines(&second),
             "runtime bench counters not byte-identical"
         );
         assert!(first.contains("\"bench\": \"runtime\""), "{first}");
-        assert!(first.contains("\"transport\": \"inproc\""), "{first}");
-        assert!(first.contains("\"transport\": \"tcp\""), "{first}");
+        for transport in TransportKind::ALL {
+            let cell = format!("\"transport\": \"{}\"", transport.key());
+            assert!(first.contains(&cell), "{first}");
+        }
         assert!(first.contains("\"all_converged\": true"), "{first}");
         assert!(run(&args(&["cluster", "--bench", "x.json", "--sizes", "0"])).is_err());
     }
@@ -2067,6 +1977,8 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.0.contains("expected id=ip:port"), "{err}");
+        let err = run(&args(&["node", "--id", "0", "--shards", "2"])).unwrap_err();
+        assert!(err.0.contains("--shards") && err.0.contains("tcp"), "{err}");
         // Node 0 on a 4-ring has higher neighbors 1 and 3; giving it no
         // dial addresses is a typed runtime error naming the peer.
         let err = run(&args(&["node", "--id", "0", "--servers", "4"])).unwrap_err();
@@ -2075,18 +1987,9 @@ mod tests {
     }
 
     #[test]
-    fn split_and_plan_run() {
+    fn split_runs() {
         let out = run(&args(&["split", "--total-mw", "0.6"])).unwrap();
         assert!(out.contains("cooling share"));
-        let out = run(&args(&[
-            "plan",
-            "--utilization",
-            "0.5",
-            "--iterations",
-            "2000",
-        ]))
-        .unwrap();
-        assert!(out.contains("local search"));
         assert!(run(&args(&["split", "--total-mw", "99"])).is_err());
     }
 }

@@ -16,11 +16,9 @@
 //!   self-consistent computing/cooling split;
 //! * [`sim`] — the dynamic cluster simulator (budget schedules, churn,
 //!   step responses);
-//! * [`agents`] — the thread-per-node message-passing prototype;
-//! * [`runtime`] — the deployable node runtime: DiBA agents behind a
-//!   pluggable transport (in-process channels or TCP sockets) speaking a
-//!   versioned binary wire protocol;
-//! * [`firmware`] — FXplore soft-heterogeneity extension (Ch. 6).
+//! * [`runtime`] — the deployable node runtime: one DiBA agent state
+//!   machine speaking a versioned binary wire protocol, hosted in-process
+//!   by an epoll reactor and across processes over TCP sockets.
 //!
 //! # Quickstart
 //!
@@ -49,9 +47,7 @@
 
 pub mod cli;
 
-pub use dpc_agents as agents;
 pub use dpc_alg as alg;
-pub use dpc_firmware as firmware;
 pub use dpc_models as models;
 pub use dpc_net as net;
 pub use dpc_runtime as runtime;

@@ -1,8 +1,9 @@
 //! Integration tests spanning the workspace crates: the full pipelines the
 //! paper's experiments exercise, at reduced scale.
 
-use dpc::agents::AgentCluster;
 use dpc::alg::diba::{DibaConfig, DibaRun};
+use dpc::alg::diba_async::{AsyncConfig, AsyncDibaRun};
+use dpc::alg::faults::{FaultPlan, NodeFaultKind};
 use dpc::alg::knapsack;
 use dpc::alg::primal_dual::{self, PrimalDualConfig};
 use dpc::alg::problem::PowerBudgetProblem;
@@ -11,6 +12,7 @@ use dpc::models::metrics::snp_arithmetic;
 use dpc::models::units::{Seconds, Watts};
 use dpc::models::workload::ClusterBuilder;
 use dpc::net::CommModel;
+use dpc::runtime::{run_cluster, RuntimeConfig};
 use dpc::sim::budgeter::DibaBudgeter;
 use dpc::sim::engine::{DynamicSim, SimConfig};
 use dpc::sim::schedule::BudgetSchedule;
@@ -20,7 +22,6 @@ use dpc::thermal::ThermalModel;
 use dpc::topology::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
 
 fn problem(n: usize, per_server: f64, seed: u64) -> PowerBudgetProblem {
     let c = ClusterBuilder::new(n).seed(seed).build();
@@ -80,33 +81,33 @@ fn diba_converges_on_every_connected_topology() {
 
 #[test]
 fn agents_and_synchronous_reference_agree() {
-    // The message-passing deployment must land at the same equilibrium as
-    // the synchronous reference (identical math, asynchronous delivery).
+    // The message-passing deployment (the default runtime: agents on the
+    // epoll reactor, exchanging wire frames with graph neighbors only) must
+    // land at the same equilibrium as the synchronous reference.
     let n = 20;
     let p = problem(n, 170.0, 3);
     let mut sync = DibaRun::new(p.clone(), Graph::ring(n), DibaConfig::default()).unwrap();
     sync.run(3_000);
 
-    let mut agents = AgentCluster::spawn(
+    let agents = run_cluster(
         p.clone(),
         Graph::ring(n),
         DibaConfig::default(),
-        Duration::from_millis(300),
+        &RuntimeConfig::default(),
     )
     .unwrap();
-    agents.run_rounds(3_000);
+    assert!(agents.converged, "no convergence quorum");
 
-    // The deployment's asynchronous delivery and node-local continuation
-    // schedule follow a different path than the synchronous reference, and
-    // the utility landscape is flat near the optimum — so allocations agree
-    // loosely (within ~10 % of a server's power range) while utilities
-    // agree tightly below.
-    let a = agents.allocation();
+    // The deployment's one-round-stale neighbor state and node-local
+    // continuation schedule follow a different path than the synchronous
+    // reference, and the utility landscape is flat near the optimum — so
+    // allocations agree loosely (within ~10 % of a server's power range)
+    // while utilities agree tightly below.
     let s = sync.allocation();
-    let worst = a.max_abs_diff(&s);
+    let worst = agents.allocation.max_abs_diff(&s);
     assert!(worst < Watts(12.0), "allocations diverge by {worst}");
-    assert!((agents.total_utility() - sync.total_utility()).abs() < 0.02 * sync.total_utility());
-    agents.shutdown();
+    let utility = p.total_utility(&agents.allocation);
+    assert!((utility - sync.total_utility()).abs() < 0.02 * sync.total_utility());
 }
 
 #[test]
@@ -228,21 +229,26 @@ fn agent_failure_does_not_break_budget_or_liveness() {
     let n = 24;
     let p = problem(n, 172.0, 10);
     let budget = p.budget();
-    let mut agents = AgentCluster::spawn(
+    // Two silent crashes mid-run, seeded: the whole test is deterministic.
+    let plan =
+        FaultPlan::none()
+            .and(800, 3, NodeFaultKind::Crash)
+            .and(800, 17, NodeFaultKind::Crash);
+    let mut agents = AsyncDibaRun::with_faults(
         p,
         Graph::ring_with_chords(n, 6),
         DibaConfig::default(),
-        Duration::from_millis(250),
+        AsyncConfig::default(),
+        plan,
     )
     .unwrap();
-    agents.run_rounds(800);
-    agents.fail_node(3);
-    agents.fail_node(17);
-    agents.run_rounds(800);
-    assert_eq!(agents.alive_count(), n - 2);
+    agents.run(1_600);
+    assert_eq!(agents.live_count(), n - 2);
     assert!(agents.total_power() <= budget + Watts(1e-6));
+    assert!(agents.conservation_drift() < 1e-6);
     // Survivors still re-optimize: cut the budget and watch them comply.
     agents.set_budget(budget - Watts(300.0)).unwrap();
-    agents.run_rounds(1_200);
+    agents.run(1_200);
     assert!(agents.total_power() <= budget - Watts(300.0) + Watts(1e-6));
+    assert!(agents.conservation_drift() < 1e-6);
 }

@@ -264,3 +264,39 @@ proptest! {
         }
     }
 }
+
+/// The shape of the tree, pinned: three ways to drive an agent, each
+/// reachable from the CLI under its own key, and a usage text that names
+/// exactly the subcommands `cli::run` dispatches. Re-adding a driver or
+/// shipping an undocumented subcommand fails here.
+#[test]
+fn drivers_and_subcommands_match_what_the_cli_documents() {
+    use dpc::cli;
+    use dpc::runtime::TransportKind;
+
+    assert_eq!(TransportKind::ALL.len(), 3);
+    for transport in TransportKind::ALL {
+        let key = transport.key();
+        assert_eq!(TransportKind::from_key(key), Some(transport));
+        let args = ["cluster", "--servers", "4", "--transport", key].map(String::from);
+        let out = cli::run(&args).unwrap();
+        assert!(
+            out.contains(&format!("4 nodes on {key} transport")),
+            "{out}"
+        );
+    }
+
+    // A subcommand's usage entry starts at a two-space indent; flag
+    // continuation lines sit deeper.
+    let usage = cli::usage();
+    let documented: Vec<&str> = usage
+        .lines()
+        .skip_while(|l| *l != "COMMANDS:")
+        .skip(1)
+        .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    let mut dispatched: Vec<&str> = cli::COMMANDS.iter().map(|(name, _)| *name).collect();
+    dispatched.push("help");
+    assert_eq!(documented, dispatched);
+}
