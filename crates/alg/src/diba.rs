@@ -1072,7 +1072,8 @@ impl DibaRun {
     /// to the event magnitude* — a budget move of ≥ 5 % re-arms the full
     /// continuation (the redistribution really is global), while a small
     /// trim re-arms only a fraction of it, so the run re-settles in far
-    /// fewer rounds than a cold start (see `BENCH_dynamic.json`).
+    /// fewer rounds than a cold start (the benchmark's
+    /// `alg_diba.warm_rounds_p50` vs `alg_diba.cold_rounds_p50`).
     ///
     /// # Errors
     ///

@@ -227,15 +227,8 @@ pub fn table4_2_data(sizes: &[usize], seed: u64) -> Vec<Table42Row> {
             let t0 = Instant::now();
             let pd = primal_dual::solve_with_reference(&p, &cfg, opt_util);
             let pd_wall = t0.elapsed().as_secs_f64();
-            let pd_comp = pd_wall / n as f64 * pd.iterations as f64
-                / pd.history.len().max(1) as f64
-                * pd.history.len() as f64
-                / pd.iterations.max(1) as f64
-                * pd.iterations as f64;
-            // Simplification of the above: wall time of the executed
-            // iterations divided across n parallel nodes.
-            let pd_comp = pd_comp.min(pd_wall) / 1.0;
-            let _ = pd_comp;
+            // Wall time of the executed iterations, divided across the n
+            // nodes that compute in parallel in deployment.
             let pd_comp = pd_wall / n as f64;
             let pd_comm = comm.primal_dual_total(n, pd.iterations, &mut rng).0;
 

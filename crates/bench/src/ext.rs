@@ -346,7 +346,13 @@ pub fn ext_spectral(n: usize) -> String {
         Graph::erdos_renyi_connected(n, 3 * n, &mut rng, 200).expect("m >= n-1"),
     ));
 
-    let mut t = Table::new(["topology", "spectral gap", "mixing est.", "rounds to 99%"]);
+    let mut t = Table::new([
+        "topology",
+        "spectral gap",
+        "mixing est.",
+        "converged",
+        "rounds to 99%",
+    ]);
     let mut rows: Vec<(f64, usize)> = Vec::new();
     for (name, g) in graphs {
         let s = consensus_spectrum(&g, 2_000);
@@ -357,6 +363,7 @@ pub fn ext_spectral(n: usize) -> String {
             name,
             format!("{:.4}", s.gap),
             format!("{:.0}", s.mixing_time),
+            if s.converged { "yes" } else { "no" }.into(),
             rounds.to_string(),
         ]);
     }

@@ -7,6 +7,11 @@
 //!
 //! Run everything with `cargo run -p dpc-bench --release --bin repro -- all`
 //! or a single experiment with e.g. `… -- fig4_3`.
+//!
+//! [`faultbench`] and [`hierbench`] are the byte-reproducible sweeps behind
+//! `dpc faults` and `dpc hier --bench`. Only [`ch4::table4_2`], the paper's
+//! own timing table, reads a clock: wall-clock measurement of the system
+//! lives in the repository's `benchmark/` harness.
 
 #![warn(missing_docs)]
 
@@ -15,7 +20,4 @@ pub mod ch4;
 pub mod ext;
 pub mod faultbench;
 pub mod hierbench;
-pub mod replaybench;
 pub mod report;
-pub mod roundbench;
-pub mod runtimebench;

@@ -1,5 +1,4 @@
-//! Plain-text table rendering for the reproduction reports, and the
-//! deterministic/volatile line split of the JSON bench reports.
+//! Plain-text table rendering for the reproduction reports.
 
 /// A fixed-width text table builder.
 #[derive(Debug, Clone, Default)]
@@ -57,18 +56,6 @@ impl Table {
         }
         out
     }
-}
-
-/// The byte-reproducible portion of a bench JSON report: every line not
-/// carrying a host-dependent quantity. The bench writers keep wall-clock
-/// fields (and anything else that varies run to run) on lines of their own
-/// whose keys contain `per_sec` or `secs`; the byte-compare tests strip
-/// those through here.
-pub fn deterministic_lines(json: &str) -> String {
-    json.lines()
-        .filter(|l| !l.contains("per_sec") && !l.contains("secs"))
-        .collect::<Vec<_>>()
-        .join("\n")
 }
 
 /// Formats a fraction as a signed percentage with one decimal.

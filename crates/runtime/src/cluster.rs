@@ -101,8 +101,8 @@ pub struct RuntimeConfig {
     pub shards: ShardCount,
     /// Coalesce reactor round traffic into multi-entry `DataBatch`
     /// frames (the default). `false` seals one single-entry frame per
-    /// message — the per-message framing mode the runtime bench's
-    /// `--min-msgs-speedup` gate compares against.
+    /// message — the per-message framing mode the benchmark's
+    /// `runtime_reactor.coalesce_speedup` probe compares against.
     pub coalesce: bool,
 }
 

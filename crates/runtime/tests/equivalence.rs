@@ -338,6 +338,32 @@ fn auto_shard_count_picks_the_same_allocation_as_fixed() {
     assert_eq!(auto.msgs_sent, fixed.msgs_sent);
 }
 
+/// The deterministic counters of the seed-0 chord-ring deployments, as
+/// literals: every driver runs the identical round-aligned program, so
+/// rounds, messages and heartbeats are properties of the deployment, not
+/// of the transport — and a change that moves them changes the protocol.
+/// (TCP sits out N = 64: ~14k blocking socket rounds add seconds, and
+/// N = 8 already covers its framing.)
+#[test]
+fn seed0_chord_ring_counters_are_pinned_on_every_transport() {
+    use TransportKind::{Lockstep, Reactor};
+    for (n, transports, pinned) in [
+        (8, &TransportKind::ALL[..], (2_423, 43_426, 1)),
+        (64, &[Lockstep, Reactor][..], (13_616, 323_734, 363)),
+    ] {
+        let problem = seeded_problem(n, 0, 170.0 * n as f64);
+        let graph = Graph::ring_with_chords(n, (n / 16).max(2));
+        for &transport in transports {
+            let rt = runtime_config(transport);
+            let out =
+                run_cluster(problem.clone(), graph.clone(), DibaConfig::default(), &rt).unwrap();
+            assert!(out.converged, "n={n} {transport:?}");
+            let counters = (out.rounds, out.msgs_sent, out.heartbeats);
+            assert_eq!(counters, pinned, "n={n} {transport:?}");
+        }
+    }
+}
+
 /// The scale acceptance check: one process hosts the 10 240-agent bench
 /// torus on the reactor, thread count stays O(shards), and the allocation
 /// is bitwise the lockstep reference. Minutes of wall clock — run

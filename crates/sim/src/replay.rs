@@ -908,6 +908,42 @@ at 6.0 restore node 2
         assert!(out.run.invariant_drift() < 1e-6);
     }
 
+    /// The reason the warm-start entry points exist: after a small event
+    /// (≈1 % budget moves, single-node VM and phase churn) re-settling
+    /// from the carried-over state beats a cold start on the identical
+    /// mutated instance, at the median and in the worst case.
+    #[test]
+    fn warm_start_beats_cold_restart_on_small_events() {
+        let s = Scenario::parse(
+            "servers 200\nseed 0\ntopology chords\nbudget 34000\n\
+             at 1 budget 33660\nat 2 phase node 28 mem 0.85\n\
+             at 3 budget 34000\nat 4 vm-arrive node 80 share 0.3 mem 0.3\n\
+             at 5 budget 33830\nat 6 vm-depart node 80\n\
+             at 7 budget 34170\nat 8 phase node 150 mem 0.25\n\
+             at 9 budget 33660\nat 10 vm-arrive node 28 share 0.2 mem 0.6\n\
+             at 11 budget 34000\nat 12 vm-depart node 28\n",
+        )
+        .unwrap();
+        let config = ReplayConfig {
+            compare_cold: true,
+            ..ReplayConfig::default()
+        };
+        let report = replay(&s, &config).unwrap().report;
+        assert!(report.all_settled(), "{}", report.to_table());
+        // `unwrap`: every group settled, warm and cold, within the bound.
+        let sorted = |pick: fn(&EventOutcome) -> Option<usize>| {
+            let mut v: Vec<usize> = report.events.iter().map(|e| pick(e).unwrap()).collect();
+            v.sort_unstable();
+            v
+        };
+        let (warm, cold) = (sorted(|e| e.warm_rounds), sorted(|e| e.cold_rounds));
+        assert_eq!(warm.len(), 12);
+        // Nearest-rank percentiles of 12 samples: p50 is the 6th smallest,
+        // p99 the largest.
+        assert!(warm[5] < cold[5], "p50: warm {warm:?} vs cold {cold:?}");
+        assert!(warm[11] < cold[11], "p99: warm {warm:?} vs cold {cold:?}");
+    }
+
     #[test]
     fn report_rendering_is_deterministic() {
         let s = Scenario::parse(EXAMPLE).unwrap();

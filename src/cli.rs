@@ -22,7 +22,7 @@ use crate::sim::schedule::BudgetSchedule;
 use crate::thermal::partition::{self_consistent_partition, uniform_rack_map};
 use crate::thermal::ThermalModel;
 use crate::topology::Graph;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// CLI failure with a user-facing message.
@@ -46,7 +46,8 @@ impl From<String> for CliError {
 /// Parsed `--flag value` options after the subcommand.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
-    values: HashMap<String, String>,
+    // Sorted, so the unknown flag `run` names is the same on every run.
+    values: BTreeMap<String, String>,
 }
 
 impl Options {
@@ -56,7 +57,7 @@ impl Options {
     ///
     /// Rejects dangling flags, repeated flags and positional arguments.
     pub fn parse(args: &[String]) -> Result<Options, CliError> {
-        let mut values = HashMap::new();
+        let mut values = BTreeMap::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
@@ -115,15 +116,6 @@ COMMANDS:
              --precision reference|fast (reference)
   split      self-consistent computing/cooling split of a facility budget
              --total-mw X (0.66)
-  bench      time the DiBA round engine, serial vs scoped vs pooled vs fast
-             tier, write JSON
-             --sizes N,N,... (1000,10000,100000)  --threads T|auto (auto)
-             --rounds R (scaled per size)  --out FILE (BENCH_round_engine.json)
-             --precision reference|fast (reference; selects which speedup
-             --min-speedup gates: pooled/serial or fast/serial)
-             --min-speedup X (fail if the gated speedup drops below X; skipped
-             with a logged reason on single-core hosts)
-             --trace FILE (also record a JSONL round trace at the smallest size)
   faults     sweep message drop rate x node churn, check recovery, write JSON
              --servers N (48)  --rounds R (1500)  --seed S (0)
              --drops P,P,... (0,0.05,0.1,0.2)
@@ -135,9 +127,6 @@ COMMANDS:
              --threads T|auto (auto)  --precision reference|fast (reference)
              --tol W (1e-2)  --stable-rounds R (10)  --max-rounds R (200000)
              --out FILE (also write the per-event JSON report)
-             --bench [FILE]  run the warm-vs-cold dynamic sweep instead and
-             write BENCH_dynamic.json (or FILE); --sizes N,N,... (1000,10000)
-             --seed S (0)
   hier       solve a hierarchical multi-tenant budget tree
              --servers N (96)  --budget-watts W (170·N)  --seed S (0)
              --fanout F (4)  --depth D (1)  --leaf oracle|diba (oracle)
@@ -163,15 +152,8 @@ COMMANDS:
              --shards auto|K (reactor only; auto: load-driven shard count
              from N, degree and host cores — the header reports the choice;
              K pins it)
-             --tol W (1e-4)
+             --tol W (1e-4)  --timeout-secs T (10, tcp handshake)
              --max-rounds R (20000)  --sample-every K (0, merge telemetry)
-             --bench [FILE]  run the transport throughput sweep (plus the
-             reactor scale rows and the topology convergence table) instead
-             over --sizes N,N,... (8,64); FILE defaults to BENCH_runtime.json
-             --scale on|off (on; off skips the 1k/10k rows and the table)
-             --min-msgs-speedup X (with --bench: also time batched vs
-             per-message framing at N=1024 and fail below X; skipped with a
-             note on single-core hosts)
   node       run ONE DiBA agent over TCP (one process per server)
              --id I (required)  --servers N (4)  --listen IP:PORT (127.0.0.1:0)
              --peers j=ip:port,... (dial addresses of the HIGHER-id neighbors;
@@ -391,110 +373,6 @@ pub fn cmd_split(opts: &Options) -> Result<String, CliError> {
     ))
 }
 
-/// `dpc bench`.
-pub fn cmd_bench(opts: &Options) -> Result<String, CliError> {
-    use dpc_bench::roundbench::{
-        rounds_for, run_round_bench, traced_run, SizeResult, DEFAULT_SIZES,
-    };
-
-    let sizes: Vec<usize> = match opts.string("sizes") {
-        None => DEFAULT_SIZES.to_vec(),
-        Some(spec) => spec
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .map_err(|e| CliError(format!("bad value in --sizes: `{s}`: {e}")))
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    if sizes.is_empty() || sizes.contains(&0) {
-        return Err(CliError("--sizes needs positive cluster sizes".into()));
-    }
-    let threads: Threads = opts.get_or("threads", Threads::Auto)?;
-    let rounds: Option<usize> = opts.get("rounds")?;
-    if rounds == Some(0) {
-        return Err(CliError("--rounds must be positive".into()));
-    }
-    let min_speedup: Option<f64> = opts.get("min-speedup")?;
-    let precision: Precision = opts.get_or("precision", Precision::Reference)?;
-    let out_path = opts.string("out").unwrap_or("BENCH_round_engine.json");
-
-    let report = run_round_bench(&sizes, threads, rounds);
-    if report.results.iter().any(|r| !r.bitwise_identical) {
-        return Err(CliError(
-            "serial and parallel trajectories diverged — round engine bug".into(),
-        ));
-    }
-    if let Some(bad) = report
-        .results
-        .iter()
-        .find(|r| !r.fast_within_eps(report.equiv_eps_watts))
-    {
-        return Err(CliError(format!(
-            "fast tier diverged from the serial reference: max deviation {:.3e} W at \
-             n={} exceeds the {} W equivalence budget — fast kernel bug",
-            bad.fast_max_dev_watts, bad.n, report.equiv_eps_watts
-        )));
-    }
-    write_output(out_path, &report.to_json())?;
-    let mut out = format!("{}\nreport written to {out_path}\n", report.to_table());
-    if let Some(min) = min_speedup {
-        if report.host_parallelism <= 1 {
-            out.push_str(&format!(
-                "min-speedup {min} ({precision}) skipped: host_parallelism is {} — the \
-                 timed runs share one core, so a speedup floor would only measure \
-                 scheduler noise\n",
-                report.host_parallelism
-            ));
-        } else if precision == Precision::Reference && report.threads <= 1 {
-            out.push_str(&format!(
-                "min-speedup {min} skipped: the bench resolved to {} worker — pooled \
-                 and serial are the same execution\n",
-                report.threads
-            ));
-        } else {
-            // Which speedup the floor gates follows --precision: the
-            // reference gate guards the pooled engine against parallel
-            // regressions, the fast gate guards the vectorized kernel tier
-            // against losing its edge over the reference kernel.
-            let (speedup, label): (fn(&SizeResult) -> f64, &str) = match precision {
-                Precision::Reference => (SizeResult::pooled_speedup, "pooled"),
-                Precision::Fast => (SizeResult::fast_speedup, "fast"),
-            };
-            if let Some(worst) = report
-                .results
-                .iter()
-                .min_by(|a, b| speedup(a).total_cmp(&speedup(b)))
-            {
-                if speedup(worst) < min {
-                    return Err(CliError(format!(
-                        "{label} round engine regressed: speedup {:.3} at n={} is below \
-                         the --min-speedup floor {min}",
-                        speedup(worst),
-                        worst.n
-                    )));
-                }
-                out.push_str(&format!(
-                    "min-speedup {min} satisfied: worst {label} speedup {:.3} at n={}\n",
-                    speedup(worst),
-                    worst.n
-                ));
-            }
-        }
-    }
-    if let Some(trace_path) = opts.string("trace") {
-        let n = *sizes.iter().min().expect("sizes is non-empty");
-        let t = traced_run(n, rounds.unwrap_or_else(|| rounds_for(n)), threads);
-        write_output(trace_path, &t.to_jsonl())?;
-        out.push_str(&format!(
-            "round trace ({} rounds at n={n}) written to {trace_path}\n",
-            t.rounds_recorded()
-        ));
-    }
-    Ok(out)
-}
-
 /// `dpc faults`.
 pub fn cmd_faults(opts: &Options) -> Result<String, CliError> {
     use dpc_bench::faultbench::{run_fault_bench, traced_cell, Churn, DEFAULT_DROPS};
@@ -508,17 +386,7 @@ pub fn cmd_faults(opts: &Options) -> Result<String, CliError> {
         return Err(CliError("--rounds must be positive".into()));
     }
     let seed: u64 = opts.get_or("seed", 0)?;
-    let drops: Vec<f64> = match opts.string("drops") {
-        None => DEFAULT_DROPS.to_vec(),
-        Some(spec) => spec
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .map_err(|e| CliError(format!("bad value in --drops: `{s}`: {e}")))
-            })
-            .collect::<Result<_, _>>()?,
-    };
+    let drops = parse_list(opts, "drops", &DEFAULT_DROPS)?;
     if drops.is_empty() || drops.iter().any(|d| !(0.0..1.0).contains(d)) {
         return Err(CliError("--drops needs probabilities in [0, 1)".into()));
     }
@@ -551,52 +419,17 @@ pub fn cmd_faults(opts: &Options) -> Result<String, CliError> {
 
 /// `dpc replay`: drives a scenario event timeline against a warm-started
 /// DiBA and reports per-event re-convergence (optionally vs a cold start
-/// on the identical mutated instance), or — with `--bench` — runs the
-/// warm-vs-cold dynamic sweep and writes `BENCH_dynamic.json`.
+/// on the identical mutated instance).
 ///
-/// Scenario-mode output is deterministic: the report carries round counts
-/// and allocations only, never wall-clock, so `--out` files are
-/// byte-identical across reruns (the CI replay smoke step relies on this).
-/// Bench mode reports `events_per_sec` and `host_parallelism`, which are
-/// host-dependent by design.
+/// The output is deterministic: the report carries round counts and
+/// allocations only, never wall-clock, so `--out` files are byte-identical
+/// across reruns (the CI replay smoke step relies on this).
 pub fn cmd_replay(opts: &Options) -> Result<String, CliError> {
     use crate::sim::replay::{replay, ReplayConfig, Scenario, SettleCriterion};
 
-    if let Some(bench_out) = opts.string("bench") {
-        let seed: u64 = opts.get_or("seed", 0)?;
-        let sizes: Vec<usize> = match opts.string("sizes") {
-            None => vec![1_000, 10_000],
-            Some(spec) => spec
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .map_err(|e| CliError(format!("bad value in --sizes: `{s}`: {e}")))
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        if sizes.is_empty() || sizes.iter().any(|&n| n < 16) {
-            return Err(CliError(
-                "--sizes needs cluster sizes of at least 16".into(),
-            ));
-        }
-        let report = dpc_bench::replaybench::run(&sizes, seed);
-        if !report.warm_beats_cold() {
-            return Err(CliError(format!(
-                "warm start failed to beat cold restart on small events:\n{}",
-                report.to_table()
-            )));
-        }
-        write_output(bench_out, &report.to_json())?;
-        return Ok(format!(
-            "{}\nreport written to {bench_out}\n",
-            report.to_table()
-        ));
-    }
-
     let path = opts
         .string("scenario")
-        .ok_or_else(|| CliError("replay needs --scenario FILE or --bench".into()))?;
+        .ok_or_else(|| CliError("replay needs --scenario FILE".into()))?;
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read --scenario {path}: {e}")))?;
     let scenario = Scenario::parse(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
@@ -636,7 +469,12 @@ pub fn cmd_replay(opts: &Options) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn parse_list(opts: &Options, key: &str, default: &[usize]) -> Result<Vec<usize>, CliError> {
+/// Parses a comma-separated `--key a,b,...` list, or returns `default`.
+fn parse_list<T>(opts: &Options, key: &str, default: &[T]) -> Result<Vec<T>, CliError>
+where
+    T: std::str::FromStr + Clone,
+    T::Err: fmt::Display,
+{
     match opts.string(key) {
         None => Ok(default.to_vec()),
         Some(spec) => spec
@@ -997,78 +835,8 @@ fn parse_shards(spec: Option<&str>) -> Result<ShardCount, CliError> {
 
 /// `dpc cluster`: deploy N node agents locally (on the epoll reactor, the
 /// serial lockstep reference, or TCP loopback sockets) and report the
-/// converged allocation, or run the transport throughput sweep with
-/// `--bench`.
+/// converged allocation.
 pub fn cmd_cluster(opts: &Options) -> Result<String, CliError> {
-    use dpc_bench::runtimebench::{run_runtime_bench, run_runtime_bench_full, DEFAULT_SIZES};
-
-    if let Some(bench_path) = opts.string("bench") {
-        let sizes: Vec<usize> = match opts.string("sizes") {
-            None => DEFAULT_SIZES.to_vec(),
-            Some(spec) => spec
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .map_err(|e| CliError(format!("bad value in --sizes: `{s}`: {e}")))
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        if sizes.is_empty() || sizes.iter().any(|&n| n < 3) {
-            return Err(CliError("--sizes needs cluster sizes of at least 3".into()));
-        }
-        let seed: u64 = opts.get_or("seed", 0)?;
-        let report = match opts.string("scale").unwrap_or("on") {
-            "on" => run_runtime_bench_full(&sizes, seed),
-            "off" => run_runtime_bench(&sizes, seed),
-            other => {
-                return Err(CliError(format!(
-                    "--scale must be on or off, got `{other}`"
-                )))
-            }
-        };
-        if !report.all_converged() {
-            return Err(CliError(format!(
-                "a bench cell failed to reach convergence quorum:\n{}",
-                report.to_table()
-            )));
-        }
-        // Optional framing gate: batched DataBatch frames must beat
-        // one-frame-per-message by the given factor. Timing two
-        // multi-shard reactors on a single core measures scheduler
-        // contention, not framing, so the gate skips there with a note.
-        let mut framing_note = String::new();
-        if let Some(spec) = opts.string("min-msgs-speedup") {
-            let min: f64 = spec
-                .parse()
-                .map_err(|e| CliError(format!("bad --min-msgs-speedup `{spec}`: {e}")))?;
-            let cores = std::thread::available_parallelism()
-                .map(|c| c.get())
-                .unwrap_or(1);
-            if cores < 2 {
-                framing_note = format!(
-                    "framing gate skipped: host reports {cores} core(s); batched-vs-per-message \
-                     timing on one core measures contention, not framing\n"
-                );
-            } else {
-                let cmp = dpc_bench::runtimebench::measure_framing_compare(seed);
-                framing_note = format!("{}\n", cmp.to_line());
-                if cmp.speedup() < min {
-                    return Err(CliError(format!(
-                        "framing speedup {:.2}x is below the --min-msgs-speedup gate {min}x\n{}",
-                        cmp.speedup(),
-                        cmp.to_line(),
-                    )));
-                }
-            }
-        }
-        write_output(bench_path, &report.to_json())?;
-        return Ok(format!(
-            "{}\n{framing_note}report written to {bench_path}\n",
-            report.to_table()
-        ));
-    }
-
     let seed: u64 = opts.get_or("seed", 0)?;
     let n: usize = opts.get_or("servers", 8)?;
     if n < 3 {
@@ -1081,14 +849,23 @@ pub fn cmd_cluster(opts: &Options) -> Result<String, CliError> {
     let (problem, graph, rt) = deployment_for(opts, n, seed, transport)?;
 
     let topology_name = opts.string("topology").unwrap_or("ring");
-    let spectrum = crate::topology::spectral::consensus_spectrum(&graph, 200);
+    const POWER_ITERATIONS: usize = 200;
+    let spectrum = crate::topology::spectral::consensus_spectrum(&graph, POWER_ITERATIONS);
     let min_degree = (0..graph.len())
         .map(|i| graph.neighbors(i).len())
         .min()
         .unwrap_or(0);
+    // An unconverged power iteration only bounds the gap from above, so
+    // the line says so instead of printing the iterate as the graph's gap.
+    let (le, about, caveat) = if spectrum.converged {
+        ("", "~", String::new())
+    } else {
+        let caveat = format!(" (not converged in {POWER_ITERATIONS} iterations)");
+        ("≤ ", "≥ ", caveat)
+    };
     let topology_line = format!(
-        "topology {topology_name} (hash {:#018x}): degree {}..{}, spectral gap {:.4}, \
-         mixing ~{:.0} rounds\n",
+        "topology {topology_name} (hash {:#018x}): degree {}..{}, spectral gap {le}{:.4}, \
+         mixing {about}{:.0} rounds{caveat}\n",
         graph.topology_hash(),
         min_degree,
         graph.max_degree(),
@@ -1161,8 +938,7 @@ pub fn cmd_cluster(opts: &Options) -> Result<String, CliError> {
         out.push_str(&format!("runtime: peak {threads} threads\n"));
     }
     // Wall-clock-adjacent and host-dependent, so it lives on its own line
-    // (containing "rss") that reproducibility comparisons strip — same
-    // convention as the bench reports' `per_sec`/`secs` lines.
+    // (containing "rss") that reproducibility comparisons strip.
     if let Some(kb) = outcome.peak_rss_kb {
         out.push_str(&format!("runtime: peak rss {:.1} MB\n", kb as f64 / 1024.0));
     }
@@ -1259,11 +1035,11 @@ pub fn cmd_node(opts: &Options) -> Result<String, CliError> {
     ))
 }
 
-/// `dpc cluster` and `dpc replay` accept `--bench` both bare (report to
-/// the command's conventional JSON path) and with an explicit file value;
-/// the general parser wants every flag to carry a value, so a bare
-/// `--bench` gets the default path spliced in before parsing.
-fn normalize_bench_arg(rest: &[String], default_out: &str) -> Vec<String> {
+/// `dpc hier` accepts `--bench` both bare (report to the conventional
+/// `BENCH_hierarchy.json`) and with an explicit file value; the general
+/// parser wants every flag to carry a value, so a bare `--bench` gets the
+/// default path spliced in before parsing.
+fn normalize_bench_arg(rest: &[String]) -> Vec<String> {
     let mut out = Vec::with_capacity(rest.len() + 1);
     let mut it = rest.iter().peekable();
     while let Some(a) = it.next() {
@@ -1271,7 +1047,7 @@ fn normalize_bench_arg(rest: &[String], default_out: &str) -> Vec<String> {
         if a == "--bench" {
             match it.peek() {
                 Some(v) if !v.starts_with("--") => {}
-                _ => out.push(default_out.to_string()),
+                _ => out.push("BENCH_hierarchy.json".to_string()),
             }
         }
     }
@@ -1281,43 +1057,152 @@ fn normalize_bench_arg(rest: &[String], default_out: &str) -> Vec<String> {
 /// A subcommand's entry point.
 pub type Command = fn(&Options) -> Result<String, CliError>;
 
-/// Every subcommand [`run`] dispatches besides `help`, in [`usage`] order.
-pub const COMMANDS: [(&str, Command); 10] = [
-    ("solve", cmd_solve),
-    ("simulate", cmd_simulate),
-    ("split", cmd_split),
-    ("bench", cmd_bench),
-    ("faults", cmd_faults),
-    ("replay", cmd_replay),
-    ("hier", cmd_hier),
-    ("trace", cmd_trace),
-    ("cluster", cmd_cluster),
-    ("node", cmd_node),
+/// Every subcommand [`run`] dispatches besides `help`, in [`usage`] order:
+/// its name, its entry point and every `--flag` it reads. [`run`] refuses
+/// a flag that is not in the list, so a misspelt flag is an error instead
+/// of a silently applied default.
+pub const COMMANDS: [(&str, Command, &[&str]); 9] = [
+    (
+        "solve",
+        cmd_solve,
+        &["servers", "budget-watts", "seed", "topology", "trace"],
+    ),
+    (
+        "simulate",
+        cmd_simulate,
+        &[
+            "servers",
+            "budget-watts",
+            "seconds",
+            "churn-secs",
+            "phase-secs",
+            "seed",
+            "precision",
+        ],
+    ),
+    ("split", cmd_split, &["total-mw"]),
+    (
+        "faults",
+        cmd_faults,
+        &["servers", "rounds", "seed", "drops", "out", "trace"],
+    ),
+    (
+        "replay",
+        cmd_replay,
+        &[
+            "scenario",
+            "cold",
+            "threads",
+            "precision",
+            "tol",
+            "stable-rounds",
+            "max-rounds",
+            "out",
+        ],
+    ),
+    (
+        "hier",
+        cmd_hier,
+        &[
+            "servers",
+            "budget-watts",
+            "seed",
+            "fanout",
+            "depth",
+            "leaf",
+            "tenants",
+            "tol",
+            "max-rounds",
+            "threads",
+            "precision",
+            "domains",
+            "bench",
+            "fanouts",
+            "depths",
+            "big",
+        ],
+    ),
+    (
+        "trace",
+        cmd_trace,
+        &[
+            "solver",
+            "servers",
+            "budget-watts",
+            "seed",
+            "rounds",
+            "topology",
+            "threads",
+            "format",
+            "capacity",
+            "drop",
+            "crash-round",
+            "out",
+        ],
+    ),
+    (
+        "cluster",
+        cmd_cluster,
+        &[
+            "servers",
+            "transport",
+            "budget-watts",
+            "seed",
+            "topology",
+            "shards",
+            "tol",
+            "max-rounds",
+            "sample-every",
+            "timeout-secs",
+        ],
+    ),
+    (
+        "node",
+        cmd_node,
+        &[
+            "id",
+            "servers",
+            "listen",
+            "peers",
+            "budget-watts",
+            "seed",
+            "topology",
+            "tol",
+            "max-rounds",
+            "timeout-secs",
+        ],
+    ),
 ];
 
 /// Dispatches a full argument vector (without the program name).
 ///
 /// # Errors
 ///
-/// Returns the user-facing error message on bad input.
+/// Returns the user-facing error message on bad input, including a flag
+/// the named command does not read.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some((cmd, rest)) = args.split_first() else {
         return Ok(usage());
     };
-    let rest = match cmd.as_str() {
-        "cluster" => normalize_bench_arg(rest, "BENCH_runtime.json"),
-        "replay" => normalize_bench_arg(rest, "BENCH_dynamic.json"),
-        "hier" => normalize_bench_arg(rest, "BENCH_hierarchy.json"),
-        _ => rest.to_vec(),
+    let rest = if cmd == "hier" {
+        normalize_bench_arg(rest)
+    } else {
+        rest.to_vec()
     };
     let opts = Options::parse(&rest)?;
     if matches!(cmd.as_str(), "help" | "--help" | "-h") {
         return Ok(usage());
     }
-    match COMMANDS.iter().find(|(name, _)| name == cmd) {
-        Some((_, command)) => command(&opts),
-        None => Err(CliError(format!("unknown command `{cmd}`; try `dpc help`"))),
+    let Some((_, command, flags)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        return Err(CliError(format!("unknown command `{cmd}`; try `dpc help`")));
+    };
+    if let Some(unknown) = opts.values.keys().find(|k| !flags.contains(&k.as_str())) {
+        return Err(CliError(format!(
+            "`dpc {cmd}` does not take --{unknown}; its flags are --{}",
+            flags.join(", --")
+        )));
     }
+    command(&opts)
 }
 
 #[cfg(test)]
@@ -1336,6 +1221,20 @@ mod tests {
         assert!(Options::parse(&args(&["positional"])).is_err());
         assert!(Options::parse(&args(&["--dangling"])).is_err());
         assert!(Options::parse(&args(&["--a", "1", "--a", "2"])).is_err());
+
+        // A flag the command does not read is an error naming both, not a
+        // silently applied default; another command's flag counts too.
+        let err = run(&args(&["solve", "--sevrers", "5"])).unwrap_err();
+        assert!(
+            err.0.contains("`dpc solve` does not take --sevrers"),
+            "{err}"
+        );
+        assert!(err.0.contains("--servers"), "{err}");
+        let err = run(&args(&["split", "--servers", "5"])).unwrap_err();
+        assert!(err.0.contains("`dpc split`"), "{err}");
+        // The comma lists share one parser that names flag and element.
+        let err = run(&args(&["faults", "--drops", "0.1,lots"])).unwrap_err();
+        assert!(err.0.contains("--drops") && err.0.contains("lots"), "{err}");
     }
 
     #[test]
@@ -1406,68 +1305,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_writes_a_json_report() {
-        let dir = std::env::temp_dir().join("dpc-cli-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("round_engine.json");
-        let out = run(&args(&[
-            "bench",
-            "--sizes",
-            "120,240",
-            "--threads",
-            "2",
-            "--rounds",
-            "30",
-            "--out",
-            path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("report written"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"bench\": \"round_engine\""), "{json}");
-        assert!(json.contains("\"bitwise_identical\": true"), "{json}");
-        assert!(run(&args(&["bench", "--sizes", "0"])).is_err());
-        assert!(run(&args(&["bench", "--threads", "0"])).is_err());
-    }
-
-    #[test]
-    fn bench_gates_the_fast_tier_and_names_bad_precision_values() {
-        let dir = std::env::temp_dir().join("dpc-cli-bench-fast-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("round_engine_fast.json");
-        // A 0.01 floor always holds when the gate runs; on a single-core
-        // host the gate is skipped with a logged reason instead. Either
-        // way the run must succeed and the report must carry the fast
-        // column.
-        let out = run(&args(&[
-            "bench",
-            "--sizes",
-            "200",
-            "--rounds",
-            "30",
-            "--precision",
-            "fast",
-            "--min-speedup",
-            "0.01",
-            "--out",
-            path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(
-            out.contains("worst fast speedup") || out.contains("skipped: host_parallelism"),
-            "{out}"
-        );
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"fast_speedup\":"), "{json}");
-        assert!(json.contains("\"fast_within_eps\": true"), "{json}");
-
-        let err = run(&args(&["bench", "--precision", "sloppy"])).unwrap_err();
-        assert!(err.0.contains("--precision"), "{err}");
-        assert!(err.0.contains("sloppy"), "{err}");
-        assert!(err.0.contains("expected `reference` or `fast`"), "{err}");
-    }
-
-    #[test]
     fn simulate_accepts_the_fast_precision_tier() {
         let out = run(&args(&[
             "simulate",
@@ -1480,7 +1317,10 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("budget respected: true"), "{out}");
-        assert!(run(&args(&["simulate", "--precision", "quick"])).is_err());
+        let err = run(&args(&["simulate", "--precision", "sloppy"])).unwrap_err();
+        assert!(err.0.contains("--precision"), "{err}");
+        assert!(err.0.contains("sloppy"), "{err}");
+        assert!(err.0.contains("expected `reference` or `fast`"), "{err}");
     }
 
     #[test]
@@ -1574,7 +1414,7 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.0.contains("--cold"), "{err}");
-        assert!(run(&args(&["replay", "--bench", "--sizes", "4"])).is_err());
+        assert!(run(&args(&["replay", "--bench", "x.json"])).is_err());
     }
 
     #[test]
@@ -1738,30 +1578,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_and_faults_attach_the_recorder_via_trace_flag() {
+    fn faults_attaches_the_recorder_via_trace_flag() {
         let dir = std::env::temp_dir().join("dpc-cli-trace-flag");
         let _ = std::fs::remove_dir_all(&dir);
-        let out_path = dir.join("reports").join("round.json");
-        let trace_path = dir.join("traces").join("round.jsonl");
-        let out = run(&args(&[
-            "bench",
-            "--sizes",
-            "120",
-            "--threads",
-            "2",
-            "--rounds",
-            "25",
-            "--out",
-            out_path.to_str().unwrap(),
-            "--trace",
-            trace_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("round trace"), "{out}");
-        assert!(std::fs::read_to_string(&trace_path)
-            .unwrap()
-            .contains("\"type\":\"round\""));
-
         let trace_path = dir.join("traces").join("faults.jsonl");
         let out = run(&args(&[
             "faults",
@@ -1791,6 +1610,19 @@ mod tests {
         assert!(out.contains("6 nodes on reactor transport"), "{out}");
         assert!(out.contains("convergence quorum"), "{out}");
         assert!(out.contains("respected"), "{out}");
+        // Six nodes mix fast enough for 200 power iterations to settle, so
+        // the gap is printed as a value; on the 1 024-ring it is a bound.
+        assert!(out.contains("spectral gap 0."), "{out}");
+        let out = run(&args(&[
+            "cluster",
+            "--servers",
+            "1024",
+            "--max-rounds",
+            "9",
+        ]))
+        .unwrap();
+        let bound = "spectral gap ≤ 0.0025, mixing ≥ 396 rounds (not converged in 200";
+        assert!(out.contains(bound), "{out}");
         assert!(run(&args(&["cluster", "--servers", "2"])).is_err());
         assert!(run(&args(&["cluster", "--tol", "0"])).is_err());
         // Unknown transports — the deleted channel mesh included — are
@@ -1824,7 +1656,7 @@ mod tests {
     }
 
     #[test]
-    fn cluster_tcp_matches_inproc_allocation() {
+    fn cluster_tcp_matches_reactor_allocation() {
         let reactor = run(&args(&["cluster", "--servers", "5", "--seed", "3"])).unwrap();
         let tcp = run(&args(&[
             "cluster",
@@ -1850,58 +1682,18 @@ mod tests {
     }
 
     #[test]
-    fn cluster_bench_report_is_reproducible_modulo_timing() {
-        let dir = std::env::temp_dir().join("dpc-cli-runtime-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let run_once = |name: &str| {
-            let path = dir.join(name);
-            let out = run(&args(&[
-                "cluster",
-                "--bench",
-                path.to_str().unwrap(),
-                "--sizes",
-                "6",
-                "--seed",
-                "7",
-                "--scale",
-                "off",
-            ]))
-            .unwrap();
-            assert!(out.contains("report written"), "{out}");
-            std::fs::read_to_string(path).unwrap()
-        };
-        let first = run_once("a.json");
-        let second = run_once("b.json");
-        assert_eq!(
-            dpc_bench::report::deterministic_lines(&first),
-            dpc_bench::report::deterministic_lines(&second),
-            "runtime bench counters not byte-identical"
-        );
-        assert!(first.contains("\"bench\": \"runtime\""), "{first}");
-        for transport in TransportKind::ALL {
-            let cell = format!("\"transport\": \"{}\"", transport.key());
-            assert!(first.contains(&cell), "{first}");
-        }
-        assert!(first.contains("\"all_converged\": true"), "{first}");
-        assert!(run(&args(&["cluster", "--bench", "x.json", "--sizes", "0"])).is_err());
-    }
-
-    #[test]
     fn bare_bench_flag_gets_the_conventional_path() {
-        let normalized =
-            normalize_bench_arg(&args(&["--bench", "--sizes", "8"]), "BENCH_runtime.json");
+        let normalized = normalize_bench_arg(&args(&["--bench", "--depths", "1"]));
         assert_eq!(
             normalized,
-            args(&["--bench", "BENCH_runtime.json", "--sizes", "8"])
+            args(&["--bench", "BENCH_hierarchy.json", "--depths", "1"])
         );
-        let normalized =
-            normalize_bench_arg(&args(&["--sizes", "8", "--bench"]), "BENCH_runtime.json");
+        let normalized = normalize_bench_arg(&args(&["--depths", "1", "--bench"]));
         assert_eq!(
             normalized,
-            args(&["--sizes", "8", "--bench", "BENCH_runtime.json"])
+            args(&["--depths", "1", "--bench", "BENCH_hierarchy.json"])
         );
-        let untouched =
-            normalize_bench_arg(&args(&["--bench", "custom.json"]), "BENCH_runtime.json");
+        let untouched = normalize_bench_arg(&args(&["--bench", "custom.json"]));
         assert_eq!(untouched, args(&["--bench", "custom.json"]));
     }
 
@@ -1978,7 +1770,7 @@ mod tests {
         .unwrap_err();
         assert!(err.0.contains("expected id=ip:port"), "{err}");
         let err = run(&args(&["node", "--id", "0", "--shards", "2"])).unwrap_err();
-        assert!(err.0.contains("--shards") && err.0.contains("tcp"), "{err}");
+        assert!(err.0.contains("`dpc node` does not take --shards"), "{err}");
         // Node 0 on a 4-ring has higher neighbors 1 and 3; giving it no
         // dial addresses is a typed runtime error naming the peer.
         let err = run(&args(&["node", "--id", "0", "--servers", "4"])).unwrap_err();

@@ -266,13 +266,16 @@ proptest! {
 }
 
 /// The shape of the tree, pinned: three ways to drive an agent, each
-/// reachable from the CLI under its own key, and a usage text that names
-/// exactly the subcommands `cli::run` dispatches. Re-adding a driver or
-/// shipping an undocumented subcommand fails here.
+/// reachable from the CLI under its own key; a usage text that names
+/// exactly the subcommands `cli::run` dispatches and, under each, exactly
+/// the flags that subcommand accepts; and no stopwatch outside
+/// `benchmark/`. Re-adding a driver, shipping an undocumented subcommand
+/// or flag, or growing a `bench` command back fails here.
 #[test]
 fn drivers_and_subcommands_match_what_the_cli_documents() {
     use dpc::cli;
     use dpc::runtime::TransportKind;
+    use std::collections::BTreeSet;
 
     assert_eq!(TransportKind::ALL.len(), 3);
     for transport in TransportKind::ALL {
@@ -286,17 +289,32 @@ fn drivers_and_subcommands_match_what_the_cli_documents() {
         );
     }
 
-    // A subcommand's usage entry starts at a two-space indent; flag
-    // continuation lines sit deeper.
+    // A subcommand's usage entry starts at a two-space indent; its flag
+    // lines sit deeper and belong to the entry above them.
     let usage = cli::usage();
-    let documented: Vec<&str> = usage
-        .lines()
-        .skip_while(|l| *l != "COMMANDS:")
-        .skip(1)
-        .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
-        .filter_map(|l| l.split_whitespace().next())
+    let mut documented: Vec<(&str, BTreeSet<&str>)> = Vec::new();
+    for line in usage.lines().skip_while(|l| *l != "COMMANDS:").skip(1) {
+        if line.starts_with("  ") && !line.starts_with("   ") {
+            documented.push((line.split_whitespace().next().unwrap(), BTreeSet::new()));
+        }
+        let flags = line.split_whitespace().filter_map(|w| w.strip_prefix("--"));
+        let flags = flags.map(|f| f.trim_end_matches(|c: char| !c.is_ascii_alphanumeric()));
+        let entry = documented.last_mut().expect("an entry precedes its flags");
+        entry.1.extend(flags);
+    }
+    let mut dispatched: Vec<(&str, BTreeSet<&str>)> = cli::COMMANDS
+        .iter()
+        .map(|(name, _, flags)| (*name, flags.iter().copied().collect()))
         .collect();
-    let mut dispatched: Vec<&str> = cli::COMMANDS.iter().map(|(name, _)| *name).collect();
-    dispatched.push("help");
+    dispatched.push(("help", BTreeSet::new()));
     assert_eq!(documented, dispatched);
+
+    // One stopwatch: wall-clock measurement lives in `benchmark/`.
+    assert_eq!(cli::COMMANDS.len(), 9);
+    let takes_bench: Vec<&str> = cli::COMMANDS
+        .iter()
+        .filter(|(name, _, flags)| *name == "bench" || flags.contains(&"bench"))
+        .map(|(name, ..)| *name)
+        .collect();
+    assert_eq!(takes_bench, ["hier"]);
 }
