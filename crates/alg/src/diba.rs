@@ -785,11 +785,6 @@ impl DibaRun {
         self.step_batch(1);
     }
 
-    /// Runs `rounds` synchronous rounds. Alias of [`DibaRun::step_many`].
-    pub fn run(&mut self, rounds: usize) {
-        self.step_batch(rounds);
-    }
-
     /// Runs `rounds` synchronous rounds as one batch: one engine dispatch,
     /// with convergence bookkeeping and telemetry flushed at round
     /// boundaries *inside* the batch (worker 0, between barriers) rather
@@ -797,7 +792,7 @@ impl DibaRun {
     /// [`RoundRecord`] stream and the `(p, e)` trajectory are bitwise
     /// identical to `rounds` single [`DibaRun::step`] calls — batching
     /// only removes dispatch overhead.
-    pub fn step_many(&mut self, rounds: usize) {
+    pub fn run(&mut self, rounds: usize) {
         self.step_batch(rounds);
     }
 

@@ -509,14 +509,6 @@ impl AsyncDibaRun {
         }
     }
 
-    /// Runs `rounds` rounds as one batch. Bitwise identical to `rounds`
-    /// [`AsyncDibaRun::step`] calls — state, RNG streams, and telemetry
-    /// records included; provided for API symmetry with
-    /// [`DibaRun::step_many`].
-    pub fn step_many(&mut self, rounds: usize) {
-        self.run(rounds);
-    }
-
     /// Runs until feasible and within `rel_tol` of `reference_utility`;
     /// returns rounds used.
     pub fn run_until_within(

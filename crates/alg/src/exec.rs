@@ -22,8 +22,6 @@
 //! * [`SharedSlice`] — an unsafe-but-audited shared view of a `&mut [T]`
 //!   for the disjoint-range writes and barrier-ordered cross-phase reads
 //!   the round structure needs;
-//! * [`shard_bounds`] / [`shard_bounds_aligned`] — contiguous node-range
-//!   partitions;
 //! * [`chunked_sum`] — the fixed-chunk reduction that makes parallel sums
 //!   *bitwise* independent of the worker count.
 //!
@@ -142,9 +140,7 @@ impl std::str::FromStr for Threads {
     }
 }
 
-/// Fixed reduction-chunk width (elements). Shard boundaries produced by
-/// [`shard_bounds_aligned`] fall on multiples of this, so a chunk is never
-/// split across workers.
+/// Fixed reduction-chunk width (elements).
 pub const REDUCE_CHUNK: usize = 4096;
 
 /// A scoped-thread fan-out engine with a resolved worker count.
@@ -640,49 +636,15 @@ impl Engine {
     }
 }
 
-/// Splits `0..n` into `shards` contiguous ranges of near-equal size,
-/// returned as ascending cut points (`shards + 1` entries, first 0, last
-/// `n`). Trailing ranges may be empty when `n < shards`.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero.
-pub fn shard_bounds(n: usize, shards: usize) -> Vec<usize> {
-    assert!(shards > 0, "at least one shard required");
-    (0..=shards).map(|k| n * k / shards).collect()
-}
-
-/// Like [`shard_bounds`], but every interior cut point is rounded down to a
-/// multiple of `align`, so an `align`-sized reduction chunk always belongs
-/// to exactly one shard.
-///
-/// # Panics
-///
-/// Panics if `shards` or `align` is zero.
-pub fn shard_bounds_aligned(n: usize, shards: usize, align: usize) -> Vec<usize> {
-    assert!(align > 0, "alignment must be positive");
-    let mut cuts = shard_bounds(n, shards);
-    for c in &mut cuts[1..shards] {
-        *c -= *c % align;
-    }
-    cuts
-}
-
 /// Sums `values` over fixed [`REDUCE_CHUNK`]-sized chunks, folding chunk
 /// partials in ascending order. This is the *reference* reduction: a
-/// parallel sum whose workers each cover whole chunks (see
-/// [`shard_bounds_aligned`]) and whose partials are folded in the same
-/// ascending order reproduces these bits exactly.
+/// parallel sum whose workers each cover whole chunks and whose partials
+/// are folded in the same ascending order reproduces these bits exactly.
 pub fn chunked_sum(values: &[f64]) -> f64 {
     values
         .chunks(REDUCE_CHUNK)
         .map(|c| c.iter().sum::<f64>())
         .fold(0.0, |a, b| a + b)
-}
-
-/// Number of [`REDUCE_CHUNK`] chunks covering `n` elements.
-pub fn chunk_count(n: usize) -> usize {
-    n.div_ceil(REDUCE_CHUNK)
 }
 
 /// A shared, unsynchronized view of a `&mut [T]` for sharded round
@@ -824,54 +786,6 @@ mod tests {
             **cell.lock().unwrap() = std::thread::current().id() == caller;
         });
         assert!(same_thread, "single-worker path must not spawn");
-    }
-
-    #[test]
-    fn shard_bounds_cover_everything() {
-        for (n, shards) in [(10, 3), (0, 2), (7, 7), (5, 9), (100, 1)] {
-            let cuts = shard_bounds(n, shards);
-            assert_eq!(cuts.len(), shards + 1);
-            assert_eq!(cuts[0], 0);
-            assert_eq!(*cuts.last().unwrap(), n);
-            assert!(cuts.windows(2).all(|w| w[0] <= w[1]));
-        }
-    }
-
-    #[test]
-    fn aligned_bounds_respect_chunk_multiples() {
-        let cuts = shard_bounds_aligned(10_000, 3, REDUCE_CHUNK);
-        assert_eq!(cuts[0], 0);
-        assert_eq!(*cuts.last().unwrap(), 10_000);
-        for c in &cuts[1..cuts.len() - 1] {
-            assert_eq!(c % REDUCE_CHUNK, 0, "cut {c} not chunk-aligned");
-        }
-    }
-
-    #[test]
-    fn chunked_sum_is_worker_count_invariant() {
-        // Values chosen to expose association differences immediately.
-        let values: Vec<f64> = (0..10_000)
-            .map(|i| ((i * 2_654_435_761_usize) as f64).sqrt() * 1e-3 + 1e9)
-            .collect();
-        let reference = chunked_sum(&values);
-        for workers in [1usize, 2, 3, 7] {
-            let cuts = shard_bounds_aligned(values.len(), workers, REDUCE_CHUNK);
-            let mut partials = vec![0.0_f64; chunk_count(values.len())];
-            let shared = SharedSlice::new(&mut partials);
-            let engine = ParallelEngine::new(Some(workers));
-            engine.run_workers(workers, |w| {
-                let range = cuts[w]..cuts[w + 1];
-                for start in range.clone().step_by(REDUCE_CHUNK) {
-                    let end = (start + REDUCE_CHUNK).min(range.end);
-                    let partial = values[start..end].iter().sum::<f64>();
-                    // SAFETY: chunk indices are disjoint across workers
-                    // because the cuts are chunk-aligned.
-                    unsafe { shared.write(start / REDUCE_CHUNK, partial) };
-                }
-            });
-            let total = partials.iter().fold(0.0, |a, &b| a + b);
-            assert_eq!(total.to_bits(), reference.to_bits(), "workers={workers}");
-        }
     }
 
     #[test]
@@ -1061,7 +975,7 @@ mod tests {
         let mut data = vec![0usize; 64];
         let shared = SharedSlice::new(&mut data);
         let engine = ParallelEngine::new(Some(4));
-        let cuts = shard_bounds(64, 4);
+        let cuts = [0, 16, 32, 48, 64];
         engine.run_workers(4, |w| {
             // SAFETY: ranges are disjoint per worker.
             let mine = unsafe { shared.slice_mut(cuts[w]..cuts[w + 1]) };

@@ -7,10 +7,7 @@
 //! the coordinator — the communication bottleneck Table 4.2 quantifies.
 
 use crate::centralized;
-use crate::exec::{
-    chunk_count, shard_bounds_aligned, Backend, Engine, Precision, SharedSlice, Threads,
-    REDUCE_CHUNK,
-};
+use crate::exec::REDUCE_CHUNK;
 use crate::problem::{AlgError, Allocation, PowerBudgetProblem};
 use dpc_models::units::Watts;
 
@@ -26,19 +23,6 @@ pub struct PrimalDualConfig {
     /// utility is within this relative gap of the centralized optimum
     /// (the paper uses 1 %, Eq. 4.11).
     pub rel_tol: f64,
-    /// Worker policy for the per-node primal responses: [`Threads::Auto`]
-    /// (the default) applies the measured serial↔parallel cutover,
-    /// `Threads::Fixed(1)` forces the inline serial path. Results are
-    /// bitwise identical for every worker count (the reductions are
-    /// fixed-chunk — see [`crate::exec`]).
-    pub threads: Threads,
-    /// Numerical tier of the primal response: [`Precision::Reference`]
-    /// (the default) sums each reduction chunk in strict program order;
-    /// [`Precision::Fast`] accumulates each chunk over 4 independent
-    /// lanes (vectorizable, still a fixed reassociation — results remain
-    /// identical for every worker count, they just differ from the
-    /// reference tier by rounding).
-    pub precision: Precision,
 }
 
 impl Default for PrimalDualConfig {
@@ -47,8 +31,6 @@ impl Default for PrimalDualConfig {
             step: None,
             max_iterations: 500,
             rel_tol: 0.01,
-            threads: Threads::Auto,
-            precision: Precision::Reference,
         }
     }
 }
@@ -185,22 +167,8 @@ fn solve_from(
     let budget = problem.budget();
     let feas_tol = budget * 1e-9 + Watts(1e-9);
 
-    // Per-iteration scratch: the primal responses land in a reusable buffer
-    // filled in parallel over chunk-aligned shards; the (power, utility)
-    // sums are folded per fixed-size chunk in ascending order so the totals
-    // are bitwise identical for every worker count.
-    let n = problem.len();
-    // One persistent pool serves every iteration of the solve: the per-
-    // iteration primal responses dispatch to already-parked workers
-    // instead of spawning a fresh thread scope each time.
-    let mut engine = Engine::with_backend(Backend::Pooled, config.threads.resolve(n));
-    let workers = engine.workers_for(chunk_count(n));
-    let cuts = shard_bounds_aligned(n, workers, REDUCE_CHUNK);
-    let mut scratch = ResponseScratch {
-        powers: vec![0.0; n],
-        power_partials: vec![0.0; chunk_count(n)],
-        utility_partials: vec![0.0; chunk_count(n)],
-    };
+    // The primal responses land in one buffer reused by every iteration.
+    let mut powers = vec![0.0; problem.len()];
 
     let mut lambda = lambda0;
     let mut history = Vec::new();
@@ -216,14 +184,7 @@ fn solve_from(
     for iter in 1..=config.max_iterations {
         // Primal response at the current price (Eq. 4.6), computed locally
         // by every server.
-        let (total, utility) = primal_response(
-            problem,
-            lambda,
-            config.precision,
-            &mut engine,
-            &cuts,
-            &mut scratch,
-        );
+        let (total, utility) = primal_response(problem, lambda, &mut powers);
         history.push(PrimalDualTrace {
             lambda,
             total_power: total,
@@ -235,7 +196,7 @@ fn solve_from(
             let gap = (optimal_utility - utility).abs() / optimal_utility.abs().max(1e-12);
             if gap < config.rel_tol {
                 return PrimalDualResult {
-                    allocation: scratch.allocation(),
+                    allocation: powers.iter().map(|&p| Watts(p)).collect(),
                     lambda,
                     iterations: iter,
                     converged: true,
@@ -265,15 +226,8 @@ fn solve_from(
         Some((l, _)) => {
             // The primal response is a pure function of the price, so the
             // best feasible iterate is recovered by re-evaluating it.
-            primal_response(
-                problem,
-                l,
-                config.precision,
-                &mut engine,
-                &cuts,
-                &mut scratch,
-            );
-            (l, scratch.allocation())
+            primal_response(problem, l, &mut powers);
+            (l, powers.iter().map(|&p| Watts(p)).collect())
         }
         None => {
             // Never feasible within budget: fall back to the oracle
@@ -292,133 +246,29 @@ fn solve_from(
     }
 }
 
-/// Reusable buffers for [`primal_response`].
-struct ResponseScratch {
-    powers: Vec<f64>,
-    power_partials: Vec<f64>,
-    utility_partials: Vec<f64>,
-}
-
-impl ResponseScratch {
-    fn allocation(&self) -> Allocation {
-        self.powers.iter().map(|&p| Watts(p)).collect()
-    }
-}
-
 /// Evaluates every server's closed-form response to `lambda` (Eq. 4.6) into
-/// `scratch.powers`, returning the total power and total utility.
+/// `powers`, returning the total power and total utility.
 ///
-/// The node loop is sharded over `engine`'s workers along the chunk-aligned
-/// `cuts`; each worker writes only its own slice of `powers` and its own
-/// per-chunk partial sums, which are then folded in ascending chunk order.
-/// Under [`Precision::Reference`] each chunk accumulates in strict program
-/// order; under [`Precision::Fast`] each chunk accumulates over 4
-/// independent lanes folded in a fixed lane order. Either way the chunk
-/// layout — and hence the result — is bitwise identical for any worker
-/// count; only the tiers differ from each other, by rounding.
-fn primal_response(
-    problem: &PowerBudgetProblem,
-    lambda: f64,
-    precision: Precision,
-    engine: &mut Engine,
-    cuts: &[usize],
-    scratch: &mut ResponseScratch,
-) -> (Watts, f64) {
-    let workers = cuts.len() - 1;
-    {
-        let powers = SharedSlice::new(&mut scratch.powers);
-        let power_partials = SharedSlice::new(&mut scratch.power_partials);
-        let utility_partials = SharedSlice::new(&mut scratch.utility_partials);
-        engine.run_workers(workers, |w| {
-            let range = cuts[w]..cuts[w + 1];
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + REDUCE_CHUNK).min(range.end);
-                let (power_sum, utility_sum) = match precision {
-                    Precision::Reference => response_chunk(problem, lambda, start, end, &powers),
-                    Precision::Fast => response_chunk_fast(problem, lambda, start, end, &powers),
-                };
-                // SAFETY: shards are chunk-aligned, so chunk
-                // `start / REDUCE_CHUNK` is owned exclusively by this
-                // worker.
-                unsafe {
-                    power_partials.write(start / REDUCE_CHUNK, power_sum);
-                    utility_partials.write(start / REDUCE_CHUNK, utility_sum);
-                }
-                start = end;
-            }
-        });
-    }
-    let total: f64 = scratch.power_partials.iter().sum();
-    let utility: f64 = scratch.utility_partials.iter().sum();
-    (Watts(total), utility)
-}
-
-/// One reduction chunk of the primal response, summed in strict program
-/// order (the bitwise reference tier).
-fn response_chunk(
-    problem: &PowerBudgetProblem,
-    lambda: f64,
-    start: usize,
-    end: usize,
-    powers: &SharedSlice<'_, f64>,
-) -> (f64, f64) {
-    let mut power_sum = 0.0;
-    let mut utility_sum = 0.0;
-    for i in start..end {
-        let u = problem.utility(i);
-        let p = u.argmax_minus_price(lambda);
-        // SAFETY: shards are disjoint and chunk-aligned, so node `i` is
-        // owned exclusively by this worker.
-        unsafe { powers.write(i, p.0) };
-        power_sum += p.0;
-        utility_sum += u.value(p);
-    }
-    (power_sum, utility_sum)
-}
-
-/// One reduction chunk of the primal response, accumulated over 4
-/// independent lanes folded pairwise — a fixed reassociation the fast
-/// tier is allowed, which breaks the loop-carried dependency chain and
-/// lets the adds pipeline/vectorize.
-fn response_chunk_fast(
-    problem: &PowerBudgetProblem,
-    lambda: f64,
-    start: usize,
-    end: usize,
-    powers: &SharedSlice<'_, f64>,
-) -> (f64, f64) {
-    const LANES: usize = 4;
-    let mut pow = [0.0_f64; LANES];
-    let mut util = [0.0_f64; LANES];
-    let len = end - start;
-    let main = len - len % LANES;
-    let mut k = 0;
-    while k < main {
-        for l in 0..LANES {
-            let i = start + k + l;
-            let u = problem.utility(i);
+/// The two totals are folded per [`REDUCE_CHUNK`]-sized chunk, chunks in
+/// ascending order — the summation order every recorded primal-dual result
+/// (`repro_output.txt`, `reproduced_shapes.rs`) was produced with.
+fn primal_response(problem: &PowerBudgetProblem, lambda: f64, powers: &mut [f64]) -> (Watts, f64) {
+    let mut total = 0.0;
+    let mut utility = 0.0;
+    let utilities = problem.utilities().chunks(REDUCE_CHUNK);
+    for (utilities, powers) in utilities.zip(powers.chunks_mut(REDUCE_CHUNK)) {
+        let mut power_sum = 0.0;
+        let mut utility_sum = 0.0;
+        for (u, slot) in utilities.iter().zip(powers) {
             let p = u.argmax_minus_price(lambda);
-            // SAFETY: shards are disjoint and chunk-aligned, so node `i`
-            // is owned exclusively by this worker.
-            unsafe { powers.write(i, p.0) };
-            pow[l] += p.0;
-            util[l] += u.value(p);
+            *slot = p.0;
+            power_sum += p.0;
+            utility_sum += u.value(p);
         }
-        k += LANES;
+        total += power_sum;
+        utility += utility_sum;
     }
-    for i in start + main..end {
-        let u = problem.utility(i);
-        let p = u.argmax_minus_price(lambda);
-        // SAFETY: as above.
-        unsafe { powers.write(i, p.0) };
-        pow[0] += p.0;
-        util[0] += u.value(p);
-    }
-    (
-        (pow[0] + pow[1]) + (pow[2] + pow[3]),
-        (util[0] + util[1]) + (util[2] + util[3]),
-    )
+    (Watts(total), utility)
 }
 
 #[cfg(test)]
@@ -482,80 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_change_the_solve() {
-        // Large enough to span several reduction chunks, so the parallel
-        // path genuinely shards the primal response.
-        let p = problem(10_000, 1_650_000.0, 7);
-        let base = solve(
-            &p,
-            &PrimalDualConfig {
-                threads: Threads::Fixed(1),
-                ..Default::default()
-            },
-        );
-        for threads in [2, 3, 7] {
-            let cfg = PrimalDualConfig {
-                threads: Threads::Fixed(threads),
-                ..Default::default()
-            };
-            let r = solve(&p, &cfg);
-            assert_eq!(r.iterations, base.iterations, "threads {threads}");
-            assert_eq!(
-                r.lambda.to_bits(),
-                base.lambda.to_bits(),
-                "threads {threads}"
-            );
-            for (a, b) in r.allocation.powers().iter().zip(base.allocation.powers()) {
-                assert_eq!(a.0.to_bits(), b.0.to_bits(), "threads {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn fast_precision_agrees_with_reference_and_stays_thread_invariant() {
-        // Spans several reduction chunks so the fast lanes genuinely run.
-        let p = problem(10_000, 1_650_000.0, 7);
-        let reference = solve(&p, &PrimalDualConfig::default());
-        let fast_cfg = PrimalDualConfig {
-            precision: Precision::Fast,
-            threads: Threads::Fixed(1),
-            ..Default::default()
-        };
-        let fast = solve(&p, &fast_cfg);
-        assert!(fast.converged);
-        // Numeric equivalence: same λ and allocation to far below a watt.
-        assert!(
-            (fast.lambda - reference.lambda).abs() / reference.lambda.max(1e-12) < 1e-6,
-            "λ {} vs {}",
-            fast.lambda,
-            reference.lambda
-        );
-        for (a, b) in fast
-            .allocation
-            .powers()
-            .iter()
-            .zip(reference.allocation.powers())
-        {
-            assert!((a.0 - b.0).abs() < 1e-3, "{a} vs {b}");
-        }
-        // The fast tier keeps worker-count invariance (fixed chunk
-        // reassociation): every thread count reproduces the same bits.
-        for threads in [2, 3, 7] {
-            let r = solve(
-                &p,
-                &PrimalDualConfig {
-                    threads: Threads::Fixed(threads),
-                    ..fast_cfg
-                },
-            );
-            assert_eq!(r.lambda.to_bits(), fast.lambda.to_bits(), "{threads}");
-            for (a, b) in r.allocation.powers().iter().zip(fast.allocation.powers()) {
-                assert_eq!(a.0.to_bits(), b.0.to_bits(), "threads {threads}");
-            }
-        }
-    }
-
-    #[test]
     fn warm_start_beats_cold_on_a_small_budget_trim() {
         let p = problem(200, 33_000.0, 8);
         let cold = solve(&p, &PrimalDualConfig::default());
@@ -595,7 +371,6 @@ mod tests {
             step: Some(1e-15),
             max_iterations: 10,
             rel_tol: 0.01,
-            ..Default::default()
         };
         let r = solve(&p, &cfg);
         assert!(!r.converged);

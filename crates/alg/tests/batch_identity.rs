@@ -1,4 +1,4 @@
-//! Multi-round batching must be invisible: `step_many(k)` is one engine
+//! Multi-round batching must be invisible: `run(k)` is one engine
 //! dispatch for `k` rounds, and this suite pins it to `k` single `step()`
 //! calls — same final allocation, same residuals, same telemetry
 //! `RoundRecord` stream, bit for bit. On the serial engine, on the
@@ -67,7 +67,7 @@ fn mask(r: &RoundRecord) -> RoundRecord {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Serial and pooled engines: `step_many(k)` leaves the identical
+    /// Serial and pooled engines: `run(k)` leaves the identical
     /// final allocation and the identical recorded round stream as `k`
     /// individual steps.
     #[test]
@@ -82,7 +82,7 @@ proptest! {
         for _ in 0..k {
             stepped.step();
         }
-        batched.step_many(k);
+        batched.run(k);
 
         prop_assert_eq!(stepped.allocation(), batched.allocation());
         prop_assert_eq!(stepped.residuals(), batched.residuals());
@@ -115,7 +115,7 @@ proptest! {
         for _ in 0..k {
             stepped.step();
         }
-        batched.step_many(k);
+        batched.run(k);
 
         prop_assert_eq!(stepped.allocation(), batched.allocation());
         prop_assert_eq!(stepped.residuals(), batched.residuals());

@@ -5,7 +5,7 @@
 //! reference per node, the 99 %-of-optimal convergence round must agree
 //! within `equiv_rounds`, and the residual invariant `Σe = Σp − P` must
 //! hold to the same drift budget. Within the fast tier itself the usual
-//! determinism laws still apply — worker count and `step_many` batching
+//! determinism laws still apply — worker count and `run(k)` batching
 //! must be bitwise invisible — which this suite also pins.
 
 use dpc_alg::centralized;
@@ -109,7 +109,7 @@ proptest! {
 
     /// Inside the fast tier the determinism laws are unchanged: the
     /// trajectory is bitwise invariant to the worker count and to
-    /// `step_many` batching, and batching preserves `Σe = Σp − P`.
+    /// `run(k)` batching, and batching preserves `Σe = Σp − P`.
     #[test]
     fn fast_tier_is_worker_and_batching_invariant(
         seed in 0u64..1_000,
@@ -127,7 +127,7 @@ proptest! {
             two.step();
             seven.step();
         }
-        batched.step_many(k);
+        batched.run(k);
 
         prop_assert_eq!(serial.allocation(), two.allocation());
         prop_assert_eq!(serial.allocation(), seven.allocation());

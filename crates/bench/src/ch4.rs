@@ -311,8 +311,6 @@ pub fn fig4_4(n: usize, minutes: usize) -> String {
         churn_mean: None,
         phase_mean: None,
         record_allocations: false,
-        threads: dpc_alg::exec::Threads::Auto,
-        precision: dpc_alg::exec::Precision::Reference,
         faults: None,
         telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
@@ -413,8 +411,6 @@ pub fn fig4_7(n: usize, minutes: usize) -> String {
         churn_mean: Some(Seconds(120.0)),
         phase_mean: None,
         record_allocations: false,
-        threads: dpc_alg::exec::Threads::Auto,
-        precision: dpc_alg::exec::Precision::Reference,
         faults: None,
         telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };

@@ -281,8 +281,6 @@ pub fn ext_phases(n: usize) -> String {
             churn_mean: None,
             phase_mean: dwell.is_finite().then_some(Seconds(dwell)),
             record_allocations: false,
-            threads: dpc_alg::exec::Threads::Auto,
-            precision: dpc_alg::exec::Precision::Reference,
             faults: None,
             telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
         };

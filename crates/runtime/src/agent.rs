@@ -1,22 +1,22 @@
-//! The protocol brain of one DiBA agent, factored out of the blocking node
-//! loop so every driver executes the *same* arithmetic in the same order.
+//! The protocol brain of one DiBA agent, kept apart from any event loop
+//! so every driver executes the *same* arithmetic in the same order.
 //!
-//! Three substrates drive an [`AgentCore`]:
+//! Two drivers step an [`AgentCore`]:
 //!
-//! * the blocking actor loop ([`crate::node::run_node`]) — one thread per
-//!   node over a [`crate::tcp::TcpTransport`];
 //! * the serial lockstep executor ([`crate::lockstep`]) — no threads, no
 //!   sockets, the cheap big-N reference;
 //! * the reactor shards ([`crate::reactor`]) — thousands of agents per
-//!   poller thread, stepped when a round's frames are buffered.
+//!   poller thread in one process, or one agent per process over TCP
+//!   ([`crate::reactor::host_node`]), stepped when a round's frames are
+//!   buffered.
 //!
 //! The core exposes the round as phases — `begin_round` (compute + stage
 //! outbound frames), send notes, receive handlers in slot order,
 //! `end_round` (boost decay, trace, quorum) — and every phase touches
-//! `(p, e)` exactly the way the original monolithic loop did. Because each
-//! driver calls the phases in the same sequence over the same frames, their
-//! `(p, e)` trajectories agree bitwise; the transport-equivalence tests pin
-//! this across all substrates.
+//! `(p, e)` exactly the way one sequential per-node loop would. Because
+//! each driver calls the phases in the same sequence over the same frames,
+//! their `(p, e)` trajectories agree bitwise; the transport-equivalence
+//! tests pin this across both.
 
 use crate::node::{NodeReport, NodeSample, NodeSpec};
 use crate::wire::WireMsg;
@@ -73,8 +73,8 @@ pub struct AgentCore {
     scratch: NodeScratch,
     /// Drain-phase frames staged per slot (`Some(transfer)` for mass
     /// carriers, `None` for heartbeats), absorbed in slot order at the
-    /// end so the accounting matches the blocking loop's sequential
-    /// per-slot drain bitwise regardless of arrival interleaving.
+    /// end so the accounting matches a sequential per-slot drain bitwise
+    /// regardless of arrival interleaving.
     drained: Vec<Vec<Option<f64>>>,
 }
 
@@ -349,8 +349,7 @@ impl AgentCore {
         self.drained[slot].push(None);
     }
 
-    /// Applies the staged drain frames in slot order — the same
-    /// slot-sequential accounting the blocking loop performs, so the final
+    /// Applies the staged drain frames in slot order, so the final
     /// residual is independent of arrival interleaving.
     pub fn finish_drain(&mut self) {
         for slot in 0..self.drained.len() {

@@ -1,36 +1,35 @@
-//! Cluster harness: spawn N node actors locally and collect the outcome.
+//! Cluster harness: run N node agents locally and collect the outcome.
 //!
 //! This is the deployment-shaped entry point behind `dpc cluster`: it
 //! computes every node's initial state through the same bridge the
 //! simulator uses ([`DibaRun::new`]), hands the specs to the selected
-//! driver (the epoll reactor, the serial lockstep reference, or one
-//! blocking node thread per TCP loopback endpoint), runs every node to
-//! convergence quorum, and folds the per-node reports into a
-//! cluster-level outcome (allocation, residual-invariant drift, message
-//! totals, optional merged telemetry).
+//! driver (the epoll reactor or the serial lockstep reference), runs
+//! every node to convergence quorum, and folds the per-node reports into
+//! a cluster-level outcome (allocation, residual-invariant drift, message
+//! totals, optional merged telemetry). One agent per OS process — the
+//! paper's deployment — is the same reactor entered through
+//! [`crate::reactor::host_node`], from the same [`node_specs`].
 
 use crate::error::RuntimeError;
 use crate::lockstep;
-use crate::node::{run_node, NodeReport, NodeSpec};
+use crate::node::{NodeReport, NodeSpec};
 use crate::reactor;
-use crate::tcp::{HandshakeContext, RetryPolicy, TcpTransport};
 use dpc_alg::diba::{DibaConfig, DibaRun};
 use dpc_alg::problem::{Allocation, PowerBudgetProblem};
 use dpc_alg::telemetry::{RoundRecord, Telemetry, TelemetryConfig};
 use dpc_models::units::Watts;
 use dpc_topology::Graph;
-use std::net::TcpListener;
 use std::time::Duration;
 
 /// Which driver the cluster runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Real TCP sockets on 127.0.0.1, one blocking node thread each.
-    Tcp,
     /// The serial lockstep executor: whole cluster on one thread, no
     /// sockets — the cheap deterministic reference at any N.
     Lockstep,
-    /// The sharded epoll reactor: thousands of agents per poller thread.
+    /// The sharded epoll reactor: thousands of agents per poller thread,
+    /// cross-shard edges on real loopback sockets (`ShardCount::Fixed(n)`
+    /// puts every agent on its own shard and every edge on a socket).
     Reactor,
 }
 
@@ -38,16 +37,11 @@ impl TransportKind {
     /// Every driver, in the order reports and usage text list them. The
     /// CLI's `--transport` parser, its error text and the bench sweep all
     /// derive from this table.
-    pub const ALL: [TransportKind; 3] = [
-        TransportKind::Tcp,
-        TransportKind::Lockstep,
-        TransportKind::Reactor,
-    ];
+    pub const ALL: [TransportKind; 2] = [TransportKind::Lockstep, TransportKind::Reactor];
 
     /// Stable identifier used in reports and CLI flags.
     pub fn key(self) -> &'static str {
         match self {
-            TransportKind::Tcp => "tcp",
             TransportKind::Lockstep => "lockstep",
             TransportKind::Reactor => "reactor",
         }
@@ -91,8 +85,9 @@ pub struct RuntimeConfig {
     pub max_rounds: usize,
     /// Per-link receive deadline each round.
     pub round_timeout: Duration,
-    /// Deadline for each handshake step (dial retries run under their own
-    /// policy).
+    /// The one deadline link bring-up runs under: a carrier handshake
+    /// inside one process; dial retries, accepts and the handshake
+    /// together for a node process ([`crate::reactor::host_node`]).
     pub handshake_timeout: Duration,
     /// Merge a telemetry record every this many rounds (0 = none).
     pub sample_every: usize,
@@ -160,6 +155,36 @@ pub struct ClusterOutcome {
 }
 
 impl ClusterOutcome {
+    /// Folds per-node reports (ordered by node id) into the cluster-level
+    /// outcome, merging their trace samples when `sample_every > 0`. The
+    /// process-level fields (`peak_threads`, `peak_rss_kb`, `shards_used`)
+    /// are left `None` — reports gathered from separate node processes
+    /// ([`crate::reactor::host_node`]) have no process to speak of.
+    pub fn from_reports(
+        reports: Vec<NodeReport>,
+        budget: Watts,
+        sample_every: usize,
+    ) -> ClusterOutcome {
+        let sum_p: f64 = reports.iter().map(|r| r.p).sum();
+        let sum_e: f64 = reports.iter().map(|r| r.e).sum();
+        let telemetry = (sample_every > 0).then(|| merge_telemetry(&reports, budget));
+        ClusterOutcome {
+            allocation: reports.iter().map(|r| Watts(r.p)).collect(),
+            budget,
+            rounds: reports.iter().map(|r| r.rounds).max().unwrap_or(0),
+            converged: reports.iter().all(|r| r.converged),
+            msgs_sent: reports.iter().map(|r| r.msgs_sent).sum(),
+            msgs_received: reports.iter().map(|r| r.msgs_received).sum(),
+            heartbeats: reports.iter().map(|r| r.heartbeats_sent).sum(),
+            drift: (sum_e - (sum_p - budget.0)).abs(),
+            telemetry,
+            peak_threads: None,
+            peak_rss_kb: None,
+            shards_used: None,
+            reports,
+        }
+    }
+
     /// Total power of the converged allocation.
     pub fn total_power(&self) -> Watts {
         self.reports.iter().map(|r| Watts(r.p)).sum()
@@ -202,49 +227,6 @@ pub fn node_specs(
             sample_every: rt.sample_every,
         })
         .collect())
-}
-
-fn spawn_nodes(
-    specs: Vec<NodeSpec>,
-    transports: Vec<TcpTransport>,
-    topology_hash: u64,
-    handshake_timeout: Duration,
-) -> Result<Vec<NodeReport>, RuntimeError> {
-    let n = specs.len();
-    let handles: Vec<_> = specs
-        .into_iter()
-        .zip(transports)
-        .map(|(spec, mut transport)| {
-            let ctx = HandshakeContext {
-                n_nodes: n,
-                topology_hash,
-                timeout: handshake_timeout,
-            };
-            std::thread::Builder::new()
-                .name(format!("dpc-node-{}", spec.id))
-                .spawn(move || -> Result<NodeReport, RuntimeError> {
-                    transport.handshake(&ctx)?;
-                    run_node(&spec, &mut transport)
-                })
-                .expect("spawning a node thread")
-        })
-        .collect();
-    let mut reports = Vec::with_capacity(n);
-    let mut first_err = None;
-    for handle in handles {
-        match handle.join().expect("node thread panicked") {
-            Ok(report) => reports.push(report),
-            Err(e) if first_err.is_none() => first_err = Some(e),
-            Err(_) => {}
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => {
-            reports.sort_by_key(|r| r.node);
-            Ok(reports)
-        }
-    }
 }
 
 /// Merges per-node trace samples into cluster-level [`RoundRecord`]s.
@@ -319,7 +301,6 @@ pub fn run_cluster(
     rt: &RuntimeConfig,
 ) -> Result<ClusterOutcome, RuntimeError> {
     let specs = node_specs(&problem, &graph, config, rt)?;
-    let hash = graph.topology_hash();
     let mut peak_threads = None;
     let mut peak_rss_kb = None;
     let mut shards_used = None;
@@ -332,60 +313,12 @@ pub fn run_cluster(
             shards_used = Some(run.shards);
             run.reports
         }
-        TransportKind::Tcp => {
-            let n = graph.len();
-            let mut listeners = Vec::with_capacity(n);
-            let mut addrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let listener =
-                    TcpListener::bind(("127.0.0.1", 0)).map_err(|source| RuntimeError::Bind {
-                        addr: "127.0.0.1:0".to_string(),
-                        source,
-                    })?;
-                let addr = listener.local_addr().map_err(|source| RuntimeError::Bind {
-                    addr: "127.0.0.1:0".to_string(),
-                    source,
-                })?;
-                listeners.push(listener);
-                addrs.push(addr);
-            }
-            let mut transports = Vec::with_capacity(n);
-            for (i, listener) in listeners.into_iter().enumerate() {
-                let neighbors = graph.neighbors(i);
-                let dial_addrs: Vec<_> = neighbors
-                    .iter()
-                    .filter(|&&j| j > i)
-                    .map(|&j| (j, addrs[j]))
-                    .collect();
-                transports.push(TcpTransport::new(
-                    i,
-                    listener,
-                    neighbors,
-                    &dial_addrs,
-                    RetryPolicy::default(),
-                )?);
-            }
-            spawn_nodes(specs, transports, hash, rt.handshake_timeout)?
-        }
     };
 
-    let budget = problem.budget();
-    let sum_p: f64 = reports.iter().map(|r| r.p).sum();
-    let sum_e: f64 = reports.iter().map(|r| r.e).sum();
-    let telemetry = (rt.sample_every > 0).then(|| merge_telemetry(&reports, budget));
     Ok(ClusterOutcome {
-        allocation: reports.iter().map(|r| Watts(r.p)).collect(),
-        budget,
-        rounds: reports.iter().map(|r| r.rounds).max().unwrap_or(0),
-        converged: reports.iter().all(|r| r.converged),
-        msgs_sent: reports.iter().map(|r| r.msgs_sent).sum(),
-        msgs_received: reports.iter().map(|r| r.msgs_received).sum(),
-        heartbeats: reports.iter().map(|r| r.heartbeats_sent).sum(),
-        drift: (sum_e - (sum_p - budget.0)).abs(),
-        telemetry,
         peak_threads,
         peak_rss_kb,
         shards_used,
-        reports,
+        ..ClusterOutcome::from_reports(reports, problem.budget(), rt.sample_every)
     })
 }

@@ -4,19 +4,21 @@
 //! runs an autonomous agent that converges using only neighbor messages.
 //! This crate is that claim made operational. Each node is one protocol
 //! state machine ([`agent::AgentCore`]) speaking a versioned,
-//! length-prefixed binary protocol ([`wire`]), driven three ways: the
-//! sharded epoll [`reactor`] hosts a whole cluster in one process (the
-//! default), the serial [`lockstep`] executor is the reference every
-//! bitwise pin compares against, and the blocking actor
-//! ([`node::run_node`]) runs one agent over real TCP sockets ([`tcp`]) —
-//! the path that crosses processes. The per-round math is
+//! length-prefixed binary protocol ([`wire`]), driven exactly two ways:
+//! the serial [`lockstep`] executor is the reference every bitwise pin
+//! compares against, and the sharded epoll [`reactor`] is everything that
+//! deploys — a whole cluster in one process ([`run_cluster`], the
+//! default), or one agent per OS process over real TCP sockets
+//! ([`reactor::host_node`], behind `dpc node`), which is the same shard
+//! loop with a node range of one. The per-round math is
 //! [`dpc_alg::diba::node_action`] — the same function the synchronous
 //! reference and the simulator execute — so every driver converges to
 //! the same allocation (the transport-equivalence tests pin it).
 //!
-//! Lifecycle: dial-low/accept-high link establishment with a `Hello` /
-//! `HelloAck` handshake that validates protocol version, cluster size, and
-//! a topology fingerprint ([`dpc_topology::Graph::topology_hash`]); silent
+//! Lifecycle: dial-low/accept-high link establishment under one deadline,
+//! with a `Hello` / `HelloAck` handshake that validates protocol version,
+//! cluster size, and a topology fingerprint
+//! ([`dpc_topology::Graph::topology_hash`]); silent
 //! peers pruned after `detect_after` consecutive quiet rounds (the
 //! simulator's fault-detection semantics); clean shutdown by convergence
 //! quorum with `Goodbye` frames and a conservation-preserving drain.
@@ -48,7 +50,6 @@ pub mod error;
 pub mod lockstep;
 pub mod node;
 pub mod reactor;
-pub mod tcp;
 pub mod wire;
 
 pub use cluster::{run_cluster, ClusterOutcome, RuntimeConfig, TransportKind};

@@ -7,8 +7,8 @@
 //! runs a send phase for every agent, then a receive phase for every
 //! agent, reproduces the threaded runs bitwise. This module is that
 //! schedule: [`AgentCore`]s stepped in node-id order over per-edge byte
-//! queues, frames passing through the same [`crate::wire`]
-//! encoder/decoder as the reactor and TCP paths.
+//! queues, messages passing through the [`crate::wire`] scalar payload
+//! encoder/decoder.
 //!
 //! Why it earns its keep:
 //!
@@ -16,15 +16,15 @@
 //!   timeouts — so the 10k-agent reactor acceptance run has an oracle
 //!   that costs seconds;
 //! * it is deterministic by construction, which makes it the fixed point
-//!   the reactor and TCP runs are each pinned against bitwise.
+//!   every reactor run — in one process or as node shards over TCP — is
+//!   pinned against bitwise.
 //!
-//! Shutdown mirrors the blocking loop: an agent that reaches convergence
+//! Shutdown mirrors the reactor's: an agent that reaches convergence
 //! quorum says `Goodbye` on every live link and lingers in a drain state,
-//! staging in-flight frames per slot and absorbing them in slot order
-//! (the same sequential accounting `run_node` performs), closing each
-//! slot on the peer's `Goodbye` or once the peer can provably never send
-//! again — the lockstep stand-in for the blocking drain's quiet-period
-//! timeout.
+//! staging in-flight frames per slot and absorbing them in slot order,
+//! closing each slot on the peer's `Goodbye` or once the peer can provably
+//! never send again — the lockstep stand-in for the reactor drain's
+//! quiet-period timer.
 
 use crate::agent::AgentCore;
 use crate::error::RuntimeError;
@@ -44,8 +44,7 @@ enum Status {
 }
 
 /// Encodes `msg` as payload bytes only (queues preserve message
-/// boundaries, so no length prefix is needed), through the exact encoder
-/// the TCP path uses.
+/// boundaries, so no length prefix is needed).
 fn encode(msg: &WireMsg) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(32);
     encode_payload(msg, &mut bytes);
@@ -108,8 +107,7 @@ pub fn run_lockstep(specs: Vec<NodeSpec>, graph: &Graph) -> Result<Vec<NodeRepor
                 continue;
             }
             if !cores[i].as_ref().expect("active core").rounds_remaining() {
-                // Round budget exhausted without quorum: exit unconverged,
-                // exactly like the blocking loop falling out of `while`.
+                // Round budget exhausted without quorum: exit unconverged.
                 let core = cores[i].take().expect("active core");
                 reports[i] = Some(core.into_report());
                 status[i] = Status::Done;
@@ -197,7 +195,7 @@ pub fn run_lockstep(specs: Vec<NodeSpec>, graph: &Graph) -> Result<Vec<NodeRepor
         // Snapshot, per draining agent and open slot, whether the peer's
         // reciprocal link is already dead — a dead reverse link means the
         // peer will never send here again, the deterministic stand-in for
-        // the blocking drain's quiet-period timeout.
+        // the reactor drain's quiet-period timer.
         let mut reverse_dead: Vec<Vec<bool>> = (0..n).map(|_| Vec::new()).collect();
         for i in 0..n {
             if status[i] != Status::Draining {
@@ -236,9 +234,9 @@ pub fn run_lockstep(specs: Vec<NodeSpec>, graph: &Graph) -> Result<Vec<NodeRepor
                             drain_open[i][slot] = false;
                             break;
                         }
-                        // The blocking drain leaves on anything else; a
-                        // goodbye is the last frame a peer ever sends, so
-                        // nothing is left unread.
+                        // Anything else ends the drain; a goodbye is the
+                        // last frame a peer ever sends, so nothing is left
+                        // unread.
                         _ => {
                             drain_open[i][slot] = false;
                             break;

@@ -1,8 +1,9 @@
-//! The node actor: one DiBA agent driven over a [`TcpTransport`].
+//! What goes into and comes out of one DiBA agent: its launch spec and
+//! its final report. Every driver builds an [`crate::agent::AgentCore`]
+//! from a [`NodeSpec`] and folds it into a [`NodeReport`].
 //!
-//! The loop is the deployed protocol of the paper's prototype (one message
-//! per neighbor per round, neighbor state one round stale), with three
-//! runtime additions:
+//! Three runtime behaviours the spec parameterizes (all implemented once,
+//! in [`crate::agent::AgentCore`]):
 //!
 //! * **Silent-peer detection** uses the simulator's
 //!   [`FaultPlan::detect_after`](dpc_alg::faults::FaultPlan) semantics — a
@@ -11,19 +12,15 @@
 //!   and a crashed one is eventually routed around.
 //! * **Heartbeat suppression**: once a node is settled and a neighbor
 //!   already holds its exact residual (nothing changed since the last
-//!   `Data` and the round's transfer is zero), the node sends the 6-byte
-//!   `Heartbeat` instead of the 22-byte `Data` — same semantics, fewer
-//!   bytes at the converged tail.
+//!   data entry and the round's transfer is zero), the node sends a
+//!   heartbeat instead — same semantics, fewer bytes at the converged
+//!   tail.
 //! * **Convergence-quorum shutdown**: a node exits once it has been
 //!   settled for the configured streak *and* every remaining neighbor has
-//!   declared itself settled (or left). It says `Goodbye` on every live
+//!   declared itself settled (or left). It says goodbye on every live
 //!   link first, so neighbors account the departure instead of burning
 //!   `detect_after` rounds on silence.
 
-use crate::agent::AgentCore;
-use crate::error::RuntimeError;
-use crate::tcp::{Delivery, Incoming, TcpTransport};
-use crate::wire::WireMsg;
 use dpc_alg::diba::NodeParams;
 use dpc_models::QuadraticUtility;
 use std::time::Duration;
@@ -102,117 +99,4 @@ pub struct NodeReport {
     pub pruned: Vec<usize>,
     /// Trace samples (empty unless `sample_every > 0`).
     pub trace: Vec<NodeSample>,
-}
-
-/// Runs one node actor to completion over an established transport.
-/// [`TcpTransport::handshake`] must have succeeded already.
-///
-/// The protocol arithmetic lives in [`AgentCore`]; this function is the
-/// blocking driver — it moves frames between the core and the transport in
-/// the canonical phase order (send pass, receive pass in slot order,
-/// quorum goodbyes, slot-sequential lame-duck drain). The serial lockstep
-/// executor and the reactor shards drive the identical core through the
-/// identical phases, which is what makes cross-substrate runs bitwise
-/// comparable.
-///
-/// # Errors
-///
-/// Propagates transport failures ([`RuntimeError::Decode`] on corrupt
-/// frames, [`RuntimeError::Protocol`] on a handshake message arriving
-/// mid-run). Peer disappearances are *not* errors — they are operating
-/// conditions handled by pruning.
-pub fn run_node(spec: &NodeSpec, transport: &mut TcpTransport) -> Result<NodeReport, RuntimeError> {
-    let degree = transport.degree();
-    let peers: Vec<usize> = (0..degree).map(|slot| transport.peer(slot)).collect();
-    let mut core = AgentCore::new(spec.clone(), &peers);
-
-    while core.rounds_remaining() {
-        core.begin_round();
-
-        // Send pass: one frame per live link; the core reclaims the
-        // transfer when the link turns out to be gone so no slack mass is
-        // destroyed.
-        for k in 0..core.outbound_len() {
-            let out = core.outbound(k);
-            let (slot, msg) = (out.slot, out.msg);
-            match transport.send(slot, &msg) {
-                Delivery::Sent => core.note_sent(k),
-                Delivery::Closed => core.note_send_closed(k),
-            }
-        }
-
-        // Receive pass: one frame per (still) live link, slot order.
-        let slots: Vec<usize> = core.round_slots().to_vec();
-        for &slot in &slots {
-            if !core.is_alive(slot) {
-                continue;
-            }
-            match transport.recv(slot, spec.round_timeout)? {
-                Incoming::Msg(WireMsg::Data {
-                    msg,
-                    settled: peer_settled,
-                    ..
-                }) => core.on_data(slot, msg, peer_settled),
-                Incoming::Msg(WireMsg::Heartbeat {
-                    settled: peer_settled,
-                    ..
-                }) => core.on_heartbeat(slot, peer_settled),
-                Incoming::Msg(WireMsg::Goodbye { msg }) => core.on_goodbye(slot, msg),
-                Incoming::Msg(other) => {
-                    return Err(RuntimeError::Protocol {
-                        peer: transport.peer_label(slot),
-                        got: other.kind(),
-                    })
-                }
-                Incoming::Timeout => core.on_timeout(slot),
-                Incoming::Closed => core.on_closed(slot),
-            }
-        }
-
-        // Convergence quorum: we are settled and every neighbor is either
-        // settled or gone.
-        if core.end_round() {
-            for slot in 0..degree {
-                if core.is_alive(slot) {
-                    let bye = core.goodbye();
-                    if transport.send(slot, &bye) == Delivery::Sent {
-                        core.note_goodbye_sent();
-                    }
-                }
-            }
-            // Lame-duck drain: a neighbor may have sent one more round's
-            // frame before it processes our goodbye. Absorb any transfer
-            // mass still in flight so the residual invariant survives the
-            // shutdown, then leave at the first silence/close per link.
-            let drain_timeout = spec.round_timeout.min(Duration::from_millis(100));
-            for slot in 0..degree {
-                if !core.is_alive(slot) {
-                    continue;
-                }
-                loop {
-                    match transport.recv(slot, drain_timeout) {
-                        Ok(Incoming::Msg(WireMsg::Data { msg, .. })) => {
-                            core.stage_drain_mass(slot, msg.transfer);
-                        }
-                        Ok(Incoming::Msg(WireMsg::Heartbeat { .. })) => {
-                            core.stage_drain_heartbeat(slot);
-                        }
-                        Ok(Incoming::Msg(WireMsg::Goodbye { msg })) => {
-                            core.stage_drain_mass(slot, msg.transfer);
-                            break;
-                        }
-                        // Anything else — silence, closure, a handshake
-                        // frame, even a corrupt frame — ends the drain;
-                        // we are leaving either way.
-                        _ => break,
-                    }
-                }
-            }
-            core.finish_drain();
-            core.mark_converged();
-            break;
-        }
-    }
-
-    Ok(core.into_report())
 }

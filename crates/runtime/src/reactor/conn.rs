@@ -1,7 +1,8 @@
 //! Carrier and link state for the reactor: one byte *carrier* per pair of
 //! shards (plus a self carrier per shard), and one lightweight *link* per
 //! agent↔neighbor attachment riding whichever carrier connects the two
-//! owning shards.
+//! owning shards. A one-agent node shard ([`super::host_node`]) is the
+//! degenerate case: one socket carrier, and one link, per graph neighbor.
 //!
 //! Every carrier moves the identical length-prefixed byte stream:
 //! handshake frames are scalar [`crate::wire::WireMsg`]s, round traffic is
@@ -207,6 +208,20 @@ pub struct SockConn {
     pub carrier: u32,
 }
 
+impl SockConn {
+    /// An open connection (already nonblocking) feeding `carrier`.
+    pub fn new(stream: TcpStream, carrier: u32) -> SockConn {
+        SockConn {
+            stream,
+            out: RingBuf::new(),
+            want_write: false,
+            closed: false,
+            closing: false,
+            carrier,
+        }
+    }
+}
+
 /// Handshake progress of one carrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CarrierState {
@@ -239,8 +254,11 @@ pub enum CarrierEnd {
 /// per-round flush cost is O(carriers) — a handful — rather than
 /// O(messages).
 pub struct Carrier {
-    /// Peer shard id (handshake validation, labels).
+    /// Peer shard id (handshake validation).
     pub peer_shard: usize,
+    /// How errors name the peer: `shard K` inside one process, the
+    /// socket address when the peer is another process's node shard.
+    pub label: String,
     /// Transport end.
     pub end: CarrierEnd,
     /// Handshake progress (self carriers are born established).
@@ -267,6 +285,7 @@ impl Carrier {
     pub fn new(peer_shard: usize, end: CarrierEnd, state: CarrierState) -> Carrier {
         Carrier {
             peer_shard,
+            label: format!("shard {peer_shard}"),
             end,
             state,
             reasm: Reassembly::new(),
@@ -279,9 +298,9 @@ impl Carrier {
         }
     }
 
-    /// Label used in errors, matching the other transports' convention.
+    /// Label used in errors.
     pub fn peer_label(&self) -> String {
-        format!("shard {}", self.peer_shard)
+        self.label.clone()
     }
 }
 

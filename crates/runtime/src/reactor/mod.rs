@@ -1,14 +1,19 @@
 //! The scale-out reactor runtime: a sharded, epoll-backed readiness loop
 //! that hosts thousands of DiBA agents per poller thread.
 //!
-//! The blocking substrate ([`crate::node::run_node`] over [`crate::tcp`])
-//! spends one OS thread per node, which tops out around a thousand agents
-//! per process. The reactor inverts that: a handful of *poller shards* (one
-//! thread each, sized by the load-driven auto-tune or `--shards K`) own
+//! One OS thread per node tops out around a thousand agents per process.
+//! The reactor inverts that: a handful of *poller shards* (one thread
+//! each, sized by the load-driven auto-tune or `--shards K`) own
 //! contiguous node ranges cut by [`dpc_topology::Graph::shard_offsets`],
 //! and every agent is a state machine stepped when its inputs are ready —
 //! memory and threads are O(agents) and O(shards) respectively, never
 //! O(agents) threads.
+//!
+//! The same shard loop is the multi-process deployment: [`host_node`]
+//! (behind `dpc node`) runs a shard whose node range is one agent, whose
+//! shard id is the node id and whose carriers are the TCP streams to that
+//! node's graph neighbors — one process per server, one thread per
+//! process, the wire format and handshake below unchanged.
 //!
 //! Traffic is coalesced onto **carriers**, one byte stream per pair of
 //! shards (plus a self carrier for intra-shard edges), chosen at bring-up:
@@ -26,10 +31,11 @@
 //! *receiving* shard's link index (computed here, centrally, so routing
 //! needs no lookups). Agents still consume exactly one entry per live
 //! slot per round in slot order, so the arithmetic is bitwise-identical
-//! to the lockstep and TCP substrates at equal seeds (pinned by
-//! the transport-equivalence tests) — coalescing changes how bytes move,
+//! to the lockstep reference at equal seeds (pinned by the
+//! transport-equivalence tests) — coalescing changes how bytes move,
 //! never what they say.
 
+mod bringup;
 mod conn;
 mod shard;
 mod sys;
@@ -47,11 +53,11 @@ use crate::wire::ClusterIdentity;
 use dpc_topology::Graph;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What a reactor deployment produced, beyond the reports themselves.
 pub struct ReactorRun {
@@ -285,16 +291,8 @@ pub fn run_reactor_cluster(
                 PairRes::Sock { a: sa, b: sb } => {
                     let stream = if s == a { sa.take() } else { sb.take() }
                         .expect("socket endpoint consumed once");
-                    let conn_idx = conns.len() as u32;
-                    conns.push(SockConn {
-                        stream,
-                        out: conn::RingBuf::new(),
-                        want_write: false,
-                        closed: false,
-                        closing: false,
-                        carrier: carriers.len() as u32,
-                    });
-                    CarrierEnd::Sock(conn_idx)
+                    conns.push(SockConn::new(stream, carriers.len() as u32));
+                    CarrierEnd::Sock(conns.len() as u32 - 1)
                 }
             };
             carrier_of_peer.insert(peer_shard, carriers.len() as u32);
@@ -386,4 +384,83 @@ pub fn run_reactor_cluster(
         peak_rss_kb,
         shards,
     })
+}
+
+/// Runs ONE agent as a one-agent reactor shard on the calling thread and
+/// returns its report — the per-process deployment behind `dpc node`.
+///
+/// The shard's id is the node id and it has one socket carrier per graph
+/// neighbor: `spec.id` dials every higher-id neighbor at its `dial_addrs`
+/// entry and accepts every lower-id neighbor on `listener`
+/// (dial-low/accept-high, so peers may start in any order). The whole
+/// bring-up — dial retries, accepts, and the `Hello`/`HelloAck` exchange
+/// the shard loop then runs on every carrier — shares the single
+/// deadline `rt.handshake_timeout`.
+///
+/// # Errors
+///
+/// [`RuntimeError::Connect`] naming the address when a peer is still
+/// unreachable at the deadline; [`RuntimeError::Handshake`] naming the
+/// peer's address and reason on a missing dial address, a timeout, a
+/// launch-configuration mismatch or an unexpected peer; and the first
+/// protocol/decode error on an established link. Peers that leave or die
+/// mid-run are not errors — the agent prunes them and carries on.
+pub fn host_node(
+    spec: NodeSpec,
+    graph: &Graph,
+    listener: TcpListener,
+    dial_addrs: &[(usize, SocketAddr)],
+    rt: &RuntimeConfig,
+) -> Result<NodeReport, RuntimeError> {
+    let node = spec.id;
+    let neighbors = graph.neighbors(node);
+    let deadline = Instant::now() + rt.handshake_timeout;
+    let streams = bringup::connect_neighbors(node, neighbors, &listener, dial_addrs, deadline)?;
+    drop(listener);
+
+    let mut carriers = Vec::with_capacity(neighbors.len());
+    let mut conns = Vec::with_capacity(neighbors.len());
+    let mut links = Vec::with_capacity(neighbors.len());
+    for (slot, (&peer, s)) in neighbors.iter().zip(streams).enumerate() {
+        let slot = slot as u32;
+        s.stream.set_nodelay(true).map_err(bringup_io)?;
+        s.stream.set_nonblocking(true).map_err(bringup_io)?;
+        conns.push(SockConn::new(s.stream, slot));
+        let mut carrier = Carrier::new(peer, CarrierEnd::Sock(slot), CarrierState::AwaitHello);
+        carrier.label = s.label;
+        carrier.reasm.push(&s.preread);
+        carrier.fed_links.push(slot);
+        carriers.push(carrier);
+        // The peer is a one-agent shard too, so its link index for this
+        // edge is this node's position in its (ascending) neighbor row.
+        let peer_slot = graph.neighbors(peer).binary_search(&node);
+        links.push(Link {
+            agent: 0,
+            carrier: slot,
+            peer_slot: peer_slot.expect("edges are listed from both ends") as u32,
+            inbox: VecDeque::new(),
+            eof: false,
+        });
+    }
+    let round_timeout = spec.round_timeout;
+    let link_of_slot = (0..neighbors.len() as u32).collect();
+    let core = AgentCore::new(spec, neighbors);
+    let shard = Shard {
+        id: node,
+        epoll: Epoll::new().map_err(bringup_io)?,
+        wake: Arc::new(EventFd::new().map_err(bringup_io)?),
+        agents: vec![AgentSlot::new(node, core, link_of_slot, round_timeout)],
+        links,
+        carriers,
+        conns,
+        identity: ClusterIdentity {
+            n_nodes: graph.len() as u32,
+            topology_hash: graph.topology_hash(),
+        },
+        handshake_timeout: deadline.saturating_duration_since(Instant::now()),
+        coalesce: rt.coalesce,
+        abort: Arc::new(AtomicBool::new(false)),
+    };
+    let (_, report) = run_shard(shard)?.pop().expect("one agent, one report");
+    Ok(report)
 }

@@ -9,7 +9,9 @@
 //! a buffered entry (or a link-level EOF), and its receive pass consumes
 //! them in slot order — so the values computed are independent of the
 //! order bytes happened to arrive in, which is what makes reactor runs
-//! bitwise-identical to the lockstep and TCP substrates.
+//! bitwise-identical to the lockstep reference — whether the shard hosts
+//! a slice of a cluster inside one process or a single agent whose
+//! carriers are the sockets to other processes ([`super::host_node`]).
 //!
 //! The hot path allocates nothing: entries encode straight into each
 //! carrier's persistent staging buffer through a [`BatchWriter`], inbound
@@ -232,6 +234,14 @@ fn drive(shard: &mut Shard, lp: &mut Loop, n_agents: usize) -> Result<(), Runtim
                 seq: shard.carriers[ci].hs_seq,
             },
         );
+    }
+    // A node shard's bring-up reads the dialer's `Hello` off each accepted
+    // stream to learn which carrier the stream is, and leaves those bytes
+    // in the carrier's reassembly buffer: validate and ack them here.
+    for ci in 0..shard.carriers.len() {
+        if shard.carriers[ci].reasm.buffered() > 0 {
+            route_carrier(shard, lp, ci)?;
+        }
     }
     if lp.hs_pending == 0 {
         release_agents(shard, lp);
@@ -578,8 +588,8 @@ fn stage_msg(shard: &mut Shard, ci: usize, msg: &WireMsg) {
 
 /// Stages one batch entry on a link. Returns `false` when the link is
 /// provably dead — the peer sent its EOF entry or the carrier's stream
-/// failed — mirroring the blocking transports' `Delivery::Closed`; a
-/// staged entry counts as delivered, exactly like buffered blocking TCP.
+/// failed — so the caller reclaims the transfer it carried; a staged
+/// entry counts as delivered, exactly like a buffered socket write.
 fn send_entry(shard: &mut Shard, link_idx: u32, round: u32, entry: BatchEntry) -> bool {
     let link = &shard.links[link_idx as usize];
     if link.eof {
@@ -995,8 +1005,7 @@ fn absorb_drain(shard: &mut Shard, lp: &mut Loop, a: u32) {
         }
     }
     if absorbed {
-        // An entry restarts the quiet period, like the blocking drain's
-        // per-recv timeout.
+        // An entry restarts the quiet period.
         arm_drain_timer(shard, lp, a);
     }
     if shard.agents[a as usize].drain_open.iter().all(|&o| !o) {

@@ -353,7 +353,7 @@ pub enum WireError {
     /// A [`DataBatch`] count field exceeds [`MAX_BATCH_ENTRIES`].
     OversizedBatch(u16),
     /// A [`DataBatch`] frame arrived on a path that only speaks scalar
-    /// messages (the blocking per-edge transports).
+    /// messages ([`read_frame`], [`decode_payload`]).
     UnexpectedBatch,
 }
 
@@ -883,7 +883,7 @@ impl Reassembly {
     ///
     /// The same [`WireError`]s [`read_frame`] reports: an oversized length
     /// prefix or an invalid payload. The stream is unrecoverable after an
-    /// error (framing is lost), matching TCP-path semantics.
+    /// error (framing is lost), as with [`read_frame`].
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
         let mut batch = DataBatch::default();
         Ok(match self.next_frame_into(&mut batch)? {

@@ -1,53 +1,91 @@
-//! Handshake liveness and rejection, against fake peers on real sockets.
+//! Bring-up liveness and rejection for a node shard
+//! ([`dpc_runtime::reactor::host_node`], the entry point behind
+//! `dpc node`), against fake peers on real sockets.
 //!
 //! Liveness: a peer that connects but never *completes* its handshake
 //! must not stall cluster bring-up. A per-read socket timeout resets on
 //! every `read`, so a peer dripping one byte per timeout window keeps the
-//! handshake "live" indefinitely; the transport enforces an absolute
-//! deadline across all handshake reads on a connection.
+//! handshake "live" indefinitely; bring-up enforces one absolute deadline
+//! across dial retries, accepts and every handshake byte.
 //!
 //! Rejection: a peer launched with a different protocol version, cluster
-//! size or topology is turned away with a named reason on both ends of
-//! the link, and corrupt bytes on an established link surface as a decode
-//! error — each naming the peer.
+//! size or topology — or one that is not an expected neighbor at all — is
+//! turned away with a named reason on both ends of the link, and corrupt
+//! bytes on an established link surface as a decode error — each naming
+//! the peer.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+use dpc_alg::diba::DibaConfig;
+use dpc_alg::problem::PowerBudgetProblem;
+use dpc_models::units::Watts;
+use dpc_models::workload::ClusterBuilder;
+use dpc_runtime::cluster::{node_specs, RuntimeConfig};
 use dpc_runtime::error::{HandshakeFailure, RuntimeError};
-use dpc_runtime::tcp::{HandshakeContext, Incoming, RetryPolicy, TcpTransport};
+use dpc_runtime::node::NodeReport;
+use dpc_runtime::reactor::host_node;
 use dpc_runtime::wire::{
     encode_frame, read_frame, write_frame, RejectReason, WireMsg, PROTOCOL_VERSION,
 };
+use dpc_topology::Graph;
 
-const TOPOLOGY_HASH: u64 = 0x5eed;
-
-/// Node 1 in a 2-node cluster: accepts a connection from node 0.
-fn accepting_node() -> (TcpTransport, std::net::SocketAddr) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let transport =
-        TcpTransport::new(1, listener, &[0], &[], RetryPolicy::default()).expect("transport");
-    let addr = transport.local_addr().expect("local addr");
-    (transport, addr)
+/// The 2-node cluster most tests run in: node 0 dials, node 1 accepts.
+fn pair() -> Graph {
+    Graph::path(2)
 }
 
-/// Node 0 in the same cluster: dials node 1 at `peer_addr`.
-fn dialing_node(peer_addr: SocketAddr) -> TcpTransport {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    TcpTransport::new(0, listener, &[1], &[(1, peer_addr)], RetryPolicy::default())
-        .expect("transport")
+/// Runs node `id` of `graph` to completion on this thread, listening on
+/// `listener` and dialing `dial_addrs`, with `timeout` as the bring-up
+/// deadline.
+fn host(
+    graph: &Graph,
+    id: usize,
+    listener: TcpListener,
+    dial_addrs: &[(usize, SocketAddr)],
+    timeout: Duration,
+) -> Result<NodeReport, RuntimeError> {
+    let n = graph.len();
+    let utilities = ClusterBuilder::new(n).seed(0).build().utilities();
+    let problem = PowerBudgetProblem::new(utilities, Watts(170.0 * n as f64)).unwrap();
+    let rt = RuntimeConfig {
+        handshake_timeout: timeout,
+        ..RuntimeConfig::default()
+    };
+    let spec = node_specs(&problem, graph, DibaConfig::default(), &rt)
+        .unwrap()
+        .swap_remove(id);
+    host_node(spec, graph, listener, dial_addrs, &rt)
 }
 
-fn ctx(timeout: Duration) -> HandshakeContext {
-    HandshakeContext {
-        n_nodes: 2,
-        topology_hash: TOPOLOGY_HASH,
+fn loopback_listener() -> (TcpListener, SocketAddr) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    (listener, addr)
+}
+
+/// Node 0 of the pair, dialing node 1 at `peer_addr`.
+fn host_dialer(peer_addr: SocketAddr, timeout: Duration) -> Result<NodeReport, RuntimeError> {
+    host(
+        &pair(),
+        0,
+        loopback_listener().0,
+        &[(1, peer_addr)],
         timeout,
+    )
+}
+
+fn hello(graph: &Graph, node: u32) -> WireMsg {
+    WireMsg::Hello {
+        version: PROTOCOL_VERSION,
+        node,
+        n_nodes: graph.len() as u32,
+        topology_hash: graph.topology_hash(),
     }
 }
 
-fn expect_timeout(result: Result<(), RuntimeError>, elapsed: Duration, budget: Duration) {
+fn expect_timeout(result: Result<NodeReport, RuntimeError>, elapsed: Duration, budget: Duration) {
     match result {
         Err(RuntimeError::Handshake {
             reason: HandshakeFailure::Timeout,
@@ -69,18 +107,12 @@ fn expect_timeout(result: Result<(), RuntimeError>, elapsed: Duration, budget: D
 /// off at the deadline.
 #[test]
 fn drip_fed_hello_cannot_outlive_the_handshake_deadline() {
-    let (mut transport, addr) = accepting_node();
+    let (listener, addr) = loopback_listener();
     let timeout = Duration::from_millis(300);
 
     let peer = std::thread::spawn(move || {
         let mut stream = TcpStream::connect(addr).expect("connect");
-        let frame = encode_frame(&WireMsg::Hello {
-            version: PROTOCOL_VERSION,
-            node: 0,
-            n_nodes: 2,
-            topology_hash: TOPOLOGY_HASH,
-        });
-        for byte in frame {
+        for byte in encode_frame(&hello(&pair(), 0)) {
             if stream.write_all(&[byte]).is_err() {
                 return; // accepting side gave up — exactly what we want
             }
@@ -91,10 +123,8 @@ fn drip_fed_hello_cannot_outlive_the_handshake_deadline() {
     });
 
     let start = Instant::now();
-    let result = transport.handshake(&ctx(timeout));
-    let elapsed = start.elapsed();
-    expect_timeout(result, elapsed, Duration::from_millis(1_200));
-    drop(transport);
+    let result = host(&pair(), 1, listener, &[], timeout);
+    expect_timeout(result, start.elapsed(), Duration::from_millis(1_200));
     let _ = peer.join();
 }
 
@@ -103,7 +133,7 @@ fn drip_fed_hello_cannot_outlive_the_handshake_deadline() {
 /// arrives.
 #[test]
 fn silent_peer_times_out_instead_of_stalling_bring_up() {
-    let (mut transport, addr) = accepting_node();
+    let (listener, addr) = loopback_listener();
     let timeout = Duration::from_millis(200);
 
     let peer = std::thread::spawn(move || {
@@ -113,10 +143,8 @@ fn silent_peer_times_out_instead_of_stalling_bring_up() {
     });
 
     let start = Instant::now();
-    let result = transport.handshake(&ctx(timeout));
-    let elapsed = start.elapsed();
-    expect_timeout(result, elapsed, Duration::from_millis(1_000));
-    drop(transport);
+    let result = host(&pair(), 1, listener, &[], timeout);
+    expect_timeout(result, start.elapsed(), Duration::from_millis(1_000));
     let _ = peer.join();
 }
 
@@ -125,10 +153,7 @@ fn silent_peer_times_out_instead_of_stalling_bring_up() {
 /// the dialer.
 #[test]
 fn unacked_dial_times_out_under_the_deadline() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer listener");
-    let peer_addr = listener.local_addr().expect("peer addr");
-    // Node 0 in a 2-node cluster dials node 1 and waits for HelloAck.
-    let mut transport = dialing_node(peer_addr);
+    let (listener, peer_addr) = loopback_listener();
     let timeout = Duration::from_millis(200);
 
     let peer = std::thread::spawn(move || {
@@ -139,15 +164,62 @@ fn unacked_dial_times_out_under_the_deadline() {
     });
 
     let start = Instant::now();
-    let result = transport.handshake(&ctx(timeout));
-    let elapsed = start.elapsed();
-    expect_timeout(result, elapsed, Duration::from_millis(1_000));
-    drop(transport);
+    let result = host_dialer(peer_addr, timeout);
+    expect_timeout(result, start.elapsed(), Duration::from_millis(1_000));
     let _ = peer.join();
 }
 
-/// Node 0 of the 2-node cluster as a bare socket: dials `addr`, opens
-/// with `hello` and hands back the acceptor's answer plus the stream.
+/// Dial retries run under the same deadline as everything else: a peer
+/// that never listens fails the dial when the deadline passes (not after
+/// a retry budget of its own), naming the address.
+#[test]
+fn dead_peer_fails_the_dial_at_the_deadline() {
+    let (listener, dead_addr) = loopback_listener();
+    drop(listener);
+    let start = Instant::now();
+    let result = host_dialer(dead_addr, Duration::from_secs(1));
+    let elapsed = start.elapsed();
+    match result {
+        Err(RuntimeError::Connect { peer, .. }) => assert_eq!(peer, dead_addr.to_string()),
+        other => panic!("expected a connect error, got {other:?}"),
+    }
+    assert!(
+        elapsed >= Duration::from_millis(900) && elapsed < Duration::from_millis(2_500),
+        "dial gave up after {elapsed:?} under a 1 s deadline"
+    );
+}
+
+/// …and a peer whose listener comes up late, but inside the deadline, is
+/// reached: the late acceptor sees the dialer's Hello.
+#[test]
+fn late_listener_is_still_reached_inside_the_deadline() {
+    let (listener, peer_addr) = loopback_listener();
+    drop(listener);
+    let reason = RejectReason::TopologyMismatch;
+    let acceptor = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(300));
+        let listener = TcpListener::bind(peer_addr).expect("rebind the reserved port");
+        let (mut stream, _) = listener.accept().expect("accept");
+        let hello = read_frame(&mut stream).expect("dialer opens with hello");
+        assert!(matches!(hello, WireMsg::Hello { node: 0, .. }), "{hello:?}");
+        write_frame(&mut stream, &WireMsg::Reject { reason }).expect("send reject");
+    });
+    let err = host_dialer(peer_addr, Duration::from_secs(5)).expect_err("rejected");
+    acceptor.join().expect("acceptor thread");
+    assert!(
+        matches!(
+            err,
+            RuntimeError::Handshake {
+                reason: HandshakeFailure::Rejected(got),
+                ..
+            } if got == reason
+        ),
+        "dialer saw {err}"
+    );
+}
+
+/// A bare socket posing as a dialer: connects to `addr`, opens with
+/// `hello` and hands back the acceptor's answer plus the stream.
 fn fake_dialer(addr: SocketAddr, hello: WireMsg) -> (SocketAddr, WireMsg, TcpStream) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_frame(&mut stream, &hello).expect("send hello");
@@ -155,33 +227,25 @@ fn fake_dialer(addr: SocketAddr, hello: WireMsg) -> (SocketAddr, WireMsg, TcpStr
     (stream.local_addr().expect("local addr"), answer, stream)
 }
 
-/// Drives the accepting transport against a dialer whose `Hello` carries
-/// the given launch identity: the acceptor must fail naming the dialer's
-/// address, node id and `reason`, and the dialer must be sent the same
-/// reason in a `Reject` frame.
-fn assert_hello_rejected(version: u16, n_nodes: u32, topology_hash: u64, reason: RejectReason) {
-    let (mut transport, addr) = accepting_node();
-    let hello = WireMsg::Hello {
-        version,
-        node: 0,
-        n_nodes,
-        topology_hash,
+/// Drives accepting node `id` of `graph` against a dialer opening with
+/// `hello`: the acceptor must fail naming the dialer's address, the node
+/// id it claimed and `reason`, and the dialer must be sent the same reason
+/// in a `Reject` frame.
+fn assert_hello_rejected(graph: &Graph, id: usize, hello: WireMsg, reason: RejectReason) {
+    let WireMsg::Hello { node: claimed, .. } = hello else {
+        panic!("not a hello: {hello:?}");
     };
+    let (listener, addr) = loopback_listener();
     let dialer = std::thread::spawn(move || fake_dialer(addr, hello));
-    let err = transport
-        .handshake(&ctx(Duration::from_secs(5)))
-        .expect_err("mismatched hello must not establish the link");
+    let err = host(graph, id, listener, &[], Duration::from_secs(5))
+        .expect_err("a rejected hello must not establish the link");
     let (dialer_addr, answer, _stream) = dialer.join().expect("dialer thread");
     match err {
         RuntimeError::Handshake {
             peer,
-            reason:
-                HandshakeFailure::RejectedPeer {
-                    node: 0,
-                    reason: got,
-                },
+            reason: HandshakeFailure::RejectedPeer { node, reason: got },
         } => {
-            assert_eq!(got, reason);
+            assert_eq!((node, got), (claimed, reason));
             assert_eq!(peer, dialer_addr.to_string(), "error must name the dialer");
         }
         other => panic!("acceptor saw {other}"),
@@ -189,33 +253,83 @@ fn assert_hello_rejected(version: u16, n_nodes: u32, topology_hash: u64, reason:
     assert_eq!(answer, WireMsg::Reject { reason });
 }
 
+/// The pair's node 1 against a dialer whose Hello carries the given
+/// launch identity.
+fn assert_launch_mismatch_rejected(
+    version: u16,
+    n_nodes: u32,
+    topology_hash: u64,
+    reason: RejectReason,
+) {
+    let hello = WireMsg::Hello {
+        version,
+        node: 0,
+        n_nodes,
+        topology_hash,
+    };
+    assert_hello_rejected(&pair(), 1, hello, reason);
+}
+
 #[test]
 fn version_mismatch_is_rejected_with_a_named_reason() {
-    assert_hello_rejected(
+    assert_launch_mismatch_rejected(
         PROTOCOL_VERSION + 1,
         2,
-        TOPOLOGY_HASH,
+        pair().topology_hash(),
         RejectReason::VersionMismatch,
     );
 }
 
 #[test]
 fn topology_mismatch_is_rejected_with_a_named_reason() {
-    assert_hello_rejected(
+    assert_launch_mismatch_rejected(
         PROTOCOL_VERSION,
         2,
-        TOPOLOGY_HASH ^ 1,
+        pair().topology_hash() ^ 1,
         RejectReason::TopologyMismatch,
     );
 }
 
 #[test]
 fn cluster_size_mismatch_is_rejected_with_a_named_reason() {
-    assert_hello_rejected(
+    assert_launch_mismatch_rejected(
         PROTOCOL_VERSION,
         3,
-        TOPOLOGY_HASH,
+        pair().topology_hash(),
         RejectReason::ClusterSizeMismatch,
+    );
+}
+
+/// An otherwise valid Hello from an id that is not a still-missing
+/// lower-id neighbor — a node outside the neighbor row, or a neighbor
+/// that already connected — is answered `Reject{UnknownPeer}`.
+#[test]
+fn hello_from_a_stranger_or_a_duplicate_is_rejected_as_unknown_peer() {
+    assert_hello_rejected(&pair(), 1, hello(&pair(), 5), RejectReason::UnknownPeer);
+
+    // Node 2 of a triangle waits for 0 and 1; 0 connects twice.
+    let triangle = Graph::complete(3);
+    let (listener, addr) = loopback_listener();
+    let first = hello(&triangle, 0);
+    let dialers = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        write_frame(&mut stream, &first).expect("send hello");
+        let (_, answer, _again) = fake_dialer(addr, first);
+        (answer, stream)
+    });
+    let err = host(&triangle, 2, listener, &[], Duration::from_secs(5)).expect_err("duplicate");
+    let (answer, _stream) = dialers.join().expect("dialer thread");
+    let reason = RejectReason::UnknownPeer;
+    assert_eq!(answer, WireMsg::Reject { reason });
+    assert!(
+        matches!(
+            err,
+            RuntimeError::Handshake {
+                reason: HandshakeFailure::RejectedPeer { node: 0, reason: got },
+                ..
+            } if got == reason
+        ),
+        "acceptor saw {err}"
     );
 }
 
@@ -229,17 +343,14 @@ fn reject_frame_names_peer_and_reason_on_the_dialing_side() {
         RejectReason::TopologyMismatch,
         RejectReason::ClusterSizeMismatch,
     ] {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer listener");
-        let peer_addr = listener.local_addr().expect("peer addr");
-        let mut transport = dialing_node(peer_addr);
+        let (listener, peer_addr) = loopback_listener();
         let acceptor = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().expect("accept");
             let hello = read_frame(&mut stream).expect("dialer opens with hello");
             assert!(matches!(hello, WireMsg::Hello { node: 0, .. }), "{hello:?}");
             write_frame(&mut stream, &WireMsg::Reject { reason }).expect("send reject");
         });
-        let err = transport
-            .handshake(&ctx(Duration::from_secs(5)))
+        let err = host_dialer(peer_addr, Duration::from_secs(5))
             .expect_err("a rejected dial must not establish the link");
         acceptor.join().expect("acceptor thread");
         match err {
@@ -260,15 +371,9 @@ fn reject_frame_names_peer_and_reason_on_the_dialing_side() {
 /// must report a decode error naming the peer rather than act on it.
 #[test]
 fn corrupt_bytes_surface_as_a_decode_error() {
-    let (mut transport, addr) = accepting_node();
-    let hello = WireMsg::Hello {
-        version: PROTOCOL_VERSION,
-        node: 0,
-        n_nodes: 2,
-        topology_hash: TOPOLOGY_HASH,
-    };
+    let (listener, addr) = loopback_listener();
     let dialer = std::thread::spawn(move || {
-        let (local, answer, mut stream) = fake_dialer(addr, hello);
+        let (local, answer, mut stream) = fake_dialer(addr, hello(&pair(), 0));
         assert!(
             matches!(answer, WireMsg::HelloAck { node: 1, .. }),
             "{answer:?}"
@@ -278,13 +383,10 @@ fn corrupt_bytes_surface_as_a_decode_error() {
         stream.write_all(&frame).expect("send corrupt frame");
         (local, stream)
     });
-    transport
-        .handshake(&ctx(Duration::from_secs(5)))
-        .expect("valid hello establishes the link");
+    let result = host(&pair(), 1, listener, &[], Duration::from_secs(5));
     let (dialer_addr, _stream) = dialer.join().expect("dialer thread");
-    match transport.recv(0, Duration::from_secs(5)) {
+    match result {
         Err(RuntimeError::Decode { peer, .. }) => assert_eq!(peer, dialer_addr.to_string()),
-        Ok(Incoming::Msg(msg)) => panic!("corrupt frame decoded to {msg:?}"),
         other => panic!("expected a decode error, got {other:?}"),
     }
 }

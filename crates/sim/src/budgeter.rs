@@ -9,7 +9,6 @@
 use dpc_alg::centralized;
 use dpc_alg::diba::{DibaConfig, DibaRun};
 use dpc_alg::diba_async::{AsyncConfig, AsyncDibaRun};
-use dpc_alg::exec::{Precision, Threads};
 use dpc_alg::faults::FaultPlan;
 use dpc_alg::problem::{AlgError, Allocation, PowerBudgetProblem};
 use dpc_alg::telemetry::{Telemetry, TelemetryConfig};
@@ -41,17 +40,6 @@ pub trait Budgeter {
 
     /// The current allocation.
     fn allocation(&self) -> Allocation;
-
-    /// Sets the worker policy for schemes with a parallel round engine.
-    /// Results never depend on the worker count, so the default is a
-    /// no-op.
-    fn set_threads(&mut self, _threads: Threads) {}
-
-    /// Selects the numeric kernel tier for schemes whose engine supports
-    /// the two-tier precision contract. Schemes without a fast tier (one-
-    /// shot baselines, the asynchronous protocol) ignore it; the default
-    /// is a no-op.
-    fn set_precision(&mut self, _precision: Precision) {}
 
     /// Installs a fault-injection plan before the run starts. Only
     /// budgeters with a fault-capable engine (the asynchronous DiBA run)
@@ -129,14 +117,6 @@ impl Budgeter for DibaBudgeter {
 
     fn allocation(&self) -> Allocation {
         self.run.allocation()
-    }
-
-    fn set_threads(&mut self, threads: Threads) {
-        self.run.set_threads(threads);
-    }
-
-    fn set_precision(&mut self, precision: Precision) {
-        self.run.set_precision(precision);
     }
 
     fn set_telemetry(&mut self, config: TelemetryConfig) {
@@ -383,14 +363,6 @@ impl Budgeter for PrimalDualBudgeter {
 
     fn allocation(&self) -> Allocation {
         self.cached.clone()
-    }
-
-    fn set_threads(&mut self, threads: Threads) {
-        self.config.threads = threads;
-    }
-
-    fn set_precision(&mut self, precision: Precision) {
-        self.config.precision = precision;
     }
 }
 

@@ -10,7 +10,6 @@ use crate::budgeter::Budgeter;
 use crate::schedule::BudgetSchedule;
 use crate::series::{TimePoint, TimeSeries};
 use dpc_alg::centralized;
-use dpc_alg::exec::{shard_bounds, Backend, Engine, Precision, SharedSlice, Threads};
 use dpc_alg::faults::{FaultPlan, LinkFaults, NodeFaultKind};
 use dpc_alg::problem::{AlgError, Allocation, PowerBudgetProblem};
 use dpc_alg::telemetry::TelemetryConfig;
@@ -77,17 +76,6 @@ pub struct SimConfig {
     pub phase_mean: Option<Seconds>,
     /// Record per-server allocations at every sample (memory-heavy).
     pub record_allocations: bool,
-    /// Worker policy for per-node stepping (phase advancement and any
-    /// thread-aware budgeter): [`Threads::Auto`] (the default) applies the
-    /// measured serial↔parallel cutover, `Threads::Fixed(1)` forces the
-    /// inline serial path. Simulation results are identical for every
-    /// worker count.
-    pub threads: Threads,
-    /// Kernel tier for precision-aware budgeters: [`Precision::Reference`]
-    /// (the default) keeps the bitwise-reproducible kernels,
-    /// [`Precision::Fast`] selects the vectorized tier gated by numeric
-    /// equivalence. Budgeters without a fast tier ignore it.
-    pub precision: Precision,
     /// Fault injection (lossy links, node crash/departure); `None` runs the
     /// cluster fault-free.
     pub faults: Option<SimFaults>,
@@ -98,7 +86,7 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// A sensible default: `duration` at 1 s sampling, 50 rounds per
-    /// sample, no churn, no allocation recording, automatic threading.
+    /// sample, no churn, no allocation recording.
     pub fn new(duration: Seconds) -> SimConfig {
         SimConfig {
             duration,
@@ -107,8 +95,6 @@ impl SimConfig {
             churn_mean: None,
             phase_mean: None,
             record_allocations: false,
-            threads: Threads::Auto,
-            precision: Precision::Reference,
             faults: None,
             telemetry: TelemetryConfig::off(),
         }
@@ -122,7 +108,7 @@ impl SimConfig {
     ///
     /// [`AlgError::InvalidConfig`] naming the offending knob: a non-finite
     /// or non-positive sample interval, a non-finite or negative duration,
-    /// `threads = Fixed(0)`, non-positive churn/phase means, a zero
+    /// non-positive churn/phase means, a zero
     /// telemetry capacity, or a non-finite/negative fault time.
     pub fn validate(&self) -> Result<(), AlgError> {
         let bad = |what: String| Err(AlgError::InvalidConfig { what });
@@ -137,11 +123,6 @@ impl SimConfig {
                 "duration = {} s must be finite and non-negative",
                 self.duration.0
             ));
-        }
-        if self.threads == Threads::Fixed(0) {
-            return bad(
-                "threads = Fixed(0): the engine needs at least one worker (use Auto)".to_string(),
-            );
         }
         if let Some(mean) = self.churn_mean {
             if !mean.0.is_finite() || mean <= Seconds::ZERO {
@@ -183,10 +164,6 @@ pub struct DynamicSim<B: Budgeter> {
     expiries: Vec<f64>,
     /// Per-server phase state (when phases are enabled).
     phased: Vec<PhasedWorkload>,
-    /// Scratch: which servers changed phase in the current sample.
-    phase_changed: Vec<bool>,
-    /// Shared round-execution engine for per-node stepping.
-    engine: Engine,
 }
 
 impl<B: Budgeter> DynamicSim<B> {
@@ -207,7 +184,6 @@ impl<B: Budgeter> DynamicSim<B> {
             cluster.len(),
             "budgeter and cluster sizes differ"
         );
-        let engine = Engine::with_backend(Backend::Pooled, config.threads.resolve(cluster.len()));
         DynamicSim {
             cluster,
             budgeter,
@@ -215,8 +191,6 @@ impl<B: Budgeter> DynamicSim<B> {
             config,
             expiries: Vec::new(),
             phased: Vec::new(),
-            phase_changed: Vec::new(),
-            engine,
         }
     }
 
@@ -258,10 +232,7 @@ impl<B: Budgeter> DynamicSim<B> {
             for (i, ph) in self.phased.iter().enumerate() {
                 self.budgeter.workload_changed(i, *ph.current());
             }
-            self.phase_changed = vec![false; self.phased.len()];
         }
-        self.budgeter.set_threads(self.config.threads);
-        self.budgeter.set_precision(self.config.precision);
         if self.config.telemetry.enabled {
             self.budgeter.set_telemetry(self.config.telemetry);
         }
@@ -369,29 +340,9 @@ impl<B: Budgeter> DynamicSim<B> {
     }
 
     fn apply_phases(&mut self, dt: Seconds) {
-        // Per-node phase advancement is independent, so it shards cleanly
-        // across the engine's workers; budgeter notifications then run
-        // serially in ascending server order, keeping the simulation
-        // identical for every worker count.
-        let n = self.phased.len();
-        let workers = self.engine.workers_for(n);
-        let cuts = shard_bounds(n, workers);
-        {
-            let phased = SharedSlice::new(&mut self.phased);
-            let changed = SharedSlice::new(&mut self.phase_changed);
-            self.engine.run_workers(workers, |w| {
-                let range = cuts[w]..cuts[w + 1];
-                // SAFETY: the shard ranges partition `0..n`, so every
-                // element is touched by exactly one worker.
-                let shard = unsafe { phased.slice_mut(range.clone()) };
-                for (k, ph) in shard.iter_mut().enumerate() {
-                    unsafe { changed.write(range.start + k, ph.advance(dt.0)) };
-                }
-            });
-        }
-        for i in 0..n {
-            if self.phase_changed[i] {
-                self.budgeter.workload_changed(i, *self.phased[i].current());
+        for (i, ph) in self.phased.iter_mut().enumerate() {
+            if ph.advance(dt.0) {
+                self.budgeter.workload_changed(i, *ph.current());
             }
         }
     }
@@ -459,6 +410,7 @@ mod tests {
     use super::*;
     use crate::budgeter::{DibaBudgeter, UniformBudgeter};
     use dpc_alg::diba::DibaConfig;
+    use dpc_alg::exec::Precision;
     use dpc_alg::problem::PowerBudgetProblem;
     use dpc_models::units::Watts;
     use dpc_models::workload::ClusterBuilder;
@@ -476,8 +428,6 @@ mod tests {
             churn_mean: None,
             phase_mean: None,
             record_allocations: false,
-            threads: Threads::Auto,
-            precision: Precision::Reference,
             faults: None,
             telemetry: TelemetryConfig::off(),
         }
@@ -513,7 +463,6 @@ mod tests {
     fn bad_engine_knobs_are_typed_errors() {
         type Poison = Box<dyn Fn(&mut SimConfig)>;
         let cases: Vec<(&str, Poison)> = vec![
-            ("zero threads", Box::new(|c| c.threads = Threads::Fixed(0))),
             (
                 "zero interval",
                 Box::new(|c| c.sample_interval = Seconds(0.0)),
@@ -569,10 +518,13 @@ mod tests {
     fn fast_precision_sim_stays_feasible_and_tracks_optimal() {
         let c = cluster(20, 2);
         let p = PowerBudgetProblem::new(c.utilities(), Watts(3_400.0)).unwrap();
-        let b = DibaBudgeter::new(p, Graph::ring(20), DibaConfig::default()).unwrap();
-        let mut cfg = config(10.0);
-        cfg.precision = Precision::Fast;
-        let mut sim = DynamicSim::new(c, b, BudgetSchedule::constant(Watts(3_400.0)), cfg);
+        let fast = DibaConfig {
+            precision: Precision::Fast,
+            ..DibaConfig::default()
+        };
+        let b = DibaBudgeter::new(p, Graph::ring(20), fast).unwrap();
+        let schedule = BudgetSchedule::constant(Watts(3_400.0));
+        let mut sim = DynamicSim::new(c, b, schedule, config(10.0));
         let series = sim.run().unwrap();
         assert!(series.budget_respected(Watts(1e-6)));
         assert!(
@@ -580,7 +532,7 @@ mod tests {
             "{}",
             series.mean_optimality()
         );
-        // The budgeter really switched tiers (not a silently ignored knob).
+        // The simulator left the budgeter's tier alone.
         assert_eq!(sim.budgeter().run().precision(), Precision::Fast);
     }
 

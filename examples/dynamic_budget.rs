@@ -39,8 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         churn_mean: None,
         phase_mean: None,
         record_allocations: false,
-        threads: dpc::alg::exec::Threads::Auto,
-        precision: dpc::alg::exec::Precision::Reference,
         faults: None,
         telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };

@@ -151,16 +151,19 @@ COMMANDS:
              --topology ring|chords|grid|torus|hypercube|random-regular (ring)
              --shards auto|K (reactor only; auto: load-driven shard count
              from N, degree and host cores — the header reports the choice;
-             K pins it)
-             --tol W (1e-4)  --timeout-secs T (10, tcp handshake)
+             K pins it; K = N puts every edge on a loopback TCP socket)
+             --tol W (1e-4)  --timeout-secs T (10, carrier handshake)
              --max-rounds R (20000)  --sample-every K (0, merge telemetry)
-  node       run ONE DiBA agent over TCP (one process per server)
+  node       run ONE DiBA agent over TCP: one reactor shard per process,
+             one process per server
              --id I (required)  --servers N (4)  --listen IP:PORT (127.0.0.1:0)
              --peers j=ip:port,... (dial addresses of the HIGHER-id neighbors;
              lower-id neighbors dial this node's --listen address)
              --budget-watts W (170·N)  --seed S (0)
              --topology ring|chords|grid|torus|hypercube|random-regular
-             --tol W (1e-4)  --max-rounds R (20000)  --timeout-secs T (10)
+             --tol W (1e-4)  --max-rounds R (20000)
+             --timeout-secs T (10; the one bring-up deadline: dial retries,
+             accepts and handshakes all end by it)
   help       this text
 ",
         transports = transport_keys("|"),
@@ -315,8 +318,12 @@ pub fn cmd_simulate(opts: &Options) -> Result<String, CliError> {
 
     let problem = PowerBudgetProblem::new(cluster.utilities(), budget)
         .map_err(|e| CliError(format!("infeasible problem: {e}")))?;
-    let budgeter = DibaBudgeter::new(problem, Graph::ring(n), DibaConfig::default())
-        .map_err(|e| CliError(e.to_string()))?;
+    let diba = DibaConfig {
+        precision,
+        ..DibaConfig::default()
+    };
+    let budgeter =
+        DibaBudgeter::new(problem, Graph::ring(n), diba).map_err(|e| CliError(e.to_string()))?;
     let config = SimConfig {
         duration: Seconds(seconds),
         sample_interval: Seconds(2.0),
@@ -324,8 +331,6 @@ pub fn cmd_simulate(opts: &Options) -> Result<String, CliError> {
         churn_mean: churn.map(Seconds),
         phase_mean: phases.map(Seconds),
         record_allocations: false,
-        threads: Threads::Auto,
-        precision,
         faults: None,
         telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
@@ -833,9 +838,8 @@ fn parse_shards(spec: Option<&str>) -> Result<ShardCount, CliError> {
     }
 }
 
-/// `dpc cluster`: deploy N node agents locally (on the epoll reactor, the
-/// serial lockstep reference, or TCP loopback sockets) and report the
-/// converged allocation.
+/// `dpc cluster`: deploy N node agents locally (on the epoll reactor or
+/// the serial lockstep reference) and report the converged allocation.
 pub fn cmd_cluster(opts: &Options) -> Result<String, CliError> {
     let seed: u64 = opts.get_or("seed", 0)?;
     let n: usize = opts.get_or("servers", 8)?;
@@ -945,13 +949,12 @@ pub fn cmd_cluster(opts: &Options) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `dpc node`: run one DiBA agent over TCP — one invocation per server in
-/// a real deployment. Blocks until the agent reaches convergence quorum
-/// (or exhausts its round budget) and then reports its final state.
+/// `dpc node`: run one DiBA agent over TCP as a one-agent reactor shard —
+/// one invocation per server in a real deployment. Blocks until the agent
+/// reaches convergence quorum (or exhausts its round budget) and then
+/// reports its final state.
 pub fn cmd_node(opts: &Options) -> Result<String, CliError> {
     use crate::runtime::cluster::node_specs;
-    use crate::runtime::node::run_node;
-    use crate::runtime::tcp::{HandshakeContext, RetryPolicy, TcpTransport};
     use std::net::ToSocketAddrs;
 
     let id: usize = opts
@@ -965,7 +968,7 @@ pub fn cmd_node(opts: &Options) -> Result<String, CliError> {
     if id >= n {
         return Err(CliError(format!("--id {id} out of range for {n} servers")));
     }
-    let (problem, graph, rt) = deployment_for(opts, n, seed, TransportKind::Tcp)?;
+    let (problem, graph, rt) = deployment_for(opts, n, seed, TransportKind::Reactor)?;
     let spec = node_specs(&problem, &graph, DibaConfig::default(), &rt)
         .map_err(runtime_err)?
         .swap_remove(id);
@@ -996,21 +999,8 @@ pub fn cmd_node(opts: &Options) -> Result<String, CliError> {
         }
     }
 
-    let mut transport = TcpTransport::new(
-        id,
-        listener,
-        graph.neighbors(id),
-        &dial_addrs,
-        RetryPolicy::default(),
-    )
-    .map_err(runtime_err)?;
-    let ctx = HandshakeContext {
-        n_nodes: n,
-        topology_hash: graph.topology_hash(),
-        timeout: rt.handshake_timeout,
-    };
-    transport.handshake(&ctx).map_err(runtime_err)?;
-    let report = run_node(&spec, &mut transport).map_err(runtime_err)?;
+    let report = crate::runtime::reactor::host_node(spec, &graph, listener, &dial_addrs, &rt)
+        .map_err(runtime_err)?;
 
     Ok(format!(
         "node {}: {} after {} rounds\ncap {:.3} W, residual {:.3e} W\n\
@@ -1625,30 +1615,29 @@ mod tests {
         assert!(out.contains(bound), "{out}");
         assert!(run(&args(&["cluster", "--servers", "2"])).is_err());
         assert!(run(&args(&["cluster", "--tol", "0"])).is_err());
-        // Unknown transports — the deleted channel mesh included — are
-        // refused by name, with the surviving spellings listed.
-        for gone in ["carrier-pigeon", "inproc"] {
+        // Unknown transports — the deleted channel mesh and blocking TCP
+        // driver included — are refused by name, with the surviving
+        // spellings listed.
+        for gone in ["carrier-pigeon", "inproc", "tcp"] {
             let err = run(&args(&["cluster", "--transport", gone])).unwrap_err();
             assert!(
                 err.0.contains(&format!("unknown transport `{gone}`")),
                 "{err}"
             );
-            assert!(err.0.contains("tcp, lockstep, reactor"), "{err}");
+            assert!(err.0.contains("one of lockstep, reactor"), "{err}");
         }
-        // --shards is a reactor knob: every other driver refuses it
-        // instead of ignoring it, and `0` is no longer a spelling of auto.
-        for transport in ["lockstep", "tcp"] {
-            let err = run(&args(&[
-                "cluster",
-                "--transport",
-                transport,
-                "--shards",
-                "2",
-            ]))
-            .unwrap_err();
-            assert!(err.0.contains("--shards"), "{err}");
-            assert!(err.0.contains(transport), "{err}");
-        }
+        // --shards is a reactor knob: lockstep refuses it instead of
+        // ignoring it, and `0` is no longer a spelling of auto.
+        let err = run(&args(&[
+            "cluster",
+            "--transport",
+            "lockstep",
+            "--shards",
+            "2",
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("--shards"), "{err}");
+        assert!(err.0.contains("lockstep"), "{err}");
         let out = run(&args(&["cluster", "--servers", "6", "--shards", "2"])).unwrap();
         assert!(out.contains("2 reactor shards (pinned)"), "{out}");
         let err = run(&args(&["cluster", "--shards", "0"])).unwrap_err();
@@ -1658,19 +1647,21 @@ mod tests {
     #[test]
     fn cluster_tcp_matches_reactor_allocation() {
         let reactor = run(&args(&["cluster", "--servers", "5", "--seed", "3"])).unwrap();
+        // "N agents over real loopback TCP in one process" is one shard
+        // per agent: every edge crosses shards, so every edge is a socket.
         let tcp = run(&args(&[
             "cluster",
             "--servers",
             "5",
             "--seed",
             "3",
-            "--transport",
-            "tcp",
+            "--shards",
+            "5",
         ]))
         .unwrap();
-        // The per-node table and the budget verdict are identical across
-        // transports; only the header naming the transport and the
-        // reactor's own thread/RSS footer differ.
+        assert!(tcp.contains("5 reactor shards (pinned)"), "{tcp}");
+        // The per-node table and the budget verdict are identical however
+        // the bytes move; only the reactor's shard/thread/RSS lines differ.
         let table = |s: &str| {
             s.lines()
                 .skip_while(|l| !l.starts_with("node"))
@@ -1679,6 +1670,8 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(table(&reactor), table(&tcp), "\n{reactor}\nvs\n{tcp}");
+        let err = run(&args(&["cluster", "--transport", "tcp"])).unwrap_err();
+        assert!(err.0.contains("one of lockstep, reactor"), "{err}");
     }
 
     #[test]

@@ -150,8 +150,6 @@ fn dynamic_sim_tracks_schedule_and_churn_together() {
         churn_mean: Some(Seconds(8.0)),
         phase_mean: None,
         record_allocations: false,
-        threads: dpc::alg::exec::Threads::Auto,
-        precision: dpc::alg::exec::Precision::Reference,
         faults: None,
         telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
