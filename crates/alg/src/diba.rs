@@ -381,9 +381,34 @@ pub fn node_action(
     NodeAction { dp, transfers }
 }
 
+/// When a dispatched round loop ends. Private on purpose: `step`, `run`,
+/// `run_until_within` and `run_to_rest` each pick one, nobody configures it.
+#[derive(Debug, Clone, Copy)]
+enum Stop {
+    /// After exactly this many rounds.
+    Rounds(usize),
+    /// At the first round boundary where the allocation is feasible and
+    /// within `rel_tol` of `reference` — tested on every pre-round state,
+    /// so before the first round and after the last one too — or after
+    /// `max_rounds` rounds.
+    Within {
+        reference: f64,
+        rel_tol: f64,
+        max_rounds: usize,
+    },
+    /// Once the largest per-node move has stayed below `tol` watts for
+    /// `stable` consecutive rounds, or after `max_rounds` rounds.
+    AtRest {
+        tol: f64,
+        stable: usize,
+        max_rounds: usize,
+    },
+}
+
 /// The control state a round updates after its reduction: everything the
-/// continuation schedule needs, extracted so the serial path and worker 0
-/// of the parallel path run the *same* update code on the same struct.
+/// continuation schedule and the stop rule need, extracted so the serial
+/// path and worker 0 of the parallel path run the *same* update code on
+/// the same struct.
 #[derive(Debug, Clone, Copy)]
 struct RoundCtl {
     params: NodeParams,
@@ -393,6 +418,12 @@ struct RoundCtl {
     stage_rounds: usize,
     iterations: usize,
     last_max_step: f64,
+    /// Rounds the stop rule still allows this dispatch.
+    rounds_left: usize,
+    /// Consecutive rounds that moved less than the at-rest tolerance.
+    streak: usize,
+    /// The stop rule's criterion (not its round cap) has fired.
+    met: bool,
 }
 
 impl RoundCtl {
@@ -417,6 +448,23 @@ impl RoundCtl {
             self.stage_rounds = 0;
         }
         self.boost = (self.boost * self.boost_decay).max(1.0);
+    }
+
+    /// Closes a finished round under `stop`: absorbs the reduction, spends
+    /// one round of the cap and applies the at-rest rule (the streak
+    /// resets on any round at or above the tolerance, and only a round
+    /// below it can fire the rule — so `stable = 0` behaves like 1).
+    fn close_round(&mut self, stop: Stop, max_step: f64) {
+        self.absorb(max_step);
+        self.rounds_left -= 1;
+        if let Stop::AtRest { tol, stable, .. } = stop {
+            if max_step < tol {
+                self.streak += 1;
+                self.met = self.streak >= stable;
+            } else {
+                self.streak = 0;
+            }
+        }
     }
 }
 
@@ -446,6 +494,9 @@ struct RoundScratch {
     cuts: Vec<usize>,
     /// Per-worker max |dp| of the round in flight.
     worker_max: Vec<f64>,
+    /// Per-worker `[Σpᵢ, Σrᵢ(pᵢ)]` over the shard's pre-round state — the
+    /// cap-test partials phase A accumulates under [`Stop::Within`].
+    worker_sums: Vec<[f64; 2]>,
     /// Per-worker phase-A wall-clock nanoseconds of the round in flight
     /// (only written when timed telemetry is on; always allocated — it is
     /// one word per worker).
@@ -462,6 +513,7 @@ impl RoundScratch {
             rev: graph.reverse_slots(),
             cuts: graph.shard_offsets(workers),
             worker_max: vec![0.0; workers],
+            worker_sums: vec![[0.0; 2]; workers],
             phase_nanos: vec![0; workers],
         }
     }
@@ -516,6 +568,65 @@ fn margin_for(problem: &PowerBudgetProblem, margin_frac: f64) -> f64 {
 /// the problem, like [`auto_eta`].
 fn stage_tol_for(problem: &PowerBudgetProblem) -> f64 {
     0.002 * (problem.budget().0 / problem.len() as f64).abs().max(1.0)
+}
+
+/// Σrᵢ(pᵢ) in plain index order — the one summation order every caller
+/// that judges a solve (`DibaRun::total_utility`, the cap test, the
+/// benchmark, `dpc solve`) shares.
+fn utility_sum(problem: &PowerBudgetProblem, p: &[f64]) -> f64 {
+    problem
+        .utilities()
+        .iter()
+        .zip(p)
+        .map(|(u, &p)| u.value(Watts(p)))
+        .sum()
+}
+
+/// Relative distance of a total utility from the reference one.
+fn utility_gap(reference_utility: f64, total_utility: f64) -> f64 {
+    (reference_utility - total_utility).abs() / reference_utility.abs().max(1e-12)
+}
+
+/// The paper's 99 % criterion (Eq. 4.11) on a power vector: feasible and
+/// within `rel_tol` of `reference_utility`, both sums in plain index order.
+/// This is the *decider* of [`Stop::Within`].
+fn is_within(
+    problem: &PowerBudgetProblem,
+    p: &[f64],
+    reference_utility: f64,
+    rel_tol: f64,
+) -> bool {
+    let feasible = Watts(p.iter().sum()) <= problem.budget() + Watts(1e-6);
+    let gap = utility_gap(reference_utility, utility_sum(problem, p));
+    feasible && gap < rel_tol
+}
+
+/// Relative guard of the fused cap-test filter for an `n`-node run. Two
+/// orderings of one `n`-term sum of same-sign values differ by at most
+/// `n·ε·Σ|x|` (ε = `f64::EPSILON`): 1e-9 is ~45× that at n = 100 000 and
+/// ~1 000× smaller than one round's progress near the 1 % line; the
+/// second term keeps the margin ≥ 8× however large `n` grows.
+fn cap_filter_guard(n: usize) -> f64 {
+    1e-9_f64.max(8.0 * n as f64 * f64::EPSILON)
+}
+
+/// The *filter* in front of [`is_within`]: the same test on the sums
+/// phase A accumulated shard by shard, loosened by `guard` so that a state
+/// the decider accepts is always near (powers and throughputs are
+/// positive, so the re-association bound of [`cap_filter_guard`] applies;
+/// the gap guard carries `1 + rel_tol` because the gap is relative to the
+/// reference while the error is relative to the sum). Not-near rounds —
+/// all but a handful per solve — skip the decider and its barrier.
+fn is_near_within(
+    budget: Watts,
+    [sum_p, sum_u]: [f64; 2],
+    reference_utility: f64,
+    rel_tol: f64,
+    guard: f64,
+) -> bool {
+    let cap = budget.0 + 1e-6;
+    sum_p <= cap + guard * cap.abs()
+        && utility_gap(reference_utility, sum_u) < rel_tol + guard * (1.0 + rel_tol.abs())
 }
 
 /// A running DiBA instance: the synchronous-round reference implementation
@@ -755,12 +866,7 @@ impl DibaRun {
 
     /// Current total utility.
     pub fn total_utility(&self) -> f64 {
-        self.problem
-            .utilities()
-            .iter()
-            .zip(&self.p)
-            .map(|(u, &p)| u.value(Watts(p)))
-            .sum()
+        utility_sum(&self.problem, &self.p)
     }
 
     /// The local residual estimates `eᵢ` (watts).
@@ -782,7 +888,7 @@ impl DibaRun {
     /// One synchronous round: every node computes its action from the
     /// previous round's neighbor state, then all messages are delivered.
     pub fn step(&mut self) {
-        self.step_batch(1);
+        self.step_batch(Stop::Rounds(1));
     }
 
     /// Runs `rounds` synchronous rounds as one batch: one engine dispatch,
@@ -793,10 +899,15 @@ impl DibaRun {
     /// identical to `rounds` single [`DibaRun::step`] calls — batching
     /// only removes dispatch overhead.
     pub fn run(&mut self, rounds: usize) {
-        self.step_batch(rounds);
+        self.step_batch(Stop::Rounds(rounds));
     }
 
-    /// The round engine. Each round is receiver-centric and two-phase:
+    /// The round engine — the one round loop, run as a single engine
+    /// dispatch until `stop` fires. Returns the rounds this call executed
+    /// when the stop rule's criterion fired, `None` when its round cap
+    /// did (always `None` under [`Stop::Rounds`]).
+    ///
+    /// Each round is receiver-centric and two-phase:
     ///
     /// * **Phase A** — every node computes its kernel from the previous
     ///   round's state, writing its power move into `p_hat[i]` and, on
@@ -817,9 +928,33 @@ impl DibaRun {
     /// bitwise-identical `(p, e)`. This is stronger than merging per-worker
     /// accumulators in worker order, which is only deterministic per worker
     /// count — see DESIGN.md, "Performance engineering".
-    fn step_batch(&mut self, rounds: usize) {
-        if rounds == 0 {
-            return;
+    ///
+    /// The stop rule lives at the round boundaries and costs no extra
+    /// synchronisation on an ordinary round. Worker 0 closes each round
+    /// between barriers 2 and 3 ([`RoundCtl::close_round`]: continuation,
+    /// round cap, at-rest streak); barrier 3 seals that, and every worker
+    /// reads the same verdict at the top of the next round.
+    /// [`Stop::Within`] tests the *pre-round* state, which is what phase A
+    /// reads anyway: each worker accumulates `Σpᵢ` and `Σrᵢ(pᵢ)` over its
+    /// shard, and after barrier 1 every worker folds the sealed partials in
+    /// ascending worker order — same inputs, same verdict, no barrier.
+    /// Those sums only *filter* ([`is_near_within`]); on a near round
+    /// worker 0 runs the plain-order decider ([`is_within`]) over the full
+    /// arrays — nobody writes `p` before phase B — and publishes it behind
+    /// one extra barrier. A round that stops there has written scratch
+    /// only, so the state is exactly the one the criterion accepted.
+    fn step_batch(&mut self, stop: Stop) -> Option<usize> {
+        let (cap_test, rounds_left) = match stop {
+            Stop::Rounds(rounds) => (None, rounds),
+            Stop::Within {
+                reference,
+                rel_tol,
+                max_rounds,
+            } => (Some((reference, rel_tol)), max_rounds),
+            Stop::AtRest { max_rounds, .. } => (None, max_rounds),
+        };
+        if cap_test.is_none() && rounds_left == 0 {
+            return None;
         }
         let workers = self.scratch.cuts.len() - 1;
         let n = self.p.len();
@@ -827,6 +962,7 @@ impl DibaRun {
         // exactly this branch (and nothing per round).
         let tel_on = self.telemetry.is_some();
         let time_on = self.telemetry.as_ref().is_some_and(|t| t.config().timings);
+        let start = self.iterations;
         let mut ctl = RoundCtl {
             params: self.params,
             boost: self.boost,
@@ -835,6 +971,9 @@ impl DibaRun {
             stage_rounds: self.stage_rounds,
             iterations: self.iterations,
             last_max_step: self.last_max_step,
+            rounds_left,
+            streak: 0,
+            met: false,
         };
 
         {
@@ -853,23 +992,29 @@ impl DibaRun {
             let fast_deltas = SharedSlice::new(&mut self.scratch.fast_deltas);
             let fast_extras = SharedSlice::new(&mut self.scratch.fast_extras);
             let worker_max = SharedSlice::new(&mut self.scratch.worker_max);
+            let worker_sums = SharedSlice::new(&mut self.scratch.worker_sums);
             let ctl_cell = SharedSlice::new(std::slice::from_mut(&mut ctl));
             let nanos = SharedSlice::new(&mut self.scratch.phase_nanos);
             let tel_cell = SharedSlice::new(std::slice::from_mut(&mut self.telemetry));
-            let budget = problem.budget().0;
+            let budget = problem.budget();
+            let guard = cap_filter_guard(n);
             let msgs_per_round = graph.flat_neighbors().len() as u64;
             let barrier = SpinBarrier::new(workers);
 
             self.engine.run_workers(workers, |w| {
                 let range = cuts[w]..cuts[w + 1];
-                for _ in 0..rounds {
+                loop {
                     // Control state is stable here: worker 0's update last
                     // round was sealed by the round-end barrier.
                     // SAFETY: read-only access between barriers.
-                    let rp = unsafe { ctl_cell.slice(0..1) }[0].round_params();
+                    let ctl_top = unsafe { ctl_cell.read(0) };
+                    if cap_test.is_none() && (ctl_top.met || ctl_top.rounds_left == 0) {
+                        break;
+                    }
+                    let rp = ctl_top.round_params();
                     let t0 = if time_on { Some(Instant::now()) } else { None };
-                    let local_max = match fast {
-                        None => phase_a(
+                    let fold = match (fast, cap_test.is_some()) {
+                        (None, false) => phase_a::<false>(
                             problem,
                             graph,
                             &rp,
@@ -879,7 +1024,17 @@ impl DibaRun {
                             &p_hat,
                             &transfers,
                         ),
-                        Some(st) => {
+                        (None, true) => phase_a::<true>(
+                            problem,
+                            graph,
+                            &rp,
+                            &p,
+                            &e,
+                            range.clone(),
+                            &p_hat,
+                            &transfers,
+                        ),
+                        (Some(st), _) => {
                             phase_a_fast(
                                 st,
                                 &FastRoundParams {
@@ -895,19 +1050,63 @@ impl DibaRun {
                                 &fast_extras,
                             );
                             // The fast tier folds max |dp| in phase B
-                            // (which streams p_hat anyway).
-                            0.0
+                            // (which streams p_hat anyway) and reports no
+                            // cap-test sums (see the near test below).
+                            ShardFold::default()
                         }
                     };
+                    if cap_test.is_some() {
+                        // SAFETY: slot w is ours alone; peers only fold the
+                        // partials after the next barrier seals them.
+                        unsafe { worker_sums.write(w, fold.sums) };
+                    }
                     if let Some(t0) = t0 {
                         // SAFETY: slot w is ours alone.
                         unsafe { nanos.write(w, t0.elapsed().as_nanos() as u64) };
                     }
-                    barrier.wait(); // all transfers + p_hat written
+                    barrier.wait(); // all transfers + p_hat + cap-test partials written
+                    if let Some((reference, rel_tol)) = cap_test {
+                        // Without fused sums (the fast tier) every round
+                        // is near: the decider runs each round, which is
+                        // what the per-step test used to cost.
+                        let near = fast.is_some() || {
+                            let mut total = [0.0_f64; 2];
+                            for k in 0..workers {
+                                // SAFETY: all writes sealed by the barrier;
+                                // the next ones come after barrier 3.
+                                let part = unsafe { worker_sums.read(k) };
+                                total[0] += part[0];
+                                total[1] += part[1];
+                            }
+                            is_near_within(budget, total, reference, rel_tol, guard)
+                        };
+                        let mut met = false;
+                        if near {
+                            if w == 0 {
+                                // SAFETY: nobody writes `p` before phase B,
+                                // and between barrier 1 and the verdict
+                                // barrier only worker 0 touches ctl (peers
+                                // read it at the top of the round and
+                                // right after the verdict barrier).
+                                let p_all = unsafe { p.slice(0..n) };
+                                let ctl_now = &mut (unsafe { ctl_cell.slice_mut(0..1) })[0];
+                                ctl_now.met = is_within(problem, p_all, reference, rel_tol);
+                            }
+                            // The one extra barrier of a near round
+                            // seals the verdict.
+                            barrier.wait();
+                            // SAFETY: read-only until worker 0 closes the
+                            // round after barrier 2.
+                            met = unsafe { ctl_cell.read(0) }.met;
+                        }
+                        if met || ctl_top.rounds_left == 0 {
+                            break;
+                        }
+                    }
                     let local_max = match fast {
                         None => {
                             phase_b(graph, rev, range.clone(), &p, &e, &p_hat, &transfers);
-                            local_max
+                            fold.max_step
                         }
                         Some(st) => phase_b_fast(
                             st,
@@ -934,7 +1133,7 @@ impl DibaRun {
                         }
                         // SAFETY: only worker 0 touches ctl between barriers.
                         let ctl_now = &mut (unsafe { ctl_cell.slice_mut(0..1) })[0];
-                        ctl_now.absorb(max_step);
+                        ctl_now.close_round(stop, max_step);
                         if tel_on {
                             // SAFETY: only worker 0 touches the recorder
                             // between barriers; all phase-B writes (and the
@@ -963,7 +1162,7 @@ impl DibaRun {
                                 }
                                 tel.record_round(RoundRecord {
                                     round: ctl_now.iterations as u64,
-                                    budget,
+                                    budget: budget.0,
                                     sum_p: chunked_sum(p_all),
                                     norm2_p: norm2.sqrt(),
                                     sum_e: chunked_sum(e_all),
@@ -987,6 +1186,7 @@ impl DibaRun {
         self.stage_rounds = ctl.stage_rounds;
         self.iterations = ctl.iterations;
         self.last_max_step = ctl.last_max_step;
+        ctl.met.then(|| ctl.iterations - start)
     }
 
     /// Runs until the utility is within `rel_tol` of `reference_utility`
@@ -996,55 +1196,39 @@ impl DibaRun {
     /// The criterion is tested before the first step and after every step
     /// (including the last), so at most `max_rounds` rounds run and a
     /// return of `Some(r)` means exactly `r` rounds were executed by this
-    /// call.
+    /// call. The whole solve is one engine dispatch; the returned round is
+    /// the first at which the plain-order
+    /// [`total_power`](DibaRun::total_power) /
+    /// [`total_utility`](DibaRun::total_utility) test holds, for every
+    /// worker count.
     pub fn run_until_within(
         &mut self,
         reference_utility: f64,
         rel_tol: f64,
         max_rounds: usize,
     ) -> Option<usize> {
-        let start = self.iterations;
-        for round in 0..=max_rounds {
-            if self.is_within(reference_utility, rel_tol) {
-                return Some(self.iterations - start);
-            }
-            if round < max_rounds {
-                self.step();
-            }
-        }
-        None
-    }
-
-    fn is_within(&self, reference_utility: f64, rel_tol: f64) -> bool {
-        let feasible = self.total_power() <= self.problem.budget() + Watts(1e-6);
-        let gap =
-            (reference_utility - self.total_utility()).abs() / reference_utility.abs().max(1e-12);
-        feasible && gap < rel_tol
+        self.step_batch(Stop::Within {
+            reference: reference_utility,
+            rel_tol,
+            max_rounds,
+        })
     }
 
     /// Runs until the largest per-node power move stays below `tol_watts`
     /// for `stable_rounds` consecutive rounds (oracle-free convergence, used
-    /// by the dynamic experiments). Returns rounds used or `None`.
+    /// by the dynamic experiments). Returns rounds used or `None`. One
+    /// engine dispatch, like [`DibaRun::run`].
     pub fn run_to_rest(
         &mut self,
         tol_watts: f64,
         stable_rounds: usize,
         max_rounds: usize,
     ) -> Option<usize> {
-        let start = self.iterations;
-        let mut stable = 0usize;
-        for _ in 0..max_rounds {
-            self.step();
-            if self.last_max_step < tol_watts {
-                stable += 1;
-                if stable >= stable_rounds {
-                    return Some(self.iterations - start);
-                }
-            } else {
-                stable = 0;
-            }
-        }
-        None
+        self.step_batch(Stop::AtRest {
+            tol: tol_watts,
+            stable: stable_rounds,
+            max_rounds,
+        })
     }
 
     /// Re-derives η, the slack margin, and the stagnation tolerance from
@@ -1197,17 +1381,31 @@ impl DibaRun {
     }
 }
 
+/// What phase A reduces over one shard.
+#[derive(Default)]
+struct ShardFold {
+    /// The shard's max `|dp|`.
+    max_step: f64,
+    /// `[Σpᵢ, Σrᵢ(pᵢ)]` over the shard's pre-round state, ascending; zeros
+    /// unless the phase ran with `SUMS`.
+    sums: [f64; 2],
+}
+
 /// Phase A of a round over one shard: kernel every node in `range` against
 /// the previous round's state, writing `p_hat[i]` and the node's own
-/// CSR-aligned `transfers` slots. Returns the shard's max `|dp|`.
+/// CSR-aligned `transfers` slots.
 ///
 /// Fused: the kernel reads each neighbor's residual straight out of the
 /// global `e` array through its CSR row (split-slice, no bounds checks in
 /// the hot loop) instead of staging a per-node copy first — one pass over
 /// the shard, no scratch traffic. Reading the same `f64`s from a different
 /// place is bitwise-inert, so the fusion cannot move the trajectory.
+///
+/// `SUMS` additionally accumulates the cap test's two sums while `pᵢ` and
+/// the curve are in registers; it is a const so the loops that never read
+/// them ([`Stop::Rounds`], [`Stop::AtRest`]) compile to the kernel alone.
 #[allow(clippy::too_many_arguments)] // the shard worker's full working set
-fn phase_a(
+fn phase_a<const SUMS: bool>(
     problem: &PowerBudgetProblem,
     graph: &Graph,
     rp: &NodeParams,
@@ -1216,20 +1414,25 @@ fn phase_a(
     range: Range<usize>,
     p_hat: &SharedSlice<'_, f64>,
     transfers: &SharedSlice<'_, f64>,
-) -> f64 {
+) -> ShardFold {
     let offsets = graph.offsets();
     let flat = graph.flat_neighbors();
-    let mut local_max = 0.0_f64;
+    let mut fold = ShardFold::default();
     for i in range {
         let (lo, hi) = (offsets[i], offsets[i + 1]);
         let row = &flat[lo..hi];
+        let u = problem.utility(i);
         // SAFETY: element i is in this worker's own shard.
         let (pi, ei) = unsafe { (p.read(i), e.read(i)) };
+        if SUMS {
+            fold.sums[0] += pi;
+            fold.sums[1] += u.value(Watts(pi));
+        }
         // SAFETY: slots lo..hi belong to node i alone (CSR rows are
         // disjoint) and i is in this worker's shard.
         let out = unsafe { transfers.slice_mut(lo..hi) };
         let dp = node_action_generic(
-            problem.utility(i),
+            u,
             pi,
             ei,
             row.len(),
@@ -1242,9 +1445,9 @@ fn phase_a(
         );
         // SAFETY: element i is in this worker's own shard.
         unsafe { p_hat.write(i, dp) };
-        local_max = local_max.max(dp.abs());
+        fold.max_step = fold.max_step.max(dp.abs());
     }
-    local_max
+    fold
 }
 
 /// Phase B of a round over one shard: fold each node's residual delta from
@@ -1518,6 +1721,119 @@ mod tests {
         // One more round is precisely what it takes.
         assert_eq!(twin.run_until_within(opt, 0.01, 1), Some(1));
         assert_eq!(twin.iterations(), r);
+    }
+
+    #[test]
+    fn stop_rules_hold_at_their_edges() {
+        let (p, mut run) = run_on_ring(100, 16_600.0, 3);
+        let opt = p.total_utility(&centralized::solve(&p).allocation);
+        let cold = run.clone();
+
+        // A zero cap runs nothing; the cap test is still applied once.
+        assert_eq!(run.run_until_within(opt, 0.01, 0), None);
+        assert_eq!(run.run_to_rest(1e-2, 10, 0), None);
+        assert_eq!(run.iterations(), 0);
+        assert_eq!(run.node_states(), cold.node_states());
+        assert_eq!(run.last_max_step(), f64::INFINITY);
+
+        // A cap equal to the answer succeeds: the criterion is tested
+        // after the last allowed round too.
+        let r = run.run_until_within(opt, 0.01, 5_000).expect("converges");
+        let mut exact = cold.clone();
+        assert_eq!(exact.run_until_within(opt, 0.01, r), Some(r));
+        assert_eq!(exact.node_states(), run.node_states());
+
+        // Already within at entry: zero rounds, under any cap, and the
+        // state is the one the criterion accepted.
+        let accepted = run.node_states();
+        assert_eq!(run.run_until_within(opt, 0.01, 0), Some(0));
+        assert_eq!(run.run_until_within(opt, 0.01, 7), Some(0));
+        assert_eq!(run.iterations(), r);
+        assert_eq!(run.node_states(), accepted);
+
+        // At rest: the cap counts rounds exactly, and `stable_rounds` of 0
+        // and 1 both stop at the first round under the tolerance — not at
+        // the first round.
+        let mut capped = cold.clone();
+        assert_eq!(capped.run_to_rest(1e-9, 10, 37), None);
+        assert_eq!(capped.iterations(), 37);
+        let mut first_quiet = cold.clone();
+        let mut rounds = 0;
+        while first_quiet.last_max_step() >= 0.1 {
+            first_quiet.step();
+            rounds += 1;
+        }
+        assert!(rounds > 1, "the tolerance must not hold on round 1");
+        for stable in [0, 1] {
+            let mut rested = cold.clone();
+            assert_eq!(rested.run_to_rest(0.1, stable, 5_000), Some(rounds));
+            assert_eq!(rested.node_states(), first_quiet.node_states());
+        }
+    }
+
+    #[test]
+    fn cap_test_filter_never_decides() {
+        // A reference the run only approaches: once settled, the gap sits
+        // inside the filter's guard band above the tolerance — near on
+        // every round, within on none. The filter must not end the solve.
+        let rel_tol = 0.01;
+        let (_, mut run) = run_on_ring(40, 6_800.0, 10);
+        run.run_to_rest(1e-9, 20, 400_000).expect("settles");
+        let reference = run.total_utility() / (1.0 - rel_tol) * (1.0 + 3e-10);
+        let verdicts = |run: &DibaRun| {
+            let sums = [run.total_power().0, run.total_utility()];
+            (
+                is_near_within(
+                    run.problem.budget(),
+                    sums,
+                    reference,
+                    rel_tol,
+                    cap_filter_guard(40),
+                ),
+                is_within(&run.problem, &run.p, reference, rel_tol),
+            )
+        };
+        assert_eq!(verdicts(&run), (true, false), "not in the guard band");
+
+        for threads in [1, 2, 7] {
+            let mut fused = run.clone();
+            fused.set_threads(Threads::Fixed(threads));
+            let mut stepped = run.clone();
+            assert_eq!(fused.run_until_within(reference, rel_tol, 60), None);
+            for _ in 0..60 {
+                stepped.step();
+            }
+            assert_eq!(fused.iterations(), stepped.iterations());
+            assert_eq!(
+                fused.node_states(),
+                stepped.node_states(),
+                "{threads} workers"
+            );
+            assert_eq!(verdicts(&fused), (true, false), "left the guard band");
+        }
+    }
+
+    #[test]
+    fn clone_and_rethreading_between_stop_rule_calls_change_nothing() {
+        let (p, mut whole) = run_on_ring(100, 16_600.0, 3);
+        let opt = p.total_utility(&centralized::solve(&p).allocation);
+        let mut split = whole.clone();
+        let r = whole.run_until_within(opt, 0.01, 5_000).expect("converges");
+        let rest = whole.run_to_rest(1e-2, 10, 100_000).expect("rests");
+
+        // The same solve cut in two, cloned mid-way and re-threaded twice.
+        assert_eq!(split.run_until_within(opt, 0.01, r / 2), None);
+        let mut split = split.clone();
+        split.set_threads(Threads::Fixed(3));
+        assert_eq!(split.run_until_within(opt, 0.01, 5_000), Some(r - r / 2));
+        split.set_threads(Threads::Fixed(2));
+        assert_eq!(split.run_to_rest(1e-2, 10, 100_000), Some(rest));
+        assert_eq!(split.iterations(), whole.iterations());
+        assert_eq!(split.node_states(), whole.node_states());
+        assert_eq!(
+            split.last_max_step().to_bits(),
+            whole.last_max_step().to_bits()
+        );
     }
 
     #[test]

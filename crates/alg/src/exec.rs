@@ -45,21 +45,39 @@ use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 
-/// The host's available parallelism (1 when it cannot be determined).
+/// The host's available parallelism (1 when it cannot be determined),
+/// probed once per process.
+///
+/// The probe is not free — on Linux the standard library reads
+/// `/proc/self/cgroup` and the cgroup's `cpu.max` and calls
+/// `sched_getaffinity`, 17.6–25.7 µs per call on the 2-vCPU sizing host,
+/// as much as a whole 1 000-node round — so the first caller pays it and
+/// everyone after reads the memo: [`Threads::resolve`],
+/// [`SpinBarrier::new`] (once per engine dispatch),
+/// `ParallelEngine::new(None)` and the reactor's `ShardCount::Auto`. A
+/// cgroup quota or affinity mask changed while the process runs is
+/// therefore not picked up.
 pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Cluster size below which [`Threads::Auto`] runs serial. Measured on the
-/// pooled engine: a round over `n` nodes costs ≈14–16 ns/node, while a
-/// pooled dispatch plus its three round barriers costs a few microseconds,
-/// so splitting fewer than ~8 k nodes buys less than the synchronization
-/// spends (see DESIGN.md, "Performance engineering", for the cutover
-/// measurements behind both constants).
+/// pooled engine: a round over `n` nodes costs ≈14–16 ns/node; the three
+/// round barriers of a batched round add about a microsecond while the
+/// second core is free (`alg_exec.dispatch_us`: 0.1–1.4 µs over six
+/// passes re-read after the host probe left the dispatch path — which,
+/// amortised over a 2 000-round batch, never reached that figure) and
+/// several when it is not, and two workers bought 0.96× at 10 000
+/// cache-resident nodes against 1.28× at 100 000 — so below ~8 k nodes a
+/// second worker does not pay (see DESIGN.md, "Adaptive execution policy"
+/// and "Before/after", for the measurements behind both constants).
 pub const AUTO_SERIAL_CUTOVER: usize = 8_192;
 
 /// Minimum nodes per worker before [`Threads::Auto`] adds another one, so
@@ -157,13 +175,7 @@ impl ParallelEngine {
     /// Resolves the worker count: `None` takes the machine's available
     /// parallelism, `Some(w)` forces `w` (clamped to at least 1).
     pub fn new(threads: Option<usize>) -> ParallelEngine {
-        let workers = threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-            .max(1);
+        let workers = threads.unwrap_or_else(host_parallelism).max(1);
         ParallelEngine { workers }
     }
 

@@ -4,10 +4,16 @@
 //! `RoundRecord` stream, bit for bit. On the serial engine, on the
 //! persistent worker pool, and on the asynchronous engine with and
 //! without fault injection.
+//!
+//! The two stop rules are just as invisible: `run_until_within` and
+//! `run_to_rest` are one dispatch each, pinned here to the loops a caller
+//! would write with public `step()` + `total_power()` / `total_utility()`
+//! / `last_max_step()` — same returned round, same bits, same next rounds.
 
+use dpc_alg::centralized;
 use dpc_alg::diba::{DibaConfig, DibaRun};
 use dpc_alg::diba_async::{AsyncConfig, AsyncDibaRun};
-use dpc_alg::exec::Threads;
+use dpc_alg::exec::{Backend, Precision, Threads};
 use dpc_alg::faults::{FaultPlan, LinkFaults, NodeFaultKind};
 use dpc_alg::problem::PowerBudgetProblem;
 use dpc_alg::telemetry::{RoundRecord, TelemetryConfig, MAX_TIMED_SHARDS};
@@ -64,8 +70,176 @@ fn mask(r: &RoundRecord) -> RoundRecord {
     m
 }
 
+/// The cap-test loop written with the public API only: the criterion
+/// before the first step and after every step, sums in plain index order.
+fn stepped_until_within(
+    run: &mut DibaRun,
+    reference: f64,
+    rel_tol: f64,
+    max_rounds: usize,
+) -> Option<usize> {
+    let start = run.iterations();
+    for round in 0..=max_rounds {
+        let feasible = run.total_power() <= run.problem().budget() + Watts(1e-6);
+        let gap = (reference - run.total_utility()).abs() / reference.abs().max(1e-12);
+        if feasible && gap < rel_tol {
+            return Some(run.iterations() - start);
+        }
+        if round < max_rounds {
+            run.step();
+        }
+    }
+    None
+}
+
+/// The at-rest loop written with the public API only.
+fn stepped_to_rest(
+    run: &mut DibaRun,
+    tol_watts: f64,
+    stable_rounds: usize,
+    max_rounds: usize,
+) -> Option<usize> {
+    let start = run.iterations();
+    let mut stable = 0usize;
+    for _ in 0..max_rounds {
+        run.step();
+        if run.last_max_step() < tol_watts {
+            stable += 1;
+            if stable >= stable_rounds {
+                return Some(run.iterations() - start);
+            }
+        } else {
+            stable = 0;
+        }
+    }
+    None
+}
+
+/// Every way a `DibaRun` executes a round: serial, pooled with and without
+/// oversubscription, scoped — each on both kernel tiers.
+fn engines() -> Vec<(Threads, Backend, Precision)> {
+    let mut all = Vec::new();
+    for precision in [Precision::Reference, Precision::Fast] {
+        for (threads, backend) in [
+            (1, Backend::Pooled),
+            (2, Backend::Pooled),
+            (7, Backend::Pooled),
+            (2, Backend::Scoped),
+        ] {
+            all.push((Threads::Fixed(threads), backend, precision));
+        }
+    }
+    all
+}
+
+/// Ring, chord ring or torus over `rows × cols` nodes.
+fn stop_rule_graph(kind: usize, rows: usize, cols: usize) -> Graph {
+    let n = rows * cols;
+    match kind {
+        0 => Graph::ring(n),
+        1 => Graph::ring_with_chords(n, (n / 8).max(2)),
+        _ => Graph::torus(rows, cols).expect("sides of at least 3"),
+    }
+}
+
+/// Asserts two runs are indistinguishable: state bits, control state (via
+/// the next five rounds) and the recorded round stream.
+fn assert_same_run(mut a: DibaRun, mut b: DibaRun, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.iterations(), b.iterations(), "{}: iterations", what);
+    prop_assert_eq!(
+        a.last_max_step().to_bits(),
+        b.last_max_step().to_bits(),
+        "{}: last_max_step",
+        what
+    );
+    prop_assert_eq!(a.node_states(), b.node_states(), "{}: (p, e)", what);
+    a.run(5);
+    b.run(5);
+    prop_assert_eq!(
+        a.node_states(),
+        b.node_states(),
+        "{}: five rounds later",
+        what
+    );
+    let ra: Vec<_> = a.telemetry().unwrap().rounds().map(mask).collect();
+    let rb: Vec<_> = b.telemetry().unwrap().rounds().map(mask).collect();
+    prop_assert_eq!(ra, rb, "{}: record streams", what);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `run_until_within` — one dispatch, cap test fused into phase A —
+    /// stops at the round, and in the state, of the stepped loop; whether
+    /// the criterion fires or the cap does.
+    #[test]
+    fn cap_test_stop_rule_is_invisible(
+        seed in 0u64..1_000,
+        rows in 3usize..7,
+        cols in 3usize..8,
+        kind in 0usize..3,
+        rel_tol in (0usize..3).prop_map(|i| [0.05, 0.01, 0.002][i]),
+        max_rounds in 0usize..400,
+    ) {
+        let n = rows * cols;
+        let cluster = ClusterBuilder::new(n).seed(seed).build();
+        let problem =
+            PowerBudgetProblem::new(cluster.utilities(), Watts(171.0 * n as f64)).unwrap();
+        let reference = problem.total_utility(&centralized::solve(&problem).allocation);
+        for (threads, backend, precision) in engines() {
+            let config = DibaConfig {
+                threads,
+                backend,
+                precision,
+                telemetry: TelemetryConfig::with_capacity(max_rounds + 8),
+                ..DibaConfig::default()
+            };
+            let graph = stop_rule_graph(kind, rows, cols);
+            let mut stepped = DibaRun::new(problem.clone(), graph, config).unwrap();
+            let mut fused = stepped.clone();
+            let want = stepped_until_within(&mut stepped, reference, rel_tol, max_rounds);
+            let got = fused.run_until_within(reference, rel_tol, max_rounds);
+            let what = format!("{threads} {backend:?} {precision}");
+            prop_assert_eq!(got, want, "{}: returned round", &what);
+            assert_same_run(fused, stepped, &what)?;
+        }
+    }
+
+    /// `run_to_rest` — one dispatch, streak counted at the round boundary
+    /// — likewise, including `stable_rounds` of 0 and 1.
+    #[test]
+    fn at_rest_stop_rule_is_invisible(
+        seed in 0u64..1_000,
+        rows in 3usize..7,
+        cols in 3usize..8,
+        kind in 0usize..3,
+        tol_watts in (0usize..3).prop_map(|i| [1.0, 0.1, 0.01][i]),
+        stable_rounds in 0usize..12,
+        max_rounds in 0usize..600,
+    ) {
+        let n = rows * cols;
+        let cluster = ClusterBuilder::new(n).seed(seed).build();
+        let problem =
+            PowerBudgetProblem::new(cluster.utilities(), Watts(171.0 * n as f64)).unwrap();
+        for (threads, backend, precision) in engines() {
+            let config = DibaConfig {
+                threads,
+                backend,
+                precision,
+                telemetry: TelemetryConfig::with_capacity(max_rounds + 8),
+                ..DibaConfig::default()
+            };
+            let graph = stop_rule_graph(kind, rows, cols);
+            let mut stepped = DibaRun::new(problem.clone(), graph, config).unwrap();
+            let mut fused = stepped.clone();
+            let want = stepped_to_rest(&mut stepped, tol_watts, stable_rounds, max_rounds);
+            let got = fused.run_to_rest(tol_watts, stable_rounds, max_rounds);
+            let what = format!("{threads} {backend:?} {precision}");
+            prop_assert_eq!(got, want, "{}: returned round", &what);
+            assert_same_run(fused, stepped, &what)?;
+        }
+    }
 
     /// Serial and pooled engines: `run(k)` leaves the identical
     /// final allocation and the identical recorded round stream as `k`
@@ -131,6 +305,45 @@ proptest! {
             stepped.telemetry().unwrap().to_jsonl(),
             batched.telemetry().unwrap().to_jsonl(),
             "rendered async traces diverged"
+        );
+    }
+}
+
+/// The long dispatch at scale: on the 100 000-node chord ring of
+/// `solve_scale_100k`, one fused `run_until_within` stops at the round and
+/// in the bits of the stepped loop — with two pooled workers, and with
+/// seven (oversubscribed on a small host, so every barrier parks).
+/// Release-only
+/// (`cargo test --release -p dpc-alg --test batch_identity -- --ignored`):
+/// ~2 000 rounds at about a millisecond each, three times.
+#[test]
+#[ignore = "release-only: three 100 000-node solves"]
+fn cap_test_stop_rule_is_invisible_at_100k() {
+    let n = 100_000;
+    let cluster = ClusterBuilder::new(n).seed(0).build();
+    let problem = PowerBudgetProblem::new(cluster.utilities(), Watts(172.0 * n as f64)).unwrap();
+    let reference = problem.total_utility(&centralized::solve(&problem).allocation);
+    let config = DibaConfig {
+        threads: Threads::Fixed(2),
+        ..DibaConfig::default()
+    };
+    let graph = Graph::ring_with_chords(n, n / 64);
+    let mut stepped = DibaRun::new(problem, graph, config).unwrap();
+    let cold = stepped.clone();
+    let want = stepped_until_within(&mut stepped, reference, 0.01, 20_000);
+    assert!(want.is_some(), "the stepped loop never capped");
+    for threads in [2, 7] {
+        let mut fused = cold.clone();
+        fused.set_threads(Threads::Fixed(threads));
+        assert_eq!(fused.run_until_within(reference, 0.01, 20_000), want);
+        assert_eq!(fused.iterations(), stepped.iterations());
+        assert_eq!(
+            fused.last_max_step().to_bits(),
+            stepped.last_max_step().to_bits()
+        );
+        assert!(
+            fused.node_states() == stepped.node_states(),
+            "(p, e) diverged with {threads} workers"
         );
     }
 }

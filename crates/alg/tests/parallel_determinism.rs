@@ -89,6 +89,44 @@ proptest! {
         }
     }
 
+    /// The stop rules decide inside the dispatch, from sums folded per
+    /// worker — and still the *returned round* (and the state it stops in)
+    /// does not depend on how many workers folded them.
+    #[test]
+    fn stop_rounds_are_worker_count_invariant(
+        n in 8usize..90,
+        seed in 0u64..1_000,
+        per_server in 165.0f64..180.0,
+        kind in 0usize..4,
+        max_rounds in 1usize..500,
+    ) {
+        let cluster = ClusterBuilder::new(n).seed(seed).build();
+        let problem =
+            PowerBudgetProblem::new(cluster.utilities(), Watts(per_server * n as f64)).unwrap();
+        let reference =
+            problem.total_utility(&dpc_alg::centralized::solve(&problem).allocation);
+        let solve = |threads: usize, backend: Backend| {
+            let config = DibaConfig {
+                threads: Threads::Fixed(threads),
+                backend,
+                ..DibaConfig::default()
+            };
+            let mut run = DibaRun::new(problem.clone(), graph_for(kind, n), config).unwrap();
+            let capped = run.run_until_within(reference, 0.01, max_rounds);
+            let rested = run.run_to_rest(0.05, 5, max_rounds);
+            (capped, rested, run.node_states())
+        };
+        let serial = solve(1, Backend::Pooled);
+        for backend in [Backend::Pooled, Backend::Scoped] {
+            for threads in [2usize, 7] {
+                prop_assert_eq!(
+                    &solve(threads, backend), &serial,
+                    "{} {:?} workers", threads, backend
+                );
+            }
+        }
+    }
+
     /// Changing the worker count mid-run (as the simulator may) also
     /// leaves the trajectory untouched — the pool is rebuilt, the FP
     /// order is not.

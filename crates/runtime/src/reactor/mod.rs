@@ -97,10 +97,7 @@ pub fn resolve_shard_count(requested: ShardCount, graph: &Graph) -> usize {
     match requested {
         ShardCount::Fixed(k) => k.clamp(1, n.max(1)),
         ShardCount::Auto => {
-            let cores = thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .clamp(1, AUTO_MAX_SHARDS);
+            let cores = dpc_alg::exec::host_parallelism().clamp(1, AUTO_MAX_SHARDS);
             let total_work: usize = (0..n).map(|v| graph.neighbors(v).len() + 4).sum();
             total_work
                 .div_ceil(AUTO_WORK_PER_SHARD)

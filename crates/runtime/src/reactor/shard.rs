@@ -139,6 +139,11 @@ struct Loop {
     hs_pending: usize,
     round_check_armed: bool,
     min_round_timeout: Duration,
+    /// The clock as of the current [`pump`] sweep. Stamps `stall_since`:
+    /// in steady state every agent stalls once per round, and the stamp
+    /// only feeds the seconds-scale round-deadline detector, so one clock
+    /// read per sweep replaces one per agent-round.
+    now: Instant,
 }
 
 /// Runs the shard to completion: every hosted agent reports, a protocol
@@ -173,6 +178,7 @@ pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeEr
             .map(|a| a.round_timeout)
             .min()
             .unwrap_or(Duration::from_secs(2)),
+        now: origin,
     };
 
     let result = drive(&mut shard, &mut lp, n_agents);
@@ -306,6 +312,9 @@ fn pump(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
         if lp.dirty.is_empty() && !moved {
             break;
         }
+        // Per sweep, not per `pump` call: a one-shard run spends every
+        // round inside a single call.
+        lp.now = Instant::now();
         while let Some(a) = lp.dirty.pop() {
             lp.dirty_flag[a as usize] = false;
             step_agent(shard, lp, a)?;
@@ -763,7 +772,7 @@ fn step_agent(shard: &mut Shard, lp: &mut Loop, a: u32) -> Result<(), RuntimeErr
             Phase::AwaitFrames => {
                 if !round_ready(shard, a) {
                     if shard.agents[a as usize].stall_since.is_none() {
-                        shard.agents[a as usize].stall_since = Some(Instant::now());
+                        shard.agents[a as usize].stall_since = Some(lp.now);
                     }
                     return Ok(());
                 }
