@@ -230,12 +230,6 @@ fn reactor_matches_lockstep_bitwise() {
     );
     assert_eq!(lockstep.rounds, reactor.rounds);
     assert_eq!(lockstep.msgs_sent, reactor.msgs_sent);
-
-    let threads = reactor.peak_threads.expect("reactor reports peak threads");
-    assert!(
-        threads < n as u32,
-        "reactor used {threads} threads for {n} agents — thread-per-node leak"
-    );
 }
 
 #[test]
@@ -300,6 +294,15 @@ fn coalesced_reactor_matches_lockstep_at_n256() {
     assert_eq!(lockstep.rounds, reactor.rounds);
     assert_eq!(lockstep.msgs_sent, reactor.msgs_sent);
     assert_eq!(lockstep.heartbeats, reactor.heartbeats);
+
+    // The count is the whole process's, and the tests beside this one
+    // bring a few dozen threads of their own — so the leak check lives at
+    // a size where that cannot be mistaken for a thread per agent.
+    let threads = reactor.peak_threads.expect("reactor reports peak threads");
+    assert!(
+        threads < n as u32 / 4,
+        "reactor used {threads} threads for {n} agents — thread-per-node leak"
+    );
 }
 
 /// The bench framing gate's comparison arm: with `coalesce` off every
@@ -377,41 +380,146 @@ fn auto_shard_count_picks_the_same_allocation_as_fixed() {
     assert_eq!(auto.msgs_sent, fixed.msgs_sent);
 }
 
-/// The deterministic counters of the seed-0 chord-ring deployments, as
-/// literals: every driver runs the identical round-aligned program, so
-/// rounds, messages and heartbeats are properties of the deployment, not
-/// of the transport — and a change that moves them changes the protocol.
-/// At N = 8 the deployment is also run as eight node shards over real
-/// sockets, whose per-node reports must equal the lockstep ones bit for
-/// bit (64 threads of socket rounds would add seconds at N = 64 for no
-/// new coverage).
+/// Every field of a node report, floats as bit patterns, so `-0.0` and
+/// a one-ulp drift both count as a difference.
+fn report_bits(r: &NodeReport) -> Vec<u64> {
+    let mut bits = vec![
+        r.node as u64,
+        r.p.to_bits(),
+        r.e.to_bits(),
+        r.rounds as u64,
+        u64::from(r.converged),
+        r.msgs_sent,
+        r.msgs_received,
+        r.heartbeats_sent,
+        r.pruned.len() as u64,
+    ];
+    bits.extend(r.pruned.iter().map(|&peer| peer as u64));
+    bits.push(r.trace.len() as u64);
+    for s in &r.trace {
+        bits.extend([s.round as u64, s.p.to_bits(), s.e.to_bits(), s.msgs_sent]);
+    }
+    bits
+}
+
+/// FNV-1a over every report's [`report_bits`], little-endian: one literal
+/// that moves when any bit of any report does.
+fn fingerprint(out: &ClusterOutcome) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in out
+        .reports
+        .iter()
+        .flat_map(report_bits)
+        .flat_map(u64::to_le_bytes)
+    {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// One pinned deployment: the seed-0 problem on `graph`, run on every
+/// listed driver. Each must converge, hit the literal cluster counters
+/// and the literal report fingerprint, and agree with the first driver in
+/// every field of every node report.
+fn assert_pinned(
+    graph: &Graph,
+    sample_every: usize,
+    drivers: &[(&str, Option<RuntimeConfig>)],
+    counters: (usize, u64, u64),
+    pinned_fingerprint: u64,
+) {
+    let n = graph.len();
+    let problem = seeded_problem(n, 0, 170.0 * n as f64);
+    let mut reference: Option<Vec<Vec<u64>>> = None;
+    for (driver, rt) in drivers {
+        let out = match rt {
+            Some(rt) => {
+                let rt = RuntimeConfig {
+                    sample_every,
+                    ..*rt
+                };
+                run_cluster(problem.clone(), graph.clone(), DibaConfig::default(), &rt).unwrap()
+            }
+            None => host_node_per_agent(&problem, graph, |specs| {
+                for spec in specs {
+                    spec.sample_every = sample_every;
+                }
+            }),
+        };
+        assert!(out.converged, "n={n} {driver}");
+        assert_eq!(
+            (out.rounds, out.msgs_sent, out.heartbeats),
+            counters,
+            "n={n} {driver}"
+        );
+        let per_node: Vec<Vec<u64>> = out.reports.iter().map(report_bits).collect();
+        assert_eq!(
+            &per_node,
+            reference.get_or_insert(per_node.clone()),
+            "n={n} {driver}"
+        );
+        assert_eq!(
+            fingerprint(&out),
+            pinned_fingerprint,
+            "n={n} {driver}: fingerprint {:#018x}",
+            fingerprint(&out)
+        );
+    }
+}
+
+/// The seed-0 chord-ring deployments, as literals: every driver runs the
+/// identical round-aligned program, so every field of every node report
+/// — state, counters, pruned list, trace — is a property of the
+/// deployment, not of the transport, and a change that moves one changes
+/// the protocol. At N = 8 the deployment is also run as eight node shards
+/// over real sockets (64 threads of socket rounds would add seconds at
+/// N = 64 for no new coverage), once more with `sample_every = 50` so the
+/// trace samples are pinned too.
 #[test]
 fn seed0_chord_ring_counters_are_pinned_on_every_transport() {
-    for (n, pinned) in [(8, (2_423, 43_426, 1)), (64, (13_616, 323_734, 363))] {
-        let problem = seeded_problem(n, 0, 170.0 * n as f64);
-        let graph = Graph::ring_with_chords(n, (n / 16).max(2));
-        let mut outcomes = Vec::new();
-        for transport in TransportKind::ALL {
-            let rt = runtime_config(transport);
-            let out =
-                run_cluster(problem.clone(), graph.clone(), DibaConfig::default(), &rt).unwrap();
-            outcomes.push((format!("{transport:?}"), out));
-        }
-        if n == 8 {
-            let out = host_node_per_agent(&problem, &graph, |_| {});
-            outcomes.push(("node shards".to_string(), out));
-        }
-        let per_node = |out: &ClusterOutcome| -> Vec<(u64, u64, usize, u64)> {
-            let bits = |r: &NodeReport| (r.p.to_bits(), r.e.to_bits(), r.rounds, r.msgs_sent);
-            out.reports.iter().map(bits).collect()
-        };
-        for (driver, out) in &outcomes {
-            assert!(out.converged, "n={n} {driver}");
-            let counters = (out.rounds, out.msgs_sent, out.heartbeats);
-            assert_eq!(counters, pinned, "n={n} {driver}");
-            assert_eq!(per_node(out), per_node(&outcomes[0].1), "n={n} {driver}");
-        }
-    }
+    let lockstep = ("lockstep", Some(runtime_config(TransportKind::Lockstep)));
+    let reactor = ("reactor", Some(runtime_config(TransportKind::Reactor)));
+    let node_shards = ("node shards", None);
+    let ring = |n: usize| Graph::ring_with_chords(n, (n / 16).max(2));
+    assert_pinned(
+        &ring(8),
+        0,
+        &[lockstep, reactor, node_shards],
+        (2_423, 43_426, 1),
+        0x6201_f2d8_f436_e45b,
+    );
+    assert_pinned(
+        &ring(8),
+        50,
+        &[lockstep, reactor, node_shards],
+        (2_423, 43_426, 1),
+        0xa929_7b61_7800_f3b4,
+    );
+    assert_pinned(
+        &ring(64),
+        0,
+        &[lockstep, reactor],
+        (13_616, 323_734, 363),
+        0x65cc_2537_6f02_b34c,
+    );
+}
+
+/// The same pin on the reactor's flagship shape, a 16×16 torus: the serial
+/// reference, one shard (every edge on the self-loop carrier) and four
+/// shards (self loops, mem pipes and sockets) produce one set of reports.
+#[test]
+fn seed0_torus_reports_are_pinned_on_every_shard_count() {
+    assert_pinned(
+        &Graph::torus(16, 16).unwrap(),
+        0,
+        &[
+            ("lockstep", Some(runtime_config(TransportKind::Lockstep))),
+            ("reactor, 1 shard", Some(reactor_config(1))),
+            ("reactor, 4 shards", Some(reactor_config(4))),
+        ],
+        (7_395, 3_755_006, 41),
+        0x756d_10c3_4b12_b9c7,
+    );
 }
 
 /// A fault in the real runtime: on a 6-ring over real sockets node 2
