@@ -10,8 +10,6 @@
 //! * [`baselines`] — uniform split and the prior-work throughput/W greedy;
 //! * [`knapsack`] — the Chapter 3 multiple-choice knapsack DP (Algorithm 2);
 //! * [`predictor`] — the Chapter 3 runtime throughput predictors (Table 3.2);
-//! * [`message`] — the round-level protocol payload shared by every
-//!   execution substrate (threads, simulator, wire runtime);
 //! * [`problem`] — the shared problem/allocation types;
 //! * [`telemetry`] — round-level recording (residuals, messages, fault
 //!   events, shard timings) with JSONL/CSV/Prometheus sinks;
@@ -49,7 +47,6 @@ pub mod fast;
 pub mod faults;
 pub mod hierarchy;
 pub mod knapsack;
-pub mod message;
 pub mod predictor;
 pub mod primal_dual;
 pub mod problem;

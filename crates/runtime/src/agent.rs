@@ -7,49 +7,53 @@
 //!   sockets, the cheap big-N reference;
 //! * the reactor shards ([`crate::reactor`]) — thousands of agents per
 //!   poller thread in one process, or one agent per process over TCP
-//!   ([`crate::reactor::host_node`]), stepped when a round's frames are
+//!   ([`crate::reactor::host_node`]), stepped when a round's entries are
 //!   buffered.
 //!
-//! The core exposes the round as phases — `begin_round` (compute + stage
-//! outbound frames), send notes, receive handlers in slot order,
-//! `end_round` (boost decay, trace, quorum) — and every phase touches
-//! `(p, e)` exactly the way one sequential per-node loop would. Because
-//! each driver calls the phases in the same sequence over the same frames,
-//! their `(p, e)` trajectories agree bitwise; the transport-equivalence
-//! tests pin this across both.
+//! The core is the only place that knows what a round message is and what
+//! to do with one. Its message type is the wire's [`BatchEntry`]: it
+//! stages outbound entries carrying its *own* slot, and a driver's whole
+//! job is delivery — re-address `slot` to the receiver's link index, hand
+//! the entry to a queue or a carrier, and report the outcome
+//! ([`AgentCore::note_sent`] / [`AgentCore::note_send_closed`]). Inbound,
+//! the driver hands each live slot's entry (or its absence) to
+//! [`AgentCore::receive`], and after a quorum [`AgentCore::end_round`] to
+//! the lame-duck drain, whose open slots and staged mass are core state.
+//!
+//! The round is a sequence of phases — `begin_round` (compute + stage),
+//! send notes, `receive` in slot order, `end_round` (boost decay, trace,
+//! quorum) — and every phase touches `(p, e)` exactly the way one
+//! sequential per-node loop would. Because each driver calls the phases
+//! in the same sequence over the same entries, their `(p, e)`
+//! trajectories agree bitwise; the transport-equivalence tests pin this
+//! across both.
 
 use crate::node::{NodeReport, NodeSample, NodeSpec};
-use crate::wire::WireMsg;
+use crate::wire::{BatchEntry, EntryKind};
 use dpc_alg::diba::{node_action_into, NodeParams, NodeScratch};
-use dpc_alg::message::RoundMsg;
+
+/// A link-level FIN is transport state the driver reports (`link_gone`,
+/// `close_drain`); it never reaches the core as a message.
+const EOF_IS_NOT_AN_ENTRY: &str = "drivers turn an EOF entry into link state, never deliver it";
 
 /// Per-slot link bookkeeping.
+#[derive(Clone)]
 struct LinkBook {
     alive: bool,
-    /// Peer said goodbye (graceful) as opposed to being pruned/broken.
-    graceful: bool,
     peer_settled: bool,
     silent: usize,
     /// Last residual heard from the peer.
     heard_e: f64,
-    /// Last residual we successfully sent in a `Data` frame (NaN until the
-    /// first send, so the first round always sends `Data`).
+    /// Last residual we successfully sent in a data entry (NaN until the
+    /// first send, so the first round always sends data).
     sent_e: f64,
-}
-
-/// One staged outbound frame of the current round.
-pub struct Outbound {
-    /// Slot the frame goes to.
-    pub slot: usize,
-    /// The frame itself (`Data` or `Heartbeat`).
-    pub msg: WireMsg,
-    /// Slack mass the frame carries (reclaimed if the link is gone).
-    transfer: f64,
-    /// `true` when the frame is a suppressed-duplicate heartbeat.
-    redundant: bool,
+    /// The lame-duck drain still listens on this slot.
+    drain_open: bool,
 }
 
 /// The complete protocol state of one agent, advanced phase by phase.
+/// `Clone` so a test can fold a snapshot into a report mid-run.
+#[derive(Clone)]
 pub struct AgentCore {
     spec: NodeSpec,
     peers: Vec<usize>,
@@ -69,13 +73,15 @@ pub struct AgentCore {
     trace: Vec<NodeSample>,
     live_slots: Vec<usize>,
     neigh_e: Vec<f64>,
-    outbound: Vec<Outbound>,
+    /// This round's staged entries, `slot` holding the sender's own slot:
+    /// one per live slot after `begin_round` (entry `k` carries
+    /// `scratch.transfers[k]`), the goodbyes after a quorum `end_round`.
+    outbound: Vec<BatchEntry>,
     scratch: NodeScratch,
-    /// Drain-phase frames staged per slot (`Some(transfer)` for mass
-    /// carriers, `None` for heartbeats), absorbed in slot order at the
-    /// end so the accounting matches a sequential per-slot drain bitwise
-    /// regardless of arrival interleaving.
-    drained: Vec<Vec<Option<f64>>>,
+    /// Mass absorbed during the drain as `(slot, transfer)`, applied in
+    /// slot order at the end so the accounting matches a sequential
+    /// per-slot drain bitwise regardless of arrival interleaving.
+    drained: Vec<(usize, f64)>,
 }
 
 impl AgentCore {
@@ -87,11 +93,11 @@ impl AgentCore {
         let links = (0..degree)
             .map(|_| LinkBook {
                 alive: true,
-                graceful: false,
                 peer_settled: false,
                 silent: 0,
                 heard_e: spec.e,
                 sent_e: f64::NAN,
+                drain_open: false,
             })
             .collect();
         AgentCore {
@@ -112,26 +118,16 @@ impl AgentCore {
             neigh_e: Vec::with_capacity(degree),
             outbound: Vec::with_capacity(degree),
             scratch: NodeScratch::with_capacity(degree),
-            drained: (0..degree).map(|_| Vec::new()).collect(),
+            drained: Vec::new(),
             peers: peers.to_vec(),
             links,
             spec,
         }
     }
 
-    /// This agent's node id.
-    pub fn id(&self) -> usize {
-        self.spec.id
-    }
-
     /// Number of neighbor slots.
     pub fn degree(&self) -> usize {
         self.links.len()
-    }
-
-    /// Neighbor node id behind `slot`.
-    pub fn peer(&self, slot: usize) -> usize {
-        self.peers[slot]
     }
 
     /// Rounds executed so far.
@@ -158,10 +154,9 @@ impl AgentCore {
 
     /// Compute pass: assemble the neighbor view, take the node action,
     /// apply `(p, e)`, update the settled streak, and stage one outbound
-    /// frame per live slot. Advances the round counter.
+    /// entry per live slot. Advances the round counter.
     pub fn begin_round(&mut self) {
         self.rounds += 1;
-        let round = self.rounds as u32;
 
         self.live_slots.clear();
         self.neigh_e.clear();
@@ -199,109 +194,124 @@ impl AgentCore {
         self.outbound.clear();
         for (k, &slot) in self.live_slots.iter().enumerate() {
             let transfer = self.scratch.transfers[k];
+            // A settled sender whose peer already holds this exact
+            // residual, with nothing to transfer, says so in a heartbeat:
+            // same meaning, and its floats travel as `+0.0`.
             let redundant = self.settled && transfer == 0.0 && self.e == self.links[slot].sent_e;
-            let msg = if redundant {
-                WireMsg::Heartbeat {
-                    round,
+            self.outbound.push(if redundant {
+                BatchEntry {
+                    slot: slot as u32,
+                    e: 0.0,
+                    transfer: 0.0,
                     settled: true,
+                    kind: EntryKind::Heartbeat,
                 }
             } else {
-                WireMsg::Data {
-                    round,
-                    msg: RoundMsg {
-                        e: self.e,
-                        transfer,
-                    },
+                BatchEntry {
+                    slot: slot as u32,
+                    e: self.e,
+                    transfer,
                     settled: self.settled,
+                    kind: EntryKind::Data,
                 }
-            };
-            self.outbound.push(Outbound {
-                slot,
-                msg,
-                transfer,
-                redundant,
             });
         }
     }
 
-    /// Number of frames staged by `begin_round`.
-    pub fn outbound_len(&self) -> usize {
-        self.outbound.len()
+    /// The staged entries awaiting delivery, each addressed by the
+    /// sender's own slot: the round's entries after `begin_round`, the
+    /// goodbyes after an `end_round` that returned `true`. The driver
+    /// re-addresses `slot` for the receiver and answers each with
+    /// [`note_sent`](AgentCore::note_sent) or
+    /// [`note_send_closed`](AgentCore::note_send_closed).
+    pub fn outbound(&self) -> &[BatchEntry] {
+        &self.outbound
     }
 
-    /// The `k`-th staged frame.
-    pub fn outbound(&self, k: usize) -> &Outbound {
-        &self.outbound[k]
-    }
-
-    /// The `k`-th staged frame was handed to the link.
+    /// The `k`-th staged entry was handed to the link.
     pub fn note_sent(&mut self, k: usize) {
         self.msgs_sent += 1;
-        let slot = self.outbound[k].slot;
-        if self.outbound[k].redundant {
-            self.heartbeats_sent += 1;
-        } else {
-            self.links[slot].sent_e = self.e;
+        let entry = self.outbound[k];
+        match entry.kind {
+            EntryKind::Data => self.links[entry.slot as usize].sent_e = entry.e,
+            EntryKind::Heartbeat => self.heartbeats_sent += 1,
+            EntryKind::Goodbye | EntryKind::Eof => {}
         }
     }
 
-    /// The `k`-th staged frame could not be delivered (link gone): reclaim
-    /// the transfer so no slack mass is destroyed, and mark the slot dead.
+    /// The `k`-th staged entry could not be delivered (link gone). A round
+    /// entry's transfer is reclaimed so no slack mass is destroyed, and
+    /// the slot is pruned. A goodbye carries no mass and its slot is
+    /// already in the drain, which closes it on the link's end-of-stream,
+    /// so there is nothing to undo.
     pub fn note_send_closed(&mut self, k: usize) {
-        let slot = self.outbound[k].slot;
-        self.e += self.outbound[k].transfer;
-        self.links[slot].alive = false;
-        if !self.links[slot].graceful {
-            self.pruned.push(self.peers[slot]);
+        if self.outbound[k].kind == EntryKind::Goodbye {
+            return;
         }
+        self.e += self.scratch.transfers[k];
+        self.prune(self.outbound[k].slot as usize);
     }
 
-    /// Receive handler: a `Data` frame on `slot`.
-    pub fn on_data(&mut self, slot: usize, msg: RoundMsg, peer_settled: bool) {
-        self.links[slot].heard_e = msg.e;
-        self.e += msg.transfer;
-        self.links[slot].peer_settled = peer_settled;
-        self.links[slot].silent = 0;
-        self.msgs_received += 1;
-    }
-
-    /// Receive handler: a `Heartbeat` frame on `slot`.
-    pub fn on_heartbeat(&mut self, slot: usize, peer_settled: bool) {
-        self.links[slot].peer_settled = peer_settled;
-        self.links[slot].silent = 0;
-        self.msgs_received += 1;
-    }
-
-    /// Receive handler: a `Goodbye` frame on `slot`.
-    pub fn on_goodbye(&mut self, slot: usize, msg: RoundMsg) {
-        self.e += msg.transfer;
+    fn prune(&mut self, slot: usize) {
         self.links[slot].alive = false;
-        self.links[slot].graceful = true;
-        self.links[slot].peer_settled = true;
-        self.msgs_received += 1;
+        self.pruned.push(self.peers[slot]);
     }
 
-    /// Receive handler: nothing arrived on `slot` within the round
-    /// deadline. Counts toward `detect_after` pruning.
-    pub fn on_timeout(&mut self, slot: usize) {
-        self.links[slot].silent += 1;
-        if self.links[slot].silent >= self.spec.detect_after {
-            self.links[slot].alive = false;
-            self.pruned.push(self.peers[slot]);
-        }
-    }
-
-    /// Receive handler: the link behind `slot` is gone.
-    pub fn on_closed(&mut self, slot: usize) {
-        self.links[slot].alive = false;
-        if !self.links[slot].graceful {
-            self.pruned.push(self.peers[slot]);
+    /// Receive pass, called once per still-alive slot of
+    /// [`round_slots`](AgentCore::round_slots), in that order: `entry` is
+    /// what the peer sent this round, or `None` when nothing arrived —
+    /// because the link is gone (`link_gone`), or because the round
+    /// deadline passed on a link that is still up.
+    pub fn receive(&mut self, slot: usize, entry: Option<BatchEntry>, link_gone: bool) {
+        let link = &mut self.links[slot];
+        match entry {
+            Some(entry) => {
+                self.msgs_received += 1;
+                match entry.kind {
+                    EntryKind::Data => {
+                        link.heard_e = entry.e;
+                        self.e += entry.transfer;
+                        link.peer_settled = entry.settled;
+                        link.silent = 0;
+                    }
+                    EntryKind::Heartbeat => {
+                        link.peer_settled = entry.settled;
+                        link.silent = 0;
+                    }
+                    // A graceful departure: accounted, not pruned.
+                    EntryKind::Goodbye => {
+                        self.e += entry.transfer;
+                        link.alive = false;
+                        link.peer_settled = true;
+                    }
+                    EntryKind::Eof => unreachable!("{EOF_IS_NOT_AN_ENTRY}"),
+                }
+            }
+            // The peer left without a goodbye, so it never absorbed the
+            // entry this round already handed to the link: take that
+            // transfer back, as `note_send_closed` would have had the
+            // closure been known at send time.
+            None if link_gone => {
+                let k = self.live_slots.iter().position(|&s| s == slot);
+                self.e += self.scratch.transfers[k.expect("slot is in this round")];
+                self.prune(slot);
+            }
+            // Silence counts toward `detect_after` pruning.
+            None => {
+                link.silent += 1;
+                if link.silent >= self.spec.detect_after {
+                    self.prune(slot);
+                }
+            }
         }
     }
 
     /// End-of-round pass: boost decay, trace sampling, quorum check.
     /// Returns `true` when the agent reached convergence quorum (settled
-    /// and every neighbor settled or gone) and should say goodbye.
+    /// and every neighbor settled or gone): it then stops running rounds,
+    /// a goodbye for every live slot is staged in
+    /// [`outbound`](AgentCore::outbound), and those slots are open for the
+    /// drain.
     pub fn end_round(&mut self) -> bool {
         self.boost = (self.boost * self.decay).max(1.0);
 
@@ -314,53 +324,68 @@ impl AgentCore {
             });
         }
 
-        self.settled && self.links.iter().all(|l| !l.alive || l.peer_settled)
-    }
-
-    /// The goodbye frame announcing this agent's clean departure.
-    pub fn goodbye(&self) -> WireMsg {
-        WireMsg::Goodbye {
-            msg: RoundMsg {
-                e: self.e,
-                transfer: 0.0,
-            },
-        }
-    }
-
-    /// A goodbye frame was handed to a live link.
-    pub fn note_goodbye_sent(&mut self) {
-        self.msgs_sent += 1;
-    }
-
-    /// Marks the agent as having exited through convergence quorum.
-    pub fn mark_converged(&mut self) {
-        self.converged = true;
-    }
-
-    /// Stages a mass-carrying lame-duck frame (`Data`/`Goodbye`) absorbed
-    /// on `slot` during the drain.
-    pub fn stage_drain_mass(&mut self, slot: usize, transfer: f64) {
-        self.drained[slot].push(Some(transfer));
-    }
-
-    /// Stages a drained `Heartbeat` — counted, but carrying no mass (and
-    /// never touching `e`, so even a `-0.0` residual survives bit-exact).
-    pub fn stage_drain_heartbeat(&mut self, slot: usize) {
-        self.drained[slot].push(None);
-    }
-
-    /// Applies the staged drain frames in slot order, so the final
-    /// residual is independent of arrival interleaving.
-    pub fn finish_drain(&mut self) {
-        for slot in 0..self.drained.len() {
-            for k in 0..self.drained[slot].len() {
-                if let Some(transfer) = self.drained[slot][k] {
-                    self.e += transfer;
+        let quorum = self.settled && self.links.iter().all(|l| !l.alive || l.peer_settled);
+        if quorum {
+            self.outbound.clear();
+            for (slot, link) in self.links.iter_mut().enumerate() {
+                link.drain_open = link.alive;
+                if link.alive {
+                    self.outbound.push(BatchEntry {
+                        slot: slot as u32,
+                        e: self.e,
+                        transfer: 0.0,
+                        settled: false,
+                        kind: EntryKind::Goodbye,
+                    });
                 }
-                self.msgs_received += 1;
             }
-            self.drained[slot].clear();
         }
+        quorum
+    }
+
+    /// Drain pass: an in-flight entry arrived on `slot` after the
+    /// goodbyes went out. Returns `false`, ignoring the entry, when the
+    /// slot is not open. Mass is staged rather than applied (see
+    /// `drained`); a heartbeat is counted and never touches `e` (adding
+    /// its `+0.0` would flip a `-0.0` residual). A goodbye is the last
+    /// thing a peer sends and closes the slot.
+    pub fn drain(&mut self, slot: usize, entry: BatchEntry) -> bool {
+        if !self.links[slot].drain_open {
+            return false;
+        }
+        self.msgs_received += 1;
+        match entry.kind {
+            EntryKind::Data => self.drained.push((slot, entry.transfer)),
+            EntryKind::Heartbeat => {}
+            EntryKind::Goodbye => {
+                self.drained.push((slot, entry.transfer));
+                self.links[slot].drain_open = false;
+            }
+            EntryKind::Eof => unreachable!("{EOF_IS_NOT_AN_ENTRY}"),
+        }
+        true
+    }
+
+    /// The drain stops listening on `slot`: its link ended, or the driver
+    /// knows the peer can never send on it again.
+    pub fn close_drain(&mut self, slot: usize) {
+        self.links[slot].drain_open = false;
+    }
+
+    /// `true` once every drain slot is closed — and then the staged mass
+    /// has been applied in slot order (arrival order within a slot) and
+    /// the agent is marked as having exited through convergence quorum:
+    /// fold the report.
+    pub fn drain_done(&mut self) -> bool {
+        if self.links.iter().any(|l| l.drain_open) {
+            return false;
+        }
+        self.drained.sort_by_key(|&(slot, _)| slot);
+        for (_, transfer) in self.drained.drain(..) {
+            self.e += transfer;
+        }
+        self.converged = true;
+        true
     }
 
     /// Folds the agent's final state into its report.

@@ -305,7 +305,7 @@ pub fn run_cluster(
     let mut peak_rss_kb = None;
     let mut shards_used = None;
     let reports = match rt.transport {
-        TransportKind::Lockstep => lockstep::run_lockstep(specs, &graph)?,
+        TransportKind::Lockstep => lockstep::run_lockstep(specs, &graph),
         TransportKind::Reactor => {
             let run = reactor::run_reactor_cluster(specs, &graph, rt)?;
             peak_threads = Some(run.peak_threads);

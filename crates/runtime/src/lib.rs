@@ -3,11 +3,14 @@
 //! The paper's claim is that DiBA is *fully decentralized*: every server
 //! runs an autonomous agent that converges using only neighbor messages.
 //! This crate is that claim made operational. Each node is one protocol
-//! state machine ([`agent::AgentCore`]) speaking a versioned,
-//! length-prefixed binary protocol ([`wire`]), driven exactly two ways:
-//! the serial [`lockstep`] executor is the reference every bitwise pin
-//! compares against, and the sharded epoll [`reactor`] is everything that
-//! deploys — a whole cluster in one process ([`run_cluster`], the
+//! state machine ([`agent::AgentCore`]) whose message type is the entry
+//! of a versioned, length-prefixed binary protocol ([`wire`]). The core
+//! owns what a message means — dispatch, quorum, the shutdown drain — and
+//! is driven exactly two ways, by drivers that own only delivery: the
+//! serial [`lockstep`] executor, which moves entries through in-memory
+//! queues, is the reference every bitwise pin compares against, and the
+//! sharded epoll [`reactor`], which moves them as bytes, is everything
+//! that deploys — a whole cluster in one process ([`run_cluster`], the
 //! default), or one agent per OS process over real TCP sockets
 //! ([`reactor::host_node`], behind `dpc node`), which is the same shard
 //! loop with a node range of one. The per-round math is
@@ -21,7 +24,7 @@
 //! ([`dpc_topology::Graph::topology_hash`]); silent
 //! peers pruned after `detect_after` consecutive quiet rounds (the
 //! simulator's fault-detection semantics); clean shutdown by convergence
-//! quorum with `Goodbye` frames and a conservation-preserving drain.
+//! quorum with goodbye entries and a conservation-preserving drain.
 //!
 //! ```
 //! use dpc_alg::{diba::DibaConfig, problem::PowerBudgetProblem};

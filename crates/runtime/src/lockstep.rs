@@ -1,14 +1,15 @@
 //! Serial lockstep executor: the whole cluster in one thread, no sockets.
 //!
-//! Every substrate in this crate delivers frames round-aligned: node `i`'s
-//! round `r` consumes exactly node `j`'s round-`r` frame on each live link
-//! (FIFO per link, one frame per neighbor per round). That makes the
+//! Every substrate in this crate delivers entries round-aligned: node
+//! `i`'s round `r` consumes exactly node `j`'s round-`r` entry on each live
+//! link (FIFO per link, one entry per neighbor per round). That makes the
 //! trajectory *schedule-independent* — so a global serial schedule that
 //! runs a send phase for every agent, then a receive phase for every
-//! agent, reproduces the threaded runs bitwise. This module is that
-//! schedule: [`AgentCore`]s stepped in node-id order over per-edge byte
-//! queues, messages passing through the [`crate::wire`] scalar payload
-//! encoder/decoder.
+//! agent, reproduces the reactor's runs bitwise. This module is that
+//! schedule: [`AgentCore`]s stepped in node-id order, the entries they
+//! stage moved as values through per-edge in-memory queues. Nothing is
+//! encoded — the byte format is the reactor's business, and
+//! `tests/wire_props.rs` pins that it round-trips every entry bit for bit.
 //!
 //! Why it earns its keep:
 //!
@@ -20,16 +21,14 @@
 //!   pinned against bitwise.
 //!
 //! Shutdown mirrors the reactor's: an agent that reaches convergence
-//! quorum says `Goodbye` on every live link and lingers in a drain state,
-//! staging in-flight frames per slot and absorbing them in slot order,
-//! closing each slot on the peer's `Goodbye` or once the peer can provably
-//! never send again — the lockstep stand-in for the reactor drain's
-//! quiet-period timer.
+//! quorum says goodbye on every live link and lingers in the core's drain
+//! state, which closes a slot on the peer's goodbye; this executor closes
+//! it once the peer can provably never send again — the lockstep stand-in
+//! for the reactor drain's quiet-period timer.
 
 use crate::agent::AgentCore;
-use crate::error::RuntimeError;
 use crate::node::{NodeReport, NodeSpec};
-use crate::wire::{decode_payload, encode_payload, WireMsg};
+use crate::wire::BatchEntry;
 use dpc_topology::Graph;
 use std::collections::VecDeque;
 
@@ -37,18 +36,39 @@ use std::collections::VecDeque;
 enum Status {
     /// Running rounds.
     Active,
-    /// Said goodbye, absorbing in-flight frames.
+    /// Said goodbye, absorbing in-flight entries.
     Draining,
     /// Report folded.
     Done,
 }
 
-/// Encodes `msg` as payload bytes only (queues preserve message
-/// boundaries, so no length prefix is needed).
-fn encode(msg: &WireMsg) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(32);
-    encode_payload(msg, &mut bytes);
-    bytes
+/// One queue per (node, slot): the entries that node's neighbor behind
+/// that slot has sent and the node has not consumed yet.
+type Inboxes = Vec<Vec<VecDeque<BatchEntry>>>;
+
+/// Delivers everything `core` has staged: each entry is re-addressed to
+/// the receiver's slot (`peers[k]` = (neighbor id, its slot for this
+/// node) behind this node's slot `k`) and queued, unless the neighbor has
+/// exited, which is the lockstep form of a closed link.
+fn send_staged(
+    core: &mut AgentCore,
+    peers: &[(usize, usize)],
+    status: &[Status],
+    inbox: &mut Inboxes,
+) {
+    for k in 0..core.outbound().len() {
+        let entry = core.outbound()[k];
+        let (peer, peer_slot) = peers[entry.slot as usize];
+        if status[peer] == Status::Done {
+            core.note_send_closed(k);
+        } else {
+            inbox[peer][peer_slot].push_back(BatchEntry {
+                slot: peer_slot as u32,
+                ..entry
+            });
+            core.note_sent(k);
+        }
+    }
 }
 
 /// Runs every agent to completion on the serial lockstep schedule and
@@ -56,23 +76,21 @@ fn encode(msg: &WireMsg) -> Vec<u8> {
 ///
 /// `specs` must hold one spec per graph node, in node-id order (the shape
 /// [`crate::cluster::node_specs`] produces).
-///
-/// # Errors
-///
-/// [`RuntimeError::Decode`] on a corrupt frame and
-/// [`RuntimeError::Protocol`] on a handshake frame mid-run — both
-/// impossible for queues this executor alone feeds, but kept so the
-/// error surface matches the threaded substrates.
-pub fn run_lockstep(specs: Vec<NodeSpec>, graph: &Graph) -> Result<Vec<NodeReport>, RuntimeError> {
+pub fn run_lockstep(specs: Vec<NodeSpec>, graph: &Graph) -> Vec<NodeReport> {
     let n = specs.len();
     assert_eq!(n, graph.len(), "one spec per graph node");
-    let peers: Vec<Vec<usize>> = (0..n).map(|i| graph.neighbors(i).to_vec()).collect();
-    // slot_of[j] maps neighbor id -> slot via binary search (rows sorted).
-    let slot_of = |j: usize, id: usize| -> usize {
-        peers[j]
-            .binary_search(&id)
-            .expect("graph edges are symmetric")
+    // peers[i][slot] = (neighbor id, the neighbor's slot for `i`); rows
+    // are sorted, so the reverse slot is a binary search.
+    let reverse_slot = |i: usize, j: usize| {
+        let found = graph.neighbors(j).binary_search(&i);
+        found.expect("graph edges are symmetric")
     };
+    let peers: Vec<Vec<(usize, usize)>> = (0..n)
+        .map(|i| {
+            let row = graph.neighbors(i).iter();
+            row.map(|&j| (j, reverse_slot(i, j))).collect()
+        })
+        .collect();
 
     let iteration_cap = specs
         .iter()
@@ -82,15 +100,15 @@ pub fn run_lockstep(specs: Vec<NodeSpec>, graph: &Graph) -> Result<Vec<NodeRepor
         + 8;
     let mut cores: Vec<Option<AgentCore>> = specs
         .into_iter()
-        .enumerate()
-        .map(|(i, spec)| Some(AgentCore::new(spec, &peers[i])))
+        .map(|spec| {
+            let id = spec.id;
+            Some(AgentCore::new(spec, graph.neighbors(id)))
+        })
         .collect();
     let mut status = vec![Status::Active; n];
-    let mut inbox: Vec<Vec<VecDeque<Vec<u8>>>> = (0..n)
-        .map(|i| (0..peers[i].len()).map(|_| VecDeque::new()).collect())
+    let mut inbox: Inboxes = (0..n)
+        .map(|i| peers[i].iter().map(|_| VecDeque::new()).collect())
         .collect();
-    // Which slots a draining agent still listens on.
-    let mut drain_open: Vec<Vec<bool>> = (0..n).map(|_| Vec::new()).collect();
     let mut reports: Vec<Option<NodeReport>> = (0..n).map(|_| None).collect();
 
     for _iteration in 0..iteration_cap {
@@ -99,7 +117,7 @@ pub fn run_lockstep(specs: Vec<NodeSpec>, graph: &Graph) -> Result<Vec<NodeRepor
         }
 
         // Phase A: every active agent computes its round and sends one
-        // frame per live link (node-id order; order is irrelevant to the
+        // entry per live link (node-id order; order is irrelevant to the
         // values because consumption is round-aligned, but fixing it keeps
         // the executor trivially deterministic).
         for i in 0..n {
@@ -115,84 +133,36 @@ pub fn run_lockstep(specs: Vec<NodeSpec>, graph: &Graph) -> Result<Vec<NodeRepor
             }
             let core = cores[i].as_mut().expect("active core");
             core.begin_round();
-            for k in 0..core.outbound_len() {
-                let slot = core.outbound(k).slot;
-                let peer = peers[i][slot];
-                if status[peer] == Status::Done {
-                    core.note_send_closed(k);
-                } else {
-                    inbox[peer][slot_of(peer, i)].push_back(encode(&core.outbound(k).msg));
-                    core.note_sent(k);
-                }
-            }
+            send_staged(core, &peers[i], &status, &mut inbox);
         }
 
-        // Phase B: every active agent receives one frame per live link in
+        // Phase B: every active agent receives one entry per live link in
         // slot order, then checks quorum. A goodbye pushed here by a
-        // lower-id agent sits *behind* its round frame in the FIFO, so it
-        // is consumed next round — the same order the threaded runs see.
+        // lower-id agent sits *behind* its round entry in the FIFO, so it
+        // is consumed next round — the same order the reactor sees.
         for i in 0..n {
             if status[i] != Status::Active {
                 continue;
             }
             let core = cores[i].as_mut().expect("active core");
-            let slots = core.round_slots().to_vec();
-            for &slot in &slots {
+            for k in 0..core.round_slots().len() {
+                let slot = core.round_slots()[k];
                 if !core.is_alive(slot) {
                     continue;
                 }
-                let peer = peers[i][slot];
-                match inbox[i][slot].pop_front() {
-                    Some(bytes) => match decode_payload(&bytes) {
-                        Ok(WireMsg::Data {
-                            msg,
-                            settled: peer_settled,
-                            ..
-                        }) => core.on_data(slot, msg, peer_settled),
-                        Ok(WireMsg::Heartbeat {
-                            settled: peer_settled,
-                            ..
-                        }) => core.on_heartbeat(slot, peer_settled),
-                        Ok(WireMsg::Goodbye { msg }) => core.on_goodbye(slot, msg),
-                        Ok(other) => {
-                            return Err(RuntimeError::Protocol {
-                                peer: format!("node {peer}"),
-                                got: other.kind(),
-                            })
-                        }
-                        Err(source) => {
-                            return Err(RuntimeError::Decode {
-                                peer: format!("node {peer}"),
-                                source,
-                            })
-                        }
-                    },
-                    // An empty queue means the peer can no longer be
-                    // sending this round: closed if it exited, otherwise
-                    // the lockstep analogue of a silent round.
-                    None => {
-                        if status[peer] == Status::Done {
-                            core.on_closed(slot);
-                        } else {
-                            core.on_timeout(slot);
-                        }
-                    }
-                }
+                // An empty queue means the peer can no longer be sending
+                // this round: its link is gone if it exited, otherwise
+                // this is the lockstep analogue of a silent round.
+                let peer_exited = status[peers[i][slot].0] == Status::Done;
+                core.receive(slot, inbox[i][slot].pop_front(), peer_exited);
             }
             if core.end_round() {
-                for slot in 0..core.degree() {
-                    if core.is_alive(slot) && status[peers[i][slot]] != Status::Done {
-                        inbox[peers[i][slot]][slot_of(peers[i][slot], i)]
-                            .push_back(encode(&core.goodbye()));
-                        core.note_goodbye_sent();
-                    }
-                }
-                drain_open[i] = (0..core.degree()).map(|s| core.is_alive(s)).collect();
+                send_staged(core, &peers[i], &status, &mut inbox);
                 status[i] = Status::Draining;
             }
         }
 
-        // Snapshot, per draining agent and open slot, whether the peer's
+        // Snapshot, per draining agent and slot, whether the peer's
         // reciprocal link is already dead — a dead reverse link means the
         // peer will never send here again, the deterministic stand-in for
         // the reactor drain's quiet-period timer.
@@ -201,57 +171,33 @@ pub fn run_lockstep(specs: Vec<NodeSpec>, graph: &Graph) -> Result<Vec<NodeRepor
             if status[i] != Status::Draining {
                 continue;
             }
-            reverse_dead[i] = (0..peers[i].len())
-                .map(|slot| {
-                    let peer = peers[i][slot];
-                    match cores[peer].as_ref() {
-                        Some(peer_core) => !peer_core.is_alive(slot_of(peer, i)),
-                        None => true,
-                    }
+            reverse_dead[i] = peers[i]
+                .iter()
+                .map(|&(peer, peer_slot)| match cores[peer].as_ref() {
+                    Some(peer_core) => !peer_core.is_alive(peer_slot),
+                    None => true,
                 })
                 .collect();
         }
 
-        // Phase C: draining agents absorb in-flight frames. Staging +
-        // slot-ordered `finish_drain` makes the absorbed values
-        // independent of *when* each slot closes, so close timing only
-        // affects how many iterations the drain lingers.
+        // Phase C: draining agents absorb in-flight entries. The core
+        // stages them and applies the mass in slot order, which makes the
+        // absorbed values independent of *when* each slot closes, so
+        // close timing only affects how many iterations the drain lingers.
         for i in 0..n {
             if status[i] != Status::Draining {
                 continue;
             }
             let core = cores[i].as_mut().expect("draining core");
             for slot in 0..peers[i].len() {
-                if !drain_open[i][slot] {
-                    continue;
+                while let Some(entry) = inbox[i][slot].pop_front() {
+                    core.drain(slot, entry);
                 }
-                while let Some(bytes) = inbox[i][slot].pop_front() {
-                    match decode_payload(&bytes) {
-                        Ok(WireMsg::Data { msg, .. }) => core.stage_drain_mass(slot, msg.transfer),
-                        Ok(WireMsg::Heartbeat { .. }) => core.stage_drain_heartbeat(slot),
-                        Ok(WireMsg::Goodbye { msg }) => {
-                            core.stage_drain_mass(slot, msg.transfer);
-                            drain_open[i][slot] = false;
-                            break;
-                        }
-                        // Anything else ends the drain; a goodbye is the
-                        // last frame a peer ever sends, so nothing is left
-                        // unread.
-                        _ => {
-                            drain_open[i][slot] = false;
-                            break;
-                        }
-                    }
-                }
-                if drain_open[i][slot]
-                    && (status[peers[i][slot]] == Status::Done || reverse_dead[i][slot])
-                {
-                    drain_open[i][slot] = false;
+                if status[peers[i][slot].0] == Status::Done || reverse_dead[i][slot] {
+                    core.close_drain(slot);
                 }
             }
-            if drain_open[i].iter().all(|&open| !open) {
-                core.finish_drain();
-                core.mark_converged();
+            if core.drain_done() {
                 let core = cores[i].take().expect("draining core");
                 reports[i] = Some(core.into_report());
                 status[i] = Status::Done;
@@ -264,5 +210,5 @@ pub fn run_lockstep(specs: Vec<NodeSpec>, graph: &Graph) -> Result<Vec<NodeRepor
         "lockstep executor stalled: an agent neither advanced nor drained \
          within the iteration cap"
     );
-    Ok(reports.into_iter().map(|r| r.expect("report")).collect())
+    reports.into_iter().map(|r| r.expect("report")).collect()
 }

@@ -16,7 +16,12 @@
 //! The hot path allocates nothing: entries encode straight into each
 //! carrier's persistent staging buffer through a [`BatchWriter`], inbound
 //! batches decode into one reused [`DataBatch`] scratch, and the receive
-//! pass borrows a reused slot list instead of cloning the round's slots.
+//! pass indexes the core's slot list instead of cloning it.
+//!
+//! What an entry *means* is [`AgentCore`]'s business: the shard re-addresses
+//! the entries the core stages, delivers them, and hands inbound ones back
+//! to `receive` / `drain`. The one kind it looks at is `Eof`, the in-band
+//! link-level FIN — transport, not protocol.
 
 use super::conn::{Carrier, CarrierEnd, CarrierState, Link, SockConn};
 use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -64,10 +69,7 @@ pub struct AgentSlot {
     phase: Phase,
     /// When this agent entered its current frame-starved wait.
     stall_since: Option<Instant>,
-    /// Rounds sent so far; stamps outgoing batch entries.
-    round_seq: u32,
     drain_seq: u32,
-    drain_open: Vec<bool>,
 }
 
 impl AgentSlot {
@@ -85,9 +87,7 @@ impl AgentSlot {
             round_timeout,
             phase: Phase::Handshaking,
             stall_since: None,
-            round_seq: 0,
             drain_seq: 0,
-            drain_open: Vec::new(),
         }
     }
 }
@@ -131,8 +131,6 @@ struct Loop {
     scratch: Vec<u8>,
     /// Mem-pipe take buffer.
     mem_scratch: Vec<u8>,
-    /// Receive-pass slot list (avoids cloning `round_slots` per round).
-    slot_scratch: Vec<usize>,
     /// Inbound batch decode scratch, reused across every frame.
     batch: DataBatch,
     /// Carriers whose handshake has not completed.
@@ -164,7 +162,6 @@ pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeEr
         reports: Vec::with_capacity(n_agents),
         scratch: vec![0u8; 64 * 1024],
         mem_scratch: Vec::new(),
-        slot_scratch: Vec::new(),
         batch: DataBatch::default(),
         hs_pending: shard
             .carriers
@@ -757,16 +754,13 @@ fn step_agent(shard: &mut Shard, lp: &mut Loop, a: u32) -> Result<(), RuntimeErr
         match shard.agents[a as usize].phase {
             Phase::Handshaking | Phase::Done => return Ok(()),
             Phase::NeedSend => {
-                if !shard.agents[a as usize]
-                    .core
-                    .as_ref()
-                    .expect("live core")
-                    .rounds_remaining()
-                {
-                    finish_agent(shard, lp, a, false);
+                let core = shard.agents[a as usize].core.as_mut().expect("live core");
+                if !core.rounds_remaining() {
+                    finish_agent(shard, lp, a);
                     return Ok(());
                 }
-                send_round(shard, a);
+                core.begin_round();
+                send_staged(shard, a);
                 shard.agents[a as usize].phase = Phase::AwaitFrames;
             }
             Phase::AwaitFrames => {
@@ -787,61 +781,21 @@ fn step_agent(shard: &mut Shard, lp: &mut Loop, a: u32) -> Result<(), RuntimeErr
     }
 }
 
-/// Converts one outbound scalar message into its batch-entry form. The
-/// receiver reconstructs the identical `on_data`/`on_heartbeat` call, so
-/// the arithmetic cannot tell the framings apart.
-fn entry_of(msg: &WireMsg, peer_slot: u32) -> (u32, BatchEntry) {
-    match *msg {
-        WireMsg::Data {
-            round,
-            msg,
-            settled,
-        } => (
-            round,
-            BatchEntry {
-                slot: peer_slot,
-                e: msg.e,
-                transfer: msg.transfer,
-                settled,
-                kind: EntryKind::Data,
-            },
-        ),
-        WireMsg::Heartbeat { round, settled } => (
-            round,
-            BatchEntry {
-                slot: peer_slot,
-                e: 0.0,
-                transfer: 0.0,
-                settled,
-                kind: EntryKind::Heartbeat,
-            },
-        ),
-        ref other => unreachable!("outbound round message {}", other.kind()),
-    }
-}
-
-fn send_round(shard: &mut Shard, a: u32) {
-    let agent = &mut shard.agents[a as usize];
-    let core = agent.core.as_mut().expect("live core");
-    core.begin_round();
-    agent.round_seq = agent.round_seq.wrapping_add(1);
-    for k in 0..shard.agents[a as usize]
-        .core
-        .as_ref()
-        .expect("live core")
-        .outbound_len()
-    {
-        let (slot, msg) = {
-            let out = shard.agents[a as usize]
-                .core
-                .as_ref()
-                .expect("live core")
-                .outbound(k);
-            (out.slot, out.msg)
+/// Delivers everything agent `a`'s core has staged — a round's entries or
+/// the goodbyes — re-addressed to the receiver's link index and stamped
+/// with the core's round, and tells the core how each send went.
+fn send_staged(shard: &mut Shard, a: u32) {
+    let core = shard.agents[a as usize].core.as_ref().expect("live core");
+    let round = core.rounds() as u32;
+    for k in 0..core.outbound().len() {
+        let agent = &shard.agents[a as usize];
+        let entry = agent.core.as_ref().expect("live core").outbound()[k];
+        let link_idx = agent.link_of_slot[entry.slot as usize];
+        let readdressed = BatchEntry {
+            slot: shard.links[link_idx as usize].peer_slot,
+            ..entry
         };
-        let link_idx = shard.agents[a as usize].link_of_slot[slot];
-        let (round, entry) = entry_of(&msg, shard.links[link_idx as usize].peer_slot);
-        let delivered = send_entry(shard, link_idx, round, entry);
+        let delivered = send_entry(shard, link_idx, round, readdressed);
         let core = shard.agents[a as usize].core.as_mut().expect("live core");
         if delivered {
             core.note_sent(k);
@@ -851,103 +805,33 @@ fn send_round(shard: &mut Shard, a: u32) {
     }
 }
 
-/// The slot-ordered receive pass; `force` substitutes a timeout for every
-/// missing entry (the round-deadline path — never taken in healthy runs).
+/// The slot-ordered receive pass; `force` lets it run with entries
+/// missing, which the core counts as silent rounds (the round-deadline
+/// path — never taken in healthy runs).
 fn receive_round(
     shard: &mut Shard,
     lp: &mut Loop,
     a: u32,
     force: bool,
 ) -> Result<(), RuntimeError> {
-    lp.slot_scratch.clear();
-    lp.slot_scratch.extend_from_slice(
-        shard.agents[a as usize]
-            .core
-            .as_ref()
-            .expect("live core")
-            .round_slots(),
-    );
-    for i in 0..lp.slot_scratch.len() {
-        let slot = lp.slot_scratch[i];
-        let (alive, link_idx) = {
-            let agent = &shard.agents[a as usize];
-            let core = agent.core.as_ref().expect("live core");
-            (core.is_alive(slot), agent.link_of_slot[slot])
-        };
-        if !alive {
-            continue;
-        }
-        let popped = shard.links[link_idx as usize].inbox.pop_front();
-        let eof = shard.links[link_idx as usize].eof;
-        let core = shard.agents[a as usize].core.as_mut().expect("live core");
-        match popped {
-            Some(entry) => match entry.kind {
-                EntryKind::Data => core.on_data(
-                    slot,
-                    dpc_alg::message::RoundMsg {
-                        e: entry.e,
-                        transfer: entry.transfer,
-                    },
-                    entry.settled,
-                ),
-                EntryKind::Heartbeat => core.on_heartbeat(slot, entry.settled),
-                EntryKind::Goodbye => core.on_goodbye(
-                    slot,
-                    dpc_alg::message::RoundMsg {
-                        e: entry.e,
-                        transfer: entry.transfer,
-                    },
-                ),
-                EntryKind::Eof => unreachable!("EOF entries set link state, never enqueue"),
-            },
-            None if eof => core.on_closed(slot),
-            None => {
-                debug_assert!(force, "receive pass ran without a full round buffered");
-                core.on_timeout(slot);
-            }
-        }
-    }
     let agent = &mut shard.agents[a as usize];
     let core = agent.core.as_mut().expect("live core");
-    if core.end_round() {
-        let degree = core.degree();
-        for slot in 0..degree {
-            let (alive, link_idx, bye) = {
-                let agent = &shard.agents[a as usize];
-                let core = agent.core.as_ref().expect("live core");
-                (
-                    core.is_alive(slot),
-                    agent.link_of_slot[slot],
-                    core.goodbye(),
-                )
-            };
-            if !alive {
-                continue;
-            }
-            let round = shard.agents[a as usize].round_seq;
-            let (e, transfer) = match bye {
-                WireMsg::Goodbye { msg } => (msg.e, msg.transfer),
-                ref other => unreachable!("goodbye() returned {}", other.kind()),
-            };
-            let entry = BatchEntry {
-                slot: shard.links[link_idx as usize].peer_slot,
-                e,
-                transfer,
-                settled: false,
-                kind: EntryKind::Goodbye,
-            };
-            if send_entry(shard, link_idx, round, entry) {
-                shard.agents[a as usize]
-                    .core
-                    .as_mut()
-                    .expect("live core")
-                    .note_goodbye_sent();
-            }
+    for k in 0..core.round_slots().len() {
+        let slot = core.round_slots()[k];
+        if !core.is_alive(slot) {
+            continue;
         }
-        let agent = &mut shard.agents[a as usize];
-        let core = agent.core.as_ref().expect("live core");
-        agent.drain_open = (0..core.degree()).map(|s| core.is_alive(s)).collect();
-        agent.phase = Phase::Draining;
+        let link = &mut shard.links[agent.link_of_slot[slot] as usize];
+        let entry = link.inbox.pop_front();
+        debug_assert!(
+            force || entry.is_some() || link.eof,
+            "receive pass ran without a full round buffered"
+        );
+        core.receive(slot, entry, link.eof);
+    }
+    if core.end_round() {
+        send_staged(shard, a);
+        shard.agents[a as usize].phase = Phase::Draining;
         arm_drain_timer(shard, lp, a);
         absorb_drain(shard, lp, a);
     } else {
@@ -974,68 +858,40 @@ fn arm_drain_timer(shard: &mut Shard, lp: &mut Loop, a: u32) {
     );
 }
 
-/// Stages buffered lame-duck entries per slot, closing slots on `Goodbye`
-/// or link EOF; folds the report once every slot is closed.
+/// Hands buffered lame-duck entries to the core's drain and closes the
+/// slots whose link reached EOF; folds the report once the core says
+/// every slot is closed.
 fn absorb_drain(shard: &mut Shard, lp: &mut Loop, a: u32) {
-    let degree = shard.agents[a as usize].drain_open.len();
+    let agent = &mut shard.agents[a as usize];
+    let core = agent.core.as_mut().expect("draining core");
     let mut absorbed = false;
-    for slot in 0..degree {
-        if !shard.agents[a as usize].drain_open[slot] {
-            continue;
+    for (slot, &link_idx) in agent.link_of_slot.iter().enumerate() {
+        let link = &mut shard.links[link_idx as usize];
+        while let Some(entry) = link.inbox.pop_front() {
+            absorbed |= core.drain(slot, entry);
         }
-        let link_idx = shard.agents[a as usize].link_of_slot[slot];
-        loop {
-            let popped = shard.links[link_idx as usize].inbox.pop_front();
-            let agent = &mut shard.agents[a as usize];
-            let core = agent.core.as_mut().expect("draining core");
-            match popped {
-                Some(entry) => match entry.kind {
-                    EntryKind::Data => {
-                        core.stage_drain_mass(slot, entry.transfer);
-                        absorbed = true;
-                    }
-                    EntryKind::Heartbeat => {
-                        core.stage_drain_heartbeat(slot);
-                        absorbed = true;
-                    }
-                    EntryKind::Goodbye => {
-                        core.stage_drain_mass(slot, entry.transfer);
-                        agent.drain_open[slot] = false;
-                        absorbed = true;
-                        break;
-                    }
-                    EntryKind::Eof => unreachable!("EOF entries set link state, never enqueue"),
-                },
-                None => break,
-            }
-        }
-        if shard.agents[a as usize].drain_open[slot] && shard.links[link_idx as usize].eof {
-            shard.agents[a as usize].drain_open[slot] = false;
+        if link.eof {
+            core.close_drain(slot);
         }
     }
     if absorbed {
         // An entry restarts the quiet period.
         arm_drain_timer(shard, lp, a);
     }
-    if shard.agents[a as usize].drain_open.iter().all(|&o| !o) {
-        let core = shard.agents[a as usize]
-            .core
-            .as_mut()
-            .expect("draining core");
-        core.finish_drain();
-        core.mark_converged();
-        finish_agent(shard, lp, a, true);
+    let core = shard.agents[a as usize].core.as_mut();
+    if core.expect("draining core").drain_done() {
+        finish_agent(shard, lp, a);
     }
 }
 
 /// Folds the report and announces the agent's departure: one in-band EOF
 /// entry per link, so peers see a per-link FIN ordered after the frames
 /// already staged — the carrier itself stays open for its other agents.
-fn finish_agent(shard: &mut Shard, lp: &mut Loop, a: u32, _converged: bool) {
+fn finish_agent(shard: &mut Shard, lp: &mut Loop, a: u32) {
     let agent = &mut shard.agents[a as usize];
     agent.phase = Phase::Done;
-    let round = agent.round_seq;
     let core = agent.core.take().expect("core present at finish");
+    let round = core.rounds() as u32;
     let node = agent.node;
     lp.reports.push((node, core.into_report()));
     lp.done += 1;
@@ -1164,13 +1020,13 @@ fn fire_timers(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
                 let agent = &mut shard.agents[key.idx as usize];
                 if agent.phase == Phase::Draining && agent.drain_seq == key.seq {
                     // Quiet period elapsed: close every slot still open.
-                    for open in agent.drain_open.iter_mut() {
-                        *open = false;
-                    }
                     let core = agent.core.as_mut().expect("draining core");
-                    core.finish_drain();
-                    core.mark_converged();
-                    finish_agent(shard, lp, key.idx, true);
+                    for slot in 0..core.degree() {
+                        core.close_drain(slot);
+                    }
+                    let done = core.drain_done();
+                    debug_assert!(done, "every drain slot was just closed");
+                    finish_agent(shard, lp, key.idx);
                 }
             }
         }

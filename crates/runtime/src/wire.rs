@@ -3,27 +3,31 @@
 //! Every message travels as a *frame*: a little-endian `u32` payload length
 //! followed by the payload. The payload is a one-byte tag and the message's
 //! fixed-width little-endian fields — no varints, no padding, nothing
-//! optional — so every message type has exactly one byte representation and
-//! frames are a handful of bytes (a [`WireMsg::Data`] frame is 26 bytes on
-//! the wire, matching the paper's point that DiBA messages fit a single
-//! cache line, let alone a packet).
+//! optional — so every message has exactly one byte representation. The
+//! three handshake messages are scalar frames ([`WireMsg`]); all round
+//! traffic rides the one batch format.
 //!
 //! | tag | message     | payload layout (after the tag byte)                         |
 //! |-----|-------------|-------------------------------------------------------------|
 //! | 1   | `Hello`     | `version: u16`, `node: u32`, `n_nodes: u32`, `topology: u64`|
 //! | 2   | `HelloAck`  | `version: u16`, `node: u32`                                 |
 //! | 3   | `Reject`    | `reason: u8`                                                |
-//! | 4   | `Data`      | `round: u32`, `e: f64`, `transfer: f64`, `flags: u8`        |
-//! | 5   | `Heartbeat` | `round: u32`, `flags: u8`                                   |
-//! | 6   | `Goodbye`   | `e: f64`, `farewell: f64`                                   |
 //! | 7   | `DataBatch` | `round: u32`, `count: u16`, then `count` packed entries     |
 //!
+//! Tags 4–6 are retired: they were the scalar round frames (`Data`,
+//! `Heartbeat`, `Goodbye`) that no carrier has accepted since the batch
+//! format took over. They decode as [`WireError::UnknownTag`] and must
+//! never be reused.
+//!
 //! A [`DataBatch`] entry is 21 bytes — `slot: u32`, `e: f64`,
-//! `transfer: f64`, `flags: u8` — and carries one per-link payload
-//! (data, heartbeat, goodbye, or end-of-stream, chosen by the flag bits)
-//! addressed to the *receiver's* link index `slot`. Coalescing many
-//! per-link payloads into one frame per carrier per round is what makes
-//! the reactor's wire cost O(links), not O(messages).
+//! `transfer: f64`, `flags: u8` — matching the paper's point that a DiBA
+//! message fits a single cache line, let alone a packet. It carries one
+//! per-link payload (data, heartbeat, goodbye, or end-of-stream, chosen by
+//! the flag bits) addressed to the *receiver's* link index `slot`, and it
+//! is the message type [`crate::agent::AgentCore`] itself stages and
+//! consumes. Coalescing many per-link payloads into one frame per carrier
+//! per round is what makes the reactor's wire cost O(links), not
+//! O(messages).
 //!
 //! The decoder is total: any byte sequence either decodes to exactly one
 //! message or returns a typed [`WireError`] — truncated frames, trailing
@@ -31,7 +35,6 @@
 //! non-finite floats are all rejected, never panicked on (property-tested
 //! in `tests/wire_props.rs`).
 
-use dpc_alg::message::RoundMsg;
 use std::io::{self, Read, Write};
 
 /// Protocol version spoken by this build. Bumped on any change to the
@@ -121,7 +124,8 @@ impl std::fmt::Display for RejectReason {
     }
 }
 
-/// A decoded protocol message.
+/// A decoded scalar protocol message: the handshake. Round traffic is
+/// [`BatchEntry`] values inside [`DataBatch`] frames.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WireMsg {
     /// Join: the dialer introduces itself and states the cluster identity
@@ -150,37 +154,6 @@ pub enum WireMsg {
         /// Why the handshake failed.
         reason: RejectReason,
     },
-    /// One round's state/residual exchange — the workhorse message.
-    Data {
-        /// Sender's round counter (wraps at `u32::MAX`; used for
-        /// diagnostics, not ordering — links are FIFO).
-        round: u32,
-        /// The algorithm payload: residual snapshot + slack transfer.
-        msg: RoundMsg,
-        /// Sender considers itself settled (|Δp| below tolerance for the
-        /// configured number of consecutive rounds).
-        settled: bool,
-    },
-    /// Keepalive sent instead of [`WireMsg::Data`] when a settled sender's
-    /// state is byte-identical to what the receiver already holds (residual
-    /// unchanged since the last `Data`, zero transfer): the receiver treats
-    /// it exactly like that redundant `Data` frame.
-    Heartbeat {
-        /// Sender's round counter.
-        round: u32,
-        /// Sender considers itself settled (always `true` today, but the
-        /// flag travels so the semantics stay explicit on the wire).
-        settled: bool,
-    },
-    /// Depart: the sender leaves the link for good — either a graceful
-    /// shutdown after convergence quorum (`farewell = 0`) or a departure
-    /// donating its residual-and-power mass to the receiver.
-    Goodbye {
-        /// Final residual snapshot (`msg.e`) and farewell donation
-        /// (`msg.transfer`, ≤ 0 mass like any transfer; 0 on clean
-        /// shutdown).
-        msg: RoundMsg,
-    },
 }
 
 impl WireMsg {
@@ -190,9 +163,6 @@ impl WireMsg {
             WireMsg::Hello { .. } => 1,
             WireMsg::HelloAck { .. } => 2,
             WireMsg::Reject { .. } => 3,
-            WireMsg::Data { .. } => 4,
-            WireMsg::Heartbeat { .. } => 5,
-            WireMsg::Goodbye { .. } => 6,
         }
     }
 
@@ -202,9 +172,6 @@ impl WireMsg {
             WireMsg::Hello { .. } => "hello",
             WireMsg::HelloAck { .. } => "hello-ack",
             WireMsg::Reject { .. } => "reject",
-            WireMsg::Data { .. } => "data",
-            WireMsg::Heartbeat { .. } => "heartbeat",
-            WireMsg::Goodbye { .. } => "goodbye",
         }
     }
 }
@@ -212,13 +179,17 @@ impl WireMsg {
 /// What one packed [`DataBatch`] entry means, carried in its flag bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntryKind {
-    /// One round's residual/transfer payload (the scalar
-    /// [`WireMsg::Data`] equivalent).
+    /// One round's state/residual exchange — the workhorse: the
+    /// sender's residual snapshot and the slack it transfers.
     Data,
-    /// Redundant-state keepalive ([`WireMsg::Heartbeat`]); the float
-    /// fields travel as `+0.0`.
+    /// Keepalive sent instead of `Data` when a settled sender's state is
+    /// identical to what the receiver already holds (residual unchanged
+    /// since the last `Data`, zero transfer); the float fields travel as
+    /// `+0.0`.
     Heartbeat,
-    /// Departure donating residual mass ([`WireMsg::Goodbye`]).
+    /// Depart: the sender leaves the link for good — a graceful shutdown
+    /// after convergence quorum (`transfer = 0`), or a departure donating
+    /// its residual mass to the receiver.
     Goodbye,
     /// Per-link end-of-stream: the sender will never write this link
     /// again. Carriers are shared, so a link-level FIN has to travel
@@ -246,18 +217,31 @@ impl EntryKind {
     }
 }
 
-/// One packed payload inside a [`DataBatch`] frame, addressed to the
-/// receiving shard's link index `slot`.
+/// One per-link payload — the protocol's round message, and the unit a
+/// [`DataBatch`] frame packs.
+///
+/// Pairwise conservation is the contract: the sender subtracts `transfer`
+/// from its own residual when it sends, the receiver adds it on receipt,
+/// so `Σe` is invariant under messaging regardless of delivery order. `e`
+/// is advisory (the sender's residual *after* its local action this
+/// round); `transfer` is mass and must never be dropped silently — a
+/// driver that fails to deliver must say so, so the sender can reclaim it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchEntry {
-    /// Receiver-side link index this payload routes to.
+    /// The link the payload is for. As staged by
+    /// [`crate::agent::AgentCore`] it is the sender's own slot; on the
+    /// wire and in an inbox it is the *receiver's* link index, which the
+    /// driver writes when it delivers.
     pub slot: u32,
-    /// Residual snapshot (`+0.0` for heartbeat/eof entries).
+    /// Sender's residual estimate after its action this round, in watts
+    /// (`+0.0` for heartbeat/eof entries).
     pub e: f64,
-    /// Slack transfer / farewell donation (`+0.0` for heartbeat/eof).
+    /// Slack donated to the receiver, in watts, ≤ 0 like any transfer
+    /// (`+0.0` for heartbeat/eof and for a quorum goodbye).
     pub transfer: f64,
-    /// Sender considers itself settled (data/heartbeat only; must be
-    /// clear for goodbye/eof).
+    /// Sender considers itself settled — |Δp| below tolerance for the
+    /// configured number of consecutive rounds (data/heartbeat only; must
+    /// be clear for goodbye/eof).
     pub settled: bool,
     /// What the entry means.
     pub kind: EntryKind,
@@ -279,8 +263,8 @@ impl BatchEntry {
 /// tests and one-shot decodes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataBatch {
-    /// Sender's round counter for every entry in the frame (diagnostic,
-    /// like [`WireMsg::Data::round`] — links are FIFO).
+    /// Sender's round counter for every entry in the frame (wraps at
+    /// `u32::MAX`; used for diagnostics, not ordering — links are FIFO).
     pub round: u32,
     /// The packed entries, in send order.
     pub entries: Vec<BatchEntry>,
@@ -301,7 +285,7 @@ impl DataBatch {
 /// Any decoded frame: a scalar message or a coalesced batch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// A scalar protocol message (tags 1–6).
+    /// A scalar protocol message (tags 1–3).
     Msg(WireMsg),
     /// A coalesced tag-7 batch.
     Batch(DataBatch),
@@ -311,7 +295,7 @@ pub enum Frame {
 /// contents land in the caller's reused [`DataBatch`] scratch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FrameKind {
-    /// A scalar protocol message (tags 1–6).
+    /// A scalar protocol message (tags 1–3).
     Msg(WireMsg),
     /// A batch frame; its header and entries were decoded into the
     /// scratch argument.
@@ -412,14 +396,6 @@ impl std::error::Error for FrameError {}
 
 const FLAG_SETTLED: u8 = 0b0000_0001;
 
-fn flags_byte(settled: bool) -> u8 {
-    if settled {
-        FLAG_SETTLED
-    } else {
-        0
-    }
-}
-
 /// Encodes the payload (tag + fields, no length prefix) into `buf`.
 pub fn encode_payload(msg: &WireMsg, buf: &mut Vec<u8>) {
     buf.push(msg.tag());
@@ -440,24 +416,6 @@ pub fn encode_payload(msg: &WireMsg, buf: &mut Vec<u8>) {
             buf.extend_from_slice(&node.to_le_bytes());
         }
         WireMsg::Reject { reason } => buf.push(reason.code()),
-        WireMsg::Data {
-            round,
-            msg,
-            settled,
-        } => {
-            buf.extend_from_slice(&round.to_le_bytes());
-            buf.extend_from_slice(&msg.e.to_le_bytes());
-            buf.extend_from_slice(&msg.transfer.to_le_bytes());
-            buf.push(flags_byte(settled));
-        }
-        WireMsg::Heartbeat { round, settled } => {
-            buf.extend_from_slice(&round.to_le_bytes());
-            buf.push(flags_byte(settled));
-        }
-        WireMsg::Goodbye { msg } => {
-            buf.extend_from_slice(&msg.e.to_le_bytes());
-            buf.extend_from_slice(&msg.transfer.to_le_bytes());
-        }
     }
 }
 
@@ -519,14 +477,6 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn flags(&mut self) -> Result<bool, WireError> {
-        let flags = self.u8()?;
-        if flags & !FLAG_SETTLED != 0 {
-            return Err(WireError::BadFlags(flags));
-        }
-        Ok(flags & FLAG_SETTLED != 0)
-    }
-
     fn finish(self, tag: u8, msg: WireMsg) -> Result<WireMsg, WireError> {
         if self.pos < self.bytes.len() {
             Err(WireError::TrailingBytes {
@@ -539,7 +489,9 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes one payload (tag + fields, no length prefix).
+/// Decodes one scalar payload (tag + fields, no length prefix): tags 1–3.
+/// The batch tag is refused by name, and everything else — the retired
+/// tags 4–6 included — is unknown.
 ///
 /// # Errors
 ///
@@ -576,35 +528,6 @@ pub fn decode_payload(bytes: &[u8]) -> Result<WireMsg, WireError> {
             let code = c.u8()?;
             let reason = RejectReason::from_code(code).ok_or(WireError::UnknownReason(code))?;
             c.finish(tag, WireMsg::Reject { reason })
-        }
-        4 => {
-            let round = c.u32()?;
-            let e = c.f64("e")?;
-            let transfer = c.f64("transfer")?;
-            let settled = c.flags()?;
-            c.finish(
-                tag,
-                WireMsg::Data {
-                    round,
-                    msg: RoundMsg { e, transfer },
-                    settled,
-                },
-            )
-        }
-        5 => {
-            let round = c.u32()?;
-            let settled = c.flags()?;
-            c.finish(tag, WireMsg::Heartbeat { round, settled })
-        }
-        6 => {
-            let e = c.f64("e")?;
-            let transfer = c.f64("farewell")?;
-            c.finish(
-                tag,
-                WireMsg::Goodbye {
-                    msg: RoundMsg { e, transfer },
-                },
-            )
         }
         TAG_DATA_BATCH => Err(WireError::UnexpectedBatch),
         other => Err(WireError::UnknownTag(other)),
@@ -972,15 +895,6 @@ mod tests {
 
     #[test]
     fn frame_sizes_match_the_documented_layout() {
-        let data = WireMsg::Data {
-            round: 7,
-            msg: RoundMsg {
-                e: -1.5,
-                transfer: -0.25,
-            },
-            settled: true,
-        };
-        assert_eq!(encode_frame(&data).len(), 4 + 22);
         let hello = WireMsg::Hello {
             version: PROTOCOL_VERSION,
             node: 3,
@@ -988,6 +902,15 @@ mod tests {
             topology_hash: 42,
         };
         assert_eq!(encode_frame(&hello).len(), 4 + 19);
+        let ack = WireMsg::HelloAck {
+            version: PROTOCOL_VERSION,
+            node: 3,
+        };
+        assert_eq!(encode_frame(&ack).len(), 4 + 7);
+        let reject = WireMsg::Reject {
+            reason: RejectReason::UnknownPeer,
+        };
+        assert_eq!(encode_frame(&reject).len(), 4 + 2);
     }
 
     #[test]
@@ -1005,24 +928,6 @@ mod tests {
             },
             WireMsg::Reject {
                 reason: RejectReason::TopologyMismatch,
-            },
-            WireMsg::Data {
-                round: 900,
-                msg: RoundMsg {
-                    e: -0.125,
-                    transfer: -3.5,
-                },
-                settled: false,
-            },
-            WireMsg::Heartbeat {
-                round: 901,
-                settled: true,
-            },
-            WireMsg::Goodbye {
-                msg: RoundMsg {
-                    e: -0.1,
-                    transfer: 0.0,
-                },
             },
         ];
         let mut stream = Vec::new();
@@ -1049,15 +954,23 @@ mod tests {
 
     #[test]
     fn non_finite_floats_are_rejected() {
-        let mut payload = vec![4u8];
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.extend_from_slice(&f64::NAN.to_le_bytes());
-        payload.extend_from_slice(&0f64.to_le_bytes());
-        payload.push(0);
-        assert_eq!(
-            decode_payload(&payload),
-            Err(WireError::NonFinite { field: "e" })
-        );
+        for (e, transfer, field) in [
+            (f64::NAN, 0.0, "e"),
+            (0.0, f64::INFINITY, "transfer"),
+            (f64::NEG_INFINITY, f64::NAN, "e"),
+        ] {
+            let mut payload = vec![TAG_DATA_BATCH];
+            payload.extend_from_slice(&1u32.to_le_bytes());
+            payload.extend_from_slice(&1u16.to_le_bytes());
+            payload.extend_from_slice(&0u32.to_le_bytes());
+            payload.extend_from_slice(&e.to_le_bytes());
+            payload.extend_from_slice(&transfer.to_le_bytes());
+            payload.push(0);
+            assert_eq!(
+                decode_frame_payload(&payload),
+                Err(WireError::NonFinite { field })
+            );
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! Rejection: a peer launched with a different protocol version, cluster
 //! size or topology — or one that is not an expected neighbor at all — is
 //! turned away with a named reason on both ends of the link, and corrupt
-//! bytes on an established link surface as a decode error — each naming
-//! the peer.
+//! bytes on an established link — or a retired frame type in place of the
+//! `Hello` — surface as a decode error, each naming the peer.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -27,7 +27,7 @@ use dpc_runtime::error::{HandshakeFailure, RuntimeError};
 use dpc_runtime::node::NodeReport;
 use dpc_runtime::reactor::host_node;
 use dpc_runtime::wire::{
-    encode_frame, read_frame, write_frame, RejectReason, WireMsg, PROTOCOL_VERSION,
+    encode_frame, read_frame, write_frame, RejectReason, WireError, WireMsg, PROTOCOL_VERSION,
 };
 use dpc_topology::Graph;
 
@@ -389,4 +389,39 @@ fn corrupt_bytes_surface_as_a_decode_error() {
         Err(RuntimeError::Decode { peer, .. }) => assert_eq!(peer, dialer_addr.to_string()),
         other => panic!("expected a decode error, got {other:?}"),
     }
+}
+
+/// A peer from before the scalar round frames were retired opens with a
+/// well-formed tag-4 `Data` frame (26 bytes: `round: u32`, `e: f64`,
+/// `transfer: f64`, `flags: u8`). The tag no longer exists, so bring-up
+/// answers with a typed decode error naming the peer — at once, not at
+/// the deadline.
+#[test]
+fn retired_scalar_data_frame_is_a_decode_error_naming_the_peer() {
+    let (listener, addr) = loopback_listener();
+    let timeout = Duration::from_secs(5);
+    let dialer = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut frame = 22u32.to_le_bytes().to_vec();
+        frame.push(4);
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.extend_from_slice(&(-1.5f64).to_le_bytes());
+        frame.extend_from_slice(&(-0.25f64).to_le_bytes());
+        frame.push(1);
+        assert_eq!(frame.len(), 26);
+        stream.write_all(&frame).expect("send the old frame");
+        (stream.local_addr().expect("local addr"), stream)
+    });
+    let start = Instant::now();
+    let result = host(&pair(), 1, listener, &[], timeout);
+    let elapsed = start.elapsed();
+    let (dialer_addr, _stream) = dialer.join().expect("dialer thread");
+    match result {
+        Err(RuntimeError::Decode { peer, source }) => {
+            assert_eq!(peer, dialer_addr.to_string());
+            assert_eq!(source, WireError::UnknownTag(4));
+        }
+        other => panic!("expected a decode error, got {other:?}"),
+    }
+    assert!(elapsed < timeout, "answered only after {elapsed:?}");
 }

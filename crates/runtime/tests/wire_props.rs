@@ -1,12 +1,12 @@
 //! Wire-format fuzz/property tests (offline proptest stand-in).
 //!
 //! The decoder contract under test: *any* byte sequence either decodes to
-//! exactly one message or returns a typed [`WireError`] — it never panics.
-//! Round-tripping is exercised for every message type, and the encoding is
-//! shown to be canonical (decode ∘ encode = id, and any bytes that decode
-//! re-encode to themselves byte for byte).
+//! exactly one frame or returns a typed [`WireError`] — it never panics.
+//! Round-tripping is exercised for every frame type — the three handshake
+//! messages and the batch that carries all round traffic — and the
+//! encoding is shown to be canonical (decode ∘ encode = id, and any bytes
+//! that decode re-encode to themselves byte for byte).
 
-use dpc_alg::message::RoundMsg;
 use dpc_runtime::wire::{
     decode_frame_payload, decode_payload, encode_frame, encode_payload, read_frame, BatchEntry,
     ClusterIdentity, DataBatch, EntryKind, Frame, FrameError, Reassembly, RejectReason, WireError,
@@ -21,9 +21,9 @@ const ALL_REASONS: [RejectReason; 4] = [
     RejectReason::UnknownPeer,
 ];
 
-/// Builds one message of each of the six wire types from a generated field
-/// pool, selected by `kind`.
-fn build_msg(kind: u8, a: u32, hash: u64, e: f64, transfer: f64, settled: bool) -> WireMsg {
+/// Builds one handshake message of each of the three scalar wire types
+/// from a generated field pool, selected by `kind`.
+fn build_msg(kind: u8, a: u32, hash: u64) -> WireMsg {
     match kind {
         0 => WireMsg::Hello {
             version: (a % 65_536) as u16,
@@ -35,18 +35,36 @@ fn build_msg(kind: u8, a: u32, hash: u64, e: f64, transfer: f64, settled: bool) 
             version: (hash % 65_536) as u16,
             node: a,
         },
-        2 => WireMsg::Reject {
+        _ => WireMsg::Reject {
             reason: ALL_REASONS[(a % 4) as usize],
         },
-        3 => WireMsg::Data {
-            round: a,
-            msg: RoundMsg { e, transfer },
-            settled,
-        },
-        4 => WireMsg::Heartbeat { round: a, settled },
-        _ => WireMsg::Goodbye {
-            msg: RoundMsg { e, transfer },
-        },
+    }
+}
+
+/// Builds one frame of each of the four wire types: `kind` 0–2 are the
+/// handshake messages, 3 is a batch of `1 + a % 3` entries whose kinds
+/// rotate from `a`.
+fn build_frame(kind: u8, a: u32, hash: u64, e: f64, transfer: f64, settled: bool) -> Frame {
+    if kind < 3 {
+        return Frame::Msg(build_msg(kind, a, hash));
+    }
+    Frame::Batch(DataBatch {
+        round: a,
+        entries: (0..=a % 3)
+            .map(|i| build_entry((a.wrapping_add(i)) as u8, a ^ i, e, transfer, settled))
+            .collect(),
+    })
+}
+
+/// The full frame bytes (length prefix included) of either frame type.
+fn frame_bytes(frame: &Frame) -> Vec<u8> {
+    match frame {
+        Frame::Msg(msg) => encode_frame(msg),
+        Frame::Batch(batch) => {
+            let mut bytes = Vec::new();
+            batch.encode_into(&mut bytes);
+            bytes
+        }
     }
 }
 
@@ -55,48 +73,56 @@ proptest! {
 
     #[test]
     fn every_message_type_round_trips(
-        kind in 0u8..6,
+        kind in 0u8..4,
         a in 0u32..=u32::MAX,
         hash in 0u64..=u64::MAX,
         e in -1e9f64..1e9,
         transfer in -1e9f64..1e9,
         settled in (0u8..2).prop_map(|b| b == 1),
     ) {
-        let msg = build_msg(kind, a, hash, e, transfer, settled);
-
-        let mut payload = Vec::new();
-        encode_payload(&msg, &mut payload);
+        let frame = build_frame(kind, a, hash, e, transfer, settled);
+        let bytes = frame_bytes(&frame);
+        let payload = &bytes[4..];
         prop_assert!(payload.len() <= MAX_PAYLOAD_LEN as usize);
-        prop_assert_eq!(decode_payload(&payload), Ok(msg));
+        prop_assert_eq!(decode_frame_payload(payload), Ok(frame.clone()));
 
-        // The framed path agrees with the payload path.
-        let frame = encode_frame(&msg);
-        prop_assert_eq!(&frame[4..], &payload[..]);
-        let mut reader = &frame[..];
-        match read_frame(&mut reader) {
-            Ok(got) => prop_assert_eq!(got, msg),
-            Err(err) => prop_assert!(false, "framed round trip failed: {err}"),
+        // The reassembly path agrees with the payload path.
+        let mut reasm = Reassembly::new();
+        reasm.push(&bytes);
+        prop_assert_eq!(reasm.next_frame(), Ok(Some(frame.clone())));
+        prop_assert_eq!(reasm.buffered(), 0);
+
+        // So do the scalar-only paths, for the frames they speak.
+        if let Frame::Msg(msg) = frame {
+            let mut scalar = Vec::new();
+            encode_payload(&msg, &mut scalar);
+            prop_assert_eq!(&scalar[..], payload);
+            prop_assert_eq!(decode_payload(payload), Ok(msg));
+            let mut reader = &bytes[..];
+            match read_frame(&mut reader) {
+                Ok(got) => prop_assert_eq!(got, msg),
+                Err(err) => prop_assert!(false, "framed round trip failed: {err}"),
+            }
+            prop_assert!(reader.is_empty());
         }
-        prop_assert!(reader.is_empty());
     }
 
     #[test]
     fn truncated_payloads_error_never_panic(
-        kind in 0u8..6,
+        kind in 0u8..4,
         a in 0u32..=u32::MAX,
         hash in 0u64..=u64::MAX,
         e in -1e9f64..1e9,
         transfer in -1e9f64..1e9,
         settled in (0u8..2).prop_map(|b| b == 1),
     ) {
-        let msg = build_msg(kind, a, hash, e, transfer, settled);
-        let mut payload = Vec::new();
-        encode_payload(&msg, &mut payload);
+        let bytes = frame_bytes(&build_frame(kind, a, hash, e, transfer, settled));
+        let payload = &bytes[4..];
         // Every strict prefix must be rejected as truncated: the layouts
-        // are fixed-width, so no shorter byte string of the same tag is a
-        // valid message.
+        // are fixed-width (given a batch's count field), so no shorter
+        // byte string of the same tag is a valid frame.
         for cut in 0..payload.len() {
-            match decode_payload(&payload[..cut]) {
+            match decode_frame_payload(&payload[..cut]) {
                 Err(WireError::Truncated { expected, got }) => {
                     prop_assert_eq!(got, cut);
                     prop_assert!(expected > cut);
@@ -108,19 +134,17 @@ proptest! {
 
     #[test]
     fn trailing_bytes_are_rejected(
-        kind in 0u8..6,
+        kind in 0u8..4,
         a in 0u32..=u32::MAX,
         e in -1e9f64..1e9,
         extra in collection::vec(0u8..=255, 1..8),
     ) {
-        let msg = build_msg(kind, a, 7, e, -e, false);
-        let mut payload = Vec::new();
-        encode_payload(&msg, &mut payload);
+        let mut payload = frame_bytes(&build_frame(kind, a, 7, e, -e, false))[4..].to_vec();
         let tag = payload[0];
         let want_extra = extra.len();
         payload.extend_from_slice(&extra);
         prop_assert_eq!(
-            decode_payload(&payload),
+            decode_frame_payload(&payload),
             Err(WireError::TrailingBytes { tag, extra: want_extra })
         );
     }
@@ -142,41 +166,39 @@ proptest! {
 
     #[test]
     fn corrupted_frames_error_or_stay_canonical(
-        kind in 0u8..6,
+        kind in 0u8..4,
         a in 0u32..=u32::MAX,
         e in -1e9f64..1e9,
-        flip_at in 0usize..64,
+        flip_at in 0usize..96,
         flip_bits in 1u8..=255,
     ) {
-        let msg = build_msg(kind, a, 3, e, e / 2.0, true);
-        let mut frame = encode_frame(&msg);
-        let idx = flip_at % frame.len();
-        frame[idx] ^= flip_bits;
+        let mut bytes = frame_bytes(&build_frame(kind, a, 3, e, e / 2.0, true));
+        let idx = flip_at % bytes.len();
+        bytes[idx] ^= flip_bits;
         // A corrupted frame must never panic the reader; when it still
-        // parses (the flip hit a don't-care field like `round`), the
-        // result must be a well-formed message that re-frames canonically.
-        match read_frame(&mut &frame[..]) {
-            Ok(got) => {
-                let reframed = encode_frame(&got);
-                prop_assert_eq!(reframed, frame);
-            }
-            Err(FrameError::Closed | FrameError::Io(_) | FrameError::Wire(_)) => {}
+        // parses (the flip hit a don't-care field like `round`, or shrank
+        // the length prefix onto a shorter valid frame), the result must
+        // be a well-formed frame that re-frames canonically.
+        let mut reasm = Reassembly::new();
+        reasm.push(&bytes);
+        if let Ok(Some(got)) = reasm.next_frame() {
+            let reframed = frame_bytes(&got);
+            prop_assert_eq!(&reframed[..], &bytes[..reframed.len()]);
+        }
+        if let Ok(got) = read_frame(&mut &bytes[..]) {
+            let reframed = encode_frame(&got);
+            prop_assert_eq!(&reframed[..], &bytes[..reframed.len()]);
         }
     }
 
     #[test]
     fn mid_frame_stream_cuts_are_io_errors(
         a in 0u32..=u32::MAX,
-        e in -1e9f64..1e9,
-        cut in 1usize..26,
+        hash in 0u64..=u64::MAX,
+        cut in 1usize..23,
     ) {
-        let msg = WireMsg::Data {
-            round: a,
-            msg: RoundMsg { e, transfer: -e },
-            settled: false,
-        };
-        let frame = encode_frame(&msg);
-        prop_assert_eq!(frame.len(), 26);
+        let frame = encode_frame(&build_msg(0, a, hash));
+        prop_assert_eq!(frame.len(), 23);
         match read_frame(&mut &frame[..cut]) {
             Err(FrameError::Io(err)) => {
                 prop_assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
@@ -186,19 +208,7 @@ proptest! {
     }
 }
 
-/// Drains every complete frame currently buffered, requiring scalars.
-fn drain(reasm: &mut Reassembly) -> Result<Vec<WireMsg>, WireError> {
-    let mut out = Vec::new();
-    while let Some(frame) = reasm.next_frame()? {
-        match frame {
-            Frame::Msg(msg) => out.push(msg),
-            Frame::Batch(batch) => panic!("scalar stream yielded a batch frame: {batch:?}"),
-        }
-    }
-    Ok(out)
-}
-
-/// Drains every complete frame, batches included.
+/// Drains every complete frame currently buffered.
 fn drain_frames(reasm: &mut Reassembly) -> Result<Vec<Frame>, WireError> {
     let mut out = Vec::new();
     while let Some(frame) = reasm.next_frame()? {
@@ -215,24 +225,24 @@ proptest! {
     /// to the identical message sequence as one contiguous read.
     #[test]
     fn reassembly_is_invariant_to_byte_at_a_time_delivery(
-        kinds in collection::vec(0u8..6, 1..5),
+        kinds in collection::vec(0u8..4, 1..5),
         a in 0u32..=u32::MAX,
         hash in 0u64..=u64::MAX,
         e in -1e9f64..1e9,
     ) {
-        let msgs: Vec<WireMsg> = kinds
+        let msgs: Vec<Frame> = kinds
             .iter()
             .enumerate()
             .map(|(i, &k)| {
-                build_msg(k, a.wrapping_add(i as u32), hash, e, e / 3.0, i % 2 == 0)
+                build_frame(k, a.wrapping_add(i as u32), hash, e, e / 3.0, i % 2 == 0)
             })
             .collect();
-        let stream: Vec<u8> = msgs.iter().flat_map(encode_frame).collect();
+        let stream: Vec<u8> = msgs.iter().flat_map(frame_bytes).collect();
 
         // Contiguous reference.
         let mut whole = Reassembly::new();
         whole.push(&stream);
-        prop_assert_eq!(drain(&mut whole), Ok(msgs.clone()));
+        prop_assert_eq!(drain_frames(&mut whole), Ok(msgs.clone()));
         prop_assert_eq!(whole.buffered(), 0);
 
         // Byte-at-a-time delivery.
@@ -240,7 +250,7 @@ proptest! {
         let mut got = Vec::new();
         for &byte in &stream {
             drip.push(&[byte]);
-            match drain(&mut drip) {
+            match drain_frames(&mut drip) {
                 Ok(batch) => got.extend(batch),
                 Err(err) => prop_assert!(false, "drip decode failed: {err}"),
             }
@@ -254,23 +264,23 @@ proptest! {
     /// sequence too.
     #[test]
     fn reassembly_is_invariant_to_chunk_size(
-        kinds in collection::vec(0u8..6, 1..6),
+        kinds in collection::vec(0u8..4, 1..6),
         chunk in 1usize..9,
         a in 0u32..=u32::MAX,
         e in -1e9f64..1e9,
     ) {
-        let msgs: Vec<WireMsg> = kinds
+        let msgs: Vec<Frame> = kinds
             .iter()
             .enumerate()
-            .map(|(i, &k)| build_msg(k, a ^ i as u32, 23, e, -e, i % 2 == 1))
+            .map(|(i, &k)| build_frame(k, a ^ i as u32, 23, e, -e, i % 2 == 1))
             .collect();
-        let stream: Vec<u8> = msgs.iter().flat_map(encode_frame).collect();
+        let stream: Vec<u8> = msgs.iter().flat_map(frame_bytes).collect();
 
         let mut reasm = Reassembly::new();
         let mut got = Vec::new();
         for piece in stream.chunks(chunk) {
             reasm.push(piece);
-            match drain(&mut reasm) {
+            match drain_frames(&mut reasm) {
                 Ok(batch) => got.extend(batch),
                 Err(err) => prop_assert!(false, "chunked decode failed: {err}"),
             }
@@ -320,40 +330,35 @@ proptest! {
     }
 }
 
-/// Exhaustive two-way split: a fixed multi-message stream cut into a
-/// prefix/suffix pair at *every* position reassembles identically.
+/// Exhaustive two-way split: a fixed multi-message handshake stream cut
+/// into a prefix/suffix pair at *every* position reassembles identically
+/// (`every_two_way_split_of_a_batched_stream_reassembles` does the same
+/// with batches in the stream).
 #[test]
 fn every_two_way_split_of_a_frame_stream_reassembles() {
     let msgs = [
-        WireMsg::Hello {
+        Frame::Msg(WireMsg::Hello {
             version: PROTOCOL_VERSION,
             node: 3,
             n_nodes: 64,
             topology_hash: 0xfeed_beef,
-        },
-        WireMsg::Data {
-            round: 41,
-            msg: RoundMsg {
-                e: -0.0,
-                transfer: 13.25,
-            },
-            settled: true,
-        },
-        WireMsg::Goodbye {
-            msg: RoundMsg {
-                e: 1e-300,
-                transfer: -7.5,
-            },
-        },
+        }),
+        Frame::Msg(WireMsg::HelloAck {
+            version: PROTOCOL_VERSION,
+            node: 4,
+        }),
+        Frame::Msg(WireMsg::Reject {
+            reason: RejectReason::ClusterSizeMismatch,
+        }),
     ];
-    let stream: Vec<u8> = msgs.iter().flat_map(encode_frame).collect();
+    let stream: Vec<u8> = msgs.iter().flat_map(frame_bytes).collect();
 
     for cut in 0..=stream.len() {
         let mut reasm = Reassembly::new();
         reasm.push(&stream[..cut]);
-        let mut got = drain(&mut reasm).expect("prefix decodes cleanly");
+        let mut got = drain_frames(&mut reasm).expect("prefix decodes cleanly");
         reasm.push(&stream[cut..]);
-        got.extend(drain(&mut reasm).expect("suffix completes the stream"));
+        got.extend(drain_frames(&mut reasm).expect("suffix completes the stream"));
         assert_eq!(got, msgs, "split at byte {cut} changed the decode");
         assert_eq!(reasm.buffered(), 0, "split at byte {cut} left residue");
     }
@@ -369,11 +374,33 @@ fn oversized_length_prefix_is_rejected_at_the_prefix() {
     assert_eq!(reasm.next_frame(), Err(WireError::OversizedFrame(u32::MAX)));
 }
 
+/// A well-formed protocol-v2 scalar `Data` frame as the retired tag-4
+/// layout had it: `round: u32`, `e: f64`, `transfer: f64`, `flags: u8`.
+fn old_data_frame() -> Vec<u8> {
+    let mut frame = 22u32.to_le_bytes().to_vec();
+    frame.push(4);
+    frame.extend_from_slice(&41u32.to_le_bytes());
+    frame.extend_from_slice(&(-0.5f64).to_le_bytes());
+    frame.extend_from_slice(&(-0.125f64).to_le_bytes());
+    frame.push(1);
+    assert_eq!(frame.len(), 26);
+    frame
+}
+
 #[test]
 fn unknown_tags_and_reason_codes_are_named() {
-    for tag in [0u8, 8, 42, 255] {
+    // 4, 5 and 6 are the retired scalar round frames: unknown like any
+    // unassigned tag, on every decode path, however well-formed the rest.
+    for tag in [0u8, 4, 5, 6, 8, 42, 255] {
         assert_eq!(decode_payload(&[tag]), Err(WireError::UnknownTag(tag)));
+        assert_eq!(
+            decode_frame_payload(&[tag]),
+            Err(WireError::UnknownTag(tag))
+        );
     }
+    let mut reasm = Reassembly::new();
+    reasm.push(&old_data_frame());
+    assert_eq!(reasm.next_frame(), Err(WireError::UnknownTag(4)));
     // Tag 7 is assigned (DataBatch) but scalar-only decoders must refuse
     // it by name rather than mis-reading it as unknown.
     assert_eq!(
@@ -400,11 +427,10 @@ proptest! {
         batches in collection::vec(
             (0u32..1000, collection::vec((0u8..4, 0u32..64, -1e6f64..1e6, 0u8..2), 0..5)),
             1..4,
-        ),
-        e in -1e6f64..1e6,
+        )
     ) {
         let mut frames = Vec::new();
-        for (i, (round, specs)) in batches.iter().enumerate() {
+        for (round, specs) in &batches {
             frames.push(Frame::Batch(DataBatch {
                 round: *round,
                 entries: specs
@@ -415,19 +441,9 @@ proptest! {
                     .collect(),
             }));
             // Interleave a scalar frame so framing transitions both ways.
-            frames.push(Frame::Msg(WireMsg::Data {
-                round: *round,
-                msg: RoundMsg { e, transfer: -e },
-                settled: i % 2 == 0,
-            }));
+            frames.push(Frame::Msg(build_msg((*round % 3) as u8, *round, 11)));
         }
-        let mut stream = Vec::new();
-        for frame in &frames {
-            match frame {
-                Frame::Msg(msg) => stream.extend_from_slice(&encode_frame(msg)),
-                Frame::Batch(batch) => batch.encode_into(&mut stream),
-            }
-        }
+        let stream: Vec<u8> = frames.iter().flat_map(frame_bytes).collect();
 
         let mut whole = Reassembly::new();
         whole.push(&stream);
@@ -485,7 +501,8 @@ fn build_entry(sel: u8, slot: u32, e: f64, transfer: f64, settled: bool) -> Batc
 }
 
 /// A small deterministic mixed stream: scalar frames interleaved with
-/// batch frames of every entry kind.
+/// batch frames of every entry kind, a `-0.0` and a subnormal-adjacent
+/// float among the fields.
 fn mixed_stream() -> (Vec<Frame>, Vec<u8>) {
     let frames = vec![
         Frame::Msg(WireMsg::Hello {
@@ -497,27 +514,20 @@ fn mixed_stream() -> (Vec<Frame>, Vec<u8>) {
         Frame::Batch(DataBatch {
             round: 9,
             entries: vec![
-                build_entry(0, 0, 1.5, -0.25, true),
+                build_entry(0, 0, -0.0, 13.25, true),
                 build_entry(1, 3, 0.0, 0.0, false),
-                build_entry(2, 1, -2.0, 0.125, false),
+                build_entry(2, 1, 1e-300, -7.5, false),
             ],
         }),
         Frame::Batch(DataBatch {
             round: 10,
             entries: vec![build_entry(3, 2, 0.0, 0.0, false)],
         }),
-        Frame::Msg(WireMsg::Heartbeat {
-            round: 10,
-            settled: false,
+        Frame::Msg(WireMsg::Reject {
+            reason: RejectReason::UnknownPeer,
         }),
     ];
-    let mut stream = Vec::new();
-    for frame in &frames {
-        match frame {
-            Frame::Msg(msg) => stream.extend_from_slice(&encode_frame(msg)),
-            Frame::Batch(batch) => batch.encode_into(&mut stream),
-        }
-    }
+    let stream = frames.iter().flat_map(frame_bytes).collect();
     (frames, stream)
 }
 
@@ -637,15 +647,19 @@ fn protocol_version_mismatch_rejects_by_name() {
 
 #[test]
 fn reserved_flag_bits_are_rejected() {
-    let msg = WireMsg::Heartbeat {
+    let batch = DataBatch {
         round: 1,
-        settled: true,
+        entries: vec![build_entry(1, 0, 0.0, 0.0, true)],
     };
     let mut payload = Vec::new();
-    encode_payload(&msg, &mut payload);
+    batch.encode_into(&mut payload);
+    payload.drain(..4);
     let flags_at = payload.len() - 1;
-    for bad in [0b10u8, 0b100, 0xfe, 0xff] {
+    for bad in [0b1000u8, 0b1_0000, 0xf8, 0xff] {
         payload[flags_at] = bad;
-        assert_eq!(decode_payload(&payload), Err(WireError::BadFlags(bad)));
+        assert_eq!(
+            decode_frame_payload(&payload),
+            Err(WireError::BadFlags(bad))
+        );
     }
 }
