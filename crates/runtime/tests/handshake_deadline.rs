@@ -13,6 +13,9 @@
 //! turned away with a named reason on both ends of the link, and corrupt
 //! bytes on an established link — or a retired frame type in place of the
 //! `Hello` — surface as a decode error, each naming the peer.
+//!
+//! Round deadline: a peer that handshakes and then falls silent is pruned
+//! after `detect_after` rounds that each waited out `round_timeout`.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -46,13 +49,24 @@ fn host(
     dial_addrs: &[(usize, SocketAddr)],
     timeout: Duration,
 ) -> Result<NodeReport, RuntimeError> {
-    let n = graph.len();
-    let utilities = ClusterBuilder::new(n).seed(0).build().utilities();
-    let problem = PowerBudgetProblem::new(utilities, Watts(170.0 * n as f64)).unwrap();
     let rt = RuntimeConfig {
         handshake_timeout: timeout,
         ..RuntimeConfig::default()
     };
+    host_with(graph, id, listener, dial_addrs, rt)
+}
+
+/// [`host`] under a whole runtime configuration.
+fn host_with(
+    graph: &Graph,
+    id: usize,
+    listener: TcpListener,
+    dial_addrs: &[(usize, SocketAddr)],
+    rt: RuntimeConfig,
+) -> Result<NodeReport, RuntimeError> {
+    let n = graph.len();
+    let utilities = ClusterBuilder::new(n).seed(0).build().utilities();
+    let problem = PowerBudgetProblem::new(utilities, Watts(170.0 * n as f64)).unwrap();
     let spec = node_specs(&problem, graph, DibaConfig::default(), &rt)
         .unwrap()
         .swap_remove(id);
@@ -424,4 +438,46 @@ fn retired_scalar_data_frame_is_a_decode_error_naming_the_peer() {
         other => panic!("expected a decode error, got {other:?}"),
     }
     assert!(elapsed < timeout, "answered only after {elapsed:?}");
+}
+
+/// The round deadline through a live shard loop: a peer that completes
+/// the handshake and then never sends a round entry, its socket held open
+/// so no end-of-stream rescues the node. Each time a stalled round
+/// outlives `round_timeout` the node runs it with the entry missing; the
+/// `detect_after`-th silent round prunes the peer, and the node, alone,
+/// settles and exits through quorum. It sends exactly one data entry per
+/// round the peer was live for, so the prune came neither early nor late
+/// in rounds, and the wall-clock floor shows no silent round was counted
+/// before its deadline.
+#[test]
+fn a_silent_peer_is_pruned_after_detect_after_round_deadlines() {
+    let round_timeout = Duration::from_millis(50);
+    let detect_after = 3;
+    let (listener, addr) = loopback_listener();
+    let peer = std::thread::spawn(move || {
+        let (_, answer, stream) = fake_dialer(addr, hello(&pair(), 0));
+        assert!(
+            matches!(answer, WireMsg::HelloAck { node: 1, .. }),
+            "{answer:?}"
+        );
+        // Handed back open; dropped only after the node has finished.
+        stream
+    });
+    let rt = RuntimeConfig {
+        round_timeout,
+        detect_after,
+        handshake_timeout: Duration::from_secs(5),
+        ..RuntimeConfig::default()
+    };
+    let start = Instant::now();
+    let report = host_with(&pair(), 1, listener, &[], rt).expect("node finishes alone");
+    let elapsed = start.elapsed();
+    let _stream = peer.join().expect("peer thread");
+    assert_eq!(report.pruned, [0]);
+    assert!(report.converged, "the lone node must exit through quorum");
+    assert_eq!(report.msgs_sent, detect_after as u64);
+    assert!(
+        elapsed >= round_timeout * detect_after as u32,
+        "pruned after {elapsed:?}, before {detect_after} round deadlines"
+    );
 }
