@@ -94,9 +94,9 @@ pub struct RuntimeConfig {
     /// Poller shards for the reactor transport; other transports ignore
     /// it.
     pub shards: ShardCount,
-    /// Coalesce reactor round traffic into multi-entry `DataBatch`
-    /// frames (the default). `false` seals one single-entry frame per
-    /// message — the per-message framing mode the benchmark's
+    /// Coalesce cross-shard reactor traffic into multi-entry `DataBatch`
+    /// frames (the default; intra-shard entries are never framed). `false`
+    /// seals one frame per message — the mode the benchmark's
     /// `runtime_reactor.coalesce_speedup` probe compares against.
     pub coalesce: bool,
 }

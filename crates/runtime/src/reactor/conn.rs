@@ -1,8 +1,9 @@
 //! Carrier and link state for the reactor: one byte *carrier* per pair of
-//! shards (plus a self carrier per shard), and one lightweight *link* per
-//! agent↔neighbor attachment riding whichever carrier connects the two
-//! owning shards. A one-agent node shard ([`super::host_node`]) is the
-//! degenerate case: one socket carrier, and one link, per graph neighbor.
+//! shards that share an edge, and one lightweight *link* per
+//! agent↔neighbor attachment, riding the carrier to the neighbor's shard
+//! — or none, inside one shard. A one-agent node shard
+//! ([`super::host_node`]) is the degenerate case: one socket carrier, and
+//! one link, per graph neighbor.
 //!
 //! Every carrier moves the identical length-prefixed byte stream:
 //! handshake frames are scalar [`crate::wire::WireMsg`]s, round traffic is
@@ -233,19 +234,16 @@ pub enum CarrierState {
     Data,
 }
 
-/// How a carrier moves bytes.
+/// How a carrier moves bytes to its peer shard.
 pub enum CarrierEnd {
-    /// Intra-shard: flushed staging bytes feed this carrier's own
-    /// reassembly buffer directly, inside the pump loop.
-    SelfLoop,
-    /// Cross-shard in-memory pipes (fd-budget spill).
+    /// In-memory pipes (fd-budget spill).
     Mem {
         /// Bytes arriving here.
         rx: Arc<MemPipe>,
         /// Bytes leaving here.
         tx: Arc<MemPipe>,
     },
-    /// Cross-shard socket: index into the shard's connection slab.
+    /// Socket: index into the shard's connection slab.
     Sock(u32),
 }
 
@@ -261,7 +259,7 @@ pub struct Carrier {
     pub label: String,
     /// Transport end.
     pub end: CarrierEnd,
-    /// Handshake progress (self carriers are born established).
+    /// Handshake progress.
     pub state: CarrierState,
     /// Partial-frame reassembly for the inbound byte stream.
     pub reasm: Reassembly,
@@ -281,13 +279,14 @@ pub struct Carrier {
 }
 
 impl Carrier {
-    /// A fresh carrier in the given handshake state.
-    pub fn new(peer_shard: usize, end: CarrierEnd, state: CarrierState) -> Carrier {
+    /// A fresh carrier, waiting for a `Hello` until the shard loop makes
+    /// its side the dialer.
+    pub fn new(peer_shard: usize, end: CarrierEnd) -> Carrier {
         Carrier {
             peer_shard,
             label: format!("shard {peer_shard}"),
             end,
-            state,
+            state: CarrierState::AwaitHello,
             reasm: Reassembly::new(),
             staging: Vec::new(),
             writer: BatchWriter::new(),
@@ -304,20 +303,21 @@ impl Carrier {
     }
 }
 
-/// One agent↔neighbor attachment. Links no longer own byte streams: their
-/// traffic rides the carrier connecting the two owning shards, and the
-/// inbox holds already-decoded batch entries awaiting the agent's
-/// slot-ordered receive pass.
+/// One agent↔neighbor attachment. Links own no byte streams: a cross-shard
+/// link's traffic rides the carrier connecting the two owning shards, an
+/// intra-shard link's is handed over in place, and either way the inbox
+/// holds batch entries awaiting the agent's slot-ordered receive pass.
 pub struct Link {
     /// Shard-local index of the owning agent.
     pub agent: u32,
-    /// Shard-local index of the carrier this link's traffic rides.
-    pub carrier: u32,
+    /// Shard-local index of the carrier this link's traffic rides; `None`
+    /// when the neighbor is on this shard.
+    pub carrier: Option<u32>,
     /// The *receiving* shard's index for the reverse link: outgoing
     /// entries are tagged with it so the peer shard routes them without
-    /// any lookup.
+    /// any lookup (and, in place, it is the inbox they go to).
     pub peer_slot: u32,
-    /// Decoded round entries awaiting the agent's receive pass.
+    /// Round entries awaiting the agent's receive pass.
     pub inbox: VecDeque<BatchEntry>,
     /// Inbound side exhausted: the peer sent its EOF entry (or the whole
     /// carrier stream ended).

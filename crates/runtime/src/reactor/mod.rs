@@ -15,25 +15,25 @@
 //! node's graph neighbors — one process per server, one thread per
 //! process, the wire format and handshake below unchanged.
 //!
-//! Traffic is coalesced onto **carriers**, one byte stream per pair of
-//! shards (plus a self carrier for intra-shard edges), chosen at bring-up:
+//! Every entry is addressed by the *receiving* shard's link index
+//! (computed here, centrally, so delivery needs no lookups), and moves one
+//! of two ways:
 //!
-//! * **cross-shard** carriers get a real nonblocking loopback TCP socket
-//!   driven by the shard's epoll — at most `shards·(shards−1)/2` sockets
-//!   total, with an in-memory spill (signalled through the receiving
-//!   shard's eventfd) if the file-descriptor budget is ever that tight;
-//! * **intra-shard** edges ride the shard's self carrier, whose staged
-//!   bytes loop straight back into its own reassembly buffer.
+//! * **intra-shard** edges carry no bytes: the sender pushes the entry
+//!   straight onto the receiving link's inbox;
+//! * **cross-shard** traffic is coalesced onto **carriers**, one byte
+//!   stream per pair of shards that share an edge — a real nonblocking
+//!   loopback TCP socket driven by the shard's epoll (at most
+//!   `shards·(shards−1)/2` sockets total), with an in-memory spill
+//!   (signalled through the receiving shard's eventfd) if the
+//!   file-descriptor budget is ever that tight. Each carrier runs one
+//!   handshake, then packs round traffic into [`crate::wire::DataBatch`]
+//!   frames.
 //!
-//! Every carrier moves the identical length-prefixed byte stream: one
-//! handshake per carrier, then round traffic packed into
-//! [`crate::wire::DataBatch`] frames whose entries are addressed by the
-//! *receiving* shard's link index (computed here, centrally, so routing
-//! needs no lookups). Agents still consume exactly one entry per live
-//! slot per round in slot order, so the arithmetic is bitwise-identical
-//! to the lockstep reference at equal seeds (pinned by the
-//! transport-equivalence tests) — coalescing changes how bytes move,
-//! never what they say.
+//! Agents consume exactly one entry per live slot per round in slot
+//! order, so the arithmetic is bitwise-identical to the lockstep
+//! reference at equal seeds (pinned by the transport-equivalence tests)
+//! — how an entry moves never changes what it says.
 
 mod bringup;
 mod conn;
@@ -41,7 +41,7 @@ mod shard;
 mod sys;
 mod wheel;
 
-use conn::{Carrier, CarrierEnd, CarrierState, Link, MemPipe, SockConn};
+use conn::{Carrier, CarrierEnd, Link, MemPipe, SockConn};
 use shard::{run_shard, AgentSlot, Shard};
 use sys::{nofile_limit, Epoll, EventFd};
 
@@ -181,15 +181,12 @@ pub fn run_reactor_cluster(
         wakes.push(Arc::new(EventFd::new().map_err(bringup_io)?));
     }
 
-    // Classify every edge into its carrier: which shard pairs exchange
-    // traffic, and which shards have intra-shard edges.
+    // Which shard pairs exchange traffic: one carrier per pair that shares
+    // an edge.
     let mut pair_set: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut intra = vec![false; shards];
     for (u, v) in graph.edges() {
         let (su, sv) = (shard_of(&cuts, u), shard_of(&cuts, v));
-        if su == sv {
-            intra[su] = true;
-        } else {
+        if su != sv {
             pair_set.insert((su.min(sv), su.max(sv)));
         }
     }
@@ -257,8 +254,8 @@ pub fn run_reactor_cluster(
         }
     }
 
-    // Pass 2: assemble each shard — carriers in deterministic order (self
-    // first, then peer shards ascending), agents, and their links.
+    // Pass 2: assemble each shard — carriers in deterministic order (peer
+    // shards ascending), agents, and their links.
     let abort = Arc::new(AtomicBool::new(false));
     let mut specs_by_node: Vec<Option<NodeSpec>> = specs.into_iter().map(Some).collect();
     let mut shard_structs = Vec::with_capacity(shards);
@@ -267,10 +264,6 @@ pub fn run_reactor_cluster(
         let mut carriers: Vec<Carrier> = Vec::new();
         let mut conns: Vec<SockConn> = Vec::new();
         let mut carrier_of_peer: HashMap<usize, u32> = HashMap::new();
-        if intra[s] {
-            carrier_of_peer.insert(s, carriers.len() as u32);
-            carriers.push(Carrier::new(s, CarrierEnd::SelfLoop, CarrierState::Data));
-        }
         for &(a, b) in &pair_set {
             if a != s && b != s {
                 continue;
@@ -293,7 +286,7 @@ pub fn run_reactor_cluster(
                 }
             };
             carrier_of_peer.insert(peer_shard, carriers.len() as u32);
-            carriers.push(Carrier::new(peer_shard, end, CarrierState::AwaitHello));
+            carriers.push(Carrier::new(peer_shard, end));
         }
 
         let mut agents = Vec::with_capacity(cuts[s + 1] - cuts[s]);
@@ -308,19 +301,20 @@ pub fn run_reactor_cluster(
             let mut link_of_slot = Vec::with_capacity(neighbors.len());
             for &peer in neighbors {
                 let peer_shard = shard_of(&cuts, peer);
-                let ci = *carrier_of_peer
-                    .get(&peer_shard)
-                    .expect("carrier exists for every edge's shard pair");
+                // Same shard: in place. Otherwise the pair's carrier must exist.
+                let carrier = (peer_shard != s).then(|| carrier_of_peer[&peer_shard]);
                 let link_idx = links.len() as u32;
                 debug_assert_eq!(link_index[&(node, peer)], link_idx, "pass 1 order matches");
                 links.push(Link {
                     agent: agent_idx,
-                    carrier: ci,
+                    carrier,
                     peer_slot: link_index[&(peer, node)],
                     inbox: VecDeque::new(),
                     eof: false,
                 });
-                carriers[ci as usize].fed_links.push(link_idx);
+                if let Some(ci) = carrier {
+                    carriers[ci as usize].fed_links.push(link_idx);
+                }
                 link_of_slot.push(link_idx);
             }
             agents.push(AgentSlot::new(node, core, link_of_slot, round_timeout));
@@ -423,7 +417,7 @@ pub fn host_node(
         s.stream.set_nodelay(true).map_err(bringup_io)?;
         s.stream.set_nonblocking(true).map_err(bringup_io)?;
         conns.push(SockConn::new(s.stream, slot));
-        let mut carrier = Carrier::new(peer, CarrierEnd::Sock(slot), CarrierState::AwaitHello);
+        let mut carrier = Carrier::new(peer, CarrierEnd::Sock(slot));
         carrier.label = s.label;
         carrier.reasm.push(&s.preread);
         carrier.fed_links.push(slot);
@@ -433,7 +427,7 @@ pub fn host_node(
         let peer_slot = graph.neighbors(peer).binary_search(&node);
         links.push(Link {
             agent: 0,
-            carrier: slot,
+            carrier: Some(slot),
             peer_slot: peer_slot.expect("edges are listed from both ends") as u32,
             inbox: VecDeque::new(),
             eof: false,

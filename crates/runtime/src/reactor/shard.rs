@@ -1,22 +1,25 @@
 //! One poller shard: an epoll loop owning a contiguous range of agents,
-//! their links, the carriers those links ride, and a deadline wheel.
+//! their links, the carriers that connect it to other shards, and a
+//! deadline wheel.
 //!
 //! The loop body is: wait (bounded by the wheel's next deadline) → ingest
 //! carrier bytes into per-carrier reassembly buffers → route decoded batch
 //! entries into per-link inboxes → step every agent whose round inputs are
-//! satisfied → flush staged outbound bytes, one write per carrier → fire
+//! satisfied, handing each entry for an agent on this shard straight to
+//! its inbox → flush staged outbound bytes, one write per carrier → fire
 //! expired timers. An agent steps round `r` only when every live slot has
 //! a buffered entry (or a link-level EOF), and its receive pass consumes
 //! them in slot order — so the values computed are independent of the
-//! order bytes happened to arrive in, which is what makes reactor runs
+//! order entries happened to arrive in, which is what makes reactor runs
 //! bitwise-identical to the lockstep reference — whether the shard hosts
 //! a slice of a cluster inside one process or a single agent whose
 //! carriers are the sockets to other processes ([`super::host_node`]).
 //!
-//! The hot path allocates nothing: entries encode straight into each
-//! carrier's persistent staging buffer through a [`BatchWriter`], inbound
-//! batches decode into one reused [`DataBatch`] scratch, and the receive
-//! pass indexes the core's slot list instead of cloning it.
+//! The hot path allocates nothing: an intra-shard entry is pushed onto the
+//! receiving link's inbox as a value, a cross-shard one encodes straight
+//! into its carrier's persistent staging buffer through a [`BatchWriter`],
+//! inbound batches decode into one reused [`DataBatch`] scratch, and the
+//! receive pass indexes the core's slot list instead of cloning it.
 //!
 //! What an entry *means* is [`AgentCore`]'s business: the shard re-addresses
 //! the entries the core stages, delivers them, and hands inbound ones back
@@ -105,7 +108,7 @@ pub struct Shard {
     /// All links of hosted agents.
     pub links: Vec<Link>,
     /// Byte carriers: one per peer shard this shard exchanges traffic
-    /// with, plus the self carrier for intra-shard edges.
+    /// with (intra-shard edges need none).
     pub carriers: Vec<Carrier>,
     /// Socket connections backing [`CarrierEnd::Sock`] carriers.
     pub conns: Vec<SockConn>,
@@ -113,8 +116,9 @@ pub struct Shard {
     pub identity: crate::wire::ClusterIdentity,
     /// Handshake deadline.
     pub handshake_timeout: Duration,
-    /// Coalesce round traffic into multi-entry batches (`false` seals a
-    /// single-entry frame per message — the bench comparison mode).
+    /// Coalesce cross-shard round traffic into multi-entry batches
+    /// (`false` seals a single-entry frame per message — the bench
+    /// comparison mode). Intra-shard entries are never framed.
     pub coalesce: bool,
     /// Set by any shard (or the driver) to abandon the run.
     pub abort: Arc<std::sync::atomic::AtomicBool>,
@@ -125,6 +129,8 @@ struct Loop {
     wheel: Wheel,
     dirty: Vec<u32>,
     dirty_flag: Vec<bool>,
+    /// Same-shard links to latch at EOF once no agent can advance.
+    eofs: Vec<u32>,
     done: usize,
     reports: Vec<(usize, NodeReport)>,
     /// Socket read buffer.
@@ -137,10 +143,10 @@ struct Loop {
     hs_pending: usize,
     round_check_armed: bool,
     min_round_timeout: Duration,
-    /// The clock as of the current [`pump`] sweep. Stamps `stall_since`:
+    /// The clock as of the current [`pump`] pass. Stamps `stall_since`:
     /// in steady state every agent stalls once per round, and the stamp
-    /// only feeds the seconds-scale round-deadline detector, so one clock
-    /// read per sweep replaces one per agent-round.
+    /// only feeds the round-deadline detector, so one clock read per pass
+    /// replaces one per agent-round.
     now: Instant,
 }
 
@@ -158,16 +164,13 @@ pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeEr
         wheel: Wheel::new(Duration::from_millis(8), 1024, origin),
         dirty: Vec::with_capacity(n_agents),
         dirty_flag: vec![false; n_agents],
+        eofs: Vec::new(),
         done: 0,
         reports: Vec::with_capacity(n_agents),
         scratch: vec![0u8; 64 * 1024],
         mem_scratch: Vec::new(),
         batch: DataBatch::default(),
-        hs_pending: shard
-            .carriers
-            .iter()
-            .filter(|c| !matches!(c.end, CarrierEnd::SelfLoop))
-            .count(),
+        hs_pending: shard.carriers.len(),
         round_check_armed: false,
         min_round_timeout: shard
             .agents
@@ -214,9 +217,6 @@ fn drive(shard: &mut Shard, lp: &mut Loop, n_agents: usize) -> Result<(), Runtim
     // so bring-up cost is O(shard pairs).
     let now = Instant::now();
     for ci in 0..shard.carriers.len() {
-        if matches!(shard.carriers[ci].end, CarrierEnd::SelfLoop) {
-            continue;
-        }
         if shard.id < shard.carriers[ci].peer_shard {
             let hello = WireMsg::Hello {
                 version: PROTOCOL_VERSION,
@@ -226,8 +226,6 @@ fn drive(shard: &mut Shard, lp: &mut Loop, n_agents: usize) -> Result<(), Runtim
             };
             shard.carriers[ci].state = CarrierState::AwaitAck;
             stage_msg(shard, ci, &hello);
-        } else {
-            shard.carriers[ci].state = CarrierState::AwaitHello;
         }
         lp.wheel.arm(
             now + shard.handshake_timeout,
@@ -299,20 +297,36 @@ fn release_agents(shard: &mut Shard, lp: &mut Loop) {
     }
 }
 
-/// Ingests, steps, ingests again — until no entries move and no agent can
-/// advance — then flushes every cross-shard carrier in one write each.
-/// Intra-shard traffic completes entire rounds inside one pump.
+/// Sweeps the mem carriers and steps dirty agents, again and again, until
+/// no agent can advance — then flushes every carrier in one write each.
+/// Intra-shard entries are delivered as they are staged, so a one-shard
+/// run completes every round inside one pump.
 fn pump(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
     loop {
-        let mut moved = sweep_mem(shard, lp)?;
-        moved |= ingest_self(shard, lp)?;
-        if lp.dirty.is_empty() && !moved {
-            break;
+        sweep_mem(shard, lp)?;
+        if lp.dirty.is_empty() {
+            // A same-shard EOF lands only now, when nothing on the shard
+            // can happen without it, so the path by which a neighbor of
+            // an agent that left reclaims its transfer does not depend on
+            // the order agents were stepped in.
+            while let Some(link_idx) = lp.eofs.pop() {
+                latch_eof(shard, lp, link_idx as usize);
+            }
+            if lp.dirty.is_empty() {
+                break;
+            }
         }
-        // Per sweep, not per `pump` call: a one-shard run spends every
-        // round inside a single call.
-        lp.now = Instant::now();
+        // Depth first: the agent whose inbox was just filled steps next.
+        // One clock read per pass of at most one step per hosted agent —
+        // about one round of the shard — so no stall stamp is older than
+        // the pass that made the agent stall.
+        let mut pass_left = 0;
         while let Some(a) = lp.dirty.pop() {
+            if pass_left == 0 {
+                lp.now = Instant::now();
+                pass_left = shard.agents.len();
+            }
+            pass_left -= 1;
             lp.dirty_flag[a as usize] = false;
             step_agent(shard, lp, a)?;
         }
@@ -328,10 +342,9 @@ fn mark_dirty(lp: &mut Loop, agent: u32) {
     }
 }
 
-/// Takes pending bytes out of every dirty cross-shard mem carrier into
-/// its reassembly buffer and routes the complete frames.
-fn sweep_mem(shard: &mut Shard, lp: &mut Loop) -> Result<bool, RuntimeError> {
-    let mut moved = false;
+/// Takes pending bytes out of every dirty mem carrier into its reassembly
+/// buffer and routes the complete frames.
+fn sweep_mem(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
     for ci in 0..shard.carriers.len() {
         let rx = match &shard.carriers[ci].end {
             CarrierEnd::Mem { rx, .. } => Arc::clone(rx),
@@ -344,48 +357,25 @@ fn sweep_mem(shard: &mut Shard, lp: &mut Loop) -> Result<bool, RuntimeError> {
         let closed = rx.take(&mut lp.mem_scratch);
         if !lp.mem_scratch.is_empty() {
             shard.carriers[ci].reasm.push(&lp.mem_scratch);
-            moved |= route_carrier(shard, lp, ci)?;
+            route_carrier(shard, lp, ci)?;
         }
         if closed {
             carrier_stream_eof(shard, lp, ci);
-            moved = true;
         }
     }
-    Ok(moved)
-}
-
-/// Seals and loops each self carrier's staged bytes back into its own
-/// reassembly buffer — intra-shard edges ride the identical byte stream
-/// as cross-shard ones, just without a kernel in the middle.
-fn ingest_self(shard: &mut Shard, lp: &mut Loop) -> Result<bool, RuntimeError> {
-    let mut moved = false;
-    for ci in 0..shard.carriers.len() {
-        if !matches!(shard.carriers[ci].end, CarrierEnd::SelfLoop) {
-            continue;
-        }
-        let c = &mut shard.carriers[ci];
-        c.writer.seal(&mut c.staging);
-        if c.staging.is_empty() {
-            continue;
-        }
-        c.reasm.push(&c.staging);
-        c.staging.clear();
-        moved |= route_carrier(shard, lp, ci)?;
-    }
-    Ok(moved)
+    Ok(())
 }
 
 /// Pops every complete frame out of a carrier's reassembly buffer,
 /// running scalar frames through the handshake state machine and batch
 /// entries into their links' inboxes.
-fn route_carrier(shard: &mut Shard, lp: &mut Loop, ci: usize) -> Result<bool, RuntimeError> {
-    let mut any = false;
+fn route_carrier(shard: &mut Shard, lp: &mut Loop, ci: usize) -> Result<(), RuntimeError> {
     loop {
         let mut batch = std::mem::take(&mut lp.batch);
         let next = shard.carriers[ci].reasm.next_frame_into(&mut batch);
         lp.batch = batch;
         match next {
-            Ok(None) => return Ok(any),
+            Ok(None) => return Ok(()),
             Err(source) => {
                 return Err(RuntimeError::Decode {
                     peer: shard.carriers[ci].peer_label(),
@@ -393,7 +383,6 @@ fn route_carrier(shard: &mut Shard, lp: &mut Loop, ci: usize) -> Result<bool, Ru
                 })
             }
             Ok(Some(FrameKind::Batch)) => {
-                any = true;
                 if shard.carriers[ci].state != CarrierState::Data {
                     return Err(RuntimeError::Protocol {
                         peer: shard.carriers[ci].peer_label(),
@@ -405,24 +394,21 @@ fn route_carrier(shard: &mut Shard, lp: &mut Loop, ci: usize) -> Result<bool, Ru
                     route_entry(shard, lp, ci, entry)?;
                 }
             }
-            Ok(Some(FrameKind::Msg(msg))) => {
-                any = true;
-                match shard.carriers[ci].state {
-                    CarrierState::AwaitHello => accept_hello(shard, lp, ci, msg)?,
-                    CarrierState::AwaitAck => accept_ack(shard, lp, ci, msg)?,
-                    CarrierState::Data => {
-                        return Err(RuntimeError::Protocol {
-                            peer: shard.carriers[ci].peer_label(),
-                            got: msg.kind(),
-                        })
-                    }
+            Ok(Some(FrameKind::Msg(msg))) => match shard.carriers[ci].state {
+                CarrierState::AwaitHello => accept_hello(shard, lp, ci, msg)?,
+                CarrierState::AwaitAck => accept_ack(shard, lp, ci, msg)?,
+                CarrierState::Data => {
+                    return Err(RuntimeError::Protocol {
+                        peer: shard.carriers[ci].peer_label(),
+                        got: msg.kind(),
+                    })
                 }
-            }
+            },
         }
     }
 }
 
-/// Delivers one decoded entry to the link it addresses.
+/// Delivers one decoded entry to the link it addresses, which must ride this carrier.
 fn route_entry(
     shard: &mut Shard,
     lp: &mut Loop,
@@ -430,24 +416,36 @@ fn route_entry(
     entry: BatchEntry,
 ) -> Result<(), RuntimeError> {
     let slot = entry.slot as usize;
-    if slot >= shard.links.len() || shard.links[slot].carrier as usize != ci {
+    if slot >= shard.links.len() || shard.links[slot].carrier != Some(ci as u32) {
         return Err(RuntimeError::Protocol {
             peer: shard.carriers[ci].peer_label(),
             got: "misrouted-batch-entry",
         });
     }
-    let link = &mut shard.links[slot];
-    let agent = link.agent;
     if entry.kind == EntryKind::Eof {
-        if !link.eof {
-            link.eof = true;
-            mark_dirty(lp, agent);
-        }
+        latch_eof(shard, lp, slot);
     } else {
-        link.inbox.push_back(entry);
-        mark_dirty(lp, agent);
+        deliver(shard, lp, entry);
     }
     Ok(())
+}
+
+/// Puts one round entry into the inbox of the shard-local link it
+/// addresses and marks the owning agent dirty.
+fn deliver(shard: &mut Shard, lp: &mut Loop, entry: BatchEntry) {
+    let link = &mut shard.links[entry.slot as usize];
+    link.inbox.push_back(entry);
+    mark_dirty(lp, link.agent);
+}
+
+/// The peer behind a link will send nothing more: mark its inbound side
+/// ended and wake the owning agent.
+fn latch_eof(shard: &mut Shard, lp: &mut Loop, link_idx: usize) {
+    let link = &mut shard.links[link_idx];
+    if !link.eof {
+        link.eof = true;
+        mark_dirty(lp, link.agent);
+    }
 }
 
 /// The whole inbound stream of a carrier ended (peer shard finished or
@@ -459,11 +457,7 @@ fn carrier_stream_eof(shard: &mut Shard, lp: &mut Loop, ci: usize) {
     shard.carriers[ci].eof = true;
     for i in 0..shard.carriers[ci].fed_links.len() {
         let link_idx = shard.carriers[ci].fed_links[i] as usize;
-        let link = &mut shard.links[link_idx];
-        if !link.eof {
-            link.eof = true;
-            mark_dirty(lp, link.agent);
-        }
+        latch_eof(shard, lp, link_idx);
     }
 }
 
@@ -592,16 +586,32 @@ fn stage_msg(shard: &mut Shard, ci: usize, msg: &WireMsg) {
     encode_frame_into(msg, &mut c.staging);
 }
 
-/// Stages one batch entry on a link. Returns `false` when the link is
-/// provably dead — the peer sent its EOF entry or the carrier's stream
+/// Sends one batch entry, already addressed to the receiver's link, out
+/// on link `link_idx`: in place when the receiver is on this shard,
+/// staged on the link's carrier otherwise. Returns `false` when the link
+/// is provably dead — the peer sent its EOF entry or the carrier's stream
 /// failed — so the caller reclaims the transfer it carried; a staged
 /// entry counts as delivered, exactly like a buffered socket write.
-fn send_entry(shard: &mut Shard, link_idx: u32, round: u32, entry: BatchEntry) -> bool {
+fn send_entry(
+    shard: &mut Shard,
+    lp: &mut Loop,
+    link_idx: u32,
+    round: u32,
+    entry: BatchEntry,
+) -> bool {
     let link = &shard.links[link_idx as usize];
     if link.eof {
         return false;
     }
-    let ci = link.carrier as usize;
+    let Some(ci) = link.carrier else {
+        if entry.kind == EntryKind::Eof {
+            lp.eofs.push(entry.slot);
+        } else {
+            deliver(shard, lp, entry);
+        }
+        return true;
+    };
+    let ci = ci as usize;
     if shard.carriers[ci].closed_out {
         return false;
     }
@@ -615,15 +625,12 @@ fn send_entry(shard: &mut Shard, link_idx: u32, round: u32, entry: BatchEntry) -
     true
 }
 
-/// Moves every non-self carrier's staged bytes to its transport: one
-/// mutex-guarded append per mem carrier, one (vectored) socket write per
-/// sock carrier. This — not per-message writes — is what makes the
-/// per-round wire cost O(carriers).
+/// Moves every carrier's staged bytes to its transport: one mutex-guarded
+/// append per mem carrier, one (vectored) socket write per sock carrier.
+/// This — not per-message writes — is what makes the per-round wire cost
+/// O(carriers).
 fn flush_cross(shard: &mut Shard) {
     for ci in 0..shard.carriers.len() {
-        if matches!(shard.carriers[ci].end, CarrierEnd::SelfLoop) {
-            continue;
-        }
         let c = &mut shard.carriers[ci];
         c.writer.seal(&mut c.staging);
         if c.staging.is_empty() {
@@ -645,7 +652,6 @@ fn flush_cross(shard: &mut Shard) {
                 c.staging.clear();
                 flush_conn(shard, conn_idx);
             }
-            CarrierEnd::SelfLoop => unreachable!("filtered above"),
         }
     }
 }
@@ -760,7 +766,7 @@ fn step_agent(shard: &mut Shard, lp: &mut Loop, a: u32) -> Result<(), RuntimeErr
                     return Ok(());
                 }
                 core.begin_round();
-                send_staged(shard, a);
+                send_staged(shard, lp, a);
                 shard.agents[a as usize].phase = Phase::AwaitFrames;
             }
             Phase::AwaitFrames => {
@@ -784,7 +790,7 @@ fn step_agent(shard: &mut Shard, lp: &mut Loop, a: u32) -> Result<(), RuntimeErr
 /// Delivers everything agent `a`'s core has staged — a round's entries or
 /// the goodbyes — re-addressed to the receiver's link index and stamped
 /// with the core's round, and tells the core how each send went.
-fn send_staged(shard: &mut Shard, a: u32) {
+fn send_staged(shard: &mut Shard, lp: &mut Loop, a: u32) {
     let core = shard.agents[a as usize].core.as_ref().expect("live core");
     let round = core.rounds() as u32;
     for k in 0..core.outbound().len() {
@@ -795,7 +801,7 @@ fn send_staged(shard: &mut Shard, a: u32) {
             slot: shard.links[link_idx as usize].peer_slot,
             ..entry
         };
-        let delivered = send_entry(shard, link_idx, round, readdressed);
+        let delivered = send_entry(shard, lp, link_idx, round, readdressed);
         let core = shard.agents[a as usize].core.as_mut().expect("live core");
         if delivered {
             core.note_sent(k);
@@ -830,7 +836,7 @@ fn receive_round(
         core.receive(slot, entry, link.eof);
     }
     if core.end_round() {
-        send_staged(shard, a);
+        send_staged(shard, lp, a);
         shard.agents[a as usize].phase = Phase::Draining;
         arm_drain_timer(shard, lp, a);
         absorb_drain(shard, lp, a);
@@ -884,8 +890,8 @@ fn absorb_drain(shard: &mut Shard, lp: &mut Loop, a: u32) {
     }
 }
 
-/// Folds the report and announces the agent's departure: one in-band EOF
-/// entry per link, so peers see a per-link FIN ordered after the frames
+/// Folds the report and announces the agent's departure: one EOF entry
+/// per link, in place inside the shard, else in band after the frames
 /// already staged — the carrier itself stays open for its other agents.
 fn finish_agent(shard: &mut Shard, lp: &mut Loop, a: u32) {
     let agent = &mut shard.agents[a as usize];
@@ -904,7 +910,7 @@ fn finish_agent(shard: &mut Shard, lp: &mut Loop, a: u32) {
             settled: false,
             kind: EntryKind::Eof,
         };
-        send_entry(shard, link_idx, round, entry);
+        send_entry(shard, lp, link_idx, round, entry);
     }
 }
 
@@ -922,7 +928,6 @@ fn teardown(shard: &mut Shard) {
         }
         c.closed_out = true;
         match &c.end {
-            CarrierEnd::SelfLoop => c.staging.clear(),
             CarrierEnd::Mem { tx, .. } => {
                 if !c.staging.is_empty() {
                     tx.send(&c.staging);
