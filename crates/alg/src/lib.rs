@@ -16,9 +16,9 @@
 //! * [`exec`] — the deterministic sharded round engine (worker pool,
 //!   barriers, chunked reductions, the [`exec::Threads`] /
 //!   [`exec::Precision`] policy knobs);
-//! * [`fast`] — the `Precision::Fast` kernel tier: SoA curve layout,
-//!   4-wide unrolled lanes, precomputed reciprocals, gated by numeric
-//!   equivalence instead of byte equality.
+//! * [`fast`] — the ring traversal of a DiBA round: the reference
+//!   kernel's exact arithmetic over an SoA curve layout in 4-wide unrolled
+//!   lanes, which `DibaRun` runs on ring-dominant graphs.
 //!
 //! ```
 //! use dpc_alg::{centralized, diba::{DibaConfig, DibaRun}, problem::PowerBudgetProblem};

@@ -113,7 +113,7 @@ COMMANDS:
   simulate   run a dynamic DiBA simulation
              --servers N (100)  --budget-watts W (176·N)  --seconds T (60)
              --churn-secs S     --phase-secs S            --seed S (0)
-             --precision reference|fast (reference)
+             --precision reference|fast (accepted; selects nothing)
   split      self-consistent computing/cooling split of a facility budget
              --total-mw X (0.66)
   faults     sweep message drop rate x node churn, check recovery, write JSON
@@ -124,7 +124,7 @@ COMMANDS:
   replay     drive a scenario timeline against a warm-started DiBA
              --scenario FILE (the scenario text format; see README)
              --cold on|off (on; also measure a cold start per event group)
-             --threads T|auto (auto)  --precision reference|fast (reference)
+             --threads T|auto (auto)  --precision reference|fast (selects nothing)
              --tol W (1e-2)  --stable-rounds R (10)  --max-rounds R (200000)
              --out FILE (also write the per-event JSON report)
   hier       solve a hierarchical multi-tenant budget tree
@@ -132,7 +132,7 @@ COMMANDS:
              --fanout F (4)  --depth D (1)  --leaf oracle|diba (oracle)
              --tenants K (0, striped caps at 90% of tenant peak)
              --tol X (0.015)  --max-rounds R (200000)
-             --threads T|auto (auto)  --precision reference|fast (reference)
+             --threads T|auto (auto)  --precision reference|fast (selects nothing)
              --domains FILE (also write per-domain JSONL records)
              --bench [FILE]  run the fanout × depth sweep instead and write
              BENCH_hierarchy.json (or FILE); --fanouts F,F,... (2,4)
