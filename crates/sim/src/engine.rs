@@ -532,8 +532,6 @@ mod tests {
             "{}",
             series.mean_optimality()
         );
-        // The simulator left the budgeter's tier alone.
-        assert_eq!(sim.budgeter().run().precision(), Precision::Fast);
     }
 
     #[test]
