@@ -46,7 +46,9 @@ pub struct DibaConfig {
     /// Slack diffusion step in `(0, 1)`.
     pub step_transfer: f64,
     /// Fraction of the per-node budget kept as the hard slack margin
-    /// (own actions never push `eᵢ` above `−margin`).
+    /// (own actions never push `eᵢ` above `−margin`). Must be positive: at
+    /// `0` the barrier loses its margin, a residual can end at `e = 0`
+    /// (breaking `e < 0`), and `1/ê` turns infinite.
     pub margin_frac: f64,
     /// Barrier continuation: η starts at `eta · eta_boost`. A boosted
     /// barrier holds a larger slack reservoir at every node, so slack
@@ -92,8 +94,8 @@ impl DibaConfig {
     ///
     /// [`AlgError::InvalidConfig`] naming the offending knob: explicit
     /// zero worker counts (`threads = Fixed(0)`), non-finite or
-    /// non-positive steps / η, a negative or non-finite margin fraction,
-    /// non-finite continuation knobs, or a zero telemetry capacity.
+    /// non-positive steps / η / margin fraction, non-finite continuation
+    /// knobs, or a zero telemetry capacity.
     pub fn validate(&self) -> Result<(), AlgError> {
         let bad = |what: String| Err(AlgError::InvalidConfig { what });
         if self.threads == Threads::Fixed(0) {
@@ -114,9 +116,9 @@ impl DibaConfig {
                 self.step_transfer
             ));
         }
-        if !self.margin_frac.is_finite() || self.margin_frac < 0.0 {
+        if !self.margin_frac.is_finite() || self.margin_frac <= 0.0 {
             return bad(format!(
-                "margin_frac = {} must be finite and non-negative",
+                "margin_frac = {} must be finite and positive",
                 self.margin_frac
             ));
         }
@@ -225,12 +227,142 @@ impl NodeScratch {
     }
 }
 
-/// The single source of the per-node math, generic over how the neighbors'
+/// `x.max(floor)` as a compare-select: `floor` unless `x` is larger.
+///
+/// `f64::max` lowers on x86 to `maxsd` plus a NaN fix-up sequence that
+/// keeps a loop from packing; this form is one `maxsd`/`maxpd`. The two
+/// agree bit for bit whenever `floor` is not NaN (a NaN `x` yields `floor`
+/// in both), except on a signed-zero tie, where `f64::max` may pick either
+/// zero — see `select_helpers_match_the_f64_forms` for why no call site
+/// meets one.
+#[inline(always)]
+pub(crate) fn max_sel(x: f64, floor: f64) -> f64 {
+    if x > floor {
+        x
+    } else {
+        floor
+    }
+}
+
+/// `x.min(ceil)` as a compare-select: `ceil` unless `x` is smaller. Same
+/// contract as [`max_sel`].
+#[inline(always)]
+pub(crate) fn min_sel(x: f64, ceil: f64) -> f64 {
+    if x < ceil {
+        x
+    } else {
+        ceil
+    }
+}
+
+/// `x.clamp(lo, hi)` without its `lo ≤ hi` assertion: the same two
+/// compare-selects `f64::clamp` performs, so the two agree bit for bit
+/// (NaN and signed zeros included) on every ordered pair of bounds — and
+/// the branch-free form packs.
+#[inline(always)]
+pub(crate) fn clamp_sel(x: f64, lo: f64, hi: f64) -> f64 {
+    let x = if x < lo { lo } else { x };
+    if x > hi {
+        hi
+    } else {
+        x
+    }
+}
+
+/// One node's raw power move: a gradient step on the barrier-augmented
+/// local utility `Rᵢ = rᵢ(pᵢ) + η·log(−êᵢ)` with `ê = min(e, −margin)`,
+/// diagonally preconditioned (utility curvature + barrier curvature, so
+/// steps are scale-free), projected into the box `[lo, hi]`. `b` and `c`
+/// are the curve's linear and quadratic coefficients.
+///
+/// Every traversal calls this: [`node_action_generic`] per CSR row and
+/// `alg::fast` per ring lane, so the expressions exist once. Its two
+/// divisions, `1/ê` and `step·grad/max(precond, 1e-12)`, are dependent
+/// and stay divisions (a reciprocal would round differently); the clamps
+/// are compare-selects, so a 4-lane loop over it packs.
+#[inline(always)]
+pub(crate) fn gradient_step(
+    p: f64,
+    e: f64,
+    b: f64,
+    c: f64,
+    lo: f64,
+    hi: f64,
+    rp: &NodeParams,
+) -> f64 {
+    let inv = 1.0 / min_sel(e, -rp.margin);
+    let grad = b + 2.0 * c * p + rp.eta * inv;
+    let precond = 2.0 * c.abs() + rp.eta * inv * inv;
+    let dp = rp.step_power * grad / max_sel(precond, 1e-12);
+    clamp_sel(p + dp, lo, hi) - p
+}
+
+/// One node's slack donation toward one neighbour: consensus diffusion
+/// toward the neighbour with less slack, one-directional per Algorithm 4
+/// (always `≤ 0`). `degree` is the sender's row length as `f64`; the
+/// division stays a division (a precomputed reciprocal would round
+/// differently), except that a literal `2.0` — the lanes' ring rows — is
+/// exactly the multiplication by `0.5` the compiler emits. The `min(0.0)`
+/// needs no compare-select: against a constant, non-NaN bound it already
+/// lowers to a bare `minsd`/`minpd`.
+#[inline(always)]
+pub(crate) fn send(step_transfer: f64, e_i: f64, e_j: f64, degree: f64) -> f64 {
+    (step_transfer * (e_i - e_j) / degree * 0.5).min(0.0)
+}
+
+/// Algorithm 4's feasibility backtracking on a node's raw move `dp` and
+/// its `sent` total (`0.0 + s₀ + s₁ + …` in row order). The own action
+/// must keep `e ≤ −margin`, and its own delta to `e` is `dp − sent`
+/// (donations raise `e`). When the budget is tight, donations to deficit
+/// neighbours are *financed by shedding power*: lowering `dp` creates
+/// exactly the slack being handed over, which is how a budget cut
+/// propagates through the ring at watts per round instead of stalling at
+/// the barrier. If the box stops the shedding, the donations are scaled
+/// down to what the margin still affords. Returns the final move and the
+/// factor the node's sends are scaled by (`1.0` when they stand).
+///
+/// The first test is the only one a round usually reaches; the lanes
+/// evaluate it packed, per lane, and call this only for a block where some
+/// lane fails it.
+#[inline(always)]
+pub(crate) fn backtrack(
+    p: f64,
+    e: f64,
+    lo: f64,
+    hi: f64,
+    dp: f64,
+    sent: f64,
+    margin: f64,
+) -> (f64, f64) {
+    let bound = -margin - e;
+    if dp - sent <= bound {
+        return (dp, 1.0);
+    }
+    // Shed power to cover the donations (and any violation), as far as
+    // the box allows: dp ≤ bound + sent.
+    let dp_shed = clamp_sel(p + dp.min(bound + sent), lo, hi) - p;
+    if dp_shed - sent <= bound {
+        return (dp_shed, 1.0);
+    }
+    // Box-limited: dp − sent ≤ bound needs sent ≥ dp − bound, with every
+    // send non-positive.
+    let allowed = dp_shed - bound;
+    let scale = if allowed < 0.0 && sent < 0.0 {
+        (allowed / sent).clamp(0.0, 1.0)
+    } else {
+        0.0
+    };
+    (dp_shed, scale)
+}
+
+/// The per-node math of every engine, generic over how the neighbors'
 /// residuals are fetched: the sharded round engine reads the global `e`
 /// array in place (fused — no staging copy), while the message-passing
 /// engines pass a staged slice. Monomorphized and inlined per call site, so
 /// genericity costs nothing; because every engine runs *this* code over the
-/// same values in the same order, they agree bitwise.
+/// same values in the same order, they agree bitwise. Its three steps are
+/// [`gradient_step`], one [`send`] per neighbour and [`backtrack`] — the
+/// helpers the lane traversal runs too, so the expressions exist once.
 ///
 /// Computes `dp` and writes one transfer per neighbor into `transfers`
 /// (`transfers.len() == degree`); `neighbor_e(k)` must yield the residual
@@ -246,61 +378,24 @@ fn node_action_generic<G: Fn(usize) -> f64>(
     transfers: &mut [f64],
 ) -> f64 {
     debug_assert_eq!(transfers.len(), degree);
-    let inv = 1.0 / e.min(-params.margin);
-
-    // Power gradient of Rᵢ with a diagonal preconditioner (utility
-    // curvature + barrier curvature), giving scale-free steps.
-    let (_, _, c) = u.coefficients();
-    let grad = u.slope(Watts(p)) + params.eta * inv;
-    let precond = 2.0 * c.abs() + params.eta * inv * inv;
-    let mut dp = params.step_power * grad / precond.max(1e-12);
-    // Box projection.
-    dp = (p + dp).clamp(u.p_min().0, u.p_max().0) - p;
-
-    // Slack transfers: donate toward neighbors with less slack (consensus
-    // diffusion, one-directional per Algorithm 4). The usize→f64 degree
-    // conversion is exact, so hoisting it out of the loop is bitwise-inert;
-    // the division itself must stay (a precomputed reciprocal would round
-    // differently and change the trajectory).
+    let (_, b, c) = u.coefficients();
+    let (lo, hi) = (u.p_min().0, u.p_max().0);
+    let dp = gradient_step(p, e, b, c, lo, hi, params);
+    // The usize→f64 degree conversion is exact, so hoisting it out of the
+    // loop is bitwise-inert.
     let degree_f = degree.max(1) as f64;
     let mut sent_total = 0.0;
     for (k, t) in transfers.iter_mut().enumerate() {
-        let e_j = neighbor_e(k);
-        *t = (params.step_transfer * (e - e_j) / degree_f * 0.5).min(0.0);
+        *t = send(params.step_transfer, e, neighbor_e(k), degree_f);
         sent_total += *t;
     }
-
-    // Feasibility of the own action: it must keep eᵢ ≤ −margin. Own delta
-    // to eᵢ is dp − sent_total (donations raise eᵢ). When the budget is
-    // tight, donations to deficit neighbors are *financed by shedding
-    // power*: lowering dp creates exactly the slack being handed over,
-    // which is how a budget cut propagates through the ring at watts per
-    // round instead of stalling at the barrier.
-    let bound = -params.margin - e;
-    let own_delta = dp - sent_total;
-    if own_delta <= bound {
-        return dp;
+    let (dp, scale) = backtrack(p, e, lo, hi, dp, sent_total, params.margin);
+    if scale != 1.0 {
+        for t in transfers.iter_mut() {
+            *t *= scale;
+        }
     }
-    // Shed power to cover the donations (and any violation), as far as the
-    // box allows.
-    let dp_needed = bound + sent_total; // dp ≤ this
-    let dp_shed = (p + dp.min(dp_needed)).clamp(u.p_min().0, u.p_max().0) - p;
-    if dp_shed - sent_total <= bound {
-        return dp_shed;
-    }
-    // Box-limited: scale donations down to what the margin still affords
-    // (own_delta = dp − sent ≤ bound requires sent ≥ dp − bound, with all
-    // sends non-positive).
-    let allowed = dp_shed - bound;
-    let scale = if allowed < 0.0 && sent_total < 0.0 {
-        (allowed / sent_total).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    for t in transfers.iter_mut() {
-        *t *= scale;
-    }
-    dp_shed
+    dp
 }
 
 /// The allocation-free kernel over a staged neighbor-residual slice:
@@ -1439,7 +1534,7 @@ fn phase_a<const SUMS: bool>(
         );
         // SAFETY: element i is in this worker's own shard.
         unsafe { p_hat.write(i, dp) };
-        fold.max_step = fold.max_step.max(dp.abs());
+        fold.max_step = max_sel(dp.abs(), fold.max_step);
     }
     fold
 }
@@ -1522,6 +1617,12 @@ mod tests {
                 margin_frac: -1.0,
                 ..DibaConfig::default()
             },
+            // No margin: a residual can end at e = ±0, where 1/ê is
+            // infinite.
+            DibaConfig {
+                margin_frac: 0.0,
+                ..DibaConfig::default()
+            },
             DibaConfig {
                 eta: Some(f64::INFINITY),
                 ..DibaConfig::default()
@@ -1581,6 +1682,72 @@ mod tests {
         assert!(last.shard_nanos.iter().all(|&ns| ns == 0));
     }
 
+    /// The compare-select helpers against the `f64` forms they replace,
+    /// bit for bit, over ordinary values, zeros, subnormals,
+    /// `MIN_POSITIVE`, `±1e300`, `±∞` and NaN. The value clamped or
+    /// compared may be anything, NaN included; the floor, ceiling or box
+    /// is never NaN, as at every call site (`1e-12`, `−margin`, a box
+    /// bound, a running max). `clamp_sel` performs `f64::clamp`'s own
+    /// compare-selects and always agrees.
+    ///
+    /// `max_sel`/`min_sel` may differ from `f64::max`/`min` only on a
+    /// signed-zero tie (`+0` against `−0`), and no call site can meet one:
+    /// `validate` requires `margin_frac > 0`, so `−margin` in
+    /// `min(e, −margin)` is strictly negative and `1e-12` in the
+    /// preconditioner floor is not zero; in the max-|p̂| folds both
+    /// operands are `|p̂| ≥ +0` or a maximum that starts at `+0`, never
+    /// `−0`. The projection's operand `p + dp` is not `−0` either: every
+    /// power starts at `+0` or above, and `x + y` is `−0` only when both
+    /// operands are `−0`.
+    #[test]
+    fn select_helpers_match_the_f64_forms() {
+        let tiny = f64::from_bits(1);
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.5,
+            -2.25,
+            172.0,
+            -3e-5,
+            1e-12,
+            tiny,
+            -tiny,
+            1e-310,
+            -1e-310,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let bounds = values.clone();
+        values.push(f64::NAN);
+        let tie = |x: f64, y: f64| x == 0.0 && y == 0.0;
+        for &x in &values {
+            for &y in &bounds {
+                for want in [x.max(y), y.max(x)] {
+                    let got = max_sel(x, y);
+                    assert!(
+                        got.to_bits() == want.to_bits() || tie(x, y),
+                        "max {x:e} {y:e}"
+                    );
+                }
+                for want in [x.min(y), y.min(x)] {
+                    let got = min_sel(x, y);
+                    assert!(
+                        got.to_bits() == want.to_bits() || tie(x, y),
+                        "min {x:e} {y:e}"
+                    );
+                }
+                for &hi in bounds.iter().filter(|&&hi| hi >= y) {
+                    let (got, want) = (clamp_sel(x, y, hi), x.clamp(y, hi));
+                    assert_eq!(got.to_bits(), want.to_bits(), "clamp {x:e} {y:e} {hi:e}");
+                }
+            }
+        }
+    }
+
     /// What the lanes ≡ CSR test compares after every step: the state
     /// bits, the round counter and the last round's max |dp|.
     fn observed(run: &DibaRun) -> (Vec<(u64, u64)>, usize, u64) {
@@ -1590,6 +1757,48 @@ mod tests {
             run.iterations,
             run.last_max_step.to_bits(),
         )
+    }
+
+    /// The shapes the lanes' cold backtracking block takes in the next
+    /// round, judged on the run's own state with the reference kernel:
+    /// whether some 4-lane block — cut as the lanes cut the run's shards,
+    /// from `max(start, 1)` in whole blocks short of `n − 1` — has rows
+    /// failing the first feasibility test beside rows passing it, and
+    /// whether some failing ring row in a block sheds power without
+    /// scaling its sends (`scale == 1`, but `dp` changed).
+    fn cold_block_shapes(run: &DibaRun) -> (bool, bool) {
+        let rp = NodeParams {
+            eta: run.params.eta * run.boost,
+            ..run.params
+        };
+        let (n, p, e) = (run.p.len(), &run.p, &run.e);
+        // Row i as the lanes see it: ring neighbours i − 1 and i + 1.
+        let row = |i: usize| {
+            let u = run.problem.utility(i);
+            let (_, b, c) = u.coefficients();
+            let raw = gradient_step(p[i], e[i], b, c, u.p_min().0, u.p_max().0, &rp);
+            let sends = [e[i - 1], e[i + 1]].map(|ej| send(rp.step_transfer, e[i], ej, 2.0));
+            let sent = 0.0 + sends[0] + sends[1];
+            (raw, sends, raw - sent <= -rp.margin - e[i])
+        };
+        let (mut mixed, mut shed_only) = (false, false);
+        for cut in run.scratch.cuts.windows(2) {
+            let (mut i, hi) = (cut[0].max(1), cut[1].min(n - 1));
+            while i + crate::fast::LANES <= hi {
+                let block: Vec<_> = (i..i + crate::fast::LANES).map(row).collect();
+                mixed |= block.iter().any(|r| r.2) && block.iter().any(|r| !r.2);
+                for (j, (raw, sends, holds)) in (i..).zip(block) {
+                    if !holds && run.graph.neighbors(j) == [j - 1, j + 1] {
+                        let u = run.problem.utility(j);
+                        let action = node_action(u, p[j], e[j], &[e[j - 1], e[j + 1]], &rp);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        shed_only |= bits(&action.transfers) == bits(&sends) && action.dp != raw;
+                    }
+                }
+                i += crate::fast::LANES;
+            }
+        }
+        (mixed, shed_only)
     }
 
     /// `true` when the next round scales some ring row's donations down —
@@ -1616,6 +1825,9 @@ mod tests {
         use crate::telemetry::TelemetryConfig;
         use dpc_models::throughput::CurveParams;
         let mut scaled = false;
+        // Per tight-phase worker count (2, 7, 1): a cold block seen with
+        // failing and passing rows mixed, and one with a shed-only row.
+        let (mut mixed, mut shed_only) = ([false; 3], [false; 3]);
         let mut case = 0usize;
         for n in [3, 4, 5, 6, 7, 9, 13, 31, 64, 150, 300] {
             let mut chord_counts = vec![0, 1, n / 8, n / 4];
@@ -1679,12 +1891,15 @@ mod tests {
                 check(&lanes, &csr, "run_to_rest");
 
                 // Half a watt per server above idle: boxes pin, and
-                // backtracking scales donations down.
+                // backtracking sheds power and scales donations down.
                 let tight = Watts(lanes.problem().min_total().0 + 0.5 * n as f64);
                 lanes.set_budget(tight).unwrap();
                 csr.set_budget(tight).unwrap();
                 for _ in 0..60 {
                     scaled |= ring_row_scales(&lanes);
+                    let (m, s) = cold_block_shapes(&lanes);
+                    mixed[case % 3] |= m;
+                    shed_only[case % 3] |= s;
                     lanes.step();
                     csr.step();
                 }
@@ -1700,6 +1915,11 @@ mod tests {
             }
         }
         assert!(scaled, "no case took the scaled-donation path");
+        assert_eq!(mixed, [true; 3], "a mixed cold block at 2, 7, 1 workers");
+        assert_eq!(
+            shed_only, [true; 3],
+            "a shed-only cold row at 2, 7, 1 workers"
+        );
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   barriers, chunked reductions, the [`exec::Threads`] /
 //!   [`exec::Precision`] policy knobs);
 //! * [`fast`] — the ring traversal of a DiBA round: the reference
-//!   kernel's exact arithmetic over an SoA curve layout in 4-wide unrolled
-//!   lanes, which `DibaRun` runs on ring-dominant graphs.
+//!   kernel's exact arithmetic over an SoA curve layout in packed 4-lane
+//!   blocks, which `DibaRun` runs on ring-dominant graphs.
 //!
 //! ```
 //! use dpc_alg::{centralized, diba::{DibaConfig, DibaRun}, problem::PowerBudgetProblem};
