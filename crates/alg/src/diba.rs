@@ -53,15 +53,17 @@ pub struct DibaConfig {
     /// Barrier continuation: η starts at `eta · eta_boost`. A boosted
     /// barrier holds a larger slack reservoir at every node, so slack
     /// differences — and with them the diffusion rate — are proportionally
-    /// larger during the initial redistribution. The boost is *halved each
-    /// time the redistribution stagnates* at the current stage (path
+    /// larger during the initial redistribution. The boost decays by
+    /// [`BOOST_DECAY`] every round and, in [`DibaRun`], is also *halved
+    /// each time the redistribution stagnates* at the current stage (path
     /// following), so every stage only re-adjusts locally relative to the
-    /// previous one; this keeps convergence rounds — and hence DiBA's
-    /// communication time — essentially flat in cluster size.
+    /// previous one. That stage rule reads the global max |Δp|, which no
+    /// deployed agent sees, so the agents (`dpc-runtime`'s `AgentCore`)
+    /// run the decay alone: the continuation schedule is the one thing
+    /// the engine and the agents compute differently. At `eta_boost = 1`
+    /// there is no continuation, and `DibaRun` is the agents' round bit
+    /// for bit.
     pub eta_boost: f64,
-    /// Per-round multiplicative backstop decay of the boost, in `(0, 1]`
-    /// (guarantees the boost eventually vanishes even without stagnation).
-    pub eta_boost_decay: f64,
     /// Worker policy for the round engine: [`Threads::Auto`] (the default)
     /// applies the measured serial↔parallel cutover per problem size and
     /// host, `Threads::Fixed(1)` forces the inline serial path (no threads
@@ -130,12 +132,6 @@ impl DibaConfig {
         if !self.eta_boost.is_finite() {
             return bad(format!("eta_boost = {} must be finite", self.eta_boost));
         }
-        if !self.eta_boost_decay.is_finite() {
-            return bad(format!(
-                "eta_boost_decay = {} must be finite",
-                self.eta_boost_decay
-            ));
-        }
         if !self.equiv_eps_watts.is_finite() || self.equiv_eps_watts <= 0.0 {
             return bad(format!(
                 "equiv_eps_watts = {} must be finite and positive",
@@ -154,7 +150,6 @@ impl Default for DibaConfig {
             step_transfer: 1.2,
             margin_frac: 1e-5,
             eta_boost: 30.0,
-            eta_boost_decay: 0.995,
             threads: Threads::Auto,
             backend: Backend::Pooled,
             precision: Precision::Reference,
@@ -163,6 +158,12 @@ impl Default for DibaConfig {
         }
     }
 }
+
+/// Per-round multiplicative decay of the barrier-continuation boost, the
+/// backstop that makes it vanish even without stagnation:
+/// `boost ← max(boost · BOOST_DECAY, 1)` at the end of every round, in
+/// `DibaRun` and in every deployed agent alike.
+pub const BOOST_DECAY: f64 = 0.995;
 
 /// Resolved per-node parameters — what a deployed node actually carries.
 /// Shared by the synchronous reference implementation and the
@@ -493,7 +494,6 @@ enum Stop {
 struct RoundCtl {
     params: NodeParams,
     boost: f64,
-    boost_decay: f64,
     stage_tol: f64,
     stage_rounds: usize,
     iterations: usize,
@@ -527,7 +527,7 @@ impl RoundCtl {
             self.boost = (self.boost * 0.5).max(1.0);
             self.stage_rounds = 0;
         }
-        self.boost = (self.boost * self.boost_decay).max(1.0);
+        self.boost = (self.boost * BOOST_DECAY).max(1.0);
     }
 
     /// Closes a finished round under `stop`: absorbs the reduction, spends
@@ -572,8 +572,9 @@ enum Traversal {
         vn: Vec<f64>,
         /// Exceptional rows' final chord sends, one slot per row slot.
         extras: Vec<f64>,
-        /// Phase B's parked residual of each exceptional node.
-        stash: Vec<f64>,
+        /// Phase B's parked `[sent residual, residual]` of each
+        /// exceptional node.
+        stash: Vec<[f64; 2]>,
     },
 }
 
@@ -598,7 +599,7 @@ impl Traversal {
             vp: vec![0.0; n],
             vn: vec![0.0; n],
             extras: vec![0.0; state.extras_len()],
-            stash: vec![0.0; state.exceptional_len()],
+            stash: vec![[0.0; 2]; state.exceptional_len()],
             state: Box::new(state),
         }
     }
@@ -799,7 +800,6 @@ pub struct DibaRun {
     margin_frac: f64,
     /// Barrier continuation: current multiplicative boost on η (≥ 1).
     boost: f64,
-    boost_decay: f64,
     reboost: f64,
     /// Per-round move below which the current continuation stage is
     /// considered stagnant and the boost halves (watts).
@@ -808,6 +808,11 @@ pub struct DibaRun {
     stage_rounds: usize,
     p: Vec<f64>,
     e: Vec<f64>,
+    /// The residual each node last sent — what its neighbours act on, as
+    /// an agent acts on the residual its peer put on the wire last round.
+    /// Only rounds write it; a warm event changes `e`, and the next round
+    /// publishes the change.
+    e_sent: Vec<f64>,
     iterations: usize,
     last_max_step: f64,
     engine: Engine,
@@ -821,7 +826,9 @@ pub struct DibaRun {
 impl DibaRun {
     /// Initializes DiBA at a slightly-backed-off uniform allocation with the
     /// global slack shared equally (`eᵢ = (Σp − P)/n`), which a real
-    /// deployment computes with one gossip round.
+    /// deployment computes with one gossip round. Every node starts out
+    /// having sent that same residual, as an agent starts out assuming its
+    /// peers hold its own.
     ///
     /// # Errors
     ///
@@ -875,11 +882,11 @@ impl DibaRun {
             eta_override: config.eta,
             margin_frac: config.margin_frac,
             boost: config.eta_boost.max(1.0),
-            boost_decay: config.eta_boost_decay.clamp(0.0, 1.0),
             reboost: config.eta_boost.max(1.0),
             stage_tol,
             stage_rounds: 0,
             p,
+            e_sent: e.clone(),
             e,
             iterations: 0,
             last_max_step: f64::INFINITY,
@@ -1004,21 +1011,28 @@ impl DibaRun {
     /// when the stop rule's criterion fired, `None` when its round cap
     /// did (always `None` under [`Stop::Rounds`]).
     ///
-    /// Each round is receiver-centric and two-phase:
+    /// Each round is the deployed agent's round (`dpc-runtime`'s
+    /// `AgentCore`), receiver-centric and two-phase:
     ///
-    /// * **Phase A** — every node computes its kernel from the previous
-    ///   round's state, writing its power move into `p_hat[i]` and its
-    ///   final (backtracked) per-neighbor transfers: into its CSR-aligned
-    ///   `transfers` slots on the CSR traversal, into the ring-send arrays
-    ///   (and, for chord rows, the extras buffer) on the lane traversal.
-    /// * **Phase B** — every node folds `Σ (incoming − outgoing)` over its
-    ///   row in slot order — through the reverse-slot map (CSR) or the
-    ///   neighbours' ring-send entries (lanes) — and applies
-    ///   `p[i] += p̂ᵢ`, `e[i] = (e[i] + p̂ᵢ) + d`.
+    /// * **Phase A** — every node computes its kernel from its own `(p, e)`
+    ///   and its neighbours' sent residuals `e_sent` — what each put on
+    ///   the wire last round — writing its power move into `p_hat[i]` and
+    ///   its final (backtracked) per-neighbor transfers: into its
+    ///   CSR-aligned `transfers` slots on the CSR traversal, into the
+    ///   ring-send arrays (and, for chord rows, the extras buffer) on the
+    ///   lane traversal.
+    /// * **Phase B** — every node applies `p[i] += p̂ᵢ`, folds its own
+    ///   final sends in slot order into `sent` (the agent's
+    ///   `Iterator::sum`), publishes `e_sent[i] = e[i] + (p̂ᵢ − sent)` and
+    ///   then adds each incoming transfer to it in slot order — through
+    ///   the reverse-slot map (CSR) or the neighbours' ring-send entries
+    ///   (lanes) — exactly as an agent's `receive` calls do.
     ///
     /// Both traversals evaluate the same expressions in the same orders,
     /// so which one the graph's shape picked ([`Traversal`]) is invisible
-    /// in the bits.
+    /// in the bits; and with no continuation (`eta_boost = 1`) the
+    /// trajectory is the lockstep agents' bit for bit
+    /// (`dpc-runtime/tests/equivalence.rs`).
     ///
     /// Every array element is written by exactly one node in a fixed
     /// fold order, so the trajectory is a pure function of the previous
@@ -1065,7 +1079,6 @@ impl DibaRun {
         let mut ctl = RoundCtl {
             params: self.params,
             boost: self.boost,
-            boost_decay: self.boost_decay,
             stage_tol: self.stage_tol,
             stage_rounds: self.stage_rounds,
             iterations: self.iterations,
@@ -1084,6 +1097,7 @@ impl DibaRun {
             let cuts = &self.scratch.cuts;
             let p = SharedSlice::new(&mut self.p);
             let e = SharedSlice::new(&mut self.e);
+            let e_sent = SharedSlice::new(&mut self.e_sent);
             let p_hat = SharedSlice::new(&mut self.scratch.p_hat);
             let worker_max = SharedSlice::new(&mut self.scratch.worker_max);
             let worker_sums = SharedSlice::new(&mut self.scratch.worker_sums);
@@ -1114,6 +1128,7 @@ impl DibaRun {
                             &rp,
                             &p,
                             &e,
+                            &e_sent,
                             range.clone(),
                             &p_hat,
                             transfers,
@@ -1124,6 +1139,7 @@ impl DibaRun {
                             &rp,
                             &p,
                             &e,
+                            &e_sent,
                             range.clone(),
                             &p_hat,
                             transfers,
@@ -1137,6 +1153,7 @@ impl DibaRun {
                                 &rp,
                                 &p,
                                 &e,
+                                &e_sent,
                                 range.clone(),
                                 &p_hat,
                                 bufs,
@@ -1149,6 +1166,7 @@ impl DibaRun {
                                 &rp,
                                 &p,
                                 &e,
+                                &e_sent,
                                 range.clone(),
                                 &p_hat,
                                 bufs,
@@ -1200,11 +1218,20 @@ impl DibaRun {
                     }
                     let local_max = match &views {
                         Views::Csr { transfers, rev } => {
-                            phase_b(graph, rev, range.clone(), &p, &e, &p_hat, transfers);
+                            phase_b(
+                                graph,
+                                rev,
+                                range.clone(),
+                                &p,
+                                &e,
+                                &e_sent,
+                                &p_hat,
+                                transfers,
+                            );
                             fold.max_step
                         }
                         Views::Lanes { state, bufs } => {
-                            phase_b_fast(state, range.clone(), &p, &e, &p_hat, bufs)
+                            phase_b_fast(state, range.clone(), &p, &e, &e_sent, &p_hat, bufs)
                         }
                     };
                     // SAFETY: slot w is ours alone; worker 0 only folds the
@@ -1481,14 +1508,16 @@ struct ShardFold {
 }
 
 /// Phase A of a round over one shard: kernel every node in `range` against
-/// the previous round's state, writing `p_hat[i]` and the node's own
-/// CSR-aligned `transfers` slots.
+/// the previous round's state — its own `(p, e)` and its neighbours' sent
+/// residuals — writing `p_hat[i]` and the node's own CSR-aligned
+/// `transfers` slots.
 ///
-/// Fused: the kernel reads each neighbor's residual straight out of the
-/// global `e` array through its CSR row (split-slice, no bounds checks in
-/// the hot loop) instead of staging a per-node copy first — one pass over
-/// the shard, no scratch traffic. Reading the same `f64`s from a different
-/// place is bitwise-inert, so the fusion cannot move the trajectory.
+/// Fused: the kernel reads each neighbor's sent residual straight out of
+/// the global `e_sent` array through its CSR row (split-slice, no bounds
+/// checks in the hot loop) instead of staging a per-node copy first — one
+/// pass over the shard, no scratch traffic. Reading the same `f64`s from a
+/// different place is bitwise-inert, so the fusion cannot move the
+/// trajectory.
 ///
 /// `SUMS` additionally accumulates the cap test's two sums while `pᵢ` and
 /// the curve are in registers; it is a const so the loops that never read
@@ -1500,6 +1529,7 @@ fn phase_a<const SUMS: bool>(
     rp: &NodeParams,
     p: &SharedSlice<'_, f64>,
     e: &SharedSlice<'_, f64>,
+    e_sent: &SharedSlice<'_, f64>,
     range: Range<usize>,
     p_hat: &SharedSlice<'_, f64>,
     transfers: &SharedSlice<'_, f64>,
@@ -1526,9 +1556,9 @@ fn phase_a<const SUMS: bool>(
             ei,
             row.len(),
             // SAFETY: k < row.len() by the kernel's loop bound; nobody
-            // writes `e` during phase A — the previous round's writes are
-            // sealed by its round-end barrier.
-            |k| unsafe { e.read(*row.get_unchecked(k)) },
+            // writes `e_sent` during phase A — the previous round's writes
+            // are sealed by its round-end barrier.
+            |k| unsafe { e_sent.read(*row.get_unchecked(k)) },
             rp,
             out,
         );
@@ -1539,33 +1569,40 @@ fn phase_a<const SUMS: bool>(
     fold
 }
 
-/// Phase B of a round over one shard: fold each node's residual delta from
-/// its own slot range in ascending order and apply the round's state
-/// update. Runs strictly after a barrier seals every phase-A write.
+/// Phase B of a round over one shard, in the agent's order: apply the
+/// node's move, publish `e_mid = e + (dp − sent)` with `sent` its own row's
+/// final sends summed in slot order, then add the incoming transfers to it
+/// in slot order. Runs strictly after a barrier seals every phase-A write.
+#[allow(clippy::too_many_arguments)] // the shard worker's full working set
 fn phase_b(
     graph: &Graph,
     rev: &[usize],
     range: Range<usize>,
     p: &SharedSlice<'_, f64>,
     e: &SharedSlice<'_, f64>,
+    e_sent: &SharedSlice<'_, f64>,
     p_hat: &SharedSlice<'_, f64>,
     transfers: &SharedSlice<'_, f64>,
 ) {
     let offsets = graph.offsets();
     for i in range {
         let (lo, hi) = (offsets[i], offsets[i + 1]);
-        let mut d = 0.0_f64;
-        for (s, &r) in rev[lo..hi].iter().enumerate().map(|(k, r)| (lo + k, r)) {
-            // SAFETY: all transfer slots were written in phase A and are
-            // read-only now; incoming value sits at the reverse slot.
-            d += unsafe { transfers.read(r) - transfers.read(s) };
-        }
-        // SAFETY: element i is in this worker's own shard; `e[i]` is not
-        // read by any other worker until the round-end barrier.
+        // SAFETY: all transfer slots were written in phase A and are
+        // read-only now; node i's own sends sit at its slots, and what it
+        // received at their reverse slots. Element i is in this worker's
+        // own shard; `e[i]` and `e_sent[i]` are not read by any other
+        // worker until the round-end barrier.
         unsafe {
+            let sent: f64 = transfers.slice(lo..hi).iter().sum();
             let dp = p_hat.read(i);
             p.write(i, p.read(i) + dp);
-            e.write(i, e.read(i) + dp + d);
+            let e_mid = e.read(i) + (dp - sent);
+            let mut e_new = e_mid;
+            for &r in &rev[lo..hi] {
+                e_new += transfers.read(r);
+            }
+            e_sent.write(i, e_mid);
+            e.write(i, e_new);
         }
     }
 }
@@ -1749,11 +1786,13 @@ mod tests {
     }
 
     /// What the lanes ≡ CSR test compares after every step: the state
-    /// bits, the round counter and the last round's max |dp|.
-    fn observed(run: &DibaRun) -> (Vec<(u64, u64)>, usize, u64) {
-        let bits = run.p.iter().zip(&run.e);
+    /// bits (sent residuals included), the round counter and the last
+    /// round's max |dp|.
+    fn observed(run: &DibaRun) -> (Vec<[u64; 3]>, usize, u64) {
+        let bits = run.p.iter().zip(&run.e).zip(&run.e_sent);
         (
-            bits.map(|(p, e)| (p.to_bits(), e.to_bits())).collect(),
+            bits.map(|((p, e), s)| [p, e, s].map(|x| x.to_bits()))
+                .collect(),
             run.iterations,
             run.last_max_step.to_bits(),
         )
@@ -1771,13 +1810,15 @@ mod tests {
             eta: run.params.eta * run.boost,
             ..run.params
         };
-        let (n, p, e) = (run.p.len(), &run.p, &run.e);
-        // Row i as the lanes see it: ring neighbours i − 1 and i + 1.
+        let (n, p, e, heard) = (run.p.len(), &run.p, &run.e, &run.e_sent);
+        // Row i as the lanes see it: ring neighbours i − 1 and i + 1, read
+        // at their sent residuals.
         let row = |i: usize| {
             let u = run.problem.utility(i);
             let (_, b, c) = u.coefficients();
             let raw = gradient_step(p[i], e[i], b, c, u.p_min().0, u.p_max().0, &rp);
-            let sends = [e[i - 1], e[i + 1]].map(|ej| send(rp.step_transfer, e[i], ej, 2.0));
+            let sends =
+                [heard[i - 1], heard[i + 1]].map(|ej| send(rp.step_transfer, e[i], ej, 2.0));
             let sent = 0.0 + sends[0] + sends[1];
             (raw, sends, raw - sent <= -rp.margin - e[i])
         };
@@ -1790,7 +1831,7 @@ mod tests {
                 for (j, (raw, sends, holds)) in (i..).zip(block) {
                     if !holds && run.graph.neighbors(j) == [j - 1, j + 1] {
                         let u = run.problem.utility(j);
-                        let action = node_action(u, p[j], e[j], &[e[j - 1], e[j + 1]], &rp);
+                        let action = node_action(u, p[j], e[j], &[heard[j - 1], heard[j + 1]], &rp);
                         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         shed_only |= bits(&action.transfers) == bits(&sends) && action.dp != raw;
                     }
@@ -1811,7 +1852,12 @@ mod tests {
         };
         let mut ring_rows = (0..run.p.len()).filter(|&i| run.graph.degree(i) == 2);
         ring_rows.any(|i| {
-            let neighbor_e: Vec<f64> = run.graph.neighbors(i).iter().map(|&j| run.e[j]).collect();
+            let neighbor_e: Vec<f64> = run
+                .graph
+                .neighbors(i)
+                .iter()
+                .map(|&j| run.e_sent[j])
+                .collect();
             let action = node_action(run.problem.utility(i), run.p[i], run.e[i], &neighbor_e, &rp);
             let unscaled = neighbor_e
                 .iter()

@@ -236,8 +236,8 @@ pub enum Backend {
 /// `DibaRun` picks its round traversal — CSR rows, or the 4-lane ring
 /// sweep of [`crate::fast`] — from the graph's shape, so both values
 /// select nothing and produce the same bits (the `precision_equivalence`
-/// suite pins that). The type, `DibaConfig::precision` and the CLI's
-/// `--precision` stay only for the callers that still name them.
+/// suite pins that). The type and `DibaConfig::precision` stay only for
+/// the callers that still name them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Selects nothing (the default).
@@ -252,19 +252,6 @@ impl std::fmt::Display for Precision {
         match self {
             Precision::Reference => f.write_str("reference"),
             Precision::Fast => f.write_str("fast"),
-        }
-    }
-}
-
-impl std::str::FromStr for Precision {
-    type Err = String;
-
-    /// Parses `reference` or `fast`; the error names the offending value.
-    fn from_str(s: &str) -> Result<Precision, String> {
-        match s.trim() {
-            "reference" => Ok(Precision::Reference),
-            "fast" => Ok(Precision::Fast),
-            other => Err(format!("expected `reference` or `fast`, got `{other}`")),
         }
     }
 }
@@ -806,16 +793,10 @@ mod tests {
     }
 
     #[test]
-    fn precision_parses_and_displays() {
-        assert_eq!("reference".parse::<Precision>(), Ok(Precision::Reference));
-        assert_eq!(" fast ".parse::<Precision>(), Ok(Precision::Fast));
+    fn precision_defaults_and_displays() {
         assert_eq!(Precision::default(), Precision::Reference);
         assert_eq!(format!("{}", Precision::Reference), "reference");
         assert_eq!(format!("{}", Precision::Fast), "fast");
-        // The parse error names the bad value.
-        let err = "turbo".parse::<Precision>().unwrap_err();
-        assert!(err.contains("`turbo`"), "{err}");
-        assert!(err.contains("reference") && err.contains("fast"), "{err}");
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //!   with one predictable branch. The two dependent divisions per node
 //!   (`divpd` handles two lanes) set a floor of about 2 ns/node-round.
 //! * **One phase-A sweep.** Each block computes the raw moves, both ring
-//!   sends, `sent` and Algorithm 4's first feasibility test lane-wise,
-//!   and stores `p̂`, `vp` and `vn` as they stand. A block where some
-//!   lane fails the test — a few per round outside a budget cut — goes to a
-//!   `#[cold]`, out-of-line function that redoes its rows scalar from
+//!   sends (from shifted contiguous reads of the neighbours' sent
+//!   residuals), `sent` and Algorithm 4's first feasibility test
+//!   lane-wise, and stores `p̂`, `vp` and `vn` as they stand. A block where
+//!   some lane fails the test — a few per round outside a budget cut — goes
+//!   to a `#[cold]`, out-of-line function that redoes its rows scalar from
 //!   sealed state, so the packed loop keeps nothing live for it. The wrap
 //!   nodes `0` and `n − 1` and the tail past the last whole block run the
 //!   same scalar row.
@@ -41,28 +42,32 @@
 //!   donations to `i − 1` and `i + 1` in `vp[i]` and `vn[i]`; phase B reads
 //!   what `i` received from its neighbours' entries `vn[i − 1]` and
 //!   `vp[i + 1]` — shifted contiguous loads instead of a reverse-slot
-//!   gather.
+//!   gather — and stores `e` and the sent residual in the same block
+//!   pass.
 //! * **Exceptional rows, scalar.** A node whose row is not exactly its two
 //!   ring neighbours (a chord endpoint, or a node missing a ring edge) is
 //!   re-done after the sweep over its CSR row. Its ring sends land in
 //!   `vp`/`vn` like everyone else's and its chord sends in an `extras`
 //!   buffer with one slot per exceptional row slot; phase B folds its
-//!   residual change over the row from those buffered final sends. The
+//!   residual over the row from those buffered final sends. The
 //!   cost is `O(exceptional)`, and `MAX_EXCEPTIONAL_SHARE` bounds it.
 //!
-//! The arithmetic is the reference kernel's, not a copy of it: the sweep,
-//! the scalar rows and the exceptional path call `gradient_step`, `send`
-//! and `backtrack`, the helpers `node_action_generic` in `diba.rs` is
-//! made of, and fold in `phase_b`'s orders:
+//! The arithmetic is the deployed agent's round, not a copy of it: the
+//! sweep, the scalar rows and the exceptional path call `gradient_step`,
+//! `send` and `backtrack`, the helpers `node_action_generic` in `diba.rs`
+//! is made of, and fold in `AgentCore`'s orders:
 //!
+//! * a node acts on its own residual and on its neighbours' *sent*
+//!   residuals — what each put on the wire last round;
 //! * a ring node's send divides by the literal `2.0`, which compiles to
 //!   the exact `·0.5`;
-//! * `sent` folds `0.0 + s₀ + s₁ + …` in CSR slot order, and the residual
-//!   change `0.0 + (in₀ − out₀) + (in₁ − out₁) + …` likewise; the update
-//!   is `e = (e + dp) + d`. A two-term fold from `0.0` is commutative to
-//!   the bit (signed zeros included), so a ring row's order is free — rows
-//!   are sorted, and nodes `0` and `n − 1` list `next` first — while an
-//!   exceptional row folds its slots strictly in row order.
+//! * `sent` is `s₀ + s₁ + …` in CSR slot order (the agent's
+//!   `Iterator::sum`); the node publishes `e_mid = e + (dp − sent)` as its
+//!   sent residual and then adds each incoming transfer in slot order,
+//!   `e = (e_mid + in₀) + in₁ + …`. A two-term sum is commutative to the
+//!   bit, so `sent`'s order on a ring row is free; the incoming fold is
+//!   not — rows are sorted, so nodes `0` and `n − 1` hear `next` first —
+//!   and an exceptional row folds its slots strictly in row order.
 //!
 //! The blocks, the scalar rows and the exceptional path share these
 //! expressions (no FMA contraction, no lane-position dependence) and read
@@ -295,9 +300,18 @@ pub(crate) struct LaneBuffers<'a> {
     pub vn: SharedSlice<'a, f64>,
     /// Exceptional rows' final chord sends, one slot per row slot.
     pub extras: SharedSlice<'a, f64>,
-    /// Phase B's post-round residual of each exceptional node, parked
-    /// while the lanes stream over it.
-    pub stash: SharedSlice<'a, f64>,
+    /// Phase B's `[sent residual, post-round residual]` of each
+    /// exceptional node, parked while the lanes stream over it.
+    pub stash: SharedSlice<'a, [f64; 2]>,
+}
+
+/// The state phase A reads, sealed by the previous round-end barrier:
+/// every node's power, its residual and the residual it last sent.
+#[derive(Clone, Copy)]
+struct Sealed<'s> {
+    p: &'s [f64],
+    e: &'s [f64],
+    e_sent: &'s [f64],
 }
 
 /// `s[from..]` as `blocks` lane arrays. The one bounds check happens here,
@@ -333,14 +347,16 @@ fn block_span(range: &Range<usize>, n: usize) -> (usize, usize, usize) {
 /// re-association); zeros otherwise.
 ///
 /// The memory contract is the reference kernel's: called between round
-/// barriers, `p`/`e` are read-only (last round's writes sealed), and this
-/// worker alone writes `p_hat[range]`, `vp[range]`, `vn[range]` and its
-/// exceptional rows' extras slots.
+/// barriers, `p`/`e`/`e_sent` are read-only (last round's writes sealed),
+/// and this worker alone writes `p_hat[range]`, `vp[range]`, `vn[range]`
+/// and its exceptional rows' extras slots.
+#[allow(clippy::too_many_arguments)] // the shard's phase-A working set
 pub(crate) fn phase_a_fast<const SUMS: bool>(
     st: &FastState,
     rp: &NodeParams,
     p: &SharedSlice<'_, f64>,
     e: &SharedSlice<'_, f64>,
+    e_sent: &SharedSlice<'_, f64>,
     range: Range<usize>,
     p_hat: &SharedSlice<'_, f64>,
     bufs: &LaneBuffers<'_>,
@@ -348,59 +364,54 @@ pub(crate) fn phase_a_fast<const SUMS: bool>(
     let n = st.len();
     let ex = st.exceptional_in(&range);
     let slots = st.links_of(&ex);
-    // SAFETY: phase A reads `p`/`e` only — every write to them happened
-    // before the previous round-end barrier — and `p_hat[range]`,
+    // SAFETY: phase A reads `p`/`e`/`e_sent` only — every write to them
+    // happened before the previous round-end barrier — and `p_hat[range]`,
     // `vp[range]`, `vn[range]` and the extras slots of the shard's
     // exceptional rows belong to this worker alone (shards are disjoint
     // node ranges, and rows are laid out in node order).
-    let (p_all, e_all, hat, vp, vn, tx) = unsafe {
+    let (sealed, hat, vp, vn, tx) = unsafe {
         (
-            p.slice(0..n),
-            e.slice(0..n),
+            Sealed {
+                p: p.slice(0..n),
+                e: e.slice(0..n),
+                e_sent: e_sent.slice(0..n),
+            },
             p_hat.slice_mut(range.clone()),
             bufs.vp.slice_mut(range.clone()),
             bufs.vn.slice_mut(range.clone()),
             bufs.extras.slice_mut(slots.clone()),
         )
     };
-    let sums = ring_sweep::<SUMS>(st, rp, p_all, e_all, range.clone(), hat, vp, vn);
-    exceptional_pass(
-        st,
-        rp,
-        p_all,
-        e_all,
-        range,
-        ex,
-        hat,
-        vp,
-        vn,
-        tx,
-        slots.start,
-    );
+    let sums = ring_sweep::<SUMS>(st, rp, sealed, range.clone(), hat, vp, vn);
+    exceptional_pass(st, rp, sealed, range, ex, hat, vp, vn, tx, slots.start);
     sums
 }
 
-/// Phase B of a round over one shard: every node folds what it received
-/// minus what it sent, `p[i] += p̂ᵢ` and `e[i] = (e[i] + p̂ᵢ) + d`. Ring
-/// nodes stream over the shifted send arrays in packed blocks; exceptional
-/// nodes fold over their CSR row from the buffered final sends, stashed
-/// first because the blocks overwrite their residual. Returns the shard's
-/// max `|p̂|` (a compare-select fold: exactly associative on these
-/// non-negative, NaN-free values).
+/// Phase B of a round over one shard, in the agent's order: every node
+/// applies `p[i] += p̂ᵢ`, publishes `e_mid = e[i] + (p̂ᵢ − sent)` as its sent
+/// residual and then adds what it received in slot order. Ring nodes
+/// stream over the shifted send arrays in packed blocks that store `p`,
+/// `e_sent` and `e` together; exceptional nodes fold over their CSR row
+/// from the buffered final sends, stashed first because the blocks
+/// overwrite both their residuals. Returns the shard's max `|p̂|` (a
+/// compare-select fold: exactly associative on these non-negative,
+/// NaN-free values).
 pub(crate) fn phase_b_fast(
     st: &FastState,
     range: Range<usize>,
     p: &SharedSlice<'_, f64>,
     e: &SharedSlice<'_, f64>,
+    e_sent: &SharedSlice<'_, f64>,
     p_hat: &SharedSlice<'_, f64>,
     bufs: &LaneBuffers<'_>,
 ) -> f64 {
     let n = st.len();
     let ex = st.exceptional_in(&range);
     // SAFETY: every `p_hat`/`vp`/`vn`/extras write was sealed by the
-    // phase-A/phase-B barrier, and this worker alone owns
-    // `p[range]`/`e[range]` and the stash slots of its exceptional nodes.
-    let (hat, vp, vn, tx, p_row, e_row, stash) = unsafe {
+    // phase-A/phase-B barrier, and this worker alone owns `p[range]`,
+    // `e[range]`, `e_sent[range]` and the stash slots of its exceptional
+    // nodes.
+    let (hat, vp, vn, tx, p_row, e_row, s_row, stash) = unsafe {
         (
             p_hat.slice(range.clone()),
             bufs.vp.slice(0..n),
@@ -408,6 +419,7 @@ pub(crate) fn phase_b_fast(
             bufs.extras.slice(0..st.extras_len()),
             p.slice_mut(range.clone()),
             e.slice_mut(range.clone()),
+            e_sent.slice_mut(range.clone()),
             bufs.stash.slice_mut(ex.clone()),
         )
     };
@@ -417,15 +429,25 @@ pub(crate) fn phase_b_fast(
         let i = x.node;
         let prev = if i == 0 { n - 1 } else { i - 1 };
         let next = if i + 1 == n { 0 } else { i + 1 };
-        let mut d = 0.0_f64;
+        // `Iterator::sum`'s fold, which starts from −0.0.
+        let mut sent = -0.0_f64;
         for s in x.links.clone() {
-            d += match st.links[s] {
-                Link::Prev => vn[prev] - vp[i],
-                Link::Next => vp[next] - vn[i],
-                Link::Chord { back, .. } => tx[back] - tx[s],
+            sent += match st.links[s] {
+                Link::Prev => vp[i],
+                Link::Next => vn[i],
+                Link::Chord { .. } => tx[s],
             };
         }
-        *parked = e_row[i - start] + hat[i - start] + d;
+        let e_mid = e_row[i - start] + (hat[i - start] - sent);
+        let mut e_new = e_mid;
+        for s in x.links.clone() {
+            e_new += match st.links[s] {
+                Link::Prev => vn[prev],
+                Link::Next => vp[next],
+                Link::Chord { back, .. } => tx[back],
+            };
+        }
+        *parked = [e_mid, e_new];
     }
 
     let (lo, blocks, hi) = block_span(&range, n);
@@ -437,17 +459,17 @@ pub(crate) fn phase_b_fast(
         let dp4 = blocks_of(hat, k, blocks);
         let p4 = blocks_of_mut(p_row, k, blocks);
         let e4 = blocks_of_mut(e_row, k, blocks);
+        let s4 = blocks_of_mut(s_row, k, blocks);
         for j in 0..blocks {
             let (dp, p, e) = (dp4[j], p4[j], e4[j]);
-            let (mut p_new, mut e_new) = ([0.0; LANES], [0.0; LANES]);
+            let (mut p_new, mut e_mid, mut e_new) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
             for l in 0..LANES {
-                let d =
-                    0.0 + (from_prev[j][l] - out_prev[j][l]) + (from_next[j][l] - out_next[j][l]);
                 p_new[l] = p[l] + dp[l];
-                e_new[l] = e[l] + dp[l] + d;
+                e_mid[l] = e[l] + (dp[l] - (out_prev[j][l] + out_next[j][l]));
+                e_new[l] = e_mid[l] + from_prev[j][l] + from_next[j][l];
                 max4[l] = max_sel(dp[l].abs(), max4[l]);
             }
-            (p4[j], e4[j]) = (p_new, e_new);
+            (p4[j], s4[j], e4[j]) = (p_new, e_mid, e_new);
         }
     }
     // The max is order-free, so the lane tree costs nothing in determinism.
@@ -456,35 +478,41 @@ pub(crate) fn phase_b_fast(
     for i in wrap.chain(lo + blocks * LANES..hi) {
         let prev = if i == 0 { n - 1 } else { i - 1 };
         let next = if i + 1 == n { 0 } else { i + 1 };
+        // Rows are sorted: the wrap nodes hear `next` first.
+        let (first, second) = if prev < next {
+            (vn[prev], vp[next])
+        } else {
+            (vp[next], vn[prev])
+        };
         let k = i - start;
         let dp = hat[k];
         p_row[k] += dp;
-        e_row[k] = e_row[k] + dp + (0.0 + (vn[prev] - vp[i]) + (vp[next] - vn[i]));
+        s_row[k] = e_row[k] + (dp - (vp[i] + vn[i]));
+        e_row[k] = s_row[k] + first + second;
         local_max = max_sel(dp.abs(), local_max);
     }
 
     for (x, parked) in st.exceptional[ex].iter().zip(stash.iter()) {
-        e_row[x.node - start] = *parked;
+        [s_row[x.node - start], e_row[x.node - start]] = *parked;
     }
     local_max
 }
 
 /// Phase A's one sweep over the shard's ring rows: per node, the raw move
 /// ([`gradient_step`]), the two ring sends ([`send`]) from shifted
-/// contiguous reads of `e`, `sent = 0.0 + s₀ + s₁` and Algorithm 4's
-/// first feasibility test, `dp − sent ≤ −margin − e`, lane-wise. A block
-/// stores its moves and sends as they stand; a block where some lane fails
-/// the test — rare outside a budget cut — is redone by
-/// [`backtrack_block`]. `hat`, `vp` and `vn` are the shard's own slots
-/// (index `i − range.start`). The sweep assumes every row is a ring row;
-/// [`exceptional_pass`] overwrites the rows where that is wrong. With
-/// `SUMS`, the cap test's two sums ride along, one partial per lane.
-#[allow(clippy::too_many_arguments)] // the shard's phase-A working set
+/// contiguous reads of the neighbours' sent residuals,
+/// `sent = 0.0 + s₀ + s₁` and Algorithm 4's first feasibility test,
+/// `dp − sent ≤ −margin − e`, lane-wise. A block stores its moves and
+/// sends as they stand; a block where some lane fails the test — rare
+/// outside a budget cut — is redone by [`backtrack_block`]. `hat`, `vp`
+/// and `vn` are the shard's own slots (index `i − range.start`). The
+/// sweep assumes every row is a ring row; [`exceptional_pass`] overwrites
+/// the rows where that is wrong. With `SUMS`, the cap test's two sums ride
+/// along, one partial per lane.
 fn ring_sweep<const SUMS: bool>(
     st: &FastState,
     rp: &NodeParams,
-    p_all: &[f64],
-    e_all: &[f64],
+    sealed: Sealed<'_>,
     range: Range<usize>,
     hat: &mut [f64],
     vp: &mut [f64],
@@ -494,12 +522,13 @@ fn ring_sweep<const SUMS: bool>(
     let start = range.start;
     let (lo, blocks, hi) = block_span(&range, n);
     let (mut sum_p, mut sum_u) = ([0.0_f64; LANES], [0.0_f64; LANES]);
+    let (p_all, e_all) = (sealed.p, sealed.e);
     if blocks > 0 {
         let p4 = blocks_of(p_all, lo, blocks);
         let (e_m, e_i, e_p) = (
-            blocks_of(e_all, lo - 1, blocks),
+            blocks_of(sealed.e_sent, lo - 1, blocks),
             blocks_of(e_all, lo, blocks),
-            blocks_of(e_all, lo + 1, blocks),
+            blocks_of(sealed.e_sent, lo + 1, blocks),
         );
         let (a4, b4, c4) = (
             blocks_of(&st.a, lo, blocks),
@@ -535,16 +564,7 @@ fn ring_sweep<const SUMS: bool>(
             // A NaN fails the test, as in `backtrack`.
             if !((holds[0] & holds[1]) & (holds[2] & holds[3])) {
                 let i = lo + j * LANES;
-                backtrack_block(
-                    st,
-                    rp,
-                    p_all,
-                    e_all,
-                    i,
-                    &mut hat4[j],
-                    &mut vp4[j],
-                    &mut vn4[j],
-                );
+                backtrack_block(st, rp, &sealed, i, &mut hat4[j], &mut vp4[j], &mut vn4[j]);
             }
         }
     }
@@ -553,7 +573,7 @@ fn ring_sweep<const SUMS: bool>(
         let k = i - start;
         let (p, b, c) = (p_all[i], st.b[i], st.c[i]);
         let dp = gradient_step(p, e_all[i], b, c, st.p_min[i], st.p_max[i], rp);
-        (hat[k], vp[k], vn[k]) = ring_row(st, rp, p_all, e_all, i, dp);
+        (hat[k], vp[k], vn[k]) = ring_row(st, rp, &sealed, i, dp);
         if SUMS {
             sum_p[0] += p;
             sum_u[0] += st.a[i] + b * p + c * p * p;
@@ -570,43 +590,41 @@ fn ring_sweep<const SUMS: bool>(
 /// sweep keeps nothing live for it.
 #[cold]
 #[inline(never)]
-#[allow(clippy::too_many_arguments)] // the block's phase-A working set
 fn backtrack_block(
     st: &FastState,
     rp: &NodeParams,
-    p_all: &[f64],
-    e_all: &[f64],
+    sealed: &Sealed<'_>,
     i: usize,
     dp: &mut [f64; LANES],
     vp: &mut [f64; LANES],
     vn: &mut [f64; LANES],
 ) {
     for l in 0..LANES {
-        (dp[l], vp[l], vn[l]) = ring_row(st, rp, p_all, e_all, i + l, dp[l]);
+        (dp[l], vp[l], vn[l]) = ring_row(st, rp, sealed, i + l, dp[l]);
     }
 }
 
 /// One ring row, scalar, from its raw move `dp`: the sends to `i − 1` and
-/// `i + 1`, `sent = 0.0 + s₀ + s₁` and [`backtrack`]. Serves the wrap
-/// nodes `0` and `n − 1`, the tails and the cold blocks. Returns the final
-/// move and the final sends to `i − 1` and `i + 1`.
+/// `i + 1` against their sent residuals, `sent = 0.0 + s₀ + s₁` and
+/// [`backtrack`]. Serves the wrap nodes `0` and `n − 1`, the tails and the
+/// cold blocks. Returns the final move and the final sends to `i − 1` and
+/// `i + 1`.
 fn ring_row(
     st: &FastState,
     rp: &NodeParams,
-    p_all: &[f64],
-    e_all: &[f64],
+    sealed: &Sealed<'_>,
     i: usize,
     dp: f64,
 ) -> (f64, f64, f64) {
     let n = st.len();
     let prev = if i == 0 { n - 1 } else { i - 1 };
     let next = if i + 1 == n { 0 } else { i + 1 };
-    let e_i = e_all[i];
-    let to_prev = send(rp.step_transfer, e_i, e_all[prev], 2.0);
-    let to_next = send(rp.step_transfer, e_i, e_all[next], 2.0);
+    let e_i = sealed.e[i];
+    let to_prev = send(rp.step_transfer, e_i, sealed.e_sent[prev], 2.0);
+    let to_next = send(rp.step_transfer, e_i, sealed.e_sent[next], 2.0);
     let sent = 0.0 + to_prev + to_next;
     let (lo, hi) = (st.p_min[i], st.p_max[i]);
-    let (dp, scale) = backtrack(p_all[i], e_i, lo, hi, dp, sent, rp.margin);
+    let (dp, scale) = backtrack(sealed.p[i], e_i, lo, hi, dp, sent, rp.margin);
     if scale != 1.0 {
         (dp, to_prev * scale, to_next * scale)
     } else {
@@ -616,16 +634,16 @@ fn ring_row(
 
 /// Every exceptional row of the shard re-done scalar over its CSR
 /// slots — the raw move re-derived (the lanes may have backtracked it
-/// against a wrong `sent`), every send at the row's true degree, `sent`
-/// folded in slot order, the backtracking applied. Ring sends go to
-/// `vp`/`vn` (zero for a missing ring edge, which no ring row reads),
-/// chord sends to the row's extras slots (`tx` starts at slot `tx_base`).
+/// against a wrong `sent`), every send at the row's true degree against
+/// the neighbour's sent residual, `sent` folded in slot order, the
+/// backtracking applied. Ring sends go to `vp`/`vn` (zero for a missing
+/// ring edge, which no ring row reads), chord sends to the row's extras
+/// slots (`tx` starts at slot `tx_base`).
 #[allow(clippy::too_many_arguments)] // the shard's phase-A working set
 fn exceptional_pass(
     st: &FastState,
     rp: &NodeParams,
-    p_all: &[f64],
-    e_all: &[f64],
+    sealed: Sealed<'_>,
     range: Range<usize>,
     ex: Range<usize>,
     hat: &mut [f64],
@@ -639,7 +657,7 @@ fn exceptional_pass(
         let i = x.node;
         let prev = if i == 0 { n - 1 } else { i - 1 };
         let next = if i + 1 == n { 0 } else { i + 1 };
-        let (p_i, e_i) = (p_all[i], e_all[i]);
+        let (p_i, e_i) = (sealed.p[i], sealed.e[i]);
         let (lo, hi) = (st.p_min[i], st.p_max[i]);
         let dp = gradient_step(p_i, e_i, st.b[i], st.c[i], lo, hi, rp);
         let degree = x.links.len().max(1) as f64;
@@ -652,7 +670,7 @@ fn exceptional_pass(
                 Link::Next => (&mut to_next, next),
                 Link::Chord { to, .. } => (&mut tx[s - tx_base], to),
             };
-            *slot = send(rp.step_transfer, e_i, e_all[to], degree);
+            *slot = send(rp.step_transfer, e_i, sealed.e_sent[to], degree);
             sent += *slot;
         }
         let (dp, scale) = backtrack(p_i, e_i, lo, hi, dp, sent, rp.margin);

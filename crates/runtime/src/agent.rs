@@ -27,10 +27,20 @@
 //! in the same sequence over the same entries, their `(p, e)`
 //! trajectories agree bitwise; the transport-equivalence tests pin this
 //! across both.
+//!
+//! It is also the round the in-process engine, [`dpc_alg::diba::DibaRun`],
+//! computes: a node acts on the residual each peer put on the wire last
+//! round, applies `e += dp − sent`, sends that as its residual, and adds
+//! each incoming transfer in slot order. The one difference left is the
+//! continuation schedule: an agent's boost only decays by
+//! [`BOOST_DECAY`], while `DibaRun` also halves it when the global max
+//! |Δp| stalls, which no agent can see. With no continuation
+//! (`eta_boost = 1`) lockstep and `DibaRun` agree bit for bit
+//! (`tests/equivalence.rs`).
 
 use crate::node::{NodeReport, NodeSample, NodeSpec};
 use crate::wire::{BatchEntry, EntryKind};
-use dpc_alg::diba::{node_action_into, NodeParams, NodeScratch};
+use dpc_alg::diba::{node_action_into, NodeParams, NodeScratch, BOOST_DECAY};
 
 /// A link-level FIN is transport state the driver reports (`link_gone`,
 /// `close_drain`); it never reaches the core as a message.
@@ -61,7 +71,6 @@ pub struct AgentCore {
     p: f64,
     e: f64,
     boost: f64,
-    decay: f64,
     streak: usize,
     settled: bool,
     rounds: usize,
@@ -104,7 +113,6 @@ impl AgentCore {
             p: spec.p,
             e: spec.e,
             boost: spec.eta_boost.max(1.0),
-            decay: spec.boost_decay.clamp(0.0, 1.0),
             streak: 0,
             settled: false,
             rounds: 0,
@@ -313,7 +321,7 @@ impl AgentCore {
     /// [`outbound`](AgentCore::outbound), and those slots are open for the
     /// drain.
     pub fn end_round(&mut self) -> bool {
-        self.boost = (self.boost * self.decay).max(1.0);
+        self.boost = (self.boost * BOOST_DECAY).max(1.0);
 
         if self.spec.sample_every > 0 && self.rounds.is_multiple_of(self.spec.sample_every) {
             self.trace.push(NodeSample {

@@ -218,7 +218,6 @@ pub fn node_specs(
             e,
             params,
             eta_boost: config.eta_boost,
-            boost_decay: config.eta_boost_decay,
             settle_tol: rt.settle_tol,
             stable_rounds: rt.stable_rounds,
             detect_after: rt.detect_after,

@@ -2,6 +2,11 @@
 //! its final report. Every driver builds an [`crate::agent::AgentCore`]
 //! from a [`NodeSpec`] and folds it into a [`NodeReport`].
 //!
+//! The round an agent runs is the one [`dpc_alg::diba::DibaRun`] runs in
+//! process; only the continuation differs (the agent decays its boost by
+//! [`dpc_alg::diba::BOOST_DECAY`] alone), so a spec with `eta_boost = 1`
+//! reproduces `DibaRun`'s trajectory bit for bit.
+//!
 //! Three runtime behaviours the spec parameterizes (all implemented once,
 //! in [`crate::agent::AgentCore`]):
 //!
@@ -41,10 +46,9 @@ pub struct NodeSpec {
     pub e: f64,
     /// Resolved algorithm parameters.
     pub params: NodeParams,
-    /// Barrier-continuation boost at start (≥ 1; 1 disables).
+    /// Barrier-continuation boost at start (≥ 1; 1 disables), decayed by
+    /// [`dpc_alg::diba::BOOST_DECAY`] every round.
     pub eta_boost: f64,
-    /// Per-round multiplicative decay of the boost.
-    pub boost_decay: f64,
     /// A round's power move below this magnitude (watts) counts toward the
     /// settled streak.
     pub settle_tol: f64,

@@ -33,7 +33,6 @@ fn spec(id: usize, e: f64, stable_rounds: usize) -> NodeSpec {
             step_transfer: 1.0,
         },
         eta_boost: 1.0,
-        boost_decay: 1.0,
         settle_tol: 1e-4,
         stable_rounds,
         detect_after: 3,

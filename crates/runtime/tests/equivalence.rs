@@ -10,9 +10,18 @@
 //! simulator differs only in its barrier-boost continuation schedule, so
 //! it must agree within the cross-substrate tolerance `tests/end_to_end.rs`
 //! uses for the runtime against `DibaRun`.
+//!
+//! `DibaRun`, the in-process round engine every solver workload times,
+//! computes the agents' round itself: neighbours seen at the residual they
+//! sent, and the agent's fold order. The one thing it does differently is
+//! the continuation schedule — it also halves the boost when the global
+//! max |Δp| stalls, which no agent can see — so with the continuation off
+//! (`eta_boost = 1`) `DibaRun` after k rounds is the lockstep agents after
+//! k rounds, bit for bit.
 
-use dpc_alg::diba::DibaConfig;
+use dpc_alg::diba::{DibaConfig, DibaRun};
 use dpc_alg::diba_async::{AsyncConfig, AsyncDibaRun};
+use dpc_alg::exec::Threads;
 use dpc_alg::problem::PowerBudgetProblem;
 use dpc_models::units::Watts;
 use dpc_models::workload::ClusterBuilder;
@@ -522,6 +531,74 @@ fn seed0_torus_reports_are_pinned_on_every_shard_count() {
         (7_395, 3_755_006, 41),
         0x756d_10c3_4b12_b9c7,
     );
+}
+
+/// One DiBA on both sides of the socket: `DibaRun::run(k)` at 1, 2 and 7
+/// workers against `run_lockstep` stopped after k rounds (`max_rounds = k`,
+/// quorum off), every `(p, e)` compared by bits. The shapes cover both
+/// traversals: a ring and a chorded ring take the lanes (the chord
+/// endpoints as exceptional rows), a torus takes the CSR rows, and a cold
+/// start eight watts per server above idle power sends the lanes through
+/// their cold backtracking blocks (within 4 W of idle, no lane of a cold
+/// start fails the first feasibility test).
+#[test]
+fn engine_rounds_are_the_lockstep_agents_rounds_bit_for_bit() {
+    let n = 64;
+    let config = DibaConfig {
+        eta_boost: 1.0,
+        ..DibaConfig::default()
+    };
+    let tight = seeded_problem(n, 4, 170.0 * n as f64).min_total().0 + 8.0 * n as f64;
+    let cases = [
+        (
+            "ring",
+            Graph::ring(n),
+            seeded_problem(n, 1, 170.0 * n as f64),
+        ),
+        (
+            "chorded ring",
+            Graph::ring_with_chords(n, 6),
+            seeded_problem(n, 2, 168.0 * n as f64),
+        ),
+        (
+            "torus",
+            Graph::torus(8, 8).unwrap(),
+            seeded_problem(n, 3, 172.0 * n as f64),
+        ),
+        ("tight ring", Graph::ring(n), seeded_problem(n, 4, tight)),
+    ];
+    let bits = |states: Vec<(f64, f64)>| -> Vec<(u64, u64)> {
+        states
+            .into_iter()
+            .map(|(p, e)| (p.to_bits(), e.to_bits()))
+            .collect()
+    };
+    for (shape, graph, problem) in &cases {
+        for k in [1, 2, 3, 50, 400] {
+            let rt = RuntimeConfig {
+                transport: TransportKind::Lockstep,
+                stable_rounds: usize::MAX,
+                max_rounds: k,
+                ..RuntimeConfig::default()
+            };
+            let specs = node_specs(problem, graph, config, &rt).unwrap();
+            let reports = dpc_runtime::lockstep::run_lockstep(specs, graph);
+            assert!(reports.iter().all(|r| r.rounds == k && !r.converged));
+            let agents = bits(reports.iter().map(|r| (r.p, r.e)).collect());
+            for workers in [1, 2, 7] {
+                let config = DibaConfig {
+                    threads: Threads::Fixed(workers),
+                    ..config
+                };
+                let mut run = DibaRun::new(problem.clone(), graph.clone(), config).unwrap();
+                run.run(k);
+                assert!(
+                    bits(run.node_states()) == agents,
+                    "{shape}: engine and agents differ after {k} rounds at {workers} workers"
+                );
+            }
+        }
+    }
 }
 
 /// The outcome every driver must reach when node 2 of the seed-7 6-ring

@@ -6,7 +6,7 @@
 //! as a `String` so the logic is unit-testable without spawning processes.
 
 use crate::alg::diba::{DibaConfig, DibaRun};
-use crate::alg::exec::{Precision, Threads};
+use crate::alg::exec::Threads;
 use crate::alg::primal_dual::{self, PrimalDualConfig};
 use crate::alg::problem::PowerBudgetProblem;
 use crate::alg::{baselines, centralized};
@@ -113,7 +113,6 @@ COMMANDS:
   simulate   run a dynamic DiBA simulation
              --servers N (100)  --budget-watts W (176·N)  --seconds T (60)
              --churn-secs S     --phase-secs S            --seed S (0)
-             --precision reference|fast (accepted; selects nothing)
   split      self-consistent computing/cooling split of a facility budget
              --total-mw X (0.66)
   faults     sweep message drop rate x node churn, check recovery, write JSON
@@ -124,7 +123,7 @@ COMMANDS:
   replay     drive a scenario timeline against a warm-started DiBA
              --scenario FILE (the scenario text format; see README)
              --cold on|off (on; also measure a cold start per event group)
-             --threads T|auto (auto)  --precision reference|fast (selects nothing)
+             --threads T|auto (auto)
              --tol W (1e-2)  --stable-rounds R (10)  --max-rounds R (200000)
              --out FILE (also write the per-event JSON report)
   hier       solve a hierarchical multi-tenant budget tree
@@ -132,7 +131,7 @@ COMMANDS:
              --fanout F (4)  --depth D (1)  --leaf oracle|diba (oracle)
              --tenants K (0, striped caps at 90% of tenant peak)
              --tol X (0.015)  --max-rounds R (200000)
-             --threads T|auto (auto)  --precision reference|fast (selects nothing)
+             --threads T|auto (auto)
              --domains FILE (also write per-domain JSONL records)
              --bench [FILE]  run the fanout × depth sweep instead and write
              BENCH_hierarchy.json (or FILE); --fanouts F,F,... (2,4)
@@ -314,16 +313,11 @@ pub fn cmd_simulate(opts: &Options) -> Result<String, CliError> {
     let seconds: f64 = opts.get_or("seconds", 60.0)?;
     let churn: Option<f64> = opts.get("churn-secs")?;
     let phases: Option<f64> = opts.get("phase-secs")?;
-    let precision: Precision = opts.get_or("precision", Precision::Reference)?;
 
     let problem = PowerBudgetProblem::new(cluster.utilities(), budget)
         .map_err(|e| CliError(format!("infeasible problem: {e}")))?;
-    let diba = DibaConfig {
-        precision,
-        ..DibaConfig::default()
-    };
-    let budgeter =
-        DibaBudgeter::new(problem, Graph::ring(n), diba).map_err(|e| CliError(e.to_string()))?;
+    let budgeter = DibaBudgeter::new(problem, Graph::ring(n), DibaConfig::default())
+        .map_err(|e| CliError(e.to_string()))?;
     let config = SimConfig {
         duration: Seconds(seconds),
         sample_interval: Seconds(2.0),
@@ -451,7 +445,6 @@ pub fn cmd_replay(opts: &Options) -> Result<String, CliError> {
     let config = ReplayConfig {
         diba: DibaConfig {
             threads: opts.get_or("threads", Threads::Auto)?,
-            precision: opts.get_or("precision", Precision::Reference)?,
             ..DibaConfig::default()
         },
         settle,
@@ -559,7 +552,6 @@ pub fn cmd_hier(opts: &Options) -> Result<String, CliError> {
         "diba" => LeafSolver::Diba {
             config: DibaConfig {
                 threads: opts.get_or("threads", Threads::Auto)?,
-                precision: opts.get_or("precision", Precision::Reference)?,
                 ..DibaConfig::default()
             },
             rel_tol: opts.get_or("tol", 0.015)?,
@@ -1067,7 +1059,6 @@ pub const COMMANDS: [(&str, Command, &[&str]); 9] = [
             "churn-secs",
             "phase-secs",
             "seed",
-            "precision",
         ],
     ),
     ("split", cmd_split, &["total-mw"]),
@@ -1083,7 +1074,6 @@ pub const COMMANDS: [(&str, Command, &[&str]); 9] = [
             "scenario",
             "cold",
             "threads",
-            "precision",
             "tol",
             "stable-rounds",
             "max-rounds",
@@ -1104,7 +1094,6 @@ pub const COMMANDS: [(&str, Command, &[&str]); 9] = [
             "tol",
             "max-rounds",
             "threads",
-            "precision",
             "domains",
             "bench",
             "fanouts",
@@ -1292,25 +1281,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("budget respected: true"), "{out}");
         assert!(out.contains("t_s,budget_w"), "{out}");
-    }
-
-    #[test]
-    fn simulate_accepts_the_fast_precision_tier() {
-        let out = run(&args(&[
-            "simulate",
-            "--servers",
-            "12",
-            "--seconds",
-            "6",
-            "--precision",
-            "fast",
-        ]))
-        .unwrap();
-        assert!(out.contains("budget respected: true"), "{out}");
-        let err = run(&args(&["simulate", "--precision", "sloppy"])).unwrap_err();
-        assert!(err.0.contains("--precision"), "{err}");
-        assert!(err.0.contains("sloppy"), "{err}");
-        assert!(err.0.contains("expected `reference` or `fast`"), "{err}");
     }
 
     #[test]
