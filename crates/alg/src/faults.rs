@@ -1,55 +1,47 @@
-//! Deterministic fault injection for the asynchronous DiBA run.
+//! Deterministic fault injection for the deployed agents.
 //!
 //! The paper's robustness story (Section 4.2) is that a fully decentralized
 //! allocator keeps operating — and keeps the budget — when the datacenter
 //! misbehaves: packets are dropped, duplicated, reordered or delayed, and
-//! servers crash, reboot, or leave for good. [`crate::diba_async`] models
-//! the *timing* imperfections (late activations, delayed delivery); this
-//! module adds the *adversarial* ones as a seeded, bit-reproducible
-//! [`FaultPlan`] consumed by
-//! [`AsyncDibaRun::with_faults`](crate::diba_async::AsyncDibaRun::with_faults).
+//! servers stall, crash, reboot, or leave for good. This module states
+//! that as a seeded, bit-reproducible [`FaultPlan`]; the runtime's lockstep
+//! executor (`dpc_runtime::lockstep::Lockstep`) runs the agents under it.
 //!
-//! The plan has two halves:
+//! The plan has three parts:
 //!
-//! * [`LinkFaults`] — per-message stochastic faults, drawn from the plan's
-//!   own seeded RNG (a stream separate from the timing RNG, so a benign
-//!   plan leaves the fault-free trajectory bitwise untouched);
+//! * [`LinkFaults`] — per-message stochastic faults;
+//! * an activation probability — a node whose control loop fired late
+//!   sits the round out;
 //! * a round-indexed schedule of [`NodeFault`]s — crash, restart, and
 //!   permanent departure events.
 //!
-//! Fault semantics are chosen so the residual invariant `Σe = Σp − P`
-//! stays *exactly* accounted at all times (see DESIGN.md, "Fault model &
-//! recovery"): a dropped message is rolled back by its sender (reliable
-//! transport reports the failure after [`LinkFaults::rtt`] rounds), a
-//! duplicate re-delivers only the stale gossip snapshot (receivers
-//! deduplicate the slack payload), and a dead node's residual-and-power
-//! mass is held in escrow until its neighbors detect the silence and
-//! re-absorb the freed budget.
+//! Every draw comes from the plan's own seeded RNG through a
+//! [`FaultSampler`], and a benign plan draws nothing, so it leaves the
+//! fault-free trajectory bitwise untouched. Fault semantics are chosen so
+//! the residual invariant `Σe = Σp − P` stays *exactly* accounted at all
+//! times (see DESIGN.md, "Fault model & recovery"): a dropped message is
+//! rolled back by its sender (reliable transport reports the failure after
+//! [`LinkFaults::rtt`] rounds), a duplicate re-delivers only the stale
+//! residual (receivers deduplicate the slack payload), and a dead node's
+//! residual-and-power mass is held in escrow until its neighbors detect
+//! the silence and re-absorb the freed budget.
 //!
 //! ```
-//! use dpc_alg::diba::DibaConfig;
-//! use dpc_alg::diba_async::{AsyncConfig, AsyncDibaRun};
-//! use dpc_alg::faults::{FaultPlan, LinkFaults, NodeFaultKind};
-//! use dpc_alg::problem::PowerBudgetProblem;
-//! use dpc_models::{units::Watts, workload::ClusterBuilder};
-//! use dpc_topology::Graph;
+//! use dpc_alg::faults::{FaultPlan, FaultSampler, LinkFaults, NodeFaultKind};
 //!
-//! # fn main() -> Result<(), dpc_alg::problem::AlgError> {
-//! let cluster = ClusterBuilder::new(16).seed(1).build();
-//! let problem = PowerBudgetProblem::new(cluster.utilities(), Watts(2_720.0))?;
-//! // 10 % message loss, and node 5 crashes at round 200.
-//! let plan = FaultPlan::with_link(7, LinkFaults { drop: 0.10, ..LinkFaults::none() })
+//! // 10 % message loss, a node sitting one round in five out, and node 5
+//! // crashing at round 200.
+//! let link = LinkFaults { drop: 0.10, ..LinkFaults::none() };
+//! let plan = FaultPlan { activation: 0.8, ..FaultPlan::with_link(7, link) }
 //!     .and(200, 5, NodeFaultKind::Crash);
-//! let mut run = AsyncDibaRun::with_faults(
-//!     problem, Graph::ring_with_chords(16, 2),
-//!     DibaConfig::default(), AsyncConfig::default(), plan)?;
-//! run.run(1_000);
-//! // Feasible throughout, crash detected, budget re-absorbed exactly.
-//! assert!(run.total_power() <= Watts(2_720.0 + 1e-6));
-//! assert_eq!(run.live_count(), 15);
-//! assert!(run.conservation_drift() < 1e-6);
-//! # Ok(())
-//! # }
+//! assert!(plan.validate(16).is_ok());
+//! assert!(!plan.is_benign());
+//!
+//! // Fates are a pure function of the seed.
+//! let (mut a, mut b) = (FaultSampler::new(&plan), FaultSampler::new(&plan));
+//! let drops = (0..1_000).filter(|_| a.fate().dropped).count();
+//! assert_eq!(drops, (0..1_000).filter(|_| b.fate().dropped).count());
+//! assert!((50..150).contains(&drops));
 //! ```
 
 use rand::rngs::StdRng;
@@ -113,7 +105,7 @@ impl Default for LinkFaults {
 pub enum NodeFaultKind {
     /// The node powers off silently: its draw goes to zero, its residual
     /// mass moves to escrow, and it stops sending. Neighbors only learn of
-    /// the crash through silence (see [`FaultPlan::detect_after`]).
+    /// the crash through silence (the agents' `detect_after` rounds of it).
     Crash,
     /// A crashed node reboots: it re-admits itself at its idle power by
     /// consuming its own escrowed slack, topped up by neighbor donations
@@ -139,8 +131,8 @@ impl fmt::Display for NodeFaultKind {
 /// One scheduled node event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeFault {
-    /// The asynchronous round at which the event fires (rounds count from
-    /// 1; round 0 is the initial state).
+    /// The round at which the event fires, before any node acts in it
+    /// (rounds count from 1; round 0 is the initial state).
     pub round: usize,
     /// The affected node.
     pub node: usize,
@@ -159,47 +151,40 @@ pub enum NodeHealth {
     Departed,
 }
 
-/// A complete, seeded fault-injection plan: link-fault rates, a node event
-/// schedule, and the failure-detection timeout.
+/// A complete, seeded fault-injection plan: link-fault rates, node
+/// activation, and a node event schedule.
 ///
 /// A benign plan (the [`FaultPlan::none`] default) injects nothing and is
-/// guaranteed not to perturb the fault-free trajectory — the regression
-/// test `fault_free_regression` pins that bitwise.
+/// guaranteed not to perturb the fault-free trajectory — the runtime's
+/// `lockstep_faults` tests pin that bitwise.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// Seed of the fault-draw RNG (independent of the timing seed in
-    /// [`crate::diba_async::AsyncConfig`]).
+    /// Seed of the plan's RNG, which draws every message fate and stall.
     pub seed: u64,
     /// Stochastic per-message link faults.
     pub link: LinkFaults,
     /// Scheduled node events, in any order (scanned per round).
     pub schedule: Vec<NodeFault>,
-    /// Neighbor-timeout failure detection: a node that has not been heard
-    /// from for this many rounds is declared dead and its link pruned
-    /// (and, if it really is dead, its escrowed budget re-absorbed).
-    /// `None` disables detection entirely.
-    pub detect_after: Option<usize>,
+    /// Probability a live node takes its round, in `(0, 1]`; otherwise it
+    /// stalls — its control loop fired late — and sits the round out.
+    pub activation: f64,
 }
 
 impl FaultPlan {
-    /// The benign plan: no link faults, no node events, no detection.
+    /// The benign plan: no link faults, no node events, every node acting
+    /// every round.
     pub fn none() -> FaultPlan {
-        FaultPlan {
-            seed: 0,
-            link: LinkFaults::none(),
-            schedule: Vec::new(),
-            detect_after: None,
-        }
+        FaultPlan::with_link(0, LinkFaults::none())
     }
 
-    /// A plan with the given seed and link-fault rates, failure detection
-    /// at 40 silent rounds, and an empty node schedule.
+    /// A plan with the given seed and link-fault rates, every node acting
+    /// every round, and an empty node schedule.
     pub fn with_link(seed: u64, link: LinkFaults) -> FaultPlan {
         FaultPlan {
             seed,
             link,
             schedule: Vec::new(),
-            detect_after: Some(40),
+            activation: 1.0,
         }
     }
 
@@ -209,17 +194,10 @@ impl FaultPlan {
         self
     }
 
-    /// Overrides the failure-detection timeout (builder style).
-    pub fn detect_after(mut self, rounds: Option<usize>) -> FaultPlan {
-        self.detect_after = rounds;
-        self
-    }
-
     /// `true` when the plan can never perturb a run: no link faults, no
-    /// node events, and no failure detection (so not even a false-positive
-    /// pruning can occur).
+    /// node events, and no stalls.
     pub fn is_benign(&self) -> bool {
-        self.link.is_benign() && self.schedule.is_empty() && self.detect_after.is_none()
+        self.link.is_benign() && self.schedule.is_empty() && self.activation == 1.0
     }
 
     /// Validates the plan against a cluster of `n` nodes.
@@ -227,8 +205,9 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a message naming the first offending field: a node id out
-    /// of range, a probability outside `[0, 1)`, or a zero `reorder_max` /
-    /// `rtt` with a nonzero matching rate.
+    /// of range, a probability outside `[0, 1)`, an activation outside
+    /// `(0, 1]`, or a zero `reorder_max` / `rtt` with a nonzero matching
+    /// rate.
     pub fn validate(&self, n: usize) -> Result<(), String> {
         for (name, p) in [
             ("drop", self.link.drop),
@@ -238,6 +217,9 @@ impl FaultPlan {
             if !(0.0..1.0).contains(&p) {
                 return Err(format!("link fault `{name}` = {p} not in [0, 1)"));
             }
+        }
+        if !(self.activation > 0.0 && self.activation <= 1.0) {
+            return Err(format!("activation {} not in (0, 1]", self.activation));
         }
         if (self.link.reorder > 0.0 || self.link.duplicate > 0.0) && self.link.reorder_max == 0 {
             return Err("reorder_max must be positive when reorder/duplicate > 0".into());
@@ -287,12 +269,12 @@ impl MessageFate {
     }
 }
 
-/// The seeded sampler turning [`LinkFaults`] rates into per-message
-/// [`MessageFate`]s. Owns its own RNG stream so the timing RNG of the
-/// asynchronous run is never perturbed.
+/// The seeded sampler turning a plan's rates into per-message
+/// [`MessageFate`]s and per-node stalls, from the plan's own RNG stream.
 #[derive(Debug, Clone)]
 pub struct FaultSampler {
     link: LinkFaults,
+    activation: f64,
     rng: StdRng,
     benign: bool,
 }
@@ -302,6 +284,7 @@ impl FaultSampler {
     pub fn new(plan: &FaultPlan) -> FaultSampler {
         FaultSampler {
             link: plan.link,
+            activation: plan.activation,
             rng: StdRng::seed_from_u64(plan.seed),
             benign: plan.link.is_benign(),
         }
@@ -336,6 +319,12 @@ impl FaultSampler {
             extra_delay,
         }
     }
+
+    /// Whether the next node sits this round out. Consumes no randomness
+    /// when every node always acts.
+    pub fn stalls(&mut self) -> bool {
+        self.activation < 1.0 && self.rng.gen_range(0.0..1.0) >= self.activation
+    }
 }
 
 #[cfg(test)]
@@ -350,11 +339,12 @@ mod tests {
         let mut s = FaultSampler::new(&plan);
         for _ in 0..100 {
             assert_eq!(s.fate(), MessageFate::clean());
+            assert!(!s.stalls());
         }
     }
 
     #[test]
-    fn builder_composes_schedule_and_detection() {
+    fn builder_composes_the_schedule() {
         let plan = FaultPlan::with_link(
             7,
             LinkFaults {
@@ -363,13 +353,16 @@ mod tests {
             },
         )
         .and(50, 3, NodeFaultKind::Crash)
-        .and(200, 3, NodeFaultKind::Restart)
-        .detect_after(Some(25));
+        .and(200, 3, NodeFaultKind::Restart);
         assert!(!plan.is_benign());
         assert_eq!(plan.schedule.len(), 2);
-        assert_eq!(plan.detect_after, Some(25));
         assert!(plan.validate(10).is_ok());
         assert!(plan.validate(3).is_err(), "node 3 out of range for n=3");
+        let stalling = FaultPlan {
+            activation: 0.9,
+            ..FaultPlan::none()
+        };
+        assert!(!stalling.is_benign());
     }
 
     #[test]
@@ -384,20 +377,28 @@ mod tests {
         plan.link.reorder = 0.2;
         plan.link.reorder_max = 0;
         assert!(plan.validate(4).unwrap_err().contains("reorder_max"));
+        plan.link.reorder_max = 4;
+        for activation in [0.0, -0.5, 1.5, f64::NAN] {
+            plan.activation = activation;
+            assert!(plan.validate(4).unwrap_err().contains("activation"));
+        }
     }
 
     #[test]
     fn sampler_is_seed_deterministic_and_rates_bite() {
-        let plan = FaultPlan::with_link(
-            42,
-            LinkFaults {
-                drop: 0.3,
-                duplicate: 0.2,
-                reorder: 0.25,
-                reorder_max: 4,
-                rtt: 3,
-            },
-        );
+        let plan = FaultPlan {
+            activation: 0.75,
+            ..FaultPlan::with_link(
+                42,
+                LinkFaults {
+                    drop: 0.3,
+                    duplicate: 0.2,
+                    reorder: 0.25,
+                    reorder_max: 4,
+                    rtt: 3,
+                },
+            )
+        };
         let mut a = FaultSampler::new(&plan);
         let mut b = FaultSampler::new(&plan);
         let fates: Vec<MessageFate> = (0..2_000).map(|_| a.fate()).collect();
@@ -414,5 +415,7 @@ mod tests {
             assert!(f.extra_delay <= 4 && f.dup_lag <= 4);
             assert!(!(f.dropped && (f.dup_lag > 0 || f.extra_delay > 0)));
         }
+        let stalls = (0..2_000).filter(|_| a.stalls()).count();
+        assert!((350..650).contains(&stalls), "stall rate off: {stalls}");
     }
 }

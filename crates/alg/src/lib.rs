@@ -41,7 +41,6 @@
 pub mod baselines;
 pub mod centralized;
 pub mod diba;
-pub mod diba_async;
 pub mod exec;
 pub mod fast;
 pub mod faults;

@@ -17,7 +17,7 @@
 //! * [`Ring`] — a fixed-capacity overwrite-oldest buffer that never
 //!   allocates after construction, so steady-state recording is
 //!   allocation-free. Each recorder has a single writer (worker 0 of the
-//!   synchronous engine; the serial loop of the asynchronous run), so no
+//!   synchronous engine; the runtime's serial lockstep loop), so no
 //!   locking is needed — per-worker timing slots are plain disjoint writes.
 //! * Sinks — [`Telemetry::to_jsonl`] (structured trace, byte-reproducible
 //!   for a fixed seed), [`Telemetry::to_csv`] (time series), and

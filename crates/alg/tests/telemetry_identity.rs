@@ -1,21 +1,14 @@
 //! The telemetry layer's core contract: **recording is inert**.
 //!
 //! Attaching the round recorder must not perturb the solver by a single
-//! bit — not in the serial engine, not in the parallel engine at any
-//! worker count, and not in the asynchronous engine under live faults.
-//! The comparisons below are exact (`==` on `f64` slices), because the
-//! recorder only *reads* sealed per-round state and never touches the
-//! fault RNG or the message queue.
-//!
-//! A second invariant ties the recorded ledger to the engine's own: every
-//! `RoundRecord` captured under faults must internally conserve residual
-//! mass (`conservation_drift() ≈ 0`), so the escrow/stranded columns in a
-//! trace can be trusted as a live view of the recovery ledger.
+//! bit — not in the serial engine, and not in the parallel engine at any
+//! worker count. The comparisons below are exact (`==` on `f64` slices),
+//! because the recorder only *reads* sealed per-round state. (The same
+//! contract for the deployed agents under live faults is pinned in
+//! `dpc-runtime`'s `lockstep_faults.rs`.)
 
 use dpc_alg::diba::{DibaConfig, DibaRun};
-use dpc_alg::diba_async::{AsyncConfig, AsyncDibaRun};
 use dpc_alg::exec::Threads;
-use dpc_alg::faults::{FaultPlan, LinkFaults, NodeFaultKind};
 use dpc_alg::problem::PowerBudgetProblem;
 use dpc_alg::telemetry::TelemetryConfig;
 use dpc_models::units::Watts;
@@ -33,31 +26,6 @@ fn sync_run(n: usize, seed: u64, threads: Threads, telemetry: TelemetryConfig) -
         ..DibaConfig::default()
     };
     DibaRun::new(problem, graph, config).unwrap()
-}
-
-fn faulted_run(n: usize, seed: u64, drop: f64, telemetry: TelemetryConfig) -> AsyncDibaRun {
-    let cluster = ClusterBuilder::new(n).seed(seed).build();
-    let problem = PowerBudgetProblem::new(cluster.utilities(), Watts(170.0 * n as f64)).unwrap();
-    let graph = Graph::ring_with_chords(n, 2);
-    let net = AsyncConfig {
-        seed,
-        ..AsyncConfig::default()
-    };
-    let link = LinkFaults {
-        drop,
-        duplicate: drop / 2.0,
-        reorder: drop,
-        ..LinkFaults::none()
-    };
-    let victim = 1 + (seed as usize % (n - 1));
-    let plan = FaultPlan::with_link(seed, link)
-        .and(60, victim, NodeFaultKind::Crash)
-        .and(160, victim, NodeFaultKind::Restart);
-    let config = DibaConfig {
-        telemetry,
-        ..DibaConfig::default()
-    };
-    AsyncDibaRun::with_faults(problem, graph, config, net, plan).unwrap()
 }
 
 proptest! {
@@ -118,60 +86,5 @@ proptest! {
             watched7.telemetry().unwrap().to_jsonl(),
             "the rendered trace must not depend on the worker count"
         );
-    }
-
-    /// Asynchronous engine under message faults and a crash/restart:
-    /// telemetry on vs. off is bitwise identical, state and queue included.
-    #[test]
-    fn faulted_async_trajectory_is_unchanged_by_telemetry(
-        seed in 0u64..1_000,
-        n in 8usize..32,
-        drop in 0.0f64..0.3,
-    ) {
-        let mut silent = faulted_run(n, seed, drop, TelemetryConfig::off());
-        let mut watched = faulted_run(n, seed, drop, TelemetryConfig::on());
-        for round in 0..260 {
-            silent.step();
-            watched.step();
-            prop_assert_eq!(
-                silent.residuals(), watched.residuals(),
-                "residuals diverged at round {}", round
-            );
-        }
-        prop_assert_eq!(silent.allocation(), watched.allocation());
-        prop_assert_eq!(silent.in_flight(), watched.in_flight());
-        prop_assert_eq!(silent.escrow_total(), watched.escrow_total());
-        prop_assert_eq!(silent.stranded(), watched.stranded());
-        prop_assert_eq!(silent.conservation_drift(), watched.conservation_drift());
-        prop_assert_eq!(
-            watched.telemetry().unwrap().config().capacity,
-            TelemetryConfig::DEFAULT_CAPACITY
-        );
-    }
-
-    /// Every record captured under faults conserves residual mass on its
-    /// own: `Σe + in-flight + escrow + stranded − (Σp − P)` ≈ 0, so the
-    /// trace's escrow/stranded columns track the recovery ledger exactly.
-    #[test]
-    fn recorded_ledger_conserves_mass_under_faults(
-        seed in 0u64..1_000,
-        n in 8usize..32,
-        drop in 0.0f64..0.3,
-    ) {
-        let mut run = faulted_run(n, seed, drop, TelemetryConfig::on());
-        run.run(260);
-        let t = run.telemetry().unwrap();
-        prop_assert_eq!(t.rounds_recorded(), 260);
-        prop_assert!(t.events_recorded() >= 2, "crash + restart must be recorded");
-        for r in t.rounds() {
-            prop_assert!(
-                r.conservation_drift() < 1e-6,
-                "round {} drifted by {} W (escrow {} W, stranded {} W)",
-                r.round, r.conservation_drift(), r.escrow_total, r.stranded
-            );
-        }
-        let last = t.latest().unwrap();
-        prop_assert_eq!(last.escrow_total, run.escrow_total());
-        prop_assert_eq!(last.stranded, run.stranded());
     }
 }

@@ -311,7 +311,6 @@ pub fn fig4_4(n: usize, minutes: usize) -> String {
         churn_mean: None,
         phase_mean: None,
         record_allocations: false,
-        faults: None,
         telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
     let mut sim = DynamicSim::new(cluster, budgeter, schedule, config);
@@ -411,7 +410,6 @@ pub fn fig4_7(n: usize, minutes: usize) -> String {
         churn_mean: Some(Seconds(120.0)),
         phase_mean: None,
         record_allocations: false,
-        faults: None,
         telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
     let mut sim = DynamicSim::new(cluster, budgeter, BudgetSchedule::constant(budget), config);

@@ -1,14 +1,15 @@
 //! Extension experiments beyond the paper's figures: ablations of DiBA's
-//! design parameters, robustness under asynchronous/delayed networking, and
-//! end-to-end cap enforcement through the DVFS actuators.
+//! design parameters, the deployed agents under stalls, delayed networking
+//! and a crash, and end-to-end cap enforcement through the DVFS actuators.
 
 use crate::report::Table;
 use dpc_alg::centralized;
 use dpc_alg::diba::{DibaConfig, DibaRun};
-use dpc_alg::diba_async::{AsyncConfig, AsyncDibaRun};
+use dpc_alg::faults::{FaultPlan, LinkFaults, NodeFaultKind};
 use dpc_alg::problem::PowerBudgetProblem;
 use dpc_models::units::Watts;
 use dpc_models::workload::ClusterBuilder;
+use dpc_runtime::lockstep::Lockstep;
 use dpc_sim::enforcement::EnforcedCluster;
 use dpc_topology::Graph;
 
@@ -152,12 +153,17 @@ pub fn ablation_topology(n: usize) -> String {
     )
 }
 
-/// Extension: convergence under asynchronous activation and delayed
-/// delivery.
+/// Extension: convergence on the deployed agents when nodes stall (late
+/// activation) and entries arrive late and out of order.
 pub fn ext_async(n: usize) -> String {
     let p = problem(n, 170.0, 25);
     let opt = p.total_utility(&centralized::solve(&p).allocation);
-    let mut t = Table::new(["activation", "delay prob", "max delay", "rounds to 98.5%"]);
+    let mut t = Table::new([
+        "activation",
+        "reorder prob",
+        "reorder max",
+        "rounds to 98.5%",
+    ]);
     let nets = [
         (1.0, 0.0, 1usize),
         (0.9, 0.2, 3),
@@ -165,22 +171,25 @@ pub fn ext_async(n: usize) -> String {
         (0.5, 0.5, 8),
         (0.3, 0.6, 12),
     ];
-    for &(act, dp, md) in &nets {
-        let net = AsyncConfig {
-            activation: act,
-            delay_prob: dp,
-            max_delay: md,
-            seed: 7,
+    for &(activation, reorder, reorder_max) in &nets {
+        let link = LinkFaults {
+            reorder,
+            reorder_max,
+            ..LinkFaults::none()
         };
-        let mut run = AsyncDibaRun::new(p.clone(), Graph::ring(n), DibaConfig::default(), net)
+        let plan = FaultPlan {
+            activation,
+            ..FaultPlan::with_link(7, link)
+        };
+        let mut run = Lockstep::for_problem(&p, &Graph::ring(n), DibaConfig::default(), plan)
             .expect("sizes match");
         let rounds = run
             .run_until_within(opt, 0.015, 120_000)
             .map_or(">120000".to_string(), |r| r.to_string());
         t.row([
-            format!("{act:.1}"),
-            format!("{dp:.1}"),
-            md.to_string(),
+            format!("{activation:.1}"),
+            format!("{reorder:.1}"),
+            reorder_max.to_string(),
             rounds,
         ]);
     }
@@ -281,7 +290,6 @@ pub fn ext_phases(n: usize) -> String {
             churn_mean: None,
             phase_mean: dwell.is_finite().then_some(Seconds(dwell)),
             record_allocations: false,
-            faults: None,
             telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
         };
         let mut sim = DynamicSim::new(cluster, budgeter, BudgetSchedule::constant(budget), config);
@@ -461,26 +469,23 @@ pub fn ext_hierarchy(n: usize) -> String {
 /// Extension: the paper's prototype demonstration — "a working prototype
 /// of DiBA on a real experimental cluster … meeting dynamic total power
 /// budget in a fully distributed fashion" (Section 4.1) — reproduced on
-/// the asynchronous message-passing simulator with a seeded mid-run
-/// silent node crash thrown in.
+/// the deployed agents ([`Lockstep`]), every one of them sitting one round
+/// in five out, with a seeded mid-run silent node crash thrown in.
 pub fn ext_prototype(n: usize) -> String {
-    use dpc_alg::faults::{FaultPlan, NodeFaultKind};
-
     let cluster = ClusterBuilder::new(n).seed(40).build();
     let budgets: [f64; 4] = [176.0, 168.0, 182.0, 172.0];
     let initial = Watts(budgets[0] * n as f64);
     let p = PowerBudgetProblem::new(cluster.utilities(), initial).expect("feasible");
     // The crash fires on the first round after epoch 2's budget change has
     // had its 1 000 rounds (1 500 + 2 × 1 000 rounds in).
-    let plan = FaultPlan::none().and(3_501, n / 3, NodeFaultKind::Crash);
-    let mut agents = AsyncDibaRun::with_faults(
-        p,
-        Graph::ring_with_chords(n, (n / 6).max(2)),
-        DibaConfig::default(),
-        AsyncConfig::default(),
-        plan,
-    )
-    .expect("deployment is valid");
+    let plan = FaultPlan {
+        activation: 0.8,
+        ..FaultPlan::none()
+    }
+    .and(3_501, n / 3, NodeFaultKind::Crash);
+    let graph = Graph::ring_with_chords(n, (n / 6).max(2));
+    let mut agents = Lockstep::for_problem(&p, &graph, DibaConfig::default(), plan)
+        .expect("deployment is valid");
 
     let mut t = Table::new([
         "epoch",
@@ -489,8 +494,8 @@ pub fn ext_prototype(n: usize) -> String {
         "power (kW)",
         "within budget",
     ]);
-    let log = |agents: &AsyncDibaRun, epoch: usize, event: &str, t: &mut Table| {
-        let budget = agents.problem().budget();
+    let log = |agents: &Lockstep, epoch: usize, event: &str, t: &mut Table| {
+        let budget = agents.budget();
         t.row([
             epoch.to_string(),
             event.to_string(),
@@ -503,9 +508,7 @@ pub fn ext_prototype(n: usize) -> String {
     agents.run(1_500);
     log(&agents, 0, "converged", &mut t);
     for (epoch, &per_server) in budgets.iter().enumerate().skip(1) {
-        agents
-            .set_budget(Watts(per_server * n as f64))
-            .expect("schedule stays feasible");
+        agents.set_budget(Watts(per_server * n as f64));
         agents.run(1_000);
         log(&agents, epoch, "budget change", &mut t);
         if epoch == 2 {
@@ -516,9 +519,9 @@ pub fn ext_prototype(n: usize) -> String {
     format!(
         "Extension — the deployed prototype under dynamic budgets ({n} agents)\n\n{}\n\
          survivors: {}/{n}; residual-invariant drift: {:.2e} W.\n\
-         Every agent exchanges messages with its graph neighbors only, over\n\
-         links that delay and reorder them — no coordinator exists anywhere\n\
-         in this run, including during the budget changes and the crash.\n",
+         Every agent exchanges messages with its graph neighbors only and\n\
+         sits one round in five out — no coordinator exists anywhere in\n\
+         this run, including during the budget changes and the crash.\n",
         t.render(),
         agents.live_count(),
         agents.conservation_drift(),

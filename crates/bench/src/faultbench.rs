@@ -1,8 +1,9 @@
 //! Fault-resilience sweep (`dpc faults`).
 //!
-//! Runs the asynchronous DiBA engine under a grid of message drop rates ×
-//! churn scenarios (no churn / one crash / crash + restart / one graceful
-//! departure) and records, per cell, whether the cluster re-attains a
+//! Runs the deployed agents on the lockstep executor ([`Lockstep`]) under
+//! a grid of message drop rates × churn scenarios (no churn / one crash /
+//! crash + restart / one graceful departure), every node sitting one round
+//! in five out, and records, per cell, whether the cluster re-attains a
 //! feasible allocation (`Σp ≤ P`), how much conservation drift the fault
 //! ledger accumulated (must be ~0), and how far the survivors land from the
 //! survivor-optimal allocation.
@@ -14,12 +15,12 @@
 
 use dpc_alg::centralized;
 use dpc_alg::diba::DibaConfig;
-use dpc_alg::diba_async::{AsyncConfig, AsyncDibaRun};
 use dpc_alg::faults::{FaultPlan, LinkFaults, NodeFaultKind, NodeHealth};
 use dpc_alg::problem::PowerBudgetProblem;
 use dpc_alg::telemetry::{Telemetry, TelemetryConfig};
 use dpc_models::units::Watts;
 use dpc_models::workload::ClusterBuilder;
+use dpc_runtime::lockstep::Lockstep;
 use dpc_topology::Graph;
 
 /// Default message drop rates swept by `dpc faults`.
@@ -167,20 +168,34 @@ impl FaultBenchReport {
     }
 }
 
-/// Builds the fault plan for one sweep cell. Node faults land a third of
-/// the way in so the cluster has converged once and must re-converge;
-/// restart waits another third.
-fn plan_for(drop: f64, churn: Churn, rounds: usize, servers: usize, seed: u64) -> FaultPlan {
+/// The network and scheduler of every sweep cell at drop rate `drop`:
+/// half as many duplicates, as many reorders, and every node sitting one
+/// round in five out.
+pub fn lossy_plan(seed: u64, drop: f64) -> FaultPlan {
     let link = LinkFaults {
         drop,
         duplicate: drop / 2.0,
         reorder: drop,
         ..LinkFaults::none()
     };
-    let plan = FaultPlan::with_link(seed, link);
-    // The victim is deterministic in the seed, never node 0 (keeps ring
-    // chord anchors intact and the sweep comparable across cells).
-    let victim = 1 + (seed as usize % (servers - 1));
+    FaultPlan {
+        activation: 0.8,
+        ..FaultPlan::with_link(seed, link)
+    }
+}
+
+/// The churn victim: deterministic in the seed, never node 0 (keeps ring
+/// chord anchors intact and the sweep comparable across cells).
+pub fn victim(seed: u64, servers: usize) -> usize {
+    1 + (seed as usize % (servers - 1))
+}
+
+/// Builds the fault plan for one sweep cell. Node faults land a third of
+/// the way in so the cluster has converged once and must re-converge;
+/// restart waits another third.
+fn plan_for(drop: f64, churn: Churn, rounds: usize, servers: usize, seed: u64) -> FaultPlan {
+    let plan = lossy_plan(seed, drop);
+    let victim = victim(seed, servers);
     let fault_at = rounds / 3;
     match churn {
         Churn::None => plan,
@@ -196,12 +211,11 @@ fn plan_for(drop: f64, churn: Churn, rounds: usize, servers: usize, seed: u64) -
 
 /// Survivor-optimal utility: the centralized oracle re-solved over the
 /// live nodes only, at the full budget (dead budget re-absorbed).
-fn survivor_optimal(run: &AsyncDibaRun) -> f64 {
-    let problem = run.problem();
+fn survivor_optimal(problem: &PowerBudgetProblem, health: &[NodeHealth]) -> f64 {
     let live: Vec<_> = problem
         .utilities()
         .iter()
-        .zip(run.health())
+        .zip(health)
         .filter(|&(_, &h)| h == NodeHealth::Alive)
         .map(|(u, _)| *u)
         .collect();
@@ -211,50 +225,33 @@ fn survivor_optimal(run: &AsyncDibaRun) -> f64 {
     sub.total_utility(&oracle.allocation)
 }
 
-/// Builds the async run for one sweep cell: same cluster, topology, fault
-/// plan, and config for the measured and the traced path, so a trace
-/// always describes exactly the cell `measure_cell` scores.
+/// The agents of one sweep cell: same cluster, topology and fault plan
+/// for the measured and the traced path, so a trace always describes
+/// exactly the cell `measure_cell` scores.
 fn cell_run(
     servers: usize,
     rounds: usize,
     seed: u64,
     drop: f64,
     churn: Churn,
-    telemetry: TelemetryConfig,
-) -> AsyncDibaRun {
+) -> (PowerBudgetProblem, Lockstep) {
     let cluster = ClusterBuilder::new(servers).seed(seed).build();
     let problem = PowerBudgetProblem::new(cluster.utilities(), Watts(170.0 * servers as f64))
         .expect("170 W/server is feasible for every generated cluster");
     let graph = Graph::ring_with_chords(servers, (servers / 16).max(2));
-    let net = AsyncConfig {
-        seed,
-        ..AsyncConfig::default()
-    };
-    let config = DibaConfig {
-        telemetry,
-        ..DibaConfig::default()
-    };
     let plan = plan_for(drop, churn, rounds, servers, seed);
-    AsyncDibaRun::with_faults(problem, graph, config, net, plan)
-        .expect("ring-with-chords is connected")
+    let run = Lockstep::for_problem(&problem, &graph, DibaConfig::default(), plan)
+        .expect("ring-with-chords is connected");
+    (problem, run)
 }
 
 /// Runs one sweep cell with the round recorder attached and returns the
-/// captured telemetry — the `--trace` path of `dpc faults` and the
-/// `dpc trace --solver async` backend.
+/// captured telemetry — the `--trace` path of `dpc faults`.
 pub fn traced_cell(servers: usize, rounds: usize, seed: u64, drop: f64, churn: Churn) -> Telemetry {
-    let mut run = cell_run(
-        servers,
-        rounds,
-        seed,
-        drop,
-        churn,
-        TelemetryConfig::with_capacity(rounds.max(1)),
-    );
+    let (_, mut run) = cell_run(servers, rounds, seed, drop, churn);
+    run.set_telemetry(TelemetryConfig::with_capacity(rounds.max(1)));
     run.run(rounds);
-    run.telemetry()
-        .expect("telemetry was enabled in the config")
-        .clone()
+    run.telemetry().expect("the recorder is attached").clone()
 }
 
 /// Runs one sweep cell.
@@ -265,11 +262,11 @@ pub fn measure_cell(
     drop: f64,
     churn: Churn,
 ) -> CellResult {
-    let mut run = cell_run(servers, rounds, seed, drop, churn, TelemetryConfig::off());
+    let (problem, mut run) = cell_run(servers, rounds, seed, drop, churn);
     run.run(rounds);
 
-    let feasible = run.total_power() <= run.problem().budget() + Watts(1e-6);
-    let optimal = survivor_optimal(&run);
+    let feasible = run.total_power() <= problem.budget() + Watts(1e-6);
+    let optimal = survivor_optimal(&problem, &run.health());
     let oracle_gap = (1.0 - run.total_utility() / optimal).max(0.0);
     CellResult {
         drop,

@@ -4,7 +4,9 @@
 //! Two drivers step an [`AgentCore`]:
 //!
 //! * the serial lockstep executor ([`crate::lockstep`]) — no threads, no
-//!   sockets, the cheap big-N reference;
+//!   sockets, the cheap big-N reference, and the fault model's host: lost,
+//!   late and duplicated entries, stalls, crashes, restarts and
+//!   departures all happen to cores like these;
 //! * the reactor shards ([`crate::reactor`]) — thousands of agents per
 //!   poller thread in one process, or one agent per process over TCP
 //!   ([`crate::reactor::host_node`]), stepped when a round's entries are
@@ -19,6 +21,9 @@
 //! the driver hands each live slot's entry (or its absence) to
 //! [`AgentCore::receive`], and after a quorum [`AgentCore::end_round`] to
 //! the lame-duck drain, whose open slots and staged mass are core state.
+//! What a fault does to an agent from outside its round — mass returned
+//! or shifted ([`AgentCore::absorb`]), a restart donor's power cut, a
+//! pruned link re-admitted, a graceful departure — is a core method too.
 //!
 //! The round is a sequence of phases — `begin_round` (compute + stage),
 //! send notes, `receive` in slot order, `end_round` (boost decay, trace,
@@ -160,6 +165,37 @@ impl AgentCore {
         &self.live_slots
     }
 
+    /// Power (watts).
+    pub fn p(&self) -> f64 {
+        self.p
+    }
+
+    /// Residual estimate (watts).
+    pub fn e(&self) -> f64 {
+        self.e
+    }
+
+    /// Slack mass that reaches the agent outside a round's entries — a
+    /// transfer the network bounced, a share of a dead neighbor's escrow,
+    /// a budget shift — enters `e`.
+    pub fn absorb(&mut self, mass: f64) {
+        self.e += mass;
+    }
+
+    /// The agent throttles by `watts` to make room for a booting
+    /// neighbor: `p` falls and `e` stays, so `e − p` rises by `watts`.
+    pub fn cut_power(&mut self, watts: f64) {
+        self.p -= watts;
+    }
+
+    /// Re-admits the pruned link behind `slot`: an entry arrived on it, so
+    /// the peer is sending again (it restarted, or was only slow).
+    pub fn readmit(&mut self, slot: usize) {
+        let link = &mut self.links[slot];
+        link.alive = true;
+        link.silent = 0;
+    }
+
     /// Compute pass: assemble the neighbor view, take the node action,
     /// apply `(p, e)`, update the settled streak, and stage one outbound
     /// entry per live slot. Advances the round counter.
@@ -249,9 +285,9 @@ impl AgentCore {
 
     /// The `k`-th staged entry could not be delivered (link gone). A round
     /// entry's transfer is reclaimed so no slack mass is destroyed, and
-    /// the slot is pruned. A goodbye carries no mass and its slot is
-    /// already in the drain, which closes it on the link's end-of-stream,
-    /// so there is nothing to undo.
+    /// the slot is pruned. A quorum goodbye carries no mass and its slot
+    /// is already in the drain, which closes it on the link's
+    /// end-of-stream, so there is nothing to undo.
     pub fn note_send_closed(&mut self, k: usize) {
         if self.outbound[k].kind == EntryKind::Goodbye {
             return;
@@ -349,6 +385,31 @@ impl AgentCore {
             }
         }
         quorum
+    }
+
+    /// A graceful departure: a goodbye for every live slot is staged in
+    /// [`outbound`](AgentCore::outbound), the goodbyes together carrying
+    /// the agent's `e − p` in equal shares (a receiver books a goodbye's
+    /// transfer); `p` and `e` drop to zero and `e − p` is returned. With no
+    /// live slot nothing is staged, and the mass is the driver's to book.
+    pub fn depart(&mut self) -> f64 {
+        let farewell = self.e - self.p;
+        let live = self.links.iter().filter(|l| l.alive).count();
+        self.outbound.clear();
+        for (slot, link) in self.links.iter().enumerate() {
+            if link.alive {
+                self.outbound.push(BatchEntry {
+                    slot: slot as u32,
+                    e: self.e,
+                    transfer: farewell / live as f64,
+                    settled: false,
+                    kind: EntryKind::Goodbye,
+                });
+            }
+        }
+        self.p = 0.0;
+        self.e = 0.0;
+        farewell
     }
 
     /// Drain pass: an in-flight entry arrived on `slot` after the

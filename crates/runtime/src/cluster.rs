@@ -78,8 +78,8 @@ pub struct RuntimeConfig {
     /// Consecutive sub-tolerance rounds before a node declares itself
     /// settled.
     pub stable_rounds: usize,
-    /// Consecutive silent rounds before a neighbor is pruned as dead
-    /// (the [`dpc_alg::faults::FaultPlan::detect_after`] semantics).
+    /// Consecutive silent rounds before a neighbor is pruned as dead (also
+    /// how the lockstep fault model finds a crash).
     pub detect_after: usize,
     /// Hard per-node round budget.
     pub max_rounds: usize,

@@ -14,17 +14,20 @@
 //! default), or one agent per OS process over real TCP sockets
 //! ([`reactor::host_node`], behind `dpc node`), which is the same shard
 //! loop with a node range of one. The per-round math is
-//! [`dpc_alg::diba::node_action`] — the same function the synchronous
-//! reference and the simulator execute — so every driver converges to
-//! the same allocation (the transport-equivalence tests pin it).
+//! [`dpc_alg::diba::node_action`] — the same function the in-process
+//! round engine executes — so every driver converges to the same
+//! allocation (the transport-equivalence tests pin it).
 //!
 //! Lifecycle: dial-low/accept-high link establishment under one deadline,
 //! with a `Hello` / `HelloAck` handshake that validates protocol version,
 //! cluster size, and a topology fingerprint
 //! ([`dpc_topology::Graph::topology_hash`]); silent
-//! peers pruned after `detect_after` consecutive quiet rounds (the
-//! simulator's fault-detection semantics); clean shutdown by convergence
-//! quorum with goodbye entries and a conservation-preserving drain.
+//! peers pruned after `detect_after` consecutive quiet rounds; clean
+//! shutdown by convergence quorum with goodbye entries and a
+//! conservation-preserving drain. The seeded fault model
+//! ([`dpc_alg::faults::FaultPlan`]: lost, duplicated and late entries,
+//! stalls, crashes, restarts, departures) runs on these same agents in
+//! the lockstep executor ([`lockstep::Lockstep`]).
 //!
 //! ```
 //! use dpc_alg::{diba::DibaConfig, problem::PowerBudgetProblem};

@@ -10,11 +10,12 @@
 //! Three runtime behaviours the spec parameterizes (all implemented once,
 //! in [`crate::agent::AgentCore`]):
 //!
-//! * **Silent-peer detection** uses the simulator's
-//!   [`FaultPlan::detect_after`](dpc_alg::faults::FaultPlan) semantics — a
-//!   neighbor is pruned only after `detect_after` *consecutive* silent
-//!   rounds, not on the first late message, so a slow peer is tolerated
-//!   and a crashed one is eventually routed around.
+//! * **Silent-peer detection**: a neighbor is pruned only after
+//!   `detect_after` *consecutive* silent rounds, not on the first late
+//!   message, so a slow peer is tolerated and a crashed one is eventually
+//!   routed around — on the reactor, and in the fault model the lockstep
+//!   executor runs ([`crate::lockstep::Lockstep`]), where the first prune
+//!   of a crashed node settles its escrow.
 //! * **Heartbeat suppression**: once a node is settled and a neighbor
 //!   already holds its exact residual (nothing changed since the last
 //!   data entry and the round's transfer is zero), the node sends a

@@ -1,26 +1,22 @@
 //! Transport-equivalence regression tests — the headline invariant.
 //!
-//! The same seeded problem must converge to matching allocations whether it
-//! runs on the simulator ([`AsyncDibaRun`] at its synchronous limit), the
-//! serial lockstep executor, the epoll reactor in one process, or one
-//! reactor node shard per agent over real TCP loopback sockets (the
-//! `dpc node` deployment). The runtime drivers execute bit-identical
-//! logic over exact round-aligned delivery, so `lockstep` is the fixed
-//! point and every reactor allocation must agree with it *bitwise*; the
-//! simulator differs only in its barrier-boost continuation schedule, so
-//! it must agree within the cross-substrate tolerance `tests/end_to_end.rs`
-//! uses for the runtime against `DibaRun`.
+//! The same seeded problem must converge to the same allocation whether it
+//! runs on the serial lockstep executor, the epoll reactor in one process,
+//! or one reactor node shard per agent over real TCP loopback sockets (the
+//! `dpc node` deployment). The runtime drivers execute bit-identical logic
+//! over exact round-aligned delivery, so `lockstep` is the fixed point and
+//! every reactor allocation must agree with it *bitwise*.
 //!
-//! `DibaRun`, the in-process round engine every solver workload times,
-//! computes the agents' round itself: neighbours seen at the residual they
-//! sent, and the agent's fold order. The one thing it does differently is
-//! the continuation schedule — it also halves the boost when the global
-//! max |Δp| stalls, which no agent can see — so with the continuation off
-//! (`eta_boost = 1`) `DibaRun` after k rounds is the lockstep agents after
-//! k rounds, bit for bit.
+//! `DibaRun`, the in-process round engine every solver workload times and
+//! the simulator drives, computes the agents' round itself: neighbours
+//! seen at the residual they sent, and the agent's fold order. The one
+//! thing it does differently is the continuation schedule — it also halves
+//! the boost when the global max |Δp| stalls, which no agent can see — so
+//! with the continuation off (`eta_boost = 1`) `DibaRun` after k rounds is
+//! the lockstep agents after k rounds, bit for bit. That is the simulator
+//! leg every deployment below is held to.
 
 use dpc_alg::diba::{DibaConfig, DibaRun};
-use dpc_alg::diba_async::{AsyncConfig, AsyncDibaRun};
 use dpc_alg::exec::Threads;
 use dpc_alg::problem::PowerBudgetProblem;
 use dpc_models::units::Watts;
@@ -28,17 +24,12 @@ use dpc_models::workload::ClusterBuilder;
 use dpc_runtime::cluster::{
     node_specs, run_cluster, ClusterOutcome, RuntimeConfig, ShardCount, TransportKind,
 };
+use dpc_runtime::lockstep::run_lockstep;
 use dpc_runtime::node::{NodeReport, NodeSpec};
 use dpc_runtime::reactor::{host_node, run_reactor_cluster};
 use dpc_topology::Graph;
 use proptest::prelude::*;
 use std::net::TcpListener;
-
-/// Worst per-node disagreement tolerated between the runtime and the
-/// simulator (watts). Same order as the runtime-vs-`DibaRun` bound in
-/// `tests/end_to_end.rs`; the substrates share the per-round math but not
-/// the boost schedule, so they settle at slightly different barrier points.
-const CROSS_SUBSTRATE_TOL: f64 = 12.0;
 
 fn seeded_problem(n: usize, seed: u64, budget: f64) -> PowerBudgetProblem {
     let cluster = ClusterBuilder::new(n).seed(seed).build();
@@ -52,20 +43,31 @@ fn runtime_config(transport: TransportKind) -> RuntimeConfig {
     }
 }
 
-/// The simulator pushed to its synchronous limit: every node acts every
-/// round and every message arrives with exactly one round of staleness —
-/// the same information pattern the lockstep runtime produces.
-fn simulator_allocation(problem: &PowerBudgetProblem, graph: &Graph, rounds: usize) -> Vec<f64> {
-    let net = AsyncConfig {
-        activation: 1.0,
-        delay_prob: 0.0,
-        max_delay: 1,
-        seed: 0,
+/// `(p, e)` as bit patterns, so `-0.0` and a one-ulp drift both differ.
+fn state_bits(states: Vec<(f64, f64)>) -> Vec<(u64, u64)> {
+    states
+        .into_iter()
+        .map(|(p, e)| (p.to_bits(), e.to_bits()))
+        .collect()
+}
+
+/// The simulator leg: with the continuation off, `DibaRun` after `k`
+/// rounds holds the lockstep agents' `(p, e)` after `k` rounds (quorum
+/// off), bit for bit.
+fn engine_is_the_agents(problem: &PowerBudgetProblem, graph: &Graph, k: usize) -> bool {
+    let config = DibaConfig {
+        eta_boost: 1.0,
+        ..DibaConfig::default()
     };
-    let mut sim = AsyncDibaRun::new(problem.clone(), graph.clone(), DibaConfig::default(), net)
-        .expect("simulator construction");
-    sim.run(rounds);
-    sim.allocation().powers().iter().map(|w| w.0).collect()
+    let rt = RuntimeConfig {
+        stable_rounds: usize::MAX,
+        max_rounds: k,
+        ..runtime_config(TransportKind::Lockstep)
+    };
+    let reports = run_lockstep(node_specs(problem, graph, config, &rt).unwrap(), graph);
+    let mut engine = DibaRun::new(problem.clone(), graph.clone(), config).unwrap();
+    engine.run(k);
+    state_bits(reports.iter().map(|r| (r.p, r.e)).collect()) == state_bits(engine.node_states())
 }
 
 fn check_outcome(outcome: &ClusterOutcome, problem: &PowerBudgetProblem, drift_tol: f64) {
@@ -123,13 +125,6 @@ fn host_node_per_agent(
     ClusterOutcome::from_reports(reports, problem.budget(), 0)
 }
 
-fn worst_gap(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
 #[test]
 fn lockstep_matches_simulator_and_reproduces_exactly() {
     let n = 8;
@@ -149,11 +144,10 @@ fn lockstep_matches_simulator_and_reproduces_exactly() {
     assert_eq!(alloc_1, alloc_2, "lockstep run is not reproducible");
     assert_eq!(first.rounds, second.rounds);
 
-    let sim = simulator_allocation(&problem, &graph, first.rounds.max(2_000));
-    let gap = worst_gap(&alloc_1, &sim);
     assert!(
-        gap < CROSS_SUBSTRATE_TOL,
-        "lockstep vs simulator allocations diverge by {gap} W"
+        engine_is_the_agents(&problem, &graph, first.rounds),
+        "lockstep agents and the engine differ after {} rounds",
+        first.rounds
     );
 }
 
@@ -185,11 +179,10 @@ fn headline_three_way_equivalence_lockstep_tcp_simulator() {
     );
     assert_eq!(lockstep.rounds, tcp.rounds);
 
-    let sim = simulator_allocation(&problem, &graph, lockstep.rounds.max(2_000));
-    let gap = worst_gap(&lockstep_alloc, &sim);
     assert!(
-        gap < CROSS_SUBSTRATE_TOL,
-        "runtime vs simulator allocations diverge by {gap} W"
+        engine_is_the_agents(&problem, &graph, lockstep.rounds),
+        "lockstep agents and the engine differ after {} rounds",
+        lockstep.rounds
     );
 }
 
@@ -567,12 +560,6 @@ fn engine_rounds_are_the_lockstep_agents_rounds_bit_for_bit() {
         ),
         ("tight ring", Graph::ring(n), seeded_problem(n, 4, tight)),
     ];
-    let bits = |states: Vec<(f64, f64)>| -> Vec<(u64, u64)> {
-        states
-            .into_iter()
-            .map(|(p, e)| (p.to_bits(), e.to_bits()))
-            .collect()
-    };
     for (shape, graph, problem) in &cases {
         for k in [1, 2, 3, 50, 400] {
             let rt = RuntimeConfig {
@@ -582,9 +569,9 @@ fn engine_rounds_are_the_lockstep_agents_rounds_bit_for_bit() {
                 ..RuntimeConfig::default()
             };
             let specs = node_specs(problem, graph, config, &rt).unwrap();
-            let reports = dpc_runtime::lockstep::run_lockstep(specs, graph);
+            let reports = run_lockstep(specs, graph);
             assert!(reports.iter().all(|r| r.rounds == k && !r.converged));
-            let agents = bits(reports.iter().map(|r| (r.p, r.e)).collect());
+            let agents = state_bits(reports.iter().map(|r| (r.p, r.e)).collect());
             for workers in [1, 2, 7] {
                 let config = DibaConfig {
                     threads: Threads::Fixed(workers),
@@ -593,7 +580,7 @@ fn engine_rounds_are_the_lockstep_agents_rounds_bit_for_bit() {
                 let mut run = DibaRun::new(problem.clone(), graph.clone(), config).unwrap();
                 run.run(k);
                 assert!(
-                    bits(run.node_states()) == agents,
+                    state_bits(run.node_states()) == agents,
                     "{shape}: engine and agents differ after {k} rounds at {workers} workers"
                 );
             }
@@ -661,7 +648,7 @@ fn lockstep_conserves_mass_when_a_node_leaves_unconverged() {
     let rt = runtime_config(TransportKind::Lockstep);
     let mut specs = node_specs(&problem, &graph, DibaConfig::default(), &rt).unwrap();
     specs[2].max_rounds = 40;
-    let reports = dpc_runtime::lockstep::run_lockstep(specs, &graph);
+    let reports = run_lockstep(specs, &graph);
     let out = ClusterOutcome::from_reports(reports, problem.budget(), 0);
     assert_departure_conserves_mass(&out, &graph, problem.budget().0, 40);
 }
@@ -761,15 +748,11 @@ proptest! {
             "budget violated: {total}"
         );
 
-        let alloc: Vec<f64> = outcome.allocation.powers().iter().map(|w| w.0).collect();
-        let sim = simulator_allocation(&problem, &graph, outcome.rounds.max(2_000));
-        let gap = worst_gap(&alloc, &sim);
         prop_assert!(
-            gap < CROSS_SUBSTRATE_TOL,
-            "seed {} n {}: runtime vs simulator diverge by {} W",
+            engine_is_the_agents(&problem, &graph, outcome.rounds),
+            "seed {} n {}: lockstep agents and the engine differ",
             seed,
-            n,
-            gap
+            n
         );
     }
 }

@@ -8,8 +8,6 @@
 
 use dpc_alg::centralized;
 use dpc_alg::diba::{DibaConfig, DibaRun};
-use dpc_alg::diba_async::{AsyncConfig, AsyncDibaRun};
-use dpc_alg::faults::FaultPlan;
 use dpc_alg::problem::{AlgError, Allocation, PowerBudgetProblem};
 use dpc_alg::telemetry::{Telemetry, TelemetryConfig};
 use dpc_models::throughput::QuadraticUtility;
@@ -40,20 +38,6 @@ pub trait Budgeter {
 
     /// The current allocation.
     fn allocation(&self) -> Allocation;
-
-    /// Installs a fault-injection plan before the run starts. Only
-    /// budgeters with a fault-capable engine (the asynchronous DiBA run)
-    /// honor it; the default is a no-op, which models schemes that assume
-    /// a reliable substrate.
-    fn install_fault_plan(&mut self, _plan: &FaultPlan) {}
-
-    /// Per-node liveness mask for metric aggregation: `None` (the default)
-    /// means every node is alive; a fault-capable budgeter reports dead
-    /// nodes so the engine excludes their 0 W draw from SNP and oracle
-    /// comparisons.
-    fn live_nodes(&self) -> Option<Vec<bool>> {
-        None
-    }
 
     /// Attaches a round recorder to the underlying engine. The default is
     /// a no-op, which models one-shot schemes with no rounds to record.
@@ -125,87 +109,6 @@ impl Budgeter for DibaBudgeter {
 
     fn telemetry(&self) -> Option<&Telemetry> {
         self.run.telemetry()
-    }
-}
-
-/// Asynchronous DiBA with timing jitter and (optionally) injected faults —
-/// the budgeter behind the resilience experiments. Unlike [`DibaBudgeter`]
-/// it models the deployed protocol end to end: partial activation, message
-/// delay, and whatever a [`FaultPlan`] throws at it.
-#[derive(Debug, Clone)]
-pub struct AsyncDibaBudgeter {
-    run: AsyncDibaRun,
-}
-
-impl AsyncDibaBudgeter {
-    /// Starts asynchronous DiBA on the given problem and topology.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AsyncDibaRun::new`] errors.
-    pub fn new(
-        problem: PowerBudgetProblem,
-        graph: Graph,
-        config: DibaConfig,
-        net: AsyncConfig,
-    ) -> Result<AsyncDibaBudgeter, AlgError> {
-        Ok(AsyncDibaBudgeter {
-            run: AsyncDibaRun::new(problem, graph, config, net)?,
-        })
-    }
-
-    /// Access to the underlying run (health, escrow, conservation).
-    pub fn run(&self) -> &AsyncDibaRun {
-        &self.run
-    }
-}
-
-impl Budgeter for AsyncDibaBudgeter {
-    fn name(&self) -> &'static str {
-        "DiBA-async"
-    }
-
-    fn problem(&self) -> &PowerBudgetProblem {
-        self.run.problem()
-    }
-
-    fn set_budget(&mut self, budget: Watts) -> Result<(), AlgError> {
-        self.run.set_budget(budget)
-    }
-
-    fn workload_changed(&mut self, server: usize, utility: QuadraticUtility) {
-        self.run.replace_utility(server, utility);
-    }
-
-    fn advance(&mut self, rounds: usize) {
-        self.run.run(rounds);
-    }
-
-    fn allocation(&self) -> Allocation {
-        self.run.allocation()
-    }
-
-    fn install_fault_plan(&mut self, plan: &FaultPlan) {
-        self.run.set_fault_plan(plan.clone());
-    }
-
-    fn set_telemetry(&mut self, config: TelemetryConfig) {
-        self.run.set_telemetry(config);
-    }
-
-    fn telemetry(&self) -> Option<&Telemetry> {
-        self.run.telemetry()
-    }
-
-    fn live_nodes(&self) -> Option<Vec<bool>> {
-        use dpc_alg::faults::NodeHealth;
-        Some(
-            self.run
-                .health()
-                .iter()
-                .map(|&h| h == NodeHealth::Alive)
-                .collect(),
-        )
     }
 }
 

@@ -10,8 +10,7 @@ use crate::budgeter::Budgeter;
 use crate::schedule::BudgetSchedule;
 use crate::series::{TimePoint, TimeSeries};
 use dpc_alg::centralized;
-use dpc_alg::faults::{FaultPlan, LinkFaults, NodeFaultKind};
-use dpc_alg::problem::{AlgError, Allocation, PowerBudgetProblem};
+use dpc_alg::problem::AlgError;
 use dpc_alg::telemetry::TelemetryConfig;
 use dpc_models::metrics::snp_arithmetic;
 use dpc_models::phases::PhasedWorkload;
@@ -19,45 +18,6 @@ use dpc_models::units::Seconds;
 use dpc_models::workload::Cluster;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Fault schedule for a simulation, in wall-clock terms. The engine
-/// translates it into a round-indexed [`FaultPlan`] (victims drawn from the
-/// seeded RNG, times converted at `rounds_per_sample / sample_interval`)
-/// and installs it on the budgeter before the run — budgeters without a
-/// fault-capable engine ignore it (see [`Budgeter::install_fault_plan`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimFaults {
-    /// Per-message link faults (drop / duplicate / reorder).
-    pub link: LinkFaults,
-    /// Crash one randomly chosen server at this time; `None` disables.
-    pub crash_at: Option<Seconds>,
-    /// One (different) randomly chosen server departs permanently at this
-    /// time; `None` disables.
-    pub depart_at: Option<Seconds>,
-    /// Neighbor-timeout failure detection, in algorithm rounds.
-    pub detect_after: usize,
-    /// Seed for victim selection and every link-fault draw.
-    pub seed: u64,
-}
-
-impl SimFaults {
-    /// Lossy links only: `rate` drop probability (plus half-rate
-    /// duplication and same-rate reordering), no node events.
-    pub fn lossy(rate: f64, seed: u64) -> SimFaults {
-        SimFaults {
-            link: LinkFaults {
-                drop: rate,
-                duplicate: rate / 2.0,
-                reorder: rate,
-                ..LinkFaults::none()
-            },
-            crash_at: None,
-            depart_at: None,
-            detect_after: 40,
-            seed,
-        }
-    }
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,9 +36,6 @@ pub struct SimConfig {
     pub phase_mean: Option<Seconds>,
     /// Record per-server allocations at every sample (memory-heavy).
     pub record_allocations: bool,
-    /// Fault injection (lossy links, node crash/departure); `None` runs the
-    /// cluster fault-free.
-    pub faults: Option<SimFaults>,
     /// Round-level recording, installed on the budgeter's engine before the
     /// run (off by default; budgeters without an engine ignore it).
     pub telemetry: TelemetryConfig,
@@ -95,7 +52,6 @@ impl SimConfig {
             churn_mean: None,
             phase_mean: None,
             record_allocations: false,
-            faults: None,
             telemetry: TelemetryConfig::off(),
         }
     }
@@ -108,8 +64,7 @@ impl SimConfig {
     ///
     /// [`AlgError::InvalidConfig`] naming the offending knob: a non-finite
     /// or non-positive sample interval, a non-finite or negative duration,
-    /// non-positive churn/phase means, a zero
-    /// telemetry capacity, or a non-finite/negative fault time.
+    /// non-positive churn/phase means, or a zero telemetry capacity.
     pub fn validate(&self) -> Result<(), AlgError> {
         let bad = |what: String| Err(AlgError::InvalidConfig { what });
         if !self.sample_interval.0.is_finite() || self.sample_interval <= Seconds::ZERO {
@@ -138,16 +93,6 @@ impl SimConfig {
                     "phase_mean = Some({} s) must be finite and positive",
                     mean.0
                 ));
-            }
-        }
-        if let Some(faults) = &self.faults {
-            for t in [faults.crash_at, faults.depart_at].into_iter().flatten() {
-                if !t.0.is_finite() || t < Seconds::ZERO {
-                    return bad(format!(
-                        "fault time {} s must be finite and non-negative",
-                        t.0
-                    ));
-                }
             }
         }
         self.telemetry.validate()
@@ -236,10 +181,6 @@ impl<B: Budgeter> DynamicSim<B> {
         if self.config.telemetry.enabled {
             self.budgeter.set_telemetry(self.config.telemetry);
         }
-        if let Some(faults) = self.config.faults {
-            let plan = self.build_fault_plan(faults)?;
-            self.budgeter.install_fault_plan(&plan);
-        }
 
         let mut series = TimeSeries::new();
         let mut t = Seconds::ZERO;
@@ -269,64 +210,6 @@ impl<B: Budgeter> DynamicSim<B> {
         &self.budgeter
     }
 
-    /// Translates the wall-clock [`SimFaults`] into a round-indexed
-    /// [`FaultPlan`]: event times snap to the *end* of the sample interval
-    /// containing them (the budgeter only advances between samples), and
-    /// victims are drawn from the fault seed — the crash and departure
-    /// victims are distinct.
-    ///
-    /// # Errors
-    ///
-    /// [`AlgError::InvalidConfig`] on a non-finite or negative fault time:
-    /// the `f64 → usize` cast would silently saturate (NaN and negatives
-    /// collapse to round 1), corrupting every timing-derived result.
-    fn build_fault_plan(&self, faults: SimFaults) -> Result<FaultPlan, AlgError> {
-        use rand::Rng;
-        let rounds_per_sec = self.config.rounds_per_sample as f64 / self.config.sample_interval.0;
-        let to_round = |t: Seconds| -> Result<usize, AlgError> {
-            if !t.0.is_finite() || t.0 < 0.0 {
-                return Err(AlgError::InvalidConfig {
-                    what: format!("fault time {} s must be finite and non-negative", t.0),
-                });
-            }
-            Ok(((t.0 * rounds_per_sec).ceil() as usize).max(1))
-        };
-        let mut rng = StdRng::seed_from_u64(faults.seed);
-        let n = self.cluster.len();
-        let mut plan = FaultPlan {
-            seed: faults.seed,
-            link: faults.link,
-            schedule: Vec::new(),
-            detect_after: Some(faults.detect_after),
-        };
-        let crash_victim = match faults.crash_at {
-            Some(t) => {
-                let round = to_round(t)?;
-                let victim = rng.gen_range(0..n);
-                plan.schedule.push(dpc_alg::faults::NodeFault {
-                    round,
-                    node: victim,
-                    kind: NodeFaultKind::Crash,
-                });
-                Some(victim)
-            }
-            None => None,
-        };
-        if let Some(t) = faults.depart_at {
-            let round = to_round(t)?;
-            let mut victim = rng.gen_range(0..n);
-            while n > 1 && Some(victim) == crash_victim {
-                victim = rng.gen_range(0..n);
-            }
-            plan.schedule.push(dpc_alg::faults::NodeFault {
-                round,
-                node: victim,
-                kind: NodeFaultKind::Depart,
-            });
-        }
-        Ok(plan)
-    }
-
     fn apply_churn(&mut self, now: Seconds) {
         let mean = self.config.churn_mean.expect("caller checked");
         for i in 0..self.expiries.len() {
@@ -350,47 +233,9 @@ impl<B: Budgeter> DynamicSim<B> {
     fn sample(&self, t: Seconds, series: &mut TimeSeries) {
         let problem = self.budgeter.problem();
         let allocation = self.budgeter.allocation();
-        // Dead servers draw 0 W and do no work, so they are excluded from
-        // SNP; the oracle re-solves the survivor subproblem at the full
-        // budget — the fair yardstick once the dead node's budget has been
-        // re-absorbed by the survivors.
-        let dead_mask = self
-            .budgeter
-            .live_nodes()
-            .filter(|mask| mask.iter().any(|&alive| !alive));
-        let (snp, optimal_snp) = match dead_mask {
-            Some(mask) => {
-                let utilities: Vec<_> = problem
-                    .utilities()
-                    .iter()
-                    .zip(&mask)
-                    .filter(|&(_, &alive)| alive)
-                    .map(|(u, _)| *u)
-                    .collect();
-                let powers: Vec<_> = allocation
-                    .powers()
-                    .iter()
-                    .zip(&mask)
-                    .filter(|&(_, &alive)| alive)
-                    .map(|(&p, _)| p)
-                    .collect();
-                match PowerBudgetProblem::new(utilities, problem.budget()) {
-                    Ok(sub) => {
-                        let snp = snp_arithmetic(&sub.anps(&Allocation::new(powers)));
-                        let oracle = centralized::solve(&sub);
-                        (snp, snp_arithmetic(&sub.anps(&oracle.allocation)))
-                    }
-                    // No feasible survivor subproblem (e.g. every server
-                    // dead): record zero throughput rather than panic.
-                    Err(_) => (0.0, 0.0),
-                }
-            }
-            None => {
-                let snp = snp_arithmetic(&problem.anps(&allocation));
-                let oracle = centralized::solve(problem);
-                (snp, snp_arithmetic(&problem.anps(&oracle.allocation)))
-            }
-        };
+        let snp = snp_arithmetic(&problem.anps(&allocation));
+        let oracle = centralized::solve(problem);
+        let optimal_snp = snp_arithmetic(&problem.anps(&oracle.allocation));
         series.push(TimePoint {
             t,
             budget: problem.budget(),
@@ -428,34 +273,7 @@ mod tests {
             churn_mean: None,
             phase_mean: None,
             record_allocations: false,
-            faults: None,
             telemetry: TelemetryConfig::off(),
-        }
-    }
-
-    #[test]
-    fn non_finite_fault_times_are_typed_errors() {
-        // Regression (satellite bugfix): `to_round` used to do
-        // `(t.0 * rounds_per_sec).ceil() as usize` — a NaN, infinite, or
-        // negative fault time silently saturated the cast (NaN and
-        // negatives collapse to round 1), firing the fault at the wrong
-        // time instead of failing. It must be a typed error.
-        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.0] {
-            let c = cluster(5, 5);
-            let p = PowerBudgetProblem::new(c.utilities(), Watts(850.0)).unwrap();
-            let b = UniformBudgeter::new(p);
-            let mut cfg = config(5.0);
-            cfg.faults = Some(SimFaults {
-                crash_at: Some(Seconds(t)),
-                ..SimFaults::lossy(0.05, 1)
-            });
-            let mut sim = DynamicSim::new(c, b, BudgetSchedule::constant(Watts(850.0)), cfg);
-            let err = sim.run().unwrap_err();
-            assert!(
-                matches!(err, AlgError::InvalidConfig { .. }),
-                "t = {t}: {err:?}"
-            );
-            assert!(err.to_string().contains("fault time"), "t = {t}: {err}");
         }
     }
 
@@ -625,76 +443,6 @@ mod tests {
             spread > 1e-4,
             "phases never moved the landscape: spread {spread}"
         );
-    }
-
-    #[test]
-    fn faulted_async_sim_stays_feasible_and_reabsorbs_the_crash() {
-        use crate::budgeter::AsyncDibaBudgeter;
-        use dpc_alg::diba_async::AsyncConfig;
-        use dpc_alg::faults::NodeHealth;
-
-        let c = cluster(24, 9);
-        let p = PowerBudgetProblem::new(c.utilities(), Watts(4_080.0)).unwrap();
-        let b = AsyncDibaBudgeter::new(
-            p,
-            Graph::ring_with_chords(24, 3),
-            DibaConfig::default(),
-            AsyncConfig::default(),
-        )
-        .unwrap();
-        let mut cfg = config(60.0);
-        cfg.rounds_per_sample = 120;
-        cfg.faults = Some(SimFaults {
-            crash_at: Some(Seconds(10.0)),
-            ..SimFaults::lossy(0.10, 21)
-        });
-        let mut sim = DynamicSim::new(c, b, BudgetSchedule::constant(Watts(4_080.0)), cfg);
-        let series = sim.run().unwrap();
-        assert!(series.budget_respected(Watts(1e-6)));
-        let run = sim.budgeter().run();
-        assert_eq!(run.live_count(), 23, "exactly one crash victim");
-        assert_eq!(run.escrow_total(), 0.0, "crash escrow re-absorbed");
-        assert!(run.conservation_drift() < 1e-6);
-        assert!(!run.partitioned());
-        // The victim's p went to 0 but the survivors grew into the freed
-        // budget: total power climbs back near the cap.
-        let victim = run
-            .health()
-            .iter()
-            .position(|&h| h == NodeHealth::Crashed)
-            .expect("one crashed node");
-        assert_eq!(run.allocation().power(victim), Watts(0.0));
-        let final_power = series.points().last().unwrap().total_power;
-        assert!(
-            final_power > Watts(4_080.0) * 0.97,
-            "budget not re-absorbed: {final_power:?}"
-        );
-    }
-
-    #[test]
-    fn fault_free_async_budgeter_matches_plain_async_run() {
-        use crate::budgeter::AsyncDibaBudgeter;
-        use dpc_alg::diba_async::{AsyncConfig, AsyncDibaRun};
-
-        let c = cluster(16, 5);
-        let p = PowerBudgetProblem::new(c.utilities(), Watts(2_720.0)).unwrap();
-        let mut b = AsyncDibaBudgeter::new(
-            p.clone(),
-            Graph::ring(16),
-            DibaConfig::default(),
-            AsyncConfig::default(),
-        )
-        .unwrap();
-        let mut reference = AsyncDibaRun::new(
-            p,
-            Graph::ring(16),
-            DibaConfig::default(),
-            AsyncConfig::default(),
-        )
-        .unwrap();
-        b.advance(500);
-        reference.run(500);
-        assert_eq!(b.allocation(), reference.allocation());
     }
 
     #[test]

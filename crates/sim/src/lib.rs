@@ -34,11 +34,9 @@ pub mod schedule;
 pub mod series;
 pub mod step;
 
-pub use budgeter::{
-    AsyncDibaBudgeter, Budgeter, DibaBudgeter, OracleBudgeter, PrimalDualBudgeter, UniformBudgeter,
-};
+pub use budgeter::{Budgeter, DibaBudgeter, OracleBudgeter, PrimalDualBudgeter, UniformBudgeter};
 pub use enforcement::EnforcedCluster;
-pub use engine::{DynamicSim, SimConfig, SimFaults};
+pub use engine::{DynamicSim, SimConfig};
 pub use replay::{
     replay, ReplayConfig, ReplayOutcome, ReplayReport, Scenario, ScenarioEvent, SettleCriterion,
 };

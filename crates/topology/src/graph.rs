@@ -406,34 +406,6 @@ impl Graph {
         }
         out
     }
-
-    /// Graph with `node` (and its incident edges) removed; remaining nodes
-    /// are renumbered densely, returned alongside the old→new id map
-    /// (removed node maps to `None`). Used by failure-injection tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn remove_node(&self, node: usize) -> (Graph, Vec<Option<usize>>) {
-        assert!(node < self.len(), "node {node} out of range");
-        let mut map = Vec::with_capacity(self.len());
-        let mut next = 0usize;
-        for i in 0..self.len() {
-            if i == node {
-                map.push(None);
-            } else {
-                map.push(Some(next));
-                next += 1;
-            }
-        }
-        let edges: Vec<(usize, usize)> = self
-            .edges()
-            .into_iter()
-            .filter_map(|(u, v)| Some((map[u]?, map[v]?)))
-            .collect();
-        let g = Graph::from_edges(self.len() - 1, &edges).expect("filtered edges are valid");
-        (g, map)
-    }
 }
 
 impl fmt::Display for Graph {
@@ -534,19 +506,6 @@ mod tests {
         assert_eq!(g.edges(), edges);
         let rebuilt = Graph::from_edges(4, &g.edges()).unwrap();
         assert_eq!(g, rebuilt);
-    }
-
-    #[test]
-    fn remove_node_renumbers_and_preserves_other_edges() {
-        // Square 0-1-2-3-0 plus diagonal 0-2.
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]).unwrap();
-        let (h, map) = g.remove_node(0);
-        assert_eq!(h.len(), 3);
-        assert_eq!(map[0], None);
-        assert_eq!(map[1], Some(0));
-        // Remaining path 1-2-3 (renumbered 0-1-2).
-        assert_eq!(h.edges(), vec![(0, 1), (1, 2)]);
-        assert!(h.is_connected());
     }
 
     #[test]

@@ -39,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         churn_mean: None,
         phase_mean: None,
         record_allocations: false,
-        faults: None,
         telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
     let mut sim = DynamicSim::new(cluster, budgeter, schedule, config);

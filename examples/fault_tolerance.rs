@@ -1,6 +1,6 @@
 //! Fault isolation: the motivation for decentralization (Section 4.2).
 //!
-//! Runs the asynchronous message-passing simulation along a chorded ring
+//! Runs the deployed agents on the lockstep executor along a chorded ring
 //! under a seeded fault plan that silently crashes two nodes, and shows
 //! the survivors keep enforcing the budget and re-optimizing. A
 //! centralized controller would be a single point of failure; here there is
@@ -12,11 +12,11 @@
 
 use dpc::alg::centralized;
 use dpc::alg::diba::DibaConfig;
-use dpc::alg::diba_async::{AsyncConfig, AsyncDibaRun};
 use dpc::alg::faults::{FaultPlan, NodeFaultKind};
 use dpc::alg::problem::PowerBudgetProblem;
 use dpc::models::units::Watts;
 use dpc::models::workload::ClusterBuilder;
+use dpc::runtime::lockstep::Lockstep;
 use dpc::topology::Graph;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,18 +33,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graph.average_degree(),
         budget.kilowatts()
     );
-    // Each crash fires on the first round of its 1 500-round epoch below.
-    let plan =
-        FaultPlan::none()
-            .and(2_000, 5, NodeFaultKind::Crash)
-            .and(3_500, 21, NodeFaultKind::Crash);
-    let mut agents = AsyncDibaRun::with_faults(
-        problem,
-        graph,
-        DibaConfig::default(),
-        AsyncConfig::default(),
-        plan,
-    )?;
+    // Each crash fires on the first round of its 1 500-round epoch below;
+    // every node sits one round in five out.
+    let plan = FaultPlan {
+        activation: 0.8,
+        ..FaultPlan::none()
+    }
+    .and(2_000, 5, NodeFaultKind::Crash)
+    .and(3_500, 21, NodeFaultKind::Crash);
+    let mut agents = Lockstep::for_problem(&problem, &graph, DibaConfig::default(), plan)?;
 
     agents.run(1_999);
     println!(
@@ -68,10 +65,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let survivors: Vec<f64> = agents
-        .allocation()
-        .powers()
+        .node_states()
         .iter()
-        .map(|w| w.0)
+        .map(|&(p, _)| p)
         .filter(|&p| p > 0.0)
         .collect();
     println!(

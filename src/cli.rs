@@ -325,7 +325,6 @@ pub fn cmd_simulate(opts: &Options) -> Result<String, CliError> {
         churn_mean: churn.map(Seconds),
         phase_mean: phases.map(Seconds),
         record_allocations: false,
-        faults: None,
         telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
     let mut sim = DynamicSim::new(cluster, budgeter, BudgetSchedule::constant(budget), config);
@@ -629,9 +628,10 @@ pub fn cmd_hier(opts: &Options) -> Result<String, CliError> {
 /// recorded trajectory is bitwise identical to an untraced run, and the
 /// JSONL/CSV output is byte-identical across reruns with the same flags.
 pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
-    use crate::alg::diba_async::{AsyncConfig, AsyncDibaRun};
-    use crate::alg::faults::{FaultPlan, LinkFaults, NodeFaultKind};
+    use crate::alg::faults::NodeFaultKind;
     use crate::alg::telemetry::{Telemetry, TelemetryConfig};
+    use crate::runtime::lockstep::Lockstep;
+    use dpc_bench::faultbench;
 
     let seed: u64 = opts.get_or("seed", 0)?;
     let n: usize = opts.get_or("servers", 64)?;
@@ -678,33 +678,17 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
                 .clone()
         }
         "async" => {
-            let config = DibaConfig {
-                telemetry,
-                ..DibaConfig::default()
-            };
-            let net = AsyncConfig {
-                seed,
-                ..AsyncConfig::default()
-            };
-            let link = LinkFaults {
-                drop,
-                duplicate: drop / 2.0,
-                reorder: drop,
-                ..LinkFaults::none()
-            };
-            let mut plan = FaultPlan::with_link(seed, link);
+            let mut plan = faultbench::lossy_plan(seed, drop);
             if let Some(r) = crash_round {
-                // Same victim rule as the fault sweep: deterministic in the
-                // seed, never node 0.
-                let victim = 1 + (seed as usize % (n - 1));
+                // Same victim as the fault sweep's.
+                let victim = faultbench::victim(seed, n);
                 plan = plan.and(r, victim, NodeFaultKind::Crash);
             }
-            let mut run = AsyncDibaRun::with_faults(problem, graph, config, net, plan)
+            let mut run = Lockstep::for_problem(&problem, &graph, DibaConfig::default(), plan)
                 .map_err(|e| CliError(e.to_string()))?;
+            run.set_telemetry(telemetry);
             run.run(rounds);
-            run.telemetry()
-                .expect("telemetry was enabled in the config")
-                .clone()
+            run.telemetry().expect("the recorder is attached").clone()
         }
         "primal-dual" => {
             let result = primal_dual::solve(&problem, &PrimalDualConfig::default());

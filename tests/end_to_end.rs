@@ -2,7 +2,6 @@
 //! paper's experiments exercise, at reduced scale.
 
 use dpc::alg::diba::{DibaConfig, DibaRun};
-use dpc::alg::diba_async::{AsyncConfig, AsyncDibaRun};
 use dpc::alg::faults::{FaultPlan, NodeFaultKind};
 use dpc::alg::knapsack;
 use dpc::alg::primal_dual::{self, PrimalDualConfig};
@@ -12,6 +11,7 @@ use dpc::models::metrics::snp_arithmetic;
 use dpc::models::units::{Seconds, Watts};
 use dpc::models::workload::ClusterBuilder;
 use dpc::net::CommModel;
+use dpc::runtime::lockstep::Lockstep;
 use dpc::runtime::{run_cluster, RuntimeConfig};
 use dpc::sim::budgeter::DibaBudgeter;
 use dpc::sim::engine::{DynamicSim, SimConfig};
@@ -154,7 +154,6 @@ fn dynamic_sim_tracks_schedule_and_churn_together() {
         churn_mean: Some(Seconds(8.0)),
         phase_mean: None,
         record_allocations: false,
-        faults: None,
         telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
     let mut sim = DynamicSim::new(cluster, budgeter, schedule, config);
@@ -231,25 +230,22 @@ fn agent_failure_does_not_break_budget_or_liveness() {
     let n = 24;
     let p = problem(n, 172.0, 10);
     let budget = p.budget();
-    // Two silent crashes mid-run, seeded: the whole test is deterministic.
-    let plan =
-        FaultPlan::none()
-            .and(800, 3, NodeFaultKind::Crash)
-            .and(800, 17, NodeFaultKind::Crash);
-    let mut agents = AsyncDibaRun::with_faults(
-        p,
-        Graph::ring_with_chords(n, 6),
-        DibaConfig::default(),
-        AsyncConfig::default(),
-        plan,
-    )
-    .unwrap();
+    // Two silent crashes mid-run, nodes sitting one round in five out,
+    // seeded: the whole test is deterministic.
+    let plan = FaultPlan {
+        activation: 0.8,
+        ..FaultPlan::none()
+    }
+    .and(800, 3, NodeFaultKind::Crash)
+    .and(800, 17, NodeFaultKind::Crash);
+    let graph = Graph::ring_with_chords(n, 6);
+    let mut agents = Lockstep::for_problem(&p, &graph, DibaConfig::default(), plan).unwrap();
     agents.run(1_600);
     assert_eq!(agents.live_count(), n - 2);
     assert!(agents.total_power() <= budget + Watts(1e-6));
     assert!(agents.conservation_drift() < 1e-6);
     // Survivors still re-optimize: cut the budget and watch them comply.
-    agents.set_budget(budget - Watts(300.0)).unwrap();
+    agents.set_budget(budget - Watts(300.0));
     agents.run(1_200);
     assert!(agents.total_power() <= budget - Watts(300.0) + Watts(1e-6));
     assert!(agents.conservation_drift() < 1e-6);
