@@ -3,10 +3,11 @@
 //! The paper's claim is that DiBA is *fully decentralized*: every server
 //! runs an autonomous agent that converges using only neighbor messages.
 //! This crate is that claim made operational. Each node is one protocol
-//! state machine ([`agent::AgentCore`]) whose message type is the entry
-//! of a versioned, length-prefixed binary protocol ([`wire`]). The core
-//! owns what a message means — dispatch, quorum, the shutdown drain — and
-//! is driven exactly two ways, by drivers that own only delivery: the
+//! state machine — a row of an [`agent::AgentCore`] block, which holds
+//! every agent a driver hosts — whose message type is the entry of a
+//! versioned, length-prefixed binary protocol ([`wire`]). The block owns
+//! what a message means — dispatch, quorum, the shutdown drain — and is
+//! driven exactly two ways, by drivers that own only delivery: the
 //! serial [`lockstep`] executor, which moves entries through in-memory
 //! queues, is the reference every bitwise pin compares against, and the
 //! sharded epoll [`reactor`], which moves them as bytes, is everything

@@ -1,6 +1,7 @@
 //! What goes into and comes out of one DiBA agent: its launch spec and
 //! its final report. Every driver builds an [`crate::agent::AgentCore`]
-//! from a [`NodeSpec`] and folds it into a [`NodeReport`].
+//! block from one [`NodeSpec`] per agent and folds each agent into a
+//! [`NodeReport`].
 //!
 //! The round an agent runs is the one [`dpc_alg::diba::DibaRun`] runs in
 //! process; only the continuation differs (the agent decays its boost by

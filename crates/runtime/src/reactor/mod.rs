@@ -19,8 +19,9 @@
 //! (computed here, centrally, so delivery needs no lookups), and moves one
 //! of two ways:
 //!
-//! * **intra-shard** edges carry no bytes: the sender pushes the entry
-//!   straight onto the receiving link's inbox;
+//! * **intra-shard** edges carry no bytes: the sender writes the entry
+//!   straight into the receiving link's inbox FIFO, a flat per-shard
+//!   array beside the shard's [`AgentCore`] block;
 //! * **cross-shard** traffic is coalesced onto **carriers**, one byte
 //!   stream per pair of shards that share an edge — a real nonblocking
 //!   loopback TCP socket driven by the shard's epoll (at most
@@ -51,7 +52,7 @@ use crate::error::RuntimeError;
 use crate::node::{NodeReport, NodeSpec};
 use crate::wire::ClusterIdentity;
 use dpc_topology::Graph;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
@@ -241,8 +242,9 @@ pub fn run_reactor_cluster(
     }
 
     // Pass 1: assign every link its shard-local index, in the exact order
-    // pass 2 creates them (nodes ascending, neighbor slots in order), so
-    // outgoing entries can be tagged with the *receiver's* index.
+    // pass 2 creates them (nodes ascending, neighbor slots in order — the
+    // block's slot order), so outgoing entries can be tagged with the
+    // *receiver's* index.
     let mut link_index: HashMap<(usize, usize), u32> = HashMap::new();
     for s in 0..shards {
         let mut counter = 0u32;
@@ -289,40 +291,41 @@ pub fn run_reactor_cluster(
             carriers.push(Carrier::new(peer_shard, end));
         }
 
-        let mut agents = Vec::with_capacity(cuts[s + 1] - cuts[s]);
+        let hosted = cuts[s]..cuts[s + 1];
+        let specs: Vec<NodeSpec> = hosted
+            .clone()
+            .map(|node| specs_by_node[node].take().expect("spec consumed once"))
+            .collect();
+        let agents = specs.iter().map(|spec| AgentSlot::new(spec.round_timeout));
+        let agents = agents.collect();
+        let block = AgentCore::new(specs.into_iter().map(|spec| {
+            let id = spec.id;
+            (spec, graph.neighbors(id))
+        }));
         let mut links: Vec<Link> = Vec::new();
-        #[allow(clippy::needless_range_loop)] // `node` is a graph id, not just an index
-        for node in cuts[s]..cuts[s + 1] {
-            let spec = specs_by_node[node].take().expect("spec consumed once");
-            let round_timeout = spec.round_timeout;
-            let neighbors = graph.neighbors(node);
-            let core = AgentCore::new(spec, neighbors);
-            let agent_idx = agents.len() as u32;
-            let mut link_of_slot = Vec::with_capacity(neighbors.len());
-            for &peer in neighbors {
+        for (agent_idx, node) in hosted.enumerate() {
+            for &peer in graph.neighbors(node) {
                 let peer_shard = shard_of(&cuts, peer);
                 // Same shard: in place. Otherwise the pair's carrier must exist.
                 let carrier = (peer_shard != s).then(|| carrier_of_peer[&peer_shard]);
                 let link_idx = links.len() as u32;
                 debug_assert_eq!(link_index[&(node, peer)], link_idx, "pass 1 order matches");
                 links.push(Link {
-                    agent: agent_idx,
                     carrier,
                     peer_slot: link_index[&(peer, node)],
-                    inbox: VecDeque::new(),
                     eof: false,
                 });
                 if let Some(ci) = carrier {
                     carriers[ci as usize].fed_links.push(link_idx);
                 }
-                link_of_slot.push(link_idx);
             }
-            agents.push(AgentSlot::new(node, core, link_of_slot, round_timeout));
+            debug_assert_eq!(links.len(), block.slots(agent_idx).end, "block slot order");
         }
         shard_structs.push(Shard {
             id: s,
             epoll,
             wake: Arc::clone(&wakes[s]),
+            block,
             agents,
             links,
             carriers,
@@ -426,21 +429,18 @@ pub fn host_node(
         // edge is this node's position in its (ascending) neighbor row.
         let peer_slot = graph.neighbors(peer).binary_search(&node);
         links.push(Link {
-            agent: 0,
             carrier: Some(slot),
             peer_slot: peer_slot.expect("edges are listed from both ends") as u32,
-            inbox: VecDeque::new(),
             eof: false,
         });
     }
-    let round_timeout = spec.round_timeout;
-    let link_of_slot = (0..neighbors.len() as u32).collect();
-    let core = AgentCore::new(spec, neighbors);
+    let agents = vec![AgentSlot::new(spec.round_timeout)];
     let shard = Shard {
         id: node,
         epoll: Epoll::new().map_err(bringup_io)?,
         wake: Arc::new(EventFd::new().map_err(bringup_io)?),
-        agents: vec![AgentSlot::new(node, core, link_of_slot, round_timeout)],
+        block: AgentCore::new([(spec, neighbors)]),
+        agents,
         links,
         carriers,
         conns,

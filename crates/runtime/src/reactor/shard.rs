@@ -1,32 +1,40 @@
-//! One poller shard: an epoll loop owning a contiguous range of agents,
-//! their links, the carriers that connect it to other shards, and a
-//! deadline wheel.
+//! One poller shard: an epoll loop owning a contiguous range of agents as
+//! one [`AgentCore`] block, their links and inbox FIFOs, the carriers that
+//! connect it to other shards, and a deadline wheel.
 //!
 //! The loop body is: wait (bounded by the wheel's next deadline) → ingest
 //! carrier bytes into per-carrier reassembly buffers → route decoded batch
-//! entries into per-link inboxes → step every agent whose round inputs are
-//! satisfied, handing each entry for an agent on this shard straight to
-//! its inbox → flush staged outbound bytes, one write per carrier → fire
-//! expired timers. An agent steps round `r` only when every live slot has
-//! a buffered entry (or a link-level EOF), and its receive pass consumes
-//! them in slot order — so the values computed are independent of the
-//! order entries happened to arrive in, which is what makes reactor runs
-//! bitwise-identical to the lockstep reference — whether the shard hosts
-//! a slice of a cluster inside one process or a single agent whose
-//! carriers are the sockets to other processes ([`super::host_node`]).
+//! entries into their links' inbox FIFOs → step every agent whose round
+//! inputs are complete, writing each entry for an agent on this shard
+//! straight into the receiving link's FIFO → flush staged outbound bytes,
+//! one write per carrier → fire expired timers.
 //!
-//! The hot path allocates nothing: an intra-shard entry is pushed onto the
-//! receiving link's inbox as a value, a cross-shard one encodes straight
-//! into its carrier's persistent staging buffer through a [`BatchWriter`],
-//! inbound batches decode into one reused [`DataBatch`] scratch, and the
-//! receive pass indexes the core's slot list instead of cloning it.
+//! An agent steps round `r` only when every awaited slot has a buffered
+//! entry (or a link-level EOF). Each agent keeps a count of the awaited
+//! slots still missing one: set when it sends its round, decremented by
+//! the delivery or EOF that fills a slot, and the agent is queued to step
+//! when it reaches zero — so a delivery is one FIFO write and one
+//! decrement, and no agent is ever woken to find its round incomplete.
+//! The receive pass consumes the entries in slot order, so the values
+//! computed are independent of the order entries happened to arrive in,
+//! which is what makes reactor runs bitwise-identical to the lockstep
+//! reference — whether the shard hosts a slice of a cluster inside one
+//! process or a single agent whose carriers are the sockets to other
+//! processes ([`super::host_node`]).
 //!
-//! What an entry *means* is [`AgentCore`]'s business: the shard re-addresses
-//! the entries the core stages, delivers them, and hands inbound ones back
-//! to `receive` / `drain`. The one kind it looks at is `Eof`, the in-band
-//! link-level FIN — transport, not protocol.
+//! The hot path allocates nothing: an intra-shard entry is written as a
+//! value into the receiving link's FIFO, a cross-shard one encodes
+//! straight into its carrier's persistent staging buffer through a
+//! [`BatchWriter`], inbound batches decode into one reused [`DataBatch`]
+//! scratch, and the round check and timer sweep run off counters and a
+//! reused buffer.
+//!
+//! What an entry *means* is the block's business: the shard re-addresses
+//! the entries the block stages, delivers them, and hands inbound ones
+//! back to `receive` / `drain`. The one kind it looks at is `Eof`, the
+//! in-band link-level FIN — transport, not protocol.
 
-use super::conn::{Carrier, CarrierEnd, CarrierState, Link, SockConn};
+use super::conn::{Carrier, CarrierEnd, CarrierState, Inbox, Link, SockConn, Wake};
 use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use super::wheel::{TimerKey, TimerKind, Wheel};
 use crate::agent::AgentCore;
@@ -59,16 +67,11 @@ enum Phase {
     Done,
 }
 
-/// One agent hosted by this shard.
+/// The shard's driver state for one hosted agent; its protocol state is a
+/// row of the shard's block.
 pub struct AgentSlot {
-    /// Global node id.
-    pub node: usize,
-    /// The protocol core (taken when the report folds).
-    pub core: Option<AgentCore>,
-    /// Shard-local link index per slot.
-    pub link_of_slot: Vec<u32>,
     /// Per-link receive deadline (from the node spec).
-    pub round_timeout: Duration,
+    round_timeout: Duration,
     phase: Phase,
     /// When this agent entered its current frame-starved wait.
     stall_since: Option<Instant>,
@@ -77,16 +80,8 @@ pub struct AgentSlot {
 
 impl AgentSlot {
     /// A freshly wired agent, not yet released by the carrier handshakes.
-    pub fn new(
-        node: usize,
-        core: AgentCore,
-        link_of_slot: Vec<u32>,
-        round_timeout: Duration,
-    ) -> AgentSlot {
+    pub fn new(round_timeout: Duration) -> AgentSlot {
         AgentSlot {
-            node,
-            core: Some(core),
-            link_of_slot,
             round_timeout,
             phase: Phase::Handshaking,
             stall_since: None,
@@ -103,9 +98,11 @@ pub struct Shard {
     pub epoll: Epoll,
     /// Wakeup eventfd (registered under [`WAKE_TOKEN`]).
     pub wake: Arc<EventFd>,
-    /// Hosted agents.
+    /// The hosted agents' protocol state, block index = agent index.
+    pub block: AgentCore,
+    /// The hosted agents' driver state.
     pub agents: Vec<AgentSlot>,
-    /// All links of hosted agents.
+    /// All links of hosted agents, in block slot order.
     pub links: Vec<Link>,
     /// Byte carriers: one per peer shard this shard exchanges traffic
     /// with (intra-shard edges need none).
@@ -127,12 +124,20 @@ pub struct Shard {
 /// The shard loop's working state.
 struct Loop {
     wheel: Wheel,
-    dirty: Vec<u32>,
-    dirty_flag: Vec<bool>,
+    /// Agents queued to step, one bit per block index.
+    queued: Vec<u64>,
+    /// Bits set in `queued`.
+    n_queued: usize,
     /// Same-shard links to latch at EOF once no agent can advance.
     eofs: Vec<u32>,
+    /// The entries buffered on every link.
+    inbox: Inbox,
     done: usize,
-    reports: Vec<(usize, NodeReport)>,
+    /// Agents waiting out a frame-starved round (`stall_since` set).
+    stalled: usize,
+    /// A round has run on its deadline with entries missing, so a peer
+    /// can be a round ahead of a link's consumer.
+    forced: bool,
     /// Socket read buffer.
     scratch: Vec<u8>,
     /// Mem-pipe take buffer.
@@ -143,9 +148,11 @@ struct Loop {
     hs_pending: usize,
     round_check_armed: bool,
     min_round_timeout: Duration,
-    /// The clock as of the current [`pump`] pass. Stamps `stall_since`:
+    /// Timer keys the wheel hands back, reused across loop turns.
+    expired: Vec<TimerKey>,
+    /// The clock as of the current [`pump`] sweep. Stamps `stall_since`:
     /// in steady state every agent stalls once per round, and the stamp
-    /// only feeds the round-deadline detector, so one clock read per pass
+    /// only feeds the round-deadline detector, so one clock read per sweep
     /// replaces one per agent-round.
     now: Instant,
 }
@@ -162,11 +169,16 @@ pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeEr
     let origin = Instant::now();
     let mut lp = Loop {
         wheel: Wheel::new(Duration::from_millis(8), 1024, origin),
-        dirty: Vec::with_capacity(n_agents),
-        dirty_flag: vec![false; n_agents],
+        queued: vec![0; n_agents.div_ceil(64)],
+        n_queued: 0,
         eofs: Vec::new(),
+        inbox: Inbox::new(
+            n_agents,
+            (0..n_agents).flat_map(|a| shard.block.slots(a).map(move |_| a as u32)),
+        ),
         done: 0,
-        reports: Vec::with_capacity(n_agents),
+        stalled: 0,
+        forced: false,
         scratch: vec![0u8; 64 * 1024],
         mem_scratch: Vec::new(),
         batch: DataBatch::default(),
@@ -178,10 +190,14 @@ pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeEr
             .map(|a| a.round_timeout)
             .min()
             .unwrap_or(Duration::from_secs(2)),
+        expired: Vec::new(),
         now: origin,
     };
 
-    let result = drive(&mut shard, &mut lp, n_agents);
+    // The block is borrowed beside the shard, so a delivery can reach the
+    // shard's links while the block hands out an agent's entries.
+    let mut block = std::mem::take(&mut shard.block);
+    let result = drive(&mut shard, &mut block, &mut lp, n_agents);
     if result.is_err() {
         shard.abort.store(true, Ordering::Release);
     }
@@ -190,10 +206,22 @@ pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeEr
     // shards observe closed streams instead of waiting out their failure
     // detectors.
     teardown(&mut shard);
-    result.map(|()| lp.reports)
+    result?;
+    // A finished agent's row is final; an abort leaves some unfinished.
+    let finished = shard.agents.iter().map(|a| a.phase == Phase::Done);
+    let reports = block.into_reports().into_iter().zip(finished);
+    Ok(reports
+        .filter(|(_, done)| *done)
+        .map(|(r, _)| (r.node, r))
+        .collect())
 }
 
-fn drive(shard: &mut Shard, lp: &mut Loop, n_agents: usize) -> Result<(), RuntimeError> {
+fn drive(
+    shard: &mut Shard,
+    block: &mut AgentCore,
+    lp: &mut Loop,
+    n_agents: usize,
+) -> Result<(), RuntimeError> {
     // Register every socket and the wake eventfd.
     for (idx, conn) in shard.conns.iter().enumerate() {
         shard
@@ -250,14 +278,14 @@ fn drive(shard: &mut Shard, lp: &mut Loop, n_agents: usize) -> Result<(), Runtim
 
     let mut events = vec![EpollEvent::default(); 512];
     loop {
-        pump(shard, lp)?;
+        pump(shard, block, lp)?;
         if lp.done == n_agents {
             return Ok(());
         }
         if shard.abort.load(Ordering::Acquire) {
             return Ok(());
         }
-        arm_round_check(shard, lp);
+        arm_round_check(lp);
 
         let now = Instant::now();
         let timeout_ms = match lp.wheel.next_wake(now) {
@@ -282,7 +310,7 @@ fn drive(shard: &mut Shard, lp: &mut Loop, n_agents: usize) -> Result<(), Runtim
             }
             handle_conn_event(shard, lp, token as usize, ev.events)?;
         }
-        fire_timers(shard, lp)?;
+        fire_timers(shard, block, lp)?;
     }
 }
 
@@ -292,19 +320,19 @@ fn release_agents(shard: &mut Shard, lp: &mut Loop) {
     for a in 0..shard.agents.len() {
         if shard.agents[a].phase == Phase::Handshaking {
             shard.agents[a].phase = Phase::NeedSend;
-            mark_dirty(lp, a as u32);
+            queue_step(lp, a as u32);
         }
     }
 }
 
-/// Sweeps the mem carriers and steps dirty agents, again and again, until
+/// Sweeps the mem carriers and the queued agents, again and again, until
 /// no agent can advance — then flushes every carrier in one write each.
 /// Intra-shard entries are delivered as they are staged, so a one-shard
 /// run completes every round inside one pump.
-fn pump(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
+fn pump(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop) -> Result<(), RuntimeError> {
     loop {
         sweep_mem(shard, lp)?;
-        if lp.dirty.is_empty() {
+        if lp.n_queued == 0 {
             // A same-shard EOF lands only now, when nothing on the shard
             // can happen without it, so the path by which a neighbor of
             // an agent that left reclaims its transfer does not depend on
@@ -312,33 +340,50 @@ fn pump(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
             while let Some(link_idx) = lp.eofs.pop() {
                 latch_eof(shard, lp, link_idx as usize);
             }
-            if lp.dirty.is_empty() {
+            if lp.n_queued == 0 {
                 break;
             }
         }
-        // Depth first: the agent whose inbox was just filled steps next.
-        // One clock read per pass of at most one step per hosted agent —
-        // about one round of the shard — so no stall stamp is older than
-        // the pass that made the agent stall.
-        let mut pass_left = 0;
-        while let Some(a) = lp.dirty.pop() {
-            if pass_left == 0 {
-                lp.now = Instant::now();
-                pass_left = shard.agents.len();
-            }
-            pass_left -= 1;
-            lp.dirty_flag[a as usize] = false;
-            step_agent(shard, lp, a)?;
-        }
+        sweep_agents(shard, block, lp)?;
     }
     flush_cross(shard);
     Ok(())
 }
 
-fn mark_dirty(lp: &mut Loop, agent: u32) {
-    if !lp.dirty_flag[agent as usize] {
-        lp.dirty_flag[agent as usize] = true;
-        lp.dirty.push(agent);
+/// Steps the queued agents in block order. An agent queued ahead of the
+/// cursor steps in this sweep, one queued behind it in the next, so in
+/// steady state a sweep is one round of the shard that walks the block's
+/// columns front to back. One clock read per sweep, so no stall stamp is
+/// older than the sweep that made the agent stall.
+fn sweep_agents(
+    shard: &mut Shard,
+    block: &mut AgentCore,
+    lp: &mut Loop,
+) -> Result<(), RuntimeError> {
+    lp.now = Instant::now();
+    let mut next = 0;
+    while next < shard.agents.len() {
+        let word = next / 64;
+        let ahead = lp.queued[word] & (u64::MAX << (next % 64));
+        if ahead == 0 {
+            next = (word + 1) * 64;
+            continue;
+        }
+        let a = word * 64 + ahead.trailing_zeros() as usize;
+        lp.queued[word] &= !(1 << (a % 64));
+        lp.n_queued -= 1;
+        step_agent(shard, block, lp, a as u32)?;
+        next = a + 1;
+    }
+    Ok(())
+}
+
+/// Queues `agent` to step in the next sweep that reaches it.
+fn queue_step(lp: &mut Loop, agent: u32) {
+    let (word, bit) = (agent as usize / 64, 1 << (agent % 64));
+    if lp.queued[word] & bit == 0 {
+        lp.queued[word] |= bit;
+        lp.n_queued += 1;
     }
 }
 
@@ -368,7 +413,7 @@ fn sweep_mem(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
 
 /// Pops every complete frame out of a carrier's reassembly buffer,
 /// running scalar frames through the handshake state machine and batch
-/// entries into their links' inboxes.
+/// entries into their links' FIFOs.
 fn route_carrier(shard: &mut Shard, lp: &mut Loop, ci: usize) -> Result<(), RuntimeError> {
     loop {
         let mut batch = std::mem::take(&mut lp.batch);
@@ -430,22 +475,39 @@ fn route_entry(
     Ok(())
 }
 
-/// Puts one round entry into the inbox of the shard-local link it
-/// addresses and marks the owning agent dirty.
+/// Writes one round entry into the FIFO of the shard-local link it
+/// addresses, queueing the owner if that completes its round or wakes its
+/// drain.
+#[inline]
 fn deliver(shard: &mut Shard, lp: &mut Loop, entry: BatchEntry) {
-    let link = &mut shard.links[entry.slot as usize];
-    link.inbox.push_back(entry);
-    mark_dirty(lp, link.agent);
+    let link_idx = entry.slot as usize;
+    let (before, step) = lp.inbox.push(link_idx, entry);
+    debug_assert!(
+        before < 2 || shard.links[link_idx].carrier.is_some() || lp.forced,
+        "benign same-shard traffic never buffers more than two entries on a link"
+    );
+    if let Some(a) = step {
+        queue_step(lp, a);
+    }
 }
 
 /// The peer behind a link will send nothing more: mark its inbound side
-/// ended and wake the owning agent.
+/// ended, which fills the link if nothing is buffered on it.
 fn latch_eof(shard: &mut Shard, lp: &mut Loop, link_idx: usize) {
     let link = &mut shard.links[link_idx];
     if !link.eof {
         link.eof = true;
-        mark_dirty(lp, link.agent);
+        if lp.inbox.is_empty(link_idx) {
+            if let Some(a) = lp.inbox.fill(link_idx) {
+                queue_step(lp, a);
+            }
+        }
     }
+}
+
+/// Sets what an arrival on each link of agent `i` does.
+fn set_wakes(block: &AgentCore, lp: &mut Loop, i: usize, wake: Wake) {
+    lp.inbox.set_wakes(i, block.slots(i), wake);
 }
 
 /// The whole inbound stream of a carrier ended (peer shard finished or
@@ -586,23 +648,28 @@ fn stage_msg(shard: &mut Shard, ci: usize, msg: &WireMsg) {
     encode_frame_into(msg, &mut c.staging);
 }
 
-/// Sends one batch entry, already addressed to the receiver's link, out
-/// on link `link_idx`: in place when the receiver is on this shard,
+/// Sends one batch entry out on link `link_idx`, re-addressed to the
+/// receiver's link index: in place when the receiver is on this shard,
 /// staged on the link's carrier otherwise. Returns `false` when the link
 /// is provably dead — the peer sent its EOF entry or the carrier's stream
 /// failed — so the caller reclaims the transfer it carried; a staged
 /// entry counts as delivered, exactly like a buffered socket write.
+#[inline]
 fn send_entry(
     shard: &mut Shard,
     lp: &mut Loop,
-    link_idx: u32,
+    link_idx: usize,
     round: u32,
     entry: BatchEntry,
 ) -> bool {
-    let link = &shard.links[link_idx as usize];
+    let link = shard.links[link_idx];
     if link.eof {
         return false;
     }
+    let entry = BatchEntry {
+        slot: link.peer_slot,
+        ..entry
+    };
     let Some(ci) = link.carrier else {
         if entry.kind == EntryKind::Eof {
             lp.eofs.push(entry.slot);
@@ -611,7 +678,12 @@ fn send_entry(
         }
         return true;
     };
-    let ci = ci as usize;
+    stage_on_carrier(shard, ci as usize, round, entry)
+}
+
+/// Stages an entry on carrier `ci`; `false` when the carrier is closed.
+#[inline(never)]
+fn stage_on_carrier(shard: &mut Shard, ci: usize, round: u32, entry: BatchEntry) -> bool {
     if shard.carriers[ci].closed_out {
         return false;
     }
@@ -738,112 +810,113 @@ fn handle_conn_event(
     Ok(())
 }
 
-/// Is every live slot of this agent's round satisfiable right now?
-fn round_ready(shard: &Shard, a: u32) -> bool {
-    let agent = &shard.agents[a as usize];
-    let core = agent.core.as_ref().expect("live core");
-    for &slot in core.round_slots() {
-        if !core.is_alive(slot) {
-            continue;
-        }
-        let link = &shard.links[agent.link_of_slot[slot] as usize];
-        if link.inbox.is_empty() && !link.eof {
-            return false;
-        }
-    }
-    true
-}
-
 /// Advances one agent as far as buffered input allows.
-fn step_agent(shard: &mut Shard, lp: &mut Loop, a: u32) -> Result<(), RuntimeError> {
+fn step_agent(
+    shard: &mut Shard,
+    block: &mut AgentCore,
+    lp: &mut Loop,
+    a: u32,
+) -> Result<(), RuntimeError> {
+    let i = a as usize;
     loop {
-        match shard.agents[a as usize].phase {
+        match shard.agents[i].phase {
             Phase::Handshaking | Phase::Done => return Ok(()),
             Phase::NeedSend => {
-                let core = shard.agents[a as usize].core.as_mut().expect("live core");
-                if !core.rounds_remaining() {
-                    finish_agent(shard, lp, a);
+                if !block.rounds_remaining(i) {
+                    finish_agent(shard, block, lp, a);
                     return Ok(());
                 }
-                core.begin_round();
-                send_staged(shard, lp, a);
-                shard.agents[a as usize].phase = Phase::AwaitFrames;
+                block.begin_round(i);
+                send_round(shard, block, lp, i);
+                let agent = &mut shard.agents[i];
+                agent.phase = Phase::AwaitFrames;
+                if lp.inbox.missing(i) > 0 {
+                    agent.stall_since = Some(lp.now);
+                    lp.stalled += 1;
+                    return Ok(());
+                }
             }
             Phase::AwaitFrames => {
-                if !round_ready(shard, a) {
-                    if shard.agents[a as usize].stall_since.is_none() {
-                        shard.agents[a as usize].stall_since = Some(lp.now);
-                    }
+                let agent = &mut shard.agents[i];
+                if lp.inbox.missing(i) > 0 {
                     return Ok(());
                 }
-                shard.agents[a as usize].stall_since = None;
-                receive_round(shard, lp, a, false)?;
+                if agent.stall_since.take().is_some() {
+                    lp.stalled -= 1;
+                }
+                receive_round(shard, block, lp, a, false);
             }
             Phase::Draining => {
-                absorb_drain(shard, lp, a);
+                absorb_drain(shard, block, lp, a);
                 return Ok(());
             }
         }
     }
 }
 
-/// Delivers everything agent `a`'s core has staged — a round's entries or
-/// the goodbyes — re-addressed to the receiver's link index and stamped
-/// with the core's round, and tells the core how each send went.
-fn send_staged(shard: &mut Shard, lp: &mut Loop, a: u32) {
-    let core = shard.agents[a as usize].core.as_ref().expect("live core");
-    let round = core.rounds() as u32;
-    for k in 0..core.outbound().len() {
-        let agent = &shard.agents[a as usize];
-        let entry = agent.core.as_ref().expect("live core").outbound()[k];
-        let link_idx = agent.link_of_slot[entry.slot as usize];
-        let readdressed = BatchEntry {
-            slot: shard.links[link_idx as usize].peer_slot,
-            ..entry
-        };
-        let delivered = send_entry(shard, lp, link_idx, round, readdressed);
-        let core = shard.agents[a as usize].core.as_mut().expect("live core");
+/// Sends agent `i`'s round and arms the wakes of its receive pass: each
+/// link its round went out on waits for the peer's entry of the same
+/// round, unless that entry is buffered already. Every other link is idle
+/// (an agent's wakes are idle whenever it is not waiting or draining).
+fn send_round(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, i: usize) {
+    let round = block.rounds(i) as u32;
+    let base = block.slots(i).start;
+    block.send(i, |entry| {
+        let link_idx = base + entry.slot as usize;
+        let delivered = send_entry(shard, lp, link_idx, round, entry);
         if delivered {
-            core.note_sent(k);
-        } else {
-            core.note_send_closed(k);
+            lp.inbox.await_fill(link_idx);
         }
-    }
+        delivered
+    });
+}
+
+/// Delivers the goodbyes agent `a` has staged.
+fn send_goodbyes(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, a: u32) {
+    let i = a as usize;
+    let round = block.rounds(i) as u32;
+    let base = block.slots(i).start;
+    block.send(i, |entry| {
+        send_entry(shard, lp, base + entry.slot as usize, round, entry)
+    });
 }
 
 /// The slot-ordered receive pass; `force` lets it run with entries
-/// missing, which the core counts as silent rounds (the round-deadline
+/// missing, which the block counts as silent rounds (the round-deadline
 /// path — never taken in healthy runs).
-fn receive_round(
-    shard: &mut Shard,
-    lp: &mut Loop,
-    a: u32,
-    force: bool,
-) -> Result<(), RuntimeError> {
-    let agent = &mut shard.agents[a as usize];
-    let core = agent.core.as_mut().expect("live core");
-    for k in 0..core.round_slots().len() {
-        let slot = core.round_slots()[k];
-        if !core.is_alive(slot) {
-            continue;
-        }
-        let link = &mut shard.links[agent.link_of_slot[slot] as usize];
-        let entry = link.inbox.pop_front();
+fn receive_round(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, a: u32, force: bool) {
+    let i = a as usize;
+    if force {
+        // The links still counting will fill after the round they were
+        // armed for.
+        set_wakes(block, lp, i, Wake::Idle);
+    }
+    let base = block.slots(i).start;
+    block.receive_round(i, |slot| {
+        let entry = lp.inbox.pop(base + slot);
+        let eof = shard.links[base + slot].eof;
         debug_assert!(
-            force || entry.is_some() || link.eof,
+            force || entry.is_some() || eof,
             "receive pass ran without a full round buffered"
         );
-        core.receive(slot, entry, link.eof);
-    }
-    if core.end_round() {
-        send_staged(shard, lp, a);
-        shard.agents[a as usize].phase = Phase::Draining;
-        arm_drain_timer(shard, lp, a);
-        absorb_drain(shard, lp, a);
+        (entry, eof)
+    });
+    if block.end_round(i) {
+        start_drain(shard, block, lp, a);
     } else {
-        agent.phase = Phase::NeedSend;
+        shard.agents[i].phase = Phase::NeedSend;
     }
-    Ok(())
+}
+
+/// Agent `a` reached convergence quorum: its goodbyes go out and it
+/// drains.
+#[inline(never)]
+fn start_drain(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, a: u32) {
+    send_goodbyes(shard, block, lp, a);
+    shard.agents[a as usize].phase = Phase::Draining;
+    set_wakes(block, lp, a as usize, Wake::Any);
+    arm_drain_timer(shard, lp, a);
+    absorb_drain(shard, block, lp, a);
 }
 
 fn drain_timeout(agent: &AgentSlot) -> Duration {
@@ -864,53 +937,48 @@ fn arm_drain_timer(shard: &mut Shard, lp: &mut Loop, a: u32) {
     );
 }
 
-/// Hands buffered lame-duck entries to the core's drain and closes the
-/// slots whose link reached EOF; folds the report once the core says
+/// Hands buffered lame-duck entries to the block's drain and closes the
+/// slots whose link reached EOF; finishes the agent once the block says
 /// every slot is closed.
-fn absorb_drain(shard: &mut Shard, lp: &mut Loop, a: u32) {
-    let agent = &mut shard.agents[a as usize];
-    let core = agent.core.as_mut().expect("draining core");
+fn absorb_drain(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, a: u32) {
+    let i = a as usize;
     let mut absorbed = false;
-    for (slot, &link_idx) in agent.link_of_slot.iter().enumerate() {
-        let link = &mut shard.links[link_idx as usize];
-        while let Some(entry) = link.inbox.pop_front() {
-            absorbed |= core.drain(slot, entry);
+    for (slot, link_idx) in block.slots(i).enumerate() {
+        while let Some(entry) = lp.inbox.pop(link_idx) {
+            absorbed |= block.drain(i, slot, entry);
         }
-        if link.eof {
-            core.close_drain(slot);
+        if shard.links[link_idx].eof {
+            block.close_drain(i, slot);
         }
     }
     if absorbed {
         // An entry restarts the quiet period.
         arm_drain_timer(shard, lp, a);
     }
-    let core = shard.agents[a as usize].core.as_mut();
-    if core.expect("draining core").drain_done() {
-        finish_agent(shard, lp, a);
+    if block.drain_done(i) {
+        finish_agent(shard, block, lp, a);
     }
 }
 
-/// Folds the report and announces the agent's departure: one EOF entry
-/// per link, in place inside the shard, else in band after the frames
-/// already staged — the carrier itself stays open for its other agents.
-fn finish_agent(shard: &mut Shard, lp: &mut Loop, a: u32) {
-    let agent = &mut shard.agents[a as usize];
-    agent.phase = Phase::Done;
-    let core = agent.core.take().expect("core present at finish");
-    let round = core.rounds() as u32;
-    let node = agent.node;
-    lp.reports.push((node, core.into_report()));
+/// Marks the agent done — its row of the block is its final report — and
+/// announces its departure: one EOF entry per link, in place inside the
+/// shard, else in band after the frames already staged — the carrier
+/// itself stays open for its other agents.
+fn finish_agent(shard: &mut Shard, block: &AgentCore, lp: &mut Loop, a: u32) {
+    let i = a as usize;
+    shard.agents[i].phase = Phase::Done;
+    set_wakes(block, lp, i, Wake::Idle);
     lp.done += 1;
-    for s in 0..shard.agents[a as usize].link_of_slot.len() {
-        let link_idx = shard.agents[a as usize].link_of_slot[s];
-        let entry = BatchEntry {
-            slot: shard.links[link_idx as usize].peer_slot,
-            e: 0.0,
-            transfer: 0.0,
-            settled: false,
-            kind: EntryKind::Eof,
-        };
-        send_entry(shard, lp, link_idx, round, entry);
+    let round = block.rounds(i) as u32;
+    let eof = BatchEntry {
+        slot: 0,
+        e: 0.0,
+        transfer: 0.0,
+        settled: false,
+        kind: EntryKind::Eof,
+    };
+    for link_idx in block.slots(i) {
+        send_entry(shard, lp, link_idx, round, eof);
     }
 }
 
@@ -962,35 +1030,34 @@ fn teardown(shard: &mut Shard) {
 /// One shard-level wheel entry covers every stalled agent: per-agent
 /// entries would arm thousands of timers per sweep for no benefit, since
 /// the deadline only matters on the (rare) faulty path.
-fn arm_round_check(shard: &mut Shard, lp: &mut Loop) {
-    if lp.round_check_armed {
+fn arm_round_check(lp: &mut Loop) {
+    if lp.round_check_armed || lp.stalled == 0 {
         return;
     }
-    if shard
-        .agents
-        .iter()
-        .any(|ag| ag.phase == Phase::AwaitFrames && ag.stall_since.is_some())
-    {
-        lp.round_check_armed = true;
-        lp.wheel.arm(
-            Instant::now() + lp.min_round_timeout,
-            TimerKey {
-                kind: TimerKind::Round,
-                idx: u32::MAX,
-                seq: 0,
-            },
-        );
-    }
+    lp.round_check_armed = true;
+    lp.wheel.arm(
+        Instant::now() + lp.min_round_timeout,
+        TimerKey {
+            kind: TimerKind::Round,
+            idx: u32::MAX,
+            seq: 0,
+        },
+    );
 }
 
-fn fire_timers(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
+fn fire_timers(
+    shard: &mut Shard,
+    block: &mut AgentCore,
+    lp: &mut Loop,
+) -> Result<(), RuntimeError> {
     if lp.wheel.armed() == 0 {
         return Ok(());
     }
     let now = Instant::now();
-    let mut expired = Vec::new();
+    let mut expired = std::mem::take(&mut lp.expired);
+    expired.clear();
     lp.wheel.expired(now, &mut expired);
-    for key in expired {
+    for &key in &expired {
         match key.kind {
             TimerKind::Handshake => {
                 let c = &shard.carriers[key.idx as usize];
@@ -1014,27 +1081,30 @@ fn fire_timers(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
                     };
                     if now.saturating_duration_since(since) >= agent.round_timeout {
                         shard.agents[a as usize].stall_since = None;
-                        receive_round(shard, lp, a, true)?;
-                        mark_dirty(lp, a);
+                        lp.stalled -= 1;
+                        lp.forced = true;
+                        receive_round(shard, block, lp, a, true);
+                        queue_step(lp, a);
                     }
                 }
-                pump(shard, lp)?;
-                arm_round_check(shard, lp);
+                pump(shard, block, lp)?;
+                arm_round_check(lp);
             }
             TimerKind::Drain => {
-                let agent = &mut shard.agents[key.idx as usize];
+                let i = key.idx as usize;
+                let agent = &shard.agents[i];
                 if agent.phase == Phase::Draining && agent.drain_seq == key.seq {
                     // Quiet period elapsed: close every slot still open.
-                    let core = agent.core.as_mut().expect("draining core");
-                    for slot in 0..core.degree() {
-                        core.close_drain(slot);
+                    for slot in 0..block.degree(i) {
+                        block.close_drain(i, slot);
                     }
-                    let done = core.drain_done();
+                    let done = block.drain_done(i);
                     debug_assert!(done, "every drain slot was just closed");
-                    finish_agent(shard, lp, key.idx);
+                    finish_agent(shard, block, lp, key.idx);
                 }
             }
         }
     }
-    pump(shard, lp)
+    lp.expired = expired;
+    pump(shard, block, lp)
 }
