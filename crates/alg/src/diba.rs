@@ -23,7 +23,9 @@
 //! paper describes: strict feasibility throughout, immediate reaction to
 //! budget changes, and local response to local perturbations.
 
-use crate::exec::{chunked_sum, Backend, Engine, Precision, SharedSlice, SpinBarrier, Threads};
+use crate::exec::{
+    chunked_sum, run_workers, Backend, Precision, SharedSlice, SpinBarrier, Threads,
+};
 use crate::fast::{phase_a_fast, phase_b_fast, FastState, LaneBuffers};
 use crate::problem::{AlgError, Allocation, PowerBudgetProblem};
 use crate::telemetry::{
@@ -70,9 +72,9 @@ pub struct DibaConfig {
     /// spawned). Any policy produces bitwise-identical `(p, e)`
     /// trajectories — see the determinism notes in [`crate::exec`].
     pub threads: Threads,
-    /// Fan-out backend: the persistent [`Backend::Pooled`] worker pool (the
-    /// default) or spawn-per-batch [`Backend::Scoped`] threads (kept for
-    /// benchmarking the pool against). Bitwise-inert like `threads`.
+    /// Selects nothing: every solve fans out on scoped threads, one
+    /// dispatch per solve. Kept, like `precision`, only for the callers
+    /// that still name it.
     pub backend: Backend,
     /// Selects nothing: every value runs the same arithmetic, and the
     /// round traversal (CSR rows, or the 4-lane ring sweep of
@@ -815,7 +817,6 @@ pub struct DibaRun {
     e_sent: Vec<f64>,
     iterations: usize,
     last_max_step: f64,
-    engine: Engine,
     scratch: RoundScratch,
     traversal: Traversal,
     /// Round recorder; `None` (the default) skips recording entirely.
@@ -859,8 +860,7 @@ impl DibaRun {
         let margin = margin_for(&problem, config.margin_frac);
         let eta = config.eta.unwrap_or_else(|| auto_eta(&problem));
 
-        let engine = Engine::with_backend(config.backend, config.threads.resolve(n));
-        let scratch = RoundScratch::for_graph(&graph, engine.workers_for(n));
+        let scratch = RoundScratch::for_graph(&graph, config.threads.resolve(n));
         let traversal = Traversal::for_graph(&problem, &graph);
         let telemetry = if config.telemetry.enabled {
             let mut t = Telemetry::new(config.telemetry);
@@ -890,7 +890,6 @@ impl DibaRun {
             e,
             iterations: 0,
             last_max_step: f64::INFINITY,
-            engine,
             scratch,
             traversal,
             telemetry,
@@ -899,14 +898,11 @@ impl DibaRun {
 
     /// Re-targets the round engine at a different worker policy. The
     /// trajectory is unaffected: every policy produces bitwise-identical
-    /// rounds. When the resolved count is unchanged the existing engine
-    /// (and its parked pool threads) is kept.
+    /// rounds. When the resolved count is unchanged the existing shard
+    /// cuts and scratch are kept.
     pub fn set_threads(&mut self, threads: Threads) {
         let workers = threads.resolve(self.p.len());
-        if workers != self.engine.workers() {
-            self.engine = Engine::with_backend(self.engine.backend(), workers);
-        }
-        if workers != self.scratch.cuts.len() - 1 {
+        if workers != self.threads() {
             self.scratch = RoundScratch::for_graph(&self.graph, workers);
             if let Some(t) = self.telemetry.as_mut() {
                 t.set_shard_work(self.graph.shard_work(&self.scratch.cuts));
@@ -934,7 +930,7 @@ impl DibaRun {
 
     /// The resolved worker count of the round engine.
     pub fn threads(&self) -> usize {
-        self.engine.workers_for(self.p.len())
+        self.scratch.cuts.len() - 1
     }
 
     /// The barrier weight in effect (auto-tuned unless overridden).
@@ -1109,7 +1105,8 @@ impl DibaRun {
             let msgs_per_round = graph.flat_neighbors().len() as u64;
             let barrier = SpinBarrier::new(workers);
 
-            self.engine.run_workers(workers, |w| {
+            run_workers(workers, |w| {
+                let _poison = barrier.poison_on_unwind();
                 let range = cuts[w]..cuts[w + 1];
                 loop {
                     // Control state is stable here: worker 0's update last

@@ -6,19 +6,15 @@
 //! module provides the one harness they all share:
 //!
 //! * [`Threads`] — the execution policy knob (`Auto` picks serial or
-//!   pooled-parallel per problem size via [`auto_workers`]; `Fixed` forces
-//!   a count);
-//! * [`WorkerPool`] — a *persistent* pool: threads are spawned once per
-//!   run, park on a channel between dispatches, and are fed borrowed jobs
-//!   through a raw-pointer handoff sealed by a completion handshake;
-//! * [`ParallelEngine`] — the scoped-spawn fan-out (`std::thread::scope`,
-//!   threads spawned per call), kept as the comparison baseline the
-//!   benchmarks measure the pool against;
-//! * [`Engine`] — one of the two above behind a single `run_workers` call,
-//!   selected by [`Backend`];
+//!   parallel per problem size via [`auto_workers`]; `Fixed` forces a
+//!   count);
+//! * `run_workers` — the one fan-out: scoped threads
+//!   (`std::thread::scope`) spawned per dispatch, worker 0 inline on the
+//!   caller's thread. A solve is one dispatch, so a solve spawns once;
 //! * [`SpinBarrier`] — the reusable two-phase round barrier (atomics with
 //!   bounded spin-then-yield, parking on a condvar when the wait runs
-//!   long or the worker count oversubscribes the host);
+//!   long or the worker count oversubscribes the host), poisoned by a
+//!   worker that unwinds so its peers panic instead of waiting forever;
 //! * [`SharedSlice`] — an unsafe-but-audited shared view of a `&mut [T]`
 //!   for the disjoint-range writes and barrier-ordered cross-phase reads
 //!   the round structure needs;
@@ -37,15 +33,15 @@
 //! (`f64::max` over per-worker maxima) are exactly associative for the
 //! NaN-free values used here and need no chunking.
 //!
-//! Execution-policy choices (serial vs pooled vs scoped, any worker count)
+//! Execution-policy choices (serial or parallel, any worker count)
 //! therefore never change results; [`Threads::Auto`] is free to chase
 //! throughput alone.
 
 use std::marker::PhantomData;
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The host's available parallelism (1 when it cannot be determined),
 /// probed once per process.
@@ -55,8 +51,8 @@ use std::sync::{Condvar, Mutex, OnceLock};
 /// `sched_getaffinity`, 17.6–25.7 µs per call on the 2-vCPU sizing host,
 /// as much as a whole 1 000-node round — so the first caller pays it and
 /// everyone after reads the memo: [`Threads::resolve`],
-/// [`SpinBarrier::new`] (once per engine dispatch),
-/// `ParallelEngine::new(None)` and the reactor's `ShardCount::Auto`. A
+/// [`SpinBarrier::new`] (once per dispatch) and the reactor's
+/// `ShardCount::Auto`. A
 /// cgroup quota or affinity mask changed while the process runs is
 /// therefore not picked up.
 pub fn host_parallelism() -> usize {
@@ -68,16 +64,17 @@ pub fn host_parallelism() -> usize {
     })
 }
 
-/// Cluster size below which [`Threads::Auto`] runs serial. Measured on the
-/// pooled engine: a round over `n` nodes costs ≈14–16 ns/node; the three
-/// round barriers of a batched round add about a microsecond while the
-/// second core is free (`alg_exec.dispatch_us`: 0.1–1.4 µs over six
-/// passes re-read after the host probe left the dispatch path — which,
-/// amortised over a 2 000-round batch, never reached that figure) and
-/// several when it is not, and two workers bought 0.96× at 10 000
-/// cache-resident nodes against 1.28× at 100 000 — so below ~8 k nodes a
-/// second worker does not pay (see DESIGN.md, "Adaptive execution policy"
-/// and "Before/after", for the measurements behind both constants).
+/// Cluster size below which [`Threads::Auto`] runs serial. Measured over
+/// batched rounds, which pay the fan-out once per batch: a round over `n`
+/// nodes costs ≈14–16 ns/node; the three round barriers of a batched round
+/// add about a microsecond while the second core is free
+/// (`alg_exec.dispatch_us`: 0.1–1.4 µs over six passes re-read after the
+/// host probe left the dispatch path — which, amortised over a 2 000-round
+/// batch, never reached that figure) and several when it is not, and two
+/// workers bought 0.96× at 10 000 cache-resident nodes against 1.28× at
+/// 100 000 — so below ~8 k nodes a second worker does not pay (see
+/// DESIGN.md, "Adaptive execution policy" and "Before/after", for the
+/// measurements behind both constants).
 pub const AUTO_SERIAL_CUTOVER: usize = 8_192;
 
 /// Minimum nodes per worker before [`Threads::Auto`] adds another one, so
@@ -99,12 +96,12 @@ pub fn auto_workers(items: usize, host: usize) -> usize {
 ///
 /// `Auto` (the default) applies the measured serial↔parallel cutover of
 /// [`auto_workers`] — small problems run inline on the caller's thread,
-/// large ones shard across the persistent pool. `Fixed(w)` forces exactly
+/// large ones shard across scoped worker threads. `Fixed(w)` forces exactly
 /// `w` workers. Either way the trajectory is bitwise identical (see the
 /// module docs); the policy only moves wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Threads {
-    /// Pick serial or pooled-parallel per problem size and host.
+    /// Pick serial or parallel per problem size and host.
     #[default]
     Auto,
     /// Force this many workers (0 is rejected by config validation).
@@ -161,71 +158,43 @@ impl std::str::FromStr for Threads {
 /// Fixed reduction-chunk width (elements).
 pub const REDUCE_CHUNK: usize = 4096;
 
-/// A scoped-thread fan-out engine with a resolved worker count.
+/// Runs `f(0), f(1), …, f(workers−1)` concurrently on scoped threads and
+/// returns when all are done. Worker 0 runs on the calling thread; with
+/// one worker nothing is spawned and `f(0)` runs inline.
 ///
-/// Construction only stores the count; threads are spawned per
-/// [`ParallelEngine::run_workers`] call and joined before it returns, so an
-/// engine is plain data (`Copy`) and embeds freely in solver state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelEngine {
-    workers: usize,
-}
-
-impl ParallelEngine {
-    /// Resolves the worker count: `None` takes the machine's available
-    /// parallelism, `Some(w)` forces `w` (clamped to at least 1).
-    pub fn new(threads: Option<usize>) -> ParallelEngine {
-        let workers = threads.unwrap_or_else(host_parallelism).max(1);
-        ParallelEngine { workers }
+/// A worker that panics makes the dispatch panic on the caller's thread
+/// once every worker has returned or unwound; workers that share a
+/// [`SpinBarrier`] arm [`SpinBarrier::poison_on_unwind`] so that their
+/// peers unwind too instead of waiting for it forever.
+pub(crate) fn run_workers<F>(workers: usize, f: F)
+where
+    F: Fn(usize) + Sync,
+{
+    if workers <= 1 {
+        f(0);
+        return;
     }
-
-    /// The resolved worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The worker count to actually use for `items` work items — never more
-    /// workers than items (empty shards would still pay a thread spawn).
-    pub fn workers_for(&self, items: usize) -> usize {
-        self.workers.min(items.max(1))
-    }
-
-    /// Runs `f(0), f(1), …, f(workers−1)` concurrently on scoped threads and
-    /// returns when all are done. Worker 0 runs on the calling thread; with
-    /// one worker nothing is spawned and `f(0)` runs inline.
-    ///
-    /// `workers` is the per-call count (typically
-    /// [`ParallelEngine::workers_for`] of the item count).
-    pub fn run_workers<F>(&self, workers: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if workers <= 1 {
-            f(0);
-            return;
+    std::thread::scope(|s| {
+        for w in 1..workers {
+            let f = &f;
+            s.spawn(move || f(w));
         }
-        std::thread::scope(|s| {
-            for w in 1..workers {
-                let f = &f;
-                s.spawn(move || f(w));
-            }
-            f(0);
-        });
-    }
+        f(0);
+    });
 }
 
-/// Which fan-out mechanism an [`Engine`] uses.
+/// A fan-out setting that selects nothing.
 ///
-/// `Pooled` is the production default; `Scoped` (spawn-per-call) is kept so
-/// benchmarks can measure exactly what the pool buys. Both produce bitwise
-/// identical results for any worker count.
+/// Every solve runs on the one scoped fan-out (`std::thread::scope`, one
+/// dispatch per solve), so both values produce the same execution and
+/// the same bits. The type and `DibaConfig::backend` stay only for the
+/// callers that still name them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Persistent [`WorkerPool`]: threads spawned once, parked between
-    /// dispatches.
+    /// Selects nothing (the default).
     #[default]
     Pooled,
-    /// [`ParallelEngine`]: scoped threads spawned per `run_workers` call.
+    /// Selects nothing: the same execution as `Pooled`.
     Scoped,
 }
 
@@ -274,11 +243,18 @@ impl std::fmt::Display for Precision {
 /// needs. The releaser only takes the lock when a sleeper count says
 /// someone is actually parked; a seq-cst handshake on the generation store
 /// and sleeper count makes the notify race-free.
+///
+/// Poisoning: a worker that unwinds never arrives again, so its peers
+/// would wait for it forever. Each worker therefore holds the guard of
+/// `poison_on_unwind` while it uses the barrier; a guard dropped during
+/// a panic sets the poison flag and wakes every parked waiter, and every
+/// `wait` that has not been released then panics instead of blocking.
 pub struct SpinBarrier {
     parties: usize,
     count: AtomicUsize,
     generation: AtomicUsize,
     park_immediately: bool,
+    poisoned: AtomicBool,
     sleepers: AtomicUsize,
     lock: Mutex<()>,
     cond: Condvar,
@@ -308,6 +284,7 @@ impl SpinBarrier {
             count: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
             park_immediately: parties > host_parallelism(),
+            poisoned: AtomicBool::new(false),
             sleepers: AtomicUsize::new(0),
             lock: Mutex::new(()),
             cond: Condvar::new(),
@@ -324,6 +301,11 @@ impl SpinBarrier {
     /// `Acquire` on the generation bump order every write before the
     /// barrier ahead of every read after it, which is the memory contract
     /// [`SharedSlice`] users rely on.
+    ///
+    /// # Panics
+    ///
+    /// When the barrier is poisoned before this generation is released:
+    /// a peer unwound and will never arrive.
     pub fn wait(&self) {
         if self.parties == 1 {
             return;
@@ -340,7 +322,7 @@ impl SpinBarrier {
             self.count.store(0, Ordering::Relaxed);
             self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
             if self.sleepers.load(Ordering::SeqCst) > 0 {
-                let _guard = self.lock.lock().unwrap();
+                let _guard = self.lock();
                 self.cond.notify_all();
             }
             return;
@@ -352,6 +334,11 @@ impl SpinBarrier {
             // through to the condvar below instead of burning the core.
             let mut tries = 0u32;
             while self.generation.load(Ordering::Acquire) == gen {
+                // Relaxed: the flag publishes no data, it only tells this
+                // waiter to give up.
+                if self.poisoned.load(Ordering::Relaxed) {
+                    Self::poisoned_panic();
+                }
                 if tries >= Self::SPIN_LIMIT + Self::YIELD_LIMIT {
                     break;
                 }
@@ -366,262 +353,61 @@ impl SpinBarrier {
                 return;
             }
         }
-        let mut guard = self.lock.lock().unwrap();
+        let mut guard = self.lock();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         while self.generation.load(Ordering::SeqCst) == gen {
-            guard = self.cond.wait(guard).unwrap();
+            // Read under the lock the poisoner takes to notify, so a
+            // poison set after this check still wakes the wait below.
+            if self.poisoned.load(Ordering::SeqCst) {
+                self.sleepers.fetch_sub(1, Ordering::Relaxed);
+                drop(guard);
+                Self::poisoned_panic();
+            }
+            guard = self
+                .cond
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         self.sleepers.fetch_sub(1, Ordering::Relaxed);
     }
+
+    /// A guard that poisons the barrier if it is dropped while its thread
+    /// unwinds. A worker takes it before its first `wait`, so a panic
+    /// anywhere in the worker — between barriers or inside one — releases
+    /// every peer with a panic of its own.
+    pub(crate) fn poison_on_unwind(&self) -> PoisonOnUnwind<'_> {
+        PoisonOnUnwind(self)
+    }
+
+    /// Sets the poison flag, then wakes every parked waiter. The store
+    /// precedes the lock, so a waiter either sees the flag under the lock
+    /// or is already parked when the notify comes.
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::SeqCst);
+        let _guard = self.lock();
+        self.cond.notify_all();
+    }
+
+    /// The parking lock. It guards no data, so a peer that panicked while
+    /// holding it leaves nothing to recover: the poison is ignored.
+    fn lock(&self) -> MutexGuard<'_, ()> {
+        self.lock.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    #[cold]
+    fn poisoned_panic() -> ! {
+        panic!("round barrier poisoned: a peer worker panicked");
+    }
 }
 
-/// A borrowed job crossing into pool workers: a type-erased pointer to the
-/// caller's `Fn(usize)` plus the shim that invokes it. The completion
-/// handshake in [`WorkerPool::run`] guarantees the pointee outlives every
-/// use, which is what makes shipping the raw pointer sound.
-#[derive(Clone, Copy)]
-struct Job {
-    call: unsafe fn(*const (), usize),
-    data: *const (),
-}
+/// Poisons its [`SpinBarrier`] when dropped during a panic; see
+/// [`SpinBarrier::poison_on_unwind`].
+pub(crate) struct PoisonOnUnwind<'a>(&'a SpinBarrier);
 
-// SAFETY: the pointee is a `Fn(usize) + Sync` closure borrowed by
-// `WorkerPool::run`, which — on the normal path and on unwind (via
-// `DrainGuard`) — does not return until every dispatched worker reports
-// completion, so the pointer never outlives the borrow and the closure is
-// safe to call from other threads.
-unsafe impl Send for Job {}
-
-/// Blocks until every outstanding completion for the current dispatch has
-/// been received, *even when the dispatching frame unwinds*. Without this,
-/// a panic in the inline worker (`f(0)`) would destroy `run`'s stack frame
-/// while pool threads still execute the borrowed closure — a use-after-free
-/// — and leave stale completions to corrupt the next dispatch. Mirrors the
-/// join-on-unwind guarantee of `std::thread::scope`.
-struct DrainGuard<'p> {
-    done_rx: &'p crossbeam_channel::Receiver<bool>,
-    pending: usize,
-}
-
-impl Drop for DrainGuard<'_> {
+impl Drop for PoisonOnUnwind<'_> {
     fn drop(&mut self) {
-        for _ in 0..self.pending {
-            if self.done_rx.recv().is_err() {
-                // The done channel can only die if pool workers are gone
-                // mid-dispatch; we can no longer prove the borrowed job is
-                // quiescent, so freeing the frame would be unsound.
-                std::process::abort();
-            }
-        }
-    }
-}
-
-/// A persistent worker pool for round execution.
-///
-/// `workers − 1` threads (named `dpc-round-N`) are spawned at construction
-/// and park on per-worker channels; worker 0 is always the calling thread.
-/// Each [`WorkerPool::run`] sends one borrowed job per active worker
-/// and blocks on a completion handshake, so the dispatched closure may
-/// freely borrow the caller's stack. Between runs the pool costs nothing
-/// but idle parked threads. Dropping the pool closes the channels and
-/// joins every thread.
-pub struct WorkerPool {
-    senders: Vec<crossbeam_channel::Sender<Job>>,
-    done_rx: crossbeam_channel::Receiver<bool>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    workers: usize,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.workers)
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// Spawns a pool of `workers` total workers (`workers − 1` threads;
-    /// worker 0 runs inline in [`WorkerPool::run`]). Clamped to at least 1.
-    pub fn new(workers: usize) -> WorkerPool {
-        let workers = workers.max(1);
-        let (done_tx, done_rx) = crossbeam_channel::unbounded::<bool>();
-        let mut senders = Vec::with_capacity(workers.saturating_sub(1));
-        let mut handles = Vec::with_capacity(workers.saturating_sub(1));
-        for w in 1..workers {
-            let (tx, rx) = crossbeam_channel::unbounded::<Job>();
-            let done = done_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("dpc-round-{w}"))
-                .spawn(move || {
-                    // Park on the channel; a closed channel is shutdown.
-                    while let Ok(job) = rx.recv() {
-                        let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            // SAFETY: `run` keeps the closure alive until
-                            // this worker's completion send is received.
-                            unsafe { (job.call)(job.data, w) };
-                        }))
-                        .is_ok();
-                        // A receiver-less send only happens during teardown
-                        // races; nothing to do about it here.
-                        let _ = done.send(ok);
-                    }
-                })
-                .expect("spawning a pool worker thread");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        WorkerPool {
-            senders,
-            done_rx,
-            handles,
-            workers,
-        }
-    }
-
-    /// Total worker count (including the inline worker 0).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs `f(0), …, f(active−1)` concurrently — worker 0 inline on the
-    /// calling thread, the rest on parked pool threads — and returns when
-    /// all are done. `active` is clamped to the pool size; with
-    /// `active <= 1` nothing is dispatched and `f(0)` runs inline.
-    ///
-    /// Takes `&mut self` deliberately: dispatch and completion collection
-    /// share the per-worker channels and the single `done_rx`, so two
-    /// overlapping `run` calls would cross-mix completions and let one call
-    /// return while the other's borrowed closure is still executing. The
-    /// exclusive receiver makes that unrepresentable in safe code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dispatched worker panicked (after all completions have
-    /// been collected, so the borrow stays sound). If the *inline* worker
-    /// panics, the remaining completions are drained on unwind before the
-    /// frame is destroyed, so the pool stays usable and the borrow stays
-    /// sound there too.
-    pub fn run<F>(&mut self, active: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let active = active.clamp(1, self.workers);
-        if active == 1 {
-            f(0);
-            return;
-        }
-        unsafe fn shim<F: Fn(usize) + Sync>(data: *const (), w: usize) {
-            // SAFETY: `data` was erased from `&F` in this very call frame
-            // and `run` outlives every worker's use of it.
-            let f = unsafe { &*(data as *const F) };
-            f(w);
-        }
-        let job = Job {
-            call: shim::<F>,
-            data: &f as *const F as *const (),
-        };
-        // Armed before the first send: from here on, every dispatched job
-        // is accounted for even if a later send, `f(0)`, or a completion
-        // assert unwinds this frame.
-        let mut guard = DrainGuard {
-            done_rx: &self.done_rx,
-            pending: 0,
-        };
-        for tx in &self.senders[..active - 1] {
-            tx.send(job).expect("pool worker hung up");
-            guard.pending += 1;
-        }
-        f(0);
-        let mut all_ok = true;
-        while guard.pending > 0 {
-            let ok = guard.done_rx.recv().expect("pool worker hung up");
-            guard.pending -= 1;
-            all_ok &= ok;
-        }
-        assert!(all_ok, "a pool worker panicked during a dispatched round");
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the channels wakes every parked worker with Err.
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A round-execution engine: a resolved worker count behind one of the two
-/// fan-out [`Backend`]s.
-///
-/// Cloning rebuilds an equivalent engine (fresh pool threads for the pooled
-/// backend); equality and `Debug` reflect backend and worker count only.
-pub enum Engine {
-    /// Scoped spawn-per-call fan-out.
-    Scoped(ParallelEngine),
-    /// Persistent parked worker pool.
-    Pooled(WorkerPool),
-}
-
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Engine::Scoped(e) => f.debug_tuple("Engine::Scoped").field(&e.workers()).finish(),
-            Engine::Pooled(p) => f.debug_tuple("Engine::Pooled").field(&p.workers()).finish(),
-        }
-    }
-}
-
-impl Clone for Engine {
-    fn clone(&self) -> Engine {
-        Engine::with_backend(self.backend(), self.workers())
-    }
-}
-
-impl Engine {
-    /// Builds an engine with `workers` total workers on the given backend.
-    pub fn with_backend(backend: Backend, workers: usize) -> Engine {
-        match backend {
-            Backend::Scoped => Engine::Scoped(ParallelEngine::new(Some(workers))),
-            Backend::Pooled => Engine::Pooled(WorkerPool::new(workers)),
-        }
-    }
-
-    /// The backend this engine fans out on.
-    pub fn backend(&self) -> Backend {
-        match self {
-            Engine::Scoped(_) => Backend::Scoped,
-            Engine::Pooled(_) => Backend::Pooled,
-        }
-    }
-
-    /// Total worker count.
-    pub fn workers(&self) -> usize {
-        match self {
-            Engine::Scoped(e) => e.workers(),
-            Engine::Pooled(p) => p.workers(),
-        }
-    }
-
-    /// The worker count to actually use for `items` work items — never
-    /// more workers than items.
-    pub fn workers_for(&self, items: usize) -> usize {
-        self.workers().min(items.max(1))
-    }
-
-    /// Runs `f(0), …, f(active−1)` concurrently and returns when all are
-    /// done; worker 0 always runs on the calling thread. `&mut` because the
-    /// pooled backend's dispatch channels require exclusive access (see
-    /// [`WorkerPool::run`]).
-    pub fn run_workers<F>(&mut self, active: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        match self {
-            Engine::Scoped(e) => e.run_workers(active, f),
-            Engine::Pooled(p) => p.run(active, f),
+        if std::thread::panicking() {
+            self.0.poison();
         }
     }
 }
@@ -743,22 +529,14 @@ impl<'a, T> SharedSlice<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn engine_resolves_thread_counts() {
-        assert_eq!(ParallelEngine::new(Some(4)).workers(), 4);
-        assert_eq!(ParallelEngine::new(Some(0)).workers(), 1);
-        assert!(ParallelEngine::new(None).workers() >= 1);
-        assert_eq!(ParallelEngine::new(Some(8)).workers_for(3), 3);
-        assert_eq!(ParallelEngine::new(Some(2)).workers_for(0), 1);
-    }
+    use std::time::Duration;
 
     #[test]
     fn run_workers_visits_every_index_once() {
-        let engine = ParallelEngine::new(Some(5));
         let hits: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
-        engine.run_workers(5, |w| {
+        run_workers(5, |w| {
             hits[w].fetch_add(1, Ordering::SeqCst);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
@@ -766,12 +544,11 @@ mod tests {
 
     #[test]
     fn serial_worker_runs_inline() {
-        let engine = ParallelEngine::new(Some(1));
         let caller = std::thread::current().id();
         let mut same_thread = false;
         // Fn + Sync, so interior mutability via a cell is the simplest probe.
         let cell = std::sync::Mutex::new(&mut same_thread);
-        engine.run_workers(1, |w| {
+        run_workers(1, |w| {
             assert_eq!(w, 0);
             **cell.lock().unwrap() = std::thread::current().id() == caller;
         });
@@ -820,8 +597,7 @@ mod tests {
             let mut phase_b = vec![0usize; parties];
             let a = SharedSlice::new(&mut phase_a);
             let b = SharedSlice::new(&mut phase_b);
-            let engine = ParallelEngine::new(Some(parties));
-            engine.run_workers(parties, |w| {
+            run_workers(parties, |w| {
                 // SAFETY: each worker writes only its own index; the
                 // barrier orders phase-A writes before phase-B reads.
                 unsafe { a.write(w, w + 1) };
@@ -840,8 +616,7 @@ mod tests {
         let parties = 4;
         let barrier = SpinBarrier::new(parties);
         let counter = AtomicUsize::new(0);
-        let engine = ParallelEngine::new(Some(parties));
-        engine.run_workers(parties, |_| {
+        run_workers(parties, |_| {
             for round in 0..50 {
                 counter.fetch_add(1, Ordering::SeqCst);
                 barrier.wait();
@@ -854,103 +629,74 @@ mod tests {
         assert_eq!(counter.load(Ordering::SeqCst), 50 * parties);
     }
 
-    #[test]
-    fn worker_pool_visits_every_index_once() {
-        let mut pool = WorkerPool::new(5);
-        let hits: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(5, |w| {
-            hits[w].fetch_add(1, Ordering::SeqCst);
+    /// Runs `dispatch` on its own thread and fails unless it returns
+    /// within a deadline, so a stranded barrier fails the test in seconds
+    /// instead of hanging the suite.
+    fn within_deadline<R: Send + 'static>(dispatch: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(dispatch());
         });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the dispatch hung: a worker's panic stranded its peers at the barrier")
+    }
+
+    /// One dispatch of `parties` workers in which `victim` panics between
+    /// two barriers: the dispatch must panic on the caller's thread, and
+    /// no peer may pass the barrier the victim never reaches. With
+    /// `peers_parked` the victim panics only once every peer sleeps on the
+    /// condvar, so the poison has to wake them; without it the peers
+    /// arrive only after the poison is set, so their first check must see
+    /// it.
+    fn assert_poisoned_dispatch_panics(parties: usize, victim: usize, peers_parked: bool) {
+        let (panicked, passed) = within_deadline(move || {
+            let barrier = SpinBarrier::new(parties);
+            let passed = AtomicUsize::new(0);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_workers(parties, |w| {
+                    let _poison = barrier.poison_on_unwind();
+                    barrier.wait();
+                    if w == victim {
+                        while peers_parked && barrier.sleepers.load(Ordering::SeqCst) < parties - 1
+                        {
+                            std::thread::yield_now();
+                        }
+                        panic!("worker {w} dies between barriers");
+                    }
+                    while !peers_parked && !barrier.poisoned.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    barrier.wait();
+                    passed.fetch_add(1, Ordering::SeqCst);
+                });
+            }));
+            (outcome.is_err(), passed.load(Ordering::SeqCst))
+        });
+        let what = format!("parties={parties} victim={victim} peers_parked={peers_parked}");
+        assert!(panicked, "the dispatch must panic: {what}");
+        assert_eq!(passed, 0, "no peer may pass the victim's barrier: {what}");
     }
 
     #[test]
-    fn worker_pool_is_reusable_and_borrows_caller_stack() {
-        let mut pool = WorkerPool::new(3);
-        let mut acc = vec![0usize; 3];
-        for round in 1..=20 {
-            let shared = SharedSlice::new(&mut acc);
-            pool.run(3, |w| {
-                // SAFETY: disjoint per-worker indices.
-                let v = unsafe { shared.read(w) };
-                unsafe { shared.write(w, v + round) };
-            });
+    fn panicking_worker_poisons_a_spinning_barrier() {
+        // Two parties spin, then park (on a 1-core host they park at once).
+        for victim in [0, 1] {
+            for peers_parked in [false, true] {
+                assert_poisoned_dispatch_panics(2, victim, peers_parked);
+            }
         }
-        let expect = (1..=20).sum::<usize>();
-        assert!(acc.iter().all(|&v| v == expect));
     }
 
     #[test]
-    fn worker_pool_partial_dispatch_leaves_idle_workers_parked() {
-        let mut pool = WorkerPool::new(6);
-        let hits: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(2, |w| {
-            hits[w].fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits[0].load(Ordering::SeqCst), 1);
-        assert_eq!(hits[1].load(Ordering::SeqCst), 1);
-        assert!(hits[2..].iter().all(|h| h.load(Ordering::SeqCst) == 0));
-    }
-
-    #[test]
-    fn worker_pool_drains_completions_when_inline_worker_panics() {
-        let mut pool = WorkerPool::new(4);
-        let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(4, |w| {
-                hits[w].fetch_add(1, Ordering::SeqCst);
-                if w == 0 {
-                    panic!("inline worker dies mid-dispatch");
-                }
-            });
-        }));
-        assert!(unwound.is_err());
-        // The unwind must have drained all three pool-worker completions:
-        // a clean follow-up dispatch sees exactly its own handshakes and
-        // every worker fires exactly once more.
-        pool.run(4, |w| {
-            hits[w].fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits[0].load(Ordering::SeqCst), 2);
-        assert!(hits[1..].iter().all(|h| h.load(Ordering::SeqCst) == 2));
-    }
-
-    #[test]
-    fn worker_pool_reports_pool_worker_panic_and_stays_usable() {
-        let mut pool = WorkerPool::new(3);
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(3, |w| {
-                if w == 2 {
-                    panic!("pool worker dies");
-                }
-            });
-        }));
-        assert!(
-            unwound.is_err(),
-            "a worker panic must surface to the caller"
-        );
-        let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(3, |w| {
-            hits[w].fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn engine_backends_agree() {
-        for backend in [Backend::Scoped, Backend::Pooled] {
-            let mut engine = Engine::with_backend(backend, 4);
-            assert_eq!(engine.backend(), backend);
-            assert_eq!(engine.workers(), 4);
-            assert_eq!(engine.workers_for(2), 2);
-            let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-            engine.run_workers(4, |w| {
-                hits[w].fetch_add(1, Ordering::SeqCst);
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-            let copy = engine.clone();
-            assert_eq!(copy.backend(), backend);
-            assert_eq!(copy.workers(), 4);
+    fn panicking_worker_poisons_a_parking_barrier() {
+        // More parties than the host has threads: every waiter parks
+        // immediately.
+        let parties = host_parallelism() + 1;
+        assert!(SpinBarrier::new(parties).park_immediately);
+        for victim in [0, parties - 1] {
+            for peers_parked in [false, true] {
+                assert_poisoned_dispatch_panics(parties, victim, peers_parked);
+            }
         }
     }
 
@@ -958,9 +704,8 @@ mod tests {
     fn shared_slice_disjoint_writes_land() {
         let mut data = vec![0usize; 64];
         let shared = SharedSlice::new(&mut data);
-        let engine = ParallelEngine::new(Some(4));
         let cuts = [0, 16, 32, 48, 64];
-        engine.run_workers(4, |w| {
+        run_workers(4, |w| {
             // SAFETY: ranges are disjoint per worker.
             let mine = unsafe { shared.slice_mut(cuts[w]..cuts[w + 1]) };
             for (off, v) in mine.iter_mut().enumerate() {

@@ -13,7 +13,7 @@
 //! * [`problem`] — the shared problem/allocation types;
 //! * [`telemetry`] — round-level recording (residuals, messages, fault
 //!   events, shard timings) with JSONL/CSV/Prometheus sinks;
-//! * [`exec`] — the deterministic sharded round engine (worker pool,
+//! * [`exec`] — the deterministic sharded round engine (scoped fan-out,
 //!   barriers, chunked reductions, the [`exec::Threads`] /
 //!   [`exec::Precision`] policy knobs);
 //! * [`fast`] — the ring traversal of a DiBA round: the reference

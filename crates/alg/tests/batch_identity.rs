@@ -1,8 +1,8 @@
 //! Multi-round batching must be invisible: `run(k)` is one engine
 //! dispatch for `k` rounds, and this suite pins it to `k` single `step()`
 //! calls — same final allocation, same residuals, same telemetry
-//! `RoundRecord` stream, bit for bit, on the serial engine and on the
-//! persistent worker pool.
+//! `RoundRecord` stream, bit for bit, on the serial engine and with
+//! parallel workers.
 //!
 //! The two stop rules are just as invisible: `run_until_within` and
 //! `run_to_rest` are one dispatch each, pinned here to the loops a caller
@@ -11,7 +11,7 @@
 
 use dpc_alg::centralized;
 use dpc_alg::diba::{DibaConfig, DibaRun};
-use dpc_alg::exec::{Backend, Precision, Threads};
+use dpc_alg::exec::{Precision, Threads};
 use dpc_alg::problem::PowerBudgetProblem;
 use dpc_alg::telemetry::{RoundRecord, TelemetryConfig, MAX_TIMED_SHARDS};
 use dpc_models::units::Watts;
@@ -83,18 +83,13 @@ fn stepped_to_rest(
     None
 }
 
-/// Every way a `DibaRun` executes a round: serial, pooled with and without
-/// oversubscription, scoped — each on both kernel tiers.
-fn engines() -> Vec<(Threads, Backend, Precision)> {
+/// Every way a `DibaRun` executes a round: serial, and parallel with and
+/// without oversubscription — each on both kernel tiers.
+fn engines() -> Vec<(Threads, Precision)> {
     let mut all = Vec::new();
     for precision in [Precision::Reference, Precision::Fast] {
-        for (threads, backend) in [
-            (1, Backend::Pooled),
-            (2, Backend::Pooled),
-            (7, Backend::Pooled),
-            (2, Backend::Scoped),
-        ] {
-            all.push((Threads::Fixed(threads), backend, precision));
+        for threads in [1, 2, 7] {
+            all.push((Threads::Fixed(threads), precision));
         }
     }
     all
@@ -155,10 +150,9 @@ proptest! {
         let problem =
             PowerBudgetProblem::new(cluster.utilities(), Watts(171.0 * n as f64)).unwrap();
         let reference = problem.total_utility(&centralized::solve(&problem).allocation);
-        for (threads, backend, precision) in engines() {
+        for (threads, precision) in engines() {
             let config = DibaConfig {
                 threads,
-                backend,
                 precision,
                 telemetry: TelemetryConfig::with_capacity(max_rounds + 8),
                 ..DibaConfig::default()
@@ -168,7 +162,7 @@ proptest! {
             let mut fused = stepped.clone();
             let want = stepped_until_within(&mut stepped, reference, rel_tol, max_rounds);
             let got = fused.run_until_within(reference, rel_tol, max_rounds);
-            let what = format!("{threads} {backend:?} {precision}");
+            let what = format!("{threads} {precision}");
             prop_assert_eq!(got, want, "{}: returned round", &what);
             assert_same_run(fused, stepped, &what)?;
         }
@@ -190,10 +184,9 @@ proptest! {
         let cluster = ClusterBuilder::new(n).seed(seed).build();
         let problem =
             PowerBudgetProblem::new(cluster.utilities(), Watts(171.0 * n as f64)).unwrap();
-        for (threads, backend, precision) in engines() {
+        for (threads, precision) in engines() {
             let config = DibaConfig {
                 threads,
-                backend,
                 precision,
                 telemetry: TelemetryConfig::with_capacity(max_rounds + 8),
                 ..DibaConfig::default()
@@ -203,13 +196,13 @@ proptest! {
             let mut fused = stepped.clone();
             let want = stepped_to_rest(&mut stepped, tol_watts, stable_rounds, max_rounds);
             let got = fused.run_to_rest(tol_watts, stable_rounds, max_rounds);
-            let what = format!("{threads} {backend:?} {precision}");
+            let what = format!("{threads} {precision}");
             prop_assert_eq!(got, want, "{}: returned round", &what);
             assert_same_run(fused, stepped, &what)?;
         }
     }
 
-    /// Serial and pooled engines: `run(k)` leaves the identical
+    /// Serial and parallel engines: `run(k)` leaves the identical
     /// final allocation and the identical recorded round stream as `k`
     /// individual steps.
     #[test]
@@ -245,7 +238,7 @@ proptest! {
 
 /// The long dispatch at scale: on the 100 000-node chord ring of
 /// `solve_scale_100k`, one fused `run_until_within` stops at the round and
-/// in the bits of the stepped loop — with two pooled workers, and with
+/// in the bits of the stepped loop — with two workers, and with
 /// seven (oversubscribed on a small host, so every barrier parks).
 /// Release-only
 /// (`cargo test --release -p dpc-alg --test batch_identity -- --ignored`):

@@ -2,7 +2,7 @@
 //!
 //! The bitwise tests pin the trivial-tree contract: a chain of domains
 //! around a single leaf must reproduce the flat DiBA run exactly — same
-//! budget, same ring, same engine — under both the serial and the pooled
+//! budget, same ring, same engine — under both the serial and the auto
 //! thread policy. The property tests then cover what a fixed example
 //! cannot: tenant caps binding at arbitrary fractions of the uncapped
 //! draw.
@@ -76,7 +76,7 @@ fn trivial_tree_is_bitwise_the_flat_diba_run_serial() {
 }
 
 #[test]
-fn trivial_tree_is_bitwise_the_flat_diba_run_pooled() {
+fn trivial_tree_is_bitwise_the_flat_diba_run_auto() {
     assert_trivial_tree_matches_flat(Threads::Auto);
 }
 

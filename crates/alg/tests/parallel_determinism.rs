@@ -1,12 +1,11 @@
 //! The round engine's central guarantee: every parallel execution path is
 //! *bitwise* deterministic. For any cluster, topology and round count, a
-//! `DibaRun` sharded over 1, 2 or 7 worker threads — on the persistent
-//! worker pool *or* the scoped-spawn engine — walks exactly the same
+//! `DibaRun` sharded over 1, 2 or 7 worker threads walks exactly the same
 //! `(p, e)` trajectory as the serial engine — not merely close, identical
 //! to the last mantissa bit.
 
 use dpc_alg::diba::{DibaConfig, DibaRun};
-use dpc_alg::exec::{Backend, Threads};
+use dpc_alg::exec::Threads;
 use dpc_alg::problem::PowerBudgetProblem;
 use dpc_models::units::Watts;
 use dpc_models::workload::ClusterBuilder;
@@ -36,14 +35,12 @@ fn trajectory(
     kind: usize,
     rounds: usize,
     threads: usize,
-    backend: Backend,
 ) -> Vec<(f64, f64)> {
     let cluster = ClusterBuilder::new(n).seed(seed).build();
     let problem =
         PowerBudgetProblem::new(cluster.utilities(), Watts(per_server * n as f64)).unwrap();
     let config = DibaConfig {
         threads: Threads::Fixed(threads),
-        backend,
         ..DibaConfig::default()
     };
     let mut run = DibaRun::new(problem, graph_for(kind, n), config).unwrap();
@@ -54,8 +51,8 @@ fn trajectory(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Pooled and scoped execution with 1, 2 and 7 workers reproduce the
-    /// serial trajectory bit for bit, over random clusters, budgets,
+    /// Execution with 1, 2 and 7 workers reproduces the serial trajectory
+    /// bit for bit, over random clusters, budgets,
     /// topologies and round counts.
     #[test]
     fn parallel_rounds_match_serial_bitwise(
@@ -65,26 +62,21 @@ proptest! {
         kind in 0usize..4,
         rounds in 1usize..50,
     ) {
-        let serial = trajectory(n, seed, per_server, kind, rounds, 1, Backend::Pooled);
-        for backend in [Backend::Pooled, Backend::Scoped] {
-            for threads in [1usize, 2, 7] {
-                let parallel =
-                    trajectory(n, seed, per_server, kind, rounds, threads, backend);
-                prop_assert_eq!(serial.len(), parallel.len());
-                for (i, (&(ps, es), &(pp, ep))) in
-                    serial.iter().zip(&parallel).enumerate()
-                {
-                    prop_assert_eq!(
-                        ps.to_bits(), pp.to_bits(),
-                        "p[{}] diverged with {} {:?} workers: {} vs {}",
-                        i, threads, backend, ps, pp
-                    );
-                    prop_assert_eq!(
-                        es.to_bits(), ep.to_bits(),
-                        "e[{}] diverged with {} {:?} workers: {} vs {}",
-                        i, threads, backend, es, ep
-                    );
-                }
+        let serial = trajectory(n, seed, per_server, kind, rounds, 1);
+        for threads in [1usize, 2, 7] {
+            let parallel = trajectory(n, seed, per_server, kind, rounds, threads);
+            prop_assert_eq!(serial.len(), parallel.len());
+            for (i, (&(ps, es), &(pp, ep))) in serial.iter().zip(&parallel).enumerate() {
+                prop_assert_eq!(
+                    ps.to_bits(), pp.to_bits(),
+                    "p[{}] diverged with {} workers: {} vs {}",
+                    i, threads, ps, pp
+                );
+                prop_assert_eq!(
+                    es.to_bits(), ep.to_bits(),
+                    "e[{}] diverged with {} workers: {} vs {}",
+                    i, threads, es, ep
+                );
             }
         }
     }
@@ -105,10 +97,9 @@ proptest! {
             PowerBudgetProblem::new(cluster.utilities(), Watts(per_server * n as f64)).unwrap();
         let reference =
             problem.total_utility(&dpc_alg::centralized::solve(&problem).allocation);
-        let solve = |threads: usize, backend: Backend| {
+        let solve = |threads: usize| {
             let config = DibaConfig {
                 threads: Threads::Fixed(threads),
-                backend,
                 ..DibaConfig::default()
             };
             let mut run = DibaRun::new(problem.clone(), graph_for(kind, n), config).unwrap();
@@ -116,27 +107,22 @@ proptest! {
             let rested = run.run_to_rest(0.05, 5, max_rounds);
             (capped, rested, run.node_states())
         };
-        let serial = solve(1, Backend::Pooled);
-        for backend in [Backend::Pooled, Backend::Scoped] {
-            for threads in [2usize, 7] {
-                prop_assert_eq!(
-                    &solve(threads, backend), &serial,
-                    "{} {:?} workers", threads, backend
-                );
-            }
+        let serial = solve(1);
+        for threads in [2usize, 7] {
+            prop_assert_eq!(&solve(threads), &serial, "{} workers", threads);
         }
     }
 
     /// Changing the worker count mid-run (as the simulator may) also
-    /// leaves the trajectory untouched — the pool is rebuilt, the FP
-    /// order is not.
+    /// leaves the trajectory untouched — the shard cuts are rebuilt, the
+    /// FP order is not.
     #[test]
     fn rethreading_mid_run_is_invisible(
         n in 4usize..60,
         seed in 0u64..1_000,
         rounds in 2usize..40,
     ) {
-        let serial = trajectory(n, seed, 180.0, 0, rounds, 1, Backend::Pooled);
+        let serial = trajectory(n, seed, 180.0, 0, rounds, 1);
 
         let cluster = ClusterBuilder::new(n).seed(seed).build();
         let problem =

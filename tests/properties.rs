@@ -178,9 +178,9 @@ proptest! {
         servers in 8usize..32,
         seed in 0u64..500,
     ) {
-        // A replay with no events is exactly the initial settle — the
-        // driver must add nothing to the trajectory, serial or pooled.
-        use dpc::alg::exec::{Backend, Threads};
+        // A replay with no events is exactly the initial settle —
+        // replaying must add nothing to the trajectory, serial or parallel.
+        use dpc::alg::exec::Threads;
         use dpc::sim::replay::{replay, ReplayConfig, Scenario, SettleCriterion};
         let scenario = Scenario {
             servers,
@@ -197,7 +197,6 @@ proptest! {
         for threads in [Threads::Fixed(1), Threads::Fixed(4)] {
             let diba = DibaConfig {
                 threads,
-                backend: Backend::Pooled,
                 ..DibaConfig::default()
             };
             let out = replay(&scenario, &ReplayConfig { diba, settle, compare_cold: false })
