@@ -30,6 +30,9 @@ pub enum TransportKind {
     /// The sharded epoll reactor: thousands of agents per poller thread,
     /// cross-shard edges on real loopback sockets (`ShardCount::Fixed(n)`
     /// puts every agent on its own shard and every edge on a socket).
+    /// K shards with P adjacent shard pairs hold K + 2·P + 1 file
+    /// descriptors; bring-up fails with `Too many open files` when
+    /// `RLIMIT_NOFILE` is lower.
     Reactor,
 }
 
@@ -62,7 +65,10 @@ pub enum ShardCount {
     /// `--shards auto`.
     #[default]
     Auto,
-    /// Exactly this many shards (clamped to `[1, n]`).
+    /// Exactly this many shards (clamped to `[1, n]`). Every shard pair
+    /// that shares an edge is one loopback socket carrier, so K shards
+    /// with P such pairs need K + 2·P + 1 file descriptors within
+    /// `RLIMIT_NOFILE`, or bring-up fails with `Too many open files`.
     Fixed(usize),
 }
 

@@ -1,10 +1,11 @@
 //! Carrier and link state for the reactor: one byte *carrier* per pair of
-//! shards that share an edge, one lightweight *link* per agent↔neighbor
-//! attachment, riding the carrier to the neighbor's shard — or none,
-//! inside one shard — and the [`Inbox`], one two-entry FIFO per link in a
-//! flat per-shard array. A one-agent node shard ([`super::host_node`]) is
-//! the degenerate case: one socket carrier, and one link, per graph
-//! neighbor.
+//! shards that share an edge — always a nonblocking loopback TCP socket,
+//! registered in the owning shard's epoll under its carrier index — one
+//! lightweight *link* per agent↔neighbor attachment, riding the carrier to
+//! the neighbor's shard — or none, inside one shard — and the [`Inbox`],
+//! one two-entry FIFO per link in a flat per-shard array. A one-agent node
+//! shard ([`super::host_node`]) is the degenerate case: one carrier, and
+//! one link, per graph neighbor.
 //!
 //! Every carrier moves the identical length-prefixed byte stream:
 //! handshake frames are scalar [`crate::wire::WireMsg`]s, round traffic is
@@ -12,22 +13,19 @@
 //! addressed by the *receiving* shard's link index. The shard loop encodes
 //! entries straight into the carrier's persistent staging buffer (via
 //! [`crate::wire::BatchWriter`]), so the steady-state send path allocates
-//! nothing; socket carriers stage flushed bytes in a [`RingBuf`] and hand
-//! them to the kernel with vectored writes when the ring wraps.
+//! nothing; flushed bytes wait in a [`RingBuf`] and go to the kernel with
+//! vectored writes when the ring wraps.
 
-use super::sys::EventFd;
 use crate::wire::{BatchEntry, BatchWriter, EntryKind, Reassembly};
 use std::io::{IoSlice, Write};
 use std::net::TcpStream;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// A growable circular byte buffer: the persistent write-side staging of a
-/// socket carrier. Bytes go in at the tail (wrapping), come out at the
-/// head, and the readable region is exposed as at most two slices so the
-/// flush path can hand both to one vectored write. Capacity only ever
-/// grows (doubling), so after warm-up the steady state allocates nothing.
+/// carrier. Bytes go in at the tail (wrapping), come out at the head, and
+/// the readable region is exposed as at most two slices so the flush path
+/// can hand both to one vectored write. Capacity only ever grows
+/// (doubling), so after warm-up the steady state allocates nothing.
 #[derive(Default)]
 pub struct RingBuf {
     buf: Vec<u8>,
@@ -124,106 +122,6 @@ impl RingBuf {
     }
 }
 
-#[derive(Default)]
-struct PipeBuf {
-    bytes: Vec<u8>,
-    closed: bool,
-}
-
-/// One direction of a cross-shard in-memory carrier: the sender appends a
-/// whole flush's worth of encoded frames under a single lock, the receiver
-/// takes the accumulated bytes into its reassembly buffer.
-pub struct MemPipe {
-    buf: Mutex<PipeBuf>,
-    dirty: AtomicBool,
-    /// The receiving shard's wakeup eventfd.
-    signal: Option<Arc<EventFd>>,
-}
-
-impl MemPipe {
-    /// A fresh pipe; `signal` is the *receiving* shard's eventfd.
-    pub fn new(signal: Option<Arc<EventFd>>) -> Arc<MemPipe> {
-        Arc::new(MemPipe {
-            buf: Mutex::new(PipeBuf::default()),
-            dirty: AtomicBool::new(false),
-            signal,
-        })
-    }
-
-    /// Appends one flush's bytes. Returns `false` if the receiver closed
-    /// the pipe (the mem analogue of a dead socket).
-    pub fn send(&self, bytes: &[u8]) -> bool {
-        {
-            let mut buf = self.buf.lock().expect("pipe lock");
-            if buf.closed {
-                return false;
-            }
-            buf.bytes.extend_from_slice(bytes);
-        }
-        self.dirty.store(true, Ordering::Release);
-        if let Some(signal) = &self.signal {
-            signal.signal();
-        }
-        true
-    }
-
-    /// Marks the pipe closed (bytes already in flight stay readable) and
-    /// wakes the receiver so it notices.
-    pub fn close(&self) {
-        self.buf.lock().expect("pipe lock").closed = true;
-        self.dirty.store(true, Ordering::Release);
-        if let Some(signal) = &self.signal {
-            signal.signal();
-        }
-    }
-
-    /// Cheap pre-check for the receiver's sweep.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty.load(Ordering::Acquire)
-    }
-
-    /// Takes all buffered bytes into `into` (appended) and clears the
-    /// dirty flag. Returns `true` once the pipe is closed.
-    pub fn take(&self, into: &mut Vec<u8>) -> bool {
-        self.dirty.store(false, Ordering::Release);
-        let mut buf = self.buf.lock().expect("pipe lock");
-        into.extend_from_slice(&buf.bytes);
-        buf.bytes.clear();
-        buf.closed
-    }
-}
-
-/// A nonblocking socket endpoint backing one cross-shard carrier,
-/// registered in the owning shard's epoll under its slab index.
-pub struct SockConn {
-    /// The nonblocking loopback stream.
-    pub stream: TcpStream,
-    /// Outbound bytes not yet accepted by the kernel.
-    pub out: RingBuf,
-    /// Registered for `EPOLLOUT` (pending flush).
-    pub want_write: bool,
-    /// Read side reached EOF or the connection failed.
-    pub closed: bool,
-    /// Write side shut down (shard finished; flush then FIN).
-    pub closing: bool,
-    /// Index of the [`Carrier`] this connection feeds.
-    pub carrier: u32,
-}
-
-impl SockConn {
-    /// An open connection (already nonblocking) feeding `carrier`.
-    pub fn new(stream: TcpStream, carrier: u32) -> SockConn {
-        SockConn {
-            stream,
-            out: RingBuf::new(),
-            want_write: false,
-            closed: false,
-            closing: false,
-            carrier,
-        }
-    }
-}
-
 /// Handshake progress of one carrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CarrierState {
@@ -233,19 +131,6 @@ pub enum CarrierState {
     AwaitAck,
     /// Handshake complete; batched round frames flow.
     Data,
-}
-
-/// How a carrier moves bytes to its peer shard.
-pub enum CarrierEnd {
-    /// In-memory pipes (fd-budget spill).
-    Mem {
-        /// Bytes arriving here.
-        rx: Arc<MemPipe>,
-        /// Bytes leaving here.
-        tx: Arc<MemPipe>,
-    },
-    /// Socket: index into the shard's connection slab.
-    Sock(u32),
 }
 
 /// One shard↔shard byte stream. All round traffic between the two shards'
@@ -258,8 +143,14 @@ pub struct Carrier {
     /// How errors name the peer: `shard K` inside one process, the
     /// socket address when the peer is another process's node shard.
     pub label: String,
-    /// Transport end.
-    pub end: CarrierEnd,
+    /// The nonblocking loopback stream.
+    pub stream: TcpStream,
+    /// Outbound bytes not yet accepted by the kernel.
+    pub out: RingBuf,
+    /// Registered for `EPOLLOUT` (pending flush).
+    pub want_write: bool,
+    /// The stream failed or its read side reached EOF; sends are refused.
+    pub closed: bool,
     /// Handshake progress.
     pub state: CarrierState,
     /// Partial-frame reassembly for the inbound byte stream.
@@ -270,8 +161,6 @@ pub struct Carrier {
     pub writer: BatchWriter,
     /// Inbound stream exhausted (peer shard finished or failed).
     pub eof: bool,
-    /// Outbound side shut; sends are refused.
-    pub closed_out: bool,
     /// Lazy-cancellation sequence for the handshake deadline.
     pub hs_seq: u32,
     /// Shard-local links whose inbound rides this carrier (stream-EOF
@@ -280,19 +169,21 @@ pub struct Carrier {
 }
 
 impl Carrier {
-    /// A fresh carrier, waiting for a `Hello` until the shard loop makes
-    /// its side the dialer.
-    pub fn new(peer_shard: usize, end: CarrierEnd) -> Carrier {
+    /// A fresh carrier over `stream` (already nonblocking), waiting for a
+    /// `Hello` until the shard loop makes its side the dialer.
+    pub fn new(peer_shard: usize, stream: TcpStream) -> Carrier {
         Carrier {
             peer_shard,
             label: format!("shard {peer_shard}"),
-            end,
+            stream,
+            out: RingBuf::new(),
+            want_write: false,
+            closed: false,
             state: CarrierState::AwaitHello,
             reasm: Reassembly::new(),
             staging: Vec::new(),
             writer: BatchWriter::new(),
             eof: false,
-            closed_out: false,
             hs_seq: 0,
             fed_links: Vec::new(),
         }

@@ -23,13 +23,15 @@
 //!   straight into the receiving link's inbox FIFO, a flat per-shard
 //!   array beside the shard's [`AgentCore`] block;
 //! * **cross-shard** traffic is coalesced onto **carriers**, one byte
-//!   stream per pair of shards that share an edge — a real nonblocking
-//!   loopback TCP socket driven by the shard's epoll (at most
-//!   `shards·(shards−1)/2` sockets total), with an in-memory spill
-//!   (signalled through the receiving shard's eventfd) if the
-//!   file-descriptor budget is ever that tight. Each carrier runs one
-//!   handshake, then packs round traffic into [`crate::wire::DataBatch`]
-//!   frames.
+//!   stream per pair of shards that share an edge — always a real
+//!   nonblocking loopback TCP socket driven by the shard's epoll (at most
+//!   `shards·(shards−1)/2` of them). Each carrier runs one handshake, then
+//!   packs round traffic into [`crate::wire::DataBatch`] frames.
+//!
+//! A deployment of K shards and P carriers holds K + 2·P + 1 descriptors
+//! at once (an epoll per shard, both socket ends per carrier, the
+//! listener). When `RLIMIT_NOFILE` is lower, bring-up fails with the OS
+//! error (`Too many open files`) under a label naming K, P and that need.
 //!
 //! Agents consume exactly one entry per live slot per round in slot
 //! order, so the arithmetic is bitwise-identical to the lockstep
@@ -42,9 +44,9 @@ mod shard;
 mod sys;
 mod wheel;
 
-use conn::{Carrier, CarrierEnd, Link, MemPipe, SockConn};
+use conn::{Carrier, Link};
 use shard::{run_shard, AgentSlot, Shard};
-use sys::{nofile_limit, Epoll, EventFd};
+use sys::Epoll;
 
 use crate::agent::AgentCore;
 use crate::cluster::{RuntimeConfig, ShardCount};
@@ -74,10 +76,6 @@ pub struct ReactorRun {
     /// clamped fixed request) — re-reported in the cluster header.
     pub shards: usize,
 }
-
-/// File descriptors held back from the socket budget: listener, epoll
-/// and eventfd per shard, stdio, and whatever the test harness has open.
-const FD_RESERVE: u64 = 128;
 
 /// Auto-tune target: per-round work units (Σ degree+4 over hosted nodes,
 /// the same cost model [`Graph::shard_offsets`] balances) one shard can
@@ -112,23 +110,6 @@ fn shard_of(cuts: &[usize], node: usize) -> usize {
     cuts.partition_point(|&c| c <= node) - 1
 }
 
-/// Byte carrier for one unordered shard pair, consumed by both endpoint
-/// shards during assembly.
-enum PairRes {
-    Mem {
-        /// Low→high pipe.
-        ab: Arc<MemPipe>,
-        /// High→low pipe.
-        ba: Arc<MemPipe>,
-    },
-    Sock {
-        /// Low shard's stream, `take`n once.
-        a: Option<TcpStream>,
-        /// High shard's stream, `take`n once.
-        b: Option<TcpStream>,
-    },
-}
-
 fn bringup_io(source: io::Error) -> RuntimeError {
     RuntimeError::Io {
         peer: "reactor bring-up".to_string(),
@@ -153,9 +134,11 @@ fn proc_status_value(key: &str) -> Option<u64> {
 ///
 /// # Errors
 ///
-/// Bring-up failures (socket bind/connect, epoll/eventfd creation) and
-/// the first protocol/handshake/decode error any shard hits; every
-/// error names the peer it happened against.
+/// [`RuntimeError::Io`] when a loopback socket or an epoll instance
+/// cannot be made — `Too many open files` when `RLIMIT_NOFILE` is below
+/// the deployment's K + 2·P + 1 descriptors, which the error names — and
+/// the first protocol/handshake/decode error any shard hits; every error
+/// names the peer it happened against.
 ///
 /// # Panics
 ///
@@ -175,13 +158,6 @@ pub fn run_reactor_cluster(
         topology_hash: graph.topology_hash(),
     };
 
-    // Shard wakeups first: cross-shard mem carriers signal the receiver's
-    // eventfd, so the fds must exist before any carrier is wired.
-    let mut wakes = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        wakes.push(Arc::new(EventFd::new().map_err(bringup_io)?));
-    }
-
     // Which shard pairs exchange traffic: one carrier per pair that shares
     // an edge.
     let mut pair_set: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -192,52 +168,37 @@ pub fn run_reactor_cluster(
         }
     }
 
-    // One socket pair per cross-shard carrier while the fd budget lasts
-    // (it essentially always does: carriers are O(shards²), not O(edges)),
-    // then spill to signalled mem pipes — in deterministic (sorted) pair
-    // order, so two runs always make identical choices.
-    let mut sock_quota = (nofile_limit().unwrap_or(1024).saturating_sub(FD_RESERVE) / 2) as usize;
-    let mut listener: Option<TcpListener> = None;
-    let mut pairs: HashMap<(usize, usize), PairRes> = HashMap::new();
-    for &(a, b) in &pair_set {
-        if sock_quota > 0 {
-            sock_quota -= 1;
-            if listener.is_none() {
-                listener = Some(TcpListener::bind(("127.0.0.1", 0)).map_err(|source| {
-                    RuntimeError::Bind {
-                        addr: "127.0.0.1:0".to_string(),
-                        source,
-                    }
-                })?);
-            }
-            let l = listener.as_ref().expect("listener just bound");
-            let addr = l.local_addr().map_err(bringup_io)?;
+    // Every bring-up failure names the descriptors the deployment holds at
+    // once, so a shortage says which `ulimit -n` would fit it.
+    let carriers = pair_set.len();
+    let label = format!(
+        "reactor bring-up of {shards} shards and {carriers} carriers, \
+         which need {} file descriptors",
+        shards + 2 * carriers + 1
+    );
+    let bringup_err = |source| RuntimeError::Io {
+        peer: label.clone(),
+        source,
+    };
+
+    // One loopback socket pair per carrier, keyed (owner shard, peer
+    // shard): the lower shard holds the dialed end, the higher the
+    // accepted one.
+    let mut streams: HashMap<(usize, usize), TcpStream> = HashMap::new();
+    if carriers > 0 {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(bringup_err)?;
+        let addr = listener.local_addr().map_err(bringup_err)?;
+        for &(a, b) in &pair_set {
             // Sequential connect-then-accept on loopback: the accepted
             // stream is always the one just dialed.
-            let dial = TcpStream::connect(addr).map_err(|source| RuntimeError::Connect {
-                peer: addr.to_string(),
-                source,
-            })?;
-            let (acc, _) = l.accept().map_err(bringup_io)?;
+            let dial = TcpStream::connect(addr).map_err(bringup_err)?;
+            let (acc, _) = listener.accept().map_err(bringup_err)?;
             for s in [&dial, &acc] {
-                s.set_nodelay(true).map_err(bringup_io)?;
-                s.set_nonblocking(true).map_err(bringup_io)?;
+                s.set_nodelay(true).map_err(bringup_err)?;
+                s.set_nonblocking(true).map_err(bringup_err)?;
             }
-            pairs.insert(
-                (a, b),
-                PairRes::Sock {
-                    a: Some(dial),
-                    b: Some(acc),
-                },
-            );
-        } else {
-            pairs.insert(
-                (a, b),
-                PairRes::Mem {
-                    ab: MemPipe::new(Some(Arc::clone(&wakes[b]))),
-                    ba: MemPipe::new(Some(Arc::clone(&wakes[a]))),
-                },
-            );
+            streams.insert((a, b), dial);
+            streams.insert((b, a), acc);
         }
     }
 
@@ -262,33 +223,20 @@ pub fn run_reactor_cluster(
     let mut specs_by_node: Vec<Option<NodeSpec>> = specs.into_iter().map(Some).collect();
     let mut shard_structs = Vec::with_capacity(shards);
     for s in 0..shards {
-        let epoll = Epoll::new().map_err(bringup_io)?;
+        let epoll = Epoll::new().map_err(bringup_err)?;
         let mut carriers: Vec<Carrier> = Vec::new();
-        let mut conns: Vec<SockConn> = Vec::new();
         let mut carrier_of_peer: HashMap<usize, u32> = HashMap::new();
         for &(a, b) in &pair_set {
             if a != s && b != s {
                 continue;
             }
             let peer_shard = if a == s { b } else { a };
-            let end = match pairs.get_mut(&(a, b)).expect("pair carrier exists") {
-                PairRes::Mem { ab, ba } => {
-                    let (rx, tx) = if s == a {
-                        (Arc::clone(ba), Arc::clone(ab))
-                    } else {
-                        (Arc::clone(ab), Arc::clone(ba))
-                    };
-                    CarrierEnd::Mem { rx, tx }
-                }
-                PairRes::Sock { a: sa, b: sb } => {
-                    let stream = if s == a { sa.take() } else { sb.take() }
-                        .expect("socket endpoint consumed once");
-                    conns.push(SockConn::new(stream, carriers.len() as u32));
-                    CarrierEnd::Sock(conns.len() as u32 - 1)
-                }
-            };
+            let stream = streams.remove(&(s, peer_shard));
             carrier_of_peer.insert(peer_shard, carriers.len() as u32);
-            carriers.push(Carrier::new(peer_shard, end));
+            carriers.push(Carrier::new(
+                peer_shard,
+                stream.expect("each socket end is taken once"),
+            ));
         }
 
         let hosted = cuts[s]..cuts[s + 1];
@@ -324,12 +272,10 @@ pub fn run_reactor_cluster(
         shard_structs.push(Shard {
             id: s,
             epoll,
-            wake: Arc::clone(&wakes[s]),
             block,
             agents,
             links,
             carriers,
-            conns,
             identity,
             handshake_timeout: rt.handshake_timeout,
             coalesce: rt.coalesce,
@@ -413,14 +359,12 @@ pub fn host_node(
     drop(listener);
 
     let mut carriers = Vec::with_capacity(neighbors.len());
-    let mut conns = Vec::with_capacity(neighbors.len());
     let mut links = Vec::with_capacity(neighbors.len());
     for (slot, (&peer, s)) in neighbors.iter().zip(streams).enumerate() {
         let slot = slot as u32;
         s.stream.set_nodelay(true).map_err(bringup_io)?;
         s.stream.set_nonblocking(true).map_err(bringup_io)?;
-        conns.push(SockConn::new(s.stream, slot));
-        let mut carrier = Carrier::new(peer, CarrierEnd::Sock(slot));
+        let mut carrier = Carrier::new(peer, s.stream);
         carrier.label = s.label;
         carrier.reasm.push(&s.preread);
         carrier.fed_links.push(slot);
@@ -438,12 +382,10 @@ pub fn host_node(
     let shard = Shard {
         id: node,
         epoll: Epoll::new().map_err(bringup_io)?,
-        wake: Arc::new(EventFd::new().map_err(bringup_io)?),
         block: AgentCore::new([(spec, neighbors)]),
         agents,
         links,
         carriers,
-        conns,
         identity: ClusterIdentity {
             n_nodes: graph.len() as u32,
             topology_hash: graph.topology_hash(),

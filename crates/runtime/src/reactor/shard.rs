@@ -34,8 +34,8 @@
 //! back to `receive` / `drain`. The one kind it looks at is `Eof`, the
 //! in-band link-level FIN — transport, not protocol.
 
-use super::conn::{Carrier, CarrierEnd, CarrierState, Inbox, Link, SockConn, Wake};
-use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use super::conn::{Carrier, CarrierState, Inbox, Link, Wake};
+use super::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use super::wheel::{TimerKey, TimerKind, Wheel};
 use crate::agent::AgentCore;
 use crate::error::{HandshakeFailure, RuntimeError};
@@ -48,9 +48,6 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Epoll token reserved for the shard's wakeup eventfd.
-const WAKE_TOKEN: u64 = u64::MAX;
 
 /// Where an agent is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,21 +91,17 @@ impl AgentSlot {
 pub struct Shard {
     /// Shard index (thread name, handshake identity, diagnostics).
     pub id: usize,
-    /// This shard's epoll instance.
+    /// This shard's epoll instance; a carrier's token is its index.
     pub epoll: Epoll,
-    /// Wakeup eventfd (registered under [`WAKE_TOKEN`]).
-    pub wake: Arc<EventFd>,
     /// The hosted agents' protocol state, block index = agent index.
     pub block: AgentCore,
     /// The hosted agents' driver state.
     pub agents: Vec<AgentSlot>,
     /// All links of hosted agents, in block slot order.
     pub links: Vec<Link>,
-    /// Byte carriers: one per peer shard this shard exchanges traffic
-    /// with (intra-shard edges need none).
+    /// Byte carriers: one socket per peer shard this shard exchanges
+    /// traffic with (intra-shard edges need none).
     pub carriers: Vec<Carrier>,
-    /// Socket connections backing [`CarrierEnd::Sock`] carriers.
-    pub conns: Vec<SockConn>,
     /// Cluster identity validated in carrier handshakes.
     pub identity: crate::wire::ClusterIdentity,
     /// Handshake deadline.
@@ -140,8 +133,6 @@ struct Loop {
     forced: bool,
     /// Socket read buffer.
     scratch: Vec<u8>,
-    /// Mem-pipe take buffer.
-    mem_scratch: Vec<u8>,
     /// Inbound batch decode scratch, reused across every frame.
     batch: DataBatch,
     /// Carriers whose handshake has not completed.
@@ -180,7 +171,6 @@ pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeEr
         stalled: 0,
         forced: false,
         scratch: vec![0u8; 64 * 1024],
-        mem_scratch: Vec::new(),
         batch: DataBatch::default(),
         hs_pending: shard.carriers.len(),
         round_check_armed: false,
@@ -222,23 +212,16 @@ fn drive(
     lp: &mut Loop,
     n_agents: usize,
 ) -> Result<(), RuntimeError> {
-    // Register every socket and the wake eventfd.
-    for (idx, conn) in shard.conns.iter().enumerate() {
+    // Register every carrier's socket under its index.
+    for (ci, c) in shard.carriers.iter().enumerate() {
         shard
             .epoll
-            .add(conn.stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, idx as u64)
+            .add(c.stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, ci as u64)
             .map_err(|source| RuntimeError::Io {
-                peer: shard.carriers[conn.carrier as usize].peer_label(),
+                peer: c.peer_label(),
                 source,
             })?;
     }
-    shard
-        .epoll
-        .add(shard.wake.raw(), EPOLLIN, WAKE_TOKEN)
-        .map_err(|source| RuntimeError::Io {
-            peer: format!("shard {}", shard.id),
-            source,
-        })?;
 
     // Kick off carrier handshakes: the lower shard id sends Hello, the
     // higher waits and acks. One handshake per carrier — not per link —
@@ -303,12 +286,7 @@ fn drive(
                 source,
             })?;
         for ev in events.iter().take(n).copied() {
-            let token = ev.data;
-            if token == WAKE_TOKEN {
-                shard.wake.drain();
-                continue;
-            }
-            handle_conn_event(shard, lp, token as usize, ev.events)?;
+            handle_conn_event(shard, lp, ev.data as usize, ev.events)?;
         }
         fire_timers(shard, block, lp)?;
     }
@@ -325,13 +303,12 @@ fn release_agents(shard: &mut Shard, lp: &mut Loop) {
     }
 }
 
-/// Sweeps the mem carriers and the queued agents, again and again, until
-/// no agent can advance — then flushes every carrier in one write each.
-/// Intra-shard entries are delivered as they are staged, so a one-shard
-/// run completes every round inside one pump.
+/// Sweeps the queued agents, again and again, until no agent can advance
+/// — then flushes every carrier in one write each. Intra-shard entries are
+/// delivered as they are staged, so a one-shard run completes every round
+/// inside one pump.
 fn pump(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop) -> Result<(), RuntimeError> {
     loop {
-        sweep_mem(shard, lp)?;
         if lp.n_queued == 0 {
             // A same-shard EOF lands only now, when nothing on the shard
             // can happen without it, so the path by which a neighbor of
@@ -385,30 +362,6 @@ fn queue_step(lp: &mut Loop, agent: u32) {
         lp.queued[word] |= bit;
         lp.n_queued += 1;
     }
-}
-
-/// Takes pending bytes out of every dirty mem carrier into its reassembly
-/// buffer and routes the complete frames.
-fn sweep_mem(shard: &mut Shard, lp: &mut Loop) -> Result<(), RuntimeError> {
-    for ci in 0..shard.carriers.len() {
-        let rx = match &shard.carriers[ci].end {
-            CarrierEnd::Mem { rx, .. } => Arc::clone(rx),
-            _ => continue,
-        };
-        if shard.carriers[ci].eof || !rx.is_dirty() {
-            continue;
-        }
-        lp.mem_scratch.clear();
-        let closed = rx.take(&mut lp.mem_scratch);
-        if !lp.mem_scratch.is_empty() {
-            shard.carriers[ci].reasm.push(&lp.mem_scratch);
-            route_carrier(shard, lp, ci)?;
-        }
-        if closed {
-            carrier_stream_eof(shard, lp, ci);
-        }
-    }
-    Ok(())
 }
 
 /// Pops every complete frame out of a carrier's reassembly buffer,
@@ -641,9 +594,6 @@ fn carrier_established(shard: &mut Shard, lp: &mut Loop, ci: usize) {
 /// sealing any open batch first.
 fn stage_msg(shard: &mut Shard, ci: usize, msg: &WireMsg) {
     let c = &mut shard.carriers[ci];
-    if c.closed_out {
-        return;
-    }
     c.writer.seal(&mut c.staging);
     encode_frame_into(msg, &mut c.staging);
 }
@@ -684,23 +634,17 @@ fn send_entry(
 /// Stages an entry on carrier `ci`; `false` when the carrier is closed.
 #[inline(never)]
 fn stage_on_carrier(shard: &mut Shard, ci: usize, round: u32, entry: BatchEntry) -> bool {
-    if shard.carriers[ci].closed_out {
+    let c = &mut shard.carriers[ci];
+    if c.closed {
         return false;
     }
-    if let CarrierEnd::Sock(conn_idx) = shard.carriers[ci].end {
-        if shard.conns[conn_idx as usize].closed {
-            return false;
-        }
-    }
-    let c = &mut shard.carriers[ci];
     c.writer.push(&mut c.staging, round, entry, shard.coalesce);
     true
 }
 
-/// Moves every carrier's staged bytes to its transport: one mutex-guarded
-/// append per mem carrier, one (vectored) socket write per sock carrier.
-/// This — not per-message writes — is what makes the per-round wire cost
-/// O(carriers).
+/// Moves every carrier's staged bytes to its socket in one (vectored)
+/// write. This — not per-message writes — is what makes the per-round
+/// wire cost O(carriers).
 fn flush_cross(shard: &mut Shard) {
     for ci in 0..shard.carriers.len() {
         let c = &mut shard.carriers[ci];
@@ -708,44 +652,28 @@ fn flush_cross(shard: &mut Shard) {
         if c.staging.is_empty() {
             continue;
         }
-        if c.closed_out {
-            c.staging.clear();
-            continue;
-        }
-        match &c.end {
-            CarrierEnd::Mem { tx, .. } => {
-                tx.send(&c.staging);
-                c.staging.clear();
-            }
-            CarrierEnd::Sock(conn_idx) => {
-                let conn_idx = *conn_idx as usize;
-                let conn = &mut shard.conns[conn_idx];
-                conn.out.extend_from_slice(&c.staging);
-                c.staging.clear();
-                flush_conn(shard, conn_idx);
-            }
-        }
+        c.out.extend_from_slice(&c.staging);
+        c.staging.clear();
+        flush_conn(shard, ci);
     }
 }
 
-/// Pushes buffered outbound bytes into the kernel with vectored writes
-/// where the ring wraps; arms `EPOLLOUT` on `WouldBlock`, completes a
-/// pending graceful close once drained.
-fn flush_conn(shard: &mut Shard, conn_idx: usize) {
-    let conn = &mut shard.conns[conn_idx];
-    while !conn.out.is_empty() && !conn.closed {
-        match conn.out.write_to(&mut conn.stream) {
-            Ok(0) => conn.closed = true,
+/// Pushes carrier `ci`'s buffered outbound bytes into the kernel with
+/// vectored writes where the ring wraps; arms `EPOLLOUT` on `WouldBlock`.
+fn flush_conn(shard: &mut Shard, ci: usize) {
+    let c = &mut shard.carriers[ci];
+    while !c.out.is_empty() && !c.closed {
+        match c.out.write_to(&mut c.stream) {
+            Ok(0) => c.closed = true,
             Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => conn.closed = true,
+            Err(_) => c.closed = true,
         }
     }
-    let flushed = conn.out.is_empty();
-    let want = !flushed && !conn.closed;
-    if want != conn.want_write {
-        conn.want_write = want;
+    let want = !c.out.is_empty() && !c.closed;
+    if want != c.want_write {
+        c.want_write = want;
         let interest = if want {
             EPOLLIN | EPOLLRDHUP | EPOLLOUT
         } else {
@@ -753,41 +681,33 @@ fn flush_conn(shard: &mut Shard, conn_idx: usize) {
         };
         let _ = shard
             .epoll
-            .modify(conn.stream.as_raw_fd(), interest, conn_idx as u64);
-    }
-    if flushed && conn.closing && !conn.closed {
-        let _ = conn.stream.shutdown(Shutdown::Write);
-        conn.closing = false;
+            .modify(c.stream.as_raw_fd(), interest, ci as u64);
     }
 }
 
 fn handle_conn_event(
     shard: &mut Shard,
     lp: &mut Loop,
-    conn_idx: usize,
+    ci: usize,
     events: u32,
 ) -> Result<(), RuntimeError> {
-    if conn_idx >= shard.conns.len() {
-        return Ok(());
-    }
     if events & EPOLLOUT != 0 {
-        flush_conn(shard, conn_idx);
+        flush_conn(shard, ci);
     }
     if events & (EPOLLIN | EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0 {
-        let ci = shard.conns[conn_idx].carrier as usize;
         let mut saw_eof = events & (EPOLLERR | EPOLLHUP) != 0;
         loop {
-            let conn = &mut shard.conns[conn_idx];
-            if conn.closed {
+            let c = &mut shard.carriers[ci];
+            if c.closed {
                 break;
             }
-            match std::io::Read::read(&mut conn.stream, &mut lp.scratch) {
+            match std::io::Read::read(&mut c.stream, &mut lp.scratch) {
                 Ok(0) => {
                     saw_eof = true;
                     break;
                 }
                 Ok(n) => {
-                    shard.carriers[ci].reasm.push(&lp.scratch[..n]);
+                    c.reasm.push(&lp.scratch[..n]);
                     route_carrier(shard, lp, ci)?;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -799,10 +719,10 @@ fn handle_conn_event(
             }
         }
         if saw_eof {
-            let conn = &mut shard.conns[conn_idx];
-            if !conn.closed {
-                conn.closed = true;
-                let _ = shard.epoll.delete(conn.stream.as_raw_fd());
+            let c = &mut shard.carriers[ci];
+            if !c.closed {
+                c.closed = true;
+                let _ = shard.epoll.delete(c.stream.as_raw_fd());
             }
             carrier_stream_eof(shard, lp, ci);
         }
@@ -982,48 +902,29 @@ fn finish_agent(shard: &mut Shard, block: &AgentCore, lp: &mut Loop, a: u32) {
     }
 }
 
-/// Seals and flushes every carrier's remaining bytes, then closes the
-/// outbound sides (mem: closed flag; sock: drain then FIN). Socket tails
-/// fall back to bounded blocking writes so goodbye/EOF frames are not
-/// lost when the loop is no longer around to answer `EPOLLOUT`.
+/// Seals and flushes every carrier's remaining bytes, then shuts the
+/// outbound side (drain then FIN). The tails fall back to bounded blocking
+/// writes so goodbye/EOF frames are not lost when the loop is no longer
+/// around to answer `EPOLLOUT`.
 fn teardown(shard: &mut Shard) {
-    for ci in 0..shard.carriers.len() {
-        let c = &mut shard.carriers[ci];
+    for c in &mut shard.carriers {
         c.writer.seal(&mut c.staging);
-        if c.closed_out {
-            c.staging.clear();
+        c.out.extend_from_slice(&c.staging);
+        c.staging.clear();
+        if c.closed {
             continue;
         }
-        c.closed_out = true;
-        match &c.end {
-            CarrierEnd::Mem { tx, .. } => {
-                if !c.staging.is_empty() {
-                    tx.send(&c.staging);
-                    c.staging.clear();
-                }
-                tx.close();
-            }
-            CarrierEnd::Sock(conn_idx) => {
-                let conn_idx = *conn_idx as usize;
-                let conn = &mut shard.conns[conn_idx];
-                conn.out.extend_from_slice(&c.staging);
-                c.staging.clear();
-                if conn.closed {
-                    continue;
-                }
-                let _ = conn.stream.set_nonblocking(false);
-                let _ = conn.stream.set_write_timeout(Some(Duration::from_secs(2)));
-                while !conn.out.is_empty() {
-                    match conn.out.write_to(&mut conn.stream) {
-                        Ok(0) => break,
-                        Ok(_) => {}
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => break,
-                    }
-                }
-                let _ = conn.stream.shutdown(Shutdown::Write);
+        let _ = c.stream.set_nonblocking(false);
+        let _ = c.stream.set_write_timeout(Some(Duration::from_secs(2)));
+        while !c.out.is_empty() {
+            match c.out.write_to(&mut c.stream) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
             }
         }
+        let _ = c.stream.shutdown(Shutdown::Write);
     }
 }
 

@@ -1,12 +1,11 @@
-//! Minimal raw-syscall bindings for the reactor: `epoll`, `eventfd`, and
-//! `getrlimit`, hand-declared so the crate stays dependency-free (the
-//! repo's offline-vendoring convention — no `libc` crate in the tree).
+//! Minimal raw-syscall bindings for the reactor: `epoll` only,
+//! hand-declared so the crate stays dependency-free (the repo's
+//! offline-vendoring convention — no `libc` crate in the tree).
 //!
-//! Everything is wrapped in owned types ([`Epoll`], [`EventFd`]) so file
-//! descriptors close on drop and no raw fd escapes the module.
+//! The instance is wrapped in an owned type ([`Epoll`]) so its file
+//! descriptor closes on drop and no raw fd escapes the module.
 
-use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
 /// Readable (or accept-ready) event bit.
@@ -24,9 +23,6 @@ const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
-const EFD_NONBLOCK: i32 = 0o4000;
-const EFD_CLOEXEC: i32 = 0o2000000;
-const RLIMIT_NOFILE: i32 = 7;
 const EINTR: i32 = 4;
 
 /// One `epoll_wait` readiness record. On x86-64 the kernel ABI packs this
@@ -42,18 +38,10 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
-#[repr(C)]
-struct RLimit {
-    rlim_cur: u64,
-    rlim_max: u64,
-}
-
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
-    fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -62,19 +50,6 @@ fn cvt(ret: i32) -> io::Result<i32> {
     } else {
         Ok(ret)
     }
-}
-
-/// The soft open-file-descriptor limit for this process — what the reactor
-/// budgets its socket edges against.
-pub fn nofile_limit() -> io::Result<u64> {
-    let mut lim = RLimit {
-        rlim_cur: 0,
-        rlim_max: 0,
-    };
-    // SAFETY: `lim` is a valid, writable RLimit for the duration of the
-    // call; RLIMIT_NOFILE is a valid resource id on every Linux.
-    cvt(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) })?;
-    Ok(lim.rlim_cur)
 }
 
 /// An owned epoll instance.
@@ -162,47 +137,5 @@ impl Epoll {
                 return Err(err);
             }
         }
-    }
-}
-
-/// A nonblocking eventfd used as a cross-thread wakeup for a poller shard:
-/// senders [`EventFd::signal`] after filling an in-memory pipe, the shard
-/// has it in its epoll set and [`EventFd::drain`]s on wake.
-pub struct EventFd {
-    file: File,
-}
-
-impl EventFd {
-    /// Creates a nonblocking, close-on-exec eventfd.
-    ///
-    /// # Errors
-    ///
-    /// The raw `eventfd` failure.
-    pub fn new() -> io::Result<EventFd> {
-        // SAFETY: plain syscall; the returned fd is immediately owned.
-        let fd = cvt(unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) })?;
-        // SAFETY: `fd` is a freshly created, unowned descriptor.
-        Ok(EventFd {
-            file: unsafe { File::from_raw_fd(fd) },
-        })
-    }
-
-    /// The raw descriptor, for epoll registration.
-    pub fn raw(&self) -> RawFd {
-        self.file.as_raw_fd()
-    }
-
-    /// Wakes the owning shard. A full counter (`WouldBlock`) already
-    /// guarantees a pending wake, so that outcome is success.
-    pub fn signal(&self) {
-        let one = 1u64.to_ne_bytes();
-        // `&File` is `Write`; eventfd writes are atomic across threads.
-        let _ = (&self.file).write(&one);
-    }
-
-    /// Clears the wake counter (nonblocking read until `WouldBlock`).
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        while (&self.file).read(&mut buf).is_ok() {}
     }
 }
