@@ -42,9 +42,9 @@ use std::fmt::Write as _;
 /// `Copy` and fixed-size so the ring never allocates).
 pub const MAX_TIMED_SHARDS: usize = 8;
 
-/// Telemetry knob carried by `DibaConfig` / `SimConfig`. Disabled by
-/// default: the engines then skip recording entirely (one branch per
-/// round, no allocation, no measurable throughput cost).
+/// Telemetry knob carried by `DibaConfig`. Disabled by default: the
+/// engines then skip recording entirely (one branch per round, no
+/// allocation, no measurable throughput cost).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Record per-round telemetry.

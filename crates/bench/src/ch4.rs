@@ -16,8 +16,7 @@ use dpc_models::units::{Seconds, Watts};
 use dpc_models::workload::ClusterBuilder;
 use dpc_models::ServerSpec;
 use dpc_net::CommModel;
-use dpc_sim::budgeter::DibaBudgeter;
-use dpc_sim::engine::{DynamicSim, SimConfig};
+use dpc_sim::engine::{simulate, SimConfig};
 use dpc_sim::schedule::BudgetSchedule;
 use dpc_sim::step::step_response;
 use dpc_topology::Graph;
@@ -303,18 +302,15 @@ pub fn fig4_4(n: usize, minutes: usize) -> String {
     let cluster = ClusterBuilder::new(n).seed(11).build();
     let p = PowerBudgetProblem::new(cluster.utilities(), schedule.budget_at(Seconds::ZERO))
         .expect("feasible");
-    let budgeter = DibaBudgeter::new(p, Graph::ring(n), DibaConfig::default()).expect("sizes");
+    let mut run = DibaRun::new(p, Graph::ring(n), DibaConfig::default()).expect("sizes");
     let config = SimConfig {
         duration: Seconds(60.0 * minutes as f64),
         sample_interval: Seconds(5.0),
         rounds_per_sample: 400,
         churn_mean: None,
         phase_mean: None,
-        record_allocations: false,
-        telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
-    let mut sim = DynamicSim::new(cluster, budgeter, schedule, config);
-    let series = sim.run().expect("schedule feasible");
+    let series = simulate(cluster, &mut run, &schedule, &config).expect("schedule feasible");
 
     let mut t = Table::new(["t (s)", "budget (kW)", "power (kW)", "SNP", "optimal SNP"]);
     for pt in series.points().iter().step_by(6) {
@@ -402,18 +398,21 @@ pub fn fig4_7(n: usize, minutes: usize) -> String {
     let budget = Watts(180.0 * n as f64);
     let cluster = ClusterBuilder::new(n).seed(15).build();
     let p = PowerBudgetProblem::new(cluster.utilities(), budget).expect("feasible");
-    let budgeter = DibaBudgeter::new(p, Graph::ring(n), DibaConfig::default()).expect("sizes");
+    let mut run = DibaRun::new(p, Graph::ring(n), DibaConfig::default()).expect("sizes");
     let config = SimConfig {
         duration: Seconds(60.0 * minutes as f64),
         sample_interval: Seconds(10.0),
         rounds_per_sample: 600,
         churn_mean: Some(Seconds(120.0)),
         phase_mean: None,
-        record_allocations: false,
-        telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
-    let mut sim = DynamicSim::new(cluster, budgeter, BudgetSchedule::constant(budget), config);
-    let series = sim.run().expect("constant schedule feasible");
+    let series = simulate(
+        cluster,
+        &mut run,
+        &BudgetSchedule::constant(budget),
+        &config,
+    )
+    .expect("constant schedule feasible");
 
     let mut t = Table::new(["t (min)", "power (kW)", "SNP", "optimal SNP"]);
     for pt in series.points().iter().step_by(6) {

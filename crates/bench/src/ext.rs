@@ -267,8 +267,7 @@ pub fn ext_enforcement(n: usize) -> String {
 /// whose characteristics swing between compute- and memory-bound phases.
 pub fn ext_phases(n: usize) -> String {
     use dpc_models::units::Seconds;
-    use dpc_sim::budgeter::DibaBudgeter;
-    use dpc_sim::engine::{DynamicSim, SimConfig};
+    use dpc_sim::engine::{simulate, SimConfig};
     use dpc_sim::schedule::BudgetSchedule;
 
     let budget_per = 172.0;
@@ -282,18 +281,21 @@ pub fn ext_phases(n: usize) -> String {
         let cluster = ClusterBuilder::new(n).seed(33).build();
         let budget = Watts(budget_per * n as f64);
         let p = PowerBudgetProblem::new(cluster.utilities(), budget).expect("feasible");
-        let budgeter = DibaBudgeter::new(p, Graph::ring(n), DibaConfig::default()).expect("sizes");
+        let mut run = DibaRun::new(p, Graph::ring(n), DibaConfig::default()).expect("sizes");
         let config = SimConfig {
             duration: Seconds(120.0),
             sample_interval: Seconds(2.0),
             rounds_per_sample: 250,
             churn_mean: None,
             phase_mean: dwell.is_finite().then_some(Seconds(dwell)),
-            record_allocations: false,
-            telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
         };
-        let mut sim = DynamicSim::new(cluster, budgeter, BudgetSchedule::constant(budget), config);
-        let series = sim.run().expect("constant schedule feasible");
+        let series = simulate(
+            cluster,
+            &mut run,
+            &BudgetSchedule::constant(budget),
+            &config,
+        )
+        .expect("constant schedule feasible");
         let violations = series
             .points()
             .iter()

@@ -1,17 +1,17 @@
-//! The epoch-driven cluster simulator behind the dynamic experiments
-//! (Figs. 4.4 and 4.7, and the Chapter 3 runtime traces of Figs. 3.14/3.15).
+//! The epoch-driven front-end of the dynamics loop, behind Figs. 4.4 and
+//! 4.7, `ext_phases` and `dpc simulate`.
 //!
-//! Time advances in fixed sampling intervals. Between samples the engine
-//! (1) applies any scheduled budget change, (2) replaces completed
-//! workloads when churn is enabled, (3) lets the budgeter advance a number
-//! of algorithm rounds, and (4) records power / SNP / oracle-SNP.
+//! Time advances in fixed sampling intervals. Each interval is one tick of
+//! [`mod@crate::replay`]'s loop: (1) any scheduled budget change, (2) the
+//! workloads whose churn expiry passed, (3) the phase transitions, then a
+//! fixed number of DiBA rounds, and a sample of power / SNP / oracle-SNP.
 
-use crate::budgeter::Budgeter;
+use crate::replay::{drive, Change, Settle, Tick};
 use crate::schedule::BudgetSchedule;
 use crate::series::{TimePoint, TimeSeries};
 use dpc_alg::centralized;
+use dpc_alg::diba::DibaRun;
 use dpc_alg::problem::AlgError;
-use dpc_alg::telemetry::TelemetryConfig;
 use dpc_models::metrics::snp_arithmetic;
 use dpc_models::phases::PhasedWorkload;
 use dpc_models::units::Seconds;
@@ -26,24 +26,19 @@ pub struct SimConfig {
     pub duration: Seconds,
     /// Sampling interval.
     pub sample_interval: Seconds,
-    /// Algorithm rounds the budgeter advances per sample.
+    /// DiBA rounds run per sample.
     pub rounds_per_sample: usize,
     /// Mean workload duration for churn; `None` disables churn.
     pub churn_mean: Option<Seconds>,
     /// Mean execution-phase dwell time; `None` disables phase behaviour.
     /// With phases on, every server cycles through compute/memory phases
-    /// of its benchmark and the budgeter is notified at each transition.
+    /// of its benchmark and each transition replaces its curve.
     pub phase_mean: Option<Seconds>,
-    /// Record per-server allocations at every sample (memory-heavy).
-    pub record_allocations: bool,
-    /// Round-level recording, installed on the budgeter's engine before the
-    /// run (off by default; budgeters without an engine ignore it).
-    pub telemetry: TelemetryConfig,
 }
 
 impl SimConfig {
     /// A sensible default: `duration` at 1 s sampling, 50 rounds per
-    /// sample, no churn, no allocation recording.
+    /// sample, no churn, no phases.
     pub fn new(duration: Seconds) -> SimConfig {
         SimConfig {
             duration,
@@ -51,20 +46,18 @@ impl SimConfig {
             rounds_per_sample: 50,
             churn_mean: None,
             phase_mean: None,
-            record_allocations: false,
-            telemetry: TelemetryConfig::off(),
         }
     }
 
     /// Checks every knob holds a value the engine can honor, so a bad
-    /// configuration surfaces as a typed error at the top of [`DynamicSim::run`]
+    /// configuration surfaces as a typed error at the top of [`simulate`]
     /// instead of a panic (or a silently corrupted cast) mid-simulation.
     ///
     /// # Errors
     ///
     /// [`AlgError::InvalidConfig`] naming the offending knob: a non-finite
     /// or non-positive sample interval, a non-finite or negative duration,
-    /// non-positive churn/phase means, or a zero telemetry capacity.
+    /// or non-positive churn/phase means.
     pub fn validate(&self) -> Result<(), AlgError> {
         let bad = |what: String| Err(AlgError::InvalidConfig { what });
         if !self.sample_interval.0.is_finite() || self.sample_interval <= Seconds::ZERO {
@@ -79,89 +72,71 @@ impl SimConfig {
                 self.duration.0
             ));
         }
-        if let Some(mean) = self.churn_mean {
-            if !mean.0.is_finite() || mean <= Seconds::ZERO {
-                return bad(format!(
-                    "churn_mean = Some({} s) must be finite and positive",
-                    mean.0
-                ));
+        for (knob, mean) in [
+            ("churn_mean", self.churn_mean),
+            ("phase_mean", self.phase_mean),
+        ] {
+            match mean {
+                Some(mean) if !mean.0.is_finite() || mean <= Seconds::ZERO => {
+                    return bad(format!(
+                        "{knob} = Some({} s) must be finite and positive",
+                        mean.0
+                    ));
+                }
+                _ => {}
             }
         }
-        if let Some(mean) = self.phase_mean {
-            if !mean.0.is_finite() || mean <= Seconds::ZERO {
-                return bad(format!(
-                    "phase_mean = Some({} s) must be finite and positive",
-                    mean.0
-                ));
-            }
-        }
-        self.telemetry.validate()
+        Ok(())
     }
 }
 
-/// Runs a dynamic cluster simulation.
-pub struct DynamicSim<B: Budgeter> {
-    cluster: Cluster,
-    budgeter: B,
-    schedule: BudgetSchedule,
-    config: SimConfig,
-    /// Per-server workload expiry times (churn).
-    expiries: Vec<f64>,
-    /// Per-server phase state (when phases are enabled).
-    phased: Vec<PhasedWorkload>,
-}
-
-impl<B: Budgeter> DynamicSim<B> {
-    /// Builds the simulation. The budgeter must already be initialized on
-    /// the cluster's problem with the schedule's `t = 0` budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the budgeter's problem size differs from the cluster size.
-    pub fn new(
-        cluster: Cluster,
-        budgeter: B,
-        schedule: BudgetSchedule,
-        config: SimConfig,
-    ) -> DynamicSim<B> {
-        assert_eq!(
-            budgeter.problem().len(),
-            cluster.len(),
-            "budgeter and cluster sizes differ"
-        );
-        DynamicSim {
-            cluster,
-            budgeter,
-            schedule,
-            config,
-            expiries: Vec::new(),
-            phased: Vec::new(),
-        }
+/// Drives `run` through `config.duration` of simulated time under
+/// `schedule`, with `cluster`'s churn and phases when `config` turns them
+/// on, and samples it every `config.sample_interval`. `run` must be
+/// initialized on `cluster`'s problem with the schedule's `t = 0` budget;
+/// it is left warm after the last sample (telemetry, final allocation).
+///
+/// The start draws the churn expiries in node order, replaces every
+/// node's curve with its first phase, re-sets the `t = 0` budget (which
+/// re-arms the stage counter) and samples. Each interval then sets the
+/// budget if the schedule moved, replaces the curve of each expired
+/// workload and then of each phase transition one node at a time, in node
+/// order, runs `rounds_per_sample` rounds and samples.
+///
+/// # Errors
+///
+/// [`AlgError::InvalidConfig`] when the configuration fails
+/// [`SimConfig::validate`] or `run` and `cluster` differ in size;
+/// [`AlgError::InfeasibleBudget`] when the schedule drops below the
+/// cluster's idle floor.
+pub fn simulate(
+    mut cluster: Cluster,
+    run: &mut DibaRun,
+    schedule: &BudgetSchedule,
+    config: &SimConfig,
+) -> Result<TimeSeries, AlgError> {
+    config.validate()?;
+    if run.problem().len() != cluster.len() {
+        return Err(AlgError::InvalidConfig {
+            what: format!(
+                "run has {} nodes but the cluster {} servers",
+                run.problem().len(),
+                cluster.len()
+            ),
+        });
     }
-
-    /// Runs the simulation to completion.
-    ///
-    /// # Errors
-    ///
-    /// [`AlgError::InvalidConfig`] when the configuration fails
-    /// [`SimConfig::validate`]; [`AlgError::InfeasibleBudget`] when the
-    /// schedule drops below the cluster's idle floor.
-    pub fn run(&mut self) -> Result<TimeSeries, AlgError> {
-        self.config.validate()?;
-        let dt = self.config.sample_interval;
-
-        // Initialize churn expiries.
-        if let Some(mean) = self.config.churn_mean {
-            self.expiries = (0..self.cluster.len())
-                .map(|_| self.cluster.draw_duration(mean.0))
-                .collect();
-        }
-        // Initialize phase state.
-        if let Some(mean) = self.config.phase_mean {
-            let server = self.cluster.server().clone();
+    let dt = config.sample_interval;
+    let mut expiries: Vec<f64> = match config.churn_mean {
+        Some(mean) => (0..cluster.len())
+            .map(|_| cluster.draw_duration(mean.0))
+            .collect(),
+        None => Vec::new(),
+    };
+    let mut phased: Vec<PhasedWorkload> = match config.phase_mean {
+        Some(mean) => {
+            let server = cluster.server().clone();
             let mut rng = StdRng::seed_from_u64(0x9a5e);
-            self.phased = self
-                .cluster
+            cluster
                 .workloads()
                 .iter()
                 .map(|w| {
@@ -173,90 +148,86 @@ impl<B: Budgeter> DynamicSim<B> {
                         &mut rng,
                     )
                 })
-                .collect();
-            for (i, ph) in self.phased.iter().enumerate() {
-                self.budgeter.workload_changed(i, *ph.current());
+                .collect()
+        }
+        None => Vec::new(),
+    };
+
+    // One node per curve change: a node that churns and changes phase in
+    // the same interval is clamped into both boxes in turn, which a batch
+    // would not do.
+    let curve = |i: usize, u| Change::Curves(vec![(i, u)]);
+    // The start: every node's first phase curve, then the unchanged t = 0
+    // budget (setting it re-arms the stage counter), and no rounds.
+    let mut changes: Vec<Change> = phased
+        .iter()
+        .enumerate()
+        .map(|(i, ph)| curve(i, *ph.current()))
+        .collect();
+    changes.push(Change::Budget(schedule.budget_at(Seconds::ZERO)));
+    let mut start = Some(Tick {
+        changes,
+        settle: Settle::Rounds(0),
+        mark: Seconds::ZERO,
+    });
+    let mut t = Seconds::ZERO;
+    let next = |_: &DibaRun| {
+        if let Some(tick) = start.take() {
+            return Some(tick);
+        }
+        if t >= config.duration {
+            return None;
+        }
+        let now = t + dt;
+        let mut changes = Vec::new();
+        if schedule.changes_within(t, now) {
+            changes.push(Change::Budget(schedule.budget_at(now)));
+        }
+        if let Some(mean) = config.churn_mean {
+            for (i, expiry) in expiries.iter_mut().enumerate() {
+                if *expiry <= now.0 {
+                    cluster.churn(i);
+                    changes.push(curve(i, cluster.workloads()[i].learned));
+                    *expiry = now.0 + cluster.draw_duration(mean.0);
+                }
             }
         }
-        if self.config.telemetry.enabled {
-            self.budgeter.set_telemetry(self.config.telemetry);
-        }
-
-        let mut series = TimeSeries::new();
-        let mut t = Seconds::ZERO;
-        self.budgeter.set_budget(self.schedule.budget_at(t))?;
-        self.sample(t, &mut series);
-
-        while t < self.config.duration {
-            let next = t + dt;
-            if self.schedule.changes_within(t, next) {
-                self.budgeter.set_budget(self.schedule.budget_at(next))?;
-            }
-            if self.config.churn_mean.is_some() {
-                self.apply_churn(next);
-            }
-            if self.config.phase_mean.is_some() {
-                self.apply_phases(dt);
-            }
-            self.budgeter.advance(self.config.rounds_per_sample);
-            t = next;
-            self.sample(t, &mut series);
-        }
-        Ok(series)
-    }
-
-    /// Access to the budgeter after the run.
-    pub fn budgeter(&self) -> &B {
-        &self.budgeter
-    }
-
-    fn apply_churn(&mut self, now: Seconds) {
-        let mean = self.config.churn_mean.expect("caller checked");
-        for i in 0..self.expiries.len() {
-            if self.expiries[i] <= now.0 {
-                self.cluster.churn(i);
-                let utility = self.cluster.workloads()[i].learned;
-                self.budgeter.workload_changed(i, utility);
-                self.expiries[i] = now.0 + self.cluster.draw_duration(mean.0);
-            }
-        }
-    }
-
-    fn apply_phases(&mut self, dt: Seconds) {
-        for (i, ph) in self.phased.iter_mut().enumerate() {
+        for (i, ph) in phased.iter_mut().enumerate() {
             if ph.advance(dt.0) {
-                self.budgeter.workload_changed(i, *ph.current());
+                changes.push(curve(i, *ph.current()));
             }
         }
-    }
+        t = now;
+        Some(Tick {
+            changes,
+            settle: Settle::Rounds(config.rounds_per_sample),
+            mark: now,
+        })
+    };
 
-    fn sample(&self, t: Seconds, series: &mut TimeSeries) {
-        let problem = self.budgeter.problem();
-        let allocation = self.budgeter.allocation();
-        let snp = snp_arithmetic(&problem.anps(&allocation));
+    let mut series = TimeSeries::new();
+    drive(run, next, |run, t, _| {
+        let problem = run.problem();
+        let allocation = run.allocation();
         let oracle = centralized::solve(problem);
-        let optimal_snp = snp_arithmetic(&problem.anps(&oracle.allocation));
         series.push(TimePoint {
             t,
             budget: problem.budget(),
             total_power: allocation.total(),
-            snp,
-            optimal_snp,
-            allocation: self
-                .config
-                .record_allocations
-                .then(|| allocation.powers().to_vec()),
+            snp: snp_arithmetic(&problem.anps(&allocation)),
+            optimal_snp: snp_arithmetic(&problem.anps(&oracle.allocation)),
         });
-    }
+        Ok(())
+    })?;
+    Ok(series)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budgeter::{DibaBudgeter, UniformBudgeter};
     use dpc_alg::diba::DibaConfig;
-    use dpc_alg::exec::Precision;
     use dpc_alg::problem::PowerBudgetProblem;
+    use dpc_alg::telemetry::TelemetryConfig;
     use dpc_models::units::Watts;
     use dpc_models::workload::ClusterBuilder;
     use dpc_topology::Graph;
@@ -265,101 +236,75 @@ mod tests {
         ClusterBuilder::new(n).seed(seed).build()
     }
 
+    /// A DiBA run on a ring over `c`'s problem at `budget`.
+    fn ring_run(c: &Cluster, budget: f64, config: DibaConfig) -> DibaRun {
+        let p = PowerBudgetProblem::new(c.utilities(), Watts(budget)).unwrap();
+        DibaRun::new(p, Graph::ring(c.len()), config).unwrap()
+    }
+
     fn config(duration: f64) -> SimConfig {
         SimConfig {
-            duration: Seconds(duration),
-            sample_interval: Seconds(1.0),
             rounds_per_sample: 40,
-            churn_mean: None,
-            phase_mean: None,
-            record_allocations: false,
-            telemetry: TelemetryConfig::off(),
+            ..SimConfig::new(Seconds(duration))
         }
     }
 
     #[test]
     fn bad_engine_knobs_are_typed_errors() {
-        type Poison = Box<dyn Fn(&mut SimConfig)>;
-        let cases: Vec<(&str, Poison)> = vec![
-            (
-                "zero interval",
-                Box::new(|c| c.sample_interval = Seconds(0.0)),
-            ),
-            (
-                "nan interval",
-                Box::new(|c| c.sample_interval = Seconds(f64::NAN)),
-            ),
-            (
-                "negative duration",
-                Box::new(|c| c.duration = Seconds(-1.0)),
-            ),
-            (
-                "zero churn mean",
-                Box::new(|c| c.churn_mean = Some(Seconds(0.0))),
-            ),
-            (
-                "nan phase mean",
-                Box::new(|c| c.phase_mean = Some(Seconds(f64::NAN))),
-            ),
+        type Poison = fn(&mut SimConfig);
+        let cases: [(&str, Poison); 5] = [
+            ("zero interval", |c| c.sample_interval = Seconds(0.0)),
+            ("nan interval", |c| c.sample_interval = Seconds(f64::NAN)),
+            ("negative duration", |c| c.duration = Seconds(-1.0)),
+            ("zero churn mean", |c| c.churn_mean = Some(Seconds(0.0))),
+            ("nan phase mean", |c| c.phase_mean = Some(Seconds(f64::NAN))),
         ];
         for (name, poison) in cases {
             let c = cluster(5, 5);
-            let p = PowerBudgetProblem::new(c.utilities(), Watts(850.0)).unwrap();
-            let b = UniformBudgeter::new(p);
+            let mut run = ring_run(&c, 850.0, DibaConfig::default());
             let mut cfg = config(5.0);
             poison(&mut cfg);
-            let mut sim = DynamicSim::new(c, b, BudgetSchedule::constant(Watts(850.0)), cfg);
+            let schedule = BudgetSchedule::constant(Watts(850.0));
             assert!(
-                matches!(sim.run(), Err(AlgError::InvalidConfig { .. })),
+                matches!(
+                    simulate(c, &mut run, &schedule, &cfg),
+                    Err(AlgError::InvalidConfig { .. })
+                ),
                 "{name} not rejected"
             );
         }
         assert!(config(5.0).validate().is_ok());
+        // A run over another cluster size is a typed error too.
+        let mut run = ring_run(&cluster(6, 5), 1_020.0, DibaConfig::default());
+        let schedule = BudgetSchedule::constant(Watts(850.0));
+        assert!(matches!(
+            simulate(cluster(5, 5), &mut run, &schedule, &config(5.0)),
+            Err(AlgError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
     fn sim_telemetry_reaches_the_budgeter_engine() {
         let c = cluster(20, 2);
-        let p = PowerBudgetProblem::new(c.utilities(), Watts(3_400.0)).unwrap();
-        let b = DibaBudgeter::new(p, Graph::ring(20), DibaConfig::default()).unwrap();
-        let mut cfg = config(5.0);
-        cfg.telemetry = TelemetryConfig::on();
-        let mut sim = DynamicSim::new(c, b, BudgetSchedule::constant(Watts(3_400.0)), cfg);
-        sim.run().unwrap();
-        let tel = sim.budgeter().telemetry().expect("recorder installed");
+        let recorded = DibaConfig {
+            telemetry: TelemetryConfig::on(),
+            ..DibaConfig::default()
+        };
+        let mut run = ring_run(&c, 3_400.0, recorded);
+        let schedule = BudgetSchedule::constant(Watts(3_400.0));
+        simulate(c, &mut run, &schedule, &config(5.0)).unwrap();
+        let tel = run.telemetry().expect("recorder installed");
         // 5 samples × 40 rounds each.
         assert_eq!(tel.rounds_recorded(), 200);
         assert!(tel.latest().unwrap().conservation_drift() < 1e-6);
     }
 
     #[test]
-    fn fast_precision_sim_stays_feasible_and_tracks_optimal() {
-        let c = cluster(20, 2);
-        let p = PowerBudgetProblem::new(c.utilities(), Watts(3_400.0)).unwrap();
-        let fast = DibaConfig {
-            precision: Precision::Fast,
-            ..DibaConfig::default()
-        };
-        let b = DibaBudgeter::new(p, Graph::ring(20), fast).unwrap();
-        let schedule = BudgetSchedule::constant(Watts(3_400.0));
-        let mut sim = DynamicSim::new(c, b, schedule, config(10.0));
-        let series = sim.run().unwrap();
-        assert!(series.budget_respected(Watts(1e-6)));
-        assert!(
-            series.mean_optimality() > 0.95,
-            "{}",
-            series.mean_optimality()
-        );
-    }
-
-    #[test]
     fn diba_tracks_a_budget_step_without_violations() {
         let c = cluster(30, 1);
-        let p = PowerBudgetProblem::new(c.utilities(), Watts(5_700.0)).unwrap();
-        let b = DibaBudgeter::new(p, Graph::ring(30), DibaConfig::default()).unwrap();
+        let mut run = ring_run(&c, 5_700.0, DibaConfig::default());
         let schedule = BudgetSchedule::step(Watts(5_700.0), Watts(5_100.0), Seconds(10.0));
-        let mut sim = DynamicSim::new(c, b, schedule, config(20.0));
-        let series = sim.run().unwrap();
+        let series = simulate(c, &mut run, &schedule, &config(20.0)).unwrap();
         assert_eq!(series.len(), 21);
         // One-sample grace after the step: the decentralized controller
         // needs rounds to shed power (the paper's Figs. 4.5/4.6 transient).
@@ -376,12 +321,11 @@ mod tests {
     #[test]
     fn churn_keeps_running_and_stays_feasible() {
         let c = cluster(20, 2);
-        let p = PowerBudgetProblem::new(c.utilities(), Watts(3_400.0)).unwrap();
-        let b = DibaBudgeter::new(p, Graph::ring(20), DibaConfig::default()).unwrap();
+        let mut run = ring_run(&c, 3_400.0, DibaConfig::default());
         let mut cfg = config(30.0);
         cfg.churn_mean = Some(Seconds(5.0));
-        let mut sim = DynamicSim::new(c, b, BudgetSchedule::constant(Watts(3_400.0)), cfg);
-        let series = sim.run().unwrap();
+        let schedule = BudgetSchedule::constant(Watts(3_400.0));
+        let series = simulate(c, &mut run, &schedule, &cfg).unwrap();
         assert!(series.budget_respected(Watts(1e-6)));
         // SNP stays close to optimal through this (very aggressive: one
         // workload change per server per 5 s) churn.
@@ -397,38 +341,24 @@ mod tests {
         let c = cluster(40, 3);
         let budget = Watts(6_640.0); // 166 W/server: the tight regime
         let p = PowerBudgetProblem::new(c.utilities(), budget).unwrap();
+        let uniform = snp_arithmetic(&p.anps(&dpc_alg::baselines::uniform(&p)));
 
-        let diba = DibaBudgeter::new(p.clone(), Graph::ring(40), DibaConfig::default()).unwrap();
-        let mut sim_d = DynamicSim::new(
-            c.clone(),
-            diba,
-            BudgetSchedule::constant(budget),
-            config(15.0),
-        );
-        let sd = sim_d.run().unwrap();
-
-        let uni = UniformBudgeter::new(p);
-        let mut sim_u = DynamicSim::new(c, uni, BudgetSchedule::constant(budget), config(15.0));
-        let su = sim_u.run().unwrap();
-
-        assert!(
-            sd.points().last().unwrap().snp > su.points().last().unwrap().snp,
-            "DiBA {} vs uniform {}",
-            sd.points().last().unwrap().snp,
-            su.points().last().unwrap().snp
-        );
+        let mut run = ring_run(&c, budget.0, DibaConfig::default());
+        let schedule = BudgetSchedule::constant(budget);
+        let series = simulate(c, &mut run, &schedule, &config(15.0)).unwrap();
+        let diba = series.points().last().unwrap().snp;
+        assert!(diba > uniform, "DiBA {diba} vs uniform {uniform}");
     }
 
     #[test]
     fn phase_transitions_keep_the_budget_and_track_optimal() {
         let c = cluster(24, 7);
-        let p = PowerBudgetProblem::new(c.utilities(), Watts(4_080.0)).unwrap();
-        let b = DibaBudgeter::new(p, Graph::ring(24), DibaConfig::default()).unwrap();
+        let mut run = ring_run(&c, 4_080.0, DibaConfig::default());
         let mut cfg = config(25.0);
         cfg.phase_mean = Some(Seconds(6.0));
         cfg.rounds_per_sample = 150;
-        let mut sim = DynamicSim::new(c, b, BudgetSchedule::constant(Watts(4_080.0)), cfg);
-        let series = sim.run().unwrap();
+        let schedule = BudgetSchedule::constant(Watts(4_080.0));
+        let series = simulate(c, &mut run, &schedule, &cfg).unwrap();
         assert!(series.budget_respected(Watts(1e-6)));
         assert!(
             series.mean_optimality() > 0.9,
@@ -446,26 +376,13 @@ mod tests {
     }
 
     #[test]
-    fn allocation_recording_is_optional() {
-        let c = cluster(5, 4);
-        let p = PowerBudgetProblem::new(c.utilities(), Watts(850.0)).unwrap();
-        let b = UniformBudgeter::new(p);
-        let mut cfg = config(2.0);
-        cfg.record_allocations = true;
-        let mut sim = DynamicSim::new(c, b, BudgetSchedule::constant(Watts(850.0)), cfg);
-        let series = sim.run().unwrap();
-        for pt in series.points() {
-            assert_eq!(pt.allocation.as_ref().map(Vec::len), Some(5));
-        }
-    }
-
-    #[test]
     fn infeasible_schedule_errors() {
         let c = cluster(5, 5);
-        let p = PowerBudgetProblem::new(c.utilities(), Watts(850.0)).unwrap();
-        let b = UniformBudgeter::new(p);
+        let mut run = ring_run(&c, 850.0, DibaConfig::default());
         let schedule = BudgetSchedule::step(Watts(850.0), Watts(100.0), Seconds(1.0));
-        let mut sim = DynamicSim::new(c, b, schedule, config(5.0));
-        assert!(matches!(sim.run(), Err(AlgError::InfeasibleBudget { .. })));
+        assert!(matches!(
+            simulate(c, &mut run, &schedule, &config(5.0)),
+            Err(AlgError::InfeasibleBudget { .. })
+        ));
     }
 }

@@ -1,24 +1,28 @@
 //! # dpc-sim — dynamic cluster simulation
 //!
-//! Drives a budgeter through time: scheduled budget changes
-//! (demand-response), workload churn, and fine-grained step responses —
-//! the machinery behind the paper's dynamic experiments (Figs. 4.4–4.7)
-//! and the Chapter 3 runtime traces (Figs. 3.14/3.15).
+//! Drives a warm DiBA run through time: scheduled budget changes
+//! (demand-response), workload churn and phases, fine-grained step
+//! responses and typed scenario timelines — the machinery behind the
+//! paper's dynamic experiments (Figs. 4.4–4.7) and `dpc simulate` /
+//! `dpc replay`.
+//!
+//! One loop advances the run across events ([`mod@replay`]'s); [`simulate`],
+//! [`step::step_response`] and [`replay()`] are front-ends that feed it
+//! ticks (changes, then k rounds or a settle to rest) and observe it.
 //!
 //! ```
-//! use dpc_sim::{budgeter::DibaBudgeter, engine::{DynamicSim, SimConfig},
-//!               schedule::BudgetSchedule};
-//! use dpc_alg::{diba::DibaConfig, problem::PowerBudgetProblem};
+//! use dpc_sim::{schedule::BudgetSchedule, simulate, SimConfig};
+//! use dpc_alg::diba::{DibaConfig, DibaRun};
+//! use dpc_alg::problem::PowerBudgetProblem;
 //! use dpc_models::{units::{Seconds, Watts}, workload::ClusterBuilder};
 //! use dpc_topology::Graph;
 //!
 //! # fn main() -> Result<(), dpc_alg::problem::AlgError> {
 //! let cluster = ClusterBuilder::new(20).seed(1).build();
 //! let problem = PowerBudgetProblem::new(cluster.utilities(), Watts(3_400.0))?;
-//! let budgeter = DibaBudgeter::new(problem, Graph::ring(20), DibaConfig::default())?;
+//! let mut run = DibaRun::new(problem, Graph::ring(20), DibaConfig::default())?;
 //! let schedule = BudgetSchedule::constant(Watts(3_400.0));
-//! let mut sim = DynamicSim::new(cluster, budgeter, schedule, SimConfig::new(Seconds(5.0)));
-//! let series = sim.run()?;
+//! let series = simulate(cluster, &mut run, &schedule, &SimConfig::new(Seconds(5.0)))?;
 //! assert!(series.budget_respected(Watts(1e-6)));
 //! # Ok(())
 //! # }
@@ -26,7 +30,6 @@
 
 #![warn(missing_docs)]
 
-pub mod budgeter;
 pub mod enforcement;
 pub mod engine;
 pub mod replay;
@@ -34,9 +37,8 @@ pub mod schedule;
 pub mod series;
 pub mod step;
 
-pub use budgeter::{Budgeter, DibaBudgeter, OracleBudgeter, PrimalDualBudgeter, UniformBudgeter};
 pub use enforcement::EnforcedCluster;
-pub use engine::{DynamicSim, SimConfig};
+pub use engine::{simulate, SimConfig};
 pub use replay::{
     replay, ReplayConfig, ReplayOutcome, ReplayReport, Scenario, ScenarioEvent, SettleCriterion,
 };

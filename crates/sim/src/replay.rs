@@ -49,6 +49,12 @@ use dpc_topology::Graph;
 use std::collections::BTreeMap;
 
 /// One event of a scenario timeline.
+///
+/// Frozen: `benchmark/src/workload.rs` matches every variant
+/// exhaustively and `benchmark/src/probes.rs` builds them. A new variant
+/// or field breaks the harness's build, and that harness judges every
+/// change, so the shape stays as it is until the next benchmark change
+/// (ROADMAP.md, "Gate").
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioEvent {
     /// The cluster budget changes to the given total (watts).
@@ -108,6 +114,11 @@ impl ScenarioEvent {
 
 /// An event with its scenario timestamp (seconds, ordering only — the
 /// replay driver measures re-convergence in rounds, not wall time).
+///
+/// Frozen: `benchmark/src/timeline.rs` builds it by struct literal and
+/// `benchmark/src/workload.rs` reads both fields. A new field breaks the
+/// harness's build, and that harness judges every change, so the shape
+/// stays as it is until the next benchmark change (ROADMAP.md, "Gate").
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimedEvent {
     /// Scenario time (non-negative, non-decreasing in file order).
@@ -117,6 +128,12 @@ pub struct TimedEvent {
 }
 
 /// A parsed, validated scenario: cluster description plus timeline.
+///
+/// Frozen: `benchmark/src/probes.rs` builds it by struct literal with all
+/// five fields, and `benchmark/src/workload.rs` drives the same timeline
+/// directly to cross-check [`replay`]'s rounds. A new field breaks the
+/// harness's build, and that harness judges every change, so the shape
+/// stays as it is until the next benchmark change (ROADMAP.md, "Gate").
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Cluster size.
@@ -179,10 +196,10 @@ impl Scenario {
     /// # Errors
     ///
     /// [`AlgError::InvalidConfig`] naming the offending line for syntax
-    /// errors, non-finite or out-of-range numbers, non-monotone event
-    /// times, VM departures with no resident VM, and drain/restore
-    /// mismatches; [`AlgError::UnknownNode`] for events addressing a node
-    /// the cluster does not have.
+    /// errors, a repeated `servers` header, non-finite or out-of-range
+    /// numbers, non-monotone event times, VM departures with no resident
+    /// VM, and drain/restore mismatches; [`AlgError::UnknownNode`] for
+    /// events addressing a node the cluster does not have.
     pub fn parse(text: &str) -> Result<Scenario, AlgError> {
         let mut servers: Option<usize> = None;
         let mut seed: u64 = 0;
@@ -207,6 +224,11 @@ impl Scenario {
             let tokens: Vec<&str> = line.split_whitespace().collect();
             match tokens[0] {
                 "servers" => {
+                    // Events are validated against the size in force, so
+                    // the size cannot change once given.
+                    if servers.is_some() {
+                        return Err(bad(line_no, "`servers` given twice"));
+                    }
                     let v = keyed(&tokens, 0, "servers", line_no)?;
                     let n = parse_usize(v, line_no, "servers")?;
                     if n < 2 {
@@ -629,6 +651,67 @@ pub struct ReplayOutcome {
     pub run: DibaRun,
 }
 
+/// One mutation a [`Tick`] makes before it settles.
+pub(crate) enum Change {
+    /// [`DibaRun::set_budget`].
+    Budget(Watts),
+    /// One [`DibaRun::replace_utilities`] batch (last write per node wins).
+    Curves(Vec<(usize, QuadraticUtility)>),
+}
+
+/// How a [`Tick`] settles once its changes are in.
+pub(crate) enum Settle {
+    /// Exactly this many rounds ([`DibaRun::run`]).
+    Rounds(usize),
+    /// Until at rest ([`DibaRun::run_to_rest`]).
+    Rest(SettleCriterion),
+}
+
+/// One step of a dynamics timeline: its changes in call order, how it
+/// settles, and the mark its observer reads.
+pub(crate) struct Tick<M> {
+    pub(crate) changes: Vec<Change>,
+    pub(crate) settle: Settle,
+    pub(crate) mark: M,
+}
+
+/// The one loop that advances a warm [`DibaRun`] across events; [`replay`],
+/// [`simulate`](crate::engine::simulate) and
+/// [`step_response`](crate::step::step_response) are front-ends that build
+/// its ticks and observe it.
+///
+/// `next` sees the run as the previous tick left it and returns the next
+/// tick (`None` ends the timeline). The loop applies the tick's changes in
+/// order, settles, and hands `observe` the run, the tick's mark and the
+/// settle's rounds (`None`: the rest criterion hit its round bound).
+///
+/// # Errors
+///
+/// The first error of a change or of `observe`.
+pub(crate) fn drive<M>(
+    run: &mut DibaRun,
+    mut next: impl FnMut(&DibaRun) -> Option<Tick<M>>,
+    mut observe: impl FnMut(&mut DibaRun, M, Option<usize>) -> Result<(), AlgError>,
+) -> Result<(), AlgError> {
+    while let Some(tick) = next(run) {
+        for change in &tick.changes {
+            match change {
+                Change::Budget(budget) => run.set_budget(*budget)?,
+                Change::Curves(curves) => run.replace_utilities(curves)?,
+            }
+        }
+        let rounds = match tick.settle {
+            Settle::Rounds(k) => {
+                run.run(k);
+                Some(k)
+            }
+            Settle::Rest(s) => run.run_to_rest(s.tol_watts, s.stable_rounds, s.max_rounds),
+        };
+        observe(run, tick.mark, rounds)?;
+    }
+    Ok(())
+}
+
 /// The idle box a drained node is pinned to: a flat positive utility on
 /// `[p_min, p_min + 1 W]`, so the barrier walks the node to its floor and
 /// the allocator migrates the freed power to its neighbors.
@@ -637,10 +720,16 @@ fn drain_curve(u: &QuadraticUtility) -> QuadraticUtility {
         .expect("flat positive curve on a non-empty box is always valid")
 }
 
-/// Per-node dynamic state the driver tracks across events.
-struct NodeDynamics {
-    load: Option<ServerLoad>,
-    drained: bool,
+/// The node an event addresses (`None` for a budget move).
+fn event_node(event: &ScenarioEvent) -> Option<usize> {
+    match *event {
+        ScenarioEvent::SetBudget(_) => None,
+        ScenarioEvent::VmArrive { node, .. }
+        | ScenarioEvent::VmDepart { node }
+        | ScenarioEvent::Phase { node, .. }
+        | ScenarioEvent::Drain { node }
+        | ScenarioEvent::Restore { node } => Some(node),
+    }
 }
 
 /// Replays a scenario against a warm-started DiBA and reports per-event
@@ -648,113 +737,102 @@ struct NodeDynamics {
 ///
 /// The driver settles the initial instance cold, then for each group of
 /// events sharing a timestamp: applies the mutations through the warm-start
-/// entry points ([`DibaRun::set_budget`], [`DibaRun::replace_utilities`] —
-/// residual state carries over, `Σe = Σp − P` holds through every step),
-/// runs to rest, and optionally solves the identical mutated instance from
-/// a cold start for the comparison column. With telemetry enabled in
-/// `config.diba`, every mutation leaves a `budget`/`workload` marker in the
-/// event stream and each re-settle is recorded as a round range.
+/// entry points ([`DibaRun::set_budget`] in file order, then one
+/// [`DibaRun::replace_utilities`] batch — residual state carries over,
+/// `Σe = Σp − P` holds through every step), runs to rest, and optionally
+/// solves the identical mutated instance from a cold start for the
+/// comparison column. With telemetry enabled in `config.diba`, every
+/// mutation leaves a `budget`/`workload` marker in the event stream and
+/// each re-settle is recorded as a round range.
 ///
 /// # Errors
 ///
-/// Propagates [`AlgError`] from scenario validation ([`Scenario::graph`]),
-/// problem construction (e.g. an infeasible initial budget), solver
-/// configuration, and events whose budget cannot cover idle power.
+/// Propagates [`AlgError`] from scenario validation ([`Scenario::graph`];
+/// [`AlgError::UnknownNode`] for an event addressing a node a hand-built
+/// scenario does not have), problem construction (e.g. an infeasible
+/// initial budget), solver configuration, and events whose budget cannot
+/// cover idle power.
 pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> Result<ReplayOutcome, AlgError> {
     config.diba.validate()?;
     config.settle.validate()?;
+    let nodes = scenario.servers;
+    if let Some(node) = scenario
+        .events
+        .iter()
+        .filter_map(|te| event_node(&te.event))
+        .find(|&node| node >= nodes)
+    {
+        return Err(AlgError::UnknownNode { node, nodes });
+    }
     let graph = scenario.graph()?;
     let problem = scenario.initial_problem()?;
     let mut run = DibaRun::new(problem, graph.clone(), config.diba)?;
     let s = config.settle;
-    let initial_rounds = run.run_to_rest(s.tol_watts, s.stable_rounds, s.max_rounds);
 
-    let mut nodes: Vec<NodeDynamics> = (0..scenario.servers)
-        .map(|_| NodeDynamics {
-            load: None,
-            drained: false,
-        })
-        .collect();
-    let mut outcomes: Vec<EventOutcome> = Vec::new();
-    let mut idx = 0;
-    while idx < scenario.events.len() {
-        // One group: every event sharing this timestamp.
-        let at = scenario.events[idx].at;
-        let mut end = idx;
-        while end < scenario.events.len() && scenario.events[end].at == at {
-            end += 1;
-        }
-        let group = &scenario.events[idx..end];
-        idx = end;
-
-        // Apply: budget moves directly, curve mutations batched into one
-        // conservation-preserving `replace_utilities` call (last write per
-        // node wins, matching file order).
-        let mut curve_changes: BTreeMap<usize, QuadraticUtility> = BTreeMap::new();
-        let mut descriptions = Vec::with_capacity(group.len());
+    // One tick per group of events sharing a timestamp, after the cold
+    // initial settle: the one empty group (`chunk_by` yields none), whose
+    // mark is `None`.
+    let mut loads: Vec<Option<ServerLoad>> = vec![None; nodes];
+    let mut drained = vec![false; nodes];
+    let mut groups =
+        std::iter::once(&scenario.events[..0]).chain(scenario.events.chunk_by(|a, b| a.at == b.at));
+    let next = |run: &DibaRun| {
+        let group = groups.next()?;
+        let mut changes = Vec::new();
+        let mut curves: BTreeMap<usize, QuadraticUtility> = BTreeMap::new();
+        // Budget moves go in file order; curve changes form one batch
+        // after them (last write per node wins). A node is adopted from
+        // its fitted curve the first time an event touches it, and a
+        // drained node keeps its idle box until it is restored.
         for te in group {
-            descriptions.push(te.event.describe());
-            match &te.event {
-                ScenarioEvent::SetBudget(w) => {
-                    run.set_budget(*w)?;
-                }
-                ScenarioEvent::VmArrive { node, vm } => {
-                    let nd = &mut nodes[*node];
-                    let load = nd.load.get_or_insert_with(|| {
-                        ServerLoad::from_fitted(run.problem().utility(*node))
-                    });
-                    load.vm_arrive(*vm);
-                    if !nd.drained {
-                        curve_changes.insert(*node, load.fitted());
-                    }
-                }
-                ScenarioEvent::VmDepart { node } => {
-                    let nd = &mut nodes[*node];
-                    let load = nd.load.get_or_insert_with(|| {
-                        ServerLoad::from_fitted(run.problem().utility(*node))
-                    });
+            if let ScenarioEvent::SetBudget(budget) = te.event {
+                changes.push(Change::Budget(budget));
+            }
+            let Some(node) = event_node(&te.event) else {
+                continue;
+            };
+            let current = run.problem().utility(node);
+            let load = loads[node].get_or_insert_with(|| ServerLoad::from_fitted(current));
+            match te.event {
+                ScenarioEvent::VmArrive { vm, .. } => load.vm_arrive(vm),
+                ScenarioEvent::VmDepart { .. } => {
                     load.vm_depart();
-                    if !nd.drained {
-                        curve_changes.insert(*node, load.fitted());
-                    }
                 }
                 ScenarioEvent::Phase {
-                    node,
-                    memory_boundedness,
-                } => {
-                    let nd = &mut nodes[*node];
-                    let load = nd.load.get_or_insert_with(|| {
-                        ServerLoad::from_fitted(run.problem().utility(*node))
-                    });
-                    load.set_phase(*memory_boundedness);
-                    if !nd.drained {
-                        curve_changes.insert(*node, load.fitted());
-                    }
+                    memory_boundedness, ..
+                } => load.set_phase(memory_boundedness),
+                ScenarioEvent::Drain { .. } => {
+                    drained[node] = true;
+                    curves.insert(node, drain_curve(current));
                 }
-                ScenarioEvent::Drain { node } => {
-                    let nd = &mut nodes[*node];
-                    if nd.load.is_none() {
-                        nd.load = Some(ServerLoad::from_fitted(run.problem().utility(*node)));
-                    }
-                    nd.drained = true;
-                    curve_changes.insert(*node, drain_curve(run.problem().utility(*node)));
-                }
-                ScenarioEvent::Restore { node } => {
-                    let nd = &mut nodes[*node];
-                    nd.drained = false;
-                    let load = nd.load.as_ref().expect("drain created the load");
-                    curve_changes.insert(*node, load.fitted());
-                }
+                ScenarioEvent::Restore { .. } => drained[node] = false,
+                ScenarioEvent::SetBudget(_) => {} // addresses no node
+            }
+            if !drained[node] {
+                curves.insert(node, load.fitted());
             }
         }
-        if !curve_changes.is_empty() {
-            let changes: Vec<(usize, QuadraticUtility)> =
-                curve_changes.iter().map(|(&i, &u)| (i, u)).collect();
-            run.replace_utilities(&changes)?;
+        if !curves.is_empty() {
+            changes.push(Change::Curves(curves.into_iter().collect()));
         }
+        let mark = group.first().map(|first| {
+            let descriptions: Vec<String> = group.iter().map(|te| te.event.describe()).collect();
+            (first.at, descriptions)
+        });
+        Some(Tick {
+            changes,
+            settle: Settle::Rest(s),
+            mark,
+        })
+    };
 
-        // Measure the warm re-convergence.
-        let warm_rounds = run.run_to_rest(s.tol_watts, s.stable_rounds, s.max_rounds);
+    let mut initial_rounds = None;
+    let mut outcomes: Vec<EventOutcome> = Vec::new();
+    let observe = |run: &mut DibaRun, mark: Option<(f64, Vec<String>)>, warm_rounds| {
+        let Some((at, events)) = mark else {
+            initial_rounds = warm_rounds;
+            return Ok(());
+        };
         if let Some(r) = warm_rounds {
             run.record_event(FaultEvent {
                 round: run.iterations() as u64,
@@ -763,7 +841,6 @@ pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> Result<ReplayOutcom
                 mass: r as f64,
             });
         }
-
         // Cold comparison on the identical mutated instance.
         let cold_rounds = if config.compare_cold {
             let cold_config = DibaConfig {
@@ -775,11 +852,10 @@ pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> Result<ReplayOutcom
         } else {
             None
         };
-
         let total_power = run.total_power();
         outcomes.push(EventOutcome {
             at,
-            events: descriptions,
+            events,
             budget: run.problem().budget().0,
             warm_rounds,
             cold_rounds,
@@ -787,7 +863,9 @@ pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> Result<ReplayOutcom
             drift: run.invariant_drift(),
             feasible: total_power <= run.problem().budget() + Watts(1e-6),
         });
-    }
+        Ok(())
+    };
+    drive(&mut run, next, observe)?;
 
     Ok(ReplayOutcome {
         report: ReplayReport {
@@ -839,7 +917,7 @@ at 6.0 restore node 2
 
     #[test]
     fn rejects_malformed_scenarios_with_named_lines() {
-        let cases: [(&str, &str); 8] = [
+        let cases: [(&str, &str); 9] = [
             (
                 "servers 8\nbudget 100\nat 2 budget 90\nat 1 budget 95\n",
                 "back in time",
@@ -863,6 +941,10 @@ at 6.0 restore node 2
                 "unknown event",
             ),
             ("servers 1\nbudget 100\n", "at least 2"),
+            (
+                "servers 10\nbudget 1700\nat 1.0 drain node 9\nservers 5\n",
+                "line 4: `servers` given twice",
+            ),
         ];
         for (text, needle) in cases {
             let err = Scenario::parse(text).unwrap_err();
@@ -880,6 +962,23 @@ at 6.0 restore node 2
             Scenario::parse("servers 8\nbudget 100\nat 1 phase node 12 mem 0.5\n").unwrap_err();
         assert!(
             matches!(err, AlgError::UnknownNode { node: 12, nodes: 8 }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn hand_built_scenarios_fail_typed_instead_of_panicking() {
+        let mut s = Scenario::parse(EXAMPLE).unwrap();
+        let timed = |at, event| TimedEvent { at, event };
+        // A restore with no drain before it re-fits the node's own curve.
+        s.events
+            .insert(0, timed(0.5, ScenarioEvent::Restore { node: 4 }));
+        let out = replay(&s, &ReplayConfig::default()).unwrap();
+        assert!(out.report.all_settled(), "{}", out.report.to_table());
+        s.events.push(timed(7.0, ScenarioEvent::Drain { node: 8 }));
+        let err = replay(&s, &ReplayConfig::default()).unwrap_err();
+        assert!(
+            matches!(err, AlgError::UnknownNode { node: 8, nodes: 8 }),
             "{err:?}"
         );
     }

@@ -1,8 +1,8 @@
 //! Piecewise-constant budget schedules.
 //!
-//! The dynamic experiments drive the cluster with a budget that changes at
-//! known instants: every minute for Fig. 4.4 (demand-response style), one
-//! step for Figs. 4.5/4.6, and at 15 s / 45 s for Fig. 3.14.
+//! [`simulate`](crate::engine::simulate) drives the cluster with a budget
+//! that changes at known instants: every minute for Fig. 4.4
+//! (demand-response style).
 
 use dpc_models::units::{Seconds, Watts};
 
@@ -66,11 +66,6 @@ impl BudgetSchedule {
             }
         }
         current
-    }
-
-    /// The segments of the schedule.
-    pub fn segments(&self) -> &[(Seconds, Watts)] {
-        &self.segments
     }
 
     /// Whether the budget changes in the half-open interval `(from, to]` —

@@ -15,8 +15,6 @@ pub struct TimePoint {
     pub snp: f64,
     /// SNP of the centralized-oracle allocation at the same instant.
     pub optimal_snp: f64,
-    /// Per-server power caps, recorded only when requested.
-    pub allocation: Option<Vec<Watts>>,
 }
 
 /// An ordered collection of [`TimePoint`]s.
@@ -124,7 +122,6 @@ mod tests {
             total_power: Watts(power),
             snp,
             optimal_snp: snp + 0.01,
-            allocation: None,
         }
     }
 

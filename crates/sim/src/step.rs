@@ -5,6 +5,7 @@
 //! paper's network), showing the sharp shed on a cut and the gradual fill
 //! on a raise.
 
+use crate::replay::{drive, Change, Settle, SettleCriterion, Tick};
 use dpc_alg::diba::{DibaConfig, DibaRun};
 use dpc_alg::problem::{AlgError, PowerBudgetProblem};
 use dpc_models::metrics::snp_arithmetic;
@@ -39,11 +40,15 @@ pub struct StepResponse {
 }
 
 /// Runs DiBA to rest at `before`, steps the budget to `after`, and records
-/// every round.
+/// every round: ten rounds of pre-step tail (rounds −10…−1), then
+/// `rounds_after` rounds from the step (rounds 0…). Each round is one tick
+/// of [`mod@crate::replay`]'s loop.
 ///
 /// # Errors
 ///
-/// Propagates problem-construction and DiBA errors.
+/// Propagates problem-construction and DiBA errors;
+/// [`AlgError::DidNotConverge`] when the run is not at rest at `before`
+/// within 50 000 rounds.
 pub fn step_response(
     utilities: Vec<QuadraticUtility>,
     graph: Graph,
@@ -52,13 +57,47 @@ pub fn step_response(
     rounds_after: usize,
     round_time: Seconds,
 ) -> Result<StepResponse, AlgError> {
+    const REST: SettleCriterion = SettleCriterion {
+        tol_watts: 1e-2,
+        stable_rounds: 10,
+        max_rounds: 50_000,
+    };
     let problem = PowerBudgetProblem::new(utilities, before)?;
     let mut run = DibaRun::new(problem, graph, DibaConfig::default())?;
-    run.run_to_rest(1e-2, 10, 50_000)
-        .ok_or(AlgError::DidNotConverge { iterations: 50_000 })?;
+
+    // A tick's mark is the round it records; −11 marks the settle at
+    // `before`. The step tick always sets the budget, but runs its round
+    // only when `rounds_after` asks for one.
+    let mut marks = -11..rounds_after.max(1) as isize;
+    let next = |_: &DibaRun| {
+        let mark = marks.next()?;
+        let (changes, settle) = match mark {
+            -11 => (Vec::new(), Settle::Rest(REST)),
+            0 => (
+                vec![Change::Budget(after)],
+                Settle::Rounds(rounds_after.min(1)),
+            ),
+            _ => (Vec::new(), Settle::Rounds(1)),
+        };
+        Some(Tick {
+            changes,
+            settle,
+            mark,
+        })
+    };
 
     let mut trace = Vec::with_capacity(rounds_after + 16);
-    let record = |run: &DibaRun, round: isize, trace: &mut Vec<RoundPoint>| {
+    let mut rounds_to_feasible = None;
+    drive(&mut run, next, |run, round, settled| {
+        match (round, settled) {
+            (-11, None) => {
+                return Err(AlgError::DidNotConverge {
+                    iterations: REST.max_rounds,
+                })
+            }
+            (-11, _) | (_, Some(0)) => return Ok(()),
+            _ => {}
+        }
         let problem = run.problem();
         let allocation = run.allocation();
         trace.push(RoundPoint {
@@ -68,23 +107,11 @@ pub fn step_response(
             total_power: allocation.total(),
             snp: snp_arithmetic(&problem.anps(&allocation)),
         });
-    };
-
-    // A short pre-step tail for context.
-    for r in -10..0 {
-        run.step();
-        record(&run, r, &mut trace);
-    }
-
-    run.set_budget(after)?;
-    let mut rounds_to_feasible = None;
-    for r in 0..rounds_after {
-        run.step();
-        record(&run, r as isize, &mut trace);
-        if rounds_to_feasible.is_none() && run.total_power() <= after + Watts(1e-6) {
-            rounds_to_feasible = Some(r);
+        if round >= 0 && rounds_to_feasible.is_none() && run.total_power() <= after + Watts(1e-6) {
+            rounds_to_feasible = Some(round as usize);
         }
-    }
+        Ok(())
+    })?;
     Ok(StepResponse {
         trace,
         rounds_to_feasible,

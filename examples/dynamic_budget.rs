@@ -6,12 +6,11 @@
 //! cargo run --release --example dynamic_budget
 //! ```
 
-use dpc::alg::diba::DibaConfig;
+use dpc::alg::diba::{DibaConfig, DibaRun};
 use dpc::alg::problem::PowerBudgetProblem;
 use dpc::models::units::{Seconds, Watts};
 use dpc::models::workload::ClusterBuilder;
-use dpc::sim::budgeter::DibaBudgeter;
-use dpc::sim::engine::{DynamicSim, SimConfig};
+use dpc::sim::engine::{simulate, SimConfig};
 use dpc::sim::schedule::BudgetSchedule;
 use dpc::topology::Graph;
 
@@ -30,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let problem = PowerBudgetProblem::new(cluster.utilities(), schedule.budget_at(Seconds::ZERO))?;
-    let budgeter = DibaBudgeter::new(problem, Graph::ring(n), DibaConfig::default())?;
+    let mut run = DibaRun::new(problem, Graph::ring(n), DibaConfig::default())?;
 
     let config = SimConfig {
         duration: Seconds(60.0 * per_server.len() as f64),
@@ -38,11 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rounds_per_sample: 400,
         churn_mean: None,
         phase_mean: None,
-        record_allocations: false,
-        telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
-    let mut sim = DynamicSim::new(cluster, budgeter, schedule, config);
-    let series = sim.run()?;
+    let series = simulate(cluster, &mut run, &schedule, &config)?;
 
     println!("   t (s)  budget (kW)  power (kW)     SNP  SNP/optimal");
     println!("------------------------------------------------------");

@@ -16,8 +16,7 @@ use crate::models::units::{Seconds, Watts};
 use crate::models::workload::ClusterBuilder;
 use crate::models::QuadraticUtility;
 use crate::runtime::cluster::{RuntimeConfig, ShardCount, TransportKind};
-use crate::sim::budgeter::DibaBudgeter;
-use crate::sim::engine::{DynamicSim, SimConfig};
+use crate::sim::engine::{simulate, SimConfig};
 use crate::sim::schedule::BudgetSchedule;
 use crate::thermal::partition::{self_consistent_partition, uniform_rack_map};
 use crate::thermal::ThermalModel;
@@ -316,7 +315,7 @@ pub fn cmd_simulate(opts: &Options) -> Result<String, CliError> {
 
     let problem = PowerBudgetProblem::new(cluster.utilities(), budget)
         .map_err(|e| CliError(format!("infeasible problem: {e}")))?;
-    let budgeter = DibaBudgeter::new(problem, Graph::ring(n), DibaConfig::default())
+    let mut run = DibaRun::new(problem, Graph::ring(n), DibaConfig::default())
         .map_err(|e| CliError(e.to_string()))?;
     let config = SimConfig {
         duration: Seconds(seconds),
@@ -324,11 +323,14 @@ pub fn cmd_simulate(opts: &Options) -> Result<String, CliError> {
         rounds_per_sample: 300,
         churn_mean: churn.map(Seconds),
         phase_mean: phases.map(Seconds),
-        record_allocations: false,
-        telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
-    let mut sim = DynamicSim::new(cluster, budgeter, BudgetSchedule::constant(budget), config);
-    let series = sim.run().map_err(|e| CliError(e.to_string()))?;
+    let series = simulate(
+        cluster,
+        &mut run,
+        &BudgetSchedule::constant(budget),
+        &config,
+    )
+    .map_err(|e| CliError(e.to_string()))?;
     Ok(format!(
         "{n} servers, budget {:.2} kW, {seconds:.0} s simulated\n\
          samples: {}  budget respected: {}\n\

@@ -13,8 +13,7 @@ use dpc::models::workload::ClusterBuilder;
 use dpc::net::CommModel;
 use dpc::runtime::lockstep::Lockstep;
 use dpc::runtime::{run_cluster, RuntimeConfig};
-use dpc::sim::budgeter::DibaBudgeter;
-use dpc::sim::engine::{DynamicSim, SimConfig};
+use dpc::sim::engine::{simulate, SimConfig};
 use dpc::sim::schedule::BudgetSchedule;
 use dpc::sim::step::step_response;
 use dpc::thermal::partition::{self_consistent_partition, uniform_rack_map};
@@ -146,18 +145,15 @@ fn dynamic_sim_tracks_schedule_and_churn_together() {
     ]);
     let p =
         PowerBudgetProblem::new(cluster.utilities(), schedule.budget_at(Seconds::ZERO)).unwrap();
-    let budgeter = DibaBudgeter::new(p, Graph::ring(n), DibaConfig::default()).unwrap();
+    let mut run = DibaRun::new(p, Graph::ring(n), DibaConfig::default()).unwrap();
     let config = SimConfig {
         duration: Seconds(30.0),
         sample_interval: Seconds(1.0),
         rounds_per_sample: 150,
         churn_mean: Some(Seconds(8.0)),
         phase_mean: None,
-        record_allocations: false,
-        telemetry: dpc_alg::telemetry::TelemetryConfig::off(),
     };
-    let mut sim = DynamicSim::new(cluster, budgeter, schedule, config);
-    let series = sim.run().unwrap();
+    let series = simulate(cluster, &mut run, &schedule, &config).unwrap();
     // At most the samples right after the cut may transiently exceed.
     let violations = series
         .points()
@@ -170,6 +166,27 @@ fn dynamic_sim_tracks_schedule_and_churn_together() {
         "{}",
         series.mean_optimality()
     );
+}
+
+#[test]
+fn replay_rejects_a_repeated_servers_header_with_exit_2() {
+    // Events are checked against the first size; a second `servers` line
+    // once shrank the cluster under them and panicked (exit 101).
+    let dir = std::env::temp_dir().join("dpc-e2e-replay-servers");
+    std::fs::create_dir_all(&dir).unwrap();
+    let scenario = dir.join("resized.txt");
+    std::fs::write(
+        &scenario,
+        "servers 10\nbudget 1700\nat 1.0 drain node 9\nservers 5\n",
+    )
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dpc"))
+        .args(["replay", "--scenario", scenario.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("line 4"), "{stderr}");
 }
 
 #[test]
