@@ -406,13 +406,8 @@ pub fn fig4_7(n: usize, minutes: usize) -> String {
         churn_mean: Some(Seconds(120.0)),
         phase_mean: None,
     };
-    let series = simulate(
-        cluster,
-        &mut run,
-        &BudgetSchedule::constant(budget),
-        &config,
-    )
-    .expect("constant schedule feasible");
+    let schedule = BudgetSchedule::constant(budget);
+    let series = simulate(cluster, &mut run, &schedule, &config).expect("schedule feasible");
 
     let mut t = Table::new(["t (min)", "power (kW)", "SNP", "optimal SNP"]);
     for pt in series.points().iter().step_by(6) {

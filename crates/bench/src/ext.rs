@@ -289,13 +289,8 @@ pub fn ext_phases(n: usize) -> String {
             churn_mean: None,
             phase_mean: dwell.is_finite().then_some(Seconds(dwell)),
         };
-        let series = simulate(
-            cluster,
-            &mut run,
-            &BudgetSchedule::constant(budget),
-            &config,
-        )
-        .expect("constant schedule feasible");
+        let schedule = BudgetSchedule::constant(budget);
+        let series = simulate(cluster, &mut run, &schedule, &config).expect("schedule feasible");
         let violations = series
             .points()
             .iter()

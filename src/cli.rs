@@ -324,13 +324,9 @@ pub fn cmd_simulate(opts: &Options) -> Result<String, CliError> {
         churn_mean: churn.map(Seconds),
         phase_mean: phases.map(Seconds),
     };
-    let series = simulate(
-        cluster,
-        &mut run,
-        &BudgetSchedule::constant(budget),
-        &config,
-    )
-    .map_err(|e| CliError(e.to_string()))?;
+    let schedule = BudgetSchedule::constant(budget);
+    let series =
+        simulate(cluster, &mut run, &schedule, &config).map_err(|e| CliError(e.to_string()))?;
     Ok(format!(
         "{n} servers, budget {:.2} kW, {seconds:.0} s simulated\n\
          samples: {}  budget respected: {}\n\

@@ -170,8 +170,8 @@ fn dynamic_sim_tracks_schedule_and_churn_together() {
 
 #[test]
 fn replay_rejects_a_repeated_servers_header_with_exit_2() {
-    // Events are checked against the first size; a second `servers` line
-    // once shrank the cluster under them and panicked (exit 101).
+    // Events are checked against the first size, so a second `servers`
+    // line is an input error: exit 2 naming the line, not a panic.
     let dir = std::env::temp_dir().join("dpc-e2e-replay-servers");
     std::fs::create_dir_all(&dir).unwrap();
     let scenario = dir.join("resized.txt");
