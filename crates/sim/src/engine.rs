@@ -6,7 +6,7 @@
 //! workloads whose churn expiry passed, (3) the phase transitions, then a
 //! fixed number of DiBA rounds, and a sample of power / SNP / oracle-SNP.
 
-use crate::replay::{drive, Change, Settle, Tick};
+use crate::replay::{drive, Settle};
 use crate::schedule::BudgetSchedule;
 use crate::series::{TimePoint, TimeSeries};
 use dpc_alg::centralized;
@@ -103,6 +103,10 @@ impl SimConfig {
 /// workload and then of each phase transition one node at a time, in node
 /// order, runs `rounds_per_sample` rounds and samples.
 ///
+/// A recorder attached through `run`'s `DibaConfig::telemetry` sees every
+/// call, the start's included: with phases on, each node's first phase
+/// curve leaves a `workload` marker at the start round.
+///
 /// # Errors
 ///
 /// [`AlgError::InvalidConfig`] when the configuration fails
@@ -153,79 +157,72 @@ pub fn simulate(
         None => Vec::new(),
     };
 
-    // One node per curve change: a node that churns and changes phase in
-    // the same interval is clamped into both boxes in turn, which a batch
-    // would not do.
-    let curve = |i: usize, u| Change::Curves(vec![(i, u)]);
     // The start: every node's first phase curve, then the unchanged t = 0
-    // budget (setting it re-arms the stage counter), and no rounds.
-    let mut changes: Vec<Change> = phased
-        .iter()
-        .enumerate()
-        .map(|(i, ph)| curve(i, *ph.current()))
-        .collect();
-    changes.push(Change::Budget(schedule.budget_at(Seconds::ZERO)));
-    let mut start = Some(Tick {
-        changes,
-        settle: Settle::Rounds(0),
-        mark: Seconds::ZERO,
-    });
+    // budget (setting it re-arms the stage counter), and a sample.
+    for (i, ph) in phased.iter().enumerate() {
+        run.replace_utility(i, *ph.current());
+    }
+    run.set_budget(schedule.budget_at(Seconds::ZERO))?;
+    let mut series = TimeSeries::new();
+    series.push(sample(run, Seconds::ZERO));
+
+    // One tick per sample interval. Curves change one node at a time: a
+    // node that churns and changes phase in the same interval is clamped
+    // into both boxes in turn, which a `replace_utilities` batch would not
+    // do.
     let mut t = Seconds::ZERO;
-    let next = |_: &DibaRun| {
-        if let Some(tick) = start.take() {
-            return Some(tick);
-        }
+    let next = |run: &mut DibaRun| {
         if t >= config.duration {
-            return None;
+            return Ok(None);
         }
         let now = t + dt;
-        let mut changes = Vec::new();
         if schedule.changes_within(t, now) {
-            changes.push(Change::Budget(schedule.budget_at(now)));
+            run.set_budget(schedule.budget_at(now))?;
         }
         if let Some(mean) = config.churn_mean {
             for (i, expiry) in expiries.iter_mut().enumerate() {
                 if *expiry <= now.0 {
                     cluster.churn(i);
-                    changes.push(curve(i, cluster.workloads()[i].learned));
+                    run.replace_utility(i, cluster.workloads()[i].learned);
                     *expiry = now.0 + cluster.draw_duration(mean.0);
                 }
             }
         }
         for (i, ph) in phased.iter_mut().enumerate() {
             if ph.advance(dt.0) {
-                changes.push(curve(i, *ph.current()));
+                run.replace_utility(i, *ph.current());
             }
         }
         t = now;
-        Some(Tick {
-            changes,
-            settle: Settle::Rounds(config.rounds_per_sample),
-            mark: now,
-        })
+        Ok(Some((Settle::Rounds(config.rounds_per_sample), now)))
     };
-
-    let mut series = TimeSeries::new();
     drive(run, next, |run, t, _| {
-        let problem = run.problem();
-        let allocation = run.allocation();
-        let oracle = centralized::solve(problem);
-        series.push(TimePoint {
-            t,
-            budget: problem.budget(),
-            total_power: allocation.total(),
-            snp: snp_arithmetic(&problem.anps(&allocation)),
-            optimal_snp: snp_arithmetic(&problem.anps(&oracle.allocation)),
-        });
+        series.push(sample(run, t));
         Ok(())
     })?;
     Ok(series)
+}
+
+/// The run's budget, power and SNP at `t`, with the oracle's SNP on the
+/// same instance.
+fn sample(run: &DibaRun, t: Seconds) -> TimePoint {
+    let problem = run.problem();
+    let allocation = run.allocation();
+    let oracle = centralized::solve(problem);
+    TimePoint {
+        t,
+        budget: problem.budget(),
+        total_power: allocation.total(),
+        snp: snp_arithmetic(&problem.anps(&allocation)),
+        optimal_snp: snp_arithmetic(&problem.anps(&oracle.allocation)),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dpc_alg::diba::DibaConfig;
+    use dpc_alg::exec::Precision;
     use dpc_alg::problem::PowerBudgetProblem;
     use dpc_alg::telemetry::TelemetryConfig;
     use dpc_models::units::Watts;
@@ -297,6 +294,24 @@ mod tests {
         // 5 samples × 40 rounds each.
         assert_eq!(tel.rounds_recorded(), 200);
         assert!(tel.latest().unwrap().conservation_drift() < 1e-6);
+    }
+
+    #[test]
+    fn fast_precision_sim_stays_feasible_and_tracks_optimal() {
+        let c = cluster(20, 2);
+        let fast = DibaConfig {
+            precision: Precision::Fast,
+            ..DibaConfig::default()
+        };
+        let mut run = ring_run(&c, 3_400.0, fast);
+        let schedule = BudgetSchedule::constant(Watts(3_400.0));
+        let series = simulate(c, &mut run, &schedule, &config(10.0)).unwrap();
+        assert!(series.budget_respected(Watts(1e-6)));
+        assert!(
+            series.mean_optimality() > 0.95,
+            "{}",
+            series.mean_optimality()
+        );
     }
 
     #[test]

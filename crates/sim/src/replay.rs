@@ -651,15 +651,7 @@ pub struct ReplayOutcome {
     pub run: DibaRun,
 }
 
-/// One mutation a [`Tick`] makes before it settles.
-pub(crate) enum Change {
-    /// [`DibaRun::set_budget`].
-    Budget(Watts),
-    /// One [`DibaRun::replace_utilities`] batch (last write per node wins).
-    Curves(Vec<(usize, QuadraticUtility)>),
-}
-
-/// How a [`Tick`] settles once its changes are in.
+/// How a tick of [`drive`] settles once its changes are in.
 pub(crate) enum Settle {
     /// Exactly this many rounds ([`DibaRun::run`]).
     Rounds(usize),
@@ -667,47 +659,34 @@ pub(crate) enum Settle {
     Rest(SettleCriterion),
 }
 
-/// One step of a dynamics timeline: its changes in call order, how it
-/// settles, and the mark its observer reads.
-pub(crate) struct Tick<M> {
-    pub(crate) changes: Vec<Change>,
-    pub(crate) settle: Settle,
-    pub(crate) mark: M,
-}
-
 /// The one loop that advances a warm [`DibaRun`] across events; [`replay`],
 /// [`simulate`](crate::engine::simulate) and
-/// [`step_response`](crate::step::step_response) are front-ends that build
-/// its ticks and observe it.
+/// [`step_response`](crate::step::step_response) are front-ends that feed
+/// it ticks and observe it.
 ///
-/// `next` sees the run as the previous tick left it and returns the next
-/// tick (`None` ends the timeline). The loop applies the tick's changes in
-/// order, settles, and hands `observe` the run, the tick's mark and the
-/// settle's rounds (`None`: the rest criterion hit its round bound).
+/// Each tick, `next` applies its budget and curve changes to the run and
+/// returns how the tick settles and the mark its observer reads (`None`
+/// ends the timeline). The loop settles and hands `observe` the run, the
+/// mark and the settle's rounds (`None`: the rest criterion hit its round
+/// bound).
 ///
 /// # Errors
 ///
-/// The first error of a change or of `observe`.
+/// The first error of `next` or of `observe`.
 pub(crate) fn drive<M>(
     run: &mut DibaRun,
-    mut next: impl FnMut(&DibaRun) -> Option<Tick<M>>,
+    mut next: impl FnMut(&mut DibaRun) -> Result<Option<(Settle, M)>, AlgError>,
     mut observe: impl FnMut(&mut DibaRun, M, Option<usize>) -> Result<(), AlgError>,
 ) -> Result<(), AlgError> {
-    while let Some(tick) = next(run) {
-        for change in &tick.changes {
-            match change {
-                Change::Budget(budget) => run.set_budget(*budget)?,
-                Change::Curves(curves) => run.replace_utilities(curves)?,
-            }
-        }
-        let rounds = match tick.settle {
+    while let Some((settle, mark)) = next(run)? {
+        let rounds = match settle {
             Settle::Rounds(k) => {
                 run.run(k);
                 Some(k)
             }
             Settle::Rest(s) => run.run_to_rest(s.tol_watts, s.stable_rounds, s.max_rounds),
         };
-        observe(run, tick.mark, rounds)?;
+        observe(run, mark, rounds)?;
     }
     Ok(())
 }
@@ -768,17 +747,16 @@ pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> Result<ReplayOutcom
     let problem = scenario.initial_problem()?;
     let mut run = DibaRun::new(problem, graph.clone(), config.diba)?;
     let s = config.settle;
+    let initial_rounds = run.run_to_rest(s.tol_watts, s.stable_rounds, s.max_rounds);
 
-    // One tick per group of events sharing a timestamp, after the cold
-    // initial settle: the one empty group (`chunk_by` yields none), whose
-    // mark is `None`.
+    // One tick per group of events sharing a timestamp.
     let mut loads: Vec<Option<ServerLoad>> = vec![None; nodes];
     let mut drained = vec![false; nodes];
-    let mut groups =
-        std::iter::once(&scenario.events[..0]).chain(scenario.events.chunk_by(|a, b| a.at == b.at));
-    let next = |run: &DibaRun| {
-        let group = groups.next()?;
-        let mut changes = Vec::new();
+    let mut groups = scenario.events.chunk_by(|a, b| a.at == b.at);
+    let next = |run: &mut DibaRun| {
+        let Some(group) = groups.next() else {
+            return Ok(None);
+        };
         let mut curves: BTreeMap<usize, QuadraticUtility> = BTreeMap::new();
         // Budget moves go in file order; curve changes form one batch
         // after them (last write per node wins). A node is adopted from
@@ -786,7 +764,7 @@ pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> Result<ReplayOutcom
         // drained node keeps its idle box until it is restored.
         for te in group {
             if let ScenarioEvent::SetBudget(budget) = te.event {
-                changes.push(Change::Budget(budget));
+                run.set_budget(budget)?;
             }
             let Some(node) = event_node(&te.event) else {
                 continue;
@@ -813,26 +791,15 @@ pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> Result<ReplayOutcom
             }
         }
         if !curves.is_empty() {
-            changes.push(Change::Curves(curves.into_iter().collect()));
+            let curves: Vec<(usize, QuadraticUtility)> = curves.into_iter().collect();
+            run.replace_utilities(&curves)?;
         }
-        let mark = group.first().map(|first| {
-            let descriptions: Vec<String> = group.iter().map(|te| te.event.describe()).collect();
-            (first.at, descriptions)
-        });
-        Some(Tick {
-            changes,
-            settle: Settle::Rest(s),
-            mark,
-        })
+        let descriptions = group.iter().map(|te| te.event.describe()).collect();
+        Ok(Some((Settle::Rest(s), (group[0].at, descriptions))))
     };
 
-    let mut initial_rounds = None;
     let mut outcomes: Vec<EventOutcome> = Vec::new();
-    let observe = |run: &mut DibaRun, mark: Option<(f64, Vec<String>)>, warm_rounds| {
-        let Some((at, events)) = mark else {
-            initial_rounds = warm_rounds;
-            return Ok(());
-        };
+    let observe = |run: &mut DibaRun, (at, events): (f64, Vec<String>), warm_rounds| {
         if let Some(r) = warm_rounds {
             run.record_event(FaultEvent {
                 round: run.iterations() as u64,

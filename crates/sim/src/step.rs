@@ -5,7 +5,7 @@
 //! paper's network), showing the sharp shed on a cut and the gradual fill
 //! on a raise.
 
-use crate::replay::{drive, Change, Settle, SettleCriterion, Tick};
+use crate::replay::{drive, Settle};
 use dpc_alg::diba::{DibaConfig, DibaRun};
 use dpc_alg::problem::{AlgError, PowerBudgetProblem};
 use dpc_models::metrics::snp_arithmetic;
@@ -57,47 +57,27 @@ pub fn step_response(
     rounds_after: usize,
     round_time: Seconds,
 ) -> Result<StepResponse, AlgError> {
-    const REST: SettleCriterion = SettleCriterion {
-        tol_watts: 1e-2,
-        stable_rounds: 10,
-        max_rounds: 50_000,
-    };
     let problem = PowerBudgetProblem::new(utilities, before)?;
     let mut run = DibaRun::new(problem, graph, DibaConfig::default())?;
+    run.run_to_rest(1e-2, 10, 50_000)
+        .ok_or(AlgError::DidNotConverge { iterations: 50_000 })?;
 
-    // A tick's mark is the round it records; −11 marks the settle at
-    // `before`. The step tick always sets the budget, but runs its round
-    // only when `rounds_after` asks for one.
-    let mut marks = -11..rounds_after.max(1) as isize;
-    let next = |_: &DibaRun| {
-        let mark = marks.next()?;
-        let (changes, settle) = match mark {
-            -11 => (Vec::new(), Settle::Rest(REST)),
-            0 => (
-                vec![Change::Budget(after)],
-                Settle::Rounds(rounds_after.min(1)),
-            ),
-            _ => (Vec::new(), Settle::Rounds(1)),
+    // The budget steps before round 0, even when no round follows it.
+    let last = rounds_after as isize;
+    let mut rounds = -10..=last;
+    let next = |run: &mut DibaRun| {
+        let Some(round) = rounds.next() else {
+            return Ok(None);
         };
-        Some(Tick {
-            changes,
-            settle,
-            mark,
-        })
+        if round == 0 {
+            run.set_budget(after)?;
+        }
+        Ok((round < last).then_some((Settle::Rounds(1), round)))
     };
 
     let mut trace = Vec::with_capacity(rounds_after + 16);
     let mut rounds_to_feasible = None;
-    drive(&mut run, next, |run, round, settled| {
-        match (round, settled) {
-            (-11, None) => {
-                return Err(AlgError::DidNotConverge {
-                    iterations: REST.max_rounds,
-                })
-            }
-            (-11, _) | (_, Some(0)) => return Ok(()),
-            _ => {}
-        }
+    drive(&mut run, next, |run, round, _| {
         let problem = run.problem();
         let allocation = run.allocation();
         trace.push(RoundPoint {
