@@ -24,9 +24,9 @@
 //! budget changes, and local response to local perturbations.
 
 use crate::exec::{
-    chunked_sum, run_workers, Backend, Precision, SharedSlice, SpinBarrier, Threads,
+    chunked_sum, run_workers, Backend, Chunked, Held, Precision, SpinBarrier, Threads, Whole,
 };
-use crate::fast::{phase_a_fast, phase_b_fast, FastState, LaneBuffers};
+use crate::fast::{phase_a_fast, phase_b_fast, FastState, Sealed};
 use crate::problem::{AlgError, Allocation, PowerBudgetProblem};
 use crate::telemetry::{
     FaultEvent, FaultEventKind, RoundRecord, Telemetry, TelemetryConfig, MAX_TIMED_SHARDS,
@@ -606,42 +606,93 @@ impl Traversal {
         }
     }
 
-    /// The scratch as the workers of one dispatch share it.
-    fn share(&mut self) -> Views<'_> {
+    /// The per-round buffers cut for one dispatch: one chunk per worker
+    /// at the node cuts `cuts`, CSR slots and extras slots at the first
+    /// slot of each cut's row.
+    fn chunk<'a>(&'a mut self, graph: &Graph, cuts: &[usize]) -> Buffers<'a> {
         match self {
-            Traversal::Csr { transfers, rev } => Views::Csr {
-                transfers: SharedSlice::new(transfers),
-                rev,
-            },
+            Traversal::Csr { transfers, rev } => {
+                let slots = cuts.iter().map(|&c| graph.offsets()[c]).collect();
+                Buffers::Csr(Chunked::new(transfers, slots), rev)
+            }
             Traversal::Lanes {
                 state,
                 vp,
                 vn,
                 extras,
                 stash,
-            } => Views::Lanes {
-                state,
-                bufs: LaneBuffers {
-                    vp: SharedSlice::new(vp),
-                    vn: SharedSlice::new(vn),
-                    extras: SharedSlice::new(extras),
-                    stash: SharedSlice::new(stash),
-                },
-            },
+            } => {
+                let (slots, rows) = state.chunk_cuts(cuts);
+                let sends = [(vp, cuts.to_vec()), (vn, cuts.to_vec()), (extras, slots)];
+                let sends = sends.map(|(v, cuts)| Chunked::new(v, cuts));
+                Buffers::Lanes(state, sends, Chunked::new(stash, rows))
+            }
         }
     }
 }
 
-/// A [`Traversal`]'s scratch as the workers of one dispatch share it.
-enum Views<'a> {
-    Csr {
-        transfers: SharedSlice<'a, f64>,
-        rev: &'a [usize],
-    },
-    Lanes {
-        state: &'a FastState,
-        bufs: LaneBuffers<'a>,
-    },
+/// A [`Traversal`]'s per-round buffers as the workers of one dispatch
+/// share them: phase A writes each worker's own chunk, phase B reads them
+/// all — the CSR transfers beside the reverse-slot map, or the lanes'
+/// `[vp, vn, extras]` beside their state and the stash (which only its
+/// own worker touches).
+enum Buffers<'a> {
+    Csr(Chunked<'a, f64>, &'a [usize]),
+    Lanes(&'a FastState, [Chunked<'a, f64>; 3], Chunked<'a, [f64; 2]>),
+}
+
+const PHASE_A: &str = "phase A";
+const PHASE_B: &str = "phase B";
+/// Between barriers: the cap test's verdict and the round close.
+const BETWEEN: &str = "between barriers";
+
+impl<'a> Buffers<'a> {
+    /// Phase A over worker `w`'s shard `range`: writes its own chunks of
+    /// `hat` and the sends, and returns the cap test's partial sums.
+    fn phase_a<const SUMS: bool>(
+        &self,
+        (problem, graph, rp): (&PowerBudgetProblem, &Graph, &NodeParams),
+        w: usize,
+        range: Range<usize>,
+        sealed: Sealed<'_>,
+        hat: &mut [f64],
+    ) -> [f64; 2] {
+        match self {
+            Buffers::Csr(transfers, _) => {
+                let out = &mut transfers.write(w, PHASE_A);
+                phase_a::<SUMS>(problem, graph, rp, range, sealed, hat, out)
+            }
+            Buffers::Lanes(state, [vp, vn, tx], _) => {
+                let (mut vp, mut vn) = (vp.write(w, PHASE_A), vn.write(w, PHASE_A));
+                let tx = &mut tx.write(w, PHASE_A);
+                phase_a_fast::<SUMS>(state, rp, sealed, range, hat, (&mut vp, &mut vn), tx)
+            }
+        }
+    }
+
+    /// Phase B over worker `w`'s shard `range`, into its own chunks `own`
+    /// of `p`, `e` and `e_sent`; returns the shard's max |dp|. `held`
+    /// keeps the guards of the sends read whole; the caller empties it
+    /// before the barrier.
+    fn phase_b<'s>(
+        &'s self,
+        (graph, w, range): (&Graph, usize, Range<usize>),
+        [h_vp, h_vn, h_tx]: &mut [Held<'s, 'a, f64>; 3],
+        own: (&mut [f64], &mut [f64], &mut [f64]),
+        hat: &[f64],
+    ) -> f64 {
+        match self {
+            Buffers::Csr(transfers, rev) => {
+                let all = transfers.read_all(w, PHASE_B, h_tx);
+                phase_b(graph, rev, range, own, hat, all)
+            }
+            Buffers::Lanes(state, [vp, vn, tx], stash) => {
+                let (vp, vn) = (vp.read_all(w, PHASE_B, h_vp), vn.read_all(w, PHASE_B, h_vn));
+                let sends = [vp, vn, tx.read_all(w, PHASE_B, h_tx)];
+                phase_b_fast(state, range, own, hat, sends, &mut stash.write(w, PHASE_B))
+            }
+        }
+    }
 }
 
 /// Persistent per-run working memory of the round engine that depends on
@@ -730,12 +781,12 @@ fn stage_tol_for(problem: &PowerBudgetProblem) -> f64 {
 /// Σrᵢ(pᵢ) in plain index order — the one summation order every caller
 /// that judges a solve (`DibaRun::total_utility`, the cap test, the
 /// benchmark, `dpc solve`) shares.
-fn utility_sum(problem: &PowerBudgetProblem, p: &[f64]) -> f64 {
+fn utility_sum(problem: &PowerBudgetProblem, p: impl IntoIterator<Item = f64>) -> f64 {
     problem
         .utilities()
         .iter()
         .zip(p)
-        .map(|(u, &p)| u.value(Watts(p)))
+        .map(|(u, p)| u.value(Watts(p)))
         .sum()
 }
 
@@ -746,15 +797,16 @@ fn utility_gap(reference_utility: f64, total_utility: f64) -> f64 {
 
 /// The paper's 99 % criterion (Eq. 4.11) on a power vector: feasible and
 /// within `rel_tol` of `reference_utility`, both sums in plain index order.
-/// This is the *decider* of [`Stop::Within`].
-fn is_within(
+/// This is the *decider* of [`Stop::Within`]; `p` yields the powers in
+/// index order, once per sum.
+fn is_within<I: Iterator<Item = f64>>(
     problem: &PowerBudgetProblem,
-    p: &[f64],
+    p: impl Fn() -> I,
     reference_utility: f64,
     rel_tol: f64,
 ) -> bool {
-    let feasible = Watts(p.iter().sum()) <= problem.budget() + Watts(1e-6);
-    let gap = utility_gap(reference_utility, utility_sum(problem, p));
+    let feasible = Watts(p().sum()) <= problem.budget() + Watts(1e-6);
+    let gap = utility_gap(reference_utility, utility_sum(problem, p()));
     feasible && gap < rel_tol
 }
 
@@ -966,7 +1018,7 @@ impl DibaRun {
 
     /// Current total utility.
     pub fn total_utility(&self) -> f64 {
-        utility_sum(&self.problem, &self.p)
+        utility_sum(&self.problem, self.p.iter().copied())
     }
 
     /// The local residual estimates `eᵢ` (watts).
@@ -1030,10 +1082,11 @@ impl DibaRun {
     /// trajectory is the lockstep agents' bit for bit
     /// (`dpc-runtime/tests/equivalence.rs`).
     ///
-    /// Every array element is written by exactly one node in a fixed
-    /// fold order, so the trajectory is a pure function of the previous
-    /// state: any worker count (including the inline serial path, which
-    /// runs the same phase functions over the full range) produces
+    /// Every array element is written by exactly one node, through its
+    /// worker's own `Chunked` chunk, in a fixed fold order, so the
+    /// trajectory is a pure function of the previous state: any worker
+    /// count (including the inline serial path, which runs the same phase
+    /// functions over the full range) produces
     /// bitwise-identical `(p, e)`. This is stronger than merging per-worker
     /// accumulators in worker order, which is only deterministic per worker
     /// count — see DESIGN.md, "Performance engineering".
@@ -1087,19 +1140,23 @@ impl DibaRun {
         {
             let problem = &self.problem;
             let graph = &self.graph;
+            let cuts = &self.scratch.cuts;
+            // The round state, one chunk per worker of every array.
+            let p = Chunked::new(&mut self.p, cuts.clone());
+            let e = Chunked::new(&mut self.e, cuts.clone());
+            let e_sent = Chunked::new(&mut self.e_sent, cuts.clone());
+            let p_hat = Chunked::new(&mut self.scratch.p_hat, cuts.clone());
+            // One slot per worker of the per-worker scalars.
+            let per_worker: Vec<usize> = (0..=workers).collect();
+            let worker_max = Chunked::new(&mut self.scratch.worker_max, per_worker.clone());
+            let worker_sums = Chunked::new(&mut self.scratch.worker_sums, per_worker.clone());
+            let nanos = Chunked::new(&mut self.scratch.phase_nanos, per_worker);
             // The traversal, hoisted: one branch per phase per worker,
             // nothing per node.
-            let views = self.traversal.share();
-            let cuts = &self.scratch.cuts;
-            let p = SharedSlice::new(&mut self.p);
-            let e = SharedSlice::new(&mut self.e);
-            let e_sent = SharedSlice::new(&mut self.e_sent);
-            let p_hat = SharedSlice::new(&mut self.scratch.p_hat);
-            let worker_max = SharedSlice::new(&mut self.scratch.worker_max);
-            let worker_sums = SharedSlice::new(&mut self.scratch.worker_sums);
-            let ctl_cell = SharedSlice::new(std::slice::from_mut(&mut ctl));
-            let nanos = SharedSlice::new(&mut self.scratch.phase_nanos);
-            let tel_cell = SharedSlice::new(std::slice::from_mut(&mut self.telemetry));
+            let buffers = self.traversal.chunk(graph, cuts);
+            // Worker 0 writes these two between barriers.
+            let control = Chunked::new(std::slice::from_mut(&mut ctl), vec![0, 1]);
+            let recorder = Chunked::new(std::slice::from_mut(&mut self.telemetry), vec![0, 1]);
             let budget = problem.budget();
             let guard = cap_filter_guard(n);
             let msgs_per_round = graph.flat_neighbors().len() as u64;
@@ -1108,84 +1165,47 @@ impl DibaRun {
             run_workers(workers, |w| {
                 let _poison = barrier.poison_on_unwind();
                 let range = cuts[w]..cuts[w + 1];
+                // Guard buffers of the arrays a phase reads whole, emptied
+                // before every barrier.
+                let mut held_a = Vec::new();
+                let mut held_b: [Held<'_, '_, f64>; 3] = Default::default();
                 loop {
-                    // Control state is stable here: worker 0's update last
-                    // round was sealed by the round-end barrier.
-                    // SAFETY: read-only access between barriers.
-                    let ctl_top = unsafe { ctl_cell.read(0) };
-                    if cap_test.is_none() && (ctl_top.met || ctl_top.rounds_left == 0) {
+                    // Worker 0's update last round was sealed by the
+                    // round-end barrier.
+                    let top = control.read(0, BETWEEN)[0];
+                    if cap_test.is_none() && (top.met || top.rounds_left == 0) {
                         break;
                     }
-                    let rp = ctl_top.round_params();
+                    let rp = top.round_params();
+                    let at = (problem, graph, &rp);
                     let t0 = if time_on { Some(Instant::now()) } else { None };
-                    let fold = match (&views, cap_test.is_some()) {
-                        (Views::Csr { transfers, .. }, false) => phase_a::<false>(
-                            problem,
-                            graph,
-                            &rp,
-                            &p,
-                            &e,
-                            &e_sent,
-                            range.clone(),
-                            &p_hat,
-                            transfers,
-                        ),
-                        (Views::Csr { transfers, .. }, true) => phase_a::<true>(
-                            problem,
-                            graph,
-                            &rp,
-                            &p,
-                            &e,
-                            &e_sent,
-                            range.clone(),
-                            &p_hat,
-                            transfers,
-                        ),
-                        // The lanes fold max |dp| in phase B, which
-                        // streams p_hat anyway.
-                        (Views::Lanes { state, bufs }, false) => ShardFold {
-                            max_step: 0.0,
-                            sums: phase_a_fast::<false>(
-                                state,
-                                &rp,
-                                &p,
-                                &e,
-                                &e_sent,
-                                range.clone(),
-                                &p_hat,
-                                bufs,
-                            ),
-                        },
-                        (Views::Lanes { state, bufs }, true) => ShardFold {
-                            max_step: 0.0,
-                            sums: phase_a_fast::<true>(
-                                state,
-                                &rp,
-                                &p,
-                                &e,
-                                &e_sent,
-                                range.clone(),
-                                &p_hat,
-                                bufs,
-                            ),
-                        },
+                    let sums = {
+                        let heard = e_sent.read_all(w, PHASE_A, &mut held_a);
+                        let (p, e) = (p.read(w, PHASE_A), e.read(w, PHASE_A));
+                        let sealed = Sealed {
+                            start: range.start,
+                            p: &p,
+                            e: &e,
+                            heard,
+                        };
+                        let (hat, r) = (&mut p_hat.write(w, PHASE_A), range.clone());
+                        if cap_test.is_some() {
+                            buffers.phase_a::<true>(at, w, r, sealed, hat)
+                        } else {
+                            buffers.phase_a::<false>(at, w, r, sealed, hat)
+                        }
                     };
+                    held_a.clear();
                     if cap_test.is_some() {
-                        // SAFETY: slot w is ours alone; peers only fold the
-                        // partials after the next barrier seals them.
-                        unsafe { worker_sums.write(w, fold.sums) };
+                        worker_sums.write(w, PHASE_A)[0] = sums;
                     }
                     if let Some(t0) = t0 {
-                        // SAFETY: slot w is ours alone.
-                        unsafe { nanos.write(w, t0.elapsed().as_nanos() as u64) };
+                        nanos.write(w, PHASE_A)[0] = t0.elapsed().as_nanos() as u64;
                     }
                     barrier.wait(); // all transfers + p_hat + cap-test partials written
                     if let Some((reference, rel_tol)) = cap_test {
                         let mut total = [0.0_f64; 2];
-                        for k in 0..workers {
-                            // SAFETY: all writes sealed by the barrier;
-                            // the next ones come after barrier 3.
-                            let part = unsafe { worker_sums.read(k) };
+                        for part in worker_sums.values(BETWEEN) {
                             total[0] += part[0];
                             total[1] += part[1];
                         }
@@ -1193,92 +1213,63 @@ impl DibaRun {
                         let mut met = false;
                         if near {
                             if w == 0 {
-                                // SAFETY: nobody writes `p` before phase B,
-                                // and between barrier 1 and the verdict
-                                // barrier only worker 0 touches ctl (peers
-                                // read it at the top of the round and
-                                // right after the verdict barrier).
-                                let p_all = unsafe { p.slice(0..n) };
-                                let ctl_now = &mut (unsafe { ctl_cell.slice_mut(0..1) })[0];
-                                ctl_now.met = is_within(problem, p_all, reference, rel_tol);
+                                // Nobody writes `p` before phase B, and
+                                // peers read the control only after the
+                                // verdict barrier.
+                                let verdict =
+                                    is_within(problem, || p.values(BETWEEN), reference, rel_tol);
+                                control.write(0, BETWEEN)[0].met = verdict;
                             }
                             // The one extra barrier of a near round
                             // seals the verdict.
                             barrier.wait();
-                            // SAFETY: read-only until worker 0 closes the
-                            // round after barrier 2.
-                            met = unsafe { ctl_cell.read(0) }.met;
+                            met = control.read(0, BETWEEN)[0].met;
                         }
-                        if met || ctl_top.rounds_left == 0 {
+                        if met || top.rounds_left == 0 {
                             break;
                         }
                     }
-                    let local_max = match &views {
-                        Views::Csr { transfers, rev } => {
-                            phase_b(
-                                graph,
-                                rev,
-                                range.clone(),
-                                &p,
-                                &e,
-                                &e_sent,
-                                &p_hat,
-                                transfers,
-                            );
-                            fold.max_step
-                        }
-                        Views::Lanes { state, bufs } => {
-                            phase_b_fast(state, range.clone(), &p, &e, &e_sent, &p_hat, bufs)
-                        }
+                    let local_max = {
+                        let hat = p_hat.read(w, PHASE_B);
+                        let (mut p, mut e) = (p.write(w, PHASE_B), e.write(w, PHASE_B));
+                        let mut sent = e_sent.write(w, PHASE_B);
+                        let own = (&mut **p, &mut **e, &mut **sent);
+                        buffers.phase_b((graph, w, range.clone()), &mut held_b, own, &hat)
                     };
-                    // SAFETY: slot w is ours alone; worker 0 only folds the
-                    // maxima after the next barrier seals them.
-                    unsafe { worker_max.write(w, local_max) };
+                    held_b.iter_mut().for_each(Vec::clear);
+                    worker_max.write(w, PHASE_B)[0] = local_max;
                     barrier.wait(); // all (p, e) updated, worker maxima in
                     if w == 0 {
                         // f64::max is exactly associative on these NaN-free
                         // values, so folding per-worker maxima in any
                         // grouping reproduces the serial max bitwise.
-                        let mut max_step = 0.0_f64;
-                        for k in 0..workers {
-                            // SAFETY: all writes sealed by the barrier.
-                            max_step = max_step.max(unsafe { worker_max.read(k) });
-                        }
-                        // SAFETY: only worker 0 touches ctl between barriers.
-                        let ctl_now = &mut (unsafe { ctl_cell.slice_mut(0..1) })[0];
-                        ctl_now.close_round(stop, max_step);
+                        let max_step = worker_max.values(BETWEEN).fold(0.0_f64, f64::max);
+                        let mut ctl_now = control.write(0, BETWEEN);
+                        ctl_now[0].close_round(stop, max_step);
                         if tel_on {
-                            // SAFETY: only worker 0 touches the recorder
-                            // between barriers; all phase-B writes (and the
-                            // per-worker timing slots) are sealed by the
-                            // barrier above. Worker 0 computes every
-                            // aggregate serially over the *full* arrays, so
-                            // the record — like the trajectory — is
-                            // identical for every worker count.
-                            let tel = unsafe { &mut tel_cell.slice_mut(0..1)[0] };
-                            if let Some(tel) = tel.as_mut() {
-                                let p_all = unsafe { p.slice(0..n) };
-                                let e_all = unsafe { e.slice(0..n) };
+                            // Worker 0 computes every aggregate serially
+                            // over the *full* arrays, so the record — like
+                            // the trajectory — is identical for every
+                            // worker count.
+                            if let Some(tel) = recorder.write(0, BETWEEN)[0].as_mut() {
                                 let mut max_abs_e = 0.0_f64;
                                 let mut norm2 = 0.0_f64;
-                                for (&pi, &ei) in p_all.iter().zip(e_all) {
+                                for (pi, ei) in p.values(BETWEEN).zip(e.values(BETWEEN)) {
                                     max_abs_e = max_abs_e.max(ei.abs());
                                     norm2 += pi * pi;
                                 }
                                 let mut shard_nanos = [0u64; MAX_TIMED_SHARDS];
                                 if time_on {
-                                    for k in 0..workers {
-                                        let slot = k.min(MAX_TIMED_SHARDS - 1);
-                                        // SAFETY: sealed by the barrier.
-                                        shard_nanos[slot] += unsafe { nanos.read(k) };
+                                    for (k, ns) in nanos.values(BETWEEN).enumerate() {
+                                        shard_nanos[k.min(MAX_TIMED_SHARDS - 1)] += ns;
                                     }
                                 }
                                 tel.record_round(RoundRecord {
-                                    round: ctl_now.iterations as u64,
+                                    round: ctl_now[0].iterations as u64,
                                     budget: budget.0,
-                                    sum_p: chunked_sum(p_all),
+                                    sum_p: chunked_sum(p.values(BETWEEN)),
                                     norm2_p: norm2.sqrt(),
-                                    sum_e: chunked_sum(e_all),
+                                    sum_e: chunked_sum(e.values(BETWEEN)),
                                     max_abs_e,
                                     max_step,
                                     msgs_sent: msgs_per_round,
@@ -1494,114 +1485,80 @@ impl DibaRun {
     }
 }
 
-/// What phase A reduces over one shard.
-#[derive(Default)]
-struct ShardFold {
-    /// The shard's max `|dp|`.
-    max_step: f64,
-    /// `[Σpᵢ, Σrᵢ(pᵢ)]` over the shard's pre-round state, ascending; zeros
-    /// unless the phase ran with `SUMS`.
-    sums: [f64; 2],
-}
-
 /// Phase A of a round over one shard: kernel every node in `range` against
 /// the previous round's state — its own `(p, e)` and its neighbours' sent
-/// residuals — writing `p_hat[i]` and the node's own CSR-aligned
-/// `transfers` slots.
+/// residuals — writing `hat` and the node's own CSR-aligned `transfers`
+/// slots (the shard's own, from its first). With `SUMS`, returns the cap
+/// test's `[Σpᵢ, Σrᵢ(pᵢ)]` over the shard's pre-round state, ascending;
+/// zeros otherwise.
 ///
 /// Fused: the kernel reads each neighbor's sent residual straight out of
-/// the global `e_sent` array through its CSR row (split-slice, no bounds
-/// checks in the hot loop) instead of staging a per-node copy first — one
-/// pass over the shard, no scratch traffic. Reading the same `f64`s from a
-/// different place is bitwise-inert, so the fusion cannot move the
-/// trajectory.
+/// `sealed.heard` through its CSR row instead of staging a per-node copy
+/// first — one pass over the shard, no scratch traffic. Reading the same
+/// `f64`s from a different place is bitwise-inert, so the fusion cannot
+/// move the trajectory.
 ///
-/// `SUMS` additionally accumulates the cap test's two sums while `pᵢ` and
-/// the curve are in registers; it is a const so the loops that never read
-/// them ([`Stop::Rounds`], [`Stop::AtRest`]) compile to the kernel alone.
-#[allow(clippy::too_many_arguments)] // the shard worker's full working set
+/// `SUMS` accumulates the sums while `pᵢ` and the curve are in registers;
+/// it is a const so the loops that never read them ([`Stop::Rounds`],
+/// [`Stop::AtRest`]) compile to the kernel alone.
 fn phase_a<const SUMS: bool>(
     problem: &PowerBudgetProblem,
     graph: &Graph,
     rp: &NodeParams,
-    p: &SharedSlice<'_, f64>,
-    e: &SharedSlice<'_, f64>,
-    e_sent: &SharedSlice<'_, f64>,
     range: Range<usize>,
-    p_hat: &SharedSlice<'_, f64>,
-    transfers: &SharedSlice<'_, f64>,
-) -> ShardFold {
-    let offsets = graph.offsets();
-    let flat = graph.flat_neighbors();
-    let mut fold = ShardFold::default();
-    for i in range {
-        let (lo, hi) = (offsets[i], offsets[i + 1]);
-        let row = &flat[lo..hi];
-        let u = problem.utility(i);
-        // SAFETY: element i is in this worker's own shard.
-        let (pi, ei) = unsafe { (p.read(i), e.read(i)) };
-        if SUMS {
-            fold.sums[0] += pi;
-            fold.sums[1] += u.value(Watts(pi));
-        }
-        // SAFETY: slots lo..hi belong to node i alone (CSR rows are
-        // disjoint) and i is in this worker's shard.
-        let out = unsafe { transfers.slice_mut(lo..hi) };
-        let dp = node_action_generic(
-            u,
-            pi,
-            ei,
-            row.len(),
-            // SAFETY: k < row.len() by the kernel's loop bound; nobody
-            // writes `e_sent` during phase A — the previous round's writes
-            // are sealed by its round-end barrier.
-            |k| unsafe { e_sent.read(*row.get_unchecked(k)) },
-            rp,
-            out,
+    sealed: Sealed<'_>,
+    hat: &mut [f64],
+    transfers: &mut [f64],
+) -> [f64; 2] {
+    let offsets = &graph.offsets()[range.start..=range.end];
+    let (flat, base) = (graph.flat_neighbors(), offsets[0]);
+    let mut sums = [0.0; 2];
+    let own = sealed.p.iter().zip(sealed.e).zip(hat);
+    for ((i, slots), ((&pi, &ei), dp)) in range.zip(offsets.windows(2)).zip(own) {
+        let (row, out) = (
+            &flat[slots[0]..slots[1]],
+            &mut transfers[slots[0] - base..slots[1] - base],
         );
-        // SAFETY: element i is in this worker's own shard.
-        unsafe { p_hat.write(i, dp) };
-        fold.max_step = max_sel(dp.abs(), fold.max_step);
+        let u = problem.utility(i);
+        if SUMS {
+            sums[0] += pi;
+            sums[1] += u.value(Watts(pi));
+        }
+        *dp = node_action_generic(u, pi, ei, row.len(), |k| sealed.heard.get(row[k]), rp, out);
     }
-    fold
+    sums
 }
 
 /// Phase B of a round over one shard, in the agent's order: apply the
 /// node's move, publish `e_mid = e + (dp − sent)` with `sent` its own row's
 /// final sends summed in slot order, then add the incoming transfers to it
 /// in slot order. Runs strictly after a barrier seals every phase-A write.
-#[allow(clippy::too_many_arguments)] // the shard worker's full working set
+/// `p`, `e`, `e_sent` and `hat` are the shard's own chunks; the node's own
+/// sends are in `transfers`' own chunk, and what it received at their
+/// reverse slots. Returns the shard's max `|dp|`.
 fn phase_b(
     graph: &Graph,
     rev: &[usize],
     range: Range<usize>,
-    p: &SharedSlice<'_, f64>,
-    e: &SharedSlice<'_, f64>,
-    e_sent: &SharedSlice<'_, f64>,
-    p_hat: &SharedSlice<'_, f64>,
-    transfers: &SharedSlice<'_, f64>,
-) {
-    let offsets = graph.offsets();
-    for i in range {
-        let (lo, hi) = (offsets[i], offsets[i + 1]);
-        // SAFETY: all transfer slots were written in phase A and are
-        // read-only now; node i's own sends sit at its slots, and what it
-        // received at their reverse slots. Element i is in this worker's
-        // own shard; `e[i]` and `e_sent[i]` are not read by any other
-        // worker until the round-end barrier.
-        unsafe {
-            let sent: f64 = transfers.slice(lo..hi).iter().sum();
-            let dp = p_hat.read(i);
-            p.write(i, p.read(i) + dp);
-            let e_mid = e.read(i) + (dp - sent);
-            let mut e_new = e_mid;
-            for &r in &rev[lo..hi] {
-                e_new += transfers.read(r);
-            }
-            e_sent.write(i, e_mid);
-            e.write(i, e_new);
-        }
+    (p, e, e_sent): (&mut [f64], &mut [f64], &mut [f64]),
+    hat: &[f64],
+    transfers: Whole<'_, f64>,
+) -> f64 {
+    let offsets = &graph.offsets()[range.start..=range.end];
+    let (base, own) = (offsets[0], transfers.own());
+    let mut max_step = 0.0;
+    let state = p.iter_mut().zip(e.iter_mut()).zip(e_sent.iter_mut());
+    for (((p, e), e_sent), (&dp, slots)) in state.zip(hat.iter().zip(offsets.windows(2))) {
+        let (lo, hi) = (slots[0], slots[1]);
+        let sent: f64 = own[lo - base..hi - base].iter().sum();
+        *p += dp;
+        *e_sent = *e + (dp - sent);
+        *e = rev[lo..hi]
+            .iter()
+            .fold(*e_sent, |e, &r| e + transfers.get(r));
+        max_step = max_sel(dp.abs(), max_step);
     }
+    max_step
 }
 
 #[cfg(test)]
@@ -1797,8 +1754,8 @@ mod tests {
 
     /// The shapes the lanes' cold backtracking block takes in the next
     /// round, judged on the run's own state with the reference kernel:
-    /// whether some 4-lane block — cut as the lanes cut the run's shards,
-    /// from `max(start, 1)` in whole blocks short of `n − 1` — has rows
+    /// whether some 4-lane block — cut as the lanes cut the run's shards
+    /// ([`crate::fast::block_span`]) — has rows
     /// failing the first feasibility test beside rows passing it, and
     /// whether some failing ring row in a block sheds power without
     /// scaling its sends (`scale == 1`, but `dp` changed).
@@ -1807,7 +1764,7 @@ mod tests {
             eta: run.params.eta * run.boost,
             ..run.params
         };
-        let (n, p, e, heard) = (run.p.len(), &run.p, &run.e, &run.e_sent);
+        let (p, e, heard) = (&run.p, &run.e, &run.e_sent);
         // Row i as the lanes see it: ring neighbours i − 1 and i + 1, read
         // at their sent residuals.
         let row = |i: usize| {
@@ -1821,8 +1778,8 @@ mod tests {
         };
         let (mut mixed, mut shed_only) = (false, false);
         for cut in run.scratch.cuts.windows(2) {
-            let (mut i, hi) = (cut[0].max(1), cut[1].min(n - 1));
-            while i + crate::fast::LANES <= hi {
+            let (mut i, blocks, _) = crate::fast::block_span(&(cut[0]..cut[1]));
+            for _ in 0..blocks {
                 let block: Vec<_> = (i..i + crate::fast::LANES).map(row).collect();
                 mixed |= block.iter().any(|r| r.2) && block.iter().any(|r| !r.2);
                 for (j, (raw, sends, holds)) in (i..).zip(block) {
@@ -2160,7 +2117,7 @@ mod tests {
                     rel_tol,
                     cap_filter_guard(40),
                 ),
-                is_within(&run.problem, &run.p, reference, rel_tol),
+                is_within(&run.problem, || run.p.iter().copied(), reference, rel_tol),
             )
         };
         assert_eq!(verdicts(&run), (true, false), "not in the guard band");

@@ -15,9 +15,9 @@
 //!   bounded spin-then-yield, parking on a condvar when the wait runs
 //!   long or the worker count oversubscribes the host), poisoned by a
 //!   worker that unwinds so its peers panic instead of waiting forever;
-//! * [`SharedSlice`] — an unsafe-but-audited shared view of a `&mut [T]`
-//!   for the disjoint-range writes and barrier-ordered cross-phase reads
-//!   the round structure needs;
+//! * `Chunked` — one array of the round state cut into one `&mut` chunk
+//!   per worker, each behind an uncontended `RwLock` that a worker takes
+//!   for one phase; `locate` maps a global index to its chunk;
 //! * [`chunked_sum`] — the fixed-chunk reduction that makes parallel sums
 //!   *bitwise* independent of the worker count.
 //!
@@ -37,11 +37,12 @@
 //! therefore never change results; [`Threads::Auto`] is free to chase
 //! throughput alone.
 
-use std::marker::PhantomData;
+use std::borrow::Borrow;
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 /// The host's available parallelism (1 when it cannot be determined),
 /// probed once per process.
@@ -298,9 +299,9 @@ impl SpinBarrier {
 
     /// Blocks until all `parties` workers have called `wait` for the
     /// current generation. `AcqRel` on the arrival counter and `Release`/
-    /// `Acquire` on the generation bump order every write before the
-    /// barrier ahead of every read after it, which is the memory contract
-    /// [`SharedSlice`] users rely on.
+    /// `Acquire` on the generation bump order the phases; the data itself
+    /// crosses workers only through `Chunked`'s locks, which are free at
+    /// every barrier.
     ///
     /// # Panics
     ///
@@ -416,114 +417,121 @@ impl Drop for PoisonOnUnwind<'_> {
 /// partials in ascending order. This is the *reference* reduction: a
 /// parallel sum whose workers each cover whole chunks and whose partials
 /// are folded in the same ascending order reproduces these bits exactly.
-pub fn chunked_sum(values: &[f64]) -> f64 {
-    values
-        .chunks(REDUCE_CHUNK)
-        .map(|c| c.iter().sum::<f64>())
-        .fold(0.0, |a, b| a + b)
+/// Any iterator in index order serves, such as a `Chunked` array's
+/// values, chunk after chunk.
+pub fn chunked_sum<T: Borrow<f64>>(values: impl IntoIterator<Item = T>) -> f64 {
+    let mut values = values.into_iter().map(|v| *v.borrow()).peekable();
+    let mut total = 0.0;
+    while values.peek().is_some() {
+        total += values.by_ref().take(REDUCE_CHUNK).sum::<f64>();
+    }
+    total
 }
 
-/// A shared, unsynchronized view of a `&mut [T]` for sharded round
-/// execution.
+/// One array of a dispatch's round state, cut with `split_at_mut` into
+/// one `&mut` chunk per worker — chunk `w` holds elements
+/// `cuts[w]..cuts[w + 1]` — each behind an uncontended `RwLock`.
 ///
-/// The round engines hand every worker the whole array but a contract: a
-/// worker only *writes* indices inside its own shard, and only *reads*
-/// indices written by other workers across a barrier (`std::sync::Barrier`)
-/// that orders the writes before the reads. Under that discipline no
-/// location is ever accessed concurrently with a write, which is exactly
-/// the data-race-freedom the `unsafe` accessors below require.
-///
-/// The borrow of the underlying slice is held for `'a`, so the exclusive
-/// `&mut [T]` cannot be used (or even observed) while views exist.
-pub struct SharedSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
+/// In a phase a worker write-locks its own chunk of every array the phase
+/// writes, read-locks what it reads, and drops every guard before
+/// [`SpinBarrier::wait`]. Every lock is a `try_read`/`try_write`, so a
+/// worker that breaks that rule panics, naming the phase, instead of
+/// blocking; the barrier's poison then releases its peers, and the
+/// dispatch panics on the caller's thread.
+pub(crate) struct Chunked<'a, T> {
+    cuts: Vec<usize>,
+    chunks: Vec<RwLock<&'a mut [T]>>,
 }
 
-// SAFETY: a SharedSlice is a borrowed view whose cross-thread use is
-// governed by the shard/barrier contract documented on the type; moving or
-// sharing the view itself is safe whenever `T` can move between threads.
-unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
-unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
-
-impl<'a, T> SharedSlice<'a, T> {
-    /// Wraps an exclusive slice borrow in a shareable view.
-    pub fn new(slice: &'a mut [T]) -> SharedSlice<'a, T> {
-        SharedSlice {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: PhantomData,
-        }
+impl<'a, T> Chunked<'a, T> {
+    /// Cuts `data` at the ascending `cuts`, from `0` to `data.len()`.
+    pub(crate) fn new(mut data: &'a mut [T], cuts: Vec<usize>) -> Chunked<'a, T> {
+        let mut chunk = |len| {
+            let (chunk, rest) = std::mem::take(&mut data).split_at_mut(len);
+            data = rest;
+            RwLock::new(chunk)
+        };
+        let chunks = cuts.windows(2).map(|c| chunk(c[1] - c[0])).collect();
+        Chunked { cuts, chunks }
     }
 
-    /// Element count of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
+    /// Worker `w`'s chunk, write-locked in `phase`.
+    pub(crate) fn write(&self, w: usize, phase: &str) -> RwLockWriteGuard<'_, &'a mut [T]> {
+        (self.chunks[w].try_write()).unwrap_or_else(|e| broken(phase, "write", w, e))
     }
 
-    /// `true` when the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Worker `w`'s chunk, read-locked in `phase`.
+    pub(crate) fn read(&self, w: usize, phase: &str) -> RwLockReadGuard<'_, &'a mut [T]> {
+        (self.chunks[w].try_read()).unwrap_or_else(|e| broken(phase, "read", w, e))
     }
 
-    /// Reads element `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i < len()`, and no other thread may be writing element `i`
-    /// concurrently (writes by other workers must be ordered before this
-    /// read by a barrier).
-    #[inline]
-    pub unsafe fn read(&self, i: usize) -> T
+    /// Every element in index order, read-locking one chunk at a time.
+    pub(crate) fn values<'s>(&'s self, phase: &'s str) -> impl Iterator<Item = T> + use<'s, 'a, T>
     where
         T: Copy,
     {
-        debug_assert!(i < self.len);
-        // SAFETY: bounds and non-aliasing guaranteed by the caller.
-        unsafe { *self.ptr.add(i) }
+        (0..self.chunks.len()).flat_map(move |w| {
+            let chunk = self.read(w, phase);
+            (0..chunk.len()).map(move |k| chunk[k])
+        })
     }
 
-    /// Writes element `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i < len()`, `i` lies in the calling worker's own shard, and no other
-    /// thread accesses element `i` until a barrier orders this write.
+    /// Worker `w`'s view of the whole array in `phase`: read-locks every
+    /// chunk into `held`, which the caller empties before the barrier and
+    /// keeps for the dispatch (so a round allocates nothing).
+    pub(crate) fn read_all<'v, 'c: 'v>(
+        &'c self,
+        w: usize,
+        phase: &str,
+        held: &'v mut Held<'c, 'a, T>,
+    ) -> Whole<'v, T> {
+        held.clear();
+        held.extend((0..self.chunks.len()).map(|c| self.read(c, phase)));
+        let parts: &'v [Guard<'v, T>] = held;
+        Whole(&self.cuts, parts, &parts[w], self.cuts[w])
+    }
+}
+
+/// The read guards a [`Chunked::read_all`] holds.
+pub(crate) type Held<'c, 'a, T> = Vec<RwLockReadGuard<'c, &'a mut [T]>>;
+type Guard<'v, T> = RwLockReadGuard<'v, &'v mut [T]>;
+
+/// The whole of a [`Chunked`] array as one worker reads it: the cuts, a
+/// read guard per chunk, and the worker's own chunk with its first index.
+#[derive(Clone, Copy)]
+pub(crate) struct Whole<'v, T>(&'v [usize], &'v [Guard<'v, T>], &'v [T], usize);
+
+impl<'v, T: Copy> Whole<'v, T> {
+    /// Element `j`: from the reader's own chunk when that holds it, from
+    /// whichever chunk does otherwise.
     #[inline]
-    pub unsafe fn write(&self, i: usize, value: T) {
-        debug_assert!(i < self.len);
-        // SAFETY: bounds and exclusivity guaranteed by the caller.
-        unsafe { *self.ptr.add(i) = value };
+    pub(crate) fn get(&self, j: usize) -> T {
+        match self.2.get(j.wrapping_sub(self.3)) {
+            Some(&v) => v,
+            None => {
+                let (c, k) = locate(self.0, j);
+                self.1[c][k]
+            }
+        }
     }
 
-    /// Borrows `range` immutably.
-    ///
-    /// # Safety
-    ///
-    /// `range` is in bounds and no thread writes any element of it for the
-    /// lifetime of the returned slice.
-    #[inline]
-    pub unsafe fn slice(&self, range: Range<usize>) -> &[T] {
-        debug_assert!(range.start <= range.end && range.end <= self.len);
-        // SAFETY: bounds and immutability guaranteed by the caller.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(range.start), range.len()) }
+    /// The reader's own chunk.
+    pub(crate) fn own(&self) -> &'v [T] {
+        self.2
     }
+}
 
-    /// Borrows `range` mutably.
-    ///
-    /// # Safety
-    ///
-    /// `range` is in bounds, lies in the calling worker's own shard, and no
-    /// other thread accesses any element of it for the lifetime of the
-    /// returned slice.
-    #[inline]
-    #[allow(clippy::mut_from_ref)] // the aliasing contract is the point of the type
-    pub unsafe fn slice_mut(&self, range: Range<usize>) -> &mut [T] {
-        debug_assert!(range.start <= range.end && range.end <= self.len);
-        // SAFETY: bounds and exclusivity guaranteed by the caller.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
-    }
+/// Where global index `j` lies under `cuts`: its chunk, and its offset in
+/// that chunk. The one place that knows the cut layout.
+#[inline]
+pub(crate) fn locate(cuts: &[usize], j: usize) -> (usize, usize) {
+    let c = cuts[1..cuts.len() - 1].partition_point(|&cut| cut <= j);
+    (c, j - cuts[c])
+}
+
+#[cold]
+fn broken(phase: &str, access: &str, w: usize, e: impl std::fmt::Display) -> ! {
+    panic!("{phase}: chunk {w} is not free to {access} ({e}): a worker broke the phase rule")
 }
 
 #[cfg(test)]
@@ -595,17 +603,20 @@ mod tests {
             let barrier = SpinBarrier::new(parties);
             let mut phase_a = vec![0usize; parties];
             let mut phase_b = vec![0usize; parties];
-            let a = SharedSlice::new(&mut phase_a);
-            let b = SharedSlice::new(&mut phase_b);
+            let cuts: Vec<usize> = (0..=parties).collect();
+            let a = Chunked::new(&mut phase_a, cuts.clone());
+            let b = Chunked::new(&mut phase_b, cuts);
             run_workers(parties, |w| {
-                // SAFETY: each worker writes only its own index; the
-                // barrier orders phase-A writes before phase-B reads.
-                unsafe { a.write(w, w + 1) };
+                let mut held = Vec::new();
+                a.write(w, "phase A")[0] = w + 1;
                 barrier.wait();
-                let total = (0..parties).map(|i| unsafe { a.read(i) }).sum::<usize>();
-                unsafe { b.write(w, total) };
+                let all = a.read_all(w, "phase B", &mut held);
+                let total = (0..parties).map(|i| all.get(i)).sum::<usize>();
+                held.clear();
+                b.write(w, "phase B")[0] = total;
                 barrier.wait();
             });
+            drop((a, b));
             let expect = parties * (parties + 1) / 2;
             assert!(phase_b.iter().all(|&v| v == expect), "parties={parties}");
         }
@@ -701,17 +712,60 @@ mod tests {
     }
 
     #[test]
-    fn shared_slice_disjoint_writes_land() {
+    fn chunked_disjoint_writes_land() {
         let mut data = vec![0usize; 64];
-        let shared = SharedSlice::new(&mut data);
-        let cuts = [0, 16, 32, 48, 64];
-        run_workers(4, |w| {
-            // SAFETY: ranges are disjoint per worker.
-            let mine = unsafe { shared.slice_mut(cuts[w]..cuts[w + 1]) };
-            for (off, v) in mine.iter_mut().enumerate() {
+        // Empty chunks included: two cuts meet at 16, two at 64.
+        let cuts = vec![0, 16, 16, 40, 64, 64];
+        let chunked = Chunked::new(&mut data, cuts.clone());
+        run_workers(cuts.len() - 1, |w| {
+            for (off, v) in chunked.write(w, "fill").iter_mut().enumerate() {
                 *v = cuts[w] + off;
             }
         });
+        let mut held = Vec::new();
+        let all = chunked.read_all(2, "check", &mut held);
+        for j in 0..64 {
+            let (c, k) = locate(&cuts, j);
+            assert!(
+                all.get(j) == j && cuts[c] + k == j && j < cuts[c + 1],
+                "{j}"
+            );
+        }
+        drop(held);
+        assert!(chunked.values("check").eq(0..64));
+        drop(chunked);
         assert!(data.iter().enumerate().all(|(i, &v)| v == i));
+    }
+
+    #[test]
+    fn reading_a_chunk_a_peer_writes_panics_instead_of_hanging() {
+        let message = within_deadline(|| {
+            let barrier = SpinBarrier::new(2);
+            let held = AtomicBool::new(false);
+            let mut data = vec![0.0_f64; 8];
+            let chunked = Chunked::new(&mut data, vec![0, 4, 8]);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_workers(2, |w| {
+                    let _poison = barrier.poison_on_unwind();
+                    if w == 1 {
+                        // Breaks the rule: holds its chunk across the
+                        // barrier, where worker 0's panic poisons it.
+                        let _mine = chunked.write(1, "phase A");
+                        held.store(true, Ordering::SeqCst);
+                        barrier.wait();
+                    }
+                    while !held.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    let _theirs = chunked.read(1, "phase B");
+                    barrier.wait();
+                });
+            }));
+            outcome
+                .err()
+                .and_then(|e| e.downcast_ref::<String>().cloned())
+        });
+        let message = message.expect("the dispatch must panic");
+        assert!(message.contains("phase B: chunk 1"), "{message}");
     }
 }

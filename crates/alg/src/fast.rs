@@ -35,9 +35,10 @@
 //!   lane-wise, and stores `p̂`, `vp` and `vn` as they stand. A block where
 //!   some lane fails the test — a few per round outside a budget cut — goes
 //!   to a `#[cold]`, out-of-line function that redoes its rows scalar from
-//!   sealed state, so the packed loop keeps nothing live for it. The wrap
-//!   nodes `0` and `n − 1` and the tail past the last whole block run the
-//!   same scalar row.
+//!   sealed state, so the packed loop keeps nothing live for it. The
+//!   blocks stay strictly inside a worker's shard, so they read its own
+//!   chunks only; each shard's first and last nodes (the wrap nodes among
+//!   them) and the tail past its last whole block run the same scalar row.
 //! * **Ring sends in two flat arrays.** Phase A stores node `i`'s final
 //!   donations to `i − 1` and `i + 1` in `vp[i]` and `vn[i]`; phase B reads
 //!   what `i` received from its neighbours' entries `vn[i − 1]` and
@@ -72,10 +73,11 @@
 //! The blocks, the scalar rows and the exceptional path share these
 //! expressions (no FMA contraction, no lane-position dependence) and read
 //! only state sealed by the previous barrier, so a node's bits depend on
-//! neither shard cuts nor block alignment.
+//! neither shard cuts nor block alignment. No kernel holds a pointer: a
+//! worker writes its own `exec::Chunked` chunks and reads its peers'.
 
 use crate::diba::{backtrack, gradient_step, max_sel, send, NodeParams};
-use crate::exec::SharedSlice;
+use crate::exec::Whole;
 use dpc_models::QuadraticUtility;
 use dpc_topology::Graph;
 use std::ops::Range;
@@ -289,29 +291,28 @@ impl FastState {
         };
         at(ex.start)..at(ex.end)
     }
-}
 
-/// The per-round buffers of the lane traversal, shared between the
-/// workers of one dispatch.
-pub(crate) struct LaneBuffers<'a> {
-    /// Node `i`'s final send to `i − 1`.
-    pub vp: SharedSlice<'a, f64>,
-    /// Node `i`'s final send to `i + 1`.
-    pub vn: SharedSlice<'a, f64>,
-    /// Exceptional rows' final chord sends, one slot per row slot.
-    pub extras: SharedSlice<'a, f64>,
-    /// Phase B's `[sent residual, post-round residual]` of each
-    /// exceptional node, parked while the lanes stream over it.
-    pub stash: SharedSlice<'a, [f64; 2]>,
+    /// Where the node cuts `cuts` cut the extras buffer and the stash:
+    /// each shard's exceptional rows' slots, and its exceptional nodes.
+    pub(crate) fn chunk_cuts(&self, cuts: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        let rows: Vec<usize> = cuts
+            .iter()
+            .map(|&c| self.exceptional_in(&(0..c)).end)
+            .collect();
+        let slots = rows.iter().map(|&k| self.links_of(&(k..k)).start).collect();
+        (slots, rows)
+    }
 }
 
 /// The state phase A reads, sealed by the previous round-end barrier:
-/// every node's power, its residual and the residual it last sent.
+/// the shard's own powers and residuals (index `i − start`), and every
+/// node's sent residual.
 #[derive(Clone, Copy)]
-struct Sealed<'s> {
-    p: &'s [f64],
-    e: &'s [f64],
-    e_sent: &'s [f64],
+pub(crate) struct Sealed<'s> {
+    pub start: usize,
+    pub p: &'s [f64],
+    pub e: &'s [f64],
+    pub heard: Whole<'s, f64>,
 }
 
 /// `s[from..]` as `blocks` lane arrays. The one bounds check happens here,
@@ -328,138 +329,108 @@ fn blocks_of_mut(s: &mut [f64], from: usize, blocks: usize) -> &mut [[f64; LANES
     &mut s[from..].as_chunks_mut::<LANES>().0[..blocks]
 }
 
-/// The nodes of `range` the packed blocks cover: `lo..lo + blocks·LANES`,
-/// inside `1..n − 1` so that `i − 1` and `i + 1` never wrap. The wrap
-/// nodes and the tail past the last whole block stay scalar.
-fn block_span(range: &Range<usize>, n: usize) -> (usize, usize, usize) {
-    let lo = range.start.max(1);
-    let hi = range.end.min(n - 1);
-    (lo, hi.saturating_sub(lo) / LANES, hi)
+/// The nodes of `range` the packed blocks cover, `lo..lo + blocks·LANES`,
+/// strictly inside the shard so that `i − 1` and `i + 1` are its own and
+/// never wrap; and `hi`, the shard's last node when it has two.
+pub(crate) fn block_span(range: &Range<usize>) -> (usize, usize, usize) {
+    let lo = range.start + 1;
+    let hi = range.end.saturating_sub(1).max(lo);
+    (lo, (hi - lo) / LANES, hi)
+}
+
+/// The nodes of `range` the scalar row serves: the shard's first and last
+/// (the wrap nodes among them), then the tail past the last whole block.
+fn scalar_rows(range: &Range<usize>) -> impl Iterator<Item = usize> {
+    let ((lo, blocks, hi), end) = (block_span(range), range.end);
+    let edges = [range.start, hi].into_iter().filter(move |&i| i < end);
+    edges.chain(lo + blocks * LANES..hi)
 }
 
 /// Phase A of a round over one shard: one fused sweep over the ring rows
 /// ([`ring_sweep`]), then the exceptional rows re-done over their CSR
-/// slots ([`exceptional_pass`]). Writes `p_hat[i]`, `vp[i]` and `vn[i]`
-/// for every `i` in `range` and the extras slots of the shard's
-/// exceptional rows. With `SUMS`, returns the cap test's
-/// `[Σpᵢ, Σrᵢ(pᵢ)]` over the shard's pre-round state, accumulated per
-/// lane (any order serves: `is_near_within`'s guard covers the
+/// slots ([`exceptional_pass`]). Writes `hat`, `vp` and `vn` — the
+/// shard's own chunks, index `i − range.start` — and `tx`, the extras
+/// slots of the shard's exceptional rows. With `SUMS`, returns the cap
+/// test's `[Σpᵢ, Σrᵢ(pᵢ)]` over the shard's pre-round state, accumulated
+/// per lane (any order serves: `is_near_within`'s guard covers the
 /// re-association); zeros otherwise.
 ///
-/// The memory contract is the reference kernel's: called between round
-/// barriers, `p`/`e`/`e_sent` are read-only (last round's writes sealed),
-/// and this worker alone writes `p_hat[range]`, `vp[range]`, `vn[range]`
-/// and its exceptional rows' extras slots.
-#[allow(clippy::too_many_arguments)] // the shard's phase-A working set
+/// The memory contract is the borrow checker's: `sealed` is read-locked,
+/// and the chunks this worker writes are its own, write-locked.
 pub(crate) fn phase_a_fast<const SUMS: bool>(
     st: &FastState,
     rp: &NodeParams,
-    p: &SharedSlice<'_, f64>,
-    e: &SharedSlice<'_, f64>,
-    e_sent: &SharedSlice<'_, f64>,
+    sealed: Sealed<'_>,
     range: Range<usize>,
-    p_hat: &SharedSlice<'_, f64>,
-    bufs: &LaneBuffers<'_>,
+    hat: &mut [f64],
+    (vp, vn): (&mut [f64], &mut [f64]),
+    tx: &mut [f64],
 ) -> [f64; 2] {
-    let n = st.len();
     let ex = st.exceptional_in(&range);
-    let slots = st.links_of(&ex);
-    // SAFETY: phase A reads `p`/`e`/`e_sent` only — every write to them
-    // happened before the previous round-end barrier — and `p_hat[range]`,
-    // `vp[range]`, `vn[range]` and the extras slots of the shard's
-    // exceptional rows belong to this worker alone (shards are disjoint
-    // node ranges, and rows are laid out in node order).
-    let (sealed, hat, vp, vn, tx) = unsafe {
-        (
-            Sealed {
-                p: p.slice(0..n),
-                e: e.slice(0..n),
-                e_sent: e_sent.slice(0..n),
-            },
-            p_hat.slice_mut(range.clone()),
-            bufs.vp.slice_mut(range.clone()),
-            bufs.vn.slice_mut(range.clone()),
-            bufs.extras.slice_mut(slots.clone()),
-        )
-    };
-    let sums = ring_sweep::<SUMS>(st, rp, sealed, range.clone(), hat, vp, vn);
-    exceptional_pass(st, rp, sealed, range, ex, hat, vp, vn, tx, slots.start);
+    let sums = ring_sweep::<SUMS>(st, rp, sealed, range, hat, vp, vn);
+    exceptional_pass(st, rp, sealed, ex, hat, vp, vn, tx);
     sums
 }
 
-/// Phase B of a round over one shard, in the agent's order: every node
-/// applies `p[i] += p̂ᵢ`, publishes `e_mid = e[i] + (p̂ᵢ − sent)` as its sent
-/// residual and then adds what it received in slot order. Ring nodes
-/// stream over the shifted send arrays in packed blocks that store `p`,
-/// `e_sent` and `e` together; exceptional nodes fold over their CSR row
-/// from the buffered final sends, stashed first because the blocks
-/// overwrite both their residuals. Returns the shard's max `|p̂|` (a
-/// compare-select fold: exactly associative on these non-negative,
-/// NaN-free values).
+/// Phase B of a round over one shard, in the agent's order:
+/// every node applies `p[i] += p̂ᵢ`, publishes `e_mid = e[i] + (p̂ᵢ − sent)`
+/// as its sent residual and then adds what it received in slot order.
+/// Ring nodes stream over the shifted send arrays in packed blocks that
+/// store `p`, `e_sent` and `e` together; exceptional nodes fold over their
+/// CSR row from the buffered final sends, stashed first because the blocks
+/// overwrite both their residuals. `p`, `e`, `e_sent`, `hat` and `stash`
+/// are the shard's own chunks; `vp`, `vn` and the extras buffer `tx` are
+/// read whole. Returns the shard's max `|p̂|` (a compare-select fold:
+/// exactly associative on these non-negative, NaN-free values).
 pub(crate) fn phase_b_fast(
     st: &FastState,
     range: Range<usize>,
-    p: &SharedSlice<'_, f64>,
-    e: &SharedSlice<'_, f64>,
-    e_sent: &SharedSlice<'_, f64>,
-    p_hat: &SharedSlice<'_, f64>,
-    bufs: &LaneBuffers<'_>,
+    (p, e, e_sent): (&mut [f64], &mut [f64], &mut [f64]),
+    hat: &[f64],
+    [vp_all, vn_all, tx_all]: [Whole<'_, f64>; 3],
+    stash: &mut [[f64; 2]],
 ) -> f64 {
     let n = st.len();
     let ex = st.exceptional_in(&range);
-    // SAFETY: every `p_hat`/`vp`/`vn`/extras write was sealed by the
-    // phase-A/phase-B barrier, and this worker alone owns `p[range]`,
-    // `e[range]`, `e_sent[range]` and the stash slots of its exceptional
-    // nodes.
-    let (hat, vp, vn, tx, p_row, e_row, s_row, stash) = unsafe {
-        (
-            p_hat.slice(range.clone()),
-            bufs.vp.slice(0..n),
-            bufs.vn.slice(0..n),
-            bufs.extras.slice(0..st.extras_len()),
-            p.slice_mut(range.clone()),
-            e.slice_mut(range.clone()),
-            e_sent.slice_mut(range.clone()),
-            bufs.stash.slice_mut(ex.clone()),
-        )
-    };
-    let start = range.start;
+    let (start, tx_base) = (range.start, st.links_of(&ex).start);
+    let (vp, vn, tx) = (vp_all.own(), vn_all.own(), tx_all.own());
 
     for (x, parked) in st.exceptional[ex.clone()].iter().zip(stash.iter_mut()) {
         let i = x.node;
         let prev = if i == 0 { n - 1 } else { i - 1 };
         let next = if i + 1 == n { 0 } else { i + 1 };
+        let k = i - start;
         // `Iterator::sum`'s fold, which starts from −0.0.
         let mut sent = -0.0_f64;
         for s in x.links.clone() {
             sent += match st.links[s] {
-                Link::Prev => vp[i],
-                Link::Next => vn[i],
-                Link::Chord { .. } => tx[s],
+                Link::Prev => vp[k],
+                Link::Next => vn[k],
+                Link::Chord { .. } => tx[s - tx_base],
             };
         }
-        let e_mid = e_row[i - start] + (hat[i - start] - sent);
+        let e_mid = e[k] + (hat[k] - sent);
         let mut e_new = e_mid;
         for s in x.links.clone() {
             e_new += match st.links[s] {
-                Link::Prev => vn[prev],
-                Link::Next => vp[next],
-                Link::Chord { back, .. } => tx[back],
+                Link::Prev => vn_all.get(prev),
+                Link::Next => vp_all.get(next),
+                Link::Chord { back, .. } => tx_all.get(back),
             };
         }
         *parked = [e_mid, e_new];
     }
 
-    let (lo, blocks, hi) = block_span(&range, n);
+    let (lo, blocks, _) = block_span(&range);
     let mut max4 = [0.0_f64; LANES];
     if blocks > 0 {
         let k = lo - start;
-        let (from_prev, out_prev) = (blocks_of(vn, lo - 1, blocks), blocks_of(vp, lo, blocks));
-        let (from_next, out_next) = (blocks_of(vp, lo + 1, blocks), blocks_of(vn, lo, blocks));
+        let (from_prev, out_prev) = (blocks_of(vn, k - 1, blocks), blocks_of(vp, k, blocks));
+        let (from_next, out_next) = (blocks_of(vp, k + 1, blocks), blocks_of(vn, k, blocks));
         let dp4 = blocks_of(hat, k, blocks);
-        let p4 = blocks_of_mut(p_row, k, blocks);
-        let e4 = blocks_of_mut(e_row, k, blocks);
-        let s4 = blocks_of_mut(s_row, k, blocks);
+        let p4 = blocks_of_mut(p, k, blocks);
+        let e4 = blocks_of_mut(e, k, blocks);
+        let s4 = blocks_of_mut(e_sent, k, blocks);
         for j in 0..blocks {
             let (dp, p, e) = (dp4[j], p4[j], e4[j]);
             let (mut p_new, mut e_mid, mut e_new) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
@@ -474,26 +445,25 @@ pub(crate) fn phase_b_fast(
     }
     // The max is order-free, so the lane tree costs nothing in determinism.
     let mut local_max = max_sel(max_sel(max4[0], max4[1]), max_sel(max4[2], max4[3]));
-    let wrap = [0, n - 1].into_iter().filter(|j| range.contains(j));
-    for i in wrap.chain(lo + blocks * LANES..hi) {
+    for i in scalar_rows(&range) {
         let prev = if i == 0 { n - 1 } else { i - 1 };
         let next = if i + 1 == n { 0 } else { i + 1 };
         // Rows are sorted: the wrap nodes hear `next` first.
         let (first, second) = if prev < next {
-            (vn[prev], vp[next])
+            (vn_all.get(prev), vp_all.get(next))
         } else {
-            (vp[next], vn[prev])
+            (vp_all.get(next), vn_all.get(prev))
         };
         let k = i - start;
         let dp = hat[k];
-        p_row[k] += dp;
-        s_row[k] = e_row[k] + (dp - (vp[i] + vn[i]));
-        e_row[k] = s_row[k] + first + second;
+        p[k] += dp;
+        e_sent[k] = e[k] + (dp - (vp[k] + vn[k]));
+        e[k] = e_sent[k] + first + second;
         local_max = max_sel(dp.abs(), local_max);
     }
 
     for (x, parked) in st.exceptional[ex].iter().zip(stash.iter()) {
-        [s_row[x.node - start], e_row[x.node - start]] = *parked;
+        [e_sent[x.node - start], e[x.node - start]] = *parked;
     }
     local_max
 }
@@ -518,17 +488,17 @@ fn ring_sweep<const SUMS: bool>(
     vp: &mut [f64],
     vn: &mut [f64],
 ) -> [f64; 2] {
-    let n = st.len();
     let start = range.start;
-    let (lo, blocks, hi) = block_span(&range, n);
+    let (lo, blocks, _) = block_span(&range);
     let (mut sum_p, mut sum_u) = ([0.0_f64; LANES], [0.0_f64; LANES]);
-    let (p_all, e_all) = (sealed.p, sealed.e);
+    let (p_own, e_own) = (sealed.p, sealed.e);
     if blocks > 0 {
-        let p4 = blocks_of(p_all, lo, blocks);
+        let k = lo - start;
+        let p4 = blocks_of(p_own, k, blocks);
         let (e_m, e_i, e_p) = (
-            blocks_of(sealed.e_sent, lo - 1, blocks),
-            blocks_of(e_all, lo, blocks),
-            blocks_of(sealed.e_sent, lo + 1, blocks),
+            blocks_of(sealed.heard.own(), k - 1, blocks),
+            blocks_of(e_own, k, blocks),
+            blocks_of(sealed.heard.own(), k + 1, blocks),
         );
         let (a4, b4, c4) = (
             blocks_of(&st.a, lo, blocks),
@@ -539,7 +509,6 @@ fn ring_sweep<const SUMS: bool>(
             blocks_of(&st.p_min, lo, blocks),
             blocks_of(&st.p_max, lo, blocks),
         );
-        let k = lo - start;
         let hat4 = blocks_of_mut(hat, k, blocks);
         let vp4 = blocks_of_mut(vp, k, blocks);
         let vn4 = blocks_of_mut(vn, k, blocks);
@@ -568,11 +537,10 @@ fn ring_sweep<const SUMS: bool>(
             }
         }
     }
-    let wrap = [0, n - 1].into_iter().filter(|j| range.contains(j));
-    for i in wrap.chain(lo + blocks * LANES..hi) {
+    for i in scalar_rows(&range) {
         let k = i - start;
-        let (p, b, c) = (p_all[i], st.b[i], st.c[i]);
-        let dp = gradient_step(p, e_all[i], b, c, st.p_min[i], st.p_max[i], rp);
+        let (p, b, c) = (p_own[k], st.b[i], st.c[i]);
+        let dp = gradient_step(p, e_own[k], b, c, st.p_min[i], st.p_max[i], rp);
         (hat[k], vp[k], vn[k]) = ring_row(st, rp, &sealed, i, dp);
         if SUMS {
             sum_p[0] += p;
@@ -606,8 +574,8 @@ fn backtrack_block(
 
 /// One ring row, scalar, from its raw move `dp`: the sends to `i − 1` and
 /// `i + 1` against their sent residuals, `sent = 0.0 + s₀ + s₁` and
-/// [`backtrack`]. Serves the wrap nodes `0` and `n − 1`, the tails and the
-/// cold blocks. Returns the final move and the final sends to `i − 1` and
+/// [`backtrack`]. Serves each shard's first and last nodes, the tails and
+/// the cold blocks. Returns the final move and the final sends to `i − 1` and
 /// `i + 1`.
 fn ring_row(
     st: &FastState,
@@ -619,12 +587,13 @@ fn ring_row(
     let n = st.len();
     let prev = if i == 0 { n - 1 } else { i - 1 };
     let next = if i + 1 == n { 0 } else { i + 1 };
-    let e_i = sealed.e[i];
-    let to_prev = send(rp.step_transfer, e_i, sealed.e_sent[prev], 2.0);
-    let to_next = send(rp.step_transfer, e_i, sealed.e_sent[next], 2.0);
+    let k = i - sealed.start;
+    let e_i = sealed.e[k];
+    let to_prev = send(rp.step_transfer, e_i, sealed.heard.get(prev), 2.0);
+    let to_next = send(rp.step_transfer, e_i, sealed.heard.get(next), 2.0);
     let sent = 0.0 + to_prev + to_next;
     let (lo, hi) = (st.p_min[i], st.p_max[i]);
-    let (dp, scale) = backtrack(sealed.p[i], e_i, lo, hi, dp, sent, rp.margin);
+    let (dp, scale) = backtrack(sealed.p[k], e_i, lo, hi, dp, sent, rp.margin);
     if scale != 1.0 {
         (dp, to_prev * scale, to_next * scale)
     } else {
@@ -638,30 +607,29 @@ fn ring_row(
 /// the neighbour's sent residual, `sent` folded in slot order, the
 /// backtracking applied. Ring sends go to `vp`/`vn` (zero for a missing
 /// ring edge, which no ring row reads), chord sends to the row's extras
-/// slots (`tx` starts at slot `tx_base`).
+/// slots (`tx` starts at the first slot of the shard's rows `ex`).
 #[allow(clippy::too_many_arguments)] // the shard's phase-A working set
 fn exceptional_pass(
     st: &FastState,
     rp: &NodeParams,
     sealed: Sealed<'_>,
-    range: Range<usize>,
     ex: Range<usize>,
     hat: &mut [f64],
     vp: &mut [f64],
     vn: &mut [f64],
     tx: &mut [f64],
-    tx_base: usize,
 ) {
     let n = st.len();
+    let tx_base = st.links_of(&ex).start;
     for x in &st.exceptional[ex] {
         let i = x.node;
         let prev = if i == 0 { n - 1 } else { i - 1 };
         let next = if i + 1 == n { 0 } else { i + 1 };
-        let (p_i, e_i) = (sealed.p[i], sealed.e[i]);
+        let k = i - sealed.start;
+        let (p_i, e_i) = (sealed.p[k], sealed.e[k]);
         let (lo, hi) = (st.p_min[i], st.p_max[i]);
         let dp = gradient_step(p_i, e_i, st.b[i], st.c[i], lo, hi, rp);
         let degree = x.links.len().max(1) as f64;
-        let k = i - range.start;
         let (mut to_prev, mut to_next) = (0.0, 0.0);
         let mut sent = 0.0_f64;
         for s in x.links.clone() {
@@ -670,7 +638,7 @@ fn exceptional_pass(
                 Link::Next => (&mut to_next, next),
                 Link::Chord { to, .. } => (&mut tx[s - tx_base], to),
             };
-            *slot = send(rp.step_transfer, e_i, sealed.e_sent[to], degree);
+            *slot = send(rp.step_transfer, e_i, sealed.heard.get(to), degree);
             sent += *slot;
         }
         let (dp, scale) = backtrack(p_i, e_i, lo, hi, dp, sent, rp.margin);

@@ -92,18 +92,22 @@ impl TelemetryConfig {
         self
     }
 
-    /// Checks the knob is honorable (positive capacity when enabled).
+    /// Checks the knob is honorable: when enabled, a capacity from 1 to
+    /// 2²⁰ records — the ring reserves all of it up front, 208 B a record.
     ///
     /// # Errors
     ///
-    /// [`crate::problem::AlgError::InvalidConfig`] on a zero capacity.
+    /// [`crate::problem::AlgError::InvalidConfig`] naming the capacity.
     pub fn validate(&self) -> Result<(), crate::problem::AlgError> {
-        if self.enabled && self.capacity == 0 {
-            return Err(crate::problem::AlgError::InvalidConfig {
-                what: "telemetry capacity must be positive when telemetry is enabled".to_string(),
-            });
+        const MAX_CAPACITY: usize = 1 << 20;
+        if !self.enabled || (1..=MAX_CAPACITY).contains(&self.capacity) {
+            return Ok(());
         }
-        Ok(())
+        let what = match self.capacity {
+            0 => "telemetry capacity must be positive when telemetry is enabled".to_string(),
+            c => format!("telemetry capacity {c} is above {MAX_CAPACITY}"),
+        };
+        Err(crate::problem::AlgError::InvalidConfig { what })
     }
 }
 
@@ -741,6 +745,9 @@ mod tests {
             timings: false,
         };
         assert!(bad.validate().is_err());
+        assert!(TelemetryConfig::with_capacity(1 << 20).validate().is_ok());
+        let huge = TelemetryConfig::with_capacity(100_000_000_000).validate();
+        assert!(huge.unwrap_err().to_string().contains("100000000000"));
         assert!(!TelemetryConfig::default().enabled);
     }
 

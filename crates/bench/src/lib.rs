@@ -14,6 +14,7 @@
 //! lives in the repository's `benchmark/` harness.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ch3;
 pub mod ch4;

@@ -12,6 +12,8 @@
 //! paper's scales (N = 1000 for the static/dynamic experiments, up to 6400
 //! for the scalability table) and are intended for `--release`.
 
+#![forbid(unsafe_code)]
+
 use dpc_bench::{ch3, ch4, ext};
 
 struct Scale {

@@ -41,6 +41,9 @@
 mod bringup;
 mod conn;
 mod shard;
+// `epoll` takes raw syscalls: the one module outside `vendor/` that the
+// `unsafe_code` lint allows. Its four calls each carry a `SAFETY:` note.
+#[allow(unsafe_code)]
 mod sys;
 mod wheel;
 

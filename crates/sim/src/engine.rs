@@ -19,6 +19,12 @@ use dpc_models::workload::Cluster;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The most samples one [`simulate`] call takes: every sample runs its
+/// rounds plus an oracle solve, and the series keeps every point, so an
+/// unbounded `duration / sample_interval` is an unbounded run. A day at
+/// one-second sampling fits.
+const MAX_SAMPLES: f64 = 100_000.0;
+
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -57,7 +63,8 @@ impl SimConfig {
     ///
     /// [`AlgError::InvalidConfig`] naming the offending knob: a non-finite
     /// or non-positive sample interval, a non-finite or negative duration,
-    /// or non-positive churn/phase means.
+    /// a duration of more than 100 000 sample intervals, or non-positive
+    /// churn/phase means.
     pub fn validate(&self) -> Result<(), AlgError> {
         let bad = |what: String| Err(AlgError::InvalidConfig { what });
         if !self.sample_interval.0.is_finite() || self.sample_interval <= Seconds::ZERO {
@@ -70,6 +77,13 @@ impl SimConfig {
             return bad(format!(
                 "duration = {} s must be finite and non-negative",
                 self.duration.0
+            ));
+        }
+        let samples = self.duration.0 / self.sample_interval.0;
+        if samples > MAX_SAMPLES {
+            return bad(format!(
+                "duration = {} s is {samples} samples of {} s, above the ceiling of {MAX_SAMPLES}",
+                self.duration.0, self.sample_interval.0
             ));
         }
         for (knob, mean) in [
@@ -249,10 +263,14 @@ mod tests {
     #[test]
     fn bad_engine_knobs_are_typed_errors() {
         type Poison = fn(&mut SimConfig);
-        let cases: [(&str, Poison); 5] = [
+        let cases: [(&str, Poison); 7] = [
             ("zero interval", |c| c.sample_interval = Seconds(0.0)),
             ("nan interval", |c| c.sample_interval = Seconds(f64::NAN)),
             ("negative duration", |c| c.duration = Seconds(-1.0)),
+            ("5·10⁸ samples", |c| c.duration = Seconds(1e9)),
+            ("100 001 samples", |c| {
+                c.sample_interval = Seconds(5.0 / 100_001.0)
+            }),
             ("zero churn mean", |c| c.churn_mean = Some(Seconds(0.0))),
             ("nan phase mean", |c| c.phase_mean = Some(Seconds(f64::NAN))),
         ];
@@ -271,6 +289,13 @@ mod tests {
             );
         }
         assert!(config(5.0).validate().is_ok());
+        // The sample ceiling is inclusive, and its error names both values.
+        assert!(config(100_000.0).validate().is_ok());
+        let err = config(100_001.0).validate().unwrap_err().to_string();
+        assert!(
+            err.contains("100001 samples") && err.contains("100000"),
+            "{err}"
+        );
         // A run over another cluster size is a typed error too.
         let mut run = ring_run(&cluster(6, 5), 1_020.0, DibaConfig::default());
         let schedule = BudgetSchedule::constant(Watts(850.0));

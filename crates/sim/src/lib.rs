@@ -29,6 +29,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod enforcement;
 pub mod engine;

@@ -14,6 +14,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod builders;
 mod graph;

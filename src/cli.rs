@@ -660,6 +660,10 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
         .map_err(|e| CliError(format!("infeasible problem: {e}")))?;
     let graph = graph_for(opts.string("topology").unwrap_or("ring"), n, seed)?;
     let telemetry = TelemetryConfig::with_capacity(capacity);
+    // Every solver's recorder reserves its capacity up front.
+    telemetry
+        .validate()
+        .map_err(|e| CliError(format!("--capacity (defaults to --rounds): {e}")))?;
 
     let recorder: Telemetry = match solver {
         "diba" => {

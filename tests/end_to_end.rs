@@ -190,6 +190,44 @@ fn replay_rejects_a_repeated_servers_header_with_exit_2() {
 }
 
 #[test]
+fn oversized_simulate_and_trace_runs_exit_2() {
+    // `--seconds 1e9` is 5·10⁸ samples; `--capacity 10¹¹` made every
+    // solver's recorder reserve 20.8 TB and abort with 134.
+    let dpc = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dpc"))
+            .args(args)
+            .output()
+            .unwrap();
+        let text = [out.stdout, out.stderr].concat();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&text).into_owned(),
+        )
+    };
+    let (code, text) = dpc(&["simulate", "--servers", "5", "--seconds", "1e9"]);
+    assert_eq!(code, Some(2), "{text}");
+    assert!(text.contains("500000000 samples"), "{text}");
+    let out = std::env::temp_dir().join("dpc-e2e-huge-capacity.jsonl");
+    for solver in ["diba", "async", "primal-dual"] {
+        let (code, text) = dpc(&[
+            "trace",
+            "--servers",
+            "8",
+            "--rounds",
+            "5",
+            "--capacity",
+            "100000000000",
+            "--solver",
+            solver,
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        assert_eq!(code, Some(2), "{solver}: {text}");
+        assert!(text.contains("--capacity"), "{solver}: {text}");
+    }
+}
+
+#[test]
 fn step_response_cut_recovers_within_tens_of_rounds() {
     let cluster = ClusterBuilder::new(60).seed(8).build();
     let r = step_response(
