@@ -402,10 +402,14 @@ fn node_action_generic<G: Fn(usize) -> f64>(
 }
 
 /// The allocation-free kernel over a staged neighbor-residual slice:
-/// computes `dp` and writes one transfer per neighbor into `transfers`
-/// (`transfers.len() == neighbor_e.len()`). Thin monomorphization of
-/// [`node_action_generic`].
-fn node_action_kernel(
+/// computes `dp` and writes one transfer per neighbor into `transfers`,
+/// so a caller that keeps its own transfer row needs no scratch. Identical
+/// math to [`node_action`].
+///
+/// # Panics
+///
+/// Panics if `transfers` and `neighbor_e` differ in length.
+pub fn node_action_slice(
     u: &dpc_models::QuadraticUtility,
     p: f64,
     e: f64,
@@ -413,6 +417,11 @@ fn node_action_kernel(
     params: &NodeParams,
     transfers: &mut [f64],
 ) -> f64 {
+    assert_eq!(
+        transfers.len(),
+        neighbor_e.len(),
+        "one transfer per neighbor"
+    );
     node_action_generic(
         u,
         p,
@@ -438,7 +447,7 @@ pub fn node_action_into(
 ) -> f64 {
     scratch.transfers.clear();
     scratch.transfers.resize(neighbor_e.len(), 0.0);
-    node_action_kernel(u, p, e, neighbor_e, params, &mut scratch.transfers)
+    node_action_slice(u, p, e, neighbor_e, params, &mut scratch.transfers)
 }
 
 /// Computes one node's DiBA action from purely local information: its
@@ -460,7 +469,7 @@ pub fn node_action(
     params: &NodeParams,
 ) -> NodeAction {
     let mut transfers = vec![0.0; neighbor_e.len()];
-    let dp = node_action_kernel(u, p, e, neighbor_e, params, &mut transfers);
+    let dp = node_action_slice(u, p, e, neighbor_e, params, &mut transfers);
     NodeAction { dp, transfers }
 }
 
@@ -606,15 +615,24 @@ impl Traversal {
         }
     }
 
-    /// The per-round buffers cut for one dispatch: one chunk per worker
-    /// at the node cuts `cuts`, CSR slots and extras slots at the first
-    /// slot of each cut's row.
-    fn chunk<'a>(&'a mut self, graph: &Graph, cuts: &[usize]) -> Buffers<'a> {
+    /// Where the per-slot buffers are cut for the node cuts `cuts`: the
+    /// first slot of each cut's row (CSR slots or extras slots), and for
+    /// the lanes the first exceptional row at or after each cut.
+    fn slot_cuts(&self, graph: &Graph, cuts: &[usize]) -> (Vec<usize>, Vec<usize>) {
         match self {
-            Traversal::Csr { transfers, rev } => {
-                let slots = cuts.iter().map(|&c| graph.offsets()[c]).collect();
-                Buffers::Csr(Chunked::new(transfers, slots), rev)
-            }
+            Traversal::Csr { .. } => (cuts.iter().map(|&c| graph.offsets()[c]).collect(), vec![]),
+            Traversal::Lanes { state, .. } => state.chunk_cuts(cuts),
+        }
+    }
+
+    /// The per-round buffers cut for one dispatch: one chunk per worker
+    /// at `scratch`'s node, slot and row cuts.
+    fn chunk<'a>(&'a mut self, scratch: &'a RoundCuts) -> Buffers<'a> {
+        let RoundCuts {
+            nodes, slots, rows, ..
+        } = scratch;
+        match self {
+            Traversal::Csr { transfers, rev } => Buffers::Csr(Chunked::new(transfers, slots), rev),
             Traversal::Lanes {
                 state,
                 vp,
@@ -622,8 +640,7 @@ impl Traversal {
                 extras,
                 stash,
             } => {
-                let (slots, rows) = state.chunk_cuts(cuts);
-                let sends = [(vp, cuts.to_vec()), (vn, cuts.to_vec()), (extras, slots)];
+                let sends = [(vp, nodes), (vn, nodes), (extras, slots)];
                 let sends = sends.map(|(v, cuts)| Chunked::new(v, cuts));
                 Buffers::Lanes(state, sends, Chunked::new(stash, rows))
             }
@@ -695,15 +712,30 @@ impl<'a> Buffers<'a> {
     }
 }
 
+/// Where a dispatch cuts its arrays, one chunk per worker, computed once
+/// per worker count.
+#[derive(Debug, Clone)]
+struct RoundCuts {
+    /// Shard cut points (edge-balanced contiguous node ranges) for the
+    /// resolved worker count; `nodes.len() - 1` workers.
+    nodes: Vec<usize>,
+    /// The traversal's per-slot buffers, cut at the first slot of each
+    /// node cut's row.
+    slots: Vec<usize>,
+    /// The lanes' exceptional rows, cut at the first one at or after each
+    /// node cut (empty for the CSR rows).
+    rows: Vec<usize>,
+    /// `0, 1, …, workers`: one slot per worker of the per-worker scalars.
+    workers: Vec<usize>,
+}
+
 /// Persistent per-run working memory of the round engine that depends on
 /// the worker count, sized once so steady-state rounds allocate nothing.
 #[derive(Debug, Clone)]
 struct RoundScratch {
     /// Per-node power move of the round in flight.
     p_hat: Vec<f64>,
-    /// Shard cut points (edge-balanced contiguous node ranges) for the
-    /// resolved worker count; `cuts.len() - 1` workers.
-    cuts: Vec<usize>,
+    cuts: RoundCuts,
     /// Per-worker max |dp| of the round in flight.
     worker_max: Vec<f64>,
     /// Per-worker `[Σpᵢ, Σrᵢ(pᵢ)]` over the shard's pre-round state — the
@@ -716,10 +748,17 @@ struct RoundScratch {
 }
 
 impl RoundScratch {
-    fn for_graph(graph: &Graph, workers: usize) -> RoundScratch {
+    fn new(graph: &Graph, traversal: &Traversal, workers: usize) -> RoundScratch {
+        let nodes = graph.shard_offsets(workers);
+        let (slots, rows) = traversal.slot_cuts(graph, &nodes);
         RoundScratch {
             p_hat: vec![0.0; graph.len()],
-            cuts: graph.shard_offsets(workers),
+            cuts: RoundCuts {
+                nodes,
+                slots,
+                rows,
+                workers: (0..=workers).collect(),
+            },
             worker_max: vec![0.0; workers],
             worker_sums: vec![[0.0; 2]; workers],
             phase_nanos: vec![0; workers],
@@ -912,11 +951,11 @@ impl DibaRun {
         let margin = margin_for(&problem, config.margin_frac);
         let eta = config.eta.unwrap_or_else(|| auto_eta(&problem));
 
-        let scratch = RoundScratch::for_graph(&graph, config.threads.resolve(n));
         let traversal = Traversal::for_graph(&problem, &graph);
+        let scratch = RoundScratch::new(&graph, &traversal, config.threads.resolve(n));
         let telemetry = if config.telemetry.enabled {
             let mut t = Telemetry::new(config.telemetry);
-            t.set_shard_work(graph.shard_work(&scratch.cuts));
+            t.set_shard_work(graph.shard_work(&scratch.cuts.nodes));
             Some(Box::new(t))
         } else {
             None
@@ -955,9 +994,9 @@ impl DibaRun {
     pub fn set_threads(&mut self, threads: Threads) {
         let workers = threads.resolve(self.p.len());
         if workers != self.threads() {
-            self.scratch = RoundScratch::for_graph(&self.graph, workers);
+            self.scratch = RoundScratch::new(&self.graph, &self.traversal, workers);
             if let Some(t) = self.telemetry.as_mut() {
-                t.set_shard_work(self.graph.shard_work(&self.scratch.cuts));
+                t.set_shard_work(self.graph.shard_work(&self.scratch.cuts.nodes));
             }
         }
     }
@@ -973,7 +1012,7 @@ impl DibaRun {
     pub fn set_telemetry(&mut self, config: TelemetryConfig) {
         if config.enabled {
             let mut t = Telemetry::new(config);
-            t.set_shard_work(self.graph.shard_work(&self.scratch.cuts));
+            t.set_shard_work(self.graph.shard_work(&self.scratch.cuts.nodes));
             self.telemetry = Some(Box::new(t));
         } else {
             self.telemetry = None;
@@ -982,7 +1021,7 @@ impl DibaRun {
 
     /// The resolved worker count of the round engine.
     pub fn threads(&self) -> usize {
-        self.scratch.cuts.len() - 1
+        self.scratch.cuts.nodes.len() - 1
     }
 
     /// The barrier weight in effect (auto-tuned unless overridden).
@@ -1118,7 +1157,7 @@ impl DibaRun {
         if cap_test.is_none() && rounds_left == 0 {
             return None;
         }
-        let workers = self.scratch.cuts.len() - 1;
+        let workers = self.scratch.cuts.nodes.len() - 1;
         let n = self.p.len();
         // Decided once per batch: a disabled recorder costs the hot loop
         // exactly this branch (and nothing per round).
@@ -1140,23 +1179,24 @@ impl DibaRun {
         {
             let problem = &self.problem;
             let graph = &self.graph;
-            let cuts = &self.scratch.cuts;
+            let all_cuts = &self.scratch.cuts;
+            let cuts = &all_cuts.nodes;
             // The round state, one chunk per worker of every array.
-            let p = Chunked::new(&mut self.p, cuts.clone());
-            let e = Chunked::new(&mut self.e, cuts.clone());
-            let e_sent = Chunked::new(&mut self.e_sent, cuts.clone());
-            let p_hat = Chunked::new(&mut self.scratch.p_hat, cuts.clone());
+            let p = Chunked::new(&mut self.p, cuts);
+            let e = Chunked::new(&mut self.e, cuts);
+            let e_sent = Chunked::new(&mut self.e_sent, cuts);
+            let p_hat = Chunked::new(&mut self.scratch.p_hat, cuts);
             // One slot per worker of the per-worker scalars.
-            let per_worker: Vec<usize> = (0..=workers).collect();
-            let worker_max = Chunked::new(&mut self.scratch.worker_max, per_worker.clone());
-            let worker_sums = Chunked::new(&mut self.scratch.worker_sums, per_worker.clone());
+            let per_worker = &all_cuts.workers;
+            let worker_max = Chunked::new(&mut self.scratch.worker_max, per_worker);
+            let worker_sums = Chunked::new(&mut self.scratch.worker_sums, per_worker);
             let nanos = Chunked::new(&mut self.scratch.phase_nanos, per_worker);
             // The traversal, hoisted: one branch per phase per worker,
             // nothing per node.
-            let buffers = self.traversal.chunk(graph, cuts);
+            let buffers = self.traversal.chunk(all_cuts);
             // Worker 0 writes these two between barriers.
-            let control = Chunked::new(std::slice::from_mut(&mut ctl), vec![0, 1]);
-            let recorder = Chunked::new(std::slice::from_mut(&mut self.telemetry), vec![0, 1]);
+            let control = Chunked::new(std::slice::from_mut(&mut ctl), &[0, 1]);
+            let recorder = Chunked::new(std::slice::from_mut(&mut self.telemetry), &[0, 1]);
             let budget = problem.budget();
             let guard = cap_filter_guard(n);
             let msgs_per_round = graph.flat_neighbors().len() as u64;
@@ -1501,6 +1541,10 @@ impl DibaRun {
 /// `SUMS` accumulates the sums while `pᵢ` and the curve are in registers;
 /// it is a const so the loops that never read them ([`Stop::Rounds`],
 /// [`Stop::AtRest`]) compile to the kernel alone.
+///
+/// Rows are sorted, so a row whose first and last neighbours lie in the
+/// shard reads the shard's own chunk directly; only a row that crosses a
+/// cut asks [`Whole::get`] where each neighbour is.
 fn phase_a<const SUMS: bool>(
     problem: &PowerBudgetProblem,
     graph: &Graph,
@@ -1512,6 +1556,11 @@ fn phase_a<const SUMS: bool>(
 ) -> [f64; 2] {
     let offsets = &graph.offsets()[range.start..=range.end];
     let (flat, base) = (graph.flat_neighbors(), offsets[0]);
+    let (heard, mine) = (sealed.heard, sealed.heard.own());
+    let in_shard = |row: &[usize]| match (row.first(), row.last()) {
+        (Some(&lo), Some(&hi)) => lo >= sealed.start && hi - sealed.start < mine.len(),
+        _ => true,
+    };
     let mut sums = [0.0; 2];
     let own = sealed.p.iter().zip(sealed.e).zip(hat);
     for ((i, slots), ((&pi, &ei), dp)) in range.zip(offsets.windows(2)).zip(own) {
@@ -1524,7 +1573,11 @@ fn phase_a<const SUMS: bool>(
             sums[0] += pi;
             sums[1] += u.value(Watts(pi));
         }
-        *dp = node_action_generic(u, pi, ei, row.len(), |k| sealed.heard.get(row[k]), rp, out);
+        let n = row.len();
+        *dp = match in_shard(row) {
+            true => node_action_generic(u, pi, ei, n, |k| mine[row[k] - sealed.start], rp, out),
+            false => node_action_generic(u, pi, ei, n, |k| heard.get(row[k]), rp, out),
+        };
     }
     sums
 }
@@ -1535,7 +1588,9 @@ fn phase_a<const SUMS: bool>(
 /// in slot order. Runs strictly after a barrier seals every phase-A write.
 /// `p`, `e`, `e_sent` and `hat` are the shard's own chunks; the node's own
 /// sends are in `transfers`' own chunk, and what it received at their
-/// reverse slots. Returns the shard's max `|dp|`.
+/// reverse slots. Returns the shard's max `|dp|`. A row's reverse slots
+/// ascend, so as in [`phase_a`] only a row that crosses a cut asks
+/// [`Whole::get`] where each lies.
 fn phase_b(
     graph: &Graph,
     rev: &[usize],
@@ -1553,9 +1608,13 @@ fn phase_b(
         let sent: f64 = own[lo - base..hi - base].iter().sum();
         *p += dp;
         *e_sent = *e + (dp - sent);
-        *e = rev[lo..hi]
-            .iter()
-            .fold(*e_sent, |e, &r| e + transfers.get(r));
+        let back = &rev[lo..hi];
+        *e = match (back.first(), back.last()) {
+            (Some(&first), Some(&last)) if first >= base && last - base < own.len() => {
+                back.iter().fold(*e_sent, |e, &r| e + own[r - base])
+            }
+            _ => back.iter().fold(*e_sent, |e, &r| e + transfers.get(r)),
+        };
         max_step = max_sel(dp.abs(), max_step);
     }
     max_step
@@ -1777,7 +1836,7 @@ mod tests {
             (raw, sends, raw - sent <= -rp.margin - e[i])
         };
         let (mut mixed, mut shed_only) = (false, false);
-        for cut in run.scratch.cuts.windows(2) {
+        for cut in run.scratch.cuts.nodes.windows(2) {
             let (mut i, blocks, _) = crate::fast::block_span(&(cut[0]..cut[1]));
             for _ in 0..blocks {
                 let block: Vec<_> = (i..i + crate::fast::LANES).map(row).collect();
@@ -1866,6 +1925,10 @@ mod tests {
                 let mut csr = lanes.clone();
                 lanes.traversal = Traversal::lanes(FastState::new(p.utilities(), &graph));
                 csr.traversal = Traversal::csr(&csr.graph);
+                // The dispatch cuts follow the traversal.
+                for run in [&mut lanes, &mut csr] {
+                    run.scratch = RoundScratch::new(&run.graph, &run.traversal, threads);
+                }
                 let what = format!("n = {n}, {shape}, {threads} workers");
                 let check = |lanes: &DibaRun, csr: &DibaRun, step: &str| {
                     assert_eq!(observed(lanes), observed(csr), "{what}: after {step}");

@@ -439,13 +439,13 @@ pub fn chunked_sum<T: Borrow<f64>>(values: impl IntoIterator<Item = T>) -> f64 {
 /// blocking; the barrier's poison then releases its peers, and the
 /// dispatch panics on the caller's thread.
 pub(crate) struct Chunked<'a, T> {
-    cuts: Vec<usize>,
+    cuts: &'a [usize],
     chunks: Vec<RwLock<&'a mut [T]>>,
 }
 
 impl<'a, T> Chunked<'a, T> {
     /// Cuts `data` at the ascending `cuts`, from `0` to `data.len()`.
-    pub(crate) fn new(mut data: &'a mut [T], cuts: Vec<usize>) -> Chunked<'a, T> {
+    pub(crate) fn new(mut data: &'a mut [T], cuts: &'a [usize]) -> Chunked<'a, T> {
         let mut chunk = |len| {
             let (chunk, rest) = std::mem::take(&mut data).split_at_mut(len);
             data = rest;
@@ -488,7 +488,7 @@ impl<'a, T> Chunked<'a, T> {
         held.clear();
         held.extend((0..self.chunks.len()).map(|c| self.read(c, phase)));
         let parts: &'v [Guard<'v, T>] = held;
-        Whole(&self.cuts, parts, &parts[w], self.cuts[w])
+        Whole(self.cuts, parts, &parts[w], self.cuts[w])
     }
 }
 
@@ -604,8 +604,8 @@ mod tests {
             let mut phase_a = vec![0usize; parties];
             let mut phase_b = vec![0usize; parties];
             let cuts: Vec<usize> = (0..=parties).collect();
-            let a = Chunked::new(&mut phase_a, cuts.clone());
-            let b = Chunked::new(&mut phase_b, cuts);
+            let a = Chunked::new(&mut phase_a, &cuts);
+            let b = Chunked::new(&mut phase_b, &cuts);
             run_workers(parties, |w| {
                 let mut held = Vec::new();
                 a.write(w, "phase A")[0] = w + 1;
@@ -716,7 +716,7 @@ mod tests {
         let mut data = vec![0usize; 64];
         // Empty chunks included: two cuts meet at 16, two at 64.
         let cuts = vec![0, 16, 16, 40, 64, 64];
-        let chunked = Chunked::new(&mut data, cuts.clone());
+        let chunked = Chunked::new(&mut data, &cuts);
         run_workers(cuts.len() - 1, |w| {
             for (off, v) in chunked.write(w, "fill").iter_mut().enumerate() {
                 *v = cuts[w] + off;
@@ -743,7 +743,7 @@ mod tests {
             let barrier = SpinBarrier::new(2);
             let held = AtomicBool::new(false);
             let mut data = vec![0.0_f64; 8];
-            let chunked = Chunked::new(&mut data, vec![0, 4, 8]);
+            let chunked = Chunked::new(&mut data, &[0, 4, 8]);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 run_workers(2, |w| {
                     let _poison = barrier.poison_on_unwind();

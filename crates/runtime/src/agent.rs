@@ -2,17 +2,19 @@
 //! any event loop so every driver executes the *same* arithmetic in the
 //! same order.
 //!
-//! An [`AgentCore`] is a *block* of agents stored as columns
-//! (structure of arrays). Per agent it holds `p`, `e`, the boost, the
-//! settled streak, the round counter, the message counters and the spec
-//! scalars. Per neighbor slot, over the block's CSR rows (agent `a` owns
-//! slots `row[a] .. row[a + 1]`, in [`dpc_topology::Graph::neighbors`]
-//! order), it holds the residual last heard, the residual last sent, this
-//! round's transfer, and the link flags (peer settled, silent rounds,
-//! alive, drain open, what is staged on it). Pruned peers and trace
-//! samples go to flat logs tagged with the agent, drained mass to a flat
-//! log chained per slot. So the block owns no per-agent heap state, and while no slot of an agent has died its
-//! round hands the contiguous `heard_e` row to the kernel as it is.
+//! An [`AgentCore`] is a *block* of agents stored as columns. Per agent
+//! it holds two records: the spec scalars, and the state a round reads
+//! and writes (`p`, `e`, the boost, the settled streak, the round counter,
+//! the message counters). Per neighbor slot, over the block's CSR rows
+//! (agent `a` owns slots `row[a] .. row[a + 1]`, in
+//! [`dpc_topology::Graph::neighbors`] order), it holds the residual last
+//! heard, the residual last sent and this round's transfer as columns,
+//! and a record of the link flags (peer settled, silent rounds, alive,
+//! drain open, what is staged on it). Pruned peers and trace samples go
+//! to flat logs tagged with the agent, drained mass to a flat log chained
+//! per slot. So the block owns no per-agent heap state, and while no slot
+//! of an agent has died its round hands the contiguous `heard_e` row to
+//! the kernel as it is, and the kernel writes the `transfer` row in place.
 //!
 //! Three drivers step a block:
 //!
@@ -60,7 +62,7 @@
 
 use crate::node::{NodeReport, NodeSample, NodeSpec};
 use crate::wire::{BatchEntry, EntryKind};
-use dpc_alg::diba::{node_action_into, NodeParams, NodeScratch, BOOST_DECAY};
+use dpc_alg::diba::{node_action_slice, NodeParams, BOOST_DECAY};
 use dpc_models::QuadraticUtility;
 use std::ops::Range;
 
@@ -69,8 +71,9 @@ use std::ops::Range;
 const EOF_IS_NOT_AN_ENTRY: &str = "drivers turn an EOF entry into link state, never deliver it";
 
 /// What an agent has staged on one slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Staged {
+    #[default]
     Nothing,
     Data,
     Heartbeat,
@@ -97,34 +100,63 @@ impl Staged {
     }
 }
 
+/// One slot's link flags, side by side.
+#[derive(Clone, Copy, Default)]
+struct Flags {
+    /// What the agent has staged on the slot; a round entry also marks
+    /// the slot as awaited by the agent's receive pass.
+    staged: Staged,
+    alive: bool,
+    peer_settled: bool,
+    /// The lame-duck drain still listens on this slot.
+    drain_open: bool,
+    /// Rounds in a row the peer stayed silent.
+    silent: u32,
+}
+
+/// One agent's spec scalars, as launched.
+#[derive(Clone)]
+struct Spec {
+    id: usize,
+    utility: QuadraticUtility,
+    params: NodeParams,
+    settle_tol: f64,
+    stable_rounds: usize,
+    detect_after: usize,
+    max_rounds: usize,
+    sample_every: usize,
+}
+
+/// One agent's protocol state: what a round reads and writes of the
+/// agent, side by side.
+#[derive(Clone, Default)]
+struct State {
+    p: f64,
+    e: f64,
+    boost: f64,
+    /// The residual the agent's staged entries carry.
+    staged_e: f64,
+    streak: usize,
+    rounds: usize,
+    msgs_sent: u64,
+    msgs_received: u64,
+    heartbeats_sent: u64,
+    /// Slots whose link is dead; zero means the whole row is in the round.
+    dead: u32,
+    settled: bool,
+    converged: bool,
+}
+
 /// The complete protocol state of a block of agents, in columns, advanced
 /// phase by phase one agent at a time. Agents are addressed by their
 /// index in the block, slots by their position in the agent's neighbor
 /// row. `Clone` so a test can fold a snapshot into reports mid-run.
 #[derive(Clone, Default)]
 pub struct AgentCore {
-    // Per agent: the spec scalars.
-    id: Vec<usize>,
-    utility: Vec<QuadraticUtility>,
-    params: Vec<NodeParams>,
-    settle_tol: Vec<f64>,
-    stable_rounds: Vec<usize>,
-    detect_after: Vec<usize>,
-    max_rounds: Vec<usize>,
-    sample_every: Vec<usize>,
-    // Per agent: the state.
-    p: Vec<f64>,
-    e: Vec<f64>,
-    boost: Vec<f64>,
-    streak: Vec<usize>,
-    settled: Vec<bool>,
-    rounds: Vec<usize>,
-    converged: Vec<bool>,
-    msgs_sent: Vec<u64>,
-    msgs_received: Vec<u64>,
-    heartbeats_sent: Vec<u64>,
-    /// Slots whose link is dead; zero means the whole row is in the round.
-    dead: Vec<u32>,
+    /// Per agent: the spec scalars.
+    spec: Vec<Spec>,
+    /// Per agent: the state.
+    state: Vec<State>,
     /// CSR row offsets: agent `a`'s slots are `row[a] .. row[a + 1]`.
     row: Vec<usize>,
     // Per slot.
@@ -137,14 +169,7 @@ pub struct AgentCore {
     sent_e: Vec<f64>,
     /// This round's transfer (0 on a slot out of the round).
     transfer: Vec<f64>,
-    peer_settled: Vec<bool>,
-    silent: Vec<usize>,
-    alive: Vec<bool>,
-    /// What the agent has staged on the slot; a round entry also marks
-    /// the slot as awaited by the agent's receive pass.
-    staged: Vec<Staged>,
-    /// The lame-duck drain still listens on this slot.
-    drain_open: Vec<bool>,
+    flags: Vec<Flags>,
     /// One past the index in `drained` of the slot's last entry; 0 when
     /// the slot has none.
     drain_tail: Vec<u32>,
@@ -161,12 +186,11 @@ pub struct AgentCore {
     drained: Vec<(f64, u32)>,
     /// Entries of `drained` not yet applied; the log empties at zero.
     drain_pending: usize,
-    /// The residual the agent's staged entries carry.
-    staged_e: Vec<f64>,
-    // Scratch shared by the block.
+    // Scratch shared by the block, as long as the longest row.
     /// Live neighbors' residuals, gathered when a slot has died.
     gathered: Vec<f64>,
-    scratch: NodeScratch,
+    /// The transfers to those neighbors.
+    live_transfer: Vec<f64>,
     /// One agent's drained mass, in the order it is applied.
     drain_order: Vec<f64>,
 }
@@ -181,83 +205,51 @@ impl AgentCore {
             ..AgentCore::default()
         };
         for (spec, peers) in agents {
-            block.id.push(spec.id);
-            block.utility.push(spec.utility);
-            block.params.push(spec.params);
-            block.settle_tol.push(spec.settle_tol);
-            block.stable_rounds.push(spec.stable_rounds);
-            block.detect_after.push(spec.detect_after);
-            block.max_rounds.push(spec.max_rounds);
-            block.sample_every.push(spec.sample_every);
+            block.spec.push(Spec {
+                id: spec.id,
+                utility: spec.utility,
+                params: spec.params,
+                settle_tol: spec.settle_tol,
+                stable_rounds: spec.stable_rounds,
+                detect_after: spec.detect_after,
+                max_rounds: spec.max_rounds,
+                sample_every: spec.sample_every,
+            });
             block.peer.extend_from_slice(peers);
             block.row.push(block.peer.len());
             // Room for the new row; `launch` writes its launch state.
-            let (n, slots) = (block.id.len(), block.peer.len());
-            for column in [
-                &mut block.p,
-                &mut block.e,
-                &mut block.boost,
-                &mut block.staged_e,
-            ] {
-                column.resize(n, 0.0);
-            }
-            for column in [&mut block.streak, &mut block.rounds] {
-                column.resize(n, 0);
-            }
-            for column in [&mut block.settled, &mut block.converged] {
-                column.resize(n, false);
-            }
-            for column in [
-                &mut block.msgs_sent,
-                &mut block.msgs_received,
-                &mut block.heartbeats_sent,
-            ] {
-                column.resize(n, 0);
-            }
-            block.dead.resize(n, 0);
+            let (n, slots) = (block.spec.len(), block.peer.len());
+            block.state.resize(n, State::default());
             for column in [&mut block.heard_e, &mut block.sent_e, &mut block.transfer] {
                 column.resize(slots, 0.0);
             }
-            for column in [
-                &mut block.peer_settled,
-                &mut block.alive,
-                &mut block.drain_open,
-            ] {
-                column.resize(slots, false);
-            }
-            block.silent.resize(slots, 0);
+            block.flags.resize(slots, Flags::default());
             block.drain_tail.resize(slots, 0);
-            block.staged.resize(slots, Staged::Nothing);
             block.launch(n - 1, &spec);
         }
         let max_degree = (0..block.len()).map(|a| block.degree(a)).max();
-        block.scratch = NodeScratch::with_capacity(max_degree.unwrap_or(0));
+        block.gathered = vec![0.0; max_degree.unwrap_or(0)];
+        block.live_transfer = vec![0.0; max_degree.unwrap_or(0)];
         block
     }
 
     /// Puts agent `a` in its launch state from `spec` (the spec scalars
     /// are the ones it was built with).
     fn launch(&mut self, a: usize, spec: &NodeSpec) {
-        self.p[a] = spec.p;
-        self.e[a] = spec.e;
-        self.boost[a] = spec.eta_boost.max(1.0);
-        self.streak[a] = 0;
-        self.settled[a] = false;
-        self.rounds[a] = 0;
-        self.converged[a] = false;
-        self.msgs_sent[a] = 0;
-        self.msgs_received[a] = 0;
-        self.heartbeats_sent[a] = 0;
-        self.dead[a] = 0;
+        self.state[a] = State {
+            p: spec.p,
+            e: spec.e,
+            boost: spec.eta_boost.max(1.0),
+            ..State::default()
+        };
         for s in self.slots(a) {
             self.heard_e[s] = spec.e;
             self.sent_e[s] = f64::NAN;
             self.transfer[s] = 0.0;
-            self.peer_settled[s] = false;
-            self.silent[s] = 0;
-            self.alive[s] = true;
-            self.staged[s] = Staged::Nothing;
-            self.drain_open[s] = false;
+            self.flags[s] = Flags {
+                alive: true,
+                ..Flags::default()
+            };
         }
     }
 
@@ -273,12 +265,12 @@ impl AgentCore {
 
     /// Number of agents in the block.
     pub fn len(&self) -> usize {
-        self.id.len()
+        self.spec.len()
     }
 
     /// `true` for a block of no agents.
     pub fn is_empty(&self) -> bool {
-        self.id.is_empty()
+        self.spec.is_empty()
     }
 
     /// Agent `a`'s slots as indices into the block's per-slot columns: a
@@ -298,19 +290,19 @@ impl AgentCore {
     /// Rounds agent `a` has executed so far.
     #[inline]
     pub fn rounds(&self, a: usize) -> usize {
-        self.rounds[a]
+        self.state[a].rounds
     }
 
     /// `true` while agent `a`'s round budget allows another round.
     #[inline]
     pub fn rounds_remaining(&self, a: usize) -> bool {
-        self.rounds[a] < self.max_rounds[a]
+        self.state[a].rounds < self.spec[a].max_rounds
     }
 
     /// Whether the link behind agent `a`'s `slot` is still alive.
     #[inline]
     pub fn is_alive(&self, a: usize, slot: usize) -> bool {
-        self.alive[self.row[a] + slot]
+        self.flags[self.row[a] + slot].alive
     }
 
     /// Agent `a`'s round slots (valid between `begin_round` and
@@ -318,7 +310,7 @@ impl AgentCore {
     pub fn round_slots(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
         let base = self.row[a];
         self.slots(a)
-            .filter(|&s| self.staged[s].in_round())
+            .filter(|&s| self.flags[s].staged.in_round())
             .map(move |s| s - base)
     }
 
@@ -327,37 +319,37 @@ impl AgentCore {
     #[inline]
     pub fn awaits(&self, a: usize, slot: usize) -> bool {
         let s = self.row[a] + slot;
-        self.staged[s].in_round() && self.alive[s]
+        self.flags[s].staged.in_round() && self.flags[s].alive
     }
 
     /// Agent `a`'s power (watts).
     pub fn p(&self, a: usize) -> f64 {
-        self.p[a]
+        self.state[a].p
     }
 
     /// Agent `a`'s residual estimate (watts).
     pub fn e(&self, a: usize) -> f64 {
-        self.e[a]
+        self.state[a].e
     }
 
     /// Slack mass that reaches agent `a` outside a round's entries — a
     /// transfer the network bounced, a share of a dead neighbor's escrow,
     /// a budget shift — enters `e`.
     pub fn absorb(&mut self, a: usize, mass: f64) {
-        self.e[a] += mass;
+        self.state[a].e += mass;
     }
 
     /// Agent `a` throttles by `watts` to make room for a booting neighbor:
     /// `p` falls and `e` stays, so `e − p` rises by `watts`.
     pub fn cut_power(&mut self, a: usize, watts: f64) {
-        self.p[a] -= watts;
+        self.state[a].p -= watts;
     }
 
     /// A crashed agent draws nothing and holds no residual: its `e − p`
     /// is the driver's (escrow) from here on.
     pub fn power_off(&mut self, a: usize) {
-        self.p[a] = 0.0;
-        self.e[a] = 0.0;
+        self.state[a].p = 0.0;
+        self.state[a].e = 0.0;
     }
 
     /// Re-admits the pruned link behind agent `a`'s `slot`: an entry
@@ -365,17 +357,17 @@ impl AgentCore {
     /// only slow).
     pub fn readmit(&mut self, a: usize, slot: usize) {
         let s = self.row[a] + slot;
-        if !self.alive[s] {
-            self.alive[s] = true;
-            self.dead[a] -= 1;
+        if !self.flags[s].alive {
+            self.flags[s].alive = true;
+            self.state[a].dead -= 1;
         }
-        self.silent[s] = 0;
+        self.flags[s].silent = 0;
     }
 
     fn kill(&mut self, a: usize, s: usize) {
-        if self.alive[s] {
-            self.alive[s] = false;
-            self.dead[a] += 1;
+        if self.flags[s].alive {
+            self.flags[s].alive = false;
+            self.state[a].dead += 1;
         }
     }
 
@@ -390,78 +382,61 @@ impl AgentCore {
     /// receive pass awaits them. Advances the agent's round counter.
     #[inline]
     pub fn begin_round(&mut self, a: usize) {
-        self.rounds[a] += 1;
+        self.state[a].rounds += 1;
         let slots = self.slots(a);
         let params = NodeParams {
-            eta: self.params[a].eta * self.boost[a],
-            ..self.params[a]
+            eta: self.spec[a].params.eta * self.state[a].boost,
+            ..self.spec[a].params
         };
-        let (p, e) = (self.p[a], self.e[a]);
-        let full = self.dead[a] == 0;
-        if !full {
-            self.gather(a);
-        }
-        // Every slot alive: the row is the neighbor view as it is.
-        let view = if full {
-            &self.heard_e[slots.clone()]
-        } else {
-            &self.gathered[..]
-        };
-        let dp = node_action_into(&self.utility[a], p, e, view, &params, &mut self.scratch);
-        let sent = &self.scratch.transfers;
+        let (p, e) = (self.state[a].p, self.state[a].e);
+        let utility = &self.spec[a].utility;
+        let heard = &self.heard_e[slots.clone()];
+        let transfer = &mut self.transfer[slots.clone()];
+        let flags = &mut self.flags[slots.clone()];
         // Same accounting (and summation order) as
         // `NodeAction::own_residual_delta`, without the per-round `Vec`.
-        let sent_total: f64 = sent.iter().sum();
+        let (dp, sent_total) = if self.state[a].dead == 0 {
+            // Every slot alive: the kernel reads the heard row and writes
+            // the transfer row as they are.
+            let dp = node_action_slice(utility, p, e, heard, &params, transfer);
+            (dp, transfer.iter().sum::<f64>())
+        } else {
+            // The live slots' residuals in order; their transfers go back
+            // to the live slots in order, and a dead slot's is zero.
+            let mut live = 0;
+            for (&h, _) in heard.iter().zip(&*flags).filter(|(_, f)| f.alive) {
+                self.gathered[live] = h;
+                live += 1;
+            }
+            let view = &self.gathered[..live];
+            let sent = &mut self.live_transfer[..live];
+            let dp = node_action_slice(utility, p, e, view, &params, sent);
+            let mut sent_iter = sent.iter();
+            for (t, f) in transfer.iter_mut().zip(&*flags) {
+                *t = match f.alive {
+                    true => *sent_iter.next().expect("one transfer per live slot"),
+                    false => 0.0,
+                };
+            }
+            (dp, sent.iter().sum::<f64>())
+        };
         let e = e + (dp - sent_total);
-        self.p[a] = p + dp;
-        self.e[a] = e;
-        let streak = match dp.abs() < self.settle_tol[a] {
-            true => self.streak[a] + 1,
+        self.state[a].p = p + dp;
+        self.state[a].e = e;
+        let streak = match dp.abs() < self.spec[a].settle_tol {
+            true => self.state[a].streak + 1,
             false => 0,
         };
-        self.streak[a] = streak;
-        let settled = streak >= self.stable_rounds[a];
-        self.settled[a] = settled;
-        self.staged_e[a] = e;
-        if !full {
-            self.stage_live(a);
-            return;
-        }
-        let staged = &mut self.staged[slots.clone()];
-        let transfer = &mut self.transfer[slots.clone()];
-        let sent_e = &self.sent_e[slots];
-        for (k, &t) in sent.iter().enumerate() {
-            transfer[k] = t;
-            staged[k] = Staged::round(settled, t, e, sent_e[k]);
-        }
-    }
-
-    /// Agent `a`'s live neighbors' residuals into `gathered`.
-    #[cold]
-    fn gather(&mut self, a: usize) {
-        self.gathered.clear();
-        for s in self.slots(a) {
-            if self.alive[s] {
-                self.gathered.push(self.heard_e[s]);
-            }
-        }
-    }
-
-    /// `begin_round`'s staging when a slot of agent `a` has died: the
-    /// kernel's transfers go to the live slots in order.
-    #[cold]
-    fn stage_live(&mut self, a: usize) {
-        let (e, settled) = (self.staged_e[a], self.settled[a]);
-        let mut live = self.scratch.transfers.iter();
-        for s in self.slots(a) {
-            if !self.alive[s] {
-                self.staged[s] = Staged::Nothing;
-                self.transfer[s] = 0.0;
-                continue;
-            }
-            let t = *live.next().expect("one transfer per live slot");
-            self.transfer[s] = t;
-            self.staged[s] = Staged::round(settled, t, e, self.sent_e[s]);
+        self.state[a].streak = streak;
+        let settled = streak >= self.spec[a].stable_rounds;
+        self.state[a].settled = settled;
+        self.state[a].staged_e = e;
+        let row = flags.iter_mut().zip(&*transfer).zip(&self.sent_e[slots]);
+        for ((f, &t), &sent_e) in row {
+            f.staged = match f.alive {
+                true => Staged::round(settled, t, e, sent_e),
+                false => Staged::Nothing,
+            };
         }
     }
 
@@ -478,10 +453,11 @@ impl AgentCore {
     #[inline]
     pub fn send(&mut self, a: usize, mut deliver: impl FnMut(BatchEntry) -> bool) {
         let slots = self.slots(a);
-        let e = self.staged_e[a];
-        let settled = self.settled[a];
+        let e = self.state[a].staged_e;
+        let settled = self.state[a].settled;
+        let (mut sent, mut beats) = (0, 0);
         for s in slots.clone() {
-            let (entry_e, transfer, settled, kind) = match self.staged[s] {
+            let (entry_e, transfer, settled, kind) = match self.flags[s].staged {
                 Staged::Nothing => continue,
                 Staged::Data => (e, self.transfer[s], settled, EntryKind::Data),
                 Staged::Heartbeat => (0.0, 0.0, true, EntryKind::Heartbeat),
@@ -495,16 +471,20 @@ impl AgentCore {
                 kind,
             };
             if deliver(entry) {
-                self.msgs_sent[a] += 1;
+                sent += 1;
                 match kind {
                     EntryKind::Data => self.sent_e[s] = e,
-                    EntryKind::Heartbeat => self.heartbeats_sent[a] += 1,
+                    EntryKind::Heartbeat => beats += 1,
                     EntryKind::Goodbye | EntryKind::Eof => {}
                 }
             } else if kind != EntryKind::Goodbye {
-                self.e[a] += self.transfer[s];
+                self.state[a].e += self.transfer[s];
                 self.prune(a, s);
             }
+        }
+        self.state[a].msgs_sent += sent;
+        if beats > 0 {
+            self.state[a].heartbeats_sent += beats;
         }
     }
 
@@ -518,13 +498,13 @@ impl AgentCore {
         let s = self.row[a] + slot;
         let mass = match entry {
             Some(entry) => {
-                self.msgs_received[a] += 1;
+                self.state[a].msgs_received += 1;
                 self.hear(a, s, entry)
             }
             None => self.miss(a, s, link_gone),
         };
         if let Some(mass) = mass {
-            self.e[a] += mass;
+            self.state[a].e += mass;
         }
     }
 
@@ -541,10 +521,13 @@ impl AgentCore {
         let slots = self.slots(a);
         // `e` and the count stay in registers through the pass: the same
         // additions, in the same order, as one `receive` per slot.
-        let mut e = self.e[a];
+        let mut e = self.state[a].e;
         let mut heard = 0;
+        // No slot died before the pass: every slot is in the round. One
+        // that dies in the pass dies on its own turn.
+        let full = self.state[a].dead == 0;
         for s in slots.clone() {
-            if !(self.staged[s].in_round() && self.alive[s]) {
+            if !(full || self.flags[s].staged.in_round() && self.flags[s].alive) {
                 continue;
             }
             let mass = match inbound(s - slots.start) {
@@ -558,8 +541,8 @@ impl AgentCore {
                 e += mass;
             }
         }
-        self.e[a] = e;
-        self.msgs_received[a] += heard;
+        self.state[a].e = e;
+        self.state[a].msgs_received += heard;
     }
 
     /// Agent `a` hears `entry` on block slot `s`; returns the mass it
@@ -569,19 +552,19 @@ impl AgentCore {
         match entry.kind {
             EntryKind::Data => {
                 self.heard_e[s] = entry.e;
-                self.peer_settled[s] = entry.settled;
-                self.silent[s] = 0;
+                self.flags[s].peer_settled = entry.settled;
+                self.flags[s].silent = 0;
                 Some(entry.transfer)
             }
             EntryKind::Heartbeat => {
-                self.peer_settled[s] = entry.settled;
-                self.silent[s] = 0;
+                self.flags[s].peer_settled = entry.settled;
+                self.flags[s].silent = 0;
                 None
             }
             // A graceful departure: accounted, not pruned.
             EntryKind::Goodbye => {
                 self.kill(a, s);
-                self.peer_settled[s] = true;
+                self.flags[s].peer_settled = true;
                 Some(entry.transfer)
             }
             EntryKind::Eof => unreachable!("{EOF_IS_NOT_AN_ENTRY}"),
@@ -597,13 +580,13 @@ impl AgentCore {
             // entry this round already handed to the link: take that
             // transfer back, as a send the link refused would have had
             // the closure been known at send time.
-            assert!(self.staged[s].in_round(), "slot is in this round");
+            assert!(self.flags[s].staged.in_round(), "slot is in this round");
             self.prune(a, s);
             Some(self.transfer[s])
         } else {
             // Silence counts toward `detect_after` pruning.
-            self.silent[s] += 1;
-            if self.silent[s] >= self.detect_after[a] {
+            self.flags[s].silent = self.flags[s].silent.saturating_add(1);
+            if self.flags[s].silent as usize >= self.spec[a].detect_after {
                 self.prune(a, s);
             }
             None
@@ -617,21 +600,21 @@ impl AgentCore {
     /// [`send`](AgentCore::send), and those slots are open for the drain.
     #[inline]
     pub fn end_round(&mut self, a: usize) -> bool {
-        self.boost[a] = (self.boost[a] * BOOST_DECAY).max(1.0);
+        self.state[a].boost = (self.state[a].boost * BOOST_DECAY).max(1.0);
 
-        let every = self.sample_every[a];
-        if every > 0 && self.rounds[a].is_multiple_of(every) {
+        let every = self.spec[a].sample_every;
+        if every > 0 && self.state[a].rounds.is_multiple_of(every) {
             self.sample(a);
         }
         let slots = self.slots(a);
-        let quorum = self.settled[a]
+        let quorum = self.state[a].settled
             && slots
                 .clone()
-                .all(|s| !self.alive[s] || self.peer_settled[s]);
+                .all(|s| !self.flags[s].alive || self.flags[s].peer_settled);
         if quorum {
             self.stage_goodbyes(a, 0.0);
             for s in slots {
-                self.drain_open[s] = self.alive[s];
+                self.flags[s].drain_open = self.flags[s].alive;
             }
         }
         quorum
@@ -641,10 +624,10 @@ impl AgentCore {
     #[cold]
     fn sample(&mut self, a: usize) {
         let sample = NodeSample {
-            round: self.rounds[a],
-            p: self.p[a],
-            e: self.e[a],
-            msgs_sent: self.msgs_sent[a],
+            round: self.state[a].rounds,
+            p: self.state[a].p,
+            e: self.state[a].e,
+            msgs_sent: self.state[a].msgs_sent,
         };
         self.trace.push((a as u32, sample));
     }
@@ -656,22 +639,22 @@ impl AgentCore {
     /// returned. With no live slot nothing is staged, and the mass is the
     /// driver's to book.
     pub fn depart(&mut self, a: usize) -> f64 {
-        let farewell = self.e[a] - self.p[a];
-        let live = self.degree(a) - self.dead[a] as usize;
+        let farewell = self.state[a].e - self.state[a].p;
+        let live = self.degree(a) - self.state[a].dead as usize;
         self.stage_goodbyes(a, farewell / live as f64);
-        self.p[a] = 0.0;
-        self.e[a] = 0.0;
+        self.state[a].p = 0.0;
+        self.state[a].e = 0.0;
         farewell
     }
 
     /// Stages a goodbye carrying `transfer` on every live slot of agent `a`.
     #[cold]
     fn stage_goodbyes(&mut self, a: usize, transfer: f64) {
-        self.staged_e[a] = self.e[a];
+        self.state[a].staged_e = self.state[a].e;
         for s in self.slots(a) {
-            self.staged[s] = Staged::Nothing;
-            if self.alive[s] {
-                self.staged[s] = Staged::Goodbye;
+            self.flags[s].staged = Staged::Nothing;
+            if self.flags[s].alive {
+                self.flags[s].staged = Staged::Goodbye;
                 self.transfer[s] = transfer;
             }
         }
@@ -685,16 +668,16 @@ impl AgentCore {
     /// thing a peer sends and closes the slot.
     pub fn drain(&mut self, a: usize, slot: usize, entry: BatchEntry) -> bool {
         let s = self.row[a] + slot;
-        if !self.drain_open[s] {
+        if !self.flags[s].drain_open {
             return false;
         }
-        self.msgs_received[a] += 1;
+        self.state[a].msgs_received += 1;
         match entry.kind {
             EntryKind::Data => self.stage_drained(s, entry.transfer),
             EntryKind::Heartbeat => {}
             EntryKind::Goodbye => {
                 self.stage_drained(s, entry.transfer);
-                self.drain_open[s] = false;
+                self.flags[s].drain_open = false;
             }
             EntryKind::Eof => unreachable!("{EOF_IS_NOT_AN_ENTRY}"),
         }
@@ -704,7 +687,7 @@ impl AgentCore {
     /// Agent `a`'s drain stops listening on `slot`: its link ended, or the
     /// driver knows the peer can never send on it again.
     pub fn close_drain(&mut self, a: usize, slot: usize) {
-        self.drain_open[self.row[a] + slot] = false;
+        self.flags[self.row[a] + slot].drain_open = false;
     }
 
     /// `true` once every drain slot of agent `a` is closed — and then its
@@ -712,14 +695,14 @@ impl AgentCore {
     /// slot) and the agent is marked as having exited through convergence
     /// quorum: its report is final.
     pub fn drain_done(&mut self, a: usize) -> bool {
-        if self.slots(a).any(|s| self.drain_open[s]) {
+        if self.slots(a).any(|s| self.flags[s].drain_open) {
             return false;
         }
         self.take_drained(a);
         for &transfer in &self.drain_order {
-            self.e[a] += transfer;
+            self.state[a].e += transfer;
         }
-        self.converged[a] = true;
+        self.state[a].converged = true;
         true
     }
 
@@ -762,14 +745,14 @@ impl AgentCore {
         }
         let logs = pruned.into_iter().zip(trace).enumerate();
         logs.map(|(a, (pruned, trace))| NodeReport {
-            node: self.id[a],
-            p: self.p[a],
-            e: self.e[a],
-            rounds: self.rounds[a],
-            converged: self.converged[a],
-            msgs_sent: self.msgs_sent[a],
-            msgs_received: self.msgs_received[a],
-            heartbeats_sent: self.heartbeats_sent[a],
+            node: self.spec[a].id,
+            p: self.state[a].p,
+            e: self.state[a].e,
+            rounds: self.state[a].rounds,
+            converged: self.state[a].converged,
+            msgs_sent: self.state[a].msgs_sent,
+            msgs_received: self.state[a].msgs_received,
+            heartbeats_sent: self.state[a].heartbeats_sent,
             pruned,
             trace,
         })

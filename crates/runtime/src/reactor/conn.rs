@@ -197,9 +197,10 @@ impl Carrier {
 
 /// One agent↔neighbor attachment. Links own no byte streams: a cross-shard
 /// link's traffic rides the carrier connecting the two owning shards, an
-/// intra-shard link's is written straight into the [`Inbox`] slot of the
+/// intra-shard link's is written straight into the [`Inbox`] FIFO of the
 /// receiving link. Links are laid out in the shard block's slot order, so
-/// agent `a`'s slot `k` is link `block.slots(a).start + k`.
+/// agent `a`'s slot `k` is link `block.slots(a).start + k`; whether a
+/// link's inbound side has ended is [`Inbox`] state.
 #[derive(Clone, Copy)]
 pub struct Link {
     /// Shard-local index of the carrier this link's traffic rides; `None`
@@ -209,42 +210,45 @@ pub struct Link {
     /// entries are tagged with it so the peer shard routes them without
     /// any lookup (and, in place, it is the FIFO they go to).
     pub peer_slot: u32,
-    /// Inbound side exhausted: the peer sent its EOF entry (or the whole
-    /// carrier stream ended).
-    pub eof: bool,
 }
 
-/// What the next arrival on a link — an entry, or an EOF on an empty
-/// link — does for the agent that owns it.
+/// What an arrival on a link — an entry, or an EOF on an empty link —
+/// does for the agent that owns it when no round of the agent waits on
+/// the link. (While a round does, [`Inbox::arm`] makes the arrival count
+/// the round down, once.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Wake {
-    /// Nothing: no round of the agent waits on the link.
-    Idle,
-    /// The agent's round waits on this empty link: the arrival counts the
-    /// round down (once — the link is filled from then on).
-    Count,
+    /// Nothing.
+    Idle = 0,
     /// The agent drains: every arrival wakes it.
-    Any,
+    Any = ANY,
 }
 
-/// One link's FIFO: a ring of up to two buffered entries, how many more
-/// wait in the spill, and the link's [`Wake`]. An entry's fields are
-/// kept apart and copied one by one, the widths they were written with,
-/// so reading back an entry that was just assembled never stalls on a
-/// wider load of narrower stores.
+// A link's state byte: where the front entry is, how many entries the
+// ring holds (0–2, in units of `LEN`), whether an arrival counts for its
+// owner's round (`COUNT`) or wakes its drain (`ANY`), and whether its
+// inbound side has ended. One load answers every question a delivery or
+// a receive asks of the link.
+const HEAD: u8 = 1;
+const LEN: u8 = 2;
+const LENS: u8 = 3 * LEN;
+const COUNT: u8 = 8;
+const ANY: u8 = 16;
+const WAKES: u8 = COUNT | ANY;
+const EOF: u8 = 32;
+
+/// One link's FIFO: a ring of up to two buffered entries and its state
+/// byte, forty bytes. An entry's fields are kept apart and copied one by
+/// one, the widths they were written with, so reading back an entry that
+/// was just assembled never stalls on a wider load of narrower stores.
 #[derive(Clone, Copy)]
 struct SlotFifo {
     e: [f64; 2],
     transfer: [f64; 2],
     settled: [bool; 2],
     kind: [EntryKind; 2],
-    /// Block index of the agent that owns the link.
-    owner: u32,
-    spilled: u32,
-    /// Where the front entry is.
-    head: u8,
-    len: u8,
-    wake: Wake,
+    state: u8,
 }
 
 impl SlotFifo {
@@ -269,9 +273,12 @@ impl SlotFifo {
 /// a peer that sends ahead (only a foreign process can), or traffic onto
 /// a slot that a round deadline pruned or left one round behind — goes to
 /// an overflow spill in arrival order and moves up as the FIFO drains, so
-/// every link stays FIFO.
+/// every link stays FIFO. A link has entries in the spill only while its
+/// ring is full.
 pub struct Inbox {
     fifo: Vec<SlotFifo>,
+    /// Per link: the block index of the agent that owns it.
+    owner: Vec<u32>,
     /// Per agent: the empty links its round waits on.
     missing: Vec<u32>,
     /// Entries that found their link's FIFO full, as `(link, entry)` in
@@ -283,81 +290,104 @@ impl Inbox {
     /// Empty, idle FIFOs for `agents` agents, one per link, for links
     /// owned by `owners` in link order.
     pub fn new(agents: usize, owners: impl IntoIterator<Item = u32>) -> Inbox {
-        let fifo: Vec<SlotFifo> = owners
-            .into_iter()
-            .map(|owner| SlotFifo {
-                e: [0.0; 2],
-                transfer: [0.0; 2],
-                settled: [false; 2],
-                kind: [EntryKind::Eof; 2],
-                owner,
-                spilled: 0,
-                head: 0,
-                len: 0,
-                wake: Wake::Idle,
-            })
-            .collect();
+        let owner: Vec<u32> = owners.into_iter().collect();
+        let empty = SlotFifo {
+            e: [0.0; 2],
+            transfer: [0.0; 2],
+            settled: [false; 2],
+            kind: [EntryKind::Eof; 2],
+            state: 0,
+        };
         Inbox {
-            fifo,
+            fifo: vec![empty; owner.len()],
+            owner,
             missing: vec![0; agents],
             spill: Vec::new(),
         }
     }
 
-    /// Appends `entry` to `link`'s FIFO. Returns how many entries were
-    /// buffered there before it (two or more means it spilled) and the
-    /// agent to step, if the arrival completes the round of the link's
-    /// owner or wakes its drain.
+    /// Appends `entry` to `link`'s FIFO. Returns the agent to step, if the
+    /// arrival completes the round of the link's owner or wakes its drain.
     #[inline]
-    pub fn push(&mut self, link: usize, entry: BatchEntry) -> (usize, Option<u32>) {
+    pub fn push(&mut self, link: usize, entry: BatchEntry) -> Option<u32> {
         let f = &mut self.fifo[link];
-        let before = usize::from(f.len) + f.spilled as usize;
-        if f.len < 2 {
-            f.put(usize::from((f.head + f.len) & 1), entry);
-            f.len += 1;
-        } else {
-            f.spilled += 1;
+        let state = f.state;
+        if state & LENS == 2 * LEN {
             self.spill.push((link as u32, entry));
+        } else {
+            // The back of the ring: the front when empty, else the other.
+            f.put(usize::from((state ^ (state >> 1)) & HEAD), entry);
+            f.state = (state + LEN) & !COUNT;
         }
-        (before, self.arrive(link))
+        self.arrive(link, state)
     }
 
-    /// An EOF reached `link`, on which nothing is buffered: the agent to
-    /// step, as for [`push`](Inbox::push).
-    pub fn fill(&mut self, link: usize) -> Option<u32> {
-        self.arrive(link)
-    }
-
-    #[inline]
-    fn arrive(&mut self, link: usize) -> Option<u32> {
+    /// The peer behind `link` will send nothing more: marks its inbound
+    /// side ended. Returns the agent to step, as for
+    /// [`push`](Inbox::push), when that fills the link — it was not at
+    /// EOF already and nothing is buffered on it.
+    pub fn latch_eof(&mut self, link: usize) -> Option<u32> {
         let f = &mut self.fifo[link];
-        let owner = f.owner;
-        match f.wake {
-            Wake::Idle => None,
-            Wake::Count => {
-                f.wake = Wake::Idle;
-                let missing = &mut self.missing[owner as usize];
-                *missing -= 1;
-                (*missing == 0).then_some(owner)
-            }
-            Wake::Any => Some(owner),
+        let state = f.state;
+        f.state = (state | EOF) & !COUNT;
+        match state & (EOF | LENS) {
+            0 => self.arrive(link, state),
+            _ => None,
         }
+    }
+
+    /// An arrival on `link`, whose state byte was `state` before it (a
+    /// count fires once: the arrival's own store cleared it).
+    #[inline]
+    fn arrive(&mut self, link: usize, state: u8) -> Option<u32> {
+        if state & WAKES == 0 {
+            return None;
+        }
+        let owner = self.owner[link];
+        if state & ANY != 0 {
+            return Some(owner);
+        }
+        let missing = &mut self.missing[owner as usize];
+        *missing -= 1;
+        (*missing == 0).then_some(owner)
+    }
+
+    /// Whether `link`'s inbound side has ended.
+    #[inline]
+    pub fn is_eof(&self, link: usize) -> bool {
+        self.fifo[link].state & EOF != 0
     }
 
     /// Makes the next arrival on `link` count for its owner's round, if
-    /// nothing is buffered there; returns whether it will.
+    /// nothing is buffered there; returns whether it will, or `None` when
+    /// the link is at EOF (and nothing changes). The owner's count is
+    /// [`wait_for`](Inbox::wait_for)'s to set.
     #[inline]
-    pub fn await_fill(&mut self, link: usize) -> bool {
+    pub fn arm(&mut self, link: usize) -> Option<bool> {
         let f = &mut self.fifo[link];
-        let empty = f.len == 0;
-        if empty {
-            f.wake = Wake::Count;
-            self.missing[f.owner as usize] += 1;
+        let state = f.state;
+        if state & EOF != 0 {
+            return None;
         }
-        empty
+        let empty = state & LENS == 0;
+        f.state = state | if empty { COUNT } else { 0 };
+        Some(empty)
+    }
+
+    /// Undoes [`arm`](Inbox::arm): no round waits on `link`.
+    #[cold]
+    pub fn disarm(&mut self, link: usize) {
+        self.fifo[link].state &= !COUNT;
+    }
+
+    /// Agent `a`'s round waits on the `links` it just armed.
+    #[inline]
+    pub fn wait_for(&mut self, a: usize, links: u32) {
+        self.missing[a] = links;
     }
 
     /// The empty links agent `a`'s round waits on.
+    #[inline]
     pub fn missing(&self, a: usize) -> u32 {
         self.missing[a]
     }
@@ -366,7 +396,7 @@ impl Inbox {
     /// `a`) does; the agent's round waits on none of them any more.
     pub fn set_wakes(&mut self, a: usize, links: Range<usize>, wake: Wake) {
         for f in &mut self.fifo[links] {
-            f.wake = wake;
+            f.state = (f.state & !WAKES) | wake as u8;
         }
         self.missing[a] = 0;
     }
@@ -375,10 +405,11 @@ impl Inbox {
     #[inline]
     pub fn pop(&mut self, link: usize) -> Option<BatchEntry> {
         let f = &mut self.fifo[link];
-        if f.len == 0 {
+        let state = f.state;
+        if state & LENS == 0 {
             return None;
         }
-        let h = usize::from(f.head);
+        let h = usize::from(state & HEAD);
         let front = BatchEntry {
             slot: link as u32,
             e: f.e[h],
@@ -386,32 +417,36 @@ impl Inbox {
             settled: f.settled[h],
             kind: f.kind[h],
         };
-        f.head ^= 1;
-        f.len -= 1;
-        if f.spilled > 0 {
-            // The oldest spilled entry of this link moves up behind the
-            // new front.
-            let at = self.spill.iter().position(|&(l, _)| l as usize == link);
-            let (_, next) = self
-                .spill
-                .remove(at.expect("a spilled entry is in the spill"));
-            f.put(usize::from(f.head ^ 1), next);
-            f.len = 2;
-            f.spilled -= 1;
+        f.state = (state ^ HEAD) - LEN;
+        if !self.spill.is_empty() && state & LENS == 2 * LEN {
+            self.refill(link);
         }
         Some(front)
     }
 
-    /// Whether nothing is buffered on `link`.
-    #[inline]
-    pub fn is_empty(&self, link: usize) -> bool {
-        self.fifo[link].len == 0
+    /// The oldest spilled entry of `link`, if any, moves up behind its
+    /// front.
+    #[cold]
+    fn refill(&mut self, link: usize) {
+        let Some(at) = self.spill.iter().position(|&(l, _)| l as usize == link) else {
+            return;
+        };
+        let (_, next) = self.spill.remove(at);
+        let f = &mut self.fifo[link];
+        f.put(usize::from((f.state & HEAD) ^ 1), next);
+        f.state += LEN;
+    }
+
+    /// How many entries `link` holds, ring and spill.
+    pub fn buffered(&self, link: usize) -> usize {
+        let spilled = self.spill.iter().filter(|&&(l, _)| l as usize == link);
+        usize::from((self.fifo[link].state & LENS) / LEN) + spilled.count()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{Inbox, RingBuf};
+    use super::{Inbox, RingBuf, Wake};
     use crate::wire::{BatchEntry, EntryKind};
 
     #[test]
@@ -423,24 +458,32 @@ mod tests {
             settled: false,
             kind: EntryKind::Data,
         };
-        // A 3-path: agent 1 owns links 1 and 2.
+        // A 3-path: agent 1 owns links 1 and 2, agent 2 owns link 3.
         let mut inbox = Inbox::new(3, [0, 1, 1, 2]);
-        assert!(inbox.await_fill(1) && inbox.await_fill(2));
+        // An entry that arrives before its link is armed: the round finds
+        // it buffered and does not wait on the link.
+        assert_eq!(inbox.push(3, entry(-0.5)), None);
+        assert_eq!(inbox.arm(3), Some(false));
+        assert_eq!(inbox.arm(1), Some(true));
+        assert_eq!(inbox.arm(2), Some(true));
+        inbox.wait_for(1, 2);
         assert_eq!(inbox.missing(1), 2);
-        assert_eq!(inbox.push(1, entry(-1.0)), (0, None));
-        assert_eq!(inbox.push(1, entry(-2.0)), (1, None), "a count fires once");
+        assert_eq!(inbox.push(1, entry(-1.0)), None);
+        assert_eq!(inbox.push(1, entry(-2.0)), None, "a count fires once");
+        assert_eq!(inbox.missing(1), 1);
         assert_eq!(
             inbox.push(2, entry(-10.0)),
-            (0, Some(1)),
+            Some(1),
             "agent 1's round is complete"
         );
-        assert!(!inbox.await_fill(2), "link 2 has an entry buffered");
+        assert_eq!(inbox.arm(2), Some(false), "link 2 has an entry buffered");
         // Links 1 and 2 interleave in the spill.
         for k in 3..=6 {
-            assert_eq!(inbox.push(1, entry(-f64::from(k))).0, k as usize - 1);
+            assert_eq!(inbox.push(1, entry(-f64::from(k))), None);
+            assert_eq!(inbox.buffered(1), k as usize);
             inbox.push(2, entry(-10.0 * f64::from(k)));
         }
-        assert!(inbox.is_empty(0));
+        assert_eq!((inbox.pop(0), inbox.is_eof(0)), (None, false));
         let mut heard = Vec::new();
         while let Some(e) = inbox.pop(1) {
             heard.push(e.transfer);
@@ -452,7 +495,44 @@ mod tests {
         let first = inbox.pop(2).map(|e| e.transfer);
         assert_eq!(first, Some(-10.0));
         assert_eq!(inbox.pop(2).map(|e| e.transfer), Some(-30.0));
-        assert!(inbox.is_empty(1));
+        assert_eq!(inbox.buffered(1), 0);
+        // A link that is armed again and never filled stops counting once
+        // its arm is undone.
+        assert_eq!(inbox.arm(1), Some(true));
+        inbox.disarm(1);
+        assert_eq!(inbox.push(1, entry(-8.0)), None);
+    }
+
+    #[test]
+    fn an_eof_on_an_empty_awaited_link_counts_once() {
+        let mut inbox = Inbox::new(1, [0, 0]);
+        assert_eq!((inbox.arm(0), inbox.arm(1)), (Some(true), Some(true)));
+        inbox.wait_for(0, 2);
+        assert_eq!(inbox.latch_eof(0), None);
+        assert_eq!(inbox.latch_eof(0), None, "a second EOF does not count");
+        assert_eq!(inbox.missing(0), 1);
+        assert_eq!((inbox.pop(0), inbox.is_eof(0)), (None, true));
+        assert_eq!(inbox.arm(0), None, "a link at EOF refuses the round");
+        assert_eq!(inbox.latch_eof(1), Some(0));
+    }
+
+    #[test]
+    fn a_draining_owner_wakes_on_any_arrival() {
+        let goodbye = BatchEntry {
+            slot: 0,
+            e: -1.0,
+            transfer: 0.0,
+            settled: false,
+            kind: EntryKind::Goodbye,
+        };
+        let mut inbox = Inbox::new(2, [1, 1, 0]);
+        inbox.set_wakes(1, 0..2, Wake::Any);
+        assert_eq!(inbox.push(0, goodbye), Some(1));
+        assert_eq!(inbox.push(0, goodbye), Some(1), "every arrival wakes it");
+        assert_eq!(inbox.latch_eof(1), Some(1));
+        assert_eq!(inbox.push(2, goodbye), None, "agent 0 is idle");
+        inbox.set_wakes(1, 0..2, Wake::Idle);
+        assert_eq!(inbox.push(0, goodbye), None);
     }
 
     #[test]

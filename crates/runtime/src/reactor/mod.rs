@@ -63,7 +63,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What a reactor deployment produced, beyond the reports themselves.
 pub struct ReactorRun {
@@ -264,7 +264,6 @@ pub fn run_reactor_cluster(
                 links.push(Link {
                     carrier,
                     peer_slot: link_index[&(peer, node)],
-                    eof: false,
                 });
                 if let Some(ci) = carrier {
                     carriers[ci as usize].fed_links.push(link_idx);
@@ -296,16 +295,9 @@ pub fn run_reactor_cluster(
         })
         .collect();
 
-    // The main thread doubles as the resource monitor while shards run.
-    let mut peak_threads = proc_status_value("Threads").unwrap_or(0) as u32;
-    while handles.iter().any(|h| !h.is_finished()) {
-        if let Some(t) = proc_status_value("Threads") {
-            peak_threads = peak_threads.max(t as u32);
-        }
-        thread::sleep(Duration::from_millis(10));
-    }
-    let peak_rss_kb = proc_status_value("VmHWM");
-
+    // No shard spawns threads, so the count with every shard spawned is
+    // the run's peak: one sample, then block on the joins.
+    let peak_threads = proc_status_value("Threads").unwrap_or(0) as u32;
     let mut tagged: Vec<(usize, NodeReport)> = Vec::with_capacity(n);
     let mut first_err = None;
     for handle in handles {
@@ -315,6 +307,7 @@ pub fn run_reactor_cluster(
             Err(_) => {}
         }
     }
+    let peak_rss_kb = proc_status_value("VmHWM");
     if let Some(e) = first_err {
         return Err(e);
     }
@@ -322,7 +315,8 @@ pub fn run_reactor_cluster(
     tagged.sort_by_key(|(node, _)| *node);
     Ok(ReactorRun {
         reports: tagged.into_iter().map(|(_, r)| r).collect(),
-        // The sampler can miss a short-lived peak; the floor is exact.
+        // A shard that already finished is not in the sample; the floor
+        // is exact.
         peak_threads: peak_threads.max(shards as u32 + 1),
         peak_rss_kb,
         shards,
@@ -378,7 +372,6 @@ pub fn host_node(
         links.push(Link {
             carrier: Some(slot),
             peer_slot: peer_slot.expect("edges are listed from both ends") as u32,
-            eof: false,
         });
     }
     let agents = vec![AgentSlot::new(spec.round_timeout)];

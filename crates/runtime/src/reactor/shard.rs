@@ -26,8 +26,9 @@
 //! value into the receiving link's FIFO, a cross-shard one encodes
 //! straight into its carrier's persistent staging buffer through a
 //! [`BatchWriter`], inbound batches decode into one reused [`DataBatch`]
-//! scratch, and the round check and timer sweep run off counters and a
-//! reused buffer.
+//! scratch, and the timer sweep runs off a reused buffer. No agent pays a
+//! clock read per round: the round check looks at the stalled agents only
+//! when it fires.
 //!
 //! What an entry *means* is the block's business: the shard re-addresses
 //! the entries the block stages, delivers them, and hands inbound ones
@@ -64,14 +65,12 @@ enum Phase {
     Done,
 }
 
-/// The shard's driver state for one hosted agent; its protocol state is a
-/// row of the shard's block.
+/// The shard's driver settings for one hosted agent; its protocol state
+/// is a row of the shard's block, its lifecycle phase a column of the
+/// shard loop.
 pub struct AgentSlot {
     /// Per-link receive deadline (from the node spec).
     round_timeout: Duration,
-    phase: Phase,
-    /// When this agent entered its current frame-starved wait.
-    stall_since: Option<Instant>,
     drain_seq: u32,
 }
 
@@ -80,8 +79,6 @@ impl AgentSlot {
     pub fn new(round_timeout: Duration) -> AgentSlot {
         AgentSlot {
             round_timeout,
-            phase: Phase::Handshaking,
-            stall_since: None,
             drain_seq: 0,
         }
     }
@@ -116,6 +113,11 @@ pub struct Shard {
 
 /// The shard loop's working state.
 struct Loop {
+    /// Per agent: where it is in its lifecycle.
+    phase: Vec<Phase>,
+    /// Per agent: the round a round check last saw it stalled in, and
+    /// when that check first saw it stalled there.
+    stall_seen: Vec<Option<(usize, Instant)>>,
     wheel: Wheel,
     /// Agents queued to step, one bit per block index.
     queued: Vec<u64>,
@@ -126,8 +128,6 @@ struct Loop {
     /// The entries buffered on every link.
     inbox: Inbox,
     done: usize,
-    /// Agents waiting out a frame-starved round (`stall_since` set).
-    stalled: usize,
     /// A round has run on its deadline with entries missing, so a peer
     /// can be a round ahead of a link's consumer.
     forced: bool,
@@ -141,11 +141,6 @@ struct Loop {
     min_round_timeout: Duration,
     /// Timer keys the wheel hands back, reused across loop turns.
     expired: Vec<TimerKey>,
-    /// The clock as of the current [`pump`] sweep. Stamps `stall_since`:
-    /// in steady state every agent stalls once per round, and the stamp
-    /// only feeds the round-deadline detector, so one clock read per sweep
-    /// replaces one per agent-round.
-    now: Instant,
 }
 
 /// Runs the shard to completion: every hosted agent reports, a protocol
@@ -159,6 +154,8 @@ pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeEr
     let n_agents = shard.agents.len();
     let origin = Instant::now();
     let mut lp = Loop {
+        phase: vec![Phase::Handshaking; n_agents],
+        stall_seen: vec![None; n_agents],
         wheel: Wheel::new(Duration::from_millis(8), 1024, origin),
         queued: vec![0; n_agents.div_ceil(64)],
         n_queued: 0,
@@ -168,7 +165,6 @@ pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeEr
             (0..n_agents).flat_map(|a| shard.block.slots(a).map(move |_| a as u32)),
         ),
         done: 0,
-        stalled: 0,
         forced: false,
         scratch: vec![0u8; 64 * 1024],
         batch: DataBatch::default(),
@@ -181,7 +177,6 @@ pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeEr
             .min()
             .unwrap_or(Duration::from_secs(2)),
         expired: Vec::new(),
-        now: origin,
     };
 
     // The block is borrowed beside the shard, so a delivery can reach the
@@ -198,7 +193,7 @@ pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeEr
     teardown(&mut shard);
     result?;
     // A finished agent's row is final; an abort leaves some unfinished.
-    let finished = shard.agents.iter().map(|a| a.phase == Phase::Done);
+    let finished = lp.phase.iter().map(|&phase| phase == Phase::Done);
     let reports = block.into_reports().into_iter().zip(finished);
     Ok(reports
         .filter(|(_, done)| *done)
@@ -268,7 +263,6 @@ fn drive(
         if shard.abort.load(Ordering::Acquire) {
             return Ok(());
         }
-        arm_round_check(lp);
 
         let now = Instant::now();
         let timeout_ms = match lp.wheel.next_wake(now) {
@@ -296,8 +290,8 @@ fn drive(
 /// machine.
 fn release_agents(shard: &mut Shard, lp: &mut Loop) {
     for a in 0..shard.agents.len() {
-        if shard.agents[a].phase == Phase::Handshaking {
-            shard.agents[a].phase = Phase::NeedSend;
+        if lp.phase[a] == Phase::Handshaking {
+            lp.phase[a] = Phase::NeedSend;
             queue_step(lp, a as u32);
         }
     }
@@ -315,7 +309,7 @@ fn pump(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop) -> Result<(), R
             // an agent that left reclaims its transfer does not depend on
             // the order agents were stepped in.
             while let Some(link_idx) = lp.eofs.pop() {
-                latch_eof(shard, lp, link_idx as usize);
+                latch_eof(lp, link_idx as usize);
             }
             if lp.n_queued == 0 {
                 break;
@@ -330,14 +324,12 @@ fn pump(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop) -> Result<(), R
 /// Steps the queued agents in block order. An agent queued ahead of the
 /// cursor steps in this sweep, one queued behind it in the next, so in
 /// steady state a sweep is one round of the shard that walks the block's
-/// columns front to back. One clock read per sweep, so no stall stamp is
-/// older than the sweep that made the agent stall.
+/// columns front to back.
 fn sweep_agents(
     shard: &mut Shard,
     block: &mut AgentCore,
     lp: &mut Loop,
 ) -> Result<(), RuntimeError> {
-    lp.now = Instant::now();
     let mut next = 0;
     while next < shard.agents.len() {
         let word = next / 64;
@@ -421,40 +413,31 @@ fn route_entry(
         });
     }
     if entry.kind == EntryKind::Eof {
-        latch_eof(shard, lp, slot);
+        latch_eof(lp, slot);
     } else {
-        deliver(shard, lp, entry);
+        deliver(shard, lp, slot, entry);
     }
     Ok(())
 }
 
-/// Writes one round entry into the FIFO of the shard-local link it
-/// addresses, queueing the owner if that completes its round or wakes its
-/// drain.
+/// Writes one round entry into the FIFO of shard-local link `link_idx`,
+/// queueing the owner if that completes its round or wakes its drain.
 #[inline]
-fn deliver(shard: &mut Shard, lp: &mut Loop, entry: BatchEntry) {
-    let link_idx = entry.slot as usize;
-    let (before, step) = lp.inbox.push(link_idx, entry);
+fn deliver(shard: &mut Shard, lp: &mut Loop, link_idx: usize, entry: BatchEntry) {
     debug_assert!(
-        before < 2 || shard.links[link_idx].carrier.is_some() || lp.forced,
+        lp.inbox.buffered(link_idx) < 2 || shard.links[link_idx].carrier.is_some() || lp.forced,
         "benign same-shard traffic never buffers more than two entries on a link"
     );
-    if let Some(a) = step {
+    if let Some(a) = lp.inbox.push(link_idx, entry) {
         queue_step(lp, a);
     }
 }
 
 /// The peer behind a link will send nothing more: mark its inbound side
 /// ended, which fills the link if nothing is buffered on it.
-fn latch_eof(shard: &mut Shard, lp: &mut Loop, link_idx: usize) {
-    let link = &mut shard.links[link_idx];
-    if !link.eof {
-        link.eof = true;
-        if lp.inbox.is_empty(link_idx) {
-            if let Some(a) = lp.inbox.fill(link_idx) {
-                queue_step(lp, a);
-            }
-        }
+fn latch_eof(lp: &mut Loop, link_idx: usize) {
+    if let Some(a) = lp.inbox.latch_eof(link_idx) {
+        queue_step(lp, a);
     }
 }
 
@@ -472,7 +455,7 @@ fn carrier_stream_eof(shard: &mut Shard, lp: &mut Loop, ci: usize) {
     shard.carriers[ci].eof = true;
     for i in 0..shard.carriers[ci].fed_links.len() {
         let link_idx = shard.carriers[ci].fed_links[i] as usize;
-        latch_eof(shard, lp, link_idx);
+        latch_eof(lp, link_idx);
     }
 }
 
@@ -598,12 +581,13 @@ fn stage_msg(shard: &mut Shard, ci: usize, msg: &WireMsg) {
     encode_frame_into(msg, &mut c.staging);
 }
 
-/// Sends one batch entry out on link `link_idx`, re-addressed to the
-/// receiver's link index: in place when the receiver is on this shard,
-/// staged on the link's carrier otherwise. Returns `false` when the link
-/// is provably dead — the peer sent its EOF entry or the carrier's stream
-/// failed — so the caller reclaims the transfer it carried; a staged
-/// entry counts as delivered, exactly like a buffered socket write.
+/// Sends one batch entry out on link `link_idx`, which is not at EOF,
+/// to the receiving link: written in place when the receiver is on this
+/// shard (an EOF waits in `eofs`), staged on the link's carrier
+/// otherwise. Returns `false` when the carrier is closed; with a link at
+/// EOF that is how a link is provably dead, and the caller reclaims the
+/// transfer the entry carried. A staged entry counts as delivered,
+/// exactly like a buffered socket write.
 #[inline]
 fn send_entry(
     shard: &mut Shard,
@@ -613,22 +597,18 @@ fn send_entry(
     entry: BatchEntry,
 ) -> bool {
     let link = shard.links[link_idx];
-    if link.eof {
-        return false;
-    }
-    let entry = BatchEntry {
-        slot: link.peer_slot,
-        ..entry
-    };
-    let Some(ci) = link.carrier else {
-        if entry.kind == EntryKind::Eof {
-            lp.eofs.push(entry.slot);
-        } else {
-            deliver(shard, lp, entry);
+    match link.carrier {
+        None if entry.kind == EntryKind::Eof => lp.eofs.push(link.peer_slot),
+        None => deliver(shard, lp, link.peer_slot as usize, entry),
+        Some(ci) => {
+            let entry = BatchEntry {
+                slot: link.peer_slot,
+                ..entry
+            };
+            return stage_on_carrier(shard, ci as usize, round, entry);
         }
-        return true;
-    };
-    stage_on_carrier(shard, ci as usize, round, entry)
+    }
+    true
 }
 
 /// Stages an entry on carrier `ci`; `false` when the carrier is closed.
@@ -739,7 +719,7 @@ fn step_agent(
 ) -> Result<(), RuntimeError> {
     let i = a as usize;
     loop {
-        match shard.agents[i].phase {
+        match lp.phase[i] {
             Phase::Handshaking | Phase::Done => return Ok(()),
             Phase::NeedSend => {
                 if !block.rounds_remaining(i) {
@@ -748,21 +728,19 @@ fn step_agent(
                 }
                 block.begin_round(i);
                 send_round(shard, block, lp, i);
-                let agent = &mut shard.agents[i];
-                agent.phase = Phase::AwaitFrames;
+                lp.phase[i] = Phase::AwaitFrames;
                 if lp.inbox.missing(i) > 0 {
-                    agent.stall_since = Some(lp.now);
-                    lp.stalled += 1;
+                    if !lp.round_check_armed {
+                        // The check this stall arms sees it from now on.
+                        let now = arm_round_check(lp);
+                        lp.stall_seen[i] = Some((block.rounds(i), now));
+                    }
                     return Ok(());
                 }
             }
             Phase::AwaitFrames => {
-                let agent = &mut shard.agents[i];
                 if lp.inbox.missing(i) > 0 {
                     return Ok(());
-                }
-                if agent.stall_since.take().is_some() {
-                    lp.stalled -= 1;
                 }
                 receive_round(shard, block, lp, a, false);
             }
@@ -781,14 +759,22 @@ fn step_agent(
 fn send_round(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, i: usize) {
     let round = block.rounds(i) as u32;
     let base = block.slots(i).start;
+    // No entry of this pass lands on agent `i`'s own links, so each is
+    // armed before its entry goes out, and the count set once, after it.
+    let mut missing = 0;
     block.send(i, |entry| {
         let link_idx = base + entry.slot as usize;
+        let Some(armed) = lp.inbox.arm(link_idx) else {
+            return false;
+        };
         let delivered = send_entry(shard, lp, link_idx, round, entry);
-        if delivered {
-            lp.inbox.await_fill(link_idx);
+        match delivered {
+            true => missing += u32::from(armed),
+            false => lp.inbox.disarm(link_idx),
         }
         delivered
     });
+    lp.inbox.wait_for(i, missing);
 }
 
 /// Delivers the goodbyes agent `a` has staged.
@@ -797,24 +783,21 @@ fn send_goodbyes(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, a: u32
     let round = block.rounds(i) as u32;
     let base = block.slots(i).start;
     block.send(i, |entry| {
-        send_entry(shard, lp, base + entry.slot as usize, round, entry)
+        let link_idx = base + entry.slot as usize;
+        !lp.inbox.is_eof(link_idx) && send_entry(shard, lp, link_idx, round, entry)
     });
 }
 
 /// The slot-ordered receive pass; `force` lets it run with entries
 /// missing, which the block counts as silent rounds (the round-deadline
 /// path — never taken in healthy runs).
+#[inline]
 fn receive_round(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, a: u32, force: bool) {
     let i = a as usize;
-    if force {
-        // The links still counting will fill after the round they were
-        // armed for.
-        set_wakes(block, lp, i, Wake::Idle);
-    }
     let base = block.slots(i).start;
     block.receive_round(i, |slot| {
         let entry = lp.inbox.pop(base + slot);
-        let eof = shard.links[base + slot].eof;
+        let eof = entry.is_none() && lp.inbox.is_eof(base + slot);
         debug_assert!(
             force || entry.is_some() || eof,
             "receive pass ran without a full round buffered"
@@ -824,7 +807,7 @@ fn receive_round(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, a: u32
     if block.end_round(i) {
         start_drain(shard, block, lp, a);
     } else {
-        shard.agents[i].phase = Phase::NeedSend;
+        lp.phase[i] = Phase::NeedSend;
     }
 }
 
@@ -833,7 +816,7 @@ fn receive_round(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, a: u32
 #[inline(never)]
 fn start_drain(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, a: u32) {
     send_goodbyes(shard, block, lp, a);
-    shard.agents[a as usize].phase = Phase::Draining;
+    lp.phase[a as usize] = Phase::Draining;
     set_wakes(block, lp, a as usize, Wake::Any);
     arm_drain_timer(shard, lp, a);
     absorb_drain(shard, block, lp, a);
@@ -867,7 +850,7 @@ fn absorb_drain(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, a: u32)
         while let Some(entry) = lp.inbox.pop(link_idx) {
             absorbed |= block.drain(i, slot, entry);
         }
-        if shard.links[link_idx].eof {
+        if lp.inbox.is_eof(link_idx) {
             block.close_drain(i, slot);
         }
     }
@@ -886,7 +869,7 @@ fn absorb_drain(shard: &mut Shard, block: &mut AgentCore, lp: &mut Loop, a: u32)
 /// itself stays open for its other agents.
 fn finish_agent(shard: &mut Shard, block: &AgentCore, lp: &mut Loop, a: u32) {
     let i = a as usize;
-    shard.agents[i].phase = Phase::Done;
+    lp.phase[i] = Phase::Done;
     set_wakes(block, lp, i, Wake::Idle);
     lp.done += 1;
     let round = block.rounds(i) as u32;
@@ -898,7 +881,9 @@ fn finish_agent(shard: &mut Shard, block: &AgentCore, lp: &mut Loop, a: u32) {
         kind: EntryKind::Eof,
     };
     for link_idx in block.slots(i) {
-        send_entry(shard, lp, link_idx, round, eof);
+        if !lp.inbox.is_eof(link_idx) {
+            send_entry(shard, lp, link_idx, round, eof);
+        }
     }
 }
 
@@ -930,20 +915,28 @@ fn teardown(shard: &mut Shard) {
 
 /// One shard-level wheel entry covers every stalled agent: per-agent
 /// entries would arm thousands of timers per sweep for no benefit, since
-/// the deadline only matters on the (rare) faulty path.
-fn arm_round_check(lp: &mut Loop) {
-    if lp.round_check_armed || lp.stalled == 0 {
-        return;
-    }
+/// the deadline only matters on the (rare) faulty path. The check runs
+/// every shortest round timeout while an agent stalls, and an agent it
+/// sees stalled in the same round as a check at least the agent's round
+/// timeout before has its round forced — no agent pays a clock stamp per
+/// round. Returns when the check was armed.
+fn arm_round_check(lp: &mut Loop) -> Instant {
+    let now = Instant::now();
     lp.round_check_armed = true;
     lp.wheel.arm(
-        Instant::now() + lp.min_round_timeout,
+        now + lp.min_round_timeout,
         TimerKey {
             kind: TimerKind::Round,
             idx: u32::MAX,
             seq: 0,
         },
     );
+    now
+}
+
+/// Whether agent `a` waits out a frame-starved round.
+fn stalled(lp: &Loop, a: usize) -> bool {
+    lp.phase[a] == Phase::AwaitFrames && lp.inbox.missing(a) > 0
 }
 
 fn fire_timers(
@@ -973,28 +966,36 @@ fn fire_timers(
             TimerKind::Round => {
                 lp.round_check_armed = false;
                 for a in 0..shard.agents.len() as u32 {
-                    let agent = &shard.agents[a as usize];
-                    if agent.phase != Phase::AwaitFrames {
+                    let i = a as usize;
+                    if !stalled(lp, i) {
                         continue;
                     }
-                    let Some(since) = agent.stall_since else {
-                        continue;
+                    let round = block.rounds(i);
+                    let since = match lp.stall_seen[i] {
+                        Some((seen, since)) if seen == round => since,
+                        _ => {
+                            lp.stall_seen[i] = Some((round, now));
+                            continue;
+                        }
                     };
-                    if now.saturating_duration_since(since) >= agent.round_timeout {
-                        shard.agents[a as usize].stall_since = None;
-                        lp.stalled -= 1;
+                    if now.saturating_duration_since(since) >= shard.agents[i].round_timeout {
                         lp.forced = true;
+                        // The links still counting will fill after the
+                        // round they were armed for.
+                        set_wakes(block, lp, i, Wake::Idle);
                         receive_round(shard, block, lp, a, true);
                         queue_step(lp, a);
                     }
                 }
                 pump(shard, block, lp)?;
-                arm_round_check(lp);
+                if !lp.round_check_armed && (0..shard.agents.len()).any(|a| stalled(lp, a)) {
+                    arm_round_check(lp);
+                }
             }
             TimerKind::Drain => {
                 let i = key.idx as usize;
                 let agent = &shard.agents[i];
-                if agent.phase == Phase::Draining && agent.drain_seq == key.seq {
+                if lp.phase[i] == Phase::Draining && agent.drain_seq == key.seq {
                     // Quiet period elapsed: close every slot still open.
                     for slot in 0..block.degree(i) {
                         block.close_drain(i, slot);

@@ -527,20 +527,22 @@ fn seed0_torus_reports_are_pinned_on_every_shard_count() {
 }
 
 /// The benchmark's deployment, pinned where the product is tested: the
-/// seed-0 32×32 torus (1 024 agents) on the serial reference and on the
-/// one-shard reactor, where every edge is an in-place slot write. It
+/// seed-0 32×32 torus (1 024 agents) on the serial reference, on the
+/// one-shard reactor, where every edge is an in-place slot write, and on
+/// two shards, where the edges across the cut ride a carrier. It
 /// takes 12 569 rounds to quorum, a few seconds in release and far too
 /// long unoptimized — run explicitly with
 /// `cargo test --release -p dpc-runtime --test equivalence -- --ignored torus_1k`.
 #[test]
 #[ignore = "1 024-agent deployment; run with --ignored in release"]
-fn seed0_torus_1k_reports_are_pinned_on_lockstep_and_one_shard() {
+fn seed0_torus_1k_reports_are_pinned_on_lockstep_and_one_and_two_shards() {
     assert_pinned(
         &Graph::torus(32, 32).unwrap(),
         0,
         &[
             ("lockstep", Some(runtime_config(TransportKind::Lockstep))),
             ("reactor, 1 shard", Some(reactor_config(1))),
+            ("reactor, 2 shards", Some(reactor_config(2))),
         ],
         (12_569, 19_751_890, 1_322),
         0x2bd3_1aa0_32f7_0d2b,
