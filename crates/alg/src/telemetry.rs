@@ -8,12 +8,12 @@
 //!
 //! * [`RoundRecord`] — one fixed-size, `Copy` sample per round: residual
 //!   aggregates (`Σe`, `max |eᵢ|`), power aggregates (`Σp`, ‖p‖₂), message
-//!   accounting (sent / dropped / duplicated / bounced / in flight), the
-//!   fault ledger (escrow, stranded mass), and optional per-shard kernel
+//!   accounting (sent / in flight), the fault ledger (pending shares of
+//!   powered-off peers, stranded mass), and optional per-shard kernel
 //!   timings from the parallel round engine.
 //! * [`FaultEvent`] — a discrete record per fault-machinery action (crash,
-//!   departure, restart, detection, escrow settlement) with the slack mass
-//!   it moved.
+//!   departure, restart, detection, a share booked) with the slack mass it
+//!   moved.
 //! * [`Ring`] — a fixed-capacity overwrite-oldest buffer that never
 //!   allocates after construction, so steady-state recording is
 //!   allocation-free. Each recorder has a single writer (worker 0 of the
@@ -142,19 +142,14 @@ pub struct RoundRecord {
     pub lambda: f64,
     /// Messages sent this round.
     pub msgs_sent: u64,
-    /// Messages dropped by link faults this round.
-    pub msgs_dropped: u64,
-    /// Duplicate deliveries injected this round.
-    pub msgs_duplicated: u64,
-    /// Transfer bounces (failed deliveries returning to sender) this round.
-    pub msgs_bounced: u64,
     /// Messages in flight at the end of the round.
     pub in_flight: u64,
     /// Slack mass riding those in-flight messages (watts, ≤ 0).
     pub inflight_mass: f64,
-    /// Escrowed residual mass of dead nodes (watts, ≤ 0).
-    pub escrow_total: f64,
-    /// Slack mass stranded by dead islands (watts, ≤ 0).
+    /// Shares of powered-off peers the survivors hold and have not booked
+    /// yet (watts).
+    pub pending: f64,
+    /// Mass on links whose both ends are down (watts).
     pub stranded: f64,
     /// Live nodes.
     pub live: u64,
@@ -168,10 +163,10 @@ pub struct RoundRecord {
 
 impl RoundRecord {
     /// The conservation identity evaluated on this record alone:
-    /// `|Σe + in-flight + escrow + stranded − (Σp − P)|`. Zero (to rounding)
+    /// `|Σe + in-flight + pending + stranded − (Σp − P)|`. Zero (to rounding)
     /// for every DiBA ledger record; the invariant tests pin it.
     pub fn conservation_drift(&self) -> f64 {
-        (self.sum_e + self.inflight_mass + self.escrow_total + self.stranded
+        (self.sum_e + self.inflight_mass + self.pending + self.stranded
             - (self.sum_p - self.budget))
             .abs()
     }
@@ -180,7 +175,8 @@ impl RoundRecord {
 /// What a recorded fault-machinery action was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEventKind {
-    /// A node powered off silently; its `e − p` mass moved to escrow.
+    /// A node powered off silently; `mass` is its `e − p`, which lives on
+    /// in its neighbours' shares of it.
     Crash,
     /// A node left permanently (graceful farewell or management removal).
     Depart,
@@ -188,7 +184,8 @@ pub enum FaultEventKind {
     Restart,
     /// Failure detection pruned a link to a silent neighbor.
     Detect,
-    /// A dead node's escrow was re-absorbed by its live neighbors.
+    /// A survivor booked its share of a powered-off peer into its own
+    /// residual; `node` is the peer, `mass` the share.
     Settle,
     /// The total budget changed mid-run (warm re-solve); `mass` is the
     /// signed budget delta in watts, `node` is 0 (cluster-wide).
@@ -226,8 +223,8 @@ pub struct FaultEvent {
     pub node: usize,
     /// What happened.
     pub kind: FaultEventKind,
-    /// Slack mass the event moved (watts; ≤ 0 for escrow flows, the boot
-    /// headroom for restarts, 0 for pure detections).
+    /// Slack mass the event moved (watts; the dead node's `e − p` or a
+    /// booked share, the boot power for restarts, 0 for pure detections).
     pub mass: f64,
 }
 
@@ -366,9 +363,6 @@ pub struct Telemetry {
     rounds: Ring<RoundRecord>,
     events: Ring<FaultEvent>,
     total_sent: u64,
-    total_dropped: u64,
-    total_duplicated: u64,
-    total_bounced: u64,
     /// Static per-shard work estimate of the topology sharding (edge units),
     /// set by engines that shard — exposes the balance the work-balanced
     /// cuts achieved.
@@ -383,9 +377,6 @@ impl Telemetry {
             rounds: Ring::with_capacity(config.capacity),
             events: Ring::with_capacity(config.capacity),
             total_sent: 0,
-            total_dropped: 0,
-            total_duplicated: 0,
-            total_bounced: 0,
             shard_work: Vec::new(),
         }
     }
@@ -398,9 +389,6 @@ impl Telemetry {
     /// Records one round (single-writer: worker 0 or the serial loop).
     pub fn record_round(&mut self, record: RoundRecord) {
         self.total_sent += record.msgs_sent;
-        self.total_dropped += record.msgs_dropped;
-        self.total_duplicated += record.msgs_duplicated;
-        self.total_bounced += record.msgs_bounced;
         self.rounds.push(record);
     }
 
@@ -449,15 +437,9 @@ impl Telemetry {
         self.rounds.len()
     }
 
-    /// Cumulative `(sent, dropped, duplicated, bounced)` message totals
-    /// across the whole run, unaffected by ring overwrites.
-    pub fn message_totals(&self) -> (u64, u64, u64, u64) {
-        (
-            self.total_sent,
-            self.total_dropped,
-            self.total_duplicated,
-            self.total_bounced,
-        )
+    /// Messages sent across the whole run, unaffected by ring overwrites.
+    pub fn messages_sent(&self) -> u64 {
+        self.total_sent
     }
 
     /// Converts a primal-dual solve's history into round records: the
@@ -510,9 +492,8 @@ impl Telemetry {
                     out,
                     "{{\"type\":\"round\",\"round\":{},\"budget_w\":{},\"sum_p_w\":{},\
                      \"norm2_p\":{},\"sum_e_w\":{},\"max_abs_e_w\":{},\"max_step_w\":{},\
-                     \"lambda\":{},\"msgs_sent\":{},\"msgs_dropped\":{},\"msgs_duplicated\":{},\
-                     \"msgs_bounced\":{},\"in_flight\":{},\"inflight_mass_w\":{},\
-                     \"escrow_w\":{},\"stranded_w\":{},\"live\":{}",
+                     \"lambda\":{},\"msgs_sent\":{},\"in_flight\":{},\"inflight_mass_w\":{},\
+                     \"pending_w\":{},\"stranded_w\":{},\"live\":{}",
                     r.round,
                     r.budget,
                     r.sum_p,
@@ -522,12 +503,9 @@ impl Telemetry {
                     r.max_step,
                     r.lambda,
                     r.msgs_sent,
-                    r.msgs_dropped,
-                    r.msgs_duplicated,
-                    r.msgs_bounced,
                     r.in_flight,
                     r.inflight_mass,
-                    r.escrow_total,
+                    r.pending,
                     r.stranded,
                     r.live,
                 );
@@ -549,13 +527,12 @@ impl Telemetry {
     pub fn to_csv(&self) -> String {
         let mut out = String::from(
             "round,budget_w,sum_p_w,norm2_p,sum_e_w,max_abs_e_w,max_step_w,lambda,\
-             msgs_sent,msgs_dropped,msgs_duplicated,msgs_bounced,in_flight,\
-             inflight_mass_w,escrow_w,stranded_w,live\n",
+             msgs_sent,in_flight,inflight_mass_w,pending_w,stranded_w,live\n",
         );
         for r in self.rounds.iter() {
             let _ = writeln!(
                 out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 r.round,
                 r.budget,
                 r.sum_p,
@@ -565,12 +542,9 @@ impl Telemetry {
                 r.max_step,
                 r.lambda,
                 r.msgs_sent,
-                r.msgs_dropped,
-                r.msgs_duplicated,
-                r.msgs_bounced,
                 r.in_flight,
                 r.inflight_mass,
-                r.escrow_total,
+                r.pending,
                 r.stranded,
                 r.live,
             );
@@ -606,24 +580,6 @@ impl Telemetry {
         );
         counter(
             &mut out,
-            "dpc_msgs_dropped_total",
-            "Messages dropped by link faults",
-            self.total_dropped,
-        );
-        counter(
-            &mut out,
-            "dpc_msgs_duplicated_total",
-            "Duplicate deliveries injected",
-            self.total_duplicated,
-        );
-        counter(
-            &mut out,
-            "dpc_msgs_bounced_total",
-            "Transfer bounces",
-            self.total_bounced,
-        );
-        counter(
-            &mut out,
             "dpc_fault_events_total",
             "Fault-machinery events",
             self.events.pushed(),
@@ -646,9 +602,9 @@ impl Telemetry {
             gauge(&mut out, "dpc_lambda", "Dual price (primal-dual)", r.lambda);
             gauge(
                 &mut out,
-                "dpc_escrow_watts",
-                "Escrowed dead-node mass",
-                r.escrow_total,
+                "dpc_pending_watts",
+                "Unbooked shares of powered-off peers",
+                r.pending,
             );
             gauge(
                 &mut out,
@@ -758,7 +714,6 @@ mod tests {
             sum_p: 95.0,
             sum_e: -5.0,
             msgs_sent: 10,
-            msgs_dropped: 1,
             live: 4,
             workers: 2,
             ..RoundRecord::default()
@@ -811,7 +766,7 @@ mod tests {
         assert!(prom.contains("dpc_msgs_sent_total 50"));
         assert!(prom.contains("dpc_sum_p_watts 95"));
         assert!(prom.contains("dpc_shard_work{shard=\"1\"} 11"));
-        assert_eq!(t.message_totals(), (50, 5, 0, 0));
+        assert_eq!(t.messages_sent(), 50);
     }
 
     #[test]

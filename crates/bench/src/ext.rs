@@ -175,7 +175,6 @@ pub fn ext_async(n: usize) -> String {
         let link = LinkFaults {
             reorder,
             reorder_max,
-            ..LinkFaults::none()
         };
         let plan = FaultPlan {
             activation,

@@ -26,9 +26,10 @@
 //! peers pruned after `detect_after` consecutive quiet rounds; clean
 //! shutdown by convergence quorum with goodbye entries and a
 //! conservation-preserving drain. The seeded fault model
-//! ([`dpc_alg::faults::FaultPlan`]: lost, duplicated and late entries,
-//! stalls, crashes, restarts, departures) runs on these same agents in
-//! the lockstep executor ([`lockstep::Lockstep`]).
+//! ([`dpc_alg::faults::FaultPlan`]: late entries, stalls, crashes,
+//! restarts, departures) runs on these same agents in the lockstep
+//! executor ([`lockstep::Lockstep`]), and a dead node's budget comes back
+//! from the shares of it its neighbours keep on their links.
 //!
 //! ```
 //! use dpc_alg::{diba::DibaConfig, problem::PowerBudgetProblem};

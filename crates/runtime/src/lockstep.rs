@@ -23,22 +23,23 @@
 //!   pinned against bitwise;
 //! * it runs the fault model ([`FaultPlan`]) on the agents themselves.
 //!   Every queued entry carries the round it is due in, and a round hands
-//!   each slot every entry due by then, so a lossy, reordering network and
+//!   each slot every entry due by then, so a late, overtaking network and
 //!   a stalling scheduler are the same delivery loop with later due rounds;
 //!   crashes, restarts and departures are the management plane acting
 //!   between rounds ([`Lockstep`]). Under a benign plan every entry is due
 //!   in the round it was sent and nothing is drawn from the plan's RNG, so
 //!   [`run_lockstep`] is that loop with no faults.
 //!
-//! The due-round queues, the message fates, agent status and escrow are
-//! driver state; everything an agent knows is in the block. Shutdown
-//! mirrors the reactor's: an agent that reaches convergence quorum says
-//! goodbye on every live link and lingers in the block's drain state,
-//! which closes a slot on the peer's goodbye; this executor closes it once
-//! the peer can provably never send again — it has exited, or its own
-//! slot back is dead in the block — the lockstep stand-in for the reactor
-//! drain's quiet-period timer. The drain assumes reliable delivery, so a
-//! plan with faults runs agents that never exit
+//! The due-round queues, the entry delays and agent status are driver
+//! state; everything an agent knows is in the block, its share of every
+//! link included, and a dead node's budget is recovered from those shares
+//! alone. Shutdown mirrors the reactor's: an agent that reaches
+//! convergence quorum says goodbye on every live link and lingers in the
+//! block's drain state, which closes a slot on the peer's goodbye; this
+//! executor closes it once the peer can provably never send again — it has
+//! exited, or its own slot back is dead in the block — the lockstep
+//! stand-in for the reactor drain's quiet-period timer. The drain assumes
+//! every link stays up, so a plan with faults runs agents that never exit
 //! ([`Lockstep::for_problem`]).
 
 use crate::agent::AgentCore;
@@ -64,7 +65,8 @@ enum Status {
     Draining,
     /// Report folded.
     Done,
-    /// Powered off by the plan: no core, its `e − p` in escrow.
+    /// Powered off by the plan: no core; its `e − p` lives on in its
+    /// neighbours' shares of it.
     Crashed,
     /// Left for good by the plan: report folded with `p = e = 0`.
     Departed,
@@ -81,6 +83,13 @@ impl Status {
     /// with mass booked to it.
     fn running(self) -> bool {
         matches!(self, Status::Active | Status::Draining)
+    }
+
+    /// The plan powered the agent off: its neighbours hold its mass as
+    /// their shares of it, and what it sent that is still on the way is
+    /// void, since those shares already count it.
+    fn down(self) -> bool {
+        matches!(self, Status::Crashed | Status::Departed)
     }
 }
 
@@ -102,17 +111,8 @@ struct Peer {
     back_slot: u32,
 }
 
-/// A transfer the network could not deliver, back with `node` in round
-/// `due`.
-#[derive(Debug, Clone, Copy)]
-struct Bounce {
-    due: usize,
-    node: usize,
-    transfer: f64,
-}
-
-/// The network between the agents: the link queues, the plan's sampler
-/// (message fates and stalls) and the transfers bouncing home.
+/// The network between the agents: the link queues and the plan's sampler
+/// (entry delays and stalls).
 struct Links {
     /// Per block slot: the neighbor behind it.
     peers: Vec<Peer>,
@@ -121,9 +121,7 @@ struct Links {
     /// then by send order).
     inbox: Vec<VecDeque<Queued>>,
     sampler: FaultSampler,
-    rtt: usize,
-    bounces: Vec<Bounce>,
-    /// The round's message counters (only the `msgs_*` fields are read).
+    /// The round's message counters (only `msgs_sent` is read).
     tally: RoundRecord,
 }
 
@@ -146,24 +144,11 @@ impl Links {
         queue.pop_front().map(|m| m.entry)
     }
 
-    /// The network reports `transfer` undelivered in `round`: it is back
-    /// with `node` one round trip later.
-    fn bounce(&mut self, node: usize, transfer: f64, round: usize) {
-        if transfer != 0.0 {
-            self.tally.msgs_bounced += 1;
-            let due = round + self.rtt;
-            self.bounces.push(Bounce {
-                due,
-                node,
-                transfer,
-            });
-        }
-    }
-
     /// Delivers everything agent `i` of `block` has staged: each entry is
-    /// re-addressed to the receiver's slot and queued, due in `due` unless
-    /// its fate drops or delays it, or refused if the neighbor has exited,
-    /// which is the lockstep form of a closed link.
+    /// re-addressed to the receiver's slot and queued, due in `due` plus
+    /// its drawn delay, or refused if the neighbor has exited, which is
+    /// the lockstep form of a closed link. An entry to a crashed neighbor
+    /// is taken and never read: its transfer is in the sender's share.
     fn send_staged(&mut self, block: &mut AgentCore, i: usize, status: &[Status], due: usize) {
         let base = block.slots(i).start;
         block.send(i, |entry| {
@@ -172,26 +157,13 @@ impl Links {
                 return false;
             }
             self.tally.msgs_sent += 1;
-            let entry = BatchEntry {
-                slot: peer.back_slot,
-                ..entry
-            };
-            let fate = self.sampler.fate();
-            if fate.dropped {
-                self.tally.msgs_dropped += 1;
-                self.bounce(i, entry.transfer, due);
-                return true;
-            }
-            let due = due + fate.extra_delay;
-            self.enqueue(peer.back, due, entry);
-            if fate.dup_lag > 0 {
-                // The copy carries the stale residual, not the transfer.
-                self.tally.msgs_duplicated += 1;
-                let copy = BatchEntry {
-                    transfer: 0.0,
+            if status[peer.node] != Status::Crashed {
+                let entry = BatchEntry {
+                    slot: peer.back_slot,
                     ..entry
                 };
-                self.enqueue(peer.back, due + fate.dup_lag, copy);
+                let due = due + self.sampler.delay();
+                self.enqueue(peer.back, due, entry);
             }
             true
         });
@@ -204,29 +176,40 @@ impl Links {
 /// The plan acts on the network and on the management plane, never inside
 /// an agent's round:
 ///
-/// * **drop** — the entry is lost and its transfer returns to the sender
-///   [`rtt`](dpc_alg::faults::LinkFaults::rtt) rounds later
-///   ([`AgentCore::absorb`]);
-/// * **duplicate** — a transfer-free copy arrives later;
-/// * **reorder** — the entry is due some rounds after it was sent;
+/// * **late delivery** — the entry is due some rounds after it was sent,
+///   and may overtake others on its link;
 /// * **stall** — a live agent sits the round out with probability
 ///   `1 − activation`: it neither begins nor receives, and its entries
 ///   wait in its queues;
-/// * **crash** — the agent's `e − p` moves to escrow, it drops out of the
-///   block's care and entries reaching it bounce. Neighbors learn of it by silence
-///   ([`NodeSpec::detect_after`]); the first prune settles the escrow over
-///   its live neighbors, or strands it when none is left;
-/// * **restart** — a crashed agent boots at idle power once its unsettled
-///   escrow plus its neighbors' spare slack and power cuts fund
-///   `p_min + margin` (retried every round until they do); a neighbor
-///   that pruned it re-admits it on its first entry;
-/// * **depart** — the agent's goodbyes carry its `e − p` to its live links
-///   at once ([`AgentCore::depart`]) and it leaves; a crashed agent's
-///   escrow is settled instead.
+/// * **crash** — the agent powers off and drops out of the block's care.
+///   The plan's crash is the "powered off" notice its neighbours get.
+///   Each learns of it by silence ([`NodeSpec::detect_after`]), and once
+///   its failure detector has pruned the link it books its share of the
+///   peer (`AgentCore::book`); a share that is a debt is booked at the
+///   notice. What the dead peer sent that arrives later is void;
+/// * **restart** — a crashed agent boots at idle power once its
+///   neighbours' unbooked shares of it plus their spare slack and power
+///   cuts fund `p_min + margin` (retried every round until they do); both
+///   ends of its links open a fresh ledger from its boot state, and a
+///   neighbor that pruned it re-admits it on its first entry;
+/// * **depart** — the agent powers off as in a crash, and the notice that
+///   it is gone for good closes its links at once, so every neighbour
+///   books its share of it in that round.
 ///
-/// Every handler moves mass between ledgers, so
-/// `Σe + Σescrow + Σin-flight + stranded = Σp − P` holds to rounding after
-/// every round ([`Lockstep::conservation_drift`]).
+/// A prune of a peer that is only slow leaves its share pending, and the
+/// peer's next entry re-admits it. Every handler moves mass between
+/// ledgers, so `Σe + Σpending + Σin-flight + stranded = Σp − P` holds to
+/// rounding after every round ([`Lockstep::conservation_drift`]), where
+///
+/// * `Σe` and `Σp` run over every node (a dead one holds `(0, 0)`);
+/// * `Σpending` is the running agents' unbooked shares of dead peers
+///   ([`Lockstep::pending_total`]);
+/// * in-flight is the transfers queued on the links whose ends are both
+///   up and into agents that have not exited through quorum: a link with
+///   a dead end carries nothing, since the survivor's share counts what is
+///   on it;
+/// * stranded is the mass on links whose both ends are down, taken from
+///   the link totals as the second end goes ([`Lockstep::stranded`]).
 pub struct Lockstep {
     graph: Graph,
     links: Links,
@@ -247,14 +230,9 @@ pub struct Lockstep {
     /// Launch specs to boot restarted agents from (empty when the
     /// schedule restarts nobody).
     specs: Vec<NodeSpec>,
-    /// Mass of crashed agents awaiting settlement (≤ 0).
-    escrow: Vec<f64>,
-    /// A crashed agent's escrow has been settled: mass reaching it goes on
-    /// to its live neighbors.
-    settled: Vec<bool>,
     /// Restarts the headroom could not fund yet.
     pending_restarts: Vec<usize>,
-    /// Mass whose every heir was dead (≤ 0).
+    /// Mass on links whose both ends are down.
     stranded: f64,
     partitioned: bool,
     telemetry: Option<Box<Telemetry>>,
@@ -262,7 +240,9 @@ pub struct Lockstep {
 
 impl Lockstep {
     /// Launches one agent per spec on `graph` under `plan`, with `P` read
-    /// off the launch ledger `Σp − Σe`.
+    /// off the launch ledger `Σp − Σe`. Each link's ledger opens from the
+    /// two ends' launch states: an agent's base share is its `e − p` over
+    /// its degree.
     ///
     /// `specs` must hold one spec per graph node, in node-id order (the
     /// shape [`crate::cluster::node_specs`] produces).
@@ -270,8 +250,8 @@ impl Lockstep {
     /// # Panics
     ///
     /// If the plan fails [`FaultPlan::validate`], or if it can perturb the
-    /// run while an agent can exit: the quorum drain assumes reliable
-    /// delivery, so faults need `stable_rounds` and `max_rounds` at
+    /// run while an agent can exit: the quorum drain assumes every link
+    /// stays up, so faults need `stable_rounds` and `max_rounds` at
     /// `usize::MAX`.
     pub fn new(specs: Vec<NodeSpec>, graph: &Graph, plan: FaultPlan) -> Lockstep {
         let n = specs.len();
@@ -290,13 +270,16 @@ impl Lockstep {
         );
         let p: Vec<f64> = specs.iter().map(|s| s.p).collect();
         let e: Vec<f64> = specs.iter().map(|s| s.e).collect();
+        let base: Vec<f64> = (0..n)
+            .map(|i| (e[i] - p[i]) / graph.neighbors(i).len().max(1) as f64)
+            .collect();
         let restarts = plan
             .schedule
             .iter()
             .any(|f| f.kind == NodeFaultKind::Restart);
         let kept = if restarts { specs.clone() } else { Vec::new() };
         let utilities = specs.iter().map(|s| s.utility).collect();
-        let block = AgentCore::new(specs.into_iter().map(|spec| {
+        let mut block = AgentCore::new(specs.into_iter().map(|spec| {
             let id = spec.id;
             (spec, graph.neighbors(id))
         }));
@@ -313,14 +296,17 @@ impl Lockstep {
                 }
             })
             .collect();
+        for i in 0..n {
+            for (slot, &j) in graph.neighbors(i).iter().enumerate() {
+                block.open_link(i, slot, base[j], base[i] + base[j]);
+            }
+        }
         let inbox = peers.iter().map(|_| VecDeque::new()).collect();
         Lockstep {
             links: Links {
                 peers,
                 inbox,
                 sampler: FaultSampler::new(&plan),
-                rtt: plan.link.rtt,
-                bounces: Vec::new(),
                 tally: RoundRecord::default(),
             },
             graph: graph.clone(),
@@ -333,8 +319,6 @@ impl Lockstep {
             plan,
             faulty,
             specs: kept,
-            escrow: vec![0.0; n],
-            settled: vec![false; n],
             pending_restarts: Vec::new(),
             stranded: 0.0,
             partitioned: false,
@@ -373,18 +357,19 @@ impl Lockstep {
         })
     }
 
-    /// Runs one round: the plan's node events for it, the transfers the
-    /// network returns in it, then the send, receive and drain phases.
-    /// Returns `false`, doing nothing, once no agent is running.
+    /// Runs one round: the plan's node events for it and the shares they
+    /// make due, then the send, receive and drain phases. Returns `false`,
+    /// doing nothing, once no agent is running.
     pub fn step(&mut self) -> bool {
-        let running = |s: &Status| matches!(s, Status::Active | Status::Draining);
-        if !self.status.iter().any(running) {
+        if !self.status.iter().any(|s| s.running()) {
             return false;
         }
         self.round += 1;
         self.links.tally = RoundRecord::default();
-        self.apply_schedule();
-        self.return_bounces();
+        if self.faulty {
+            self.apply_schedule();
+            self.book_shares();
+        }
         self.send_phase();
         self.receive_phase();
         self.drain_phase();
@@ -452,18 +437,12 @@ impl Lockstep {
     /// the round, every entry due by now in arrival order — exactly one
     /// under no faults — or `None`, then checks quorum. A goodbye staged
     /// here is due next round: a lower-id agent's sits behind its round
-    /// entry, the order the reactor sees. Crashed and departed agents
-    /// bounce what reaches them.
+    /// entry, the order the reactor sees.
     fn receive_phase(&mut self) {
         let round = self.round;
         for i in 0..self.block.len() {
-            match self.status[i] {
-                Status::Active if !self.stalled[i] => {}
-                Status::Crashed | Status::Departed => {
-                    self.bounce_inbox(i);
-                    continue;
-                }
-                _ => continue,
+            if self.status[i] != Status::Active || self.stalled[i] {
+                continue;
             }
             if self.faulty {
                 self.receive_off_round(i);
@@ -475,9 +454,8 @@ impl Lockstep {
                 self.status[i] = Status::Draining;
             }
             for peer in pruned {
-                if self.status[peer] == Status::Crashed && !self.settled[peer] {
+                if self.status[peer].down() {
                     self.note_event(peer, FaultEventKind::Detect, 0.0);
-                    self.settle(peer);
                 }
             }
         }
@@ -496,13 +474,17 @@ impl Lockstep {
             }
             // Nothing due means the peer can no longer be sending this
             // round: its link is gone if it exited, otherwise this is the
-            // lockstep analogue of a silent round.
+            // lockstep analogue of a silent round. A dead peer's entries
+            // are void, so they are silence too.
             let peer = self.links.peers[base + slot].node;
             let peer_exited = self.status[peer].exited();
+            let peer_down = self.status[peer].down();
             let mut heard = false;
             while let Some(entry) = self.links.pop_due(base + slot, self.round) {
-                block.receive(i, slot, Some(entry), peer_exited);
-                heard = true;
+                if !peer_down {
+                    block.receive(i, slot, Some(entry), peer_exited);
+                    heard = true;
+                }
             }
             if !heard {
                 block.receive(i, slot, None, peer_exited);
@@ -516,7 +498,7 @@ impl Lockstep {
 
     /// Under faults, entries also reach slots that are not alive. A peer
     /// still running (restarted, or only slow) is re-admitted and heard;
-    /// from one that is gone only the mass is kept.
+    /// an entry from a dead one is void.
     fn receive_off_round(&mut self, i: usize) {
         let base = self.block.slots(i).start;
         for slot in 0..self.block.degree(i) {
@@ -528,19 +510,7 @@ impl Lockstep {
                 if self.status[peer] == Status::Active {
                     self.block.readmit(i, slot);
                     self.block.receive(i, slot, Some(entry), false);
-                } else if entry.transfer != 0.0 {
-                    self.block.absorb(i, entry.transfer);
                 }
-            }
-        }
-    }
-
-    /// What is due at a crashed or departed agent goes back to its senders.
-    fn bounce_inbox(&mut self, i: usize) {
-        for s in self.block.slots(i) {
-            let sender = self.links.peers[s].node;
-            while let Some(entry) = self.links.pop_due(s, self.round) {
-                self.links.bounce(sender, entry.transfer, self.round);
             }
         }
     }
@@ -597,122 +567,78 @@ impl Lockstep {
         }
     }
 
-    /// The transfers the network returns this round re-enter their
-    /// senders.
-    fn return_bounces(&mut self) {
-        if self.links.bounces.is_empty() {
-            return;
-        }
-        let round = self.round;
-        let (due, later): (Vec<Bounce>, Vec<Bounce>) = std::mem::take(&mut self.links.bounces)
-            .into_iter()
-            .partition(|b| b.due <= round);
-        self.links.bounces = later;
-        for b in due {
-            self.credit(b.node, b.transfer);
-        }
-    }
-
-    /// Books `mass` to `node` from outside its round: into its residual
-    /// while it runs, into its escrow while it is crashed and unsettled,
-    /// otherwise on to its live neighbors.
-    fn credit(&mut self, node: usize, mass: f64) {
-        if self.status[node].running() {
-            self.block.absorb(node, mass);
-        } else if self.status[node] == Status::Crashed && !self.settled[node] {
-            self.escrow[node] += mass;
-        } else {
-            self.donate(node, mass);
-        }
-    }
-
-    /// Splits `amount` equally over `i`'s running neighbors; strands it
-    /// when none is left.
-    fn donate(&mut self, i: usize, amount: f64) {
-        if amount == 0.0 {
-            return;
-        }
-        let heirs = self
-            .graph
-            .neighbors(i)
-            .iter()
-            .filter(|&&j| self.status[j].running())
-            .count();
-        if heirs == 0 {
-            self.stranded += amount;
-            return;
-        }
-        let share = amount / heirs as f64;
-        for &j in self.graph.neighbors(i) {
-            if self.status[j].running() {
-                self.block.absorb(j, share);
+    /// Every running agent books its share of each dead peer that is due:
+    /// once its link to the peer is closed, or at once when the share is a
+    /// debt. The shares of a dead peer add up to its `e − p` and what was
+    /// in flight on its links, so this is its whole budget returning.
+    fn book_shares(&mut self) {
+        for i in 0..self.block.len() {
+            if !self.status[i].down() {
+                continue;
+            }
+            let base = self.block.slots(i).start;
+            for slot in 0..self.block.degree(i) {
+                let peer = self.links.peers[base + slot];
+                let (k, back) = (peer.node, peer.back_slot as usize);
+                if !self.status[k].running() {
+                    continue;
+                }
+                let share = self.block.share(k, back);
+                if share != 0.0 && (share > 0.0 || !self.block.is_alive(k, back)) {
+                    let booked = self.block.book(k, back);
+                    self.note_event(i, FaultEventKind::Settle, booked);
+                }
             }
         }
     }
 
-    /// Re-absorbs a crashed agent's escrow into its live neighbors.
-    fn settle(&mut self, i: usize) {
-        self.settled[i] = true;
-        let amount = std::mem::take(&mut self.escrow[i]);
-        self.donate(i, amount);
-        self.note_event(i, FaultEventKind::Settle, amount);
-    }
-
-    /// Node `i` powers off silently: its power draw stops and its `e − p`
-    /// moves to escrow.
-    fn crash(&mut self, i: usize) {
-        if self.status[i] != Status::Active {
-            return;
-        }
-        let escrowed = self.block.e(i) - self.block.p(i);
+    /// Agent `i` powers off into `status` and returns its `e − p`, which
+    /// lives on in its neighbours' shares of it. Nothing reaches it any
+    /// more, and the mass on its links to peers already down is stranded:
+    /// no running agent holds a share of it.
+    fn power_off(&mut self, i: usize, status: Status) -> f64 {
+        let mass = self.block.e(i) - self.block.p(i);
         self.block.power_off(i);
-        self.escrow[i] += escrowed;
-        self.settled[i] = false;
-        self.status[i] = Status::Crashed;
+        self.status[i] = status;
+        let base = self.block.slots(i).start;
+        for slot in 0..self.block.degree(i) {
+            self.links.inbox[base + slot].clear();
+            if self.status[self.links.peers[base + slot].node].down() {
+                self.stranded += self.block.link(i, slot);
+            }
+        }
         self.partitioned = !self.live_connected();
-        self.note_event(i, FaultEventKind::Crash, escrowed);
+        mass
     }
 
-    /// Node `i` leaves for good. A running agent's goodbyes carry its
-    /// `e − p` to its neighbors at once; a crashed one is removed by the
-    /// management plane, which settles its escrow.
+    /// Node `i` powers off silently; its neighbours learn of it by silence.
+    fn crash(&mut self, i: usize) {
+        if self.status[i] == Status::Active {
+            let mass = self.power_off(i, Status::Crashed);
+            self.note_event(i, FaultEventKind::Crash, mass);
+        }
+    }
+
+    /// Node `i` leaves for good, running or crashed. The notice that it is
+    /// gone closes every link its running neighbours hold open to it, so
+    /// each books its share at once.
     fn depart(&mut self, i: usize) {
-        match self.status[i] {
-            Status::Active => {
-                self.status[i] = Status::Departed;
-                let farewell = self.block.depart(i);
-                let mut goodbyes = Vec::new();
-                self.block.send(i, |entry| {
-                    goodbyes.push(entry);
-                    true
-                });
-                if goodbyes.is_empty() {
-                    self.stranded += farewell;
-                }
-                let base = self.block.slots(i).start;
-                for entry in goodbyes {
-                    let peer = self.links.peers[base + entry.slot as usize];
-                    if self.status[peer.node].running() {
-                        let slot = peer.back_slot;
-                        let entry = BatchEntry { slot, ..entry };
-                        self.block
-                            .receive(peer.node, slot as usize, Some(entry), false);
-                    } else {
-                        self.credit(peer.node, entry.transfer);
-                    }
-                }
-                self.note_event(i, FaultEventKind::Depart, farewell);
-            }
+        let mass = match self.status[i] {
+            Status::Active => self.power_off(i, Status::Departed),
             Status::Crashed => {
                 self.status[i] = Status::Departed;
-                if !self.settled[i] {
-                    self.settle(i);
-                }
-                self.note_event(i, FaultEventKind::Depart, 0.0);
+                0.0
             }
             _ => return,
+        };
+        let base = self.block.slots(i).start;
+        for slot in 0..self.block.degree(i) {
+            let peer = self.links.peers[base + slot];
+            if self.status[peer.node].running() {
+                self.block.close(peer.node, peer.back_slot as usize);
+            }
         }
-        self.partitioned = !self.live_connected();
+        self.note_event(i, FaultEventKind::Depart, mass);
     }
 
     /// Restarts `i`, or retries every round until it is admitted.
@@ -723,13 +649,14 @@ impl Lockstep {
     }
 
     /// Boots crashed node `i` at its idle power. The boot needs
-    /// `p_min + margin` watts of headroom: first from its own unsettled
-    /// escrow, then from each running neighbor's spare slack, and finally
-    /// — since a converged cluster has none to spare — from neighbors
-    /// cutting their power toward their own `p_min`. Either way a donor's
-    /// `e − p` rises by what it gives, so with the boot the ledger moves
-    /// by exactly `p_min` on both sides. Returns `false`, deferring, while
-    /// the headroom is not there.
+    /// `p_min + margin` watts of headroom: first the shares of it its
+    /// running neighbours have not booked, then each one's spare slack,
+    /// and finally — since a converged cluster has none to spare — power
+    /// cuts toward their own `p_min`. A donor's `e − p` rises by what it
+    /// gives, on its link to `i`, so with the boot the ledger moves by
+    /// exactly `p_min` on both sides. Each link then opens afresh: the
+    /// neighbour keeps its own share and sees `i`'s boot share. Returns
+    /// `false`, deferring, while the headroom is not there.
     fn try_restart(&mut self, i: usize) -> bool {
         if self.status[i] != Status::Crashed {
             // Restarting a running node is a no-op; a departed one is gone.
@@ -738,19 +665,22 @@ impl Lockstep {
         let p_min = self.utilities[i].p_min().0;
         let margin = self.specs[i].params.margin;
         let need = p_min + margin;
-        let mut have = if self.settled[i] {
-            0.0
-        } else {
-            -self.escrow[i]
-        };
+        let base = self.block.slots(i).start;
+        let ends: Vec<(usize, usize)> = (base..self.block.slots(i).end)
+            .map(|s| self.links.peers[s])
+            .map(|peer| (peer.node, peer.back_slot as usize))
+            .collect();
+        let running = |&(j, _): &(usize, usize)| self.status[j].running();
+        let mut have: f64 = -ends
+            .iter()
+            .filter(|end| running(end))
+            .map(|&(j, back)| self.block.share(j, back))
+            .sum::<f64>();
         // Pass 1 (read-only): can enough headroom be gathered at all?
-        let mut donations: Vec<(usize, f64, f64)> = Vec::new();
-        for &j in self.graph.neighbors(i) {
+        let mut donations: Vec<(usize, usize, f64, f64)> = Vec::new();
+        for &(j, back) in ends.iter().filter(|end| running(end)) {
             if have >= need {
                 break;
-            }
-            if !self.status[j].running() {
-                continue;
             }
             let spare = (-self.block.e(j) - margin).max(0.0).min(need - have);
             have += spare;
@@ -758,19 +688,18 @@ impl Lockstep {
             let cut = (self.block.p(j) - floor).max(0.0).min(need - have);
             have += cut;
             if spare > 0.0 || cut > 0.0 {
-                donations.push((j, spare, cut));
+                donations.push((j, back, spare, cut));
             }
         }
         if have < need {
             return false;
         }
         // Pass 2: apply.
-        for (j, spare, cut) in donations {
+        for (j, back, spare, cut) in donations {
             self.block.absorb(j, spare);
             self.block.cut_power(j, cut);
+            self.block.credit_link(j, back, spare + cut, 0.0);
         }
-        self.escrow[i] = 0.0;
-        self.settled[i] = false;
         // A reboot joins a running cluster: no barrier continuation.
         let spec = NodeSpec {
             p: p_min,
@@ -779,6 +708,18 @@ impl Lockstep {
             ..self.specs[i].clone()
         };
         self.block.reset(i, &spec);
+        let boot = -have / ends.len().max(1) as f64;
+        for (slot, (j, back)) in ends.into_iter().enumerate() {
+            // What the old `i` sent and nobody read is void.
+            self.links.inbox[self.links.peers[base + slot].back].clear();
+            if self.status[j].running() {
+                let held = self.block.link(j, back) - self.block.share(j, back);
+                self.block.open_link(j, back, boot, boot + held);
+                self.block.open_link(i, slot, held, boot + held);
+            } else {
+                self.block.open_link(i, slot, 0.0, boot);
+            }
+        }
         self.status[i] = Status::Active;
         self.partitioned = !self.live_connected();
         self.note_event(i, FaultEventKind::Restart, p_min);
@@ -792,7 +733,9 @@ impl Lockstep {
     }
 
     /// Moves the budget to `budget`, splitting the change over the running
-    /// agents' residuals so the ledger stays exact.
+    /// agents' residuals so the ledger stays exact. The budget change is
+    /// broadcast, so each agent books its part on its links in equal
+    /// shares and every neighbour sees it do so.
     pub fn set_budget(&mut self, budget: Watts) {
         let shift = self.budget - budget.0;
         let live = self.status.iter().filter(|s| s.running()).count();
@@ -801,8 +744,17 @@ impl Lockstep {
         } else {
             let share = shift / live as f64;
             for i in 0..self.block.len() {
-                if self.status[i].running() {
-                    self.block.absorb(i, share);
+                if !self.status[i].running() {
+                    continue;
+                }
+                self.block.absorb(i, share);
+                let part = share / self.block.degree(i) as f64;
+                for s in self.block.slots(i) {
+                    let slot = s - self.block.slots(i).start;
+                    let peer = self.links.peers[s];
+                    self.block.credit_link(i, slot, part, 0.0);
+                    self.block
+                        .credit_link(peer.node, peer.back_slot as usize, 0.0, part);
                 }
             }
         }
@@ -857,12 +809,25 @@ impl Lockstep {
             .sum()
     }
 
-    /// Escrowed mass of crashed agents not yet settled (≤ 0).
-    pub fn escrow_total(&self) -> f64 {
-        self.escrow.iter().sum()
+    /// The pending ledger: the shares of crashed and departed peers that
+    /// running agents hold and have not booked yet, a not-yet-detected
+    /// crash's whole budget among them. A share is a base share plus a net
+    /// flow, so any one of them can have either sign; a dead peer's shares
+    /// add up to its `e − p` and what was in flight on its links.
+    pub fn pending_total(&self) -> f64 {
+        let mut pending = 0.0;
+        for k in (0..self.block.len()).filter(|&k| self.status[k].running()) {
+            for s in self.block.slots(k) {
+                if self.status[self.links.peers[s].node].down() {
+                    pending += self.block.share(k, s - self.block.slots(k).start);
+                }
+            }
+        }
+        pending
     }
 
-    /// Mass stranded by agents that died with no live neighbor (≤ 0).
+    /// Mass on links whose both ends are down: a dead agent's share of a
+    /// peer that died after it, and its own share on that link.
     pub fn stranded(&self) -> f64 {
         self.stranded
     }
@@ -874,33 +839,38 @@ impl Lockstep {
         self.partitioned
     }
 
-    /// Entries and bounces on the network, and the mass they carry.
-    /// Queues into an agent that exited through quorum or its round budget
-    /// hold only what their senders took back, so they do not count.
+    /// Entries in flight and the mass they carry: what is queued on links
+    /// whose ends are both up, into agents that have not exited through
+    /// quorum or their round budget (those queues hold only what their
+    /// senders took back).
     fn in_flight(&self) -> (u64, f64) {
-        let mut count = self.links.bounces.len() as u64;
-        let mut mass: f64 = self.links.bounces.iter().map(|b| b.transfer).sum();
+        let (mut count, mut mass) = (0, 0.0);
         for (i, &status) in self.status.iter().enumerate() {
-            if status == Status::Done {
+            if status == Status::Done || status.down() {
                 continue;
             }
-            for m in self.block.slots(i).flat_map(|s| &self.links.inbox[s]) {
-                count += 1;
-                mass += m.entry.transfer;
+            for s in self.block.slots(i) {
+                if self.status[self.links.peers[s].node].down() {
+                    continue;
+                }
+                for m in &self.links.inbox[s] {
+                    count += 1;
+                    mass += m.entry.transfer;
+                }
             }
         }
         (count, mass)
     }
 
     /// The ledger's drift
-    /// `|Σe + Σescrow + Σin-flight + stranded − (Σp − P)|` (watts): zero up
-    /// to rounding through every fault. Every term on the left is ≤ 0, so
-    /// this is also the feasibility proof `Σp ≤ P`.
+    /// `|Σe + Σpending + Σin-flight + stranded − (Σp − P)|` (watts), each
+    /// term as [`Lockstep`] defines it: zero up to rounding through every
+    /// fault.
     pub fn conservation_drift(&self) -> f64 {
         let states = self.node_states();
         let sum_p: f64 = states.iter().map(|s| s.0).sum();
         let sum_e: f64 = states.iter().map(|s| s.1).sum();
-        let ledger = sum_e + self.in_flight().1 + self.escrow_total() + self.stranded;
+        let ledger = sum_e + self.in_flight().1 + self.pending_total() + self.stranded;
         (ledger - (sum_p - self.budget)).abs()
     }
 
@@ -943,7 +913,7 @@ impl Lockstep {
             max_abs_e: e.iter().fold(0.0, |m: f64, x| m.max(x.abs())),
             in_flight,
             inflight_mass,
-            escrow_total: self.escrow_total(),
+            pending: self.pending_total(),
             stranded: self.stranded,
             live: self.live_count() as u64,
             workers: 1,
@@ -986,4 +956,122 @@ pub fn run_lockstep(specs: Vec<NodeSpec>, graph: &Graph) -> Vec<NodeReport> {
          within the iteration cap"
     );
     run.into_reports()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpc_alg::faults::LinkFaults;
+    use dpc_models::workload::ClusterBuilder;
+
+    /// Agents on `graph` that never exit and prune a silent peer after
+    /// `detect_after` rounds, at 170 W per server.
+    fn launch(graph: &Graph, detect_after: usize, plan: FaultPlan) -> Lockstep {
+        let n = graph.len();
+        let cluster = ClusterBuilder::new(n).seed(4).build();
+        let problem = PowerBudgetProblem::new(cluster.utilities(), Watts(170.0 * n as f64));
+        let rt = RuntimeConfig {
+            detect_after,
+            stable_rounds: usize::MAX,
+            max_rounds: usize::MAX,
+            ..RuntimeConfig::default()
+        };
+        let specs = node_specs(&problem.unwrap(), graph, DibaConfig::default(), &rt);
+        Lockstep::new(specs.unwrap(), graph, plan)
+    }
+
+    fn assert_books_close(run: &Lockstep) {
+        let drift = run.conservation_drift();
+        assert!(drift < 1e-9, "drift {drift} W at round {}", run.round());
+        let over = run.total_power().0 - run.budget().0;
+        assert!(
+            over <= 1e-6,
+            "Σp over P by {over} W at round {}",
+            run.round()
+        );
+    }
+
+    /// Pitfall (a), seen from inside: a neighbour has booked its share of
+    /// the crashed node while an entry the node sent is still queued to
+    /// it. The entry is void when it lands, and the books stay closed.
+    #[test]
+    fn an_entry_from_a_crashed_peer_lands_after_its_share_was_booked() {
+        let graph = Graph::ring(6);
+        let victim = 2;
+        let mut seen = 0;
+        for seed in 0..20 {
+            let link = LinkFaults {
+                reorder: 0.6,
+                reorder_max: 8,
+            };
+            let plan = FaultPlan::with_link(seed, link).and(10, victim, NodeFaultKind::Crash);
+            let mut run = launch(&graph, 2, plan);
+            for _ in 0..40 {
+                run.step();
+                assert_books_close(&run);
+                let base = run.block.slots(victim).start;
+                for slot in 0..run.block.degree(victim) {
+                    let peer = run.links.peers[base + slot];
+                    let (k, back) = (peer.node, peer.back_slot as usize);
+                    let booked = run.status[victim] == Status::Crashed
+                        && !run.block.is_alive(k, back)
+                        && run.block.share(k, back) == 0.0;
+                    if booked && !run.links.inbox[peer.back].is_empty() {
+                        seen += 1;
+                    }
+                }
+            }
+        }
+        assert!(seen > 0, "no entry outlived its sender's booked share");
+    }
+
+    /// Pitfall (b): a share can be a debt. One neighbour of a crashed node
+    /// holds a large positive share and the other the matching credit; the
+    /// debt is booked at the notice, paid past `−margin` by a power cut
+    /// that stays in the box, and `e < 0` and `Σp ≤ P` hold throughout.
+    #[test]
+    fn a_debt_share_is_booked_at_once_within_the_box() {
+        let graph = Graph::ring(4);
+        // Far-off events make the plan faulty and keep the launch specs;
+        // the crash is driven here.
+        let plan = FaultPlan::none().and(1_000, 2, NodeFaultKind::Restart);
+        let mut run = launch(&graph, 40, plan);
+        run.run(50);
+        run.crash(0);
+        let (debtor, creditor) = (1, 3);
+        let slot_of = |run: &Lockstep, k: usize| {
+            let row = run.graph.neighbors(k);
+            row.binary_search(&0).expect("a neighbour of node 0")
+        };
+        let (d_slot, c_slot) = (slot_of(&run, debtor), slot_of(&run, creditor));
+        let (p, e) = (run.block.p(debtor), run.block.e(debtor));
+        let p_min = run.utilities[debtor].p_min().0;
+        let margin = run.specs[debtor].params.margin;
+        // A debt that takes all of `e`'s headroom and half the power above
+        // `p_min`.
+        let debt = (-margin - e) + (p - p_min) / 2.0 - run.block.share(debtor, d_slot);
+        run.block.credit_link(debtor, d_slot, 0.0, debt);
+        run.block.credit_link(creditor, c_slot, 0.0, -debt);
+        assert!(run.block.share(debtor, d_slot) > 0.0);
+        assert_books_close(&run);
+        run.book_shares();
+        assert_eq!(run.block.share(debtor, d_slot), 0.0, "the debt is booked");
+        let (p_after, e_after) = (run.block.p(debtor), run.block.e(debtor));
+        assert!(e_after < 0.0 && e_after <= -margin + 1e-9, "e = {e_after}");
+        assert!(p_after < p && p_after >= p_min, "p = {p_after} from {p}");
+        assert!(run.block.share(creditor, c_slot) < 0.0, "a credit waits");
+        assert_books_close(&run);
+        for _ in 0..200 {
+            run.step();
+            assert_books_close(&run);
+            for k in [1, 3] {
+                assert!(run.block.e(k) < 0.0, "agent {k} at e = {}", run.block.e(k));
+            }
+        }
+        assert_eq!(
+            run.pending_total(),
+            0.0,
+            "the credit is booked on detection"
+        );
+    }
 }

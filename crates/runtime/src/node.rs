@@ -15,8 +15,8 @@
 //!   `detect_after` *consecutive* silent rounds, not on the first late
 //!   message, so a slow peer is tolerated and a crashed one is eventually
 //!   routed around — on the reactor, and in the fault model the lockstep
-//!   executor runs ([`crate::lockstep::Lockstep`]), where the first prune
-//!   of a crashed node settles its escrow.
+//!   executor runs ([`crate::lockstep::Lockstep`]), where the prune of a
+//!   crashed node books the pruning agent's share of it.
 //! * **Heartbeat suppression**: once a node is settled and a neighbor
 //!   already holds its exact residual (nothing changed since the last
 //!   data entry and the round's transfer is zero), the node sends a

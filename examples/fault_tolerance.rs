@@ -1,10 +1,11 @@
 //! Fault isolation: the motivation for decentralization (Section 4.2).
 //!
 //! Runs the deployed agents on the lockstep executor along a chorded ring
-//! under a seeded fault plan that silently crashes two nodes, and shows
-//! the survivors keep enforcing the budget and re-optimizing. A
-//! centralized controller would be a single point of failure; here there is
-//! simply no single point to fail.
+//! under a seeded fault plan that delivers some entries late and silently
+//! crashes two nodes, and shows the survivors keep enforcing the budget
+//! and re-optimizing: each books its own share of a dead neighbour, which
+//! it kept on its link all along. A centralized controller would be a
+//! single point of failure; here there is simply no single point to fail.
 //!
 //! ```text
 //! cargo run --release --example fault_tolerance
@@ -12,7 +13,7 @@
 
 use dpc::alg::centralized;
 use dpc::alg::diba::DibaConfig;
-use dpc::alg::faults::{FaultPlan, NodeFaultKind};
+use dpc::alg::faults::{FaultPlan, LinkFaults, NodeFaultKind};
 use dpc::alg::problem::PowerBudgetProblem;
 use dpc::models::units::Watts;
 use dpc::models::workload::ClusterBuilder;
@@ -34,10 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         budget.kilowatts()
     );
     // Each crash fires on the first round of its 1 500-round epoch below;
-    // every node sits one round in five out.
+    // one entry in ten is late, and every node sits one round in five out.
+    let link = LinkFaults {
+        reorder: 0.1,
+        ..LinkFaults::none()
+    };
     let plan = FaultPlan {
         activation: 0.8,
-        ..FaultPlan::none()
+        ..FaultPlan::with_link(3, link)
     }
     .and(2_000, 5, NodeFaultKind::Crash)
     .and(3_500, 21, NodeFaultKind::Crash);
@@ -56,10 +61,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         agents.run(1_500);
         println!(
             "survivors: {} / {n}; power {:.3} kW (dead nodes draw 0 W), \
-             budget respected: {}, conservation drift {:.1e} W",
+             budget respected: {}, unbooked shares {:.1e} W, \
+             conservation drift {:.1e} W",
             agents.live_count(),
             agents.total_power().kilowatts(),
             agents.total_power() <= budget + Watts(1e-6),
+            agents.pending_total(),
             agents.conservation_drift(),
         );
     }

@@ -114,9 +114,9 @@ COMMANDS:
              --churn-secs S     --phase-secs S            --seed S (0)
   split      self-consistent computing/cooling split of a facility budget
              --total-mw X (0.66)
-  faults     sweep message drop rate x node churn, check recovery, write JSON
-             --servers N (48)  --rounds R (1500)  --seed S (0)
-             --drops P,P,... (0,0.05,0.1,0.2)
+  faults     sweep late-delivery rate x node churn, check recovery, write JSON
+             --servers N (48)  --rounds R (1500, at least 3)  --seed S (0)
+             --late P,P,... (0,0.05,0.1,0.2)
              --out FILE (BENCH_fault_resilience.json)
              --trace FILE (also record a JSONL crash+restart round trace)
   replay     drive a scenario timeline against a warm-started DiBA
@@ -141,7 +141,7 @@ COMMANDS:
              --budget-watts W (170·N)  --seed S (0)  --rounds R (600)
              --topology ring|chords|grid|torus|hypercube|random-regular (ring)  --threads T|auto (auto)
              --format jsonl|csv|prom (jsonl)  --capacity C (rounds)
-             --drop P (0, async only)  --crash-round R (async only)
+             --late P (0, async only)  --crash-round R (1..=R, async only)
              --out FILE (TRACE.jsonl)
   cluster    deploy N DiBA node agents locally and report the allocation
              --servers N (8)  --transport {transports} ({default_transport})
@@ -371,24 +371,26 @@ pub fn cmd_split(opts: &Options) -> Result<String, CliError> {
 
 /// `dpc faults`.
 pub fn cmd_faults(opts: &Options) -> Result<String, CliError> {
-    use dpc_bench::faultbench::{run_fault_bench, traced_cell, Churn, DEFAULT_DROPS};
+    use dpc_bench::faultbench::{run_fault_bench, traced_cell, Churn, DEFAULT_LATE};
 
     let servers: usize = opts.get_or("servers", 48)?;
     if servers < 3 {
         return Err(CliError("--servers must be at least 3".into()));
     }
     let rounds: usize = opts.get_or("rounds", 1_500)?;
-    if rounds == 0 {
-        return Err(CliError("--rounds must be positive".into()));
+    if rounds < 3 {
+        // Node faults land a third of the way in, and round 0 is the
+        // launch state.
+        return Err(CliError("--rounds must be at least 3".into()));
     }
     let seed: u64 = opts.get_or("seed", 0)?;
-    let drops = parse_list(opts, "drops", &DEFAULT_DROPS)?;
-    if drops.is_empty() || drops.iter().any(|d| !(0.0..1.0).contains(d)) {
-        return Err(CliError("--drops needs probabilities in [0, 1)".into()));
+    let late = parse_list(opts, "late", &DEFAULT_LATE)?;
+    if late.is_empty() || late.iter().any(|d| !(0.0..1.0).contains(d)) {
+        return Err(CliError("--late needs probabilities in [0, 1)".into()));
     }
     let out_path = opts.string("out").unwrap_or("BENCH_fault_resilience.json");
 
-    let report = run_fault_bench(servers, rounds, seed, &drops);
+    let report = run_fault_bench(servers, rounds, seed, &late);
     if !report.all_recovered() {
         return Err(CliError(format!(
             "a sweep cell failed to recover — fault-handling bug:\n{}",
@@ -402,7 +404,7 @@ pub fn cmd_faults(opts: &Options) -> Result<String, CliError> {
         report.to_table()
     );
     if let Some(trace_path) = opts.string("trace") {
-        let t = traced_cell(servers, rounds, seed, drops[0], Churn::CrashRestart);
+        let t = traced_cell(servers, rounds, seed, late[0], Churn::CrashRestart);
         write_output(trace_path, &t.to_jsonl())?;
         out.push_str(&format!(
             "crash+restart trace ({} rounds, {} fault events) written to {trace_path}\n",
@@ -646,11 +648,16 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
     }
     let budget = Watts(opts.get_or("budget-watts", 170.0 * n as f64)?);
     let threads: Threads = opts.get_or("threads", Threads::Auto)?;
-    let drop: f64 = opts.get_or("drop", 0.0)?;
-    if !(0.0..1.0).contains(&drop) {
-        return Err(CliError("--drop needs a probability in [0, 1)".into()));
+    let late: f64 = opts.get_or("late", 0.0)?;
+    if !(0.0..1.0).contains(&late) {
+        return Err(CliError("--late needs a probability in [0, 1)".into()));
     }
     let crash_round: Option<usize> = opts.get("crash-round")?;
+    if let Some(r) = crash_round.filter(|r| !(1..=rounds).contains(r)) {
+        return Err(CliError(format!(
+            "--crash-round {r} is outside the run: rounds are 1..={rounds}"
+        )));
+    }
     let solver = opts.string("solver").unwrap_or("diba");
     let format = opts.string("format").unwrap_or("jsonl");
     let out_path = opts.string("out").unwrap_or("TRACE.jsonl");
@@ -680,7 +687,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
                 .clone()
         }
         "async" => {
-            let mut plan = faultbench::lossy_plan(seed, drop);
+            let mut plan = faultbench::late_plan(seed, late);
             if let Some(r) = crash_round {
                 // Same victim as the fault sweep's.
                 let victim = faultbench::victim(seed, n);
@@ -717,14 +724,14 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
     };
     write_output(out_path, &rendered)?;
 
-    let (sent, dropped, duplicated, bounced) = recorder.message_totals();
+    let sent = recorder.messages_sent();
     let drift = recorder
         .latest()
         .map(|r| r.conservation_drift())
         .unwrap_or(0.0);
     Ok(format!(
         "{solver} trace: {n} servers, {} rounds recorded ({} retained), {} fault events\n\
-         messages: {sent} sent, {dropped} dropped, {duplicated} duplicated, {bounced} bounced\n\
+         messages: {sent} sent\n\
          final conservation drift: {drift:.3e} W\n\
          trace written to {out_path}\n",
         recorder.rounds_recorded(),
@@ -1051,7 +1058,7 @@ pub const COMMANDS: [(&str, Command, &[&str]); 9] = [
     (
         "faults",
         cmd_faults,
-        &["servers", "rounds", "seed", "drops", "out", "trace"],
+        &["servers", "rounds", "seed", "late", "out", "trace"],
     ),
     (
         "replay",
@@ -1100,7 +1107,7 @@ pub const COMMANDS: [(&str, Command, &[&str]); 9] = [
             "threads",
             "format",
             "capacity",
-            "drop",
+            "late",
             "crash-round",
             "out",
         ],
@@ -1198,8 +1205,8 @@ mod tests {
         let err = run(&args(&["split", "--servers", "5"])).unwrap_err();
         assert!(err.0.contains("`dpc split`"), "{err}");
         // The comma lists share one parser that names flag and element.
-        let err = run(&args(&["faults", "--drops", "0.1,lots"])).unwrap_err();
-        assert!(err.0.contains("--drops") && err.0.contains("lots"), "{err}");
+        let err = run(&args(&["faults", "--late", "0.1,lots"])).unwrap_err();
+        assert!(err.0.contains("--late") && err.0.contains("lots"), "{err}");
     }
 
     #[test]
@@ -1283,7 +1290,7 @@ mod tests {
                 "900",
                 "--seed",
                 "7",
-                "--drops",
+                "--late",
                 "0.1",
                 "--out",
                 path.to_str().unwrap(),
@@ -1300,7 +1307,9 @@ mod tests {
         assert!(json.contains("\"bench\": \"fault_resilience\""), "{json}");
         assert!(json.contains("\"all_recovered\": true"), "{json}");
         assert!(run(&args(&["faults", "--servers", "2"])).is_err());
-        assert!(run(&args(&["faults", "--drops", "1.5"])).is_err());
+        assert!(run(&args(&["faults", "--late", "1.5"])).is_err());
+        let short = run(&args(&["faults", "--rounds", "2"])).unwrap_err();
+        assert!(short.0.contains("--rounds must be at least 3"), "{short}");
     }
 
     #[test]
@@ -1470,7 +1479,7 @@ mod tests {
             "20",
             "--rounds",
             "300",
-            "--drop",
+            "--late",
             "0.05",
             "--crash-round",
             "100",
@@ -1520,7 +1529,23 @@ mod tests {
         assert!(run(&args(&["trace", "--format", "xml"])).is_err());
         assert!(run(&args(&["trace", "--rounds", "0"])).is_err());
         assert!(run(&args(&["trace", "--threads", "0"])).is_err());
-        assert!(run(&args(&["trace", "--drop", "1.5"])).is_err());
+        assert!(run(&args(&["trace", "--late", "1.5"])).is_err());
+        for r in ["0", "61"] {
+            let args = args(&[
+                "trace",
+                "--solver",
+                "async",
+                "--rounds",
+                "60",
+                "--crash-round",
+                r,
+            ]);
+            let err = run(&args).unwrap_err();
+            assert!(
+                err.0.contains("--crash-round") && err.0.contains("1..=60"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1536,7 +1561,7 @@ mod tests {
             "900",
             "--seed",
             "7",
-            "--drops",
+            "--late",
             "0.05",
             "--out",
             dir.join("reports").join("faults.json").to_str().unwrap(),

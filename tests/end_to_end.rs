@@ -228,6 +228,47 @@ fn oversized_simulate_and_trace_runs_exit_2() {
 }
 
 #[test]
+fn a_node_event_outside_the_run_exits_2() {
+    // Rounds count from 1, so a crash at round 0 never fired, and a sweep
+    // of two rounds put every node event at round 2 / 3 = 0.
+    let dpc = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dpc"))
+            .args(args)
+            .output()
+            .unwrap();
+        let text = [out.stdout, out.stderr].concat();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&text).into_owned(),
+        )
+    };
+    let out = std::env::temp_dir().join("dpc-e2e-crash-round.jsonl");
+    for round in ["0", "41"] {
+        let (code, text) = dpc(&[
+            "trace",
+            "--solver",
+            "async",
+            "--servers",
+            "8",
+            "--rounds",
+            "40",
+            "--crash-round",
+            round,
+            "--out",
+            out.to_str().unwrap(),
+        ]);
+        assert_eq!(code, Some(2), "--crash-round {round}: {text}");
+        assert!(text.contains("--crash-round"), "{text}");
+    }
+    let report = std::env::temp_dir().join("dpc-e2e-short-sweep.json");
+    let report = report.to_str().unwrap();
+    let args = ["faults", "--servers", "6", "--rounds", "2", "--out", report];
+    let (code, text) = dpc(&args);
+    assert_eq!(code, Some(2), "{text}");
+    assert!(text.contains("--rounds must be at least 3"), "{text}");
+}
+
+#[test]
 fn step_response_cut_recovers_within_tens_of_rounds() {
     let cluster = ClusterBuilder::new(60).seed(8).build();
     let r = step_response(
