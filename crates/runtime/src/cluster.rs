@@ -89,11 +89,14 @@ pub struct RuntimeConfig {
     pub detect_after: usize,
     /// Hard per-node round budget.
     pub max_rounds: usize,
-    /// Per-link receive deadline each round.
+    /// How long a reactor agent waits out a frame-starved round before it
+    /// runs the round with the entries missing, and (capped at 100 ms) a
+    /// draining agent's quiet period. The lockstep driver has no clock.
     pub round_timeout: Duration,
-    /// The one deadline link bring-up runs under: a carrier handshake
-    /// inside one process; dial retries, accepts and the handshake
-    /// together for a node process ([`crate::reactor::host_node`]).
+    /// The one deadline a node process's bring-up runs under: dial
+    /// retries, accepts and the handshakes together
+    /// ([`crate::reactor::host_node`]). In-process carriers have no
+    /// handshake.
     pub handshake_timeout: Duration,
     /// Merge a telemetry record every this many rounds (0 = none).
     pub sample_every: usize,
@@ -228,7 +231,6 @@ pub fn node_specs(
             stable_rounds: rt.stable_rounds,
             detect_after: rt.detect_after,
             max_rounds: rt.max_rounds,
-            round_timeout: rt.round_timeout,
             sample_every: rt.sample_every,
         })
         .collect())

@@ -30,7 +30,6 @@
 
 use dpc_alg::diba::NodeParams;
 use dpc_models::QuadraticUtility;
-use std::time::Duration;
 
 /// Everything one node needs at launch (the per-node slice of the problem
 /// plus the runtime knobs). Initial `(p, e)` and [`NodeParams`] come from
@@ -62,8 +61,6 @@ pub struct NodeSpec {
     /// Hard round budget; the node reports `converged: false` if quorum
     /// never forms.
     pub max_rounds: usize,
-    /// Per-link receive deadline each round.
-    pub round_timeout: Duration,
     /// Record a trace sample every this many rounds (0 = no trace).
     pub sample_every: usize,
 }

@@ -13,7 +13,7 @@
 //! (behind `dpc node`) runs a shard whose node range is one agent, whose
 //! shard id is the node id and whose carriers are the TCP streams to that
 //! node's graph neighbors — one process per server, one thread per
-//! process, the wire format and handshake below unchanged.
+//! process, the wire format below unchanged.
 //!
 //! Every entry is addressed by the *receiving* shard's link index
 //! (computed here, centrally, so delivery needs no lookups), and moves one
@@ -25,8 +25,11 @@
 //! * **cross-shard** traffic is coalesced onto **carriers**, one byte
 //!   stream per pair of shards that share an edge — always a real
 //!   nonblocking loopback TCP socket driven by the shard's epoll (at most
-//!   `shards·(shards−1)/2` of them). Each carrier runs one handshake, then
-//!   packs round traffic into [`crate::wire::DataBatch`] frames.
+//!   `shards·(shards−1)/2` of them), which packs round traffic into
+//!   [`crate::wire::DataBatch`] frames. Bring-up made both ends of every
+//!   carrier and checked that the accepted end is the one it dialed, so a
+//!   carrier carries no handshake; only a node process, whose peers are
+//!   other processes, runs the `Hello` exchange, in bring-up.
 //!
 //! A deployment of K shards and P carriers holds K + 2·P + 1 descriptors
 //! at once (an epoll per shard, both socket ends per carrier, the
@@ -45,17 +48,15 @@ mod shard;
 // `unsafe_code` lint allows. Its four calls each carry a `SAFETY:` note.
 #[allow(unsafe_code)]
 mod sys;
-mod wheel;
 
 use conn::{Carrier, Link};
-use shard::{run_shard, AgentSlot, Shard};
+use shard::{run_shard, Shard};
 use sys::Epoll;
 
 use crate::agent::AgentCore;
 use crate::cluster::{RuntimeConfig, ShardCount};
 use crate::error::RuntimeError;
 use crate::node::{NodeReport, NodeSpec};
-use crate::wire::ClusterIdentity;
 use dpc_topology::Graph;
 use std::collections::{BTreeSet, HashMap};
 use std::io;
@@ -139,9 +140,10 @@ fn proc_status_value(key: &str) -> Option<u64> {
 ///
 /// [`RuntimeError::Io`] when a loopback socket or an epoll instance
 /// cannot be made — `Too many open files` when `RLIMIT_NOFILE` is below
-/// the deployment's K + 2·P + 1 descriptors, which the error names — and
-/// the first protocol/handshake/decode error any shard hits; every error
-/// names the peer it happened against.
+/// the deployment's K + 2·P + 1 descriptors, which the error names, or
+/// when a stream other than the driver's own dial reaches the bring-up
+/// listener — and the first protocol/decode error any shard hits; every
+/// error names the peer it happened against.
 ///
 /// # Panics
 ///
@@ -156,10 +158,6 @@ pub fn run_reactor_cluster(
     assert_eq!(specs.len(), n, "one node spec per graph node");
     let shards = resolve_shard_count(rt.shards, graph);
     let cuts = graph.shard_offsets(shards);
-    let identity = ClusterIdentity {
-        n_nodes: n as u32,
-        topology_hash: graph.topology_hash(),
-    };
 
     // Which shard pairs exchange traffic: one carrier per pair that shares
     // an edge.
@@ -190,16 +188,8 @@ pub fn run_reactor_cluster(
     let mut streams: HashMap<(usize, usize), TcpStream> = HashMap::new();
     if carriers > 0 {
         let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(bringup_err)?;
-        let addr = listener.local_addr().map_err(bringup_err)?;
         for &(a, b) in &pair_set {
-            // Sequential connect-then-accept on loopback: the accepted
-            // stream is always the one just dialed.
-            let dial = TcpStream::connect(addr).map_err(bringup_err)?;
-            let (acc, _) = listener.accept().map_err(bringup_err)?;
-            for s in [&dial, &acc] {
-                s.set_nodelay(true).map_err(bringup_err)?;
-                s.set_nonblocking(true).map_err(bringup_err)?;
-            }
+            let (dial, acc) = bringup::loopback_pair(&listener).map_err(bringup_err)?;
             streams.insert((a, b), dial);
             streams.insert((b, a), acc);
         }
@@ -237,7 +227,7 @@ pub fn run_reactor_cluster(
             let stream = streams.remove(&(s, peer_shard));
             carrier_of_peer.insert(peer_shard, carriers.len() as u32);
             carriers.push(Carrier::new(
-                peer_shard,
+                format!("shard {peer_shard}"),
                 stream.expect("each socket end is taken once"),
             ));
         }
@@ -247,8 +237,6 @@ pub fn run_reactor_cluster(
             .clone()
             .map(|node| specs_by_node[node].take().expect("spec consumed once"))
             .collect();
-        let agents = specs.iter().map(|spec| AgentSlot::new(spec.round_timeout));
-        let agents = agents.collect();
         let block = AgentCore::new(specs.into_iter().map(|spec| {
             let id = spec.id;
             (spec, graph.neighbors(id))
@@ -275,11 +263,9 @@ pub fn run_reactor_cluster(
             id: s,
             epoll,
             block,
-            agents,
             links,
             carriers,
-            identity,
-            handshake_timeout: rt.handshake_timeout,
+            round_timeout: rt.round_timeout,
             coalesce: rt.coalesce,
             abort: Arc::clone(&abort),
         });
@@ -331,8 +317,8 @@ pub fn run_reactor_cluster(
 /// entry and accepts every lower-id neighbor on `listener`
 /// (dial-low/accept-high, so peers may start in any order). The whole
 /// bring-up — dial retries, accepts, and the `Hello`/`HelloAck` exchange
-/// the shard loop then runs on every carrier — shares the single
-/// deadline `rt.handshake_timeout`.
+/// on every stream — shares the single deadline `rt.handshake_timeout`;
+/// the shard loop then starts on handshaken carriers.
 ///
 /// # Errors
 ///
@@ -352,7 +338,7 @@ pub fn host_node(
     let node = spec.id;
     let neighbors = graph.neighbors(node);
     let deadline = Instant::now() + rt.handshake_timeout;
-    let streams = bringup::connect_neighbors(node, neighbors, &listener, dial_addrs, deadline)?;
+    let streams = bringup::connect_neighbors(node, graph, &listener, dial_addrs, deadline)?;
     drop(listener);
 
     let mut carriers = Vec::with_capacity(neighbors.len());
@@ -361,9 +347,7 @@ pub fn host_node(
         let slot = slot as u32;
         s.stream.set_nodelay(true).map_err(bringup_io)?;
         s.stream.set_nonblocking(true).map_err(bringup_io)?;
-        let mut carrier = Carrier::new(peer, s.stream);
-        carrier.label = s.label;
-        carrier.reasm.push(&s.preread);
+        let mut carrier = Carrier::new(s.label, s.stream);
         carrier.fed_links.push(slot);
         carriers.push(carrier);
         // The peer is a one-agent shard too, so its link index for this
@@ -374,19 +358,13 @@ pub fn host_node(
             peer_slot: peer_slot.expect("edges are listed from both ends") as u32,
         });
     }
-    let agents = vec![AgentSlot::new(spec.round_timeout)];
     let shard = Shard {
         id: node,
         epoll: Epoll::new().map_err(bringup_io)?,
         block: AgentCore::new([(spec, neighbors)]),
-        agents,
         links,
         carriers,
-        identity: ClusterIdentity {
-            n_nodes: graph.len() as u32,
-            topology_hash: graph.topology_hash(),
-        },
-        handshake_timeout: deadline.saturating_duration_since(Instant::now()),
+        round_timeout: rt.round_timeout,
         coalesce: rt.coalesce,
         abort: Arc::new(AtomicBool::new(false)),
     };

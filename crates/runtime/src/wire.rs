@@ -595,23 +595,14 @@ pub fn decode_frame_payload(bytes: &[u8]) -> Result<Frame, WireError> {
     }
 }
 
-/// Appends a full frame (length prefix + payload) to `buf` without any
-/// intermediate allocation — the send-path workhorse. Callers keep one
-/// scratch/staging buffer per connection and reuse it forever.
-pub fn encode_frame_into(msg: &WireMsg, buf: &mut Vec<u8>) {
-    let at = buf.len();
-    buf.extend_from_slice(&[0u8; 4]);
-    encode_payload(msg, buf);
-    let len = (buf.len() - at - 4) as u32;
-    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Encodes a full frame into a fresh `Vec` — a thin convenience wrapper
-/// over [`encode_frame_into`] for tests and one-shot handshake writes;
-/// steady-state paths must reuse a buffer instead.
+/// Encodes a full frame (length prefix + payload) into a fresh `Vec` —
+/// handshake writes and tests; round traffic goes through
+/// [`BatchWriter`] into a reused buffer instead.
 pub fn encode_frame(msg: &WireMsg) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(32);
-    encode_frame_into(msg, &mut frame);
+    let mut frame = vec![0u8; 4];
+    encode_payload(msg, &mut frame);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
     frame
 }
 
@@ -647,15 +638,15 @@ pub fn encode_batch_into(round: u32, entries: &[BatchEntry], buf: &mut Vec<u8>) 
 }
 
 /// Incremental [`DataBatch`] encoder writing straight into a carrier's
-/// persistent staging buffer: the first entry of a flush window opens a
+/// outbound buffer: the first entry of a flush window opens a
 /// frame (length and count fields as placeholders), subsequent entries
 /// append in place, and [`BatchWriter::seal`] patches the header when the
 /// window closes. A round change or the [`MAX_BATCH_ENTRIES`] cap seals
 /// and reopens automatically, so entries from agents a round apart never
 /// share a header.
 ///
-/// While a frame is open, nothing else may append to the buffer — callers
-/// seal before writing scalar frames.
+/// While a frame is open, nothing else may append to the buffer or move
+/// its bytes — callers seal first.
 #[derive(Debug, Default)]
 pub struct BatchWriter {
     /// Byte offset of the open frame's length prefix, if one is open.
@@ -695,8 +686,8 @@ impl BatchWriter {
     }
 
     /// Patches the open frame's length and count fields and closes it.
-    /// Idempotent; must be called before the buffer is flushed or a
-    /// scalar frame is appended.
+    /// Idempotent; must be called before the buffer is flushed or its
+    /// bytes move.
     pub fn seal(&mut self, buf: &mut [u8]) {
         if let Some(at) = self.open_at.take() {
             let payload = (buf.len() - at - 4) as u32;

@@ -15,7 +15,6 @@ use dpc_models::QuadraticUtility;
 use dpc_runtime::agent::AgentCore;
 use dpc_runtime::node::{NodeReport, NodeSpec};
 use dpc_runtime::wire::{BatchEntry, EntryKind};
-use std::time::Duration;
 
 /// A node whose power is frozen (`step_power = 0`) and whose transfers
 /// are `(e − eⱼ) / (2·degree)` when negative: exact on dyadic residuals.
@@ -38,7 +37,6 @@ fn spec(id: usize, e: f64, stable_rounds: usize) -> NodeSpec {
         stable_rounds,
         detect_after: 3,
         max_rounds: 100,
-        round_timeout: Duration::from_secs(1),
         sample_every: 0,
     }
 }

@@ -150,8 +150,8 @@ COMMANDS:
              --shards auto|K (reactor only; auto: load-driven shard count
              from N, degree and host cores — the header reports the choice;
              K pins it; K = N puts every edge on a loopback TCP socket)
-             --tol W (1e-4)  --timeout-secs T (10, carrier handshake)
-             --max-rounds R (20000)  --sample-every K (0, merge telemetry)
+             --tol W (1e-4)  --max-rounds R (20000)
+             --sample-every K (0, merge telemetry)
   node       run ONE DiBA agent over TCP: one reactor shard per process,
              one process per server
              --id I (required)  --servers N (4)  --listen IP:PORT (127.0.0.1:0)
@@ -784,10 +784,6 @@ fn deployment_for(
     if max_rounds == 0 {
         return Err(CliError("--max-rounds must be positive".into()));
     }
-    let timeout_secs: f64 = opts.get_or("timeout-secs", 10.0)?;
-    if !timeout_secs.is_finite() || timeout_secs <= 0.0 {
-        return Err(CliError("--timeout-secs must be positive".into()));
-    }
     let shards = match (opts.string("shards"), transport) {
         (spec, TransportKind::Reactor) => parse_shards(spec)?,
         (None, _) => ShardCount::Auto,
@@ -802,7 +798,6 @@ fn deployment_for(
         transport,
         settle_tol: tol,
         max_rounds,
-        handshake_timeout: std::time::Duration::from_secs_f64(timeout_secs),
         sample_every: opts.get_or("sample-every", 0)?,
         shards,
         ..RuntimeConfig::default()
@@ -953,7 +948,19 @@ pub fn cmd_node(opts: &Options) -> Result<String, CliError> {
     if id >= n {
         return Err(CliError(format!("--id {id} out of range for {n} servers")));
     }
-    let (problem, graph, rt) = deployment_for(opts, n, seed, TransportKind::Reactor)?;
+    let (problem, graph, mut rt) = deployment_for(opts, n, seed, TransportKind::Reactor)?;
+    // The bring-up deadline is `now + timeout`: both must be representable.
+    let timeout_secs: f64 = opts.get_or("timeout-secs", 10.0)?;
+    rt.handshake_timeout = std::time::Duration::try_from_secs_f64(timeout_secs)
+        .ok()
+        .filter(|t| !t.is_zero() && std::time::Instant::now().checked_add(*t).is_some())
+        .ok_or_else(|| {
+            CliError(format!(
+                "--timeout-secs must be a positive number of seconds the clock can reach, \
+                 got `{}`",
+                opts.string("timeout-secs").unwrap_or_default()
+            ))
+        })?;
     let spec = node_specs(&problem, &graph, DibaConfig::default(), &rt)
         .map_err(runtime_err)?
         .swap_remove(id);
@@ -1125,7 +1132,6 @@ pub const COMMANDS: [(&str, Command, &[&str]); 9] = [
             "tol",
             "max-rounds",
             "sample-every",
-            "timeout-secs",
         ],
     ),
     (

@@ -189,21 +189,24 @@ fn replay_rejects_a_repeated_servers_header_with_exit_2() {
     assert!(stderr.contains("line 4"), "{stderr}");
 }
 
+/// Runs the `dpc` binary, returning its exit code and its stdout and
+/// stderr together.
+fn dpc(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dpc"))
+        .args(args)
+        .output()
+        .unwrap();
+    let text = [out.stdout, out.stderr].concat();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&text).into_owned(),
+    )
+}
+
 #[test]
 fn oversized_simulate_and_trace_runs_exit_2() {
     // `--seconds 1e9` is 5·10⁸ samples; `--capacity 10¹¹` made every
     // solver's recorder reserve 20.8 TB and abort with 134.
-    let dpc = |args: &[&str]| {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dpc"))
-            .args(args)
-            .output()
-            .unwrap();
-        let text = [out.stdout, out.stderr].concat();
-        (
-            out.status.code(),
-            String::from_utf8_lossy(&text).into_owned(),
-        )
-    };
     let (code, text) = dpc(&["simulate", "--servers", "5", "--seconds", "1e9"]);
     assert_eq!(code, Some(2), "{text}");
     assert!(text.contains("500000000 samples"), "{text}");
@@ -231,17 +234,6 @@ fn oversized_simulate_and_trace_runs_exit_2() {
 fn a_node_event_outside_the_run_exits_2() {
     // Rounds count from 1, so a crash at round 0 never fired, and a sweep
     // of two rounds put every node event at round 2 / 3 = 0.
-    let dpc = |args: &[&str]| {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dpc"))
-            .args(args)
-            .output()
-            .unwrap();
-        let text = [out.stdout, out.stderr].concat();
-        (
-            out.status.code(),
-            String::from_utf8_lossy(&text).into_owned(),
-        )
-    };
     let out = std::env::temp_dir().join("dpc-e2e-crash-round.jsonl");
     for round in ["0", "41"] {
         let (code, text) = dpc(&[
@@ -266,6 +258,23 @@ fn a_node_event_outside_the_run_exits_2() {
     let (code, text) = dpc(&args);
     assert_eq!(code, Some(2), "{text}");
     assert!(text.contains("--rounds must be at least 3"), "{text}");
+}
+
+#[test]
+fn a_bring_up_deadline_past_the_clock_exits_2() {
+    // `1e30` s is no `Duration`; `1e19` s is one, but no `Instant` that
+    // far ahead exists. Both panicked instead of naming the flag.
+    for secs in ["1e30", "1e19"] {
+        let args = ["node", "--id", "0", "--servers", "4", "--seed", "7"];
+        let (code, text) = dpc(&[&args[..], &["--timeout-secs", secs]].concat());
+        assert_eq!(code, Some(2), "--timeout-secs {secs}: {text}");
+        assert!(text.contains("--timeout-secs"), "{text}");
+    }
+    // In-process carriers have no handshake, so `cluster` has no
+    // bring-up deadline to set.
+    let (code, text) = dpc(&["cluster", "--servers", "4", "--timeout-secs", "5"]);
+    assert_eq!(code, Some(2), "{text}");
+    assert!(text.contains("--timeout-secs"), "{text}");
 }
 
 #[test]
