@@ -7,7 +7,7 @@
 //! bisection (water-filling). This is exact to tolerance and serves as the
 //! reference every decentralized scheme is measured against.
 
-use crate::problem::{AlgError, Allocation, PowerBudgetProblem};
+use crate::problem::{Allocation, PowerBudgetProblem};
 use dpc_models::units::Watts;
 
 /// Result of the centralized solve.
@@ -93,19 +93,6 @@ pub fn solve(problem: &PowerBudgetProblem) -> CentralizedSolution {
         lambda,
         iterations,
     }
-}
-
-/// Convenience wrapper building the problem and solving it.
-///
-/// # Errors
-///
-/// Propagates [`AlgError`] from problem construction.
-pub fn solve_utilities(
-    utilities: Vec<dpc_models::throughput::QuadraticUtility>,
-    budget: Watts,
-) -> Result<CentralizedSolution, AlgError> {
-    let problem = PowerBudgetProblem::new(utilities, budget)?;
-    Ok(solve(&problem))
 }
 
 #[cfg(test)]
@@ -205,10 +192,5 @@ mod tests {
         for (u, &pw) in p.utilities().iter().zip(s.allocation.powers()) {
             assert!((pw - u.p_min()).abs() < Watts(1e-3), "{pw}");
         }
-    }
-
-    #[test]
-    fn solve_utilities_wrapper_propagates_errors() {
-        assert!(solve_utilities(vec![], Watts(100.0)).is_err());
     }
 }

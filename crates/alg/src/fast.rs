@@ -18,7 +18,7 @@
 //!   utilities into flat `a`, `b`, `c`, `p_min` and `p_max` arrays, so the
 //!   sweep streams coefficients instead of striding over
 //!   `QuadraticUtility` structs.
-//! * **Packed blocks.** Both phases walk the shard in blocks of [`LANES`]
+//! * **Packed blocks.** Both phases walk the shard in blocks of `LANES`
 //!   nodes held in fixed-size lane arrays, with no cross-lane dependency.
 //!   Every slice a phase reads or writes is cut into lane arrays once per
 //!   shard (`as_chunks`), so a block carries no bounds check; and every
@@ -85,7 +85,7 @@ use std::ops::Range;
 /// Nodes per block of the packed sweeps: two SSE2 or NEON registers of
 /// `f64` (one AVX2 register), enough independent work to cover a
 /// division's latency on the default target.
-pub const LANES: usize = 4;
+pub(crate) const LANES: usize = 4;
 
 /// The largest share of exceptional nodes (see `FastState`) at which a
 /// graph still counts as ring-dominant and runs the lane traversal.

@@ -69,7 +69,7 @@ impl LinkFaults {
     }
 
     /// `true` when no entry can ever be late.
-    pub fn is_benign(&self) -> bool {
+    pub(crate) fn is_benign(&self) -> bool {
         self.reorder == 0.0
     }
 }

@@ -21,7 +21,7 @@ use dpc_models::throughput::QuadraticUtility;
 /// nonincreasing and right-continuous (degenerate linear members introduce
 /// jumps).
 #[derive(Debug, Clone)]
-pub struct AggregateCurve {
+pub(crate) struct AggregateCurve {
     bps: Vec<f64>,
     slopes: Vec<f64>,
     consts: Vec<f64>,
@@ -33,7 +33,7 @@ impl AggregateCurve {
     /// Builds the exact demand curve of `members`, each with an additive
     /// price offset (a tenant multiplier μ: the member responds to
     /// `λ + μ`, equivalent to shifting its linear coefficient to `b − μ`).
-    pub fn from_members<'a, I>(members: I) -> AggregateCurve
+    pub(crate) fn from_members<'a, I>(members: I) -> AggregateCurve
     where
         I: IntoIterator<Item = (&'a QuadraticUtility, f64)>,
     {
@@ -66,7 +66,7 @@ impl AggregateCurve {
 
     /// Sums several curves into the exact aggregate (floor/ceil add; the
     /// breakpoint set is the union).
-    pub fn sum(curves: &[&AggregateCurve]) -> AggregateCurve {
+    pub(crate) fn sum(curves: &[&AggregateCurve]) -> AggregateCurve {
         let mut events: Vec<(f64, f64, f64)> = Vec::new();
         let mut floor = 0.0;
         let mut ceil = 0.0;
@@ -109,19 +109,8 @@ impl AggregateCurve {
         }
     }
 
-    /// The aggregate floor `Σ p_min` (demand as λ → ∞).
-    pub fn floor(&self) -> f64 {
-        self.floor
-    }
-
-    /// The aggregate ceiling (demand at prices below every kink; `Σ p_max`
-    /// for an uncapped curve, the cap otherwise).
-    pub fn ceil(&self) -> f64 {
-        self.ceil
-    }
-
     /// Exact demand at price `lambda`.
-    pub fn demand(&self, lambda: f64) -> f64 {
+    pub(crate) fn demand(&self, lambda: f64) -> f64 {
         match self.bps.partition_point(|&b| b <= lambda) {
             0 => self.ceil,
             k => self.consts[k - 1] + self.slopes[k - 1] * lambda,
@@ -133,7 +122,7 @@ impl AggregateCurve {
     /// returns the value just *before* the drop. The gap
     /// `demand_left(λ) − demand(λ)` is exactly the marginal power a
     /// water-filler may allocate fractionally at price λ.
-    pub fn demand_left(&self, lambda: f64) -> f64 {
+    pub(crate) fn demand_left(&self, lambda: f64) -> f64 {
         match self.bps.partition_point(|&b| b < lambda) {
             0 => self.ceil,
             k => self.consts[k - 1] + self.slopes[k - 1] * lambda,
@@ -143,7 +132,7 @@ impl AggregateCurve {
     /// The curve clamped by a domain cap: `min(D(λ), cap)`. A cap at or
     /// above the ceiling is a no-op; a cap below the floor clamps to the
     /// floor (the caller validates cap feasibility separately).
-    pub fn with_cap(&self, cap: f64) -> AggregateCurve {
+    pub(crate) fn with_cap(&self, cap: f64) -> AggregateCurve {
         if cap >= self.ceil {
             return self.clone();
         }
@@ -177,7 +166,7 @@ impl AggregateCurve {
     /// The smallest `λ ≥ 0` with `D(λ) ≤ budget` — the exact water-filling
     /// price. Returns 0 when the budget is slack at zero price, and the
     /// last breakpoint (everyone pinned to floor) when `budget < floor`.
-    pub fn price_for_budget(&self, budget: f64) -> f64 {
+    pub(crate) fn price_for_budget(&self, budget: f64) -> f64 {
         if budget >= self.demand(0.0) {
             return 0.0;
         }
@@ -253,8 +242,8 @@ mod tests {
                 curve.demand(lambda)
             );
         }
-        assert!((curve.ceil() - direct_demand(&u, 0.0)).abs() < 1e-9);
-        assert!((curve.floor() - direct_demand(&u, 1e9)).abs() < 1e-9);
+        assert!((curve.ceil - direct_demand(&u, 0.0)).abs() < 1e-9);
+        assert!((curve.floor - direct_demand(&u, 1e9)).abs() < 1e-9);
     }
 
     #[test]
@@ -262,7 +251,7 @@ mod tests {
         let u = cluster(64, 11);
         let curve = AggregateCurve::from_members(u.iter().map(|x| (x, 0.0)));
         for frac in [0.55, 0.7, 0.85, 0.95] {
-            let budget = curve.floor() + frac * (curve.ceil() - curve.floor());
+            let budget = curve.floor + frac * (curve.ceil - curve.floor);
             let lambda = curve.price_for_budget(budget);
             // Exact inversion: demand at the returned price meets the
             // budget to floating-point accuracy.
@@ -281,9 +270,9 @@ mod tests {
     fn slack_budget_prices_at_zero_and_starved_budget_prices_at_max() {
         let u = cluster(8, 3);
         let curve = AggregateCurve::from_members(u.iter().map(|x| (x, 0.0)));
-        assert_eq!(curve.price_for_budget(curve.ceil() + 10.0), 0.0);
-        let lambda_max = curve.price_for_budget(curve.floor() - 5.0);
-        assert!((curve.demand(lambda_max) - curve.floor()).abs() < 1e-9);
+        assert_eq!(curve.price_for_budget(curve.ceil + 10.0), 0.0);
+        let lambda_max = curve.price_for_budget(curve.floor - 5.0);
+        assert!((curve.demand(lambda_max) - curve.floor).abs() < 1e-9);
     }
 
     #[test]
@@ -308,9 +297,9 @@ mod tests {
     fn cap_clamps_demand_pointwise() {
         let u = cluster(24, 9);
         let curve = AggregateCurve::from_members(u.iter().map(|x| (x, 0.0)));
-        let cap = curve.floor() + 0.4 * (curve.ceil() - curve.floor());
+        let cap = curve.floor + 0.4 * (curve.ceil - curve.floor);
         let capped = curve.with_cap(cap);
-        assert!((capped.ceil() - cap).abs() < 1e-12);
+        assert!((capped.ceil - cap).abs() < 1e-12);
         for i in 0..300 {
             let lambda = i as f64 * 6e-5;
             let want = curve.demand(lambda).min(cap);

@@ -16,7 +16,6 @@ mod curve;
 mod tenant;
 mod tree;
 
-pub use curve::AggregateCurve;
 pub use tenant::{TenantCap, TenantReport};
 pub use tree::{BudgetTree, DomainChildren, DomainReport, DomainSpec, LeafSolver, TreeSolution};
 

@@ -35,7 +35,7 @@ pub struct Observation {
 
 impl Observation {
     /// The throughput-per-watt feature `τ(p̂)/p̂`.
-    pub fn tp(&self) -> f64 {
+    pub(crate) fn tp(&self) -> f64 {
         self.throughput / self.cap.0.max(1e-12)
     }
 }
@@ -176,11 +176,6 @@ impl ThroughputPredictor {
             iterations: records.len(),
         })?;
         Ok(ThroughputPredictor { kind, betas, beta4 })
-    }
-
-    /// The predictor family.
-    pub fn kind(&self) -> PredictorKind {
-        self.kind
     }
 
     /// Predicts throughput at power `p` from a runtime observation,

@@ -8,7 +8,7 @@
 
 use crate::centralized;
 use crate::exec::REDUCE_CHUNK;
-use crate::problem::{AlgError, Allocation, PowerBudgetProblem};
+use crate::problem::{Allocation, PowerBudgetProblem};
 use dpc_models::units::Watts;
 
 /// Tuning knobs for the primal-dual iteration.
@@ -61,26 +61,6 @@ pub struct PrimalDualResult {
     pub history: Vec<PrimalDualTrace>,
 }
 
-impl PrimalDualResult {
-    /// The dual state worth carrying into a re-solve after the instance
-    /// changes — pass it to [`solve_warm`].
-    pub fn warm_start(&self) -> DualWarmStart {
-        DualWarmStart {
-            lambda: self.lambda,
-        }
-    }
-}
-
-/// Dual state carried across primal-dual re-solves. The price λ moves
-/// little under a small perturbation of the instance, so seeding the next
-/// solve from the previous λ (instead of 0) skips most of the bold-driver
-/// search — the coordinator-side analogue of DiBA's warm residual state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DualWarmStart {
-    /// The dual price to start the ascent from (≥ 0).
-    pub lambda: f64,
-}
-
 fn default_step(problem: &PowerBudgetProblem) -> f64 {
     // Newton scale of the dual: dΣp/dλ = Σ 1/(2cᵢ) over interior nodes.
     let sensitivity: f64 = problem
@@ -117,51 +97,12 @@ pub fn solve(problem: &PowerBudgetProblem, config: &PrimalDualConfig) -> PrimalD
     solve_with_reference(problem, config, optimal_utility)
 }
 
-/// Runs Algorithm 3 warm-started from a previous solve's dual state: the
-/// ascent begins at `warm.lambda` instead of 0, so a re-solve after a small
-/// instance change (budget trim, one server's curve re-fitted) typically
-/// converges in one or two iterations. The convergence reference is
-/// computed internally, exactly as in [`solve`].
-///
-/// # Errors
-///
-/// [`AlgError::InvalidConfig`] when `warm.lambda` is non-finite or
-/// negative.
-pub fn solve_warm(
-    problem: &PowerBudgetProblem,
-    config: &PrimalDualConfig,
-    warm: &DualWarmStart,
-) -> Result<PrimalDualResult, AlgError> {
-    if !warm.lambda.is_finite() || warm.lambda < 0.0 {
-        return Err(AlgError::InvalidConfig {
-            what: format!(
-                "warm-start lambda = {} must be finite and non-negative",
-                warm.lambda
-            ),
-        });
-    }
-    let reference = centralized::solve(problem);
-    let optimal_utility = problem.total_utility(&reference.allocation);
-    Ok(solve_from(problem, config, optimal_utility, warm.lambda))
-}
-
 /// Runs Algorithm 3 against a precomputed optimal utility — the variant to
 /// wall-clock when the oracle's cost must not contaminate the measurement.
 pub fn solve_with_reference(
     problem: &PowerBudgetProblem,
     config: &PrimalDualConfig,
     optimal_utility: f64,
-) -> PrimalDualResult {
-    solve_from(problem, config, optimal_utility, 0.0)
-}
-
-/// The shared ascent loop: [`solve_with_reference`] starts the price at 0
-/// (the paper's cold start), [`solve_warm`] at the carried dual state.
-fn solve_from(
-    problem: &PowerBudgetProblem,
-    config: &PrimalDualConfig,
-    optimal_utility: f64,
-    lambda0: f64,
 ) -> PrimalDualResult {
     let step = config.step.unwrap_or_else(|| default_step(problem));
     let budget = problem.budget();
@@ -170,7 +111,7 @@ fn solve_from(
     // The primal responses land in one buffer reused by every iteration.
     let mut powers = vec![0.0; problem.len()];
 
-    let mut lambda = lambda0;
+    let mut lambda = 0.0;
     let mut history = Vec::new();
     let mut best_feasible: Option<(f64, f64)> = None;
     // Bold-driver adaptation: boxes pin part of the cluster, shrinking the
@@ -329,39 +270,6 @@ mod tests {
         assert_eq!(r.history[0].lambda, 0.0);
         // Price rises from zero toward the optimum when the budget binds.
         assert!(r.history.last().unwrap().lambda > 0.0);
-    }
-
-    #[test]
-    fn warm_start_beats_cold_on_a_small_budget_trim() {
-        let p = problem(200, 33_000.0, 8);
-        let cold = solve(&p, &PrimalDualConfig::default());
-        assert!(cold.converged);
-        // Trim the budget 2 % and re-solve both ways.
-        let trimmed = p.with_budget(Watts(33_000.0 * 0.98)).unwrap();
-        let recold = solve(&trimmed, &PrimalDualConfig::default());
-        let warm = solve_warm(&trimmed, &PrimalDualConfig::default(), &cold.warm_start()).unwrap();
-        assert!(warm.converged);
-        assert!(
-            warm.iterations <= recold.iterations,
-            "warm {} vs cold {}",
-            warm.iterations,
-            recold.iterations
-        );
-        assert!(trimmed.is_feasible(&warm.allocation, Watts(1e-3)));
-    }
-
-    #[test]
-    fn warm_start_rejects_bad_lambda() {
-        let p = problem(10, 2_000.0, 9);
-        for bad in [f64::NAN, f64::INFINITY, -1.0] {
-            let err = solve_warm(
-                &p,
-                &PrimalDualConfig::default(),
-                &DualWarmStart { lambda: bad },
-            )
-            .unwrap_err();
-            assert!(matches!(err, AlgError::InvalidConfig { .. }), "{bad}");
-        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`FaultEvent`] — a discrete record per fault-machinery action (crash,
 //!   departure, restart, detection, a share booked) with the slack mass it
 //!   moved.
-//! * [`Ring`] — a fixed-capacity overwrite-oldest buffer that never
+//! * `Ring` — a fixed-capacity overwrite-oldest buffer that never
 //!   allocates after construction, so steady-state recording is
 //!   allocation-free. Each recorder has a single writer (worker 0 of the
 //!   synchronous engine; the runtime's serial lockstep loop), so no
@@ -58,7 +58,7 @@ pub struct TelemetryConfig {
 
 impl TelemetryConfig {
     /// Default ring capacity, in rounds.
-    pub const DEFAULT_CAPACITY: usize = 4096;
+    pub(crate) const DEFAULT_CAPACITY: usize = 4096;
 
     /// Telemetry disabled (the default).
     pub fn off() -> TelemetryConfig {
@@ -84,12 +84,6 @@ impl TelemetryConfig {
             capacity: rounds,
             timings: false,
         }
-    }
-
-    /// Enables wall-clock shard timings (non-reproducible fields).
-    pub fn with_timings(mut self) -> TelemetryConfig {
-        self.timings = true;
-        self
     }
 
     /// Checks the knob is honorable: when enabled, a capacity from 1 to
@@ -200,7 +194,7 @@ pub enum FaultEventKind {
 
 impl FaultEventKind {
     /// Stable identifier used by the sinks.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             FaultEventKind::Crash => "crash",
             FaultEventKind::Depart => "depart",
@@ -282,7 +276,7 @@ pub fn domains_to_jsonl(domains: &[DomainRecord]) -> String {
 /// backing storage is reserved once at construction; `push` never
 /// allocates, so a recorder in the hot round loop is allocation-free.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Ring<T> {
+pub(crate) struct Ring<T> {
     buf: Vec<T>,
     cap: usize,
     pushed: u64,
@@ -290,7 +284,7 @@ pub struct Ring<T> {
 
 impl<T: Copy> Ring<T> {
     /// A ring retaining the last `cap` entries (`cap` is clamped to ≥ 1).
-    pub fn with_capacity(cap: usize) -> Ring<T> {
+    pub(crate) fn with_capacity(cap: usize) -> Ring<T> {
         let cap = cap.max(1);
         Ring {
             buf: Vec::with_capacity(cap),
@@ -300,7 +294,7 @@ impl<T: Copy> Ring<T> {
     }
 
     /// Appends an entry, overwriting the oldest once full.
-    pub fn push(&mut self, value: T) {
+    pub(crate) fn push(&mut self, value: T) {
         let idx = (self.pushed % self.cap as u64) as usize;
         if self.buf.len() < self.cap {
             debug_assert_eq!(idx, self.buf.len());
@@ -312,32 +306,17 @@ impl<T: Copy> Ring<T> {
     }
 
     /// Entries currently retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// `true` when nothing has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Retention capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Entries ever pushed (including those overwritten).
-    pub fn pushed(&self) -> u64 {
+    pub(crate) fn pushed(&self) -> u64 {
         self.pushed
     }
 
-    /// Entries lost to overwriting.
-    pub fn dropped(&self) -> u64 {
-        self.pushed - self.buf.len() as u64
-    }
-
     /// Retained entries in push order (oldest first).
-    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + '_ {
         let split = if self.buf.len() < self.cap {
             0
         } else {
@@ -347,7 +326,7 @@ impl<T: Copy> Ring<T> {
     }
 
     /// The most recently pushed entry.
-    pub fn latest(&self) -> Option<&T> {
+    pub(crate) fn latest(&self) -> Option<&T> {
         if self.pushed == 0 {
             return None;
         }
@@ -382,7 +361,7 @@ impl Telemetry {
     }
 
     /// The knob this recorder was built with.
-    pub fn config(&self) -> TelemetryConfig {
+    pub(crate) fn config(&self) -> TelemetryConfig {
         self.config
     }
 
@@ -398,13 +377,8 @@ impl Telemetry {
     }
 
     /// Installs the static per-shard work estimate of the current sharding.
-    pub fn set_shard_work(&mut self, work: Vec<usize>) {
+    pub(crate) fn set_shard_work(&mut self, work: Vec<usize>) {
         self.shard_work = work;
-    }
-
-    /// The per-shard work estimate (empty for unsharded solvers).
-    pub fn shard_work(&self) -> &[usize] {
-        &self.shard_work
     }
 
     /// Retained round records, oldest first.
@@ -656,14 +630,14 @@ mod tests {
     #[test]
     fn ring_retains_the_latest_entries_in_order() {
         let mut ring: Ring<u64> = Ring::with_capacity(3);
-        assert!(ring.is_empty());
+        assert!(ring.buf.is_empty());
         assert_eq!(ring.latest(), None);
         for v in 0..7 {
             ring.push(v);
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.pushed(), 7);
-        assert_eq!(ring.dropped(), 4);
+        assert_eq!(ring.pushed() - ring.len() as u64, 4, "dropped");
         assert_eq!(ring.iter().copied().collect::<Vec<_>>(), vec![4, 5, 6]);
         assert_eq!(ring.latest(), Some(&6));
     }
@@ -694,7 +668,6 @@ mod tests {
         assert!(TelemetryConfig::off().validate().is_ok());
         assert!(TelemetryConfig::on().validate().is_ok());
         assert!(TelemetryConfig::with_capacity(10).enabled);
-        assert!(TelemetryConfig::on().with_timings().timings);
         let bad = TelemetryConfig {
             enabled: true,
             capacity: 0,
@@ -803,7 +776,10 @@ mod tests {
 
     #[test]
     fn timings_opt_in_emits_shard_fields() {
-        let mut t = Telemetry::new(TelemetryConfig::on().with_timings());
+        let mut t = Telemetry::new(TelemetryConfig {
+            timings: true,
+            ..TelemetryConfig::on()
+        });
         let mut r = record(1);
         r.shard_nanos[0] = 42;
         t.record_round(r);

@@ -55,7 +55,7 @@ pub enum WorkloadClass {
 impl WorkloadClass {
     /// Memory-boundedness in `[0, 1]` used as the master knob for curve and
     /// PMC synthesis: `0` is purely CPU-bound, `1` purely memory-bound.
-    pub fn memory_boundedness(self) -> f64 {
+    pub(crate) fn memory_boundedness(self) -> f64 {
         match self {
             WorkloadClass::CpuBound => 0.04,
             WorkloadClass::Balanced => 0.28,
@@ -134,7 +134,7 @@ pub enum Benchmark {
 
 impl Benchmark {
     /// All ten benchmarks in Table 4.1 order.
-    pub const ALL: [Benchmark; 10] = [
+    pub(crate) const ALL: [Benchmark; 10] = [
         Benchmark::Bt,
         Benchmark::Cg,
         Benchmark::Ep,
@@ -156,11 +156,6 @@ impl Benchmark {
     pub fn name(self) -> &'static str {
         self.spec().name
     }
-
-    /// Benchmark with the given index in [`Benchmark::ALL`], wrapping around.
-    pub fn from_index(idx: usize) -> Benchmark {
-        Benchmark::ALL[idx % Benchmark::ALL.len()]
-    }
 }
 
 impl fmt::Display for Benchmark {
@@ -169,7 +164,7 @@ impl fmt::Display for Benchmark {
     }
 }
 
-/// Catalog backing [`Benchmark`], in [`Benchmark::ALL`] order (Table 4.1).
+/// Catalog backing [`Benchmark`], in `Benchmark::ALL` order (Table 4.1).
 pub const HPC_BENCHMARKS: [WorkloadSpec; 10] = [
     WorkloadSpec {
         name: "BT",
@@ -486,13 +481,6 @@ mod tests {
             let m = spec.memory_boundedness();
             assert!((0.02..=0.95).contains(&m), "{}: {m}", spec.name);
         }
-    }
-
-    #[test]
-    fn from_index_wraps() {
-        assert_eq!(Benchmark::from_index(0), Benchmark::Bt);
-        assert_eq!(Benchmark::from_index(10), Benchmark::Bt);
-        assert_eq!(Benchmark::from_index(11), Benchmark::Cg);
     }
 
     #[test]

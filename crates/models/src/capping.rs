@@ -12,7 +12,7 @@ use crate::units::Watts;
 
 /// Decision of one controller evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CapAction {
+pub(crate) enum CapAction {
     /// Move to a slower p-state (over the cap).
     StepDown,
     /// Move to a faster p-state (headroom available).
@@ -28,7 +28,7 @@ pub enum CapAction {
 /// when the *predicted* power at the faster p-state still fits under the cap
 /// minus a deadband.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PowerCapController {
+pub(crate) struct PowerCapController {
     cap: Watts,
     deadband: Watts,
 }
@@ -39,18 +39,18 @@ impl PowerCapController {
     /// # Panics
     ///
     /// Panics if `deadband` is negative.
-    pub fn new(cap: Watts, deadband: Watts) -> Self {
+    pub(crate) fn new(cap: Watts, deadband: Watts) -> Self {
         assert!(deadband >= Watts::ZERO, "deadband must be non-negative");
         PowerCapController { cap, deadband }
     }
 
     /// Current power cap.
-    pub fn cap(&self) -> Watts {
+    pub(crate) fn cap(&self) -> Watts {
         self.cap
     }
 
     /// Updates the setpoint (budget re-allocation).
-    pub fn set_cap(&mut self, cap: Watts) {
+    pub(crate) fn set_cap(&mut self, cap: Watts) {
         self.cap = cap;
     }
 
@@ -58,7 +58,7 @@ impl PowerCapController {
     ///
     /// `predicted_up` is the power the server would draw at the next-faster
     /// p-state (used to gate step-ups); pass `None` when already at the top.
-    pub fn decide(&self, measured: Watts, predicted_up: Option<Watts>) -> CapAction {
+    pub(crate) fn decide(&self, measured: Watts, predicted_up: Option<Watts>) -> CapAction {
         if measured > self.cap {
             return CapAction::StepDown;
         }
@@ -101,11 +101,6 @@ impl CappedServer {
         }
     }
 
-    /// The server's static spec.
-    pub fn spec(&self) -> &ServerSpec {
-        &self.spec
-    }
-
     /// Current p-state index.
     pub fn pstate(&self) -> usize {
         self.pstate
@@ -124,19 +119,6 @@ impl CappedServer {
     /// Re-allocates the cap (called when the budgeting algorithm re-solves).
     pub fn set_cap(&mut self, cap: Watts) {
         self.controller.set_cap(cap);
-    }
-
-    /// Sets utilization in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `utilization` is outside `[0, 1]`.
-    pub fn set_utilization(&mut self, utilization: f64) {
-        assert!(
-            (0.0..=1.0).contains(&utilization),
-            "utilization {utilization} not in [0,1]"
-        );
-        self.utilization = utilization;
     }
 
     /// Advances one controller period: power settles toward the electrical
@@ -160,17 +142,27 @@ impl CappedServer {
         }
         self.measured
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn server(cap: f64) -> CappedServer {
+        CappedServer::new(ServerSpec::dell_c1100(), Watts(cap))
+    }
 
     /// Runs ticks until measured power stays within the cap for
     /// `stable_ticks` consecutive periods; returns the number of ticks taken
     /// or `None` if it does not settle within `max_ticks`.
-    ///
-    /// Note: a cap below the slowest p-state's power can never settle.
-    pub fn run_until_settled(&mut self, max_ticks: usize, stable_ticks: usize) -> Option<usize> {
+    fn run_until_settled(
+        s: &mut CappedServer,
+        max_ticks: usize,
+        stable_ticks: usize,
+    ) -> Option<usize> {
         let mut stable = 0usize;
         for t in 0..max_ticks {
-            let m = self.tick(Watts::ZERO);
-            if m <= self.controller.cap() {
+            if s.tick(Watts::ZERO) <= s.cap() {
                 stable += 1;
                 if stable >= stable_ticks {
                     return Some(t + 1);
@@ -180,15 +172,6 @@ impl CappedServer {
             }
         }
         None
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn server(cap: f64) -> CappedServer {
-        CappedServer::new(ServerSpec::dell_c1100(), Watts(cap))
     }
 
     #[test]
@@ -216,30 +199,34 @@ mod tests {
     #[test]
     fn capped_server_settles_under_cap() {
         let mut s = server(165.0);
-        let ticks = s.run_until_settled(200, 5).expect("must settle");
+        let ticks = run_until_settled(&mut s, 200, 5).expect("must settle");
         assert!(ticks < 100, "settled too slowly: {ticks}");
         assert!(s.measured_power() <= Watts(165.0));
         // The chosen p-state is the highest feasible one.
-        assert_eq!(Some(s.pstate()), s.spec().pstate_for_cap(Watts(165.0)));
+        let levels = s.spec.cap_levels();
+        assert_eq!(
+            Some(s.pstate()),
+            levels.iter().rposition(|&p| p <= Watts(165.0))
+        );
     }
 
     #[test]
     fn raising_the_cap_raises_the_pstate() {
         let mut s = server(160.0);
-        s.run_until_settled(200, 5).unwrap();
+        run_until_settled(&mut s, 200, 5).unwrap();
         let low_pstate = s.pstate();
         // Headroom above peak power: the deadband requires predicted power
         // to sit strictly below the cap before stepping up.
         s.set_cap(Watts(226.0));
-        s.run_until_settled(200, 5).unwrap();
+        run_until_settled(&mut s, 200, 5).unwrap();
         assert!(s.pstate() > low_pstate);
-        assert_eq!(s.pstate(), s.spec().ladder.top());
+        assert_eq!(s.pstate(), s.spec.ladder.top());
     }
 
     #[test]
     fn infeasible_cap_never_settles_but_reaches_bottom() {
         let mut s = server(100.0); // below slowest p-state full power
-        assert_eq!(s.run_until_settled(100, 5), None);
+        assert_eq!(run_until_settled(&mut s, 100, 5), None);
         assert_eq!(s.pstate(), 0);
     }
 
@@ -247,7 +234,7 @@ mod tests {
     fn lower_utilization_lowers_power() {
         let mut busy = server(1000.0);
         let mut idle = server(1000.0);
-        idle.set_utilization(0.2);
+        idle.utilization = 0.2;
         for _ in 0..50 {
             busy.tick(Watts::ZERO);
             idle.tick(Watts::ZERO);

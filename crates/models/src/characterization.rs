@@ -18,7 +18,7 @@ use rand::Rng;
 
 /// One measured operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sample {
+pub(crate) struct Sample {
     /// P-state index the sample was taken at.
     pub pstate: usize,
     /// Measured wall power.
@@ -31,7 +31,7 @@ pub struct Sample {
 
 /// A DVFS sweep of one workload on one server.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Characterization {
+pub(crate) struct Characterization {
     samples: Vec<Sample>,
     p_min: Watts,
     p_max: Watts,
@@ -47,7 +47,7 @@ impl Characterization {
     /// # Panics
     ///
     /// Panics if `noise` is not in `[0, 0.2]`.
-    pub fn sweep<R: Rng + ?Sized>(
+    pub(crate) fn sweep<R: Rng + ?Sized>(
         spec: &WorkloadSpec,
         server: &ServerSpec,
         truth: &QuadraticUtility,
@@ -88,35 +88,12 @@ impl Characterization {
         }
     }
 
-    /// The raw measured samples, slowest p-state first.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
     /// `(power, throughput)` pairs for fitting.
-    pub fn power_throughput(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn power_throughput(&self) -> Vec<(f64, f64)> {
         self.samples
             .iter()
             .map(|s| (s.power.0, s.throughput))
             .collect()
-    }
-
-    /// Mean PMC signature over the sweep.
-    pub fn mean_pmc(&self) -> PmcSignature {
-        let n = self.samples.len() as f64;
-        let mut acc = [0.0; 5];
-        for s in &self.samples {
-            for (a, v) in acc.iter_mut().zip(s.pmc.feature_vector()) {
-                *a += v;
-            }
-        }
-        PmcSignature {
-            ipc: acc[0] / n,
-            llc_mpki: acc[1] / n,
-            l1_refs_pki: acc[2] / n,
-            l2_mpki: acc[3] / n,
-            branch_mpki: acc[4] / n,
-        }
     }
 
     /// Fits the quadratic utility the allocation algorithms consume,
@@ -131,7 +108,7 @@ impl Characterization {
     ///
     /// Propagates [`FitError`] only when even a constant cannot be fitted
     /// (no samples).
-    pub fn fit_utility(&self) -> Result<QuadraticUtility, FitError> {
+    pub(crate) fn fit_utility(&self) -> Result<QuadraticUtility, FitError> {
         fit_utility_from_points(&self.power_throughput(), self.p_min, self.p_max)
     }
 }
@@ -145,7 +122,7 @@ impl Characterization {
 /// # Errors
 ///
 /// [`FitError::TooFewSamples`] when `points` is empty.
-pub fn fit_utility_from_points(
+pub(crate) fn fit_utility_from_points(
     points: &[(f64, f64)],
     p_min: Watts,
     p_max: Watts,
@@ -241,22 +218,9 @@ mod tests {
         let truth =
             CurveParams::for_spec(Benchmark::Cg.spec()).utility(srv.min_full_power(), srv.peak);
         let sweep = Characterization::sweep(Benchmark::Cg.spec(), &srv, &truth, 0.01, &mut rng);
-        assert_eq!(sweep.samples().len(), srv.ladder.len());
-        let pstates: Vec<_> = sweep.samples().iter().map(|s| s.pstate).collect();
-        assert_eq!(pstates, (0..srv.ladder.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn mean_pmc_tracks_signature() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let srv = server();
-        let spec = Benchmark::Ra.spec();
-        let truth = CurveParams::for_spec(spec).utility(srv.min_full_power(), srv.peak);
-        let sweep = Characterization::sweep(spec, &srv, &truth, 0.04, &mut rng);
-        let mean = sweep.mean_pmc();
-        let sig = PmcSignature::for_spec(spec);
-        assert!((mean.llc_mpki / sig.llc_mpki - 1.0).abs() < 0.05);
-        assert!((mean.ipc / sig.ipc - 1.0).abs() < 0.05);
+        assert_eq!(sweep.samples.len(), srv.ladder.iter().count());
+        let pstates: Vec<_> = sweep.samples.iter().map(|s| s.pstate).collect();
+        assert_eq!(pstates, (0..srv.ladder.iter().count()).collect::<Vec<_>>());
     }
 
     #[test]

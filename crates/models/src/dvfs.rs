@@ -22,7 +22,7 @@ impl DvfsLadder {
     ///
     /// Panics if `frequencies_ghz` is empty, non-positive anywhere, or not
     /// strictly increasing.
-    pub fn new(frequencies_ghz: Vec<f64>) -> DvfsLadder {
+    pub(crate) fn new(frequencies_ghz: Vec<f64>) -> DvfsLadder {
         assert!(!frequencies_ghz.is_empty(), "DVFS ladder must not be empty");
         for w in frequencies_ghz.windows(2) {
             assert!(
@@ -39,51 +39,32 @@ impl DvfsLadder {
     /// levels the capping controller can fall back to below the lowest
     /// P-state, giving the wide enforceable power range the paper's
     /// throughput curves span.
-    pub fn xeon_l5520() -> DvfsLadder {
+    pub(crate) fn xeon_l5520() -> DvfsLadder {
         DvfsLadder::new(vec![1.06, 1.33, 1.60, 1.73, 1.86, 2.00, 2.13, 2.27])
     }
 
-    /// Number of p-states.
-    pub fn len(&self) -> usize {
-        self.frequencies_ghz.len()
-    }
-
-    /// Always `false`: an empty ladder cannot be constructed.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Frequency (GHz) of p-state `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn frequency(&self, index: usize) -> f64 {
-        self.frequencies_ghz[index]
-    }
-
     /// Index of the fastest p-state.
-    pub fn top(&self) -> usize {
+    pub(crate) fn top(&self) -> usize {
         self.frequencies_ghz.len() - 1
     }
 
     /// Frequency of p-state `index` relative to the fastest, in `(0, 1]`.
-    pub fn relative_frequency(&self, index: usize) -> f64 {
+    pub(crate) fn relative_frequency(&self, index: usize) -> f64 {
         self.frequencies_ghz[index] / self.frequencies_ghz[self.top()]
     }
 
     /// One p-state faster, saturating at the top.
-    pub fn step_up(&self, index: usize) -> usize {
+    pub(crate) fn step_up(&self, index: usize) -> usize {
         (index + 1).min(self.top())
     }
 
     /// One p-state slower, saturating at the bottom.
-    pub fn step_down(&self, index: usize) -> usize {
+    pub(crate) fn step_down(&self, index: usize) -> usize {
         index.saturating_sub(1)
     }
 
     /// Iterates over `(index, frequency_ghz)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.frequencies_ghz.iter().copied().enumerate()
     }
 }
@@ -108,9 +89,9 @@ mod tests {
     #[test]
     fn xeon_ladder_matches_paper_range() {
         let l = DvfsLadder::xeon_l5520();
-        assert_eq!(l.len(), 8);
-        assert_eq!(l.frequency(0), 1.06);
-        assert_eq!(l.frequency(l.top()), 2.27);
+        assert_eq!(l.frequencies_ghz.len(), 8);
+        assert_eq!(l.frequencies_ghz[0], 1.06);
+        assert_eq!(l.frequencies_ghz[l.top()], 2.27);
         assert!((l.relative_frequency(l.top()) - 1.0).abs() < 1e-12);
         assert!(l.relative_frequency(0) < 1.0);
     }

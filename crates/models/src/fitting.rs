@@ -48,7 +48,7 @@ impl Polynomial {
     /// # Panics
     ///
     /// Panics if `coeffs` is empty.
-    pub fn new(coeffs: Vec<f64>) -> Polynomial {
+    pub(crate) fn new(coeffs: Vec<f64>) -> Polynomial {
         assert!(
             !coeffs.is_empty(),
             "polynomial needs at least one coefficient"
@@ -57,28 +57,13 @@ impl Polynomial {
     }
 
     /// Coefficients, constant term first.
-    pub fn coefficients(&self) -> &[f64] {
+    pub(crate) fn coefficients(&self) -> &[f64] {
         &self.coeffs
-    }
-
-    /// Polynomial degree.
-    pub fn degree(&self) -> usize {
-        self.coeffs.len() - 1
     }
 
     /// Evaluates the polynomial at `x` (Horner's rule).
     pub fn eval(&self, x: f64) -> f64 {
         self.coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
-    }
-
-    /// Evaluates the derivative at `x`.
-    pub fn eval_derivative(&self, x: f64) -> f64 {
-        self.coeffs
-            .iter()
-            .enumerate()
-            .skip(1)
-            .rev()
-            .fold(0.0, |acc, (k, &c)| acc * x + c * k as f64)
     }
 }
 
@@ -208,24 +193,6 @@ pub fn r_squared(poly: &Polynomial, samples: &[(f64, f64)]) -> f64 {
     1.0 - ss_res / ss_tot
 }
 
-/// Mean absolute relative error of predictions against true values, as used
-/// for the Table 3.2 comparison. Pairs with `truth == 0` are skipped.
-pub fn mean_absolute_relative_error(pairs: &[(f64, f64)]) -> f64 {
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for &(predicted, truth) in pairs {
-        if truth != 0.0 {
-            total += ((predicted - truth) / truth).abs();
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,11 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn polynomial_eval_and_derivative() {
+    fn polynomial_eval() {
         let p = Polynomial::new(vec![1.0, 2.0, 3.0]); // 1 + 2x + 3x²
-        assert_eq!(p.degree(), 2);
         assert_eq!(p.eval(2.0), 17.0);
-        assert_eq!(p.eval_derivative(2.0), 14.0); // 2 + 6x
     }
 
     #[test]
@@ -319,13 +284,5 @@ mod tests {
         for (got, want) in x.iter().zip([2.0, 3.0, -1.0]) {
             assert!((got - want).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn mare_ignores_zero_truth() {
-        let pairs = [(1.1, 1.0), (0.9, 1.0), (5.0, 0.0)];
-        let e = mean_absolute_relative_error(&pairs);
-        assert!((e - 0.1).abs() < 1e-12);
-        assert_eq!(mean_absolute_relative_error(&[]), 0.0);
     }
 }

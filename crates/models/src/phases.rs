@@ -29,7 +29,7 @@ impl PhasedWorkload {
     /// # Panics
     ///
     /// Panics if `phases` is empty or any dwell is non-positive.
-    pub fn new(phases: Vec<(f64, QuadraticUtility)>) -> PhasedWorkload {
+    pub(crate) fn new(phases: Vec<(f64, QuadraticUtility)>) -> PhasedWorkload {
         assert!(!phases.is_empty(), "need at least one phase");
         assert!(
             phases.iter().all(|p| p.0 > 0.0),
@@ -81,16 +81,6 @@ impl PhasedWorkload {
         PhasedWorkload::new(phases)
     }
 
-    /// Number of phases in the cycle.
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
-
-    /// Index of the current phase.
-    pub fn phase_index(&self) -> usize {
-        self.index
-    }
-
     /// The current phase's throughput curve.
     pub fn current(&self) -> &QuadraticUtility {
         &self.phases[self.index].1
@@ -119,7 +109,7 @@ impl PhasedWorkload {
     }
 
     /// Total seconds of one full cycle.
-    pub fn cycle_length(&self) -> f64 {
+    pub(crate) fn cycle_length(&self) -> f64 {
         self.phases.iter().map(|p| p.0).sum()
     }
 }
@@ -138,12 +128,12 @@ mod tests {
     #[test]
     fn advance_crosses_boundaries_and_wraps() {
         let mut w = PhasedWorkload::new(vec![(2.0, curve(0.1)), (3.0, curve(0.8))]);
-        assert_eq!(w.phase_index(), 0);
+        assert_eq!(w.index, 0);
         assert!(!w.advance(1.0)); // still phase 0
         assert!(w.advance(1.5)); // into phase 1
-        assert_eq!(w.phase_index(), 1);
+        assert_eq!(w.index, 1);
         assert!(w.advance(2.6)); // wraps to phase 0
-        assert_eq!(w.phase_index(), 0);
+        assert_eq!(w.index, 0);
     }
 
     #[test]
@@ -151,10 +141,10 @@ mod tests {
         let mut w = PhasedWorkload::new(vec![(1.0, curve(0.1)), (1.0, curve(0.5))]);
         // 2.0 s = exactly one full cycle: same index, but changes happened.
         assert!(w.advance(2.0));
-        assert_eq!(w.phase_index(), 0);
+        assert_eq!(w.index, 0);
         // 3.0 s = cycle and a half.
         assert!(w.advance(3.0));
-        assert_eq!(w.phase_index(), 1);
+        assert_eq!(w.index, 1);
     }
 
     #[test]
@@ -167,7 +157,7 @@ mod tests {
             30.0,
             &mut rng,
         );
-        assert!(w.phase_count() >= 2);
+        assert!(w.phases.len() >= 2);
         // Adjacent phases alternate compute/memory: their mid-box slopes
         // differ materially.
         let p = Watts(160.0);

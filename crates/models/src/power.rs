@@ -28,7 +28,12 @@ impl ServerSpec {
     /// # Panics
     ///
     /// Panics if `idle >= peak` or `frequency_exponent < 1.0`.
-    pub fn new(idle: Watts, peak: Watts, ladder: DvfsLadder, frequency_exponent: f64) -> Self {
+    pub(crate) fn new(
+        idle: Watts,
+        peak: Watts,
+        ladder: DvfsLadder,
+        frequency_exponent: f64,
+    ) -> Self {
         assert!(idle < peak, "idle power {idle} must be below peak {peak}");
         assert!(idle > Watts::ZERO, "idle power must be positive");
         assert!(
@@ -56,7 +61,7 @@ impl ServerSpec {
     ///
     /// Panics if `utilization` is outside `[0, 1]` or `pstate` is out of
     /// range.
-    pub fn power(&self, pstate: usize, utilization: f64) -> Watts {
+    pub(crate) fn power(&self, pstate: usize, utilization: f64) -> Watts {
         assert!(
             (0.0..=1.0).contains(&utilization),
             "utilization {utilization} not in [0,1]"
@@ -67,25 +72,13 @@ impl ServerSpec {
     }
 
     /// Power when fully utilized at p-state `pstate`.
-    pub fn power_full(&self, pstate: usize) -> Watts {
+    pub(crate) fn power_full(&self, pstate: usize) -> Watts {
         self.power(pstate, 1.0)
     }
 
     /// Lowest enforceable power at full utilization (slowest p-state).
     pub fn min_full_power(&self) -> Watts {
         self.power_full(0)
-    }
-
-    /// The p-state whose fully-utilized power is the highest not exceeding
-    /// `cap`, or `None` when even the slowest p-state overshoots.
-    pub fn pstate_for_cap(&self, cap: Watts) -> Option<usize> {
-        let mut best = None;
-        for (i, _) in self.ladder.iter() {
-            if self.power_full(i) <= cap {
-                best = Some(i);
-            }
-        }
-        best
     }
 
     /// The discrete set of fully-utilized power levels, one per p-state,
@@ -126,21 +119,11 @@ mod tests {
     fn cap_levels_are_ascending_and_match_power_full() {
         let s = ServerSpec::dell_c1100();
         let levels = s.cap_levels();
-        assert_eq!(levels.len(), s.ladder.len());
+        assert_eq!(levels.len(), s.ladder.iter().count());
         for w in levels.windows(2) {
             assert!(w[0] < w[1]);
         }
         assert_eq!(levels[0], s.min_full_power());
-    }
-
-    #[test]
-    fn pstate_for_cap_picks_highest_feasible() {
-        let s = ServerSpec::dell_c1100();
-        assert_eq!(s.pstate_for_cap(Watts(1000.0)), Some(s.ladder.top()));
-        assert_eq!(s.pstate_for_cap(Watts(100.0)), None);
-        let mid = s.power_full(2);
-        assert_eq!(s.pstate_for_cap(mid), Some(2));
-        assert_eq!(s.pstate_for_cap(mid - Watts(0.1)), Some(1));
     }
 
     #[test]

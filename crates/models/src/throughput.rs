@@ -187,7 +187,7 @@ impl QuadraticUtility {
     /// # Panics
     ///
     /// Panics if `factor` is not strictly positive and finite.
-    pub fn scaled(&self, factor: f64) -> QuadraticUtility {
+    pub(crate) fn scaled(&self, factor: f64) -> QuadraticUtility {
         assert!(
             factor > 0.0 && factor.is_finite(),
             "scale factor must be positive and finite, got {factor}"

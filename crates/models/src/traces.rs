@@ -86,7 +86,7 @@ impl ServerTrace {
     ///
     /// Panics if the trace has no points (construction via
     /// [`parse_trace_csv`] guarantees at least one).
-    pub fn power_range(&self) -> (Watts, Watts) {
+    pub(crate) fn power_range(&self) -> (Watts, Watts) {
         let lo = self
             .points
             .iter()
@@ -107,7 +107,7 @@ impl ServerTrace {
     /// # Errors
     ///
     /// Propagates the fitting error for an empty trace.
-    pub fn fit(&self) -> Result<QuadraticUtility, crate::fitting::FitError> {
+    pub(crate) fn fit(&self) -> Result<QuadraticUtility, crate::fitting::FitError> {
         let (lo, hi) = self.power_range();
         let hi = if hi - lo < Watts(1.0) {
             lo + Watts(1.0)

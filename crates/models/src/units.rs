@@ -77,11 +77,6 @@ impl Watts {
     pub fn max(self, other: Watts) -> Watts {
         Watts(self.0.max(other.0))
     }
-
-    /// `true` when the value is finite (not NaN or infinite).
-    pub fn is_finite(self) -> bool {
-        self.0.is_finite()
-    }
 }
 
 impl fmt::Display for Watts {
@@ -184,18 +179,6 @@ impl From<Watts> for f64 {
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Celsius(pub f64);
 
-impl Celsius {
-    /// Smaller of two temperatures.
-    pub fn min(self, other: Celsius) -> Celsius {
-        Celsius(self.0.min(other.0))
-    }
-
-    /// Larger of two temperatures.
-    pub fn max(self, other: Celsius) -> Celsius {
-        Celsius(self.0.max(other.0))
-    }
-}
-
 impl fmt::Display for Celsius {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some(prec) = f.precision() {
@@ -239,11 +222,6 @@ impl Seconds {
     /// Zero seconds.
     pub const ZERO: Seconds = Seconds(0.0);
 
-    /// Creates a quantity from milliseconds.
-    pub fn from_millis(ms: f64) -> Self {
-        Seconds(ms / 1e3)
-    }
-
     /// Creates a quantity from microseconds.
     pub fn from_micros(us: f64) -> Self {
         Seconds(us / 1e6)
@@ -262,11 +240,6 @@ impl Seconds {
     /// Larger of two durations.
     pub fn max(self, other: Seconds) -> Seconds {
         Seconds(self.0.max(other.0))
-    }
-
-    /// Smaller of two durations.
-    pub fn min(self, other: Seconds) -> Seconds {
-        Seconds(self.0.min(other.0))
     }
 }
 
@@ -327,16 +300,6 @@ impl Sum for Seconds {
     }
 }
 
-/// Sums a slice of power values.
-///
-/// ```
-/// # use dpc_models::units::{total_power, Watts};
-/// assert_eq!(total_power(&[Watts(1.0), Watts(2.0)]), Watts(3.0));
-/// ```
-pub fn total_power(powers: &[Watts]) -> Watts {
-    powers.iter().sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,12 +342,11 @@ mod tests {
 
     #[test]
     fn watts_sum_over_iterators() {
-        let v = vec![Watts(1.0), Watts(2.0), Watts(3.0)];
+        let v = [Watts(1.0), Watts(2.0), Watts(3.0)];
         let owned: Watts = v.iter().copied().sum();
         let borrowed: Watts = v.iter().sum();
         assert_eq!(owned, Watts(6.0));
         assert_eq!(borrowed, Watts(6.0));
-        assert_eq!(total_power(&v), Watts(6.0));
     }
 
     #[test]
@@ -395,7 +357,6 @@ mod tests {
 
     #[test]
     fn seconds_conversions() {
-        assert_eq!(Seconds::from_millis(250.0), Seconds(0.25));
         assert_eq!(Seconds::from_micros(10.0), Seconds(1e-5));
         assert!((Seconds(0.2).millis() - 200.0).abs() < 1e-9);
         assert!((Seconds(0.2).micros() - 200_000.0).abs() < 1e-6);
@@ -417,7 +378,6 @@ mod tests {
         assert_eq!(Celsius(20.0) + Celsius(2.5), Celsius(22.5));
         assert_eq!(Celsius(20.0) - Celsius(2.5), Celsius(17.5));
         assert_eq!(Celsius(10.0) * 0.5, Celsius(5.0));
-        assert_eq!(Celsius(20.0).max(Celsius(24.0)), Celsius(24.0));
         assert_eq!(format!("{:.1}", Celsius(21.37)), "21.4 °C");
     }
 }

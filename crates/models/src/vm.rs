@@ -78,7 +78,7 @@ impl ServerLoad {
     ///
     /// Panics when `base_mb` is outside `[0, 1]` or the power box is empty
     /// (`p_idle ≥ p_peak`). The scenario parser validates before calling.
-    pub fn new(base_mb: f64, p_idle: Watts, p_peak: Watts) -> ServerLoad {
+    pub(crate) fn new(base_mb: f64, p_idle: Watts, p_peak: Watts) -> ServerLoad {
         assert!(
             base_mb.is_finite() && (0.0..=1.0).contains(&base_mb),
             "base memory-boundedness {base_mb} not in [0,1]"
@@ -141,21 +141,16 @@ impl ServerLoad {
         self.base_mb = mb;
     }
 
-    /// Number of VMs currently resident.
-    pub fn vm_count(&self) -> usize {
-        self.vms.len()
-    }
-
     /// Total occupancy (base share + VM shares), clamped to `[0, 1]` —
     /// oversubscription saturates rather than overdriving the curve.
-    pub fn occupancy(&self) -> f64 {
+    pub(crate) fn occupancy(&self) -> f64 {
         let vm_total: f64 = self.vms.iter().map(|v| v.share).sum();
         (self.base_share + vm_total).min(1.0)
     }
 
     /// The share-weighted effective memory-boundedness of the resident
     /// load.
-    pub fn effective_memory_boundedness(&self) -> f64 {
+    pub(crate) fn effective_memory_boundedness(&self) -> f64 {
         let mut weight = self.base_share;
         let mut acc = self.base_share * self.base_mb;
         for vm in &self.vms {

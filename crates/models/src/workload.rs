@@ -15,16 +15,6 @@ use crate::units::Watts;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// How benchmarks are assigned to servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Assignment {
-    /// Server `i` runs benchmark `i mod 10`: every benchmark equally
-    /// represented, deterministic.
-    RoundRobin,
-    /// Uniform random draw per server (the paper's setup).
-    UniformRandom,
-}
-
 /// One server's workload and its power→throughput characteristics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerWorkload {
@@ -43,7 +33,6 @@ pub struct ServerWorkload {
 pub struct ClusterBuilder {
     n: usize,
     server: ServerSpec,
-    assignment: Assignment,
     curve_jitter: f64,
     measurement_noise: f64,
     seed: u64,
@@ -63,35 +52,10 @@ impl ClusterBuilder {
         ClusterBuilder {
             n,
             server: ServerSpec::dell_c1100(),
-            assignment: Assignment::UniformRandom,
             curve_jitter: 0.08,
             measurement_noise: 0.01,
             seed: 0,
         }
-    }
-
-    /// Uses a custom server class.
-    pub fn server(mut self, server: ServerSpec) -> ClusterBuilder {
-        self.server = server;
-        self
-    }
-
-    /// Sets the benchmark-to-server assignment policy.
-    pub fn assignment(mut self, assignment: Assignment) -> ClusterBuilder {
-        self.assignment = assignment;
-        self
-    }
-
-    /// Sets the per-instance curve jitter (0 disables).
-    pub fn curve_jitter(mut self, jitter: f64) -> ClusterBuilder {
-        self.curve_jitter = jitter;
-        self
-    }
-
-    /// Sets the DVFS-sweep measurement noise (0 disables).
-    pub fn measurement_noise(mut self, noise: f64) -> ClusterBuilder {
-        self.measurement_noise = noise;
-        self
     }
 
     /// Sets the RNG seed; identical seeds reproduce identical clusters.
@@ -106,12 +70,7 @@ impl ClusterBuilder {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let workloads = (0..self.n)
             .map(|i| {
-                let benchmark = match self.assignment {
-                    Assignment::RoundRobin => Benchmark::from_index(i),
-                    Assignment::UniformRandom => {
-                        Benchmark::ALL[rng.gen_range(0..Benchmark::ALL.len())]
-                    }
-                };
+                let benchmark = Benchmark::ALL[rng.gen_range(0..Benchmark::ALL.len())];
                 let (truth, learned) = learn_utility(
                     benchmark.spec(),
                     &self.server,
@@ -171,19 +130,9 @@ impl Cluster {
         self.workloads.iter().map(|w| w.learned).collect()
     }
 
-    /// Ground-truth utilities, for oracle comparisons.
-    pub fn truths(&self) -> Vec<QuadraticUtility> {
-        self.workloads.iter().map(|w| w.truth).collect()
-    }
-
     /// Lowest enforceable total power (all servers at `p_min`).
     pub fn min_total_power(&self) -> Watts {
         self.workloads.iter().map(|w| w.learned.p_min()).sum()
-    }
-
-    /// Highest total power (all servers at `p_max`).
-    pub fn max_total_power(&self) -> Watts {
-        self.workloads.iter().map(|w| w.learned.p_max()).sum()
     }
 
     /// Replaces server `i`'s workload with a fresh uniform draw, re-running
@@ -205,7 +154,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn replace(&mut self, i: usize, benchmark: Benchmark) {
+    pub(crate) fn replace(&mut self, i: usize, benchmark: Benchmark) {
         let (truth, learned) =
             learn_utility(benchmark.spec(), &self.server, 0.08, 0.01, &mut self.rng);
         self.workloads[i] = ServerWorkload {
@@ -248,16 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_covers_all_benchmarks() {
-        let c = ClusterBuilder::new(20)
-            .assignment(Assignment::RoundRobin)
-            .build();
-        for (i, w) in c.workloads().iter().enumerate() {
-            assert_eq!(w.benchmark, Benchmark::from_index(i));
-        }
-    }
-
-    #[test]
     fn uniform_random_hosts_every_benchmark_eventually() {
         let c = ClusterBuilder::new(500).seed(7).build();
         for b in Benchmark::ALL {
@@ -272,7 +211,7 @@ mod tests {
     fn power_range_is_n_times_server_box() {
         let c = ClusterBuilder::new(100).build();
         let lo = c.min_total_power();
-        let hi = c.max_total_power();
+        let hi: Watts = c.workloads().iter().map(|w| w.learned.p_max()).sum();
         let srv = c.server();
         assert!((lo - srv.min_full_power() * 100.0).abs() < Watts(1e-6));
         assert!((hi - srv.peak * 100.0).abs() < Watts(1e-6));

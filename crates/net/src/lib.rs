@@ -8,12 +8,14 @@
 //!
 //! ```
 //! use dpc_net::{CommModel, Scheme};
+//! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let model = CommModel::paper();
 //! // A 70-iteration DiBA run on a ring costs ~29 ms regardless of N…
 //! assert!(model.diba_total(2, 70).millis() < 35.0);
 //! // …while a single coordinator gather/scatter at N=6400 costs >1 s.
-//! assert!(model.coordinator_round_mean(6400).millis() > 1000.0);
+//! let mut rng = StdRng::seed_from_u64(1);
+//! assert!(model.centralized_total(6400, &mut rng).millis() > 1000.0);
 //! assert_eq!(Scheme::Diba.to_string(), "DiBA");
 //! ```
 

@@ -7,9 +7,7 @@
 //! coordinator drain: its bottleneck is the coordinator's serial packet
 //! processing either way.
 
-use crate::timing::{
-    coordinator_round_expected, coordinator_round_sim, neighbor_round, LinkTiming,
-};
+use crate::timing::{coordinator_round_sim, neighbor_round, LinkTiming};
 use dpc_models::units::Seconds;
 use rand::Rng;
 
@@ -52,16 +50,6 @@ impl CommModel {
         }
     }
 
-    /// Model with custom timings.
-    pub fn new(timing: LinkTiming) -> CommModel {
-        CommModel { timing }
-    }
-
-    /// The underlying link timing.
-    pub fn timing(&self) -> LinkTiming {
-        self.timing
-    }
-
     /// Total communication time of the centralized scheme: a single gather
     /// plus scatter through the coordinator (queue-simulated).
     pub fn centralized_total<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Seconds {
@@ -88,12 +76,6 @@ impl CommModel {
     /// queueing, the exchanges are point-to-point and parallel.
     pub fn diba_total(&self, max_degree: usize, iterations: usize) -> Seconds {
         neighbor_round(max_degree, self.timing) * iterations as f64
-    }
-
-    /// Deterministic expectation of a coordinator round (for closed-form
-    /// sanity checks and fast sweeps).
-    pub fn coordinator_round_mean(&self, n: usize) -> Seconds {
-        coordinator_round_expected(n, self.timing)
     }
 }
 
@@ -143,13 +125,6 @@ mod tests {
         let dense = m.diba_total(8, 50);
         assert!((dense / ring - 4.0).abs() < 1e-9);
         assert!((m.diba_total(2, 100) / ring - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn coordinator_round_mean_matches_expected() {
-        let m = CommModel::paper();
-        let mean = m.coordinator_round_mean(1000);
-        assert!((mean.millis() - 210.0).abs() < 1e-6); // 1000·(200+10) µs
     }
 
     #[test]

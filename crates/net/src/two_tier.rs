@@ -2,19 +2,13 @@
 //!
 //! "Each rack consists of 40 servers which are connected with one
 //! top-of-rack 10 GbE Ethernet switch. Further, all racks are connected via
-//! a higher-layer core switch" (Section 4.4.1). This module models a
-//! coordinator round through that hierarchy as a three-stage tandem —
-//! rack-local drain at the ToR, ToR→core forwarding, coordinator reads —
-//! and shows why the hierarchy does *not* relieve the coordinator
-//! bottleneck: switch forwarding is an order of magnitude faster than the
-//! endpoint's socket reads, so the read stage dominates regardless of the
-//! tree above it. It also accounts DiBA's per-round core-switch load: a
-//! rack-aligned ring sends only two packets per rack boundary through the
-//! core, leaving it essentially idle.
+//! a higher-layer core switch" (Section 4.4.1). This module accounts
+//! DiBA's per-round core-switch load over that tree: a rack-aligned ring
+//! sends only two packets per rack boundary through the core, leaving it
+//! essentially idle.
 
 use crate::timing::LinkTiming;
 use dpc_models::units::Seconds;
-use rand::Rng;
 
 /// Two-tier tree parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,7 +19,7 @@ pub struct TwoTierNetwork {
     pub tor_forward: Seconds,
     /// Per-packet forwarding time at the core switch.
     pub core_forward: Seconds,
-    /// Endpoint socket timings (the coordinator's reads dominate).
+    /// Endpoint socket timings.
     pub timing: LinkTiming,
 }
 
@@ -42,34 +36,8 @@ impl TwoTierNetwork {
     }
 
     /// Number of racks for `n` servers (rounding up).
-    pub fn racks(&self, n: usize) -> usize {
+    pub(crate) fn racks(&self, n: usize) -> usize {
         n.div_ceil(self.servers_per_rack.max(1))
-    }
-
-    /// One coordinator round through the tree: every server's packet is
-    /// drained by its ToR (racks in parallel), forwarded serially by the
-    /// core, then read serially by the coordinator, followed by the serial
-    /// downlink of `n` replies back down.
-    ///
-    /// The tandem's makespan is the bottleneck stage's busy period plus the
-    /// other stages' single-packet latencies; the uplink arrival jitter is
-    /// queue-simulated like the flat model.
-    pub fn coordinator_round<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Seconds {
-        if n == 0 {
-            return Seconds::ZERO;
-        }
-        // Stage service totals.
-        let per_rack = self.servers_per_rack.max(1).min(n);
-        let tor_stage = self.tor_forward * per_rack as f64; // racks parallel
-        let core_stage = self.core_forward * n as f64;
-        // The read stage with Poisson arrival jitter (same drain as the
-        // flat model).
-        let read_stage = crate::timing::coordinator_round_sim(n, self.timing, rng)
-            - self.timing.write * n as f64;
-        let uplink =
-            tor_stage.max(core_stage).max(read_stage) + self.tor_forward + self.core_forward;
-        let downlink = self.timing.write * n as f64 + self.core_forward + self.tor_forward;
-        uplink + downlink
     }
 
     /// Core-switch packets per DiBA round for a rack-aligned ring of `n`
@@ -85,7 +53,7 @@ impl TwoTierNetwork {
 
     /// Wall time of one DiBA ring round over the tree: the neighbor
     /// exchange plus (for cross-rack edges) two switch traversals.
-    pub fn diba_round(&self) -> Seconds {
+    pub(crate) fn diba_round(&self) -> Seconds {
         let exchange = (self.timing.read + self.timing.write) * 2.0;
         exchange + (self.tor_forward * 2.0 + self.core_forward) * 2.0
     }
@@ -107,9 +75,6 @@ impl Default for TwoTierNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::coordinator_round_expected;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn rack_count() {
@@ -118,30 +83,6 @@ mod tests {
         assert_eq!(net.racks(41), 2);
         assert_eq!(net.racks(6400), 160);
         assert_eq!(net.racks(0), 0);
-    }
-
-    #[test]
-    fn hierarchy_does_not_relieve_the_coordinator() {
-        // The two-tier round is within ~15 % of the flat coordinator model:
-        // endpoint reads dominate switch forwarding.
-        let net = TwoTierNetwork::paper();
-        let mut rng = StdRng::seed_from_u64(2);
-        for &n in &[400usize, 1600, 6400] {
-            let tree = net.coordinator_round(n, &mut rng);
-            let flat = coordinator_round_expected(n, net.timing);
-            let rel = (tree.0 - flat.0).abs() / flat.0;
-            assert!(rel < 0.15, "n={n}: tree {tree} vs flat {flat}");
-        }
-    }
-
-    #[test]
-    fn coordinator_round_grows_linearly_in_the_tree_too() {
-        let net = TwoTierNetwork::paper();
-        let mut rng = StdRng::seed_from_u64(3);
-        let a = net.coordinator_round(800, &mut rng);
-        let b = net.coordinator_round(3200, &mut rng);
-        let ratio = b / a;
-        assert!(ratio > 3.0 && ratio < 5.0, "ratio {ratio}");
     }
 
     #[test]
@@ -156,12 +97,5 @@ mod tests {
         assert!(util > 0.0 && util < 10.0, "utilization {util}");
         // One distributed round costs sub-millisecond even over the tree.
         assert!(net.diba_round().millis() < 1.0);
-    }
-
-    #[test]
-    fn zero_servers_edge_case() {
-        let net = TwoTierNetwork::paper();
-        let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(net.coordinator_round(0, &mut rng), Seconds::ZERO);
     }
 }

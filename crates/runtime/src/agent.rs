@@ -39,9 +39,9 @@
 //! awaited slot's entry (or its absence) to [`AgentCore::receive`], and
 //! after a quorum [`AgentCore::end_round`] to the lame-duck drain, whose
 //! open slots and staged mass are block state. What a fault does to an
-//! agent from outside its round — a budget shift ([`AgentCore::absorb`]),
+//! agent from outside its round — a budget shift (`AgentCore::absorb`),
 //! a restart donor's power cut, a pruned link re-admitted, a powered-off
-//! peer's share booked, a reboot ([`AgentCore::reset`]) — is a block
+//! peer's share booked, a reboot (`AgentCore::reset`) — is a block
 //! method too.
 //!
 //! **The link ledger.** An agent's `e − p` moves only by the transfers on
@@ -287,7 +287,7 @@ impl AgentCore {
     /// Reboots agent `a` from `spec` — a crashed node restarting: its
     /// state, links and logs are those of a fresh launch, with an empty
     /// link ledger for the driver to open.
-    pub fn reset(&mut self, a: usize, spec: &NodeSpec) {
+    pub(crate) fn reset(&mut self, a: usize, spec: &NodeSpec) {
         let tag = a as u32;
         self.pruned.retain(|&(b, _)| b != tag);
         self.trace.retain(|&(b, _)| b != tag);
@@ -296,38 +296,33 @@ impl AgentCore {
     }
 
     /// Number of agents in the block.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.spec.len()
-    }
-
-    /// `true` for a block of no agents.
-    pub fn is_empty(&self) -> bool {
-        self.spec.is_empty()
     }
 
     /// Agent `a`'s slots as indices into the block's per-slot columns: a
     /// driver that lays its links out in block order addresses them with
     /// the same index.
     #[inline]
-    pub fn slots(&self, a: usize) -> Range<usize> {
+    pub(crate) fn slots(&self, a: usize) -> Range<usize> {
         self.row[a]..self.row[a + 1]
     }
 
     /// Number of agent `a`'s neighbor slots.
     #[inline]
-    pub fn degree(&self, a: usize) -> usize {
+    pub(crate) fn degree(&self, a: usize) -> usize {
         self.row[a + 1] - self.row[a]
     }
 
     /// Rounds agent `a` has executed so far.
     #[inline]
-    pub fn rounds(&self, a: usize) -> usize {
+    pub(crate) fn rounds(&self, a: usize) -> usize {
         self.state[a].rounds
     }
 
     /// `true` while agent `a`'s round budget allows another round.
     #[inline]
-    pub fn rounds_remaining(&self, a: usize) -> bool {
+    pub(crate) fn rounds_remaining(&self, a: usize) -> bool {
         self.state[a].rounds < self.spec[a].max_rounds
     }
 
@@ -349,24 +344,24 @@ impl AgentCore {
     /// Whether agent `a`'s receive pass awaits an entry on `slot`: the
     /// slot is in this round and did not die during the send pass.
     #[inline]
-    pub fn awaits(&self, a: usize, slot: usize) -> bool {
+    pub(crate) fn awaits(&self, a: usize, slot: usize) -> bool {
         let s = self.row[a] + slot;
         self.flags[s].staged.in_round() && self.flags[s].alive
     }
 
     /// Agent `a`'s power (watts).
-    pub fn p(&self, a: usize) -> f64 {
+    pub(crate) fn p(&self, a: usize) -> f64 {
         self.state[a].p
     }
 
     /// Agent `a`'s residual estimate (watts).
-    pub fn e(&self, a: usize) -> f64 {
+    pub(crate) fn e(&self, a: usize) -> f64 {
         self.state[a].e
     }
 
     /// Slack mass that reaches agent `a` outside a round's entries — a
     /// budget shift, a restart donor's spare slack — enters `e`.
-    pub fn absorb(&mut self, a: usize, mass: f64) {
+    pub(crate) fn absorb(&mut self, a: usize, mass: f64) {
         self.state[a].e += mass;
     }
 
@@ -419,13 +414,13 @@ impl AgentCore {
 
     /// Agent `a` throttles by `watts` to make room for a booting neighbor:
     /// `p` falls and `e` stays, so `e − p` rises by `watts`.
-    pub fn cut_power(&mut self, a: usize, watts: f64) {
+    pub(crate) fn cut_power(&mut self, a: usize, watts: f64) {
         self.state[a].p -= watts;
     }
 
     /// A crashed agent draws nothing and holds no residual: its `e − p`
     /// lives on in its neighbours' shares of it.
-    pub fn power_off(&mut self, a: usize) {
+    pub(crate) fn power_off(&mut self, a: usize) {
         self.state[a].p = 0.0;
         self.state[a].e = 0.0;
     }
@@ -433,7 +428,7 @@ impl AgentCore {
     /// Re-admits the pruned link behind agent `a`'s `slot`: an entry
     /// arrived on it, so the peer is sending again (it restarted, or was
     /// only slow), and the slot's pending share is a live flow again.
-    pub fn readmit(&mut self, a: usize, slot: usize) {
+    pub(crate) fn readmit(&mut self, a: usize, slot: usize) {
         let s = self.row[a] + slot;
         if !self.flags[s].alive {
             self.flags[s].alive = true;
@@ -576,7 +571,7 @@ impl AgentCore {
     }
 
     /// Receive pass of agent `a`, one slot at a time: called once per slot
-    /// the pass [awaits](AgentCore::awaits), in slot order. `entry`
+    /// the pass awaits (`AgentCore::awaits`), in slot order. `entry`
     /// is what the peer sent this round, or `None` when nothing arrived —
     /// because the link is gone (`link_gone`), or because the round
     /// deadline passed on a link that is still up.
@@ -600,7 +595,7 @@ impl AgentCore {
     /// entry, or nothing and whether the link is gone — and the block
     /// takes it as [`receive`](AgentCore::receive) does.
     #[inline]
-    pub fn receive_round(
+    pub(crate) fn receive_round(
         &mut self,
         a: usize,
         mut inbound: impl FnMut(usize) -> (Option<BatchEntry>, bool),

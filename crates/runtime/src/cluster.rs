@@ -61,7 +61,7 @@ impl TransportKind {
 pub enum ShardCount {
     /// Load-driven auto-tune: sized from total round work (Σ degree+4),
     /// host parallelism, and the measured per-shard round cost (see
-    /// [`crate::reactor::resolve_shard_count`]). The CLI spelling is
+    /// `crate::reactor::resolve_shard_count`). The CLI spelling is
     /// `--shards auto`.
     #[default]
     Auto,

@@ -64,7 +64,7 @@ pub(super) fn loopback_pair(listener: &TcpListener) -> io::Result<(TcpStream, Tc
 }
 
 /// One neighbor's connected, handshaken stream.
-pub struct NeighborStream {
+pub(crate) struct NeighborStream {
     pub stream: TcpStream,
     /// The peer's socket address, for error messages.
     pub label: String,
@@ -283,7 +283,7 @@ fn await_ack(
 /// ([`HandshakeFailure::Timeout`]), a `Hello` is turned away
 /// ([`HandshakeFailure::RejectedPeer`]) or a dial is
 /// ([`HandshakeFailure::Rejected`]).
-pub fn connect_neighbors(
+pub(crate) fn connect_neighbors(
     node: usize,
     graph: &Graph,
     listener: &TcpListener,

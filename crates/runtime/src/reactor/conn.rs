@@ -24,7 +24,7 @@ use std::ops::Range;
 /// agents is coalesced onto this single stream as batch entries, so the
 /// per-round flush cost is O(carriers) — a handful — rather than
 /// O(messages).
-pub struct Carrier {
+pub(crate) struct Carrier {
     /// How errors name the peer: `shard K` inside one process, the
     /// socket address when the peer is another process's node shard.
     pub label: String,
@@ -53,7 +53,7 @@ pub struct Carrier {
 impl Carrier {
     /// A fresh carrier over `stream` (already nonblocking), naming its
     /// peer `label` in errors.
-    pub fn new(label: String, stream: TcpStream) -> Carrier {
+    pub(crate) fn new(label: String, stream: TcpStream) -> Carrier {
         Carrier {
             label,
             stream,
@@ -69,7 +69,7 @@ impl Carrier {
     }
 
     /// Label used in errors.
-    pub fn peer_label(&self) -> String {
+    pub(crate) fn peer_label(&self) -> String {
         self.label.clone()
     }
 
@@ -109,7 +109,7 @@ impl Carrier {
 /// agent `a`'s slot `k` is link `block.slots(a).start + k`; whether a
 /// link's inbound side has ended is [`Inbox`] state.
 #[derive(Clone, Copy)]
-pub struct Link {
+pub(crate) struct Link {
     /// Shard-local index of the carrier this link's traffic rides; `None`
     /// when the neighbor is on this shard.
     pub carrier: Option<u32>,
@@ -125,7 +125,7 @@ pub struct Link {
 /// the round down, once.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-pub enum Wake {
+pub(crate) enum Wake {
     /// Nothing.
     Idle = 0,
     /// The agent drains: every arrival wakes it.
@@ -182,7 +182,7 @@ impl SlotFifo {
 /// an overflow spill in arrival order and moves up as the FIFO drains, so
 /// every link stays FIFO. A link has entries in the spill only while its
 /// ring is full.
-pub struct Inbox {
+pub(crate) struct Inbox {
     fifo: Vec<SlotFifo>,
     /// Per link: the block index of the agent that owns it.
     owner: Vec<u32>,
@@ -196,7 +196,7 @@ pub struct Inbox {
 impl Inbox {
     /// Empty, idle FIFOs for `agents` agents, one per link, for links
     /// owned by `owners` in link order.
-    pub fn new(agents: usize, owners: impl IntoIterator<Item = u32>) -> Inbox {
+    pub(crate) fn new(agents: usize, owners: impl IntoIterator<Item = u32>) -> Inbox {
         let owner: Vec<u32> = owners.into_iter().collect();
         let empty = SlotFifo {
             e: [0.0; 2],
@@ -216,7 +216,7 @@ impl Inbox {
     /// Appends `entry` to `link`'s FIFO. Returns the agent to step, if the
     /// arrival completes the round of the link's owner or wakes its drain.
     #[inline]
-    pub fn push(&mut self, link: usize, entry: BatchEntry) -> Option<u32> {
+    pub(crate) fn push(&mut self, link: usize, entry: BatchEntry) -> Option<u32> {
         let f = &mut self.fifo[link];
         let state = f.state;
         if state & LENS == 2 * LEN {
@@ -233,7 +233,7 @@ impl Inbox {
     /// side ended. Returns the agent to step, as for
     /// [`push`](Inbox::push), when that fills the link — it was not at
     /// EOF already and nothing is buffered on it.
-    pub fn latch_eof(&mut self, link: usize) -> Option<u32> {
+    pub(crate) fn latch_eof(&mut self, link: usize) -> Option<u32> {
         let f = &mut self.fifo[link];
         let state = f.state;
         f.state = (state | EOF) & !COUNT;
@@ -261,7 +261,7 @@ impl Inbox {
 
     /// Whether `link`'s inbound side has ended.
     #[inline]
-    pub fn is_eof(&self, link: usize) -> bool {
+    pub(crate) fn is_eof(&self, link: usize) -> bool {
         self.fifo[link].state & EOF != 0
     }
 
@@ -270,7 +270,7 @@ impl Inbox {
     /// the link is at EOF (and nothing changes). The owner's count is
     /// [`wait_for`](Inbox::wait_for)'s to set.
     #[inline]
-    pub fn arm(&mut self, link: usize) -> Option<bool> {
+    pub(crate) fn arm(&mut self, link: usize) -> Option<bool> {
         let f = &mut self.fifo[link];
         let state = f.state;
         if state & EOF != 0 {
@@ -283,25 +283,25 @@ impl Inbox {
 
     /// Undoes [`arm`](Inbox::arm): no round waits on `link`.
     #[cold]
-    pub fn disarm(&mut self, link: usize) {
+    pub(crate) fn disarm(&mut self, link: usize) {
         self.fifo[link].state &= !COUNT;
     }
 
     /// Agent `a`'s round waits on the `links` it just armed.
     #[inline]
-    pub fn wait_for(&mut self, a: usize, links: u32) {
+    pub(crate) fn wait_for(&mut self, a: usize, links: u32) {
         self.missing[a] = links;
     }
 
     /// The empty links agent `a`'s round waits on.
     #[inline]
-    pub fn missing(&self, a: usize) -> u32 {
+    pub(crate) fn missing(&self, a: usize) -> u32 {
         self.missing[a]
     }
 
     /// Sets what the next arrival on each of `links` (all owned by agent
     /// `a`) does; the agent's round waits on none of them any more.
-    pub fn set_wakes(&mut self, a: usize, links: Range<usize>, wake: Wake) {
+    pub(crate) fn set_wakes(&mut self, a: usize, links: Range<usize>, wake: Wake) {
         for f in &mut self.fifo[links] {
             f.state = (f.state & !WAKES) | wake as u8;
         }
@@ -310,7 +310,7 @@ impl Inbox {
 
     /// Takes the front entry of `link`'s FIFO.
     #[inline]
-    pub fn pop(&mut self, link: usize) -> Option<BatchEntry> {
+    pub(crate) fn pop(&mut self, link: usize) -> Option<BatchEntry> {
         let f = &mut self.fifo[link];
         let state = f.state;
         if state & LENS == 0 {
@@ -345,7 +345,7 @@ impl Inbox {
     }
 
     /// How many entries `link` holds, ring and spill.
-    pub fn buffered(&self, link: usize) -> usize {
+    pub(crate) fn buffered(&self, link: usize) -> usize {
         let spilled = self.spill.iter().filter(|&&(l, _)| l as usize == link);
         usize::from((self.fifo[link].state & LENS) / LEN) + spilled.count()
     }

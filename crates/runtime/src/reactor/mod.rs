@@ -95,7 +95,7 @@ const AUTO_MAX_SHARDS: usize = 8;
 /// Resolves the configured shard count against the actual load: a fixed
 /// request is clamped to `[1, n]`, while [`ShardCount::Auto`] sizes from
 /// total round work, host parallelism, and `AUTO_WORK_PER_SHARD`.
-pub fn resolve_shard_count(requested: ShardCount, graph: &Graph) -> usize {
+pub(crate) fn resolve_shard_count(requested: ShardCount, graph: &Graph) -> usize {
     let n = graph.len();
     match requested {
         ShardCount::Fixed(k) => k.clamp(1, n.max(1)),

@@ -71,7 +71,7 @@ enum Phase {
 }
 
 /// Everything one shard thread owns.
-pub struct Shard {
+pub(crate) struct Shard {
     /// Shard index (thread name, diagnostics).
     pub id: usize,
     /// This shard's epoll instance; a carrier's token is its index.
@@ -131,7 +131,7 @@ struct Loop {
 /// # Errors
 ///
 /// First [`RuntimeError`] hit by any hosted carrier or agent.
-pub fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeError> {
+pub(crate) fn run_shard(mut shard: Shard) -> Result<Vec<(usize, NodeReport)>, RuntimeError> {
     let n_agents = shard.block.len();
     let mut lp = Loop {
         phase: vec![Phase::NeedSend; n_agents],

@@ -9,15 +9,15 @@ use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 
 /// Readable (or accept-ready) event bit.
-pub const EPOLLIN: u32 = 0x001;
+pub(crate) const EPOLLIN: u32 = 0x001;
 /// Writable event bit.
-pub const EPOLLOUT: u32 = 0x004;
+pub(crate) const EPOLLOUT: u32 = 0x004;
 /// Error condition event bit (always reported, never requested).
-pub const EPOLLERR: u32 = 0x008;
+pub(crate) const EPOLLERR: u32 = 0x008;
 /// Hangup event bit (always reported, never requested).
-pub const EPOLLHUP: u32 = 0x010;
+pub(crate) const EPOLLHUP: u32 = 0x010;
 /// Peer shut down its write half.
-pub const EPOLLRDHUP: u32 = 0x2000;
+pub(crate) const EPOLLRDHUP: u32 = 0x2000;
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EPOLL_CTL_ADD: i32 = 1;
@@ -31,7 +31,7 @@ const EINTR: i32 = 4;
 #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
 #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Clone, Copy, Default)]
-pub struct EpollEvent {
+pub(crate) struct EpollEvent {
     /// Bitmask of ready `EPOLL*` conditions.
     pub events: u32,
     /// The caller's token registered with the fd.
@@ -53,7 +53,7 @@ fn cvt(ret: i32) -> io::Result<i32> {
 }
 
 /// An owned epoll instance.
-pub struct Epoll {
+pub(crate) struct Epoll {
     fd: OwnedFd,
 }
 
@@ -63,7 +63,7 @@ impl Epoll {
     /// # Errors
     ///
     /// The raw `epoll_create1` failure.
-    pub fn new() -> io::Result<Epoll> {
+    pub(crate) fn new() -> io::Result<Epoll> {
         // SAFETY: plain syscall; the returned fd is immediately owned.
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         // SAFETY: `fd` is a freshly created, unowned descriptor.
@@ -88,7 +88,7 @@ impl Epoll {
     /// # Errors
     ///
     /// The raw `epoll_ctl` failure.
-    pub fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, events, token)
     }
 
@@ -97,7 +97,7 @@ impl Epoll {
     /// # Errors
     ///
     /// The raw `epoll_ctl` failure.
-    pub fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events, token)
     }
 
@@ -106,7 +106,7 @@ impl Epoll {
     /// # Errors
     ///
     /// The raw `epoll_ctl` failure.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
@@ -117,7 +117,7 @@ impl Epoll {
     /// # Errors
     ///
     /// The raw `epoll_wait` failure.
-    pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
+    pub(crate) fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         loop {
             // SAFETY: `events` is a valid writable slice; the kernel
             // writes at most `events.len()` records.

@@ -47,11 +47,11 @@ pub const TAG_DATA_BATCH: u8 = 7;
 
 /// Bytes of one packed batch entry: `slot: u32`, `e: f64`,
 /// `transfer: f64`, `flags: u8`.
-pub const BATCH_ENTRY_LEN: usize = 21;
+pub(crate) const BATCH_ENTRY_LEN: usize = 21;
 
 /// Bytes of a batch payload before the entries: tag, `round: u32`,
 /// `count: u16`.
-pub const BATCH_HEADER_LEN: usize = 7;
+pub(crate) const BATCH_HEADER_LEN: usize = 7;
 
 /// Most entries one [`DataBatch`] frame may carry; a busier carrier seals
 /// the frame and opens the next one ([`BatchWriter`] does this
@@ -108,7 +108,7 @@ impl RejectReason {
     }
 
     /// Stable name used in error messages and logs.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             RejectReason::VersionMismatch => "version-mismatch",
             RejectReason::TopologyMismatch => "topology-mismatch",
@@ -158,7 +158,7 @@ pub enum WireMsg {
 
 impl WireMsg {
     /// The message's tag byte.
-    pub fn tag(&self) -> u8 {
+    pub(crate) fn tag(&self) -> u8 {
         match self {
             WireMsg::Hello { .. } => 1,
             WireMsg::HelloAck { .. } => 2,
@@ -167,7 +167,7 @@ impl WireMsg {
     }
 
     /// Human-readable message kind (for error reporting).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             WireMsg::Hello { .. } => "hello",
             WireMsg::HelloAck { .. } => "hello-ack",

@@ -46,16 +46,6 @@ impl EnforcedCluster {
         }
     }
 
-    /// Number of servers.
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// `true` when the bank has no servers (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
-    }
-
     /// Re-applies a new cap vector (a budgeter re-allocation).
     ///
     /// # Panics
@@ -69,7 +59,7 @@ impl EnforcedCluster {
     }
 
     /// Advances every controller one period; returns total measured power.
-    pub fn tick(&mut self) -> Watts {
+    pub(crate) fn tick(&mut self) -> Watts {
         let mut total = Watts::ZERO;
         for server in &mut self.servers {
             let n = if self.noise > Watts::ZERO {
@@ -94,20 +84,6 @@ impl EnforcedCluster {
     /// Current total measured power.
     pub fn measured_total(&self) -> Watts {
         self.servers.iter().map(|s| s.measured_power()).sum()
-    }
-
-    /// Per-server measured power.
-    pub fn measured(&self) -> Vec<Watts> {
-        self.servers.iter().map(|s| s.measured_power()).collect()
-    }
-
-    /// Per-server enforcement gap `cap − measured` (positive after
-    /// settling: the p-state ladder quantizes below the cap).
-    pub fn enforcement_gaps(&self) -> Vec<Watts> {
-        self.servers
-            .iter()
-            .map(|s| s.cap() - s.measured_power())
-            .collect()
     }
 
     /// Fraction of servers currently measuring at or below their caps.
@@ -175,11 +151,12 @@ mod tests {
             .windows(2)
             .map(|w| w[1] - w[0])
             .fold(Watts::ZERO, Watts::max);
-        for (gap, &cap) in e.enforcement_gaps().iter().zip(alloc.powers()) {
+        let gaps = e.servers.iter().map(|s| s.cap() - s.measured_power());
+        for (gap, &cap) in gaps.zip(alloc.powers()) {
             // Caps below the lowest level cannot be met; skip those.
             if cap >= spec.min_full_power() {
-                assert!(*gap <= max_step + Watts(1e-6), "gap {gap} at cap {cap}");
-                assert!(*gap >= -Watts(1e-6));
+                assert!(gap <= max_step + Watts(1e-6), "gap {gap} at cap {cap}");
+                assert!(gap >= -Watts(1e-6));
             }
         }
     }
@@ -209,9 +186,10 @@ mod tests {
         // noise of its cap: per-tick noise feeds the first-order filter
         // with gain 1/(1−smoothing) = 2, so the stationary excursion is
         // bounded by twice the amplitude.
-        for (m, &cap) in e.measured().iter().zip(alloc.powers()) {
+        for (s, &cap) in e.servers.iter().zip(alloc.powers()) {
+            let m = s.measured_power();
             assert!(
-                *m <= cap + noise * 2.0 + Watts(1e-6),
+                m <= cap + noise * 2.0 + Watts(1e-6),
                 "measured {m} cap {cap}"
             );
         }
@@ -224,9 +202,11 @@ mod tests {
         let alloc = baselines::uniform(&p);
         let mut e = EnforcedCluster::new(&spec, &alloc, Watts::ZERO, 5);
         e.run(60);
-        let m = e.measured();
-        let first = m[0];
-        assert!(m.iter().all(|&x| (x - first).abs() < Watts(1e-6)));
+        let first = e.servers[0].measured_power();
+        assert!(e
+            .servers
+            .iter()
+            .all(|s| (s.measured_power() - first).abs() < Watts(1e-6)));
     }
 
     #[test]

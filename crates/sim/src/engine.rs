@@ -65,7 +65,7 @@ impl SimConfig {
     /// or non-positive sample interval, a non-finite or negative duration,
     /// a duration of more than 100 000 sample intervals, or non-positive
     /// churn/phase means.
-    pub fn validate(&self) -> Result<(), AlgError> {
+    pub(crate) fn validate(&self) -> Result<(), AlgError> {
         let bad = |what: String| Err(AlgError::InvalidConfig { what });
         if !self.sample_interval.0.is_finite() || self.sample_interval <= Seconds::ZERO {
             return bad(format!(
@@ -124,7 +124,7 @@ impl SimConfig {
 /// # Errors
 ///
 /// [`AlgError::InvalidConfig`] when the configuration fails
-/// [`SimConfig::validate`] or `run` and `cluster` differ in size;
+/// `SimConfig::validate` or `run` and `cluster` differ in size;
 /// [`AlgError::InfeasibleBudget`] when the schedule drops below the
 /// cluster's idle floor.
 pub fn simulate(
@@ -343,7 +343,10 @@ mod tests {
     fn diba_tracks_a_budget_step_without_violations() {
         let c = cluster(30, 1);
         let mut run = ring_run(&c, 5_700.0, DibaConfig::default());
-        let schedule = BudgetSchedule::step(Watts(5_700.0), Watts(5_100.0), Seconds(10.0));
+        let schedule = BudgetSchedule::steps(vec![
+            (Seconds::ZERO, Watts(5_700.0)),
+            (Seconds(10.0), Watts(5_100.0)),
+        ]);
         let series = simulate(c, &mut run, &schedule, &config(20.0)).unwrap();
         assert_eq!(series.len(), 21);
         // One-sample grace after the step: the decentralized controller
@@ -419,7 +422,10 @@ mod tests {
     fn infeasible_schedule_errors() {
         let c = cluster(5, 5);
         let mut run = ring_run(&c, 850.0, DibaConfig::default());
-        let schedule = BudgetSchedule::step(Watts(850.0), Watts(100.0), Seconds(1.0));
+        let schedule = BudgetSchedule::steps(vec![
+            (Seconds::ZERO, Watts(850.0)),
+            (Seconds(1.0), Watts(100.0)),
+        ]);
         assert!(matches!(
             simulate(c, &mut run, &schedule, &config(5.0)),
             Err(AlgError::InfeasibleBudget { .. })

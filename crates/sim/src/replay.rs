@@ -94,7 +94,7 @@ pub enum ScenarioEvent {
 
 impl ScenarioEvent {
     /// Stable one-line description used in reports.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             ScenarioEvent::SetBudget(w) => format!("budget {:.1}", w.0),
             ScenarioEvent::VmArrive { node, vm } => format!(
@@ -465,7 +465,7 @@ impl SettleCriterion {
     /// # Errors
     ///
     /// [`AlgError::InvalidConfig`] naming the offending knob.
-    pub fn validate(&self) -> Result<(), AlgError> {
+    pub(crate) fn validate(&self) -> Result<(), AlgError> {
         if !self.tol_watts.is_finite() || self.tol_watts <= 0.0 {
             return Err(AlgError::InvalidConfig {
                 what: format!(

@@ -44,16 +44,6 @@ impl BudgetSchedule {
         BudgetSchedule { segments }
     }
 
-    /// A single step: `before` until `at`, then `after`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is not strictly positive.
-    pub fn step(before: Watts, after: Watts, at: Seconds) -> BudgetSchedule {
-        assert!(at > Seconds::ZERO, "step time must be positive");
-        BudgetSchedule::steps(vec![(Seconds::ZERO, before), (at, after)])
-    }
-
     /// The budget in force at time `t` (clamped to the first segment for
     /// negative times).
     pub fn budget_at(&self, t: Seconds) -> Watts {
@@ -70,7 +60,7 @@ impl BudgetSchedule {
 
     /// Whether the budget changes in the half-open interval `(from, to]` —
     /// the engine's re-allocation trigger.
-    pub fn changes_within(&self, from: Seconds, to: Seconds) -> bool {
+    pub(crate) fn changes_within(&self, from: Seconds, to: Seconds) -> bool {
         self.budget_at(from) != self.budget_at(to)
             || self
                 .segments
@@ -106,8 +96,11 @@ mod tests {
     }
 
     #[test]
-    fn single_step_constructor() {
-        let s = BudgetSchedule::step(Watts(190.0), Watts(170.0), Seconds(10.0));
+    fn a_step_takes_effect_at_its_start_time() {
+        let s = BudgetSchedule::steps(vec![
+            (Seconds::ZERO, Watts(190.0)),
+            (Seconds(10.0), Watts(170.0)),
+        ]);
         assert_eq!(s.budget_at(Seconds(9.999)), Watts(190.0));
         assert_eq!(s.budget_at(Seconds(10.0)), Watts(170.0));
     }

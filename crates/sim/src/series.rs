@@ -25,7 +25,7 @@ pub struct TimeSeries {
 
 impl TimeSeries {
     /// Empty series.
-    pub fn new() -> TimeSeries {
+    pub(crate) fn new() -> TimeSeries {
         TimeSeries::default()
     }
 
@@ -34,7 +34,7 @@ impl TimeSeries {
     /// # Panics
     ///
     /// Panics if time does not advance monotonically.
-    pub fn push(&mut self, point: TimePoint) {
+    pub(crate) fn push(&mut self, point: TimePoint) {
         if let Some(last) = self.points.last() {
             assert!(
                 point.t >= last.t,

@@ -16,7 +16,7 @@ use crate::matrix::Matrix;
 /// A machine-room geometry: `rows` aisles of `racks_per_row` racks, CRAC
 /// intakes along both side walls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoomLayout {
+pub(crate) struct RoomLayout {
     /// Number of rack rows (aisles).
     pub rows: usize,
     /// Racks per row.
@@ -26,28 +26,15 @@ pub struct RoomLayout {
 impl RoomLayout {
     /// The paper's experimental room: 8 rows × 10 racks (80 racks of 40
     /// servers = 3200 servers).
-    pub fn paper_cluster() -> RoomLayout {
+    pub(crate) fn paper_cluster() -> RoomLayout {
         RoomLayout {
             rows: 8,
             racks_per_row: 10,
         }
     }
 
-    /// Builds a layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(rows: usize, racks_per_row: usize) -> RoomLayout {
-        assert!(rows > 0 && racks_per_row > 0, "room must have racks");
-        RoomLayout {
-            rows,
-            racks_per_row,
-        }
-    }
-
     /// Total rack count.
-    pub fn racks(&self) -> usize {
+    pub(crate) fn racks(&self) -> usize {
         self.rows * self.racks_per_row
     }
 
@@ -56,14 +43,14 @@ impl RoomLayout {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn coords(&self, i: usize) -> (usize, usize) {
+    pub(crate) fn coords(&self, i: usize) -> (usize, usize) {
         assert!(i < self.racks(), "rack {i} out of range");
         (i / self.racks_per_row, i % self.racks_per_row)
     }
 
     /// Physical distance between racks, in rack pitches. Rows are spaced
     /// two pitches apart (hot/cold aisle pairs).
-    pub fn distance(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn distance(&self, i: usize, j: usize) -> f64 {
         let (ri, ci) = self.coords(i);
         let (rj, cj) = self.coords(j);
         let dr = 2.0 * (ri as f64 - rj as f64);
@@ -73,7 +60,7 @@ impl RoomLayout {
 
     /// Distance of rack `i` to the nearest side wall (CRAC intake), in rack
     /// pitches. Racks close to the intake recirculate less.
-    pub fn crac_proximity(&self, i: usize) -> f64 {
+    pub(crate) fn crac_proximity(&self, i: usize) -> f64 {
         let (_, c) = self.coords(i);
         let from_left = c as f64;
         let from_right = (self.racks_per_row - 1 - c) as f64;
@@ -86,7 +73,7 @@ impl RoomLayout {
     /// dissipated at rack `j`. Nonnegative, with larger entries for nearby
     /// sources, downstream (same-row, higher-index) racks, and racks far
     /// from the CRAC intakes.
-    pub fn heat_matrix(&self) -> Matrix {
+    pub(crate) fn heat_matrix(&self) -> Matrix {
         let n = self.racks();
         let mut d = Matrix::zeros(n, n);
         // Decay length in rack pitches and base magnitude calibrated so a
@@ -133,7 +120,10 @@ mod tests {
 
     #[test]
     fn heat_matrix_is_nonnegative_and_distance_decaying() {
-        let l = RoomLayout::new(4, 6);
+        let l = RoomLayout {
+            rows: 4,
+            racks_per_row: 6,
+        };
         let d = l.heat_matrix();
         let n = l.racks();
         for i in 0..n {
@@ -149,7 +139,7 @@ mod tests {
     fn center_racks_recirculate_more_than_edge_racks() {
         let l = RoomLayout::paper_cluster();
         let d = l.heat_matrix();
-        let sums = d.row_sums();
+        let sums = d.mul_vec(&vec![1.0; l.racks()]);
         // Rack at column 4/5 (center) vs column 0 (at the CRAC wall), same row.
         assert!(sums[4] > sums[0], "center {} vs edge {}", sums[4], sums[0]);
     }
@@ -163,11 +153,5 @@ mod tests {
         let rise = d.mul_vec(&p);
         let peak = rise.iter().cloned().fold(0.0_f64, f64::max);
         assert!(peak > 4.0 && peak < 12.0, "peak rise {peak}");
-    }
-
-    #[test]
-    #[should_panic(expected = "room must have racks")]
-    fn rejects_empty_room() {
-        let _ = RoomLayout::new(0, 10);
     }
 }

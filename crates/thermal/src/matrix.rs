@@ -1,39 +1,11 @@
-//! Minimal dense matrix with LU solve, sized for the rack-level thermal
-//! models (tens to a few hundred racks).
+//! Minimal dense matrix, sized for the rack-level thermal models (tens to
+//! a few hundred racks).
 
-use std::fmt;
 use std::ops::{Index, IndexMut};
-
-/// Error from linear algebra operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MatrixError {
-    /// Dimensions do not agree for the requested operation.
-    ShapeMismatch {
-        /// Left-hand dimensions.
-        left: (usize, usize),
-        /// Right-hand dimensions.
-        right: (usize, usize),
-    },
-    /// The matrix is singular to working precision.
-    Singular,
-}
-
-impl fmt::Display for MatrixError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MatrixError::ShapeMismatch { left, right } => {
-                write!(f, "shape mismatch: {left:?} vs {right:?}")
-            }
-            MatrixError::Singular => f.write_str("matrix is singular"),
-        }
-    }
-}
-
-impl std::error::Error for MatrixError {}
 
 /// Row-major dense matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -41,7 +13,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// All-zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Matrix {
         Matrix {
             rows,
             cols,
@@ -49,44 +21,14 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Matrix {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Builds from a row-major vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Matrix {
-        assert_eq!(data.len(), rows * cols, "data length mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
     }
 
     /// Matrix-vector product.
@@ -94,136 +36,13 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `v.len() != cols`.
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
+    pub(crate) fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.cols, "vector length mismatch");
         (0..self.rows)
             .map(|r| {
                 let row = &self.data[r * self.cols..(r + 1) * self.cols];
                 row.iter().zip(v).map(|(a, b)| a * b).sum()
             })
-            .collect()
-    }
-
-    /// Matrix-matrix product.
-    ///
-    /// # Errors
-    ///
-    /// [`MatrixError::ShapeMismatch`] when inner dimensions disagree.
-    pub fn mul(&self, other: &Matrix) -> Result<Matrix, MatrixError> {
-        if self.cols != other.rows {
-            return Err(MatrixError::ShapeMismatch {
-                left: (self.rows, self.cols),
-                right: (other.rows, other.cols),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for c in 0..other.cols {
-                    out[(r, c)] += a * other[(k, c)];
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Elementwise subtraction.
-    ///
-    /// # Errors
-    ///
-    /// [`MatrixError::ShapeMismatch`] when shapes differ.
-    pub fn sub(&self, other: &Matrix) -> Result<Matrix, MatrixError> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(MatrixError::ShapeMismatch {
-                left: (self.rows, self.cols),
-                right: (other.rows, other.cols),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Ok(Matrix::from_vec(self.rows, self.cols, data))
-    }
-
-    /// Solves `self · x = b` by LU with partial pivoting.
-    ///
-    /// # Errors
-    ///
-    /// [`MatrixError::ShapeMismatch`] for non-square / wrong-length inputs,
-    /// [`MatrixError::Singular`] when a pivot vanishes.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
-        if self.rows != self.cols || b.len() != self.rows {
-            return Err(MatrixError::ShapeMismatch {
-                left: (self.rows, self.cols),
-                right: (b.len(), 1),
-            });
-        }
-        let n = self.rows;
-        let mut a = self.data.clone();
-        let mut x = b.to_vec();
-        for col in 0..n {
-            let pivot = (col..n)
-                .max_by(|&i, &j| a[i * n + col].abs().total_cmp(&a[j * n + col].abs()))
-                .expect("non-empty range");
-            if a[pivot * n + col].abs() < 1e-300 {
-                return Err(MatrixError::Singular);
-            }
-            if pivot != col {
-                for k in 0..n {
-                    a.swap(col * n + k, pivot * n + k);
-                }
-                x.swap(col, pivot);
-            }
-            for row in col + 1..n {
-                let f = a[row * n + col] / a[col * n + col];
-                if f == 0.0 {
-                    continue;
-                }
-                for k in col..n {
-                    a[row * n + k] -= f * a[col * n + k];
-                }
-                x[row] -= f * x[col];
-            }
-        }
-        for row in (0..n).rev() {
-            for k in row + 1..n {
-                x[row] -= a[row * n + k] * x[k];
-            }
-            x[row] /= a[row * n + row];
-        }
-        Ok(x)
-    }
-
-    /// Matrix inverse via `n` LU solves.
-    ///
-    /// # Errors
-    ///
-    /// See [`Matrix::solve`].
-    pub fn inverse(&self) -> Result<Matrix, MatrixError> {
-        let n = self.rows;
-        let mut inv = Matrix::zeros(n, n);
-        for c in 0..n {
-            let mut e = vec![0.0; n];
-            e[c] = 1.0;
-            let col = self.solve(&e)?;
-            for r in 0..n {
-                inv[(r, c)] = col[r];
-            }
-        }
-        Ok(inv)
-    }
-
-    /// Per-row sums.
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.rows)
-            .map(|r| self.data[r * self.cols..(r + 1) * self.cols].iter().sum())
             .collect()
     }
 }
@@ -246,57 +65,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn solve_and_inverse_agree() {
-        let m = Matrix::from_vec(3, 3, vec![4.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 2.0]);
-        let b = vec![1.0, 2.0, 3.0];
-        let x = m.solve(&b).unwrap();
-        let back = m.mul_vec(&x);
-        for (g, w) in back.iter().zip(&b) {
-            assert!((g - w).abs() < 1e-9);
-        }
-        let inv = m.inverse().unwrap();
-        let id = m.mul(&inv).unwrap();
-        for r in 0..3 {
-            for c in 0..3 {
-                let want = if r == c { 1.0 } else { 0.0 };
-                assert!((id[(r, c)] - want).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn singular_detected() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
-        assert_eq!(m.solve(&[1.0, 1.0]), Err(MatrixError::Singular));
-        assert_eq!(m.inverse(), Err(MatrixError::Singular));
-    }
-
-    #[test]
-    fn transpose_and_mul_vec() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t[(0, 1)], 4.0);
+    fn indexing_and_mul_vec() {
+        let m = Matrix {
+            rows: 2,
+            cols: 3,
+            data: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        };
+        assert_eq!(m[(1, 0)], 4.0);
         assert_eq!(m.mul_vec(&[1.0, 0.0, 1.0]), vec![4.0, 10.0]);
-    }
-
-    #[test]
-    fn shape_mismatch_reported() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(matches!(a.mul(&b), Err(MatrixError::ShapeMismatch { .. })));
-        assert!(a.sub(&b).is_ok());
-        assert!(matches!(
-            a.sub(&Matrix::zeros(3, 2)),
-            Err(MatrixError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn identity_and_row_sums() {
-        let id = Matrix::identity(4);
-        assert_eq!(id.row_sums(), vec![1.0; 4]);
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.row_sums(), vec![3.0, 7.0]);
     }
 }

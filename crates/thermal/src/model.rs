@@ -3,11 +3,10 @@
 //! `T_in = T_sup + D·p` (Eq. 2.2): the minimum sufficient cooling power for
 //! a power distribution is found by raising the CRAC supply temperature to
 //! the highest value that keeps every inlet below the redline (Section
-//! 3.2.1). The airflow-corrected variant of Eq. 3.5,
-//! `T_in = T_sup + [(K − Dᵀ·K)⁻¹ − K⁻¹]·p`, is provided as well.
+//! 3.2.1).
 
 use crate::cooling::CopModel;
-use crate::matrix::{Matrix, MatrixError};
+use crate::matrix::Matrix;
 use dpc_models::units::{Celsius, Watts};
 use std::fmt;
 
@@ -21,8 +20,6 @@ pub enum ThermalError {
         /// Provided count.
         got: usize,
     },
-    /// Linear algebra failed (singular airflow matrix).
-    Matrix(MatrixError),
     /// The self-consistent partition did not converge.
     NotConverged {
         /// Iterations performed.
@@ -36,7 +33,6 @@ impl fmt::Display for ThermalError {
             ThermalError::ShapeMismatch { expected, got } => {
                 write!(f, "shape mismatch: expected {expected}, got {got}")
             }
-            ThermalError::Matrix(e) => write!(f, "matrix error: {e}"),
             ThermalError::NotConverged { iterations } => {
                 write!(f, "partition did not converge in {iterations} iterations")
             }
@@ -45,12 +41,6 @@ impl fmt::Display for ThermalError {
 }
 
 impl std::error::Error for ThermalError {}
-
-impl From<MatrixError> for ThermalError {
-    fn from(e: MatrixError) -> Self {
-        ThermalError::Matrix(e)
-    }
-}
 
 /// The room's thermal model: heat matrix, CRAC efficiency and redline.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +56,11 @@ impl ThermalModel {
     /// # Errors
     ///
     /// [`ThermalError::ShapeMismatch`] when `d` is not square.
-    pub fn new(d: Matrix, cop: CopModel, t_red: Celsius) -> Result<ThermalModel, ThermalError> {
+    pub(crate) fn new(
+        d: Matrix,
+        cop: CopModel,
+        t_red: Celsius,
+    ) -> Result<ThermalModel, ThermalError> {
         if d.rows() != d.cols() {
             return Err(ThermalError::ShapeMismatch {
                 expected: d.rows(),
@@ -89,22 +83,12 @@ impl ThermalModel {
         self.d.rows()
     }
 
-    /// Redline inlet temperature.
-    pub fn t_red(&self) -> Celsius {
-        self.t_red
-    }
-
-    /// The CRAC efficiency model.
-    pub fn cop(&self) -> &CopModel {
-        &self.cop
-    }
-
     /// Inlet temperature rises `D·p` (°C) for rack powers in watts.
     ///
     /// # Errors
     ///
     /// [`ThermalError::ShapeMismatch`] when `powers` has the wrong length.
-    pub fn inlet_rises(&self, powers: &[Watts]) -> Result<Vec<f64>, ThermalError> {
+    pub(crate) fn inlet_rises(&self, powers: &[Watts]) -> Result<Vec<f64>, ThermalError> {
         if powers.len() != self.racks() {
             return Err(ThermalError::ShapeMismatch {
                 expected: self.racks(),
@@ -115,30 +99,13 @@ impl ThermalModel {
         Ok(self.d.mul_vec(&raw))
     }
 
-    /// Inlet temperatures at supply temperature `t_sup` (Eq. 2.2).
-    ///
-    /// # Errors
-    ///
-    /// See [`ThermalModel::inlet_rises`].
-    pub fn inlet_temperatures(
-        &self,
-        t_sup: Celsius,
-        powers: &[Watts],
-    ) -> Result<Vec<Celsius>, ThermalError> {
-        Ok(self
-            .inlet_rises(powers)?
-            .into_iter()
-            .map(|r| t_sup + Celsius(r))
-            .collect())
-    }
-
     /// The maximum supply temperature keeping every inlet at or below the
     /// redline: `t_red − max_i (D·p)_i`.
     ///
     /// # Errors
     ///
     /// See [`ThermalModel::inlet_rises`].
-    pub fn max_supply_temperature(&self, powers: &[Watts]) -> Result<Celsius, ThermalError> {
+    pub(crate) fn max_supply_temperature(&self, powers: &[Watts]) -> Result<Celsius, ThermalError> {
         let peak = self
             .inlet_rises(powers)?
             .into_iter()
@@ -152,46 +119,13 @@ impl ThermalModel {
     /// # Errors
     ///
     /// See [`ThermalModel::inlet_rises`].
-    pub fn min_cooling_power(&self, powers: &[Watts]) -> Result<(Watts, Celsius), ThermalError> {
+    pub(crate) fn min_cooling_power(
+        &self,
+        powers: &[Watts],
+    ) -> Result<(Watts, Celsius), ThermalError> {
         let t_sup = self.max_supply_temperature(powers)?;
         let heat: Watts = powers.iter().sum();
         Ok((self.cop.cooling_power(heat, t_sup), t_sup))
-    }
-
-    /// Airflow-corrected inlet rises (Eq. 3.5):
-    /// `[(K − Dᵀ·K)⁻¹ − K⁻¹]·p`, where `K` is the diagonal matrix of
-    /// power→temperature airflow coefficients (°C per watt of through-flow).
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::ShapeMismatch`] on length mismatch, or
-    /// [`ThermalError::Matrix`] when the airflow system is singular.
-    pub fn inlet_rises_with_airflow(
-        &self,
-        k_diag: &[f64],
-        powers: &[Watts],
-    ) -> Result<Vec<f64>, ThermalError> {
-        let n = self.racks();
-        if k_diag.len() != n || powers.len() != n {
-            return Err(ThermalError::ShapeMismatch {
-                expected: n,
-                got: k_diag.len().min(powers.len()),
-            });
-        }
-        let mut k = Matrix::zeros(n, n);
-        for i in 0..n {
-            k[(i, i)] = k_diag[i];
-        }
-        let dt_k = self.d.transpose().mul(&k)?;
-        let inner = k.sub(&dt_k)?;
-        let inner_inv = inner.inverse()?;
-        let mut k_inv = Matrix::zeros(n, n);
-        for i in 0..n {
-            k_inv[(i, i)] = 1.0 / k_diag[i];
-        }
-        let coupling = inner_inv.sub(&k_inv)?;
-        let raw: Vec<f64> = powers.iter().map(|w| w.0).collect();
-        Ok(coupling.mul_vec(&raw))
     }
 }
 
@@ -207,7 +141,7 @@ mod tests {
     fn paper_cluster_has_80_racks_and_24c_redline() {
         let m = ThermalModel::paper_cluster();
         assert_eq!(m.racks(), 80);
-        assert_eq!(m.t_red(), Celsius(24.0));
+        assert_eq!(m.t_red, Celsius(24.0));
     }
 
     #[test]
@@ -221,11 +155,9 @@ mod tests {
             .unwrap();
         assert!(heavy < light);
         // At max supply temperature, no inlet exceeds the redline.
-        let temps = m
-            .inlet_temperatures(heavy, &uniform_powers(&m, 6_800.0))
-            .unwrap();
-        for t in temps {
-            assert!(t <= m.t_red() + Celsius(1e-9));
+        let rises = m.inlet_rises(&uniform_powers(&m, 6_800.0)).unwrap();
+        for r in rises {
+            assert!(heavy + Celsius(r) <= m.t_red + Celsius(1e-9));
         }
     }
 
@@ -250,32 +182,6 @@ mod tests {
             m.inlet_rises(&[Watts(1.0)]),
             Err(ThermalError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn airflow_variant_vanishes_without_recirculation() {
-        let d = Matrix::zeros(3, 3);
-        let m = ThermalModel::new(d, CopModel::default(), Celsius(24.0)).unwrap();
-        let rises = m
-            .inlet_rises_with_airflow(&[0.01, 0.01, 0.01], &[Watts(100.0); 3])
-            .unwrap();
-        for r in rises {
-            assert!(r.abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn airflow_variant_is_nonnegative_and_grows_with_recirculation() {
-        let m = ThermalModel::paper_cluster();
-        let k = vec![2e-3; m.racks()]; // 1 kW of through-flow ⇒ 2 °C rise
-        let powers = vec![Watts(5_000.0); m.racks()];
-        let rises = m.inlet_rises_with_airflow(&k, &powers).unwrap();
-        let simple = m.inlet_rises(&powers).unwrap();
-        for (a, s) in rises.iter().zip(&simple) {
-            assert!(*a >= -1e-9, "negative rise {a}");
-            // The airflow correction amplifies the first-order estimate.
-            assert!(*a >= *s * 0.5, "airflow {a} vs simple {s}");
-        }
     }
 
     #[test]

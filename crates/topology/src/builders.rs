@@ -69,45 +69,6 @@ impl Graph {
         Graph::from_edges(n, &edges).expect("chord edges are valid")
     }
 
-    /// Disjoint union of one ring per group over a shared `n`-node index
-    /// space — the leaf-phase communication graph of a hierarchical
-    /// facility: each budget domain runs DiBA on its own ring and no edge
-    /// spans domains, so the largest ring is the largest *domain*, not the
-    /// facility. Nodes in no group are isolated; the graph is intentionally
-    /// disconnected for more than one non-empty group.
-    ///
-    /// # Errors
-    ///
-    /// [`GraphError::NodeOutOfRange`] for an index `>= n`;
-    /// [`GraphError::DuplicateMember`] when a node appears in more than one
-    /// group (or twice within one) — the groups must be a partial
-    /// partition.
-    pub fn ring_partition(n: usize, groups: &[Vec<usize>]) -> Result<Graph, GraphError> {
-        let mut seen = vec![false; n];
-        let mut edges = Vec::new();
-        for group in groups {
-            for &v in group {
-                if v >= n {
-                    return Err(GraphError::NodeOutOfRange { node: v, n });
-                }
-                if seen[v] {
-                    return Err(GraphError::DuplicateMember { node: v });
-                }
-                seen[v] = true;
-            }
-            match group.len() {
-                0 | 1 => {}
-                2 => edges.push((group[0], group[1])),
-                len => {
-                    for i in 0..len {
-                        edges.push((group[i], group[(i + 1) % len]));
-                    }
-                }
-            }
-        }
-        Graph::from_edges(n, &edges)
-    }
-
     /// 2-D grid of `rows × cols` nodes with 4-neighbor connectivity.
     pub fn grid(rows: usize, cols: usize) -> Graph {
         let id = |r: usize, c: usize| r * cols + c;
@@ -426,38 +387,6 @@ mod tests {
                 "failure of node {node} partitioned"
             );
         }
-    }
-
-    #[test]
-    fn ring_partition_is_a_disjoint_union_of_rings() {
-        let groups = vec![vec![0, 1, 2, 3], vec![4, 5], vec![6], vec![]];
-        let g = Graph::ring_partition(8, &groups).unwrap();
-        assert_eq!(g.len(), 8);
-        assert_eq!(g.num_edges(), 5); // a 4-ring plus one edge
-        assert!((0..4).all(|v| g.degree(v) == 2));
-        assert_eq!(g.degree(4), 1);
-        assert_eq!(g.degree(6), 0); // singleton group
-        assert_eq!(g.degree(7), 0); // unassigned node
-        assert!(!g.is_connected());
-        // Domain-local connectivity: each multi-node group is connected
-        // among itself.
-        let mut cell = vec![false; 8];
-        for &v in &groups[0] {
-            cell[v] = true;
-        }
-        assert!(g.is_connected_among(&cell));
-    }
-
-    #[test]
-    fn ring_partition_rejects_bad_memberships() {
-        assert!(matches!(
-            Graph::ring_partition(4, &[vec![0, 9]]),
-            Err(GraphError::NodeOutOfRange { node: 9, .. })
-        ));
-        assert!(matches!(
-            Graph::ring_partition(4, &[vec![0, 1], vec![1, 2]]),
-            Err(GraphError::DuplicateMember { node: 1 })
-        ));
     }
 
     #[test]

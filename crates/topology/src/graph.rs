@@ -37,12 +37,6 @@ pub enum GraphError {
         /// Attempts made.
         attempts: usize,
     },
-    /// A node was listed in more than one partition cell (or twice in one)
-    /// of a partition-based construction.
-    DuplicateMember {
-        /// The node listed twice.
-        node: usize,
-    },
     /// No simple `d`-regular graph on `n` nodes exists (`n·d` odd, or
     /// `d ≥ n`).
     BadRegularity {
@@ -65,9 +59,6 @@ impl fmt::Display for GraphError {
             }
             GraphError::ConnectivityNotReached { attempts } => {
                 write!(f, "no connected graph found in {attempts} attempts")
-            }
-            GraphError::DuplicateMember { node } => {
-                write!(f, "node {node} appears in more than one partition cell")
             }
             GraphError::BadRegularity { n, d } => {
                 write!(f, "no simple {d}-regular graph on {n} nodes exists")

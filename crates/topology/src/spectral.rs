@@ -27,7 +27,7 @@ pub struct SpectralInfo {
     /// `e`); `f64::INFINITY` for a disconnected graph.
     pub mixing_time: f64,
     /// Whether the power iteration settled: the last two SLEM estimates
-    /// differ by at most [`CONVERGENCE_TOL`] × `gap`. When `false`, `gap`
+    /// differ by at most `CONVERGENCE_TOL` × `gap`. When `false`, `gap`
     /// is only an upper bound and `mixing_time` a lower bound.
     pub converged: bool,
 }
@@ -35,7 +35,7 @@ pub struct SpectralInfo {
 /// Relative tolerance of [`SpectralInfo::converged`]: successive SLEM
 /// estimates must agree to within this fraction of the gap. An iterate
 /// still creeping at the `1/(2k)` rate moves by `gap/k` a step and fails.
-pub const CONVERGENCE_TOL: f64 = 1e-6;
+pub(crate) const CONVERGENCE_TOL: f64 = 1e-6;
 
 /// Estimates the consensus spectral gap by power iteration on the
 /// mean-removed consensus matrix.
