@@ -95,6 +95,27 @@ impl Options {
     fn string(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str)
     }
+
+    /// `--budget-watts`, or `default`: a NaN or infinite budget is refused
+    /// here, naming the flag, instead of reaching a solver.
+    fn budget_watts(&self, default: f64) -> Result<Watts, CliError> {
+        let budget: f64 = self.get_or("budget-watts", default)?;
+        if !budget.is_finite() {
+            return Err(CliError(format!(
+                "--budget-watts must be a finite number of watts, got {budget}"
+            )));
+        }
+        Ok(Watts(budget))
+    }
+
+    /// `--tol`, or `default`, refused unless finite and positive.
+    fn tol(&self, default: f64) -> Result<f64, CliError> {
+        let tol: f64 = self.get_or("tol", default)?;
+        if !tol.is_finite() || tol <= 0.0 {
+            return Err(CliError("--tol must be positive".into()));
+        }
+        Ok(tol)
+    }
 }
 
 /// Usage text.
@@ -258,7 +279,7 @@ pub fn cmd_solve(opts: &Options) -> Result<String, CliError> {
     }
     let utilities = load_utilities(opts, n, seed)?;
     let n = utilities.len();
-    let budget = Watts(opts.get_or("budget-watts", 172.0 * n as f64)?);
+    let budget = opts.budget_watts(172.0 * n as f64)?;
     let problem = PowerBudgetProblem::new(utilities, budget)
         .map_err(|e| CliError(format!("infeasible problem: {e}")))?;
     let graph = graph_for(opts.string("topology").unwrap_or("ring"), n, seed)?;
@@ -308,7 +329,7 @@ pub fn cmd_simulate(opts: &Options) -> Result<String, CliError> {
         return Err(CliError("--servers must be positive".into()));
     }
     let cluster = ClusterBuilder::new(n).seed(seed).build();
-    let budget = Watts(opts.get_or("budget-watts", 176.0 * n as f64)?);
+    let budget = opts.budget_watts(176.0 * n as f64)?;
     let seconds: f64 = opts.get_or("seconds", 60.0)?;
     let churn: Option<f64> = opts.get("churn-secs")?;
     let phases: Option<f64> = opts.get("phase-secs")?;
@@ -537,7 +558,7 @@ pub fn cmd_hier(opts: &Options) -> Result<String, CliError> {
     if n < 2 {
         return Err(CliError("--servers must be at least 2".into()));
     }
-    let budget = Watts(opts.get_or("budget-watts", 170.0 * n as f64)?);
+    let budget = opts.budget_watts(170.0 * n as f64)?;
     let fanout: usize = opts.get_or("fanout", 4)?;
     let depth: usize = opts.get_or("depth", 1)?;
     if fanout < 2 {
@@ -546,6 +567,7 @@ pub fn cmd_hier(opts: &Options) -> Result<String, CliError> {
     let tenants: usize = opts.get_or("tenants", 0)?;
     let utilities = ClusterBuilder::new(n).seed(seed).build().utilities();
     let caps = dpc_bench::hierbench::striped_tenants(&utilities, tenants);
+    let rel_tol = opts.tol(0.015)?;
     let leaf = match opts.string("leaf").unwrap_or("oracle") {
         "oracle" => LeafSolver::Oracle,
         "diba" => LeafSolver::Diba {
@@ -553,7 +575,7 @@ pub fn cmd_hier(opts: &Options) -> Result<String, CliError> {
                 threads: opts.get_or("threads", Threads::Auto)?,
                 ..DibaConfig::default()
             },
-            rel_tol: opts.get_or("tol", 0.015)?,
+            rel_tol,
             max_rounds: opts.get_or("max-rounds", 200_000)?,
         },
         other => {
@@ -646,7 +668,7 @@ pub fn cmd_trace(opts: &Options) -> Result<String, CliError> {
     if capacity == 0 {
         return Err(CliError("--capacity must be positive".into()));
     }
-    let budget = Watts(opts.get_or("budget-watts", 170.0 * n as f64)?);
+    let budget = opts.budget_watts(170.0 * n as f64)?;
     let threads: Threads = opts.get_or("threads", Threads::Auto)?;
     let late: f64 = opts.get_or("late", 0.0)?;
     if !(0.0..1.0).contains(&late) {
@@ -771,15 +793,12 @@ fn deployment_for(
     seed: u64,
     transport: TransportKind,
 ) -> Result<(PowerBudgetProblem, Graph, RuntimeConfig), CliError> {
-    let budget = Watts(opts.get_or("budget-watts", 170.0 * n as f64)?);
+    let budget = opts.budget_watts(170.0 * n as f64)?;
     let utilities = ClusterBuilder::new(n).seed(seed).build().utilities();
     let problem = PowerBudgetProblem::new(utilities, budget)
         .map_err(|e| CliError(format!("infeasible problem: {e}")))?;
     let graph = graph_for(opts.string("topology").unwrap_or("ring"), n, seed)?;
-    let tol: f64 = opts.get_or("tol", 1e-4)?;
-    if !tol.is_finite() || tol <= 0.0 {
-        return Err(CliError("--tol must be positive".into()));
-    }
+    let tol = opts.tol(1e-4)?;
     let max_rounds: usize = opts.get_or("max-rounds", 20_000)?;
     if max_rounds == 0 {
         return Err(CliError("--max-rounds must be positive".into()));

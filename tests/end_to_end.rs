@@ -278,6 +278,49 @@ fn a_bring_up_deadline_past_the_clock_exits_2() {
 }
 
 #[test]
+fn a_non_finite_budget_exits_2_naming_the_flag() {
+    // Every comparison with NaN is false, so `--budget-watts nan` passed
+    // the feasibility check: `solve`, `cluster` and `trace` exited 0.
+    let cases: [&[&str]; 6] = [
+        &["solve", "--servers", "4"],
+        &["simulate", "--servers", "4", "--seconds", "2"],
+        &[
+            "trace",
+            "--servers",
+            "4",
+            "--rounds",
+            "5",
+            "--out",
+            "/dev/null",
+        ],
+        &["cluster", "--servers", "4"],
+        &["node", "--id", "0", "--servers", "4"],
+        &["hier", "--servers", "8"],
+    ];
+    for args in cases {
+        for budget in ["nan", "inf", "-inf"] {
+            let (code, text) = dpc(&[args, &["--budget-watts", budget]].concat());
+            assert_eq!(code, Some(2), "{args:?} --budget-watts {budget}: {text}");
+            assert!(text.contains("--budget-watts"), "{args:?}: {text}");
+        }
+    }
+}
+
+#[test]
+fn hier_checks_its_tolerance_before_it_solves() {
+    // `--tol nan` ran the oracle leaf and exited 0, and with the DiBA leaf
+    // ran 200 000 rounds before failing to converge.
+    for leaf in ["oracle", "diba"] {
+        for tol in ["nan", "inf", "0", "-1"] {
+            let args = ["hier", "--servers", "8", "--leaf", leaf, "--tol", tol];
+            let (code, text) = dpc(&args);
+            assert_eq!(code, Some(2), "--leaf {leaf} --tol {tol}: {text}");
+            assert!(text.contains("--tol"), "{text}");
+        }
+    }
+}
+
+#[test]
 fn step_response_cut_recovers_within_tens_of_rounds() {
     let cluster = ClusterBuilder::new(60).seed(8).build();
     let r = step_response(
