@@ -16,7 +16,7 @@
 //! * [`exec`] — the deterministic sharded round engine (scoped fan-out,
 //!   barriers, chunked reductions, the [`exec::Threads`] /
 //!   [`exec::Precision`] policy knobs);
-//! * [`fast`] — the ring traversal of a DiBA round: the reference
+//! * `fast` — the ring traversal of a DiBA round: the reference
 //!   kernel's exact arithmetic over an SoA curve layout in packed 4-lane
 //!   blocks, which `DibaRun` runs on ring-dominant graphs.
 //!
@@ -43,7 +43,7 @@ pub mod baselines;
 pub mod centralized;
 pub mod diba;
 pub mod exec;
-pub mod fast;
+mod fast;
 pub mod faults;
 pub mod hierarchy;
 pub mod knapsack;
