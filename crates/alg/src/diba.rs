@@ -28,13 +28,10 @@ use crate::exec::{
 };
 use crate::fast::{phase_a_fast, phase_b_fast, FastState, Sealed};
 use crate::problem::{AlgError, Allocation, PowerBudgetProblem};
-use crate::telemetry::{
-    FaultEvent, FaultEventKind, RoundRecord, Telemetry, TelemetryConfig, MAX_TIMED_SHARDS,
-};
+use crate::telemetry::{FaultEvent, FaultEventKind, RoundRecord, Telemetry, TelemetryConfig};
 use dpc_models::units::Watts;
 use dpc_topology::Graph;
 use std::ops::Range;
-use std::time::Instant;
 
 /// Tuning knobs for DiBA. The defaults are calibrated for the paper's
 /// cluster scale (hundreds to thousands of nodes, ring-like topologies).
@@ -741,10 +738,6 @@ struct RoundScratch {
     /// Per-worker `[Σpᵢ, Σrᵢ(pᵢ)]` over the shard's pre-round state — the
     /// cap-test partials phase A accumulates under [`Stop::Within`].
     worker_sums: Vec<[f64; 2]>,
-    /// Per-worker phase-A wall-clock nanoseconds of the round in flight
-    /// (only written when timed telemetry is on; always allocated — it is
-    /// one word per worker).
-    phase_nanos: Vec<u64>,
 }
 
 impl RoundScratch {
@@ -761,7 +754,6 @@ impl RoundScratch {
             },
             worker_max: vec![0.0; workers],
             worker_sums: vec![[0.0; 2]; workers],
-            phase_nanos: vec![0; workers],
         }
     }
 }
@@ -1149,7 +1141,6 @@ impl DibaRun {
         // Decided once per batch: a disabled recorder costs the hot loop
         // exactly this branch (and nothing per round).
         let tel_on = self.telemetry.is_some();
-        let time_on = self.telemetry.as_ref().is_some_and(|t| t.config().timings);
         let start = self.iterations;
         let mut ctl = RoundCtl {
             params: self.params,
@@ -1177,7 +1168,6 @@ impl DibaRun {
             let per_worker = &all_cuts.workers;
             let worker_max = Chunked::new(&mut self.scratch.worker_max, per_worker);
             let worker_sums = Chunked::new(&mut self.scratch.worker_sums, per_worker);
-            let nanos = Chunked::new(&mut self.scratch.phase_nanos, per_worker);
             // The traversal, hoisted: one branch per phase per worker,
             // nothing per node.
             let buffers = self.traversal.chunk(all_cuts);
@@ -1205,7 +1195,6 @@ impl DibaRun {
                     }
                     let rp = top.round_params();
                     let at = (problem, graph, &rp);
-                    let t0 = if time_on { Some(Instant::now()) } else { None };
                     let sums = {
                         let heard = e_sent.read_all(w, PHASE_A, &mut held_a);
                         let (p, e) = (p.read(w, PHASE_A), e.read(w, PHASE_A));
@@ -1225,9 +1214,6 @@ impl DibaRun {
                     held_a.clear();
                     if cap_test.is_some() {
                         worker_sums.write(w, PHASE_A)[0] = sums;
-                    }
-                    if let Some(t0) = t0 {
-                        nanos.write(w, PHASE_A)[0] = t0.elapsed().as_nanos() as u64;
                     }
                     barrier.wait(); // all transfers + p_hat + cap-test partials written
                     if let Some((reference, rel_tol)) = cap_test {
@@ -1285,12 +1271,6 @@ impl DibaRun {
                                     max_abs_e = max_abs_e.max(ei.abs());
                                     norm2 += pi * pi;
                                 }
-                                let mut shard_nanos = [0u64; MAX_TIMED_SHARDS];
-                                if time_on {
-                                    for (k, ns) in nanos.values(BETWEEN).enumerate() {
-                                        shard_nanos[k.min(MAX_TIMED_SHARDS - 1)] += ns;
-                                    }
-                                }
                                 tel.record_round(RoundRecord {
                                     round: ctl_now[0].iterations as u64,
                                     budget: budget.0,
@@ -1301,8 +1281,6 @@ impl DibaRun {
                                     max_step,
                                     msgs_sent: msgs_per_round,
                                     live: n as u64,
-                                    workers: workers as u32,
-                                    shard_nanos,
                                     ..RoundRecord::default()
                                 });
                             }
@@ -1681,7 +1659,6 @@ mod tests {
                 telemetry: crate::telemetry::TelemetryConfig {
                     enabled: true,
                     capacity: 0,
-                    timings: false,
                 },
                 ..DibaConfig::default()
             },
@@ -1715,9 +1692,8 @@ mod tests {
         assert_eq!(last.max_step, run.last_max_step());
         assert!(last.conservation_drift() < 1e-6);
         assert_eq!(last.msgs_sent, 60); // one per directed ring edge
-                                        // Sharding metadata is attached; timings stay zero unless opted in.
+                                        // Sharding metadata is attached.
         assert!(tel.prometheus().contains("dpc_shard_work{shard=\"0\"}"));
-        assert!(last.shard_nanos.iter().all(|&ns| ns == 0));
     }
 
     /// The compare-select helpers against the `f64` forms they replace,

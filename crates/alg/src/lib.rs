@@ -12,7 +12,7 @@
 //! * [`predictor`] — the Chapter 3 runtime throughput predictors (Table 3.2);
 //! * [`problem`] — the shared problem/allocation types;
 //! * [`telemetry`] — round-level recording (residuals, messages, fault
-//!   events, shard timings) with JSONL/CSV/Prometheus sinks;
+//!   events) with JSONL/CSV/Prometheus sinks;
 //! * [`exec`] — the deterministic sharded round engine (scoped fan-out,
 //!   barriers, chunked reductions, the [`exec::Threads`] /
 //!   [`exec::Precision`] policy knobs);

@@ -8,9 +8,8 @@
 //!
 //! * [`RoundRecord`] — one fixed-size, `Copy` sample per round: residual
 //!   aggregates (`Σe`, `max |eᵢ|`), power aggregates (`Σp`, ‖p‖₂), message
-//!   accounting (sent / in flight), the fault ledger (pending shares of
-//!   powered-off peers, stranded mass), and optional per-shard kernel
-//!   timings from the parallel round engine.
+//!   accounting (sent / in flight) and the fault ledger (pending shares of
+//!   powered-off peers, stranded mass).
 //! * [`FaultEvent`] — a discrete record per fault-machinery action (crash,
 //!   departure, restart, detection, a share booked) with the slack mass it
 //!   moved.
@@ -18,7 +17,7 @@
 //!   allocates after construction, so steady-state recording is
 //!   allocation-free. Each recorder has a single writer (worker 0 of the
 //!   synchronous engine; the runtime's serial lockstep loop), so no
-//!   locking is needed — per-worker timing slots are plain disjoint writes.
+//!   locking is needed.
 //! * Sinks — [`Telemetry::to_jsonl`] (structured trace, byte-reproducible
 //!   for a fixed seed), [`Telemetry::to_csv`] (time series), and
 //!   [`Telemetry::prometheus`] (text-exposition snapshot of the latest
@@ -29,18 +28,11 @@
 //! engines use ([`crate::exec::chunked_sum`]), and recording never touches
 //! solver state or RNG streams — enabling telemetry leaves trajectories
 //! bitwise identical, and a JSONL trace is a pure function of the
-//! configuration and seed. The one exception is wall-clock shard timings,
-//! which are recorded only when [`TelemetryConfig::timings`] is set and are
-//! the only non-reproducible fields a sink will then emit.
+//! configuration and seed.
 
 use crate::primal_dual::PrimalDualResult;
 use dpc_models::units::Watts;
 use std::fmt::Write as _;
-
-/// Shard-timing slots carried inline in each [`RoundRecord`]. Runs with
-/// more workers fold the excess into the last slot (the record stays
-/// `Copy` and fixed-size so the ring never allocates).
-pub const MAX_TIMED_SHARDS: usize = 8;
 
 /// Telemetry knob carried by `DibaConfig`. Disabled by default: the
 /// engines then skip recording entirely (one branch per round, no
@@ -51,9 +43,6 @@ pub struct TelemetryConfig {
     pub enabled: bool,
     /// Rounds (and fault events) retained; older entries are overwritten.
     pub capacity: usize,
-    /// Also record wall-clock per-shard kernel timings. These are the only
-    /// non-deterministic fields; leave off for byte-reproducible traces.
-    pub timings: bool,
 }
 
 impl TelemetryConfig {
@@ -65,7 +54,6 @@ impl TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             capacity: Self::DEFAULT_CAPACITY,
-            timings: false,
         }
     }
 
@@ -82,12 +70,11 @@ impl TelemetryConfig {
         TelemetryConfig {
             enabled: true,
             capacity: rounds,
-            timings: false,
         }
     }
 
     /// Checks the knob is honorable: when enabled, a capacity from 1 to
-    /// 2²⁰ records — the ring reserves all of it up front, 208 B a record.
+    /// 2²⁰ records — the ring reserves all of it up front, 112 B a record.
     ///
     /// # Errors
     ///
@@ -147,12 +134,6 @@ pub struct RoundRecord {
     pub stranded: f64,
     /// Live nodes.
     pub live: u64,
-    /// Worker count of the round engine (1 for serial solvers).
-    pub workers: u32,
-    /// Wall-clock phase-A kernel nanoseconds per shard (all zero unless
-    /// [`TelemetryConfig::timings`] is on); shards beyond
-    /// [`MAX_TIMED_SHARDS`] fold into the last slot.
-    pub shard_nanos: [u64; MAX_TIMED_SHARDS],
 }
 
 impl RoundRecord {
@@ -338,7 +319,6 @@ impl<T: Copy> Ring<T> {
 /// message counters that survive ring overwrites.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Telemetry {
-    config: TelemetryConfig,
     rounds: Ring<RoundRecord>,
     events: Ring<FaultEvent>,
     total_sent: u64,
@@ -352,17 +332,11 @@ impl Telemetry {
     /// A recorder for the given knob (which should be enabled).
     pub fn new(config: TelemetryConfig) -> Telemetry {
         Telemetry {
-            config,
             rounds: Ring::with_capacity(config.capacity),
             events: Ring::with_capacity(config.capacity),
             total_sent: 0,
             shard_work: Vec::new(),
         }
-    }
-
-    /// The knob this recorder was built with.
-    pub(crate) fn config(&self) -> TelemetryConfig {
-        self.config
     }
 
     /// Records one round (single-writer: worker 0 or the serial loop).
@@ -429,7 +403,6 @@ impl Telemetry {
                 lambda: tr.lambda,
                 msgs_sent: 2 * n as u64,
                 live: n as u64,
-                workers: 1,
                 ..RoundRecord::default()
             });
         }
@@ -438,7 +411,7 @@ impl Telemetry {
     /// Renders the recorder as JSON Lines: one object per retained entry,
     /// rounds and fault events merged chronologically (an event sorts
     /// before the record of the round it fired in). Byte-reproducible for
-    /// a fixed configuration and seed as long as timings are off.
+    /// a fixed configuration and seed.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let mut rounds = self.rounds.iter().peekable();
@@ -462,12 +435,12 @@ impl Telemetry {
                 );
             } else {
                 let r = rounds.next().expect("peeked");
-                let _ = write!(
+                let _ = writeln!(
                     out,
                     "{{\"type\":\"round\",\"round\":{},\"budget_w\":{},\"sum_p_w\":{},\
                      \"norm2_p\":{},\"sum_e_w\":{},\"max_abs_e_w\":{},\"max_step_w\":{},\
                      \"lambda\":{},\"msgs_sent\":{},\"in_flight\":{},\"inflight_mass_w\":{},\
-                     \"pending_w\":{},\"stranded_w\":{},\"live\":{}",
+                     \"pending_w\":{},\"stranded_w\":{},\"live\":{}}}",
                     r.round,
                     r.budget,
                     r.sum_p,
@@ -483,14 +456,6 @@ impl Telemetry {
                     r.stranded,
                     r.live,
                 );
-                if self.config.timings {
-                    let _ = write!(out, ",\"workers\":{},\"shard_nanos\":[", r.workers);
-                    for (k, ns) in r.shard_nanos.iter().enumerate() {
-                        let _ = write!(out, "{}{ns}", if k > 0 { "," } else { "" });
-                    }
-                    out.push(']');
-                }
-                out.push_str("}\n");
             }
         }
         out
@@ -593,21 +558,6 @@ impl Telemetry {
                 r.in_flight as f64,
             );
             gauge(&mut out, "dpc_live_nodes", "Live nodes", r.live as f64);
-            if self.config.timings {
-                let _ = writeln!(
-                    out,
-                    "# HELP dpc_shard_kernel_nanos Phase-A kernel wall-clock per shard"
-                );
-                let _ = writeln!(out, "# TYPE dpc_shard_kernel_nanos gauge");
-                for (k, ns) in r
-                    .shard_nanos
-                    .iter()
-                    .take(r.workers.max(1) as usize)
-                    .enumerate()
-                {
-                    let _ = writeln!(out, "dpc_shard_kernel_nanos{{shard=\"{k}\"}} {ns}");
-                }
-            }
         }
         if !self.shard_work.is_empty() {
             let _ = writeln!(
@@ -671,7 +621,6 @@ mod tests {
         let bad = TelemetryConfig {
             enabled: true,
             capacity: 0,
-            timings: false,
         };
         assert!(bad.validate().is_err());
         assert!(TelemetryConfig::with_capacity(1 << 20).validate().is_ok());
@@ -688,7 +637,6 @@ mod tests {
             sum_e: -5.0,
             msgs_sent: 10,
             live: 4,
-            workers: 2,
             ..RoundRecord::default()
         }
     }
@@ -719,8 +667,6 @@ mod tests {
         assert!(lines[0].contains("\"type\":\"round\"") && lines[0].contains("\"round\":1"));
         assert!(lines[1].contains("\"kind\":\"crash\"") && lines[1].contains("\"mass_w\":-7.5"));
         assert!(lines[2].contains("\"type\":\"round\"") && lines[2].contains("\"round\":2"));
-        // Timings are excluded unless opted into.
-        assert!(!lines[0].contains("shard_nanos"));
     }
 
     #[test]
@@ -772,24 +718,5 @@ mod tests {
         assert!(lines[0].contains("\"path\":\"dc\"") && lines[0].contains("\"cap_w\":null"));
         assert!(lines[1].contains("\"cap_w\":650") && lines[1].contains("\"rounds\":120"));
         assert_eq!(jsonl, domains_to_jsonl(&domains));
-    }
-
-    #[test]
-    fn timings_opt_in_emits_shard_fields() {
-        let mut t = Telemetry::new(TelemetryConfig {
-            timings: true,
-            ..TelemetryConfig::on()
-        });
-        let mut r = record(1);
-        r.shard_nanos[0] = 42;
-        t.record_round(r);
-        let jsonl = t.to_jsonl();
-        assert!(
-            jsonl.contains("\"shard_nanos\":[42,0,0,0,0,0,0,0]"),
-            "{jsonl}"
-        );
-        assert!(t
-            .prometheus()
-            .contains("dpc_shard_kernel_nanos{shard=\"0\"} 42"));
     }
 }

@@ -13,7 +13,7 @@ use dpc_alg::centralized;
 use dpc_alg::diba::{DibaConfig, DibaRun};
 use dpc_alg::exec::{Precision, Threads};
 use dpc_alg::problem::PowerBudgetProblem;
-use dpc_alg::telemetry::{RoundRecord, TelemetryConfig, MAX_TIMED_SHARDS};
+use dpc_alg::telemetry::TelemetryConfig;
 use dpc_models::units::Watts;
 use dpc_models::workload::ClusterBuilder;
 use dpc_topology::Graph;
@@ -28,14 +28,6 @@ fn sync_run(n: usize, seed: u64, threads: Threads, capacity: usize) -> DibaRun {
         ..DibaConfig::default()
     };
     DibaRun::new(problem, Graph::ring_with_chords(n, 2), config).unwrap()
-}
-
-/// Wall-clock shard timings are the one field allowed to differ between
-/// executions of the same trajectory; everything else must match bitwise.
-fn mask(r: &RoundRecord) -> RoundRecord {
-    let mut m = *r;
-    m.shard_nanos = [0; MAX_TIMED_SHARDS];
-    m
 }
 
 /// The cap-test loop written with the public API only: the criterion
@@ -124,8 +116,8 @@ fn assert_same_run(mut a: DibaRun, mut b: DibaRun, what: &str) -> Result<(), Tes
         "{}: five rounds later",
         what
     );
-    let ra: Vec<_> = a.telemetry().unwrap().rounds().map(mask).collect();
-    let rb: Vec<_> = b.telemetry().unwrap().rounds().map(mask).collect();
+    let ra: Vec<_> = a.telemetry().unwrap().rounds().copied().collect();
+    let rb: Vec<_> = b.telemetry().unwrap().rounds().copied().collect();
     prop_assert_eq!(ra, rb, "{}: record streams", what);
     Ok(())
 }
@@ -224,8 +216,8 @@ proptest! {
         prop_assert_eq!(stepped.node_states(), batched.node_states());
         prop_assert_eq!(stepped.iterations(), batched.iterations());
 
-        let rs: Vec<_> = stepped.telemetry().unwrap().rounds().map(mask).collect();
-        let rb: Vec<_> = batched.telemetry().unwrap().rounds().map(mask).collect();
+        let rs: Vec<_> = stepped.telemetry().unwrap().rounds().copied().collect();
+        let rb: Vec<_> = batched.telemetry().unwrap().rounds().copied().collect();
         prop_assert_eq!(rs.len(), k);
         prop_assert_eq!(rs, rb, "record streams diverged at {} threads", threads);
         prop_assert_eq!(

@@ -67,19 +67,10 @@ proptest! {
         prop_assert_eq!(silent2.residuals(), watched2.residuals());
         prop_assert_eq!(silent2.allocation(), watched2.allocation());
         prop_assert_eq!(watched2.residuals(), watched7.residuals());
-        // Only the execution-environment fields (worker count, wall-clock
-        // shard timings) may differ between engine widths; every recorded
-        // solver quantity must be bitwise identical. With timings off those
-        // fields are excluded from the rendered trace, so the JSONL is
-        // byte-identical too.
-        let mask = |r: &dpc_alg::telemetry::RoundRecord| {
-            let mut m = *r;
-            m.workers = 0;
-            m.shard_nanos = [0; dpc_alg::telemetry::MAX_TIMED_SHARDS];
-            m
-        };
-        let r2: Vec<_> = watched2.telemetry().unwrap().rounds().map(mask).collect();
-        let r7: Vec<_> = watched7.telemetry().unwrap().rounds().map(mask).collect();
+        // Every recorded solver quantity is bitwise identical between
+        // engine widths, so the JSONL is byte-identical too.
+        let r2: Vec<_> = watched2.telemetry().unwrap().rounds().copied().collect();
+        let r7: Vec<_> = watched7.telemetry().unwrap().rounds().copied().collect();
         prop_assert_eq!(r2, r7, "records must not depend on the worker count");
         prop_assert_eq!(
             watched2.telemetry().unwrap().to_jsonl(),

@@ -28,34 +28,32 @@ pub struct ServerWorkload {
     pub learned: QuadraticUtility,
 }
 
+/// Relative jitter of each server's throughput curve around its
+/// benchmark's nominal curve.
+const CURVE_JITTER: f64 = 0.08;
+
+/// Relative noise on each point of the characterization sweep.
+const MEASUREMENT_NOISE: f64 = 0.01;
+
 /// Configuration for building a [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
     n: usize,
-    server: ServerSpec,
-    curve_jitter: f64,
-    measurement_noise: f64,
     seed: u64,
 }
 
 impl ClusterBuilder {
-    /// Starts a builder for `n` servers of the paper's default server class.
-    ///
-    /// Defaults: uniform random assignment, 8 % curve jitter between
-    /// instances, 1 % measurement noise, seed 0.
+    /// Starts a builder for `n` servers of the paper's server class
+    /// ([`ServerSpec::dell_c1100`]), each hosting a uniformly drawn
+    /// benchmark, with 8 % curve jitter between instances, 1 % measurement
+    /// noise and seed 0.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> ClusterBuilder {
         assert!(n > 0, "cluster must have at least one server");
-        ClusterBuilder {
-            n,
-            server: ServerSpec::dell_c1100(),
-            curve_jitter: 0.08,
-            measurement_noise: 0.01,
-            seed: 0,
-        }
+        ClusterBuilder { n, seed: 0 }
     }
 
     /// Sets the RNG seed; identical seeds reproduce identical clusters.
@@ -67,15 +65,16 @@ impl ClusterBuilder {
     /// Builds the cluster, running the synthetic characterization sweep for
     /// every server.
     pub fn build(&self) -> Cluster {
+        let server = ServerSpec::dell_c1100();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let workloads = (0..self.n)
             .map(|i| {
                 let benchmark = Benchmark::ALL[rng.gen_range(0..Benchmark::ALL.len())];
                 let (truth, learned) = learn_utility(
                     benchmark.spec(),
-                    &self.server,
-                    self.curve_jitter,
-                    self.measurement_noise,
+                    &server,
+                    CURVE_JITTER,
+                    MEASUREMENT_NOISE,
                     &mut rng,
                 );
                 ServerWorkload {
@@ -87,7 +86,7 @@ impl ClusterBuilder {
             })
             .collect();
         Cluster {
-            server: self.server.clone(),
+            server,
             workloads,
             rng,
         }

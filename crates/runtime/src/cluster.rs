@@ -286,7 +286,6 @@ fn merge_telemetry(reports: &[NodeReport], budget: Watts) -> Telemetry {
             max_abs_e,
             msgs_sent: msgs.saturating_sub(prev_msgs),
             live: reports.len() as u64,
-            workers: 1,
             ..RoundRecord::default()
         });
         prev_msgs = msgs;

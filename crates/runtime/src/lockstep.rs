@@ -916,7 +916,6 @@ impl Lockstep {
             pending: self.pending_total(),
             stranded: self.stranded,
             live: self.live_count() as u64,
-            workers: 1,
             ..self.links.tally
         };
         if let Some(t) = self.telemetry.as_mut() {
