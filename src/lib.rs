@@ -18,7 +18,9 @@
 //!   step responses);
 //! * [`runtime`] — the deployable node runtime: one DiBA agent state
 //!   machine speaking a versioned binary wire protocol, hosted in-process
-//!   by an epoll reactor and across processes over TCP sockets.
+//!   by an epoll reactor and across processes over TCP sockets;
+//! * [`cli`] — the `dpc` operator CLI: each subcommand checks every flag
+//!   it accepts, by range or list of choices, before anything runs.
 //!
 //! # Quickstart
 //!

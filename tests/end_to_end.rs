@@ -321,6 +321,112 @@ fn hier_checks_its_tolerance_before_it_solves() {
 }
 
 #[test]
+fn a_size_or_choice_no_run_can_take_exits_2_naming_its_flag() {
+    // Before each flag was checked by range, `--servers 2⁶⁴−1` overflowed
+    // a capacity in `ClusterBuilder::build` (exit 101), as did `hier
+    // --tenants` and `--big`; `hier --depth` overflowed the stack (134);
+    // `hier --fanout` and `--fanouts` spun in a `0..fanout` loop; and
+    // the rest exited 2 without naming their flag.
+    let max = "18446744073709551615";
+    let dir = std::env::temp_dir().join("dpc-e2e-flag-ranges");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bench = dir.join("hier.json");
+    let bench = bench.to_str().unwrap();
+    let trace = dir.join("trace.jsonl");
+    let trace = trace.to_str().unwrap();
+    let cases: [(&[&str], &str); 28] = [
+        (&["solve", "--servers", max], "--servers"),
+        (&["simulate", "--servers", max], "--servers"),
+        (&["faults", "--servers", max], "--servers"),
+        (&["trace", "--servers", max], "--servers"),
+        (&["cluster", "--servers", max], "--servers"),
+        (&["hier", "--servers", max], "--servers"),
+        (&["node", "--id", "0", "--servers", max], "--servers"),
+        (&["hier", "--tenants", max], "--tenants"),
+        (&["hier", "--bench", bench, "--big", max], "--big"),
+        (&["hier", "--depth", max], "--depth"),
+        (&["hier", "--fanout", max], "--fanout"),
+        (&["hier", "--bench", bench, "--fanouts", max], "--fanouts"),
+        (&["hier", "--servers", "8", "--tenants", "99"], "--tenants"),
+        (&["trace", "--servers", "4", "--out", ""], "--out"),
+        (
+            &["trace", "--topology", "moebius", "--out", trace],
+            "--topology",
+        ),
+        (&["trace", "--solver", "gossip", "--out", trace], "--solver"),
+        (&["trace", "--format", "xml", "--out", trace], "--format"),
+        (&["cluster", "--transport", "pigeon"], "--transport"),
+        (
+            &["node", "--id", "0", "--servers", "4", "--listen", "garbage"],
+            "--listen",
+        ),
+        (
+            &["simulate", "--servers", "4", "--seconds", "1e30"],
+            "--seconds",
+        ),
+        (
+            &["simulate", "--servers", "4", "--seconds", "nan"],
+            "--seconds",
+        ),
+        (
+            &["simulate", "--servers", "4", "--churn-secs", "0"],
+            "--churn-secs",
+        ),
+        (
+            &["simulate", "--servers", "4", "--churn-secs", "nan"],
+            "--churn-secs",
+        ),
+        (
+            &[
+                "replay",
+                "--scenario",
+                "examples/scenarios/ramp_8node.txt",
+                "--tol",
+                "nan",
+            ],
+            "--tol",
+        ),
+        (
+            &[
+                "replay",
+                "--scenario",
+                "examples/scenarios/ramp_8node.txt",
+                "--stable-rounds",
+                "0",
+            ],
+            "--stable-rounds",
+        ),
+        (&["trace", "--rounds", max, "--out", trace], "--rounds"),
+        (
+            &["solve", "--servers", "4", "--budget-watts", "0"],
+            "--budget-watts",
+        ),
+        (
+            &["hier", "--servers", "8", "--budget-watts", "-1"],
+            "--budget-watts",
+        ),
+    ];
+    for (args, flag) in cases {
+        let (code, text) = dpc(args);
+        assert_eq!(code, Some(2), "{args:?}: {text}");
+        assert!(text.contains(flag), "{args:?}: {text}");
+    }
+    // A finite budget far above every server's peak is a valid cap.
+    let cases: [&[&str]; 5] = [
+        &["solve", "--servers", "4"],
+        &["simulate", "--servers", "4", "--seconds", "2"],
+        &["trace", "--servers", "4", "--rounds", "5", "--out", trace],
+        &["cluster", "--servers", "4"],
+        &["hier", "--servers", "8"],
+    ];
+    for args in cases {
+        let (code, text) = dpc(&[args, &["--budget-watts", "1e30"]].concat());
+        assert_eq!(code, Some(0), "{args:?}: {text}");
+        assert!(!text.contains("NaN"), "{args:?}: {text}");
+    }
+}
+
+#[test]
 fn step_response_cut_recovers_within_tens_of_rounds() {
     let cluster = ClusterBuilder::new(60).seed(8).build();
     let r = step_response(
