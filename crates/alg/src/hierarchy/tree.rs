@@ -88,21 +88,27 @@ impl DomainSpec {
 
     /// A uniform tree over servers `0..n`: `depth` internal levels of
     /// `fanout` children each, leaves holding contiguous server ranges
-    /// (`depth = 0` is a single flat leaf). Empty ranges are skipped, so
-    /// `n` need not divide evenly.
+    /// (`depth = 0` is a single flat leaf). Child `k` of a domain over
+    /// `count` servers from `lo` holds `[lo + k·count/fanout,
+    /// lo + (k+1)·count/fanout)`; empty ranges are skipped, so `n` need not
+    /// divide evenly, and building costs O(depth · n), not O(depth · n ·
+    /// fanout).
     pub fn uniform(n: usize, fanout: usize, depth: usize) -> DomainSpec {
         fn build(name: String, lo: usize, hi: usize, fanout: usize, depth: usize) -> DomainSpec {
             if depth == 0 {
                 return DomainSpec::leaf(name, (lo..hi).collect());
             }
             let count = hi - lo;
-            let children = (0..fanout)
-                .filter_map(|k| {
-                    let a = lo + k * count / fanout;
-                    let b = lo + (k + 1) * count / fanout;
-                    (a < b).then(|| build(format!("{name}.{k}"), a, b, fanout, depth - 1))
-                })
-                .collect();
+            let mut children = Vec::new();
+            let mut a = lo;
+            while a < hi {
+                // The first child whose range ends past `a` starts at `a`:
+                // every child between it and the previous one is empty.
+                let k = ((a - lo + 1) * fanout).div_ceil(count) - 1;
+                let b = lo + (k + 1) * count / fanout;
+                children.push(build(format!("{name}.{k}"), a, b, fanout, depth - 1));
+                a = b;
+            }
             DomainSpec::internal(name, children)
         }
         build("dc".to_string(), 0, n, fanout.max(1), depth)
@@ -802,6 +808,58 @@ mod tests {
         assert_eq!(tree.leaf_count(), 3);
         assert_eq!(tree.domain_count(), 4);
         assert!(tree.max_leaf_servers() <= 4);
+    }
+
+    #[test]
+    fn uniform_spec_matches_the_enumeration_of_every_child() {
+        // The construction that visited all `fanout` children of every
+        // domain, empty ones included.
+        fn reference(
+            name: String,
+            lo: usize,
+            hi: usize,
+            fanout: usize,
+            depth: usize,
+        ) -> DomainSpec {
+            if depth == 0 {
+                return DomainSpec::leaf(name, (lo..hi).collect());
+            }
+            let count = hi - lo;
+            let children = (0..fanout)
+                .filter_map(|k| {
+                    let a = lo + k * count / fanout;
+                    let b = lo + (k + 1) * count / fanout;
+                    (a < b).then(|| reference(format!("{name}.{k}"), a, b, fanout, depth - 1))
+                })
+                .collect();
+            DomainSpec::internal(name, children)
+        }
+        for n in 0..=24 {
+            for fanout in 1..=9 {
+                for depth in 0..=3 {
+                    assert_eq!(
+                        DomainSpec::uniform(n, fanout, depth),
+                        reference("dc".to_string(), 0, n, fanout, depth),
+                        "n {n}, fanout {fanout}, depth {depth}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_spec_costs_nothing_per_empty_child() {
+        // Visiting all 65 536 children of each of the 65 536 one-server
+        // domains is 2³² steps; only the non-empty children cost anything.
+        let start = std::time::Instant::now();
+        let spec = DomainSpec::uniform(65_536, 65_536, 2);
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
+        let DomainChildren::Domains(children) = &spec.children else {
+            panic!("depth 2 has internal children");
+        };
+        assert_eq!(children.len(), 65_536);
+        assert_eq!(children[65_535].name, "dc.65535");
     }
 
     #[test]

@@ -15,9 +15,9 @@ use dpc::alg::predictor::{PredictorKind, ThroughputPredictor};
 use dpc::alg::{baselines, problem::PowerBudgetProblem};
 use dpc::models::metrics::MetricSummary;
 use dpc::models::units::Watts;
+use dpc::repro::ch3;
 use dpc::thermal::partition::{self_consistent_partition, uniform_rack_map};
 use dpc::thermal::ThermalModel;
-use dpc_bench::ch3;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let total = Watts::from_megawatts(0.66);

@@ -2,7 +2,7 @@
 //! cell recovers, and write the JSON report.
 
 use super::{write_output, CliError, Job, Options, Result};
-use dpc_bench::faultbench::{run_fault_bench, traced_cell, Churn, DEFAULT_LATE};
+use crate::repro::faultbench::{run_fault_bench, traced_cell, Churn, DEFAULT_LATE};
 
 pub(super) fn parse(o: &mut Options) -> Result<Job> {
     let servers = o.servers(48, 3)?;
@@ -18,10 +18,7 @@ pub(super) fn parse(o: &mut Options) -> Result<Job> {
     Ok(Box::new(move || {
         let report = run_fault_bench(servers, rounds, seed, &late);
         if !report.all_recovered() {
-            return Err(CliError(format!(
-                "a sweep cell failed to recover — fault-handling bug:\n{}",
-                report.to_table()
-            )));
+            return Err(CliError(report.refusal()));
         }
         write_output("out", &out_path, &report.to_json())?;
         let mut out = format!(

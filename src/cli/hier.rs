@@ -38,7 +38,7 @@ pub(super) fn parse(o: &mut Options) -> Result<Job> {
     if let Some(bench_out) = bench {
         let tenants = tenants.unwrap_or(2);
         return Ok(Box::new(move || {
-            let report = dpc_bench::hierbench::run(
+            let report = crate::repro::hierbench::run(
                 n,
                 &fanouts,
                 &depths,
@@ -74,7 +74,7 @@ pub(super) fn parse(o: &mut Options) -> Result<Job> {
     let tenants = tenants.unwrap_or(0);
     Ok(Box::new(move || {
         let utilities = cluster_utilities(n, seed);
-        let caps = dpc_bench::hierbench::striped_tenants(&utilities, tenants);
+        let caps = crate::repro::hierbench::striped_tenants(&utilities, tenants);
         let spec = DomainSpec::uniform(n, fanout, depth);
         let mut tree = BudgetTree::new(utilities, &spec, budget, caps)
             .map_err(|e| CliError(format!("--budget-watts {}: infeasible tree: {e}", budget.0)))?;

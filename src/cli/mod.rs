@@ -27,6 +27,7 @@ mod faults;
 mod hier;
 mod node;
 mod replay;
+mod repro;
 mod simulate;
 mod solve;
 mod split;
@@ -294,6 +295,9 @@ COMMANDS:
              --tol W (1e-4)  --max-rounds R (20000)
              --timeout-secs T (10; the one bring-up deadline: dial retries,
              accepts and handshakes all end by it)
+  repro      regenerate a table or figure of the paper (repro_output.txt)
+             --experiment ID|all (required; an unknown ID lists them)
+             --scale paper|small (paper)
   help       this text
 ",
         transports = TransportKind::ALL.map(TransportKind::key).join("|"),
@@ -429,7 +433,7 @@ pub type Job = Box<dyn FnOnce() -> Result<String>>;
 pub type Parse = fn(&mut Options) -> Result<Job>;
 
 /// Every subcommand [`run`] dispatches besides `help`, in [`usage`] order.
-pub const COMMANDS: [(&str, Parse); 9] = [
+pub const COMMANDS: [(&str, Parse); 10] = [
     ("solve", solve::parse),
     ("simulate", simulate::parse),
     ("split", split::parse),
@@ -439,6 +443,7 @@ pub const COMMANDS: [(&str, Parse); 9] = [
     ("trace", trace::parse),
     ("cluster", cluster::parse),
     ("node", node::parse),
+    ("repro", repro::parse),
 ];
 
 /// The flags `parse` accepts: the ones it reads from an empty command
@@ -1108,6 +1113,7 @@ mod tests {
             "hier" => args(&["--servers", "8"]),
             "trace" => args(&["--servers", "4", "--rounds", "5", "--out", &file("t.jsonl")]),
             "node" => args(&["--id", "0", "--servers", "4"]),
+            "repro" => args(&["--experiment", "table4_1"]),
             _ => Vec::new(),
         };
         let mut runs = 0;

@@ -12,8 +12,8 @@ use crate::alg::exec::Threads;
 use crate::alg::faults::NodeFaultKind;
 use crate::alg::primal_dual::{self, PrimalDualConfig};
 use crate::alg::telemetry::{Telemetry, TelemetryConfig};
+use crate::repro::faultbench;
 use crate::runtime::lockstep::Lockstep;
-use dpc_bench::faultbench;
 
 pub(super) fn parse(o: &mut Options) -> Result<Job> {
     let solver = o.choice("solver", "diba", &["diba", "async", "primal-dual"])?;

@@ -19,6 +19,9 @@
 //! * [`runtime`] — the deployable node runtime: one DiBA agent state
 //!   machine speaking a versioned binary wire protocol, hosted in-process
 //!   by an epoll reactor and across processes over TCP sockets;
+//! * [`repro`] — one function per table and figure of the paper, printed
+//!   by `dpc repro --experiment ID|all`, and the fault and hierarchy
+//!   sweeps behind `dpc faults` and `dpc hier --bench`;
 //! * [`cli`] — the `dpc` operator CLI: each subcommand checks every flag
 //!   it accepts, by range or list of choices, before anything runs.
 //!
@@ -49,11 +52,12 @@
 #![forbid(unsafe_code)]
 
 pub mod cli;
+pub mod repro;
+pub mod thermal;
 
 pub use dpc_alg as alg;
 pub use dpc_models as models;
 pub use dpc_net as net;
 pub use dpc_runtime as runtime;
 pub use dpc_sim as sim;
-pub use dpc_thermal as thermal;
 pub use dpc_topology as topology;

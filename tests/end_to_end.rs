@@ -261,6 +261,26 @@ fn a_node_event_outside_the_run_exits_2() {
 }
 
 #[test]
+fn a_fault_sweep_too_short_to_book_the_dead_share_names_rounds() {
+    // The crash lands at round 20 of 60 and neighbours book the dead
+    // node's shares after 40 silent rounds: every cell is feasible with a
+    // clean ledger, and the refusal blamed the code.
+    let report = std::env::temp_dir().join("dpc-e2e-short-detection.json");
+    let report = report.to_str().unwrap();
+    let args = ["faults", "--servers", "4", "--rounds", "60", "--late", "0"];
+    let (code, text) = dpc(&[&args[..], &["--out", report]].concat());
+    assert_eq!(code, Some(2), "{text}");
+    assert!(text.contains("inside the detection window"), "{text}");
+    assert!(text.contains("raise --rounds"), "{text}");
+    assert!(text.contains("late 0%, crash:"), "{text}");
+    assert!(
+        text.contains("W of the dead node's shares unbooked"),
+        "{text}"
+    );
+    assert!(!text.contains("fault-handling bug"), "{text}");
+}
+
+#[test]
 fn a_bring_up_deadline_past_the_clock_exits_2() {
     // `1e30` s is no `Duration`; `1e19` s is one, but no `Instant` that
     // far ahead exists. Both panicked instead of naming the flag.
@@ -424,6 +444,48 @@ fn a_size_or_choice_no_run_can_take_exits_2_naming_its_flag() {
         assert_eq!(code, Some(0), "{args:?}: {text}");
         assert!(!text.contains("NaN"), "{args:?}: {text}");
     }
+}
+
+#[test]
+fn repro_prints_its_block_of_repro_output() {
+    // `repro_output.txt` is `dpc repro --experiment all`: a 72-column
+    // banner, the id, a banner, then that experiment's own output.
+    let all =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/repro_output.txt")).unwrap();
+    let banner = "=".repeat(72);
+    let head = format!("{banner}\ntable4_1\n{banner}\n");
+    let start = all.find(&head).expect("table4_1 banner") + head.len();
+    let end = all[start..].find(&banner).map_or(all.len(), |i| start + i);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dpc"))
+        .args(["repro", "--experiment", "table4_1"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), all[start..end]);
+}
+
+#[test]
+fn repro_refuses_an_unknown_id_or_the_old_spellings_naming_the_flag() {
+    // The old `repro` took a positional id and a bare `--small`, and
+    // silently ran at paper scale past a misspelt flag or a second id.
+    let cases: [(&[&str], &str); 5] = [
+        (&["repro", "--experiment", "nope"], "--experiment"),
+        (&["repro"], "--experiment"),
+        (&["repro", "--experiment", "table4_1", "--small"], "--small"),
+        (
+            &["repro", "--experiment", "table4_1", "--smal", "1"],
+            "--smal",
+        ),
+        (&["repro", "table4_1"], "table4_1"),
+    ];
+    for (args, flag) in cases {
+        let (code, text) = dpc(args);
+        assert_eq!(code, Some(2), "{args:?}: {text}");
+        assert!(text.contains(flag), "{args:?}: {text}");
+    }
+    // An unknown id lists every id, which is how to find them.
+    let (_, text) = dpc(&["repro", "--experiment", "nope"]);
+    assert!(text.contains("ext_network_load"), "{text}");
 }
 
 #[test]

@@ -315,7 +315,7 @@ fn drivers_and_subcommands_match_what_the_cli_documents() {
     assert_eq!(documented, dispatched);
 
     // One stopwatch: wall-clock measurement lives in `benchmark/`.
-    assert_eq!(cli::COMMANDS.len(), 9);
+    assert_eq!(cli::COMMANDS.len(), 10);
     let takes_bench: Vec<&str> = cli::COMMANDS
         .iter()
         .filter(|&&(name, parse)| name == "bench" || cli::accepted(parse).contains(&"bench"))
