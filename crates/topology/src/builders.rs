@@ -10,17 +10,21 @@ use crate::graph::{Graph, GraphError};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+/// The edges of [`Graph::ring`].
+fn ring_edges(n: usize) -> Vec<(usize, usize)> {
+    match n {
+        0 | 1 => vec![],
+        2 => vec![(0, 1)],
+        _ => (0..n).map(|i| (i, (i + 1) % n)).collect(),
+    }
+}
+
 impl Graph {
     /// Ring over `n` nodes: node `i` talks to `i±1 (mod n)`.
     ///
     /// Degenerate sizes: `n = 0/1` have no edges, `n = 2` is a single edge.
     pub fn ring(n: usize) -> Graph {
-        let edges: Vec<_> = match n {
-            0 | 1 => vec![],
-            2 => vec![(0, 1)],
-            _ => (0..n).map(|i| (i, (i + 1) % n)).collect(),
-        };
-        Graph::from_edges(n, &edges).expect("ring edges are valid")
+        Graph::from_edges(n, &ring_edges(n)).expect("ring edges are valid")
     }
 
     /// Star over `n` nodes with node 0 as the hub — the primal-dual /
@@ -55,7 +59,7 @@ impl Graph {
     /// Chords whose endpoints coincide or duplicate ring edges are dropped,
     /// so the result can have fewer than `n + chords` edges.
     pub fn ring_with_chords(n: usize, chords: usize) -> Graph {
-        let mut edges: Vec<(usize, usize)> = Graph::ring(n).edges();
+        let mut edges = ring_edges(n);
         if n > 3 && chords > 0 {
             let skip = (n / 2).max(2);
             for k in 0..chords {
