@@ -1,7 +1,9 @@
 //! `dpc cluster`: deploy N node agents locally (on the epoll reactor or
 //! the serial lockstep reference) and report the converged allocation.
 
-use super::{runtime_err, unknown_choice, CliError, Deployment, Job, Options, Result};
+use super::{
+    parse_in, runtime_err, unknown_choice, CliError, Deployment, Job, Options, Result, MAX_THREADS,
+};
 use crate::alg::diba::DibaConfig;
 use crate::models::units::Watts;
 use crate::runtime::cluster::{ShardCount, TransportKind};
@@ -24,11 +26,7 @@ pub(super) fn parse(o: &mut Options) -> Result<Job> {
             )))
         }
         Some(s) if s == "auto" => ShardCount::Auto,
-        Some(s) => ShardCount::Fixed(s.parse().ok().filter(|&k| k > 0).ok_or_else(|| {
-            CliError(format!(
-                "--shards must be `auto` or a positive shard count, got `{s}`"
-            ))
-        })?),
+        Some(s) => ShardCount::Fixed(parse_in("shards", &s, &(1..=MAX_THREADS))?),
     };
     d.rt.sample_every = o.num("sample-every", 0, ..)?;
     Ok(Box::new(move || {

@@ -5,7 +5,6 @@ use super::{
     cluster_utilities, write_output, CliError, Job, Options, Result, MAX_SERVERS, POSITIVE,
 };
 use crate::alg::diba::DibaConfig;
-use crate::alg::exec::Threads;
 use crate::alg::hierarchy::{BudgetTree, DomainSpec, LeafSolver};
 use crate::alg::telemetry::{domains_to_jsonl, DomainRecord};
 use crate::models::units::Watts;
@@ -24,7 +23,7 @@ pub(super) fn parse(o: &mut Options) -> Result<Job> {
     let tenants = o.num_opt("tenants", ..=n)?;
     let rel_tol = o.num("tol", 0.015, POSITIVE)?;
     let max_rounds = o.num("max-rounds", 200_000, ..)?;
-    let threads = o.value("threads", Threads::Auto)?;
+    let threads = o.threads()?;
     let domains = o.path("domains");
     let fanouts = o.list("fanouts", &[2, 4], 2..=n)?;
     let depths = o.list("depths", &[1, 2], 1..=max_depth)?;

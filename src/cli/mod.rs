@@ -11,6 +11,7 @@
 //! starts no thread. Every job returns its report as a `String`, so the
 //! logic is unit-testable without spawning processes.
 
+use crate::alg::exec::Threads;
 use crate::alg::problem::PowerBudgetProblem;
 use crate::models::units::Watts;
 use crate::models::workload::ClusterBuilder;
@@ -50,6 +51,11 @@ type Result<T, E = CliError> = std::result::Result<T, E>;
 /// The most servers any subcommand builds a cluster of. It is above the
 /// 10⁶-server stretch goal and far below what overflows a capacity.
 const MAX_SERVERS: usize = 1 << 24;
+
+/// The most workers `--threads` and shards `--shards` may ask for. Each is
+/// an OS thread, and this is far above any host's core count, past which
+/// another thread only waits at the round barrier.
+const MAX_THREADS: usize = 256;
 
 /// Positive and finite, for tolerances and mean times.
 const POSITIVE: (Bound<f64>, Bound<f64>) = (Bound::Excluded(0.0), Bound::Unbounded);
@@ -145,11 +151,6 @@ impl Options {
         })
     }
 
-    /// `--key` parsed as `T`, without recording it as read.
-    fn get<T: FromStr<Err: fmt::Display>>(&self, key: &str) -> Result<Option<T>> {
-        self.values.get(key).map(|v| parse_text(key, v)).transpose()
-    }
-
     /// `--key`'s text, recording `key` as a flag the subcommand accepts.
     fn text(&mut self, key: Key) -> Option<String> {
         if !self.read.contains(&key) {
@@ -162,12 +163,6 @@ impl Options {
     fn path(&mut self, key: Key) -> Option<String> {
         self.paths.push(key);
         self.text(key)
-    }
-
-    /// `--key` parsed as a type that checks its own range, or `default`.
-    fn value<T: FromStr<Err: fmt::Display>>(&mut self, key: Key, default: T) -> Result<T> {
-        self.text(key);
-        Ok(self.get(key)?.unwrap_or(default))
     }
 
     /// `--key` in `range`, or `None`.
@@ -213,6 +208,15 @@ impl Options {
     /// `--servers`, from `min` to [`MAX_SERVERS`], or `default`.
     fn servers(&mut self, default: usize, min: usize) -> Result<usize> {
         self.num("servers", default, min..=MAX_SERVERS)
+    }
+
+    /// `--threads auto|T`, `T` from 1 to [`MAX_THREADS`]; `auto` when absent.
+    fn threads(&mut self) -> Result<Threads> {
+        match self.text("threads") {
+            None => Ok(Threads::Auto),
+            Some(s) if s.trim() == "auto" => Ok(Threads::Auto),
+            Some(s) => parse_in("threads", &s, &(1..=MAX_THREADS)).map(Threads::Fixed),
+        }
     }
 
     /// `--budget-watts`, or `default`: finite, so no solver sees a NaN or
@@ -500,9 +504,9 @@ mod tests {
 
     #[test]
     fn options_parse_flags_and_reject_garbage() {
-        let o = Options::parse(&args(&["--servers", "10", "--seed", "3"])).unwrap();
-        assert_eq!(o.get::<usize>("servers").unwrap(), Some(10));
-        assert_eq!(o.get::<u64>("seed").unwrap(), Some(3));
+        let mut o = Options::parse(&args(&["--servers", "10", "--seed", "3"])).unwrap();
+        assert_eq!(o.num("servers", 0, ..).unwrap(), 10_usize);
+        assert_eq!(o.num("seed", 0, ..).unwrap(), 3_u64);
         assert!(Options::parse(&args(&["positional"])).is_err());
         assert!(Options::parse(&args(&["--dangling"])).is_err());
         assert!(Options::parse(&args(&["--a", "1", "--a", "2"])).is_err());
@@ -1168,6 +1172,36 @@ mod tests {
             }
         }
         assert!(runs > 100, "only {runs} jobs ran");
+    }
+
+    #[test]
+    fn threads_and_shards_are_bounded_at_parse() {
+        // Parse steps only: no job runs, so no thread or shard starts.
+        let parse = |cmd: &str, argv: &[&str]| {
+            let (_, parse) = COMMANDS.iter().find(|(name, _)| *name == cmd).unwrap();
+            parse(&mut Options::parse(&args(argv)).unwrap())
+        };
+        let max = MAX_THREADS.to_string();
+        let over = (MAX_THREADS + 1).to_string();
+        for (cmd, key) in [
+            ("hier", "--threads"),
+            ("replay", "--threads"),
+            ("trace", "--threads"),
+            ("cluster", "--shards"),
+        ] {
+            for bad in ["0", over.as_str(), "18446744073709551616", "-1", "many"] {
+                match parse(cmd, &[key, bad]) {
+                    Ok(_) => panic!("dpc {cmd} {key} {bad} passed its parse step"),
+                    Err(e) => assert!(e.0.contains(key), "dpc {cmd} {key} {bad}: {e}"),
+                }
+            }
+            // `replay` refuses a missing --scenario after reading --threads.
+            if cmd != "replay" {
+                for good in ["1", max.as_str(), "auto"] {
+                    assert!(parse(cmd, &[key, good]).is_ok(), "dpc {cmd} {key} {good}");
+                }
+            }
+        }
     }
 
     #[test]

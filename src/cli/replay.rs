@@ -8,13 +8,12 @@
 
 use super::{write_output, CliError, Job, Options, Result, POSITIVE};
 use crate::alg::diba::DibaConfig;
-use crate::alg::exec::Threads;
 use crate::sim::replay::{replay, ReplayConfig, Scenario, SettleCriterion};
 
 pub(super) fn parse(o: &mut Options) -> Result<Job> {
     let scenario = o.path("scenario");
     let compare_cold = o.choice("cold", "on", &["on", "off"])? == "on";
-    let threads = o.value("threads", Threads::Auto)?;
+    let threads = o.threads()?;
     let settle = SettleCriterion {
         tol_watts: o.num("tol", 1e-2, POSITIVE)?,
         stable_rounds: o.num("stable-rounds", 10, 1..)?,

@@ -8,7 +8,6 @@ use super::{
     TOPOLOGIES,
 };
 use crate::alg::diba::{DibaConfig, DibaRun};
-use crate::alg::exec::Threads;
 use crate::alg::faults::NodeFaultKind;
 use crate::alg::primal_dual::{self, PrimalDualConfig};
 use crate::alg::telemetry::{Telemetry, TelemetryConfig};
@@ -22,7 +21,7 @@ pub(super) fn parse(o: &mut Options) -> Result<Job> {
     let seed = o.num("seed", 0, ..)?;
     let rounds = o.num("rounds", 600, 1..)?;
     let topology = o.choice("topology", "ring", TOPOLOGIES)?;
-    let threads = o.value("threads", Threads::Auto)?;
+    let threads = o.threads()?;
     let format = o.choice("format", "jsonl", &["jsonl", "csv", "prom"])?;
     let telemetry = TelemetryConfig::with_capacity(o.num("capacity", rounds, ..)?);
     // Every solver's recorder reserves its capacity up front.
