@@ -293,10 +293,11 @@ mod tests {
     fn records(seed: u64, instances: usize) -> Vec<TrainingRecord> {
         let mut rng = StdRng::seed_from_u64(seed);
         let server = ServerSpec::dell_c1100();
+        let levels = server.cap_levels();
         let mut out = Vec::new();
         for spec in SPEC_CPU2006.iter().chain(&PARSEC) {
             for _ in 0..instances {
-                let (truth, _) = learn_utility(spec, &server, 0.08, 0.0, &mut rng);
+                let (truth, _) = learn_utility(spec, &levels, server.peak, 0.08, 0.0, &mut rng);
                 let cap = Watts(rng.gen_range(156.0..196.0));
                 let pmc = PmcSignature::for_spec(spec).sample(0.03, &mut rng);
                 let observation = Observation {
